@@ -323,6 +323,18 @@ func (e *Engine) workerTotal() int {
 	return n
 }
 
+// peakWorkers sums each instance's high-water registered-worker count. The
+// batch report reads it when the batch ends: external workers register after
+// submission, so a live count taken before the first job ran reported an
+// allocation of 0.
+func (e *Engine) peakWorkers() int {
+	n := 0
+	for _, d := range e.insts {
+		n += d.PeakWorkers()
+	}
+	return n
+}
+
 // records merges per-instance job records (submission interleaving across
 // instances has no global order; callers summarize, they don't sequence).
 func (e *Engine) records() []metrics.JobRecord {
@@ -368,11 +380,12 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []dispatch.Job) (*BatchRepor
 		}
 		handles = append(handles, h)
 	}
-	report := &BatchReport{Allocation: e.workerTotal()}
+	report := &BatchReport{}
 	for _, h := range handles {
 		select {
 		case <-h.Done():
 		case <-ctx.Done():
+			report.Allocation = e.peakWorkers()
 			return report, ctx.Err()
 		}
 		res, _ := h.TryResult()
@@ -380,6 +393,7 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []dispatch.Job) (*BatchRepor
 	}
 	report.Elapsed = time.Since(start)
 	report.Records = e.records()
+	report.Allocation = e.peakWorkers()
 	report.Summary = metrics.Summarize(report.Records, report.Allocation)
 	return report, nil
 }

@@ -12,6 +12,7 @@ import (
 	"jets/internal/dispatch"
 	"jets/internal/hydra"
 	"jets/internal/mpi"
+	"jets/internal/worker"
 )
 
 func TestParseInput(t *testing.T) {
@@ -125,6 +126,40 @@ work.sh d
 	}
 	if rep.Allocation != 8 {
 		t.Fatalf("allocation=%d", rep.Allocation)
+	}
+}
+
+// TestReportCountsExternalWorkers is the `jets -workers 0` case: the workers
+// attach only after the batch is submitted, and the report must still count
+// them (it sampled the live count once, before any had registered, and
+// printed "allocation: 0 workers").
+func TestReportCountsExternalWorkers(t *testing.T) {
+	e, runner := newTestEngine(t, 0)
+	runner.Register("noop", func(context.Context, []string, map[string]string, io.Writer) int { return 0 })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for e.Dispatcher().QueuedJobs() == 0 { // until RunBatch has submitted
+			time.Sleep(time.Millisecond)
+		}
+		for i := 0; i < 2; i++ {
+			w, err := worker.New(worker.Config{ID: fmt.Sprintf("ext%d", i), DispatcherAddr: e.Addr(), Runner: runner})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			go w.Run(ctx)
+		}
+	}()
+	rep, err := e.RunFile(ctx, strings.NewReader("SEQ: noop\nSEQ: noop\nMPI: 2 noop\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() != 0 || rep.Allocation != 2 {
+		t.Fatalf("failed=%d allocation=%d, want 0 and 2", rep.Failed(), rep.Allocation)
+	}
+	if out := FormatReport(rep); !strings.HasPrefix(out, "jobs:        3 (0 failed)\nallocation:  2 workers\n") {
+		t.Fatalf("report:\n%s", out)
 	}
 }
 

@@ -311,9 +311,10 @@ type Dispatcher struct {
 	// drain begins no submission can still be mid-push.
 	subMu sync.RWMutex
 
-	mu      sync.Mutex
-	workers map[string]*workerConn
-	running map[string]*runningJob
+	mu          sync.Mutex
+	workers     map[string]*workerConn
+	workersPeak int // most workers registered at once
+	running     map[string]*runningJob
 	records []metrics.JobRecord
 	staged  []proto.Stage
 	// live holds every job ID the dispatcher considers in flight: queued,
@@ -546,6 +547,7 @@ func (d *Dispatcher) register(wc *workerConn) bool {
 	}
 	wc.shard = d.shardFor(wc)
 	d.workers[wc.id] = wc
+	d.workersPeak = max(d.workersPeak, len(d.workers))
 	d.stats.workersJoined.Add(1)
 	d.emit(Event{Kind: EvWorkerJoined, WorkerID: wc.id, Detail: wc.reg.Host})
 	d.mu.Unlock()
@@ -768,7 +770,8 @@ func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
 		if err != nil {
 			var retry *Job
 			d.mu.Lock()
-			retry = d.finalizeLocked(rj, fmt.Sprintf("mpiexec start: %v", err))
+			// rj.exec is unset, so there is no teardown to collect.
+			retry = d.finalizeLocked(rj, fmt.Sprintf("mpiexec start: %v", err), nil)
 			d.kickLocked()
 			d.mu.Unlock()
 			d.releaseGroup(group)
@@ -807,6 +810,7 @@ func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
 
 	d.emit(Event{Kind: EvJobStarted, JobID: job.Spec.JobID})
 	var retry *Job
+	var td execTeardown
 	d.mu.Lock()
 	rj.exec = exec
 	for i := range tasks {
@@ -819,7 +823,7 @@ func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
 		if wc.gone.Load() {
 			// The worker died between group selection and task binding; its
 			// workerGone pass cannot see this task, so record the loss here.
-			d.failTaskLocked(rj, taskID, wc)
+			d.failTaskLocked(rj, taskID, wc, &td)
 			continue
 		}
 		wc.tasks[taskID] = rj
@@ -831,19 +835,35 @@ func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
 		}
 	}
 	if len(rj.pending) == 0 {
-		retry = d.finalizeLocked(rj, "")
+		retry = d.finalizeLocked(rj, "", &td)
 		d.kickLocked()
 	}
 	d.mu.Unlock()
+	td.run()
 	d.ins.assembly.Observe(time.Since(rj.start))
 	if retry != nil {
 		d.requeue(retry)
 	}
 }
 
-// failTaskLocked records the loss of one dispatched task. Caller holds d.mu
-// and has verified rj.pending[taskID] maps to wc.
-func (d *Dispatcher) failTaskLocked(rj *runningJob, taskID string, wc *workerConn) {
+// execTeardown is the mpiexec work a locked section leaves for after the
+// unlock. Abort and Close each cost up to N+1 close(2) calls, too long to hold
+// Dispatcher.mu over; the caller runs them as soon as it has released it, so
+// an abort still unblocks sibling ranks promptly.
+type execTeardown struct{ abort, close []*hydra.MPIExec }
+
+func (td *execTeardown) run() {
+	for _, x := range td.abort {
+		x.Abort()
+	}
+	for _, x := range td.close {
+		x.Close()
+	}
+}
+
+// failTaskLocked records the loss of one dispatched task. Caller holds d.mu,
+// has verified rj.pending[taskID] maps to wc, and runs td after unlocking.
+func (d *Dispatcher) failTaskLocked(rj *runningJob, taskID string, wc *workerConn, td *execTeardown) {
 	delete(rj.pending, taskID)
 	rj.failed = true
 	rj.faulted = true
@@ -855,7 +875,7 @@ func (d *Dispatcher) failTaskLocked(rj *runningJob, taskID string, wc *workerCon
 		Err: "worker lost",
 	})
 	if rj.exec != nil {
-		rj.exec.Abort()
+		td.abort = append(td.abort, rj.exec)
 	}
 }
 
@@ -964,6 +984,7 @@ func (d *Dispatcher) retryDelay(attempt int) time.Duration {
 // handleResult processes a rank's completion report.
 func (d *Dispatcher) handleResult(wc *workerConn, res proto.Result) {
 	var retry *Job
+	var td execTeardown
 	d.mu.Lock()
 	rj, ok := d.running[res.JobID]
 	if !ok {
@@ -990,14 +1011,15 @@ func (d *Dispatcher) handleResult(wc *workerConn, res proto.Result) {
 		}
 		// Unblock sibling ranks that may be stuck in MPI operations.
 		if rj.exec != nil && len(rj.pending) > 0 {
-			rj.exec.Abort()
+			td.abort = append(td.abort, rj.exec)
 		}
 	}
 	if len(rj.pending) == 0 {
-		retry = d.finalizeLocked(rj, "")
+		retry = d.finalizeLocked(rj, "", &td)
 	}
 	d.kickLocked()
 	d.mu.Unlock()
+	td.run()
 	if retry != nil {
 		d.requeue(retry)
 	}
@@ -1043,6 +1065,7 @@ func (d *Dispatcher) workerGone(wc *workerConn) {
 		s.mu.Unlock()
 	}
 	var retries []*Job
+	var td execTeardown
 	d.mu.Lock()
 	// The registry may already hold the worker's replacement (eviction on
 	// reconnect); only remove the entry if it is still this connection.
@@ -1056,15 +1079,16 @@ func (d *Dispatcher) workerGone(wc *workerConn) {
 		if rj.pending[taskID] != wc {
 			continue
 		}
-		d.failTaskLocked(rj, taskID, wc)
+		d.failTaskLocked(rj, taskID, wc, &td)
 		if len(rj.pending) == 0 {
-			if r := d.finalizeLocked(rj, ""); r != nil {
+			if r := d.finalizeLocked(rj, "", &td); r != nil {
 				retries = append(retries, r)
 			}
 		}
 	}
 	d.kickLocked()
 	d.mu.Unlock()
+	td.run()
 	for _, j := range retries {
 		d.requeue(j)
 	}
@@ -1073,12 +1097,13 @@ func (d *Dispatcher) workerGone(wc *workerConn) {
 // finalizeLocked completes a finished job, or marks it for retry by
 // returning the job (the caller requeues it after releasing d.mu — pushing
 // to a shard queue under the dispatcher lock would invert the lock order).
-// Caller holds d.mu.
-func (d *Dispatcher) finalizeLocked(rj *runningJob, overrideErr string) *Job {
+// The job's mpiexec is left in td for the caller to close after the unlock,
+// for the same reason. Caller holds d.mu.
+func (d *Dispatcher) finalizeLocked(rj *runningJob, overrideErr string, td *execTeardown) *Job {
 	d.ins.jobDur.Observe(time.Since(rj.start))
 	delete(d.running, rj.job.Spec.JobID)
 	if rj.exec != nil {
-		rj.exec.Close()
+		td.close = append(td.close, rj.exec)
 	}
 	if overrideErr != "" {
 		rj.failed = true
@@ -1542,6 +1567,15 @@ func (d *Dispatcher) Workers() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.workers)
+}
+
+// PeakWorkers reports the most workers that have been registered at once: the
+// size of the allocation as the dispatcher saw it, even when the workers
+// attached after submission or have since left.
+func (d *Dispatcher) PeakWorkers() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.workersPeak
 }
 
 // IdleWorkers reports workers currently parked waiting for tasks.

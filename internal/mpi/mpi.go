@@ -16,6 +16,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -190,33 +191,13 @@ func (c *Comm) Close() error {
 // ---------------------------------------------------------------------------
 // Bootstrap
 
-// InitPMI wires up a TCP-transport communicator through an established PMI
-// client (address publish, barrier, lazy connect).
-func InitPMI(pc *pmi.Client) (*Comm, error) {
-	q := newMatchQueue()
-	tr, err := newTCPTransport(pc, q)
-	if err != nil {
-		return nil, err
-	}
-	return &Comm{
-		rank:  pc.Rank(),
-		size:  pc.Size(),
-		q:     q,
-		tr:    tr,
-		start: time.Now(),
-		owned: true,
-		pc:    pc,
-	}, nil
-}
-
 // InitEnv bootstraps from the PMI_* environment variables set by the Hydra
 // proxy, as a JETS-launched executable would.
 func InitEnv() (*Comm, error) {
-	pc, err := pmi.DialEnv()
-	if err != nil {
-		return nil, err
-	}
-	return InitPMI(pc)
+	return InitEnvFrom(map[string]string{
+		pmi.EnvPort: os.Getenv(pmi.EnvPort),
+		pmi.EnvRank: os.Getenv(pmi.EnvRank),
+	})
 }
 
 // InitEnvFrom bootstraps from an explicit environment map. In-process app
@@ -234,14 +215,25 @@ func InitEnvFrom(env map[string]string) (*Comm, error) {
 	return Init(addr, rank)
 }
 
-// Init dials the PMI server at addr for the given rank and wires up. It is
-// the programmatic form of InitEnv.
+// Init wires up a TCP-transport communicator for the given rank through the
+// PMI server at addr: one exchange that publishes this rank's address and
+// learns every peer's, then lazy connect. It is the programmatic form of
+// InitEnv.
 func Init(addr string, rank int) (*Comm, error) {
-	pc, err := pmi.Dial(addr, rank)
+	q := newMatchQueue()
+	tr, err := newTCPTransport(addr, rank, q)
 	if err != nil {
 		return nil, err
 	}
-	return InitPMI(pc)
+	return &Comm{
+		rank:  rank,
+		size:  tr.size,
+		q:     q,
+		tr:    tr,
+		start: time.Now(),
+		owned: true,
+		pc:    tr.pc,
+	}, nil
 }
 
 // RunLocal executes fn as an n-process job over the in-process channel

@@ -2,10 +2,12 @@ package mpi
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -67,9 +69,24 @@ func (t *localTransport) close() error {
 }
 
 // ---------------------------------------------------------------------------
-// TCP transport: every rank listens on a loopback socket; addresses are
-// exchanged through PMI (put, barrier, lazy get+dial), exactly the wire-up
-// the modified MPICH2 performs over ZeptoOS sockets in the paper.
+// TCP transport: every rank listens on a loopback socket and publishes the
+// address in the one PMI exchange of its bootstrap (pmi.DialFence), whose
+// release hands back every peer's address; connections are then made lazily,
+// on the first send to a peer. This is the wire-up the modified MPICH2
+// performs over ZeptoOS sockets in the paper.
+//
+// A pair of ranks shares one connection for both directions: whichever side
+// sends first dials, and the other side replies on the connection it
+// accepted. When both sides send first at once, both dial; each then keeps
+// sending on the connection it dialed and only reads the other, so every
+// message still travels one ordered stream per direction and nothing is
+// delivered twice.
+//
+// The dialing side always closes a connection first: a rank done with an
+// accepted connection sends a bye frame and closes on the dialer's EOF. That
+// keeps TIME_WAIT sockets off the ranks' listening ports, where they make the
+// kernel's port-0 bind scan the whole range (DESIGN.md, "Gang-launch fast
+// path": 2.8 ms per Listen, job rate down 10x).
 
 type tcpTransport struct {
 	rank int
@@ -80,94 +97,165 @@ type tcpTransport struct {
 	ln net.Listener
 
 	mu    sync.Mutex
-	conns map[int]*tcpConn
+	peers []*tcpConn // by rank: the connection this rank sends to that peer on
+	conns []*tcpConn // every open connection, for close
 	done  bool
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the accept loop and one reader per connection
 }
 
+// As in internal/pmi: no keep-alive probes on a job's loopback connections.
+var (
+	listenConfig = net.ListenConfig{KeepAlive: -1}
+	dialer       = net.Dialer{Timeout: 10 * time.Second, KeepAlive: -1}
+)
+
+// readerPool recycles read buffers across the millisecond-lived connections
+// of successive jobs. A body larger than the buffer bypasses it: bufio reads
+// straight into the message.
+var readerPool = sync.Pool{
+	New: func() any { return bufio.NewReaderSize(nil, 16<<10) },
+}
+
+// tcpConn is one end of a pair's connection.
 type tcpConn struct {
 	conn net.Conn
 	wmu  sync.Mutex
-	w    *bufio.Writer
+	// hello is the rank a dialer announces ahead of its first frame; -1 once
+	// sent, and on accepted connections.
+	hello    int
+	accepted bool
+	buf      [256]byte // header plus a small payload: one write per frame
 }
 
-// frame layout: [4 len][4 ctx][4 tag][payload]; the sender rank is
-// established by a 4-byte handshake when the connection opens.
+// frame layout: [4 len][4 ctx][4 tag][payload]. The first frame a dialer
+// writes is preceded by its 4-byte rank.
 func (c *tcpConn) writeFrame(ctx uint32, tag int, data []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(data)))
-	binary.BigEndian.PutUint32(hdr[4:8], ctx)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(int32(tag)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
+	b := c.buf[:0]
+	if c.hello >= 0 {
+		b = binary.BigEndian.AppendUint32(b, uint32(c.hello))
+		c.hello = -1
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(data)))
+	b = binary.BigEndian.AppendUint32(b, ctx)
+	b = binary.BigEndian.AppendUint32(b, uint32(int32(tag)))
+	if len(data) <= cap(b)-len(b) {
+		_, err := c.conn.Write(append(b, data...))
 		return err
 	}
-	if _, err := c.w.Write(data); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	// Large payload: header and body go out in one writev, uncopied.
+	bufs := net.Buffers{b, data}
+	_, err := bufs.WriteTo(c.conn)
+	return err
 }
 
-func pmiAddrKey(rank int) string { return fmt.Sprintf("mpiaddr-%d", rank) }
+// byeLen in a header's length field asks the reader to close the connection;
+// like any length above maxMessage it ends the read loop. byeWait bounds how
+// long a closing rank waits for the dialer to comply.
+const (
+	byeLen  = 0xFFFFFFFF
+	byeWait = time.Second
+)
 
-// newTCPTransport performs the socket wire-up for one rank: listen, publish
-// the address via PMI, and barrier so every rank's address is visible.
-func newTCPTransport(pc *pmi.Client, q *matchQueue) (*tcpTransport, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// bye asks the dialer of an accepted connection to close it.
+func (c *tcpConn) bye() {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.conn.SetReadDeadline(time.Now().Add(byeWait))
+	hdr := c.buf[:12]
+	binary.BigEndian.PutUint32(hdr, byeLen)
+	c.conn.Write(hdr)
+}
+
+func pmiAddrKey(rank int) string { return "mpiaddr-" + strconv.Itoa(rank) }
+
+// newTCPTransport performs the socket wire-up for one rank: listen, then one
+// PMI exchange that publishes the address and returns once every rank's
+// address is known.
+func newTCPTransport(pmiAddr string, rank int, q *matchQueue) (*tcpTransport, error) {
+	ln, err := listenConfig.Listen(context.Background(), "tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("mpi: listen: %w", err)
 	}
+	pc, err := pmi.DialFence(pmiAddr, rank, pmiAddrKey(rank), ln.Addr().String())
+	if err != nil {
+		ln.Close()
+		return nil, err
+	}
 	t := &tcpTransport{
-		rank:  pc.Rank(),
+		rank:  rank,
 		size:  pc.Size(),
 		q:     q,
 		pc:    pc,
 		ln:    ln,
-		conns: make(map[int]*tcpConn),
+		peers: make([]*tcpConn, pc.Size()),
 	}
+	t.wg.Add(1)
 	go t.acceptLoop()
-	if err := pc.Put(pmiAddrKey(t.rank), ln.Addr().String()); err != nil {
-		ln.Close()
-		return nil, err
-	}
-	if err := pc.Barrier(); err != nil {
-		ln.Close()
-		return nil, err
-	}
 	return t, nil
 }
 
 func (t *tcpTransport) acceptLoop() {
+	defer t.wg.Done()
 	for {
 		conn, err := t.ln.Accept()
 		if err != nil {
 			return
 		}
-		t.wg.Add(1)
-		go t.readLoop(conn)
+		t.mu.Lock()
+		if t.done {
+			conn.Close()
+		} else {
+			t.adopt(&tcpConn{conn: conn, hello: -1, accepted: true}, -1)
+		}
+		t.mu.Unlock()
 	}
 }
 
-func (t *tcpTransport) readLoop(conn net.Conn) {
+// adopt records an open connection for close and starts its reader; peer is
+// the rank at the other end, -1 if the first frame is yet to say. Caller
+// holds t.mu and has seen t.done false.
+func (t *tcpTransport) adopt(c *tcpConn, peer int) {
+	t.conns = append(t.conns, c)
+	t.wg.Add(1)
+	go t.readLoop(c, peer)
+}
+
+func (t *tcpTransport) readLoop(c *tcpConn, src int) {
 	defer t.wg.Done()
-	defer conn.Close()
-	r := bufio.NewReaderSize(conn, 64<<10)
-	var peer [4]byte
-	if _, err := io.ReadFull(r, peer[:]); err != nil {
-		return
+	defer c.conn.Close()
+	r := readerPool.Get().(*bufio.Reader)
+	r.Reset(c.conn)
+	defer func() {
+		r.Reset(nil)
+		readerPool.Put(r)
+	}()
+	var hdr [12]byte
+	if src < 0 {
+		if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+			return
+		}
+		src = int(int32(binary.BigEndian.Uint32(hdr[:4])))
+		if src < 0 || src >= t.size || src == t.rank {
+			return
+		}
+		// Reply on this connection unless we dialed the peer in the meantime.
+		t.mu.Lock()
+		if t.peers[src] == nil {
+			t.peers[src] = c
+		}
+		t.mu.Unlock()
 	}
-	src := int(int32(binary.BigEndian.Uint32(peer[:])))
 	for {
-		var hdr [12]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
 		}
 		n := binary.BigEndian.Uint32(hdr[0:4])
 		ctx := binary.BigEndian.Uint32(hdr[4:8])
 		tag := int(int32(binary.BigEndian.Uint32(hdr[8:12])))
-		if n > maxMessage {
+		if n > maxMessage { // a bye, or a corrupt stream
 			return
 		}
 		data := make([]byte, n)
@@ -178,52 +266,41 @@ func (t *tcpTransport) readLoop(conn net.Conn) {
 	}
 }
 
-// dial returns (establishing if needed) the outbound connection to dst.
-func (t *tcpTransport) dial(dst int) (*tcpConn, error) {
+// peer returns the connection to send to dst on, dialing if the pair has
+// none yet.
+func (t *tcpTransport) peer(dst int) (*tcpConn, error) {
 	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
+	c, done := t.peers[dst], t.done
+	t.mu.Unlock()
+	if done {
 		return nil, ErrCommClosed
 	}
-	if c, ok := t.conns[dst]; ok {
-		t.mu.Unlock()
+	if c != nil {
 		return c, nil
 	}
-	t.mu.Unlock()
-
-	addr, err := t.pc.Get(pmiAddrKey(dst))
+	addr, err := t.pc.Get(pmiAddrKey(dst)) // from the bootstrap fence, no round trip
 	if err != nil {
 		return nil, fmt.Errorf("mpi: no address for rank %d: %w", dst, err)
 	}
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	conn, err := dialer.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: dial rank %d: %w", dst, err)
 	}
-	c := &tcpConn{conn: conn, w: bufio.NewWriterSize(conn, 64<<10)}
-	var hs [4]byte
-	binary.BigEndian.PutUint32(hs[:], uint32(int32(t.rank)))
-	c.wmu.Lock()
-	_, err = c.w.Write(hs[:])
-	if err == nil {
-		err = c.w.Flush()
-	}
-	c.wmu.Unlock()
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
 		conn.Close()
 		return nil, ErrCommClosed
 	}
-	if existing, ok := t.conns[dst]; ok { // lost a dial race; reuse winner
+	if existing := t.peers[dst]; existing != nil {
+		// The peer's own connection arrived, or another sender dialed, while
+		// we were connecting; ours has carried nothing yet.
 		conn.Close()
 		return existing, nil
 	}
-	t.conns[dst] = c
+	c = &tcpConn{conn: conn, hello: t.rank}
+	t.peers[dst] = c
+	t.adopt(c, dst)
 	return c, nil
 }
 
@@ -237,13 +314,17 @@ func (t *tcpTransport) send(ctx uint32, dst, tag int, data []byte) error {
 	if dst < 0 || dst >= t.size {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
 	}
-	c, err := t.dial(dst)
+	c, err := t.peer(dst)
 	if err != nil {
 		return err
 	}
 	return c.writeFrame(ctx, tag, data)
 }
 
+// close shuts the listener and every connection, inbound ones included, and
+// returns once the accept loop and all readers have exited. Readers close
+// their connection on the way out, which for an accepted connection is when
+// the dialer has closed its end, or byeWait after asking it to.
 func (t *tcpTransport) close() error {
 	t.mu.Lock()
 	if t.done {
@@ -251,15 +332,17 @@ func (t *tcpTransport) close() error {
 		return nil
 	}
 	t.done = true
-	conns := make([]*tcpConn, 0, len(t.conns))
-	for _, c := range t.conns {
-		conns = append(conns, c)
-	}
+	conns := t.conns
 	t.mu.Unlock()
 	t.ln.Close()
 	for _, c := range conns {
-		c.conn.Close()
+		if c.accepted {
+			c.bye()
+		} else {
+			c.conn.Close()
+		}
 	}
+	t.wg.Wait()
 	t.q.close()
 	return nil
 }

@@ -8,15 +8,20 @@
 // space-separated key=value pairs, beginning with cmd=<name>. One server
 // instance serves exactly one job (one key-value space, one barrier group),
 // mirroring the one-mpiexec-per-job structure of JETS.
+//
+// Three departures from PMI-1 keep a rank's bootstrap to one exchange
+// (DESIGN.md, "Gang-launch fast path"): a pipelined batch of requests is
+// answered with one write; barrier_out carries the fence, every key=value put
+// since the previous release, which clients cache; and finalize is one-way.
 package pmi
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,46 +59,89 @@ var ErrKeyNotFound = errors.New("pmi: key not found")
 // ErrClosed is returned on operations after Finalize or server shutdown.
 var ErrClosed = errors.New("pmi: connection closed")
 
-// record is one parsed wire line.
-type record map[string]string
+// Job connections live for milliseconds; enabling keep-alive would only add
+// setsockopt calls to every dial and accept.
+var (
+	listenConfig = net.ListenConfig{KeepAlive: -1}
+	dialer       = net.Dialer{Timeout: 10 * time.Second, KeepAlive: -1}
+)
 
-func (r record) cmd() string { return r["cmd"] }
-
-func parseRecord(line string) (record, error) {
-	r := record{}
-	for _, f := range strings.Fields(line) {
-		i := strings.IndexByte(f, '=')
-		if i < 0 {
-			return nil, fmt.Errorf("pmi: malformed field %q", f)
-		}
-		r[f[:i]] = f[i+1:]
-	}
-	if _, ok := r["cmd"]; !ok {
-		return nil, fmt.Errorf("pmi: record missing cmd: %q", line)
-	}
-	return r, nil
+// record is one parsed wire line: the command and the key=value fields after
+// it, in wire order. Both alias the line they were parsed from.
+type record struct {
+	cmd    []byte
+	fields []field
 }
 
-func formatRecord(r record) string {
-	// cmd first, then sorted keys for determinism.
-	var b strings.Builder
-	b.WriteString("cmd=")
-	b.WriteString(r["cmd"])
-	keys := make([]string, 0, len(r))
-	for k := range r {
-		if k != "cmd" {
-			keys = append(keys, k)
+type field struct{ key, val []byte }
+
+// parse splits line into r, reusing r's field storage. cmd must come first,
+// as PMI-1 writes it.
+func (r *record) parse(line []byte) error {
+	r.cmd, r.fields = nil, r.fields[:0]
+	for {
+		line = bytes.TrimLeft(line, " \t")
+		if len(line) == 0 {
+			break
+		}
+		f := line
+		if i := bytes.IndexAny(line, " \t"); i >= 0 {
+			f, line = line[:i], line[i:]
+		} else {
+			line = nil
+		}
+		i := bytes.IndexByte(f, '=')
+		if i < 0 {
+			return fmt.Errorf("pmi: malformed field %q", f)
+		}
+		if r.cmd == nil {
+			if string(f[:i]) != "cmd" {
+				break
+			}
+			r.cmd = f[i+1:]
+			continue
+		}
+		r.fields = append(r.fields, field{f[:i], f[i+1:]})
+	}
+	if r.cmd == nil {
+		return errors.New("pmi: record does not begin with cmd")
+	}
+	return nil
+}
+
+// get returns the value of the first field named key, or nil.
+func (r *record) get(key string) []byte {
+	for _, f := range r.fields {
+		if string(f.key) == key {
+			return f.val
 		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteByte(' ')
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(r[k])
+	return nil
+}
+
+// appendRecord appends one wire line: cmd, then kv as alternating keys and
+// values.
+func appendRecord(dst []byte, cmd string, kv ...string) []byte {
+	dst = append(append(dst, "cmd="...), cmd...)
+	for i := 0; i+1 < len(kv); i += 2 {
+		dst = append(append(append(append(dst, ' '), kv[i]...), '='), kv[i+1]...)
 	}
-	b.WriteByte('\n')
-	return b.String()
+	return append(dst, '\n')
+}
+
+// readLine returns the next line without its newline. The result aliases r's
+// buffer unless the line is longer than that buffer.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		head := append([]byte(nil), line...) // the next read reuses the buffer
+		line, err = r.ReadBytes('\n')
+		line = append(head, line...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return line[:len(line)-1], nil
 }
 
 func validToken(s string) bool {
@@ -112,6 +160,7 @@ type Server struct {
 
 	mu           sync.Mutex
 	kvs          map[string]string
+	fence        []string // keys and values put since the last barrier release
 	barrierN     int
 	barrierStart time.Time
 	conns        map[int]*serverConn // by rank
@@ -125,20 +174,31 @@ type Server struct {
 	once   sync.Once
 }
 
+// serverConn is one rank's connection. Replies collect in out and leave in
+// one write: when the connection's pipelined input is drained, or, for a rank
+// waiting in a barrier, together with the release.
 type serverConn struct {
 	rank int
 	conn net.Conn
 	wmu  sync.Mutex
-	w    *bufio.Writer
+	out  []byte
 }
 
-func (sc *serverConn) send(r record) error {
+func (sc *serverConn) reply(cmd string, kv ...string) {
 	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if _, err := sc.w.WriteString(formatRecord(r)); err != nil {
-		return err
+	sc.out = appendRecord(sc.out, cmd, kv...)
+	sc.wmu.Unlock()
+}
+
+// flush writes the collected replies plus line. A write error is left for the
+// connection's reader to find.
+func (sc *serverConn) flush(line []byte) {
+	sc.wmu.Lock()
+	if sc.out = append(sc.out, line...); len(sc.out) > 0 {
+		sc.conn.Write(sc.out)
+		sc.out = sc.out[:0]
 	}
-	return sc.w.Flush()
+	sc.wmu.Unlock()
 }
 
 // NewServer creates a PMI server for a job of the given size. kvsName must
@@ -162,7 +222,7 @@ func NewServer(kvsName string, size int) (*Server, error) {
 // Listen binds the server to addr (use "127.0.0.1:0" for an ephemeral port)
 // and starts accepting clients. It returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := listenConfig.Listen(context.Background(), "tcp", addr)
 	if err != nil {
 		return "", err
 	}
@@ -186,8 +246,8 @@ func (s *Server) acceptLoop() {
 
 // serveConn handles one client connection until EOF or finalize.
 func (s *Server) serveConn(conn net.Conn) {
-	sc := &serverConn{rank: -1, conn: conn, w: bufio.NewWriter(conn)}
-	r := bufio.NewReader(conn)
+	sc := &serverConn{rank: -1, conn: conn}
+	r := bufio.NewReaderSize(conn, 512) // a rank's requests are short
 	defer func() {
 		conn.Close()
 		s.mu.Lock()
@@ -196,23 +256,32 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.mu.Unlock()
 	}()
+	var rec record
 	for {
-		line, err := r.ReadString('\n')
+		line, err := readLine(r)
 		if err != nil {
 			return
 		}
-		rec, err := parseRecord(strings.TrimSuffix(line, "\n"))
-		if err != nil {
-			sc.send(record{"cmd": "error", "msg": err.Error()})
+		if err := rec.parse(line); err != nil {
+			sc.reply("error", "msg", strings.ReplaceAll(err.Error(), " ", "_"))
+			sc.flush(nil)
 			return
 		}
-		if done := s.dispatch(sc, rec); done {
+		done, held := s.dispatch(sc, &rec)
+		if done {
+			sc.flush(nil)
 			return
+		}
+		if r.Buffered() == 0 && !held {
+			sc.flush(nil)
 		}
 	}
 }
 
-func (s *Server) dispatch(sc *serverConn, rec record) (done bool) {
+// dispatch serves one request. done ends the connection; held means the rank
+// now waits in a barrier, whose release will carry the replies collected so
+// far.
+func (s *Server) dispatch(sc *serverConn, rec *record) (done, held bool) {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -220,14 +289,14 @@ func (s *Server) dispatch(sc *serverConn, rec record) (done bool) {
 		// The job was aborted; drop the connection so the client's next
 		// read fails instead of waiting on a barrier that can never
 		// complete.
-		return true
+		return true, false
 	}
-	switch rec.cmd() {
+	switch string(rec.cmd) {
 	case "init":
-		rank, err := strconv.Atoi(rec["pmiid"])
+		rank, err := strconv.Atoi(string(rec.get("pmiid")))
 		if err != nil || rank < 0 || rank >= s.size {
-			sc.send(record{"cmd": "response_to_init", "rc": "-1", "msg": "bad pmiid"})
-			return true
+			sc.reply("response_to_init", "rc", "-1", "msg", "bad_pmiid")
+			return true, false
 		}
 		sc.rank = rank
 		s.mu.Lock()
@@ -239,41 +308,42 @@ func (s *Server) dispatch(sc *serverConn, rec record) (done bool) {
 			fire = s.onWired
 		}
 		s.mu.Unlock()
-		sc.send(record{"cmd": "response_to_init", "rc": "0",
-			"size": strconv.Itoa(s.size), "rank": strconv.Itoa(rank)})
+		sc.reply("response_to_init", "rc", "0", "size", strconv.Itoa(s.size),
+			"rank", strconv.Itoa(rank), "kvsname", s.kvsName)
 		if fire != nil {
 			fire()
 		}
 	case "get_maxes":
-		sc.send(record{"cmd": "maxes", "kvsname_max": "256", "keylen_max": "256", "vallen_max": "1024"})
+		sc.reply("maxes", "kvsname_max", "256", "keylen_max", "256", "vallen_max", "1024")
 	case "get_appnum":
-		sc.send(record{"cmd": "appnum", "appnum": "0"})
-	case "get_my_kvsname":
-		sc.send(record{"cmd": "my_kvsname", "kvsname": s.kvsName})
+		sc.reply("appnum", "appnum", "0")
 	case "get_universe_size":
-		sc.send(record{"cmd": "universe_size", "size": strconv.Itoa(s.size)})
+		sc.reply("universe_size", "size", strconv.Itoa(s.size))
 	case "put":
-		if rec["kvsname"] != s.kvsName {
-			sc.send(record{"cmd": "put_result", "rc": "-1", "msg": "unknown kvs"})
-			return false
+		key, val := rec.get("key"), rec.get("value")
+		if !s.ownKVS(rec) || len(key) == 0 || len(val) == 0 {
+			sc.reply("put_result", "rc", "-1", "msg", "unknown_kvs_or_empty_token")
+			return false, false
 		}
+		k, v := string(key), string(val)
 		s.mu.Lock()
-		s.kvs[rec["key"]] = rec["value"]
+		s.kvs[k] = v
+		s.fence = append(s.fence, k, v)
 		s.mu.Unlock()
-		sc.send(record{"cmd": "put_result", "rc": "0"})
+		sc.reply("put_result", "rc", "0")
 	case "get":
 		s.mu.Lock()
-		v, ok := s.kvs[rec["key"]]
+		v, ok := s.kvs[string(rec.get("key"))]
 		s.mu.Unlock()
-		if rec["kvsname"] != s.kvsName || !ok {
-			sc.send(record{"cmd": "get_result", "rc": "-1"})
-			return false
+		if !s.ownKVS(rec) || !ok {
+			sc.reply("get_result", "rc", "-1")
+			return false, false
 		}
-		sc.send(record{"cmd": "get_result", "rc": "0", "value": v})
+		sc.reply("get_result", "rc", "0", "value", v)
 	case "barrier_in":
 		s.barrierIn()
+		return false, true
 	case "finalize":
-		sc.send(record{"cmd": "finalize_ack"})
 		s.mu.Lock()
 		s.finalized++
 		all := s.finalized >= s.size
@@ -281,13 +351,23 @@ func (s *Server) dispatch(sc *serverConn, rec record) (done bool) {
 		if all {
 			s.once.Do(func() { close(s.doneCh) })
 		}
-		return true
+		return true, false
 	default:
-		sc.send(record{"cmd": "error", "msg": "unknown command " + rec.cmd()})
+		sc.reply("error", "msg", "unknown_command_"+string(rec.cmd))
 	}
-	return false
+	return false, false
 }
 
+// ownKVS reports whether the request addresses this job's key-value space,
+// the only one a server holds; a put pipelined behind init cannot name it yet
+// and leaves kvsname out.
+func (s *Server) ownKVS(rec *record) bool {
+	name := rec.get("kvsname")
+	return name == nil || string(name) == s.kvsName
+}
+
+// barrierIn counts one rank into the barrier; the last one releases every
+// rank with a barrier_out that lists the fence.
 func (s *Server) barrierIn() {
 	s.mu.Lock()
 	if s.barrierN == 0 {
@@ -300,13 +380,15 @@ func (s *Server) barrierIn() {
 	}
 	s.barrierN = 0
 	barrierHist.Observe(time.Since(s.barrierStart))
+	release := appendRecord(nil, "barrier_out", s.fence...)
+	s.fence = s.fence[:0]
 	conns := make([]*serverConn, 0, len(s.conns))
 	for _, c := range s.conns {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
-		c.send(record{"cmd": "barrier_out"})
+		c.flush(release)
 	}
 }
 
@@ -378,66 +460,61 @@ func (s *Server) Close() error {
 // ---------------------------------------------------------------------------
 // Client
 
-// Client is the MPI-process side of PMI.
+// Client is the MPI-process side of PMI. Its methods may be called from
+// several goroutines; each call holds the connection for its whole exchange.
 type Client struct {
-	conn net.Conn
-	r    *bufio.Reader
-	wmu  sync.Mutex
-	w    *bufio.Writer
+	mu     sync.Mutex
+	conn   net.Conn
+	r      *bufio.Reader
+	out    []byte // requests not yet written
+	rec    record
+	cache  map[string]string // keys delivered by barrier releases
+	closed bool
 
 	rank    int
 	size    int
 	kvsName string
-
-	mu       sync.Mutex
-	pending  []record // non-barrier responses that arrived while waiting
-	barriers int      // barrier_out records banked while waiting for other replies
-	closed   bool
 }
 
 // Dial connects to a PMI server and performs the init handshake for the
 // given rank.
-func Dial(addr string, rank int) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return nil, err
+func Dial(addr string, rank int) (*Client, error) { return dial(addr, rank, (*Client).awaitInit) }
+
+// DialFence is Dial, Put(key, value) and Barrier in one exchange: the three
+// requests leave in a single write, and the call returns when the barrier
+// releases, with every key put before it (the fence) already cached for Get.
+// It is the whole PMI side of a rank's MPI_Init.
+func DialFence(addr string, rank int, key, value string) (*Client, error) {
+	if !validToken(key) || !validToken(value) {
+		return nil, fmt.Errorf("pmi: invalid token in put %q=%q", key, value)
 	}
-	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), rank: rank}
-	resp, err := c.call(record{"cmd": "init", "pmiid": strconv.Itoa(rank)}, "response_to_init")
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if resp["rc"] != "0" {
-		conn.Close()
-		return nil, fmt.Errorf("pmi: init rejected: %s", resp["msg"])
-	}
-	c.size, err = strconv.Atoi(resp["size"])
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("pmi: bad size in init response: %v", err)
-	}
-	kvs, err := c.call(record{"cmd": "get_my_kvsname"}, "my_kvsname")
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c.kvsName = kvs["kvsname"]
-	return c, nil
+	return dial(addr, rank, func(c *Client) error {
+		c.out = appendRecord(c.out, "put", "key", key, "value", value)
+		c.out = appendRecord(c.out, "barrier_in")
+		if err := c.awaitInit(); err != nil {
+			return err
+		}
+		if err := c.awaitOK("put_result"); err != nil {
+			return err
+		}
+		return c.awaitBarrier()
+	})
 }
 
-// DialEnv connects using the PMI_* environment variables, as a user process
-// launched by a Hydra proxy would.
-func DialEnv() (*Client, error) {
-	port := os.Getenv(EnvPort)
-	if port == "" {
-		return nil, errors.New("pmi: " + EnvPort + " not set")
-	}
-	rank, err := strconv.Atoi(os.Getenv(EnvRank))
+// dial connects, queues the init request and runs the rest of the bootstrap.
+func dial(addr string, rank int, bootstrap func(*Client) error) (*Client, error) {
+	conn, err := dialer.Dial("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("pmi: bad %s: %v", EnvRank, err)
+		return nil, err
 	}
-	return Dial(port, rank)
+	// 1 KiB holds a fence of ~30 ranks' addresses; readLine takes longer ones.
+	c := &Client{conn: conn, r: bufio.NewReaderSize(conn, 1<<10), rank: rank}
+	c.out = appendRecord(c.out, "init", "pmiid", strconv.Itoa(rank))
+	if err := bootstrap(c); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
 // Env renders the client bootstrap environment for a child process.
@@ -450,60 +527,65 @@ func Env(addr string, rank, size int, kvsName string) []string {
 	}
 }
 
-func (c *Client) send(r record) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if _, err := c.w.WriteString(formatRecord(r)); err != nil {
+// await writes the queued requests, if any, and reads the next reply, which
+// must be wantCmd: a connection's replies arrive in request order, and a
+// barrier_out only after this client's own barrier_in. The reply is left in
+// c.rec until the next await. Caller holds c.mu (or owns c exclusively).
+func (c *Client) await(wantCmd string) error {
+	if len(c.out) > 0 {
+		_, err := c.conn.Write(c.out)
+		c.out = c.out[:0]
+		if err != nil {
+			return err
+		}
+	}
+	line, err := readLine(c.r)
+	if err != nil {
+		return fmt.Errorf("pmi: read: %w", err)
+	}
+	if err := c.rec.parse(line); err != nil {
 		return err
 	}
-	return c.w.Flush()
+	if string(c.rec.cmd) != wantCmd {
+		return fmt.Errorf("pmi: got %q waiting for %s", line, wantCmd)
+	}
+	return nil
 }
 
-// call sends a request and waits for a response with the given cmd,
-// banking any barrier_out records that arrive in between (the server may
-// broadcast a barrier release while this client is mid-request).
-func (c *Client) call(req record, wantCmd string) (record, error) {
-	if err := c.send(req); err != nil {
-		return nil, err
+// awaitOK is await for a reply that carries a return code, which must be 0.
+func (c *Client) awaitOK(wantCmd string) error {
+	if err := c.await(wantCmd); err != nil {
+		return err
 	}
-	return c.await(wantCmd)
+	if string(c.rec.get("rc")) != "0" {
+		return fmt.Errorf("pmi: %s: rejected: %s", wantCmd, c.rec.get("msg"))
+	}
+	return nil
 }
 
-func (c *Client) await(wantCmd string) (record, error) {
-	c.mu.Lock()
-	if wantCmd == "barrier_out" && c.barriers > 0 {
-		c.barriers--
-		c.mu.Unlock()
-		return record{"cmd": "barrier_out"}, nil
+func (c *Client) awaitInit() error {
+	if err := c.awaitOK("response_to_init"); err != nil {
+		return err
 	}
-	for i, p := range c.pending {
-		if p.cmd() == wantCmd {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			c.mu.Unlock()
-			return p, nil
-		}
+	size, err := strconv.Atoi(string(c.rec.get("size")))
+	if err != nil {
+		return fmt.Errorf("pmi: bad size in init response: %v", err)
 	}
-	c.mu.Unlock()
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("pmi: read: %w", err)
-		}
-		rec, err := parseRecord(strings.TrimSuffix(line, "\n"))
-		if err != nil {
-			return nil, err
-		}
-		if rec.cmd() == wantCmd {
-			return rec, nil
-		}
-		c.mu.Lock()
-		if rec.cmd() == "barrier_out" {
-			c.barriers++
-		} else {
-			c.pending = append(c.pending, rec)
-		}
-		c.mu.Unlock()
+	c.size, c.kvsName = size, string(c.rec.get("kvsname"))
+	return nil
+}
+
+func (c *Client) awaitBarrier() error {
+	if err := c.await("barrier_out"); err != nil {
+		return err
 	}
+	if c.cache == nil {
+		c.cache = make(map[string]string, len(c.rec.fields))
+	}
+	for _, f := range c.rec.fields {
+		c.cache[string(f.key)] = string(f.val)
+	}
+	return nil
 }
 
 // Rank returns this process's rank in the job.
@@ -521,48 +603,50 @@ func (c *Client) Put(key, value string) error {
 	if !validToken(key) || !validToken(value) {
 		return fmt.Errorf("pmi: invalid token in put %q=%q", key, value)
 	}
-	resp, err := c.call(record{"cmd": "put", "kvsname": c.kvsName, "key": key, "value": value}, "put_result")
-	if err != nil {
-		return err
-	}
-	if resp["rc"] != "0" {
-		return fmt.Errorf("pmi: put rejected: %s", resp["msg"])
-	}
-	return nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.out = appendRecord(c.out, "put", "kvsname", c.kvsName, "key", key, "value", value)
+	return c.awaitOK("put_result")
 }
 
 // Get fetches a key from the job KVS, returning ErrKeyNotFound if no rank
-// has put it yet.
+// has put it yet. A key that was put before a Barrier this client took part
+// in is answered from the fence that barrier delivered, without a round trip;
+// a value overwritten since then shows at the next Barrier.
 func (c *Client) Get(key string) (string, error) {
-	resp, err := c.call(record{"cmd": "get", "kvsname": c.kvsName, "key": key}, "get_result")
-	if err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.cache[key]; ok {
+		return v, nil
+	}
+	c.out = appendRecord(c.out, "get", "kvsname", c.kvsName, "key", key)
+	if err := c.await("get_result"); err != nil {
 		return "", err
 	}
-	if resp["rc"] != "0" {
+	if string(c.rec.get("rc")) != "0" {
 		return "", ErrKeyNotFound
 	}
-	return resp["value"], nil
+	return string(c.rec.get("value")), nil
 }
 
 // Barrier blocks until all ranks in the job have entered the barrier.
 func (c *Client) Barrier() error {
-	if err := c.send(record{"cmd": "barrier_in"}); err != nil {
-		return err
-	}
-	_, err := c.await("barrier_out")
-	return err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.out = appendRecord(c.out, "barrier_in")
+	return c.awaitBarrier()
 }
 
-// Finalize tells the server this rank is done and closes the connection.
+// Finalize tells the server this rank is done and closes the connection. The
+// server sends no acknowledgement, so this costs one write.
 func (c *Client) Finalize() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return ErrClosed
 	}
 	c.closed = true
-	c.mu.Unlock()
-	_, err := c.call(record{"cmd": "finalize"}, "finalize_ack")
+	_, err := c.conn.Write(appendRecord(c.out[:0], "finalize"))
 	c.conn.Close()
 	return err
 }

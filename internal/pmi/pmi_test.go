@@ -1,9 +1,11 @@
 package pmi
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
-	"strings"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -25,35 +27,56 @@ func startServer(t *testing.T, size int) (*Server, string) {
 }
 
 func TestRecordParseFormat(t *testing.T) {
-	r, err := parseRecord("cmd=put kvsname=k key=a value=b")
-	if err != nil {
+	var r record
+	if err := r.parse([]byte("cmd=put kvsname=k  key=a\tvalue=b")); err != nil {
 		t.Fatal(err)
 	}
-	if r.cmd() != "put" || r["key"] != "a" || r["value"] != "b" {
-		t.Fatalf("parsed %v", r)
+	if string(r.cmd) != "put" || string(r.get("key")) != "a" || string(r.get("value")) != "b" || r.get("nope") != nil {
+		t.Fatalf("parsed %q %q", r.cmd, r.fields)
 	}
-	out := formatRecord(r)
-	if !strings.HasPrefix(out, "cmd=put ") || !strings.HasSuffix(out, "\n") {
+	out := appendRecord(nil, "put", "kvsname", "k", "key", "a", "value", "b")
+	if string(out) != "cmd=put kvsname=k key=a value=b\n" {
 		t.Fatalf("formatted %q", out)
 	}
-	// round trip
-	r2, err := parseRecord(strings.TrimSuffix(out, "\n"))
-	if err != nil {
+	// Round trip, reusing the record: fields keep wire order, and a field
+	// named cmd after the first is data (a fence may carry such a key).
+	out = appendRecord(out[:0], "barrier_out", "cmd", "x", "k", "v")
+	if err := r.parse(out[:len(out)-1]); err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range r {
-		if r2[k] != v {
-			t.Fatalf("round trip lost %s=%s: %v", k, v, r2)
-		}
+	if string(r.cmd) != "barrier_out" || len(r.fields) != 2 ||
+		string(r.fields[0].key) != "cmd" || string(r.fields[1].val) != "v" {
+		t.Fatalf("round trip: %q %q", r.cmd, r.fields)
 	}
 }
 
 func TestRecordParseErrors(t *testing.T) {
-	if _, err := parseRecord("cmd=x bad-field"); err == nil {
+	var r record
+	if err := r.parse([]byte("cmd=x bad-field")); err == nil {
 		t.Error("want error on field without =")
 	}
-	if _, err := parseRecord("key=value"); err == nil {
-		t.Error("want error on record without cmd")
+	if err := r.parse([]byte("key=value cmd=x")); err == nil {
+		t.Error("want error on record not beginning with cmd")
+	}
+	if err := r.parse(nil); err == nil {
+		t.Error("want error on empty record")
+	}
+}
+
+// TestRecordCodecAllocs pins the codec's point: parsing into a reused record
+// and formatting into a reused buffer allocate nothing per line.
+func TestRecordCodecAllocs(t *testing.T) {
+	var r record
+	line := []byte("cmd=put kvsname=k key=mpiaddr-3 value=127.0.0.1:40000")
+	buf := make([]byte, 0, 128)
+	r.parse(line)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := r.parse(line); err != nil {
+			t.Fatal(err)
+		}
+		buf = appendRecord(buf[:0], "put", "key", "mpiaddr-3", "value", "127.0.0.1:40000")
+	}); n != 0 {
+		t.Fatalf("%v allocations per parse+format, want 0", n)
 	}
 }
 
@@ -292,5 +315,137 @@ func TestKVSRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPipelinedBootstrapWire drives the wire directly: init, put and
+// barrier_in in one write are answered, in order, by the init reply, the put
+// result and a barrier_out that lists the fence.
+func TestPipelinedBootstrapWire(t *testing.T) {
+	_, addr := startServer(t, 1)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("cmd=init pmiid=0\ncmd=put key=a value=b\ncmd=barrier_in\n")); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	for _, want := range []string{
+		"cmd=response_to_init rc=0 size=1 rank=0 kvsname=kvs_test\n",
+		"cmd=put_result rc=0\n",
+		"cmd=barrier_out a=b\n",
+	} {
+		got, err := r.ReadString('\n')
+		if err != nil || got != want {
+			t.Fatalf("got %q, %v; want %q", got, err, want)
+		}
+	}
+	// finalize is one-way: the server counts it and says nothing.
+	if _, err := conn.Write([]byte("cmd=finalize\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.ReadString('\n'); err != io.EOF {
+		t.Fatalf("after finalize: got %q, %v; want EOF", got, err)
+	}
+}
+
+// TestDialFence runs ranks that bootstrap in one exchange next to ranks that
+// use the serial Dial, Put, Barrier sequence, in one job. Every rank then
+// reads every key, a key put after the fence included.
+func TestDialFence(t *testing.T) {
+	for _, n := range []int{2, 8, 64} { // 64 addresses overflow the client's read buffer
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			s, addr := startServer(t, n)
+			errs := make(chan error, n)
+			for rank := 0; rank < n; rank++ {
+				go func(rank int) { errs <- fenceRank(addr, rank, n) }(rank)
+			}
+			for rank := 0; rank < n; rank++ {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+			if err := s.Wait(5 * time.Second); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+func fenceRank(addr string, rank, n int) error {
+	key, val := fmt.Sprintf("addr-%d", rank), fmt.Sprintf("127.0.0.1:%d", 40000+rank)
+	var c *Client
+	var err error
+	if rank%2 == 0 {
+		c, err = DialFence(addr, rank, key, val)
+	} else if c, err = Dial(addr, rank); err == nil {
+		if err = c.Put(key, val); err == nil {
+			err = c.Barrier()
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("rank %d bootstrap: %w", rank, err)
+	}
+	defer c.Finalize()
+	if c.Size() != n || c.KVSName() != "kvs_test" {
+		return fmt.Errorf("rank %d: size=%d kvs=%q", rank, c.Size(), c.KVSName())
+	}
+	for p := 0; p < n; p++ {
+		want := fmt.Sprintf("127.0.0.1:%d", 40000+p)
+		if _, cached := c.cache[fmt.Sprintf("addr-%d", p)]; !cached {
+			return fmt.Errorf("rank %d: addr-%d not delivered by the fence", rank, p)
+		}
+		if v, err := c.Get(fmt.Sprintf("addr-%d", p)); err != nil || v != want {
+			return fmt.Errorf("rank %d get addr-%d: %q, %v", rank, p, v, err)
+		}
+	}
+	// Not in any fence yet: Get must fall back to asking the server.
+	if err := c.Put(fmt.Sprintf("late-%d", rank), "x"); err != nil {
+		return err
+	}
+	if v, err := c.Get(fmt.Sprintf("late-%d", rank)); err != nil || v != "x" {
+		return fmt.Errorf("rank %d get after fence: %q, %v", rank, v, err)
+	}
+	if _, err := c.Get("missing"); !errors.Is(err, ErrKeyNotFound) {
+		return fmt.Errorf("rank %d get missing: %v", rank, err)
+	}
+	return c.Barrier() // keep every connection up until all late keys are read
+}
+
+// TestCloseMidFence aborts the job while all but one rank wait in the
+// bootstrap barrier: every waiter must return an error, not hang.
+func TestCloseMidFence(t *testing.T) {
+	const n = 8
+	s, addr := startServer(t, n)
+	wired := make(chan struct{})
+	s.OnWired(func() { close(wired) })
+	errs := make(chan error, n)
+	for rank := 0; rank < n-1; rank++ {
+		go func(rank int) {
+			_, err := DialFence(addr, rank, fmt.Sprintf("k%d", rank), "v")
+			errs <- err
+		}(rank)
+	}
+	// The last rank connects but never enters the barrier.
+	last, err := Dial(addr, n-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-wired
+	s.Close()
+	for rank := 0; rank < n-1; rank++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Error("a rank left a barrier that never completed")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("rank still blocked in the fence after Server.Close")
+		}
+	}
+	if err := last.Barrier(); err == nil {
+		t.Error("barrier on a closed server succeeded")
 	}
 }

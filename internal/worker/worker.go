@@ -127,8 +127,11 @@ type Worker struct {
 	registered atomic.Bool  // this attempt reached registration (resets redial backoff)
 	tasks      atomic.Int64 // tasks completed
 
+	// killCtx ends when Kill is called; killed is its Done channel.
+	killCtx  context.Context
+	kill     context.CancelFunc
+	killed   <-chan struct{}
 	killOnce sync.Once
-	killed   chan struct{}
 }
 
 // New creates a worker agent from cfg, applying defaults.
@@ -180,7 +183,8 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.Host == "" {
 		cfg.Host, _ = os.Hostname()
 	}
-	return &Worker{cfg: cfg, addrs: addrs, killed: make(chan struct{})}, nil
+	killCtx, kill := context.WithCancel(context.Background())
+	return &Worker{cfg: cfg, addrs: addrs, killCtx: killCtx, kill: kill, killed: killCtx.Done()}, nil
 }
 
 // TasksCompleted reports how many tasks this worker has finished.
@@ -203,7 +207,7 @@ func (w *Worker) Healthy() error {
 // the redial loop observes the kill and exits.
 func (w *Worker) Kill() {
 	w.killOnce.Do(func() {
-		close(w.killed)
+		w.kill()
 		w.codecMu.Lock()
 		c := w.codec
 		w.codecMu.Unlock()
@@ -282,6 +286,9 @@ func (w *Worker) runOnce(ctx context.Context) error {
 	w.codec = codec
 	w.codecMu.Unlock()
 	defer codec.Close()
+	// A task's result is buffered so it can share a write with the next work
+	// request (see execute); whatever path leaves the cycle, send it first.
+	defer codec.Flush()
 	w.started = time.Now()
 
 	// Unblock any pending Recv when the context ends; otherwise a canceled
@@ -470,19 +477,16 @@ func (w *Worker) execute(ctx context.Context, task *proto.Task) {
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
-	go func() {
-		select {
-		case <-w.killed:
-			cancel()
-		case <-runCtx.Done():
-		}
-	}()
+	stopKillWatch := context.AfterFunc(w.killCtx, cancel)
 	res := hydra.RunProxy(runCtx, task, w.cfg.Runner, &outputForwarder{codec: w.codec, taskID: task.TaskID, stream: "stdout"})
+	stopKillWatch()
 	cancel()
 
 	w.tasks.Add(1)
 	tasksExecutedTotal.Inc()
-	w.codec.Send(&proto.Envelope{Kind: proto.KindResult, Result: &res})
+	// Buffered, not sent: the cycle's next frame is the work request, and the
+	// two leave in one write (runOnce flushes on every other way out).
+	w.codec.SendBuffered(&proto.Envelope{Kind: proto.KindResult, Result: &res})
 }
 
 func (w *Worker) stage(s *proto.Stage) error {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -624,5 +625,67 @@ func TestWorkerNoReconnectByDefault(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("non-reconnecting worker kept running")
+	}
+}
+
+// countingConn counts the writes that reach the connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestResultSharesWriteWithNextRequest pins the hot loop's write count: a
+// task's result and the work request that follows it leave in one write, in
+// that order, and a result is on the wire before the worker acts on whatever
+// the dispatcher says next (here: shutdown).
+func TestResultSharesWriteWithNextRequest(t *testing.T) {
+	a, b := net.Pipe()
+	cc := &countingConn{Conn: a}
+	disp := proto.NewCodec(b)
+	runner := hydra.NewFuncRunner()
+	runner.Register("noop", func(context.Context, []string, map[string]string, io.Writer) int { return 0 })
+	w, err := New(Config{ID: "w", Conn: proto.NewCodec(cc), Runner: runner, HeartbeatInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+
+	if env, err := disp.Recv(); err != nil || env.Kind != proto.KindRegister {
+		t.Fatalf("register: %v %v", env, err)
+	}
+	if err := disp.Send(&proto.Envelope{Kind: proto.KindRegistered}); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := disp.Recv(); err != nil || env.Kind != proto.KindWorkRequest {
+		t.Fatalf("first request: %v %v", env, err)
+	}
+	const tasks = 3
+	before := cc.writes.Load()
+	for i := 0; i < tasks; i++ {
+		id := fmt.Sprintf("t%d", i)
+		if err := disp.Send(&proto.Envelope{Kind: proto.KindTask, Task: &proto.Task{TaskID: id, JobID: id, Cmd: "noop"}}); err != nil {
+			t.Fatal(err)
+		}
+		if env, err := disp.Recv(); err != nil || env.Kind != proto.KindResult || env.Result.TaskID != id {
+			t.Fatalf("task %d: want its result first, got %v %v", i, env, err)
+		}
+		if env, err := disp.Recv(); err != nil || env.Kind != proto.KindWorkRequest {
+			t.Fatalf("task %d: want a work request after the result, got %v %v", i, env, err)
+		}
+	}
+	if got := cc.writes.Load() - before; got != tasks {
+		t.Fatalf("%d writes for %d result+request pairs, want one each", got, tasks)
+	}
+	if err := disp.Send(&proto.Envelope{Kind: proto.KindShutdown}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }
