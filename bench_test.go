@@ -299,7 +299,7 @@ func BenchmarkAblationQueuePolicy(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			runner := hydra.NewFuncRunner()
 			workload.RegisterApps(runner)
-			eng, err := core.NewEngine(core.Options{LocalWorkers: 8, Runner: runner, Queue: queue()})
+			eng, err := core.NewEngine(core.Options{LocalWorkers: 8, Runner: runner, NewQueue: queue, Shards: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -523,20 +523,18 @@ func BenchmarkIdealLaunchRate(b *testing.B) {
 }
 
 // BenchmarkDispatchThroughput measures the real dispatcher's sequential task
-// rate over loopback TCP with in-process workers, reporting jobs/s. The
-// wire variants isolate the protocol overhaul: v1 JSON framing with
-// per-frame flushes (the seed configuration) against the v2 binary fast
-// path with write coalescing. The shards variants isolate the scheduling-
-// state sharding on the binary wire: one global lock (shards=1) against the
-// sharded+stealing scheduler (shards=4; the 8 workers' coordinate planes
-// spread two per shard).
+// rate over loopback TCP with in-process workers, reporting jobs/s, with
+// write coalescing on. The shards variants isolate the scheduling-state
+// sharding: one global lock (shards=1) against the sharded+stealing
+// scheduler (shards=4; the 8 workers' coordinate planes spread two per
+// shard).
 func BenchmarkDispatchThroughput(b *testing.B) {
-	run := func(b *testing.B, jsonWire bool, coalesce, shards int) {
+	run := func(b *testing.B, coalesce, shards int) {
 		runner := hydra.NewFuncRunner()
 		workload.RegisterApps(runner)
 		eng, err := core.NewEngine(core.Options{
 			LocalWorkers: 8, Runner: runner,
-			JSONWire: jsonWire, WriteCoalesce: coalesce, Shards: shards,
+			WriteCoalesce: coalesce, Shards: shards,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -562,10 +560,9 @@ func BenchmarkDispatchThroughput(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 	}
-	b.Run("json-wire", func(b *testing.B) { run(b, true, 1, 0) })
-	b.Run("binary-coalesced", func(b *testing.B) { run(b, false, 16, 0) })
-	b.Run("shards=1", func(b *testing.B) { run(b, false, 16, 1) })
-	b.Run("shards=4", func(b *testing.B) { run(b, false, 16, 4) })
+	b.Run("binary-coalesced", func(b *testing.B) { run(b, 16, 0) })
+	b.Run("shards=1", func(b *testing.B) { run(b, 16, 1) })
+	b.Run("shards=4", func(b *testing.B) { run(b, 16, 4) })
 }
 
 // BenchmarkDispatchThroughputJournaled is the binary-coalesced configuration
@@ -816,9 +813,9 @@ func BenchmarkPMIWireUp(b *testing.B) {
 
 // BenchmarkProtoCodec measures wire-protocol framing cost — one Send plus
 // one Recv through an in-memory stream, i.e. pure encode+frame+decode with
-// no socket or goroutine handoff — for the v1 JSON format against the v2
-// binary fast path, per hot frame kind. ns/msg and allocs/op carry the
-// comparison.
+// no socket or goroutine handoff — per hot frame kind, in ns/msg and
+// allocs/op. The "/binary" suffix keeps the names the BENCH_n snapshots
+// recorded while a JSON variant ran beside it.
 func BenchmarkProtoCodec(b *testing.B) {
 	task := &proto.Envelope{Kind: proto.KindTask, Task: &proto.Task{
 		TaskID: "job174/rank3", JobID: "job174", Cmd: "namd2.sh",
@@ -845,40 +842,32 @@ func BenchmarkProtoCodec(b *testing.B) {
 		{"task", task}, {"result", result}, {"output-512B", output}, {"heartbeat", heartbeat},
 		{"stage-64KB", stage},
 	} {
-		for _, wire := range []string{"json", "binary"} {
-			b.Run(msg.name+"/"+wire, func(b *testing.B) {
-				var buf bytes.Buffer
-				c := proto.NewCodec(&buf)
-				if wire == "binary" {
-					c.EnableBinary()
+		b.Run(msg.name+"/binary", func(b *testing.B) {
+			var buf bytes.Buffer
+			c := proto.NewCodec(&buf)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Send(msg.env); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := c.Send(msg.env); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := c.Recv(); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := c.Recv(); err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/msg")
-			})
-		}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/msg")
+		})
 	}
 }
 
 // BenchmarkOutputRelay measures the data-plane output path end to end:
 // worker stdout chunks -> dispatcher -> subscriber relay -> data client,
-// 16 chunks of 8 KiB per job, reporting relayed MB/s. The variants isolate
-// the v2.1 zero-copy passthrough: "raw" forwards the worker's original
-// frame bytes to a binary client, "decode" forces the decode/re-encode
-// path on the same wire (NoRawRelay), and "json-client" serves a v1 client
-// that can only receive JSON.
+// 16 chunks of 8 KiB per job, reporting relayed MB/s. The relay forwards
+// the worker's original frame bytes to the client ("raw", the only mode).
 func BenchmarkOutputRelay(b *testing.B) {
 	const chunks, chunkSize = 16, 8 << 10
-	run := func(b *testing.B, noRaw, clientJSON bool) {
+	b.Run("raw", func(b *testing.B) {
 		runner := hydra.NewFuncRunner()
 		payload := bytes.Repeat([]byte{0x42}, chunkSize)
 		runner.Register("burst", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
@@ -888,8 +877,7 @@ func BenchmarkOutputRelay(b *testing.B) {
 			return 0
 		})
 		svc, err := coasters.NewService(coasters.Config{
-			Provider:   &coasters.LocalProvider{Runner: runner},
-			NoRawRelay: noRaw,
+			Provider: &coasters.LocalProvider{Runner: runner},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -902,7 +890,7 @@ func BenchmarkOutputRelay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dc, err := coasters.DialData(addr, clientJSON)
+		dc, err := coasters.DialData(addr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -931,20 +919,16 @@ func BenchmarkOutputRelay(b *testing.B) {
 		b.StopTimer()
 		mb := float64(b.N) * chunks * chunkSize / (1 << 20)
 		b.ReportMetric(mb/b.Elapsed().Seconds(), "MB/s")
-	}
-	b.Run("raw", func(b *testing.B) { run(b, false, false) })
-	b.Run("decode", func(b *testing.B) { run(b, true, false) })
-	b.Run("json-client", func(b *testing.B) { run(b, false, true) })
+	})
 }
 
 // BenchmarkStageRelay measures stage-payload ingest through the data plane:
 // one 256 KiB file per iteration, client -> service -> 4 worker caches,
-// waiting for the staged ack. The binary client carries the payload as raw
-// length-prefixed bytes; the json variant pays base64-in-JSON on the same
-// path (the v1 wire), which is the cost the v2.1 cold-kind codec removes.
+// waiting for the staged ack. The payload travels as raw length-prefixed
+// bytes end to end.
 func BenchmarkStageRelay(b *testing.B) {
 	const fileSize = 256 << 10
-	run := func(b *testing.B, clientJSON bool) {
+	b.Run("binary", func(b *testing.B) {
 		runner := hydra.NewFuncRunner()
 		svc, err := coasters.NewService(coasters.Config{
 			Provider: &coasters.LocalProvider{Runner: runner, CacheDir: b.TempDir()},
@@ -960,7 +944,7 @@ func BenchmarkStageRelay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dc, err := coasters.DialData(addr, clientJSON)
+		dc, err := coasters.DialData(addr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -975,9 +959,7 @@ func BenchmarkStageRelay(b *testing.B) {
 		b.StopTimer()
 		mb := float64(b.N) * fileSize / (1 << 20)
 		b.ReportMetric(mb/b.Elapsed().Seconds(), "MB/s")
-	}
-	b.Run("binary", func(b *testing.B) { run(b, false) })
-	b.Run("json-client", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // nullAsyncExecutor counts invocations and completes them immediately, so
@@ -1010,17 +992,17 @@ func BenchmarkSwiftGenerate(b *testing.B) {
 	}
 	const tasks = 100000
 	for _, mode := range []struct {
-		name    string
-		compile bool
-	}{{"interp", false}, {"compiled", true}} {
+		name string
+		run  func(context.Context, *swiftlang.Program, swiftlang.Config) error
+	}{{"interp", swiftlang.Interpret}, {"compiled", swiftlang.Run}} {
 		b.Run(fmt.Sprintf("%s/tasks=%d", mode.name, tasks), func(b *testing.B) {
 			args := map[string]string{"n": fmt.Sprint(tasks)}
 			wd := b.TempDir()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ex := &nullAsyncExecutor{}
-				err := swiftlang.Run(context.Background(), prog, swiftlang.Config{
-					Executor: ex, WorkDir: wd, Args: args, Compile: mode.compile,
+				err := mode.run(context.Background(), prog, swiftlang.Config{
+					Executor: ex, WorkDir: wd, Args: args,
 				})
 				if err != nil {
 					b.Fatal(err)

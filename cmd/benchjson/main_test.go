@@ -66,7 +66,7 @@ func TestDiffFailsBeyondThreshold(t *testing.T) {
 
 func TestDiffFailsOnVanishedBenchmark(t *testing.T) {
 	old := map[string]result{
-		"BenchmarkDispatchThroughput/json-wire": {"jobs/s": 38839},
+		"BenchmarkDispatchThroughput/shards=1": {"jobs/s": 38839},
 	}
 	report, regressed := diff(old, map[string]result{}, "BenchmarkDispatchThroughput", "jobs/s", 0.20)
 	if !regressed || !strings.Contains(report, "MISSING") {

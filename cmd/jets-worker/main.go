@@ -38,7 +38,6 @@ func run() error {
 	cache := flag.String("cache", "", "node-local cache directory for staged files")
 	coord := flag.String("coord", "", "interconnect coordinates, e.g. 3,0,7 (first plane keys the dispatcher's scheduling shard)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "heartbeat interval")
-	jsonWire := flag.Bool("json-wire", false, "disable the binary wire fast path (v1 JSON frames only)")
 	reconnect := flag.Bool("reconnect", false, "redial and re-register after a lost dispatcher connection (capped exponential backoff), surviving dispatcher restarts")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof, and /healthz on this address (empty disables)")
 	flag.Parse()
@@ -73,7 +72,6 @@ func run() error {
 		Runner:            hydra.ExecRunner{},
 		HeartbeatInterval: *heartbeat,
 		CacheDir:          *cache,
-		JSONOnly:          *jsonWire,
 		Reconnect:         *reconnect,
 	})
 	if err != nil {

@@ -87,9 +87,12 @@ func run() error {
 		onOutput = sink.Write
 	}
 
-	var queue dispatch.QueuePolicy
+	var newQueue func() dispatch.QueuePolicy
 	if *priority {
-		queue = dispatch.NewPriorityQueue(true)
+		// One queue must see every job to order them, so priority
+		// scheduling runs on a single shard.
+		newQueue = func() dispatch.QueuePolicy { return dispatch.NewPriorityQueue(true) }
+		*shards = 1
 	}
 	var tracer *dispatch.TraceRecorder
 	var onEvent func(dispatch.Event)
@@ -110,7 +113,7 @@ func run() error {
 		ListenAddr:     *listen,
 		MaxJobRetries:  *retries,
 		JobTimeout:     *timeout,
-		Queue:          queue,
+		NewQueue:       newQueue,
 		Shards:         *shards,
 		OnOutput:       onOutput,
 		OnEvent:        onEvent,

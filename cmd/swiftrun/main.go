@@ -61,7 +61,6 @@ func run() error {
 	workers := flag.Int("workers", 4, "local worker agents")
 	workdir := flag.String("workdir", "swift-work", "directory for auto-mapped files")
 	timeout := flag.Duration("timeout", time.Hour, "script wall limit")
-	compile := flag.Bool("compile", true, "lower the script to a static dataflow graph; -compile=0 uses the tree-walking interpreter")
 	batch := flag.Int("batch", 0, "max invocations per batched engine submit (0 uses the default)")
 	nullExec := flag.Bool("null-exec", false, "run app commands as in-process no-ops (throughput measurement)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof, and /healthz on this address (empty disables)")
@@ -125,7 +124,6 @@ func run() error {
 		WorkDir:  *workdir,
 		Stdout:   os.Stdout,
 		Args:     args,
-		Compile:  *compile,
 	}); err != nil {
 		return err
 	}

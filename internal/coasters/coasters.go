@@ -51,9 +51,6 @@ type Block interface {
 type LocalProvider struct {
 	Runner hydra.Runner
 	Cores  int
-	// JSONWire keeps booted workers on the v1 JSON wire format instead of
-	// negotiating the binary fast path (old-peer interop testing).
-	JSONWire bool
 	// CacheDir, when set, gives every booted worker a private node-local
 	// cache subdirectory beneath it, enabling stage frames.
 	CacheDir string
@@ -110,7 +107,6 @@ func (p *LocalProvider) Boot(ctx context.Context, n int, addr string) (Block, er
 			DispatcherAddr:    addr,
 			Runner:            p.Runner,
 			HeartbeatInterval: 250 * time.Millisecond,
-			JSONOnly:          p.JSONWire,
 			CacheDir:          cacheDir,
 		})
 		if err != nil {
@@ -165,11 +161,6 @@ type Config struct {
 	Dispatch dispatch.Config
 	// BootTimeout bounds waiting for requested workers; default 30s.
 	BootTimeout time.Duration
-	// NoRawRelay disables zero-copy passthrough on data-plane subscriber
-	// connections: every relayed frame is decoded and re-encoded through
-	// the typed path instead of forwarded verbatim. Interop/testing knob —
-	// delivered payloads are identical either way.
-	NoRawRelay bool
 }
 
 // Service is a running CoasterService.

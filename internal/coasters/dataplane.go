@@ -1,14 +1,13 @@
 package coasters
 
-// The data plane: a proto endpoint (wire protocol v2.1) carrying the bulk
-// traffic that the newline-JSON RPC channel is wrong for — stage payloads in
-// and task output out. A data client performs the same register/negotiate
-// handshake as a worker; once both sides speak binary, stage payloads travel
-// as raw length-prefixed bytes (no base64) and output frames produced by
-// workers are forwarded to subscribers without a decode/re-encode cycle:
-// the dispatcher's OnOutputFrame hook hands the service the raw frame, each
-// subscriber queue takes a reference, and the per-subscriber writer puts the
-// original bytes on the wire before releasing it.
+// The data plane: a proto endpoint carrying the bulk traffic that the
+// newline-JSON RPC channel is wrong for — stage payloads in and task output
+// out. A data client performs the same register handshake as a worker; stage
+// payloads travel as raw length-prefixed bytes (no base64) and output frames
+// produced by workers are forwarded to subscribers without a decode/re-encode
+// cycle: the dispatcher's OnOutputFrame hook hands the service the raw frame,
+// each subscriber queue takes a reference, and the per-subscriber writer puts
+// the original bytes on the wire before releasing it.
 //
 // A slow client never stalls a worker's reader: subscriber queues are
 // bounded and overflow drops the frame (releasing its reference and
@@ -55,13 +54,10 @@ func (sub *subscriber) offer(f *proto.Frame) bool {
 	}
 }
 
-// writeLoop drains the subscriber queue onto the connection. Raw
-// passthrough applies when the frame's encoding is readable by this peer
-// (JSON always; binary only after the peer negotiated it) and NoRawRelay is
-// off; otherwise the frame is decoded and re-encoded through the typed
-// path. Either way the queue's reference is released after the bytes are in
-// the connection's write buffer.
-func (sub *subscriber) writeLoop(noRaw bool) {
+// writeLoop drains the subscriber queue onto the connection, writing each
+// frame as the bytes it arrived in; the queue's reference is released once
+// they are in the connection's write buffer.
+func (sub *subscriber) writeLoop() {
 	defer func() {
 		for {
 			select {
@@ -74,17 +70,7 @@ func (sub *subscriber) writeLoop(noRaw bool) {
 	}()
 	write := func(f *proto.Frame) error {
 		defer f.Release()
-		if !noRaw && (!f.Binary() || sub.codec.BinaryEnabled()) {
-			return sub.codec.SendRawBuffered(f.Payload())
-		}
-		env, err := f.Envelope()
-		if err != nil {
-			return nil // corrupt relay frame: drop it, keep the connection
-		}
-		// The decoded envelope is shared by every relay of this frame; send
-		// a shallow copy because Send stamps Seq on its argument.
-		e := *env
-		return sub.codec.SendBuffered(&e)
+		return sub.codec.SendRawBuffered(f.Payload())
 	}
 	for {
 		select {
@@ -160,15 +146,14 @@ func (s *Service) ServeData(addr string) (string, error) {
 func (s *Service) serveData(codec *proto.Codec) {
 	defer codec.Close()
 	first, err := codec.Recv()
-	if err != nil || first.Kind != proto.KindRegister || first.Register == nil {
+	if err != nil {
+		return // includes a peer speaking another format: just disconnect
+	}
+	if first.Kind != proto.KindRegister {
 		codec.Send(&proto.Envelope{Kind: proto.KindError, Error: "expected register"})
 		return
 	}
-	ver := proto.Negotiate(first.Proto)
-	if ver >= proto.VersionBinary {
-		codec.EnableBinary()
-	}
-	if err := codec.Send(&proto.Envelope{Kind: proto.KindRegistered, Proto: ver}); err != nil {
+	if err := codec.Send(&proto.Envelope{Kind: proto.KindRegistered}); err != nil {
 		return
 	}
 
@@ -176,7 +161,7 @@ func (s *Service) serveData(codec *proto.Codec) {
 	s.subMu.Lock()
 	s.subs[sub] = struct{}{}
 	s.subMu.Unlock()
-	go sub.writeLoop(s.cfg.NoRawRelay)
+	go sub.writeLoop()
 	defer func() {
 		s.subMu.Lock()
 		delete(s.subs, sub)
@@ -226,19 +211,14 @@ type DataClient struct {
 }
 
 // DialData connects to a ServeData endpoint and performs the register
-// handshake. jsonOnly pins the client to the v1 JSON wire format (old-peer
-// interop); otherwise the binary fast path is negotiated.
-func DialData(addr string, jsonOnly bool) (*DataClient, error) {
+// handshake.
+func DialData(addr string) (*DataClient, error) {
 	codec, err := proto.Dial(addr, 10*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	var announce uint8
-	if !jsonOnly {
-		announce = proto.VersionBinary
-	}
 	if err := codec.Send(&proto.Envelope{
-		Kind: proto.KindRegister, Proto: announce,
+		Kind:     proto.KindRegister,
 		Register: &proto.Register{WorkerID: "data-client"},
 	}); err != nil {
 		codec.Close()
@@ -248,9 +228,6 @@ func DialData(addr string, jsonOnly bool) (*DataClient, error) {
 	if err != nil || ack.Kind != proto.KindRegistered {
 		codec.Close()
 		return nil, fmt.Errorf("coasters: data handshake failed: %v", err)
-	}
-	if !jsonOnly && ack.Proto >= proto.VersionBinary {
-		codec.EnableBinary()
 	}
 	c := &DataClient{
 		codec:   codec,

@@ -3,8 +3,11 @@ package coasters
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -53,105 +56,134 @@ func lens(m map[string][]byte) map[string]int {
 	return out
 }
 
-// TestDataPlaneInteropMatrix is the encoding-interop matrix: {v1, v2
-// worker} x {v1, v2 client} x {raw passthrough on, off}, all through a real
-// dispatcher and data-plane endpoint. Every combination must deliver
-// byte-identical stage and output payloads — the wire encoding and the
-// relay mode are transparent.
+// TestDataPlaneInteropMatrix drives stage-in and output-out through a real
+// dispatcher and data-plane endpoint: both must deliver byte-identical
+// payloads, including bytes that collide with the frame magic, the old JSON
+// opener and the poison byte. (The name dates from when worker wire, client
+// wire and relay mode were independent axes; there is one of each now.)
 func TestDataPlaneInteropMatrix(t *testing.T) {
 	payload := append(bytes.Repeat([]byte{0x5A}, 700), 0x00, 0xBF, 0x7B, 0xDB, 0xFF)
-	for _, workerJSON := range []bool{false, true} {
-		for _, clientJSON := range []bool{false, true} {
-			for _, noRaw := range []bool{false, true} {
-				name := fmt.Sprintf("worker_v%d/client_v%d/passthrough_%v",
-					ver(workerJSON), ver(clientJSON), !noRaw)
-				t.Run(name, func(t *testing.T) {
-					cacheRoot := t.TempDir()
-					runner := hydra.NewFuncRunner()
-					runner.Register("emit", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
-						stdout.Write(payload)
-						return 0
-					})
-					svc, err := NewService(Config{
-						Provider:   &LocalProvider{Runner: runner, JSONWire: workerJSON, CacheDir: cacheRoot},
-						NoRawRelay: noRaw,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer svc.Close()
-					if err := svc.EnsureWorkers(context.Background(), 2); err != nil {
-						t.Fatal(err)
-					}
-					addr, err := svc.ServeData("")
-					if err != nil {
-						t.Fatal(err)
-					}
-					dc, err := DialData(addr, clientJSON)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer dc.Close()
+	cacheRoot := t.TempDir()
+	runner := hydra.NewFuncRunner()
+	runner.Register("emit", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
+		stdout.Write(payload)
+		return 0
+	})
+	svc, err := NewService(Config{
+		Provider: &LocalProvider{Runner: runner, CacheDir: cacheRoot},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if err := svc.EnsureWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := svc.ServeData("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := DialData(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
 
-					// Stage in through the data plane: service store and every
-					// worker cache must hold the exact bytes.
-					if err := dc.Stage("model.bin", payload, 5*time.Second); err != nil {
-						t.Fatal(err)
-					}
-					stored, ok := svc.Get("model.bin")
-					if !ok || !bytes.Equal(stored, payload) {
-						t.Fatalf("service store: ok=%v len=%d", ok, len(stored))
-					}
-					// The staged ack confirms the service store; worker fan-out
-					// is asynchronous, so poll for both caches.
-					deadline := time.Now().Add(5 * time.Second)
-					for {
-						matches, gerr := filepath.Glob(filepath.Join(cacheRoot, "*", "model.bin"))
-						if gerr != nil {
-							t.Fatal(gerr)
-						}
-						complete := len(matches) == 2
-						for _, m := range matches {
-							data, rerr := os.ReadFile(m)
-							if rerr != nil || !bytes.Equal(data, payload) {
-								complete = false
-							}
-						}
-						if complete {
-							break
-						}
-						if time.Now().After(deadline) {
-							t.Fatalf("worker caches never staged: %v", matches)
-						}
-						time.Sleep(5 * time.Millisecond)
-					}
-
-					// Output out through the data plane.
-					h, err := svc.Submit(context.Background(), dispatch.Job{
-						Spec: hydra.JobSpec{JobID: "j1", NProcs: 1, Cmd: "emit"},
-						Type: dispatch.Sequential,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res := h.Wait(); res.Failed {
-						t.Fatalf("job failed: %s", res.Err)
-					}
-					got := collectTaskOutput(t, dc, map[string]int{"j1/seq": len(payload)}, 5*time.Second)
-					if !bytes.Equal(got["j1/seq"], payload) {
-						t.Fatalf("output payload differs: got %d bytes", len(got["j1/seq"]))
-					}
-				})
+	// Stage in through the data plane: service store and every
+	// worker cache must hold the exact bytes.
+	if err := dc.Stage("model.bin", payload, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stored, ok := svc.Get("model.bin")
+	if !ok || !bytes.Equal(stored, payload) {
+		t.Fatalf("service store: ok=%v len=%d", ok, len(stored))
+	}
+	// The staged ack confirms the service store; worker fan-out
+	// is asynchronous, so poll for both caches.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		matches, gerr := filepath.Glob(filepath.Join(cacheRoot, "*", "model.bin"))
+		if gerr != nil {
+			t.Fatal(gerr)
+		}
+		complete := len(matches) == 2
+		for _, m := range matches {
+			data, rerr := os.ReadFile(m)
+			if rerr != nil || !bytes.Equal(data, payload) {
+				complete = false
 			}
 		}
+		if complete {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker caches never staged: %v", matches)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Output out through the data plane.
+	h, err := svc.Submit(context.Background(), dispatch.Job{
+		Spec: hydra.JobSpec{JobID: "j1", NProcs: 1, Cmd: "emit"},
+		Type: dispatch.Sequential,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := h.Wait(); res.Failed {
+		t.Fatalf("job failed: %s", res.Err)
+	}
+	got := collectTaskOutput(t, dc, map[string]int{"j1/seq": len(payload)}, 5*time.Second)
+	if !bytes.Equal(got["j1/seq"], payload) {
+		t.Fatalf("output payload differs: got %d bytes", len(got["j1/seq"]))
 	}
 }
 
-func ver(jsonOnly bool) int {
-	if jsonOnly {
-		return 1
+// TestJSONv1PeerRejectedAtDataPort: a data client whose first frame is JSON
+// v1 is disconnected without a reply and never becomes a subscriber; the
+// endpoint keeps serving clients on the real wire.
+func TestJSONv1PeerRejectedAtDataPort(t *testing.T) {
+	svc, err := NewService(Config{Provider: &LocalProvider{Runner: hydra.NewFuncRunner()}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return 2
+	defer svc.Close()
+	addr, err := svc.ServeData("")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload := `{"kind":"register","proto":1,"register":{"worker_id":"data-client"}}`
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 64))
+	if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read %d bytes, err %v; want the connection closed with no reply", n, err)
+	}
+	svc.subMu.RLock()
+	subs := len(svc.subs)
+	svc.subMu.RUnlock()
+	if subs != 0 {
+		t.Fatalf("%d subscribers registered by a JSON v1 peer", subs)
+	}
+
+	dc, err := DialData(addr)
+	if err != nil {
+		t.Fatalf("endpoint stopped serving after the rejection: %v", err)
+	}
+	defer dc.Close()
+	if err := dc.Stage("after.bin", []byte("ok"), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestZeroCopyBufferLifetimeSlowClient is the buffer-lifetime hardening
@@ -192,7 +224,7 @@ func TestZeroCopyBufferLifetimeSlowClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := DialData(addr, false)
+	dc, err := DialData(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

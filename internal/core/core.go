@@ -44,13 +44,11 @@ type Options struct {
 	// Runner executes user processes on local workers; defaults to
 	// hydra.ExecRunner (real subprocesses).
 	Runner hydra.Runner
-	// Queue and Group select scheduling policies (defaults: FIFO, FCFS).
-	// Setting Queue forces single-shard scheduling (one policy instance
-	// cannot be split); use NewQueue to combine a policy with sharding.
-	Queue dispatch.QueuePolicy
-	Group dispatch.GroupPolicy
-	// NewQueue constructs one queue policy per scheduling shard.
+	// NewQueue and Group select scheduling policies (defaults: FIFO, FCFS).
+	// NewQueue constructs one queue policy per scheduling shard; a policy
+	// that must order the whole backlog also needs Shards: 1.
 	NewQueue func() dispatch.QueuePolicy
+	Group    dispatch.GroupPolicy
 	// Shards is the scheduling-shard count; 0 derives it from GOMAXPROCS.
 	Shards int
 	// ListenAddr is the dispatcher's listen endpoint for external workers;
@@ -76,9 +74,6 @@ type Options struct {
 	// WriteCoalesce batches up to N outbound frames per flush on each
 	// worker connection under backlog; <= 1 flushes every frame.
 	WriteCoalesce int
-	// JSONWire forces local workers onto the v1 JSON wire format instead
-	// of negotiating the binary fast path (A/B measurement, interop tests).
-	JSONWire bool
 	// Obs, when non-nil, exports the dispatcher's instrumentation plus the
 	// hydra/PMI and worker package metrics through the registry, ready for
 	// obs.Serve.
@@ -149,7 +144,6 @@ func NewEngine(opts Options) (*Engine, error) {
 		MaxJobRetries:    opts.MaxJobRetries,
 		RetryBackoff:     opts.RetryBackoff,
 		RetryBackoffMax:  opts.RetryBackoffMax,
-		Queue:            opts.Queue,
 		NewQueue:         opts.NewQueue,
 		Shards:           opts.Shards,
 		Group:            opts.Group,
@@ -190,7 +184,6 @@ func NewEngine(opts Options) (*Engine, error) {
 			DispatcherAddr:    addr,
 			Runner:            opts.Runner,
 			HeartbeatInterval: 250 * time.Millisecond,
-			JSONOnly:          opts.JSONWire,
 		})
 		if err != nil {
 			cancel()

@@ -64,7 +64,6 @@ func newFederatedEngine(opts Options) (*Engine, error) {
 			MaxJobRetries:    opts.MaxJobRetries,
 			RetryBackoff:     opts.RetryBackoff,
 			RetryBackoffMax:  opts.RetryBackoffMax,
-			Queue:            opts.Queue,
 			NewQueue:         opts.NewQueue,
 			Shards:           opts.Shards,
 			Group:            opts.Group,
@@ -141,7 +140,6 @@ func newFederatedEngine(opts Options) (*Engine, error) {
 			DispatcherAddrs:   rotation,
 			Runner:            opts.Runner,
 			HeartbeatInterval: 250 * time.Millisecond,
-			JSONOnly:          opts.JSONWire,
 		})
 		if err != nil {
 			e.Close()

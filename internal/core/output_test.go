@@ -168,7 +168,6 @@ func TestOutputRouterHandleFrame(t *testing.T) {
 	a, b := proto.Pipe()
 	defer a.Close()
 	defer b.Close()
-	a.EnableBinary()
 	errc := make(chan error, 1)
 	go func() {
 		errc <- a.Send(&proto.Envelope{Kind: proto.KindOutput, Output: &proto.Output{

@@ -75,15 +75,12 @@ type Config struct {
 	RetryBackoffMax time.Duration
 	// Shards is the number of scheduling shards (idle-set + job-queue
 	// slices with independent locks); default DefaultShards(), i.e.
-	// GOMAXPROCS-derived. Forced to 1 when Queue is set, since a single
-	// policy instance cannot be split.
+	// GOMAXPROCS-derived.
 	Shards int
 	// NewQueue constructs one queue policy per shard; default NewFIFOQueue.
+	// A policy that must order the whole backlog (priority, backfill) also
+	// needs Shards: 1.
 	NewQueue func() QueuePolicy
-	// Queue is the legacy single-instance policy knob (pre-sharding API).
-	// Setting it forces Shards to 1 and uses the instance as that shard's
-	// queue. Prefer NewQueue with sharding.
-	Queue QueuePolicy
 	// Group policy for MPI worker aggregation; default first-come-first-
 	// served (the paper's policy).
 	Group GroupPolicy
@@ -390,13 +387,7 @@ func New(cfg Config) *Dispatcher {
 		cfg.HeartbeatTimeout = 10 * time.Second
 	}
 	if cfg.NewQueue == nil {
-		if cfg.Queue != nil {
-			q := cfg.Queue
-			cfg.Shards = 1
-			cfg.NewQueue = func() QueuePolicy { return q }
-		} else {
-			cfg.NewQueue = func() QueuePolicy { return NewFIFOQueue() }
-		}
+		cfg.NewQueue = func() QueuePolicy { return NewFIFOQueue() }
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards()
@@ -581,15 +572,6 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 	}
 	wc.touch()
 
-	// Wire-version negotiation (proto/binary.go): the worker announced its
-	// maximum supported version on the register frame; confirm the minimum
-	// of the two and enable the fast path for our own sends. Pre-v2 peers
-	// announce nothing and stay on JSON.
-	ver := proto.Negotiate(first.Proto)
-	if ver >= proto.VersionBinary {
-		codec.EnableBinary()
-	}
-
 	if !d.register(wc) {
 		return
 	}
@@ -622,27 +604,15 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 			}
 		}()
 		batch := d.cfg.WriteCoalesce
-		// writeOut buffers one queue entry. A relayed frame goes out raw
-		// when this connection can read it — JSON always, binary only after
-		// the peer negotiated VersionBinary — and is re-encoded through the
-		// typed path otherwise. Its queue reference is dropped once the
-		// bytes are in the write buffer (SendRawBuffered copies them).
+		// writeOut buffers one queue entry. A relayed frame goes out as the
+		// bytes it arrived in; its queue reference is dropped once they are
+		// in the write buffer (SendRawBuffered copies them).
 		writeOut := func(of outFrame) error {
 			if of.raw == nil {
 				return codec.SendBuffered(of.env)
 			}
 			defer of.raw.Release()
-			if !of.raw.Binary() || codec.BinaryEnabled() {
-				return codec.SendRawBuffered(of.raw.Payload())
-			}
-			env, err := of.raw.Envelope()
-			if err != nil {
-				return nil // corrupt relay frame: drop it, keep the worker
-			}
-			// The decoded envelope is shared by every relay of this frame;
-			// send a shallow copy because Send stamps Seq on its argument.
-			e := *env
-			return codec.SendBuffered(&e)
+			return codec.SendRawBuffered(of.raw.Payload())
 		}
 		drain := func(of outFrame) error {
 			if err := writeOut(of); err != nil {
@@ -682,16 +652,17 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 		}
 	}()
 
-	wc.enqueue(&proto.Envelope{Kind: proto.KindRegistered, Proto: ver})
+	wc.enqueue(&proto.Envelope{Kind: proto.KindRegistered})
 	for i := range staged {
 		wc.enqueue(&proto.Envelope{Kind: proto.KindStage, Stage: &staged[i]})
 	}
 
 	// Inbound hot loop: work requests touch only the worker's shard lock,
 	// results only Dispatcher.mu; heartbeat and output frames take none.
-	// RecvFrame classifies binary frames from their two-byte prefix, so the
-	// kinds that carry no payload the dispatcher reads (work-request,
-	// heartbeat) and the relayed kinds (output) skip body decoding entirely.
+	// RecvFrame classifies frames from their two-byte prefix, so the kinds
+	// that carry no payload the dispatcher reads (work-request, heartbeat)
+	// and the relayed kinds (output) skip body decoding entirely.
+inbound:
 	for {
 		f, err := codec.RecvFrame()
 		if err != nil {
@@ -702,9 +673,16 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 		case proto.KindWorkRequest:
 			d.markIdle(wc)
 		case proto.KindResult:
-			if env, derr := f.Envelope(); derr == nil && env.Result != nil {
-				d.handleResult(wc, *env.Result)
+			env, derr := f.Envelope()
+			if derr != nil {
+				// The task this result belongs to cannot be named, so it
+				// would stay pending forever on a worker that looks idle.
+				// Treat the stream as lost: workerGone below retries or
+				// fails every task bound to this connection.
+				f.Release()
+				break inbound
 			}
+			d.handleResult(wc, *env.Result)
 		case proto.KindOutput:
 			d.handleOutput(f)
 		case proto.KindHeartbeat:
@@ -1520,9 +1498,8 @@ func (d *Dispatcher) StageFile(name string, data []byte) {
 // StageFrame distributes an already-encoded stage frame — typically received
 // from a data-plane client — to every current and future worker. The payload
 // is decoded once to record the Stage for replay to late-joining workers;
-// live workers get the original frame bytes relayed without re-encoding
-// (workers that have not negotiated binary fall back to the typed path in
-// their writer). Borrow semantics: the relay takes its own references, so
+// live workers get the original frame bytes relayed without re-encoding.
+// Borrow semantics: the relay takes its own references, so
 // the caller keeps ownership of f.
 func (d *Dispatcher) StageFrame(f *proto.Frame) error {
 	env, err := f.Envelope()

@@ -2,8 +2,11 @@ package dispatch
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"strings"
 	"sync"
@@ -444,7 +447,7 @@ func TestRecordsProduced(t *testing.T) {
 }
 
 func TestPriorityPolicyIntegration(t *testing.T) {
-	tc := startCluster(t, 1, Config{Queue: NewPriorityQueue(false)})
+	tc := startCluster(t, 1, Config{NewQueue: func() QueuePolicy { return NewPriorityQueue(false) }, Shards: 1})
 	var mu sync.Mutex
 	var order []string
 	block := make(chan struct{})
@@ -528,17 +531,43 @@ func readFile(path string) ([]byte, error) {
 	return os.ReadFile(path)
 }
 
-// TestJSONWorkerInteropsWithBinaryDispatcher is the negotiation test: a
-// v1-only worker (announces no protocol version) registers against a
-// binary-capable dispatcher and runs jobs alongside a v2 worker. The
-// dispatcher must keep that connection on JSON frames end to end.
-func TestJSONWorkerInteropsWithBinaryDispatcher(t *testing.T) {
+// TestJSONv1PeerRejectedAtWorkerPort: the listener speaks one wire format.
+// A peer whose first frame is JSON v1 — a worker registering or a router
+// attaching, the two services the first frame selects between — is
+// disconnected without a reply, nothing registers, and the dispatcher keeps
+// serving: a worker on the real wire then joins and runs the whole batch.
+func TestJSONv1PeerRejectedAtWorkerPort(t *testing.T) {
 	d := New(Config{WriteCoalesce: 8})
 	addr, err := d.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+
+	for name, payload := range map[string]string{
+		"worker register":   `{"kind":"register","proto":1,"register":{"worker_id":"legacy","host":"n0","cores":1}}`,
+		"federation attach": `{"kind":"peer-attach","proto":2,"peer_attach":{"peer_id":"router-0","outstanding":["j1"]}}`,
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+		if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 64))
+		if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: read %d bytes, err %v; want the connection closed with no reply", name, n, err)
+		}
+		conn.Close()
+	}
+	if st := d.Stats(); d.Workers() != 0 || st.WorkersJoined != 0 {
+		t.Fatalf("a JSON v1 peer registered: workers=%d joined=%d", d.Workers(), st.WorkersJoined)
+	}
+
 	runner := hydra.NewFuncRunner()
 	var ran sync.Map
 	runner.Register("mark", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
@@ -546,34 +575,20 @@ func TestJSONWorkerInteropsWithBinaryDispatcher(t *testing.T) {
 		fmt.Fprintln(stdout, "output via", args[0])
 		return 0
 	})
-
+	w, err := worker.New(worker.Config{ID: "modern", DispatcherAddr: addr, Runner: runner, HeartbeatInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	defer wg.Wait() // runs after cancel below (defers are LIFO)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, cfg := range []worker.Config{
-		{ID: "legacy", DispatcherAddr: addr, Runner: runner, HeartbeatInterval: 20 * time.Millisecond, JSONOnly: true},
-		{ID: "modern", DispatcherAddr: addr, Runner: runner, HeartbeatInterval: 20 * time.Millisecond},
-	} {
-		w, err := worker.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.Run(ctx)
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.IdleWorkers() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("workers idle: %d", d.IdleWorkers())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w.Run(ctx)
+	}()
 
-	// Enough single-proc jobs that both workers must serve some.
 	var handles []*Handle
 	for i := 0; i < 40; i++ {
 		h, err := d.Submit(Job{
@@ -586,23 +601,60 @@ func TestJSONWorkerInteropsWithBinaryDispatcher(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
-	workersUsed := map[string]bool{}
 	for _, h := range handles {
-		res := h.Wait()
-		if res.Failed {
+		if res := h.Wait(); res.Failed {
 			t.Fatalf("job %s failed: %s", res.JobID, res.Err)
 		}
-		for _, w := range res.Workers {
-			workersUsed[w] = true
-		}
-	}
-	if !workersUsed["legacy"] || !workersUsed["modern"] {
-		t.Fatalf("both wire versions must serve jobs; used=%v", workersUsed)
 	}
 	count := 0
 	ran.Range(func(_, _ any) bool { count++; return true })
 	if count != 40 {
 		t.Fatalf("ran %d/40 tasks", count)
+	}
+}
+
+// TestUndecodableResultFailsItsJob: a result frame whose body does not
+// decode cannot be credited to a task, so the connection is treated as lost
+// and the job goes through the retry/fail path instead of staying pending
+// forever on a worker that re-entered the idle set.
+func TestUndecodableResultFailsItsJob(t *testing.T) {
+	d := New(Config{})
+	if _, err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	fake, served := proto.Pipe()
+	defer fake.Close()
+	d.ServeConn(served)
+
+	if err := fake.Send(&proto.Envelope{Kind: proto.KindRegister, Register: &proto.Register{WorkerID: "fake", Cores: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := fake.Recv(); err != nil || ack.Kind != proto.KindRegistered {
+		t.Fatalf("registration ack: %+v, %v", ack, err)
+	}
+	h, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: "garbled", NProcs: 1, Cmd: "x"}, Type: Sequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fake.Send(&proto.Envelope{Kind: proto.KindWorkRequest}); err != nil {
+		t.Fatal(err)
+	}
+	if task, err := fake.Recv(); err != nil || task.Kind != proto.KindTask {
+		t.Fatalf("task: %+v, %v", task, err)
+	}
+	// Magic, the result kind code, seq 1, then a task-id length of 5 with
+	// one byte behind it: classifies as a result, fails to decode.
+	if err := fake.SendRaw([]byte{0xBF, 3, 0x01, 0x05, 't'}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-h.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("job still pending after its result failed to decode")
+	}
+	if res := h.Wait(); !res.Failed {
+		t.Fatalf("job reported success: %+v", res)
 	}
 }
 

@@ -11,7 +11,7 @@ package dispatch
 //     — and the thief journals a fresh Submitted record, so each instance's
 //     WAL stays self-contained across migrations.
 //
-//   - servePeer speaks the existing v2 wire protocol on the same listener
+//   - servePeer speaks the same wire protocol on the same listener
 //     workers use: a KindPeerAttach first frame (instead of KindRegister)
 //     selects the peer path, so remote routers need no new port and workers
 //     and clients need no changes.
@@ -411,10 +411,6 @@ func (d *Dispatcher) relayPeerOutput(out *proto.Output) {
 // JobDone/LoadReport outbound until either side closes.
 func (d *Dispatcher) servePeer(codec *proto.Codec, first *proto.Envelope) {
 	attach := first.PeerAttach
-	ver := proto.Negotiate(first.Proto)
-	if ver >= proto.VersionBinary {
-		codec.EnableBinary()
-	}
 	snd := newPeerSender(codec)
 	defer func() {
 		d.dropPeerOutputs(snd)
@@ -442,7 +438,7 @@ func (d *Dispatcher) servePeer(codec *proto.Codec, first *proto.Envelope) {
 			notify(h)
 		}
 	}
-	if err := codec.Send(&proto.Envelope{Kind: proto.KindPeerAttached, Proto: ver, PeerInfo: info}); err != nil {
+	if err := codec.Send(&proto.Envelope{Kind: proto.KindPeerAttached, PeerInfo: info}); err != nil {
 		return
 	}
 

@@ -15,13 +15,12 @@ import (
 )
 
 // recvStageFrame builds a real stage Frame the way a data-plane endpoint
-// would: encoded by a binary peer, received with RecvFrame.
+// would: encoded by a peer, received with RecvFrame.
 func recvStageFrame(t *testing.T, s *proto.Stage) *proto.Frame {
 	t.Helper()
 	a, b := proto.Pipe()
 	defer a.Close()
 	defer b.Close()
-	a.EnableBinary()
 	errc := make(chan error, 1)
 	go func() { errc <- a.Send(&proto.Envelope{Kind: proto.KindStage, Stage: s}) }()
 	f, err := b.RecvFrame()
@@ -31,23 +30,21 @@ func recvStageFrame(t *testing.T, s *proto.Stage) *proto.Frame {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if !f.Binary() || f.Kind() != proto.KindStage {
-		t.Fatalf("kind=%s binary=%v", f.Kind(), f.Binary())
+	if f.Kind() != proto.KindStage {
+		t.Fatalf("kind=%s", f.Kind())
 	}
 	return f
 }
 
 // TestOnOutputFrameRelay checks the raw output hook: it must observe the
-// same chunks as the decoded callback, as binary frames when the producing
-// worker negotiated v2, and retained payloads must stay intact after the
-// dispatcher releases its own reference (the refcount, not the dispatch
-// loop, owns the buffer).
+// same chunks as the decoded callback, and retained payloads must stay
+// intact after the dispatcher releases its own reference (the refcount, not
+// the dispatch loop, owns the buffer).
 func TestOnOutputFrameRelay(t *testing.T) {
 	proto.PoisonFrames(true)
 	defer proto.PoisonFrames(false)
 
 	type rawChunk struct {
-		bin  bool
 		data []byte
 		f    *proto.Frame
 	}
@@ -62,7 +59,7 @@ func TestOnOutputFrameRelay(t *testing.T) {
 			}
 			f.Retain() // keep the frame past the borrow, like a relay queue
 			mu.Lock()
-			raws = append(raws, rawChunk{bin: f.Binary(), data: env.Output.Data, f: f})
+			raws = append(raws, rawChunk{data: env.Output.Data, f: f})
 			mu.Unlock()
 		},
 		OnOutput: func(taskID, stream string, data []byte) {
@@ -101,9 +98,6 @@ func TestOnOutputFrameRelay(t *testing.T) {
 		t.Fatalf("raw hook saw %d chunks, decoded hook %d", len(raws), len(decoded))
 	}
 	for i, rc := range raws {
-		if !rc.bin {
-			t.Errorf("chunk %d: v2 worker produced a non-binary output frame", i)
-		}
 		if !bytes.Equal(rc.data, payload) {
 			t.Errorf("chunk %d: payload corrupted (poisoned=%v)", i, bytes.Contains(rc.data, []byte{0xDB, 0xDB}))
 		}
@@ -126,11 +120,11 @@ func TestStageFrameFansOutAndReplays(t *testing.T) {
 	defer cancel()
 
 	payload := []byte{0x00, 0xBF, 0x7B, 0x01, 0xDB, 0xFF}
-	startWorker := func(id string, jsonOnly bool) string {
+	startWorker := func(id string) string {
 		dir := t.TempDir()
 		w, werr := worker.New(worker.Config{
 			ID: id, DispatcherAddr: addr, Runner: runner,
-			HeartbeatInterval: 20 * time.Millisecond, CacheDir: dir, JSONOnly: jsonOnly,
+			HeartbeatInterval: 20 * time.Millisecond, CacheDir: dir,
 		})
 		if werr != nil {
 			t.Fatal(werr)
@@ -146,10 +140,9 @@ func TestStageFrameFansOutAndReplays(t *testing.T) {
 		return dir
 	}
 
-	// One binary and one JSON-only worker up front: the raw relay must reach
-	// the first verbatim and fall back to re-encoding for the second.
-	binDir := startWorker("bin-worker", false)
-	jsonDir := startWorker("json-worker", true)
+	// Two workers up front: one raw frame fans out to both connections.
+	firstDir := startWorker("first-worker")
+	secondDir := startWorker("second-worker")
 
 	f := recvStageFrame(t, &proto.Stage{Name: "weights.bin", Data: payload})
 	if err := d.StageFrame(f); err != nil {
@@ -157,8 +150,8 @@ func TestStageFrameFansOutAndReplays(t *testing.T) {
 	}
 	f.Release()
 
-	lateDir := startWorker("late-worker", false)
-	for name, dir := range map[string]string{"bin": binDir, "json": jsonDir, "late": lateDir} {
+	lateDir := startWorker("late-worker")
+	for name, dir := range map[string]string{"first": firstDir, "second": secondDir, "late": lateDir} {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			data, rerr := os.ReadFile(dir + "/weights.bin")
@@ -192,70 +185,4 @@ func workerKnown(d *Dispatcher, id string) bool {
 	defer d.mu.Unlock()
 	_, ok := d.workers[id]
 	return ok
-}
-
-// TestRawRelaySkipsDecodeForJSONPeer: a JSON origin frame relays raw even
-// to a JSON-only worker (JSON is readable by every peer), keeping the bytes
-// identical. Driven through a worker-style connection speaking directly to
-// the dispatcher wire.
-func TestRawRelayJSONOriginToJSONWorker(t *testing.T) {
-	d := New(Config{})
-	addr, err := d.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	runner := hydra.NewFuncRunner()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	dir := t.TempDir()
-	w, err := worker.New(worker.Config{
-		ID: "v1", DispatcherAddr: addr, Runner: runner,
-		HeartbeatInterval: 20 * time.Millisecond, CacheDir: dir, JSONOnly: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go w.Run(ctx)
-	deadline := time.Now().Add(5 * time.Second)
-	for !workerKnown(d, "v1") {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// JSON-encoded stage frame (origin codec never enabled binary).
-	a, b := proto.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errc := make(chan error, 1)
-	go func() {
-		errc <- a.Send(&proto.Envelope{Kind: proto.KindStage, Stage: &proto.Stage{Name: "cfg", Data: []byte("k=v\n")}})
-	}()
-	f, err := b.RecvFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if f.Binary() {
-		t.Fatal("origin frame unexpectedly binary")
-	}
-	if err := d.StageFrame(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Release()
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		data, rerr := os.ReadFile(dir + "/cfg")
-		if rerr == nil && string(data) == "k=v\n" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("staged file never appeared: %v", rerr)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }

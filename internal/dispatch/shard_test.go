@@ -393,8 +393,8 @@ func TestDefaultShards(t *testing.T) {
 	if New(Config{}).Shards() != n {
 		t.Fatal("default config did not adopt DefaultShards")
 	}
-	if got := New(Config{Queue: NewPriorityQueue(false)}).Shards(); got != 1 {
-		t.Fatalf("legacy Queue config got %d shards, want 1", got)
+	if got := New(Config{NewQueue: func() QueuePolicy { return NewPriorityQueue(false) }}).Shards(); got != n {
+		t.Fatalf("NewQueue changed the shard count: got %d, want %d", got, n)
 	}
 	if got := New(Config{Shards: 3}).Shards(); got != 3 {
 		t.Fatalf("explicit shard count not honored: %d", got)

@@ -1,30 +1,17 @@
 package proto
 
-// Wire protocol v2: a compact binary encoding for the hot frame kinds.
+// The wire format: every frame payload is a compact varint-based binary
+// body (DESIGN.md "Wire protocol").
 //
-// The JSON framing (v1) spends most of its per-frame cost in
-// json.Marshal/Unmarshal and the base64 round trip for []byte payloads. At
-// the dispatch rates the paper targets (thousands of proxy launches per
-// second streamed to thousands of workers) that encode cost, not the
-// network, bounds throughput. v2 keeps the 4-byte big-endian length prefix
-// and replaces the payload of the five high-frequency kinds — work-request,
-// task, result, output, heartbeat — with a varint-based binary layout.
+//	u32 big-endian length | 0xBF magic | kind code | uvarint seq | body
 //
-// Negotiation happens at register time: the worker announces its maximum
-// supported version in the register envelope's "proto" field, the
-// dispatcher confirms the negotiated version in the registered ack, and
-// only then do both sides start emitting binary frames. Old peers omit the
-// field (zero value), so they negotiate v1 and never see a binary frame.
-//
-// Decoding needs no negotiation state at all: a JSON envelope always
-// begins with '{' (0x7B), and every binary payload begins with the magic
-// byte 0xBF, so Recv distinguishes the formats per frame. v2.1 extends the
-// binary layout to the cold kinds register/registered/stage/staged/error —
-// stage payloads are the largest frames on the wire and previously shipped
-// base64-in-JSON. no-work and shutdown remain JSON on every connection,
-// which keeps the wire debuggable and the fallback path continuously
-// exercised. Frame-level relays use frame.go: a received frame's raw bytes
-// can be forwarded to another connection without decode/re-encode.
+// Every Kind has a kind code and a body layout below, so a frame is
+// self-describing from its first two payload bytes and a relay can forward
+// it without decoding (frame.go). There is one format and no negotiation: a
+// payload whose first byte is not the magic is rejected with an error
+// wrapping ErrCorruptFrame, and the accepting side closes the connection.
+// The json tags on Envelope only render an envelope for debugging and
+// serve as the fuzz round-trip oracle; nothing on the wire is JSON.
 
 import (
 	"encoding/binary"
@@ -33,108 +20,100 @@ import (
 	"time"
 )
 
-// Protocol versions negotiated at register time.
-const (
-	// VersionJSON is the seed wire format: length-prefixed JSON frames.
-	VersionJSON uint8 = 1
-	// VersionBinary adds the compact binary fast path for hot frame kinds.
-	// v2.1 (same negotiated version: decoding is per-frame self-describing,
-	// so adding kinds is backward compatible) extends the binary layout to
-	// the cold kinds register, registered, stage, staged, and error, which
-	// moves stage payloads — the largest frames on the wire — off
-	// base64-in-JSON.
-	VersionBinary uint8 = 2
-	// MaxVersion is the highest version this build speaks.
-	MaxVersion = VersionBinary
-)
-
-// Negotiate returns the version to use with a peer that announced the
-// given maximum. Zero (a peer predating negotiation) and any unknown
-// future version degrade safely: the former to JSON, the latter to the
-// highest version this build speaks.
-func Negotiate(peerMax uint8) uint8 {
-	if peerMax >= VersionBinary {
-		return VersionBinary
-	}
-	return VersionJSON
-}
-
-// binMagic is the first payload byte of every binary frame. JSON envelopes
-// always start with '{', so the two formats are self-describing.
+// binMagic is the first payload byte of every frame.
 const binMagic = 0xBF
 
-// ErrCorruptFrame is returned when a binary frame fails to decode.
+// ErrCorruptFrame is returned when a frame fails to decode.
 var ErrCorruptFrame = errors.New("proto: corrupt binary frame")
 
-// Binary kind codes. The hot kinds (1-5) shipped with v2; the cold kinds
-// (6-10) with v2.1; the federation hot pair (11-12) with the router tier
-// (decoding stays per-frame self-describing, so no version bump). Kinds
-// without a code (no-work, shutdown, the federation control kinds) ride the
-// JSON fallback, which keeps that path continuously exercised on every
-// connection.
-const (
-	binWorkRequest = 1
-	binTask        = 2
-	binResult      = 3
-	binOutput      = 4
-	binHeartbeat   = 5
-	binRegister    = 6
-	binRegistered  = 7
-	binStage       = 8
-	binStaged      = 9
-	binError       = 10
-	binPeerSubmit  = 11
-	binJobDone     = 12
-)
-
-// binKindOf maps a binary kind code to its Kind without decoding the frame
-// body, so a relay can classify a frame from its first two payload bytes.
-func binKindOf(code byte) (Kind, bool) {
-	switch code {
-	case binWorkRequest:
-		return KindWorkRequest, true
-	case binTask:
-		return KindTask, true
-	case binResult:
-		return KindResult, true
-	case binOutput:
-		return KindOutput, true
-	case binHeartbeat:
-		return KindHeartbeat, true
-	case binRegister:
-		return KindRegister, true
-	case binRegistered:
-		return KindRegistered, true
-	case binStage:
-		return KindStage, true
-	case binStaged:
-		return KindStaged, true
-	case binError:
-		return KindError, true
-	case binPeerSubmit:
-		return KindPeerSubmit, true
-	case binJobDone:
-		return KindJobDone, true
+// checkMagic rejects a payload that does not open with the magic byte and a
+// kind code. The seed's JSON v1 framing opened every payload with '{'; that
+// case gets its own message so an operator attaching an old peer sees why
+// it was disconnected.
+func checkMagic(buf []byte) error {
+	if len(buf) > 0 && buf[0] == '{' {
+		return fmt.Errorf("%w: payload opens with '{': JSON v1 framing is no longer spoken", ErrCorruptFrame)
 	}
-	return "", false
+	if len(buf) < 2 || buf[0] != binMagic {
+		return ErrCorruptFrame
+	}
+	return nil
 }
 
-// appendBinary encodes e into buf if its kind has a binary form, returning
-// the extended buffer and true. Kinds without a binary form (or hot kinds
-// missing their payload) report false and the caller falls back to JSON.
+// Kind codes, the second payload byte of every frame. Codes are wire
+// constants: never renumber one, only append (and add the kind to kindOfCode,
+// appendBinary and decodeBinary — TestEveryKindHasACodec fails otherwise).
+const (
+	binWorkRequest  = 1
+	binTask         = 2
+	binResult       = 3
+	binOutput       = 4
+	binHeartbeat    = 5
+	binRegister     = 6
+	binRegistered   = 7
+	binStage        = 8
+	binStaged       = 9
+	binError        = 10
+	binPeerSubmit   = 11
+	binJobDone      = 12
+	binNoWork       = 13
+	binShutdown     = 14
+	binPeerAttach   = 15
+	binPeerAttached = 16
+	binLoadReport   = 17
+	binStealRequest = 18
+	binStealReply   = 19
+)
+
+// kindOfCode maps a kind code to its Kind; "" marks an unassigned code.
+var kindOfCode = [...]Kind{
+	binWorkRequest:  KindWorkRequest,
+	binTask:         KindTask,
+	binResult:       KindResult,
+	binOutput:       KindOutput,
+	binHeartbeat:    KindHeartbeat,
+	binRegister:     KindRegister,
+	binRegistered:   KindRegistered,
+	binStage:        KindStage,
+	binStaged:       KindStaged,
+	binError:        KindError,
+	binPeerSubmit:   KindPeerSubmit,
+	binJobDone:      KindJobDone,
+	binNoWork:       KindNoWork,
+	binShutdown:     KindShutdown,
+	binPeerAttach:   KindPeerAttach,
+	binPeerAttached: KindPeerAttached,
+	binLoadReport:   KindLoadReport,
+	binStealRequest: KindStealRequest,
+	binStealReply:   KindStealReply,
+}
+
+// binKindOf maps a kind code to its Kind without decoding the frame body,
+// so a relay can classify a frame from its first two payload bytes.
+func binKindOf(code byte) (Kind, bool) {
+	if int(code) >= len(kindOfCode) || kindOfCode[code] == "" {
+		return "", false
+	}
+	return kindOfCode[code], true
+}
+
+// appendBinary encodes e onto buf, returning the extended buffer and true.
+// It reports false for an envelope that cannot be put on the wire: an
+// unknown kind, or a kind whose payload field is nil.
 func appendBinary(buf []byte, e *Envelope) ([]byte, bool) {
 	switch e.Kind {
 	case KindWorkRequest:
-		buf = append(buf, binMagic, binWorkRequest)
-		buf = appendUvarint(buf, e.Seq)
-		return buf, true
+		buf = appendHead(buf, binWorkRequest, e.Seq)
+	case KindNoWork:
+		buf = appendHead(buf, binNoWork, e.Seq)
+	case KindShutdown:
+		buf = appendHead(buf, binShutdown, e.Seq)
 	case KindTask:
 		if e.Task == nil {
 			return buf, false
 		}
 		t := e.Task
-		buf = append(buf, binMagic, binTask)
-		buf = appendUvarint(buf, e.Seq)
+		buf = appendHead(buf, binTask, e.Seq)
 		buf = appendString(buf, t.TaskID)
 		buf = appendString(buf, t.JobID)
 		buf = appendString(buf, t.Cmd)
@@ -146,129 +125,169 @@ func appendBinary(buf []byte, e *Envelope) ([]byte, bool) {
 		buf = appendVarint(buf, int64(t.Rank))
 		buf = appendVarint(buf, int64(t.Size))
 		buf = appendVarint(buf, int64(t.WallLimit))
-		return buf, true
 	case KindResult:
 		if e.Result == nil {
 			return buf, false
 		}
 		r := e.Result
-		buf = append(buf, binMagic, binResult)
-		buf = appendUvarint(buf, e.Seq)
+		buf = appendHead(buf, binResult, e.Seq)
 		buf = appendString(buf, r.TaskID)
 		buf = appendString(buf, r.JobID)
 		buf = appendString(buf, r.Err)
 		buf = appendVarint(buf, int64(r.ExitCode))
 		buf = appendVarint(buf, int64(r.Elapsed))
-		return buf, true
 	case KindOutput:
 		if e.Output == nil {
 			return buf, false
 		}
 		o := e.Output
-		buf = append(buf, binMagic, binOutput)
-		buf = appendUvarint(buf, e.Seq)
+		buf = appendHead(buf, binOutput, e.Seq)
 		buf = appendString(buf, o.TaskID)
 		buf = appendString(buf, o.Stream)
 		buf = appendByteSlice(buf, o.Data)
-		return buf, true
 	case KindHeartbeat:
 		if e.Heartbeat == nil {
 			return buf, false
 		}
 		h := e.Heartbeat
-		buf = append(buf, binMagic, binHeartbeat)
-		buf = appendUvarint(buf, e.Seq)
+		buf = appendHead(buf, binHeartbeat, e.Seq)
 		buf = appendString(buf, h.WorkerID)
 		buf = appendBool(buf, h.Busy)
 		buf = appendVarint(buf, int64(h.Uptime))
-		return buf, true
 	case KindRegister:
 		if e.Register == nil {
 			return buf, false
 		}
 		reg := e.Register
-		buf = append(buf, binMagic, binRegister)
-		buf = appendUvarint(buf, e.Seq)
-		buf = append(buf, e.Proto)
+		buf = appendHead(buf, binRegister, e.Seq)
 		buf = appendString(buf, reg.WorkerID)
 		buf = appendString(buf, reg.Host)
 		buf = appendVarint(buf, int64(reg.Cores))
 		buf = appendInts(buf, reg.Coord)
-		return buf, true
 	case KindRegistered:
-		buf = append(buf, binMagic, binRegistered)
-		buf = appendUvarint(buf, e.Seq)
-		buf = append(buf, e.Proto)
-		return buf, true
+		buf = appendHead(buf, binRegistered, e.Seq)
 	case KindStage, KindStaged:
 		if e.Stage == nil {
 			return buf, false
 		}
 		s := e.Stage
-		code := byte(binStage)
-		if e.Kind == KindStaged {
-			code = binStaged
+		if e.Kind == KindStage {
+			buf = appendHead(buf, binStage, e.Seq)
+		} else {
+			buf = appendHead(buf, binStaged, e.Seq)
 		}
-		buf = append(buf, binMagic, code)
-		buf = appendUvarint(buf, e.Seq)
 		buf = appendString(buf, s.Name)
 		buf = appendString(buf, s.Path)
 		buf = appendByteSlice(buf, s.Data)
-		return buf, true
 	case KindError:
-		buf = append(buf, binMagic, binError)
-		buf = appendUvarint(buf, e.Seq)
+		buf = appendHead(buf, binError, e.Seq)
 		buf = appendString(buf, e.Error)
-		return buf, true
 	case KindPeerSubmit:
 		if e.PeerSubmit == nil {
 			return buf, false
 		}
-		p := e.PeerSubmit
-		buf = append(buf, binMagic, binPeerSubmit)
-		buf = appendUvarint(buf, e.Seq)
-		buf = appendString(buf, p.JobID)
-		buf = appendString(buf, p.Cmd)
-		buf = appendString(buf, p.Dir)
-		buf = appendStrings(buf, p.Args)
-		buf = appendStrings(buf, p.Env)
-		buf = appendVarint(buf, int64(p.JobType))
-		buf = appendVarint(buf, int64(p.Priority))
-		buf = appendVarint(buf, int64(p.NProcs))
-		buf = appendVarint(buf, int64(p.WallLimit))
-		buf = appendVarint(buf, int64(p.Retries))
-		buf = appendBool(buf, p.Stolen)
-		return buf, true
+		buf = appendHead(buf, binPeerSubmit, e.Seq)
+		buf = appendPeerSubmit(buf, e.PeerSubmit)
 	case KindJobDone:
 		if e.JobDone == nil {
 			return buf, false
 		}
 		jd := e.JobDone
-		buf = append(buf, binMagic, binJobDone)
-		buf = appendUvarint(buf, e.Seq)
+		buf = appendHead(buf, binJobDone, e.Seq)
 		buf = appendString(buf, jd.JobID)
 		buf = appendString(buf, jd.Err)
 		buf = appendVarint(buf, int64(jd.Retries))
 		buf = appendBool(buf, jd.Failed)
 		buf = appendBool(buf, jd.Rejected)
-		return buf, true
+	case KindPeerAttach:
+		if e.PeerAttach == nil {
+			return buf, false
+		}
+		a := e.PeerAttach
+		buf = appendHead(buf, binPeerAttach, e.Seq)
+		buf = appendString(buf, a.PeerID)
+		buf = appendStrings(buf, a.Outstanding)
+		buf = appendVarint(buf, int64(a.LoadEvery))
+	case KindPeerAttached:
+		if e.PeerInfo == nil {
+			return buf, false
+		}
+		buf = appendHead(buf, binPeerAttached, e.Seq)
+		buf = appendStrings(buf, e.PeerInfo.Live)
+	case KindLoadReport:
+		if e.LoadReport == nil {
+			return buf, false
+		}
+		l := e.LoadReport
+		buf = appendHead(buf, binLoadReport, e.Seq)
+		buf = appendVarint(buf, int64(l.Queued))
+		buf = appendVarint(buf, int64(l.Running))
+		buf = appendVarint(buf, int64(l.Idle))
+		buf = appendVarint(buf, int64(l.Workers))
+	case KindStealRequest:
+		if e.StealRequest == nil {
+			return buf, false
+		}
+		buf = appendHead(buf, binStealRequest, e.Seq)
+		buf = appendVarint(buf, int64(e.StealRequest.Max))
+		buf = appendString(buf, e.StealRequest.Dest)
+	case KindStealReply:
+		if e.StealReply == nil {
+			return buf, false
+		}
+		buf = appendHead(buf, binStealReply, e.Seq)
+		buf = appendUvarint(buf, uint64(len(e.StealReply.Jobs)))
+		for i := range e.StealReply.Jobs {
+			buf = appendPeerSubmit(buf, &e.StealReply.Jobs[i])
+		}
 	default:
 		return buf, false
 	}
+	return buf, true
 }
 
-// decodeBinary parses one binary payload (including the magic byte). All
+// appendHead opens a payload: magic, kind code, sequence number.
+func appendHead(buf []byte, code byte, seq uint64) []byte {
+	buf = append(buf, binMagic, code)
+	return appendUvarint(buf, seq)
+}
+
+// appendPeerSubmit encodes the job body shared by peer-submit and each entry
+// of steal-reply.
+func appendPeerSubmit(buf []byte, p *PeerSubmit) []byte {
+	buf = appendString(buf, p.JobID)
+	buf = appendString(buf, p.Cmd)
+	buf = appendString(buf, p.Dir)
+	buf = appendStrings(buf, p.Args)
+	buf = appendStrings(buf, p.Env)
+	buf = appendVarint(buf, int64(p.JobType))
+	buf = appendVarint(buf, int64(p.Priority))
+	buf = appendVarint(buf, int64(p.NProcs))
+	buf = appendVarint(buf, int64(p.WallLimit))
+	buf = appendVarint(buf, int64(p.Retries))
+	return appendBool(buf, p.Stolen)
+}
+
+// minPeerSubmit is the smallest encoded job body (every field one byte); it
+// bounds a steal-reply's announced count against the bytes actually present.
+const minPeerSubmit = 11
+
+// decodeBinary parses one frame payload (including the magic byte). All
 // []byte payloads are copied out of buf, so the caller may reuse it.
 func decodeBinary(buf []byte) (*Envelope, error) {
-	r := binReader{buf: buf, off: 2} // magic + kind checked below
-	if len(buf) < 2 || buf[0] != binMagic {
-		return nil, ErrCorruptFrame
+	if err := checkMagic(buf); err != nil {
+		return nil, err
 	}
+	r := binReader{buf: buf, off: 2}
 	e := &Envelope{}
 	e.Seq = r.uvarint()
 	switch buf[1] {
 	case binWorkRequest:
 		e.Kind = KindWorkRequest
+	case binNoWork:
+		e.Kind = KindNoWork
+	case binShutdown:
+		e.Kind = KindShutdown
 	case binTask:
 		e.Kind = KindTask
 		t := &Task{}
@@ -309,7 +328,6 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 		e.Heartbeat = h
 	case binRegister:
 		e.Kind = KindRegister
-		e.Proto = r.byte()
 		reg := &Register{}
 		reg.WorkerID = r.str()
 		reg.Host = r.str()
@@ -318,7 +336,6 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 		e.Register = reg
 	case binRegistered:
 		e.Kind = KindRegistered
-		e.Proto = r.byte()
 	case binStage, binStaged:
 		e.Kind = KindStage
 		if buf[1] == binStaged {
@@ -335,17 +352,7 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 	case binPeerSubmit:
 		e.Kind = KindPeerSubmit
 		p := &PeerSubmit{}
-		p.JobID = r.str()
-		p.Cmd = r.str()
-		p.Dir = r.str()
-		p.Args = r.strs()
-		p.Env = r.strs()
-		p.JobType = int(r.varint())
-		p.Priority = int(r.varint())
-		p.NProcs = int(r.varint())
-		p.WallLimit = time.Duration(r.varint())
-		p.Retries = int(r.varint())
-		p.Stolen = r.bool()
+		r.peerSubmit(p)
 		e.PeerSubmit = p
 	case binJobDone:
 		e.Kind = KindJobDone
@@ -356,6 +363,43 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 		jd.Failed = r.bool()
 		jd.Rejected = r.bool()
 		e.JobDone = jd
+	case binPeerAttach:
+		e.Kind = KindPeerAttach
+		a := &PeerAttach{}
+		a.PeerID = r.str()
+		a.Outstanding = r.strs()
+		a.LoadEvery = time.Duration(r.varint())
+		e.PeerAttach = a
+	case binPeerAttached:
+		e.Kind = KindPeerAttached
+		e.PeerInfo = &PeerInfo{Live: r.strs()}
+	case binLoadReport:
+		e.Kind = KindLoadReport
+		l := &LoadReport{}
+		l.Queued = int(r.varint())
+		l.Running = int(r.varint())
+		l.Idle = int(r.varint())
+		l.Workers = int(r.varint())
+		e.LoadReport = l
+	case binStealRequest:
+		e.Kind = KindStealRequest
+		sr := &StealRequest{}
+		sr.Max = int(r.varint())
+		sr.Dest = r.str()
+		e.StealRequest = sr
+	case binStealReply:
+		e.Kind = KindStealReply
+		rep := &StealReply{}
+		n := r.uvarint()
+		if n > uint64(len(buf)-r.off)/minPeerSubmit {
+			r.fail()
+		} else if n > 0 {
+			rep.Jobs = make([]PeerSubmit, n)
+			for i := range rep.Jobs {
+				r.peerSubmit(&rep.Jobs[i])
+			}
+		}
+		e.StealReply = rep
 	default:
 		return nil, fmt.Errorf("%w: unknown kind code %d", ErrCorruptFrame, buf[1])
 	}
@@ -536,15 +580,17 @@ func (r *binReader) bool() bool {
 	return v != 0
 }
 
-func (r *binReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
+// peerSubmit decodes the job body written by appendPeerSubmit.
+func (r *binReader) peerSubmit(p *PeerSubmit) {
+	p.JobID = r.str()
+	p.Cmd = r.str()
+	p.Dir = r.str()
+	p.Args = r.strs()
+	p.Env = r.strs()
+	p.JobType = int(r.varint())
+	p.Priority = int(r.varint())
+	p.NProcs = int(r.varint())
+	p.WallLimit = time.Duration(r.varint())
+	p.Retries = int(r.varint())
+	p.Stolen = r.bool()
 }

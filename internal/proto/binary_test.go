@@ -5,18 +5,30 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// hotEnvelopes covers every kind with a binary form, with both zero-ish and
-// fully populated payloads. The name predates v2.1: the list now includes
-// the cold kinds register/registered/stage/staged/error too.
-func hotEnvelopes() []*Envelope {
+// allEnvelopes covers every kind, the first entry of each fully populated
+// and, where the payload has optional fields, a zero-ish one after it.
+func allEnvelopes() []*Envelope {
+	job := PeerSubmit{
+		JobID: "j9", JobType: 1, Priority: -2, NProcs: 4, Cmd: "namd2.sh",
+		Args: []string{"in.pdb", ""}, Env: []string{"A=1"}, Dir: "/tmp/x",
+		WallLimit: time.Minute, Stolen: true, Retries: 2,
+	}
 	return []*Envelope{
 		{Kind: KindWorkRequest},
+		{Kind: KindNoWork},
+		{Kind: KindShutdown},
 		{Kind: KindTask, Task: &Task{
 			TaskID: "j1/rank3", JobID: "j1", Cmd: "namd2.sh",
 			Args: []string{"in.pdb", "out.log", ""}, Env: []string{"A=1", "B="},
@@ -37,12 +49,11 @@ func hotEnvelopes() []*Envelope {
 		{Kind: KindHeartbeat, Heartbeat: &Heartbeat{
 			WorkerID: "w17", Busy: true, Uptime: 3 * time.Minute,
 		}},
-		{Kind: KindRegister, Proto: MaxVersion, Register: &Register{
+		{Kind: KindRegister, Register: &Register{
 			WorkerID: "ion-17-worker-4", Host: "ion-17", Cores: 4,
 			Coord: []int{3, 0, -1},
 		}},
 		{Kind: KindRegister, Register: &Register{WorkerID: "w"}},
-		{Kind: KindRegistered, Proto: VersionBinary},
 		{Kind: KindRegistered},
 		{Kind: KindStage, Stage: &Stage{
 			Name: "namd2.sh", Path: "bin/namd2.sh", Data: []byte("\x7fELF\x00raw bytes"),
@@ -51,18 +62,147 @@ func hotEnvelopes() []*Envelope {
 		{Kind: KindStaged, Stage: &Stage{Name: "namd2.sh"}},
 		{Kind: KindError, Error: "duplicate worker id w4"},
 		{Kind: KindError},
+		{Kind: KindPeerAttach, PeerAttach: &PeerAttach{
+			PeerID: "router-1", Outstanding: []string{"j1", "j2"}, LoadEvery: 50 * time.Millisecond,
+		}},
+		{Kind: KindPeerAttach, PeerAttach: &PeerAttach{PeerID: "r"}},
+		{Kind: KindPeerAttached, PeerInfo: &PeerInfo{Live: []string{"j2"}}},
+		{Kind: KindPeerAttached, PeerInfo: &PeerInfo{}},
+		{Kind: KindPeerSubmit, PeerSubmit: &job},
+		{Kind: KindPeerSubmit, PeerSubmit: &PeerSubmit{JobID: "j", NProcs: 1, Cmd: "c"}},
+		{Kind: KindJobDone, JobDone: &JobDone{
+			JobID: "j9", Failed: true, Err: "exit 3", Retries: 1, Rejected: true,
+		}},
+		{Kind: KindLoadReport, LoadReport: &LoadReport{Queued: 900, Running: 8, Idle: 0, Workers: 8}},
+		{Kind: KindStealRequest, StealRequest: &StealRequest{Max: 32, Dest: "inst-2"}},
+		{Kind: KindStealReply, StealReply: &StealReply{Jobs: []PeerSubmit{job, {JobID: "j10", NProcs: 1, Cmd: "c"}}}},
+		{Kind: KindStealReply, StealReply: &StealReply{}},
 	}
 }
 
-func TestBinaryRoundTripAllHotKinds(t *testing.T) {
-	for _, want := range hotEnvelopes() {
+// declaredKinds parses the package source for every constant of type Kind,
+// so a kind added to proto.go or federate.go shows up here without anyone
+// remembering to list it.
+func declaredKinds(t *testing.T) map[Kind]string {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[Kind]string{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			vs, ok := n.(*ast.ValueSpec)
+			if !ok {
+				return true
+			}
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "Kind" {
+				return true
+			}
+			for i, name := range vs.Names {
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok {
+					t.Fatalf("%s: Kind constant is not a string literal", name.Name)
+				}
+				v, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kinds[Kind(v)] = name.Name
+			}
+			return true
+		})
+	}
+	return kinds
+}
+
+// TestEveryKindHasACodec ranges over every Kind constant the package
+// declares and round-trips a populated envelope of that kind through
+// Send/Recv and Send/RecvFrame. A kind added without a kind code, an
+// encoder case, a decoder case and an allEnvelopes entry fails here.
+func TestEveryKindHasACodec(t *testing.T) {
+	populated := map[Kind]*Envelope{}
+	for _, e := range allEnvelopes() {
+		if populated[e.Kind] == nil {
+			populated[e.Kind] = e
+		}
+	}
+	kinds := declaredKinds(t)
+	if len(kinds) < 19 {
+		t.Fatalf("found only %d Kind constants in the source; the scan is broken", len(kinds))
+	}
+	coded := map[Kind]bool{}
+	for code := range kindOfCode {
+		if k, ok := binKindOf(byte(code)); ok {
+			if coded[k] {
+				t.Errorf("%s has two kind codes", k)
+			}
+			coded[k] = true
+		}
+	}
+	if len(coded) != len(kinds) {
+		t.Errorf("%d kind codes for %d declared kinds", len(coded), len(kinds))
+	}
+	for kind, name := range kinds {
+		want := populated[kind]
+		if want == nil {
+			t.Errorf("%s (%q): no populated envelope in allEnvelopes", name, kind)
+			continue
+		}
+		if !coded[kind] {
+			t.Errorf("%s (%q): no kind code in kindOfCode", name, kind)
+			continue
+		}
 		var buf bytes.Buffer
 		c := NewCodec(&buf)
-		c.EnableBinary()
+		for i := 0; i < 2; i++ {
+			e := *want
+			if err := c.Send(&e); err != nil {
+				t.Fatalf("%s: send: %v", name, err)
+			}
+		}
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatalf("%s: recv: %v", name, err)
+		}
+		f, err := c.RecvFrame()
+		if err != nil {
+			t.Fatalf("%s: recv frame: %v", name, err)
+		}
+		if f.Kind() != kind {
+			t.Errorf("%s: frame classified as %q", name, f.Kind())
+		}
+		fromFrame, err := f.Envelope()
+		f.Release()
+		if err != nil {
+			t.Fatalf("%s: frame decode: %v", name, err)
+		}
+		if got.Seq != 1 || fromFrame.Seq != 2 {
+			t.Errorf("%s: seq %d, %d want 1, 2", name, got.Seq, fromFrame.Seq)
+		}
+		for _, e := range []*Envelope{got, fromFrame} {
+			e.Seq = 0
+			if !reflect.DeepEqual(e, want) {
+				t.Errorf("%s: round trip\n got %+v\nwant %+v", name, e, want)
+			}
+		}
+	}
+}
+
+func TestBinaryRoundTripAllEnvelopes(t *testing.T) {
+	for _, want := range allEnvelopes() {
+		var buf bytes.Buffer
+		c := NewCodec(&buf)
 		if err := c.Send(want); err != nil {
 			t.Fatalf("%s: send: %v", want.Kind, err)
 		}
-		// The frame payload must actually be binary, not JSON fallback.
 		raw := buf.Bytes()
 		if len(raw) < 5 || raw[4] != binMagic {
 			t.Fatalf("%s: frame not binary-encoded: % x", want.Kind, raw[:min(len(raw), 8)])
@@ -79,54 +219,61 @@ func TestBinaryRoundTripAllHotKinds(t *testing.T) {
 	}
 }
 
-func TestCodelessKindsStayJSONOnBinaryCodec(t *testing.T) {
-	// no-work and shutdown have no binary kind code: they keep the JSON
-	// fallback exercised on every connection. Payload-less hot/cold kinds
-	// (a stage frame with a nil Stage) fall back too.
+// TestSendRejectsUnencodable: an envelope the codec cannot put on the wire
+// is a Send error, not a silently different format.
+func TestSendRejectsUnencodable(t *testing.T) {
 	for _, e := range []*Envelope{
-		{Kind: KindNoWork},
-		{Kind: KindShutdown},
-		{Kind: KindStage}, // nil payload
+		{Kind: KindStage},            // nil payload
+		{Kind: KindStealReply},       // nil payload
+		{Kind: Kind("no-such")},      // unknown kind
+		{Kind: KindTask, Error: "x"}, // wrong field populated
 	} {
 		var buf bytes.Buffer
 		c := NewCodec(&buf)
-		c.EnableBinary()
-		if err := c.Send(e); err != nil {
-			t.Fatal(err)
+		if err := c.Send(e); err == nil {
+			t.Errorf("%s: Send accepted an unencodable envelope", e.Kind)
 		}
-		if raw := buf.Bytes(); raw[4] != '{' {
-			t.Fatalf("%s: not JSON: % x", e.Kind, raw[:8])
+		if buf.Len() != 0 {
+			t.Errorf("%s: %d bytes written for a rejected envelope", e.Kind, buf.Len())
 		}
-		got, err := c.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Kind != e.Kind {
-			t.Fatalf("got %+v", got)
+	}
+}
+
+// TestForeignFirstByteRejected: a payload that does not open with the magic
+// byte is an explicit error on both receive paths, and a JSON v1 frame is
+// told so by name.
+func TestForeignFirstByteRejected(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"json v1": []byte(`{"kind":"register","register":{"worker_id":"w"}}`),
+		"text":    []byte("GET / HTTP/1.1\r\n"),
+		"empty":   {},
+	} {
+		for _, recv := range []func(*Codec) error{
+			func(c *Codec) error { _, err := c.Recv(); return err },
+			func(c *Codec) error { _, err := c.RecvFrame(); return err },
+		} {
+			var buf bytes.Buffer
+			sendRaw(t, &buf, payload)
+			err := recv(NewCodec(&buf))
+			if !errors.Is(err, ErrCorruptFrame) {
+				t.Errorf("%s: got %v want ErrCorruptFrame", name, err)
+			}
+			if name == "json v1" && !strings.Contains(err.Error(), "JSON v1 framing is no longer spoken") {
+				t.Errorf("%s: error does not name the retired format: %v", name, err)
+			}
 		}
 	}
 }
 
 func TestStagePayloadHasNoBase64(t *testing.T) {
-	// The v2.1 headline: stage payloads on a binary connection carry their
-	// bytes raw. The payload below is binary data whose base64 encoding
-	// would appear in a JSON frame; the binary frame must instead contain
-	// the raw bytes verbatim and no base64 expansion.
+	// Stage payloads carry their bytes raw: the frame must contain the
+	// payload verbatim, no base64 expansion, and only a few bytes of
+	// framing overhead.
 	data := []byte{0x00, 0x01, 0xFE, 0xFF, 0xBF, 0x7B, 0x22, 0x00}
 	env := &Envelope{Kind: KindStage, Stage: &Stage{Name: "blob", Data: data}}
 
-	var jbuf bytes.Buffer
-	jc := NewCodec(&jbuf)
-	if err := jc.Send(env); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(jbuf.Bytes(), []byte(base64.StdEncoding.EncodeToString(data))) {
-		t.Fatal("JSON stage frame does not base64 its payload?")
-	}
-
 	var bbuf bytes.Buffer
 	bc := NewCodec(&bbuf)
-	bc.EnableBinary()
 	if err := bc.Send(env); err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +287,8 @@ func TestStagePayloadHasNoBase64(t *testing.T) {
 	if bytes.Contains(raw, []byte(base64.StdEncoding.EncodeToString(data))) {
 		t.Fatal("binary stage frame still contains base64")
 	}
-	// And the size win is structural: binary framing overhead is a few
-	// bytes, JSON+base64 inflates the payload by ~4/3.
-	if len(raw) >= jbuf.Len() {
-		t.Fatalf("binary stage frame (%dB) not smaller than JSON (%dB)", len(raw), jbuf.Len())
+	if overhead := len(raw) - len(data) - len("blob"); overhead > 12 {
+		t.Fatalf("stage frame carries %d bytes of overhead", overhead)
 	}
 	got, err := bc.Recv()
 	if err != nil {
@@ -151,23 +296,6 @@ func TestStagePayloadHasNoBase64(t *testing.T) {
 	}
 	if !bytes.Equal(got.Stage.Data, data) {
 		t.Fatalf("round trip: %x", got.Stage.Data)
-	}
-}
-
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		peer uint8
-		want uint8
-	}{
-		{0, VersionJSON}, // pre-negotiation peer
-		{VersionJSON, VersionJSON},
-		{VersionBinary, VersionBinary},
-		{99, VersionBinary}, // unknown future version caps at ours
-	}
-	for _, tc := range cases {
-		if got := Negotiate(tc.peer); got != tc.want {
-			t.Errorf("Negotiate(%d)=%d want %d", tc.peer, got, tc.want)
-		}
 	}
 }
 
@@ -184,8 +312,7 @@ func TestBinaryCorruptFrames(t *testing.T) {
 	// Build one valid task frame to mutate.
 	var ref bytes.Buffer
 	c := NewCodec(&ref)
-	c.EnableBinary()
-	if err := c.Send(hotEnvelopes()[1]); err != nil {
+	if err := c.Send(allEnvelopes()[3]); err != nil {
 		t.Fatal(err)
 	}
 	valid := append([]byte(nil), ref.Bytes()[4:]...)
@@ -211,7 +338,6 @@ func TestBinaryCorruptFrames(t *testing.T) {
 func TestBinarySendOversizedFrame(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
-	c.EnableBinary()
 	e := &Envelope{Kind: KindOutput, Output: &Output{
 		TaskID: "t", Stream: "stdout", Data: make([]byte, MaxFrame),
 	}}
@@ -242,20 +368,16 @@ func TestRecvMaxFrameBoundary(t *testing.T) {
 }
 
 // TestConcurrentBinarySenders exercises the send path from many goroutines
-// with mixed hot and cold kinds; run under -race it guards the seq counter,
-// the shared buffer pool, and the EnableBinary switch.
+// with every kind; run under -race it guards the seq counter and the shared
+// buffer pool.
 func TestConcurrentBinarySenders(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
 	const n = 64
-	envs := hotEnvelopes()
+	envs := allEnvelopes()
 	var wg sync.WaitGroup
-	wg.Add(n + 1)
-	go func() {
-		defer wg.Done()
-		a.EnableBinary() // race against in-flight sends on purpose
-	}()
+	wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
@@ -286,7 +408,6 @@ func TestConcurrentBinarySenders(t *testing.T) {
 func TestPooledBuffersDoNotAlias(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
-	c.EnableBinary()
 	first := []byte("first-payload")
 	if err := c.Send(&Envelope{Kind: KindOutput, Output: &Output{TaskID: "a", Stream: "stdout", Data: first}}); err != nil {
 		t.Fatal(err)

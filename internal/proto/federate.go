@@ -5,12 +5,7 @@ import "time"
 // Federation frame kinds: the dispatcher↔dispatcher (router tier) protocol.
 // A router attaches to a dispatcher instance over the same listener workers
 // use — the first frame's kind selects the peer service path instead of the
-// worker path — and the same v2 negotiation applies: the attach announces the
-// router's maximum version, the attached ack confirms it, and the hot pair
-// (peer-submit, job-done) then rides the binary fast path. The control kinds
-// (attach, load reports, steal traffic) stay JSON: they are rare, and keeping
-// them on the fallback path keeps it continuously exercised, mirroring
-// no-work/shutdown on worker connections.
+// worker path.
 const (
 	KindPeerAttach   Kind = "peer-attach"   // router -> dispatcher: serve me as a federation peer
 	KindPeerAttached Kind = "peer-attached" // dispatcher -> router: accepted, here is my live set

@@ -1,6 +1,6 @@
 package proto
 
-// Zero-copy frame relay (wire protocol v2.1).
+// Zero-copy frame relay.
 //
 // The dispatcher's output and stage paths are pure relays: bytes produced
 // by one peer are delivered verbatim to another. Decoding a frame into an
@@ -12,7 +12,7 @@ package proto
 // bytes with Codec.SendRaw — the pool gets the buffer back only after the
 // last holder releases it.
 //
-// Ownership rules (see DESIGN.md "v2.1 cold kinds & zero-copy relay"):
+// Ownership rules (see DESIGN.md "Wire protocol"):
 //
 //   - RecvFrame returns a Frame holding one reference; the receiver owns it
 //     and must Release exactly once.
@@ -31,7 +31,6 @@ package proto
 // reading after release observes corrupt data instead of silently racing.
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -48,11 +47,10 @@ var poisonFrames atomic.Bool
 // otherwise be a silent data race surfaces as poisoned payload bytes.
 func PoisonFrames(on bool) { poisonFrames.Store(on) }
 
-// Frame is one received wire frame: its kind, whether it is binary-encoded,
-// and the raw payload bytes backed by a reference-counted pooled buffer.
+// Frame is one received wire frame: its kind and the raw payload bytes
+// backed by a reference-counted pooled buffer.
 type Frame struct {
 	kind Kind
-	bin  bool
 	bp   *[]byte // pooled backing entry; recycled on final Release
 	data []byte  // payload as read off the wire (no length prefix)
 	refs atomic.Int32
@@ -64,11 +62,6 @@ type Frame struct {
 
 // Kind reports the frame's message kind, known without decoding the body.
 func (f *Frame) Kind() Kind { return f.kind }
-
-// Binary reports whether the payload is v2 binary-encoded. A binary frame
-// may be relayed raw only to a peer that negotiated VersionBinary; a JSON
-// frame may be relayed raw to any peer, since every receiver accepts JSON.
-func (f *Frame) Binary() bool { return f.bin }
 
 // Payload returns the raw frame bytes, valid until the final Release.
 func (f *Frame) Payload() []byte { return f.data }
@@ -104,45 +97,30 @@ func (f *Frame) Release() {
 // copy, because Send stamps its per-connection Seq on the envelope it is
 // given.
 func (f *Frame) Envelope() (*Envelope, error) {
-	f.dec.Do(func() {
-		if f.env != nil { // pre-decoded (JSON receive path)
-			return
-		}
-		f.env, f.envErr = decodeBinary(f.data)
-	})
+	f.dec.Do(func() { f.env, f.envErr = decodeBinary(f.data) })
 	return f.env, f.envErr
 }
 
-// RecvFrame reads one frame and classifies it without decoding the body
-// when it is binary (the kind comes from the two-byte prefix); JSON frames
-// are decoded eagerly, since JSON carries the kind only inside the payload.
-// The returned frame holds one reference that the caller must Release.
+// RecvFrame reads one frame and classifies it from its two-byte prefix
+// without decoding the body. A payload in any other format is rejected like
+// Recv rejects it. The returned frame holds one reference that the caller
+// must Release.
 func (c *Codec) RecvFrame() (*Frame, error) {
 	bp, buf, err := c.readFrame()
 	if err != nil {
 		return nil, err
 	}
-	f := &Frame{bp: bp, data: buf}
+	if err := checkMagic(buf); err != nil {
+		putBuf(bp, buf)
+		return nil, err
+	}
+	kind, ok := binKindOf(buf[1])
+	if !ok {
+		putBuf(bp, buf)
+		return nil, fmt.Errorf("%w: unknown kind code %d", ErrCorruptFrame, buf[1])
+	}
+	f := &Frame{kind: kind, bp: bp, data: buf}
 	f.refs.Store(1)
-	if len(buf) > 0 && buf[0] == binMagic {
-		if len(buf) < 2 {
-			f.Release()
-			return nil, ErrCorruptFrame
-		}
-		kind, ok := binKindOf(buf[1])
-		if !ok {
-			f.Release()
-			return nil, fmt.Errorf("%w: unknown kind code %d", ErrCorruptFrame, buf[1])
-		}
-		f.kind, f.bin = kind, true
-		return f, nil
-	}
-	env := &Envelope{}
-	if jerr := json.Unmarshal(buf, env); jerr != nil {
-		f.Release()
-		return nil, fmt.Errorf("proto: unmarshal: %w", jerr)
-	}
-	f.kind, f.env = env.Kind, env
 	return f, nil
 }
 

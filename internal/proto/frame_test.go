@@ -11,8 +11,7 @@ import (
 func TestRecvFrameClassifiesWithoutDecode(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
-	c.EnableBinary()
-	for _, e := range hotEnvelopes() {
+	for _, e := range allEnvelopes() {
 		if err := c.Send(e); err != nil {
 			t.Fatal(err)
 		}
@@ -20,8 +19,8 @@ func TestRecvFrameClassifiesWithoutDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Kind, err)
 		}
-		if f.Kind() != e.Kind || !f.Binary() {
-			t.Fatalf("%s: kind=%s binary=%v", e.Kind, f.Kind(), f.Binary())
+		if f.Kind() != e.Kind {
+			t.Fatalf("%s: kind=%s", e.Kind, f.Kind())
 		}
 		env, err := f.Envelope()
 		if err != nil || env.Kind != e.Kind {
@@ -31,65 +30,37 @@ func TestRecvFrameClassifiesWithoutDecode(t *testing.T) {
 	}
 }
 
-func TestRecvFrameJSON(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewCodec(&buf) // JSON send side
-	if err := c.Send(&Envelope{Kind: KindOutput, Output: &Output{TaskID: "t", Stream: "stdout", Data: []byte("x")}}); err != nil {
+// TestSendRawRelayByteIdentical verifies the zero-copy contract: the bytes a
+// relay forwards with SendRaw are exactly the bytes the origin peer put on
+// the wire.
+func TestSendRawRelayByteIdentical(t *testing.T) {
+	var origin bytes.Buffer
+	oc := NewCodec(&origin)
+	payload := []byte{0x00, 0xBF, 0x7B, 0xFF, 0xDB}
+	if err := oc.Send(&Envelope{Kind: KindOutput, Output: &Output{TaskID: "t7", Stream: "stdout", Data: payload}}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.RecvFrame()
+	wire := append([]byte(nil), origin.Bytes()...)
+
+	f, err := oc.RecvFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Release()
-	if f.Kind() != KindOutput || f.Binary() {
-		t.Fatalf("kind=%s binary=%v", f.Kind(), f.Binary())
+	var relayed bytes.Buffer
+	rc := NewCodec(&relayed)
+	if err := rc.SendRaw(f.Payload()); err != nil {
+		t.Fatal(err)
 	}
-	if f.Payload()[0] != '{' {
-		t.Fatalf("payload not raw JSON: %q", f.Payload()[:1])
+	f.Release()
+	if !bytes.Equal(relayed.Bytes(), wire) {
+		t.Fatalf("relayed frame differs from origin\n% x\n% x", relayed.Bytes(), wire)
 	}
-	env, err := f.Envelope()
-	if err != nil || string(env.Output.Data) != "x" {
-		t.Fatalf("envelope %+v, %v", env, err)
+	got, err := rc.Recv()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestSendRawRelayByteIdentical verifies the zero-copy contract: the bytes a
-// relay forwards with SendRaw are exactly the bytes the origin peer put on
-// the wire, for binary and JSON origin frames alike.
-func TestSendRawRelayByteIdentical(t *testing.T) {
-	for _, binWire := range []bool{true, false} {
-		var origin bytes.Buffer
-		oc := NewCodec(&origin)
-		if binWire {
-			oc.EnableBinary()
-		}
-		payload := []byte{0x00, 0xBF, 0x7B, 0xFF, 0xDB}
-		if err := oc.Send(&Envelope{Kind: KindOutput, Output: &Output{TaskID: "t7", Stream: "stdout", Data: payload}}); err != nil {
-			t.Fatal(err)
-		}
-		wire := append([]byte(nil), origin.Bytes()...)
-
-		f, err := oc.RecvFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var relayed bytes.Buffer
-		rc := NewCodec(&relayed)
-		if err := rc.SendRaw(f.Payload()); err != nil {
-			t.Fatal(err)
-		}
-		f.Release()
-		if !bytes.Equal(relayed.Bytes(), wire) {
-			t.Fatalf("binary=%v: relayed frame differs from origin\n% x\n% x", binWire, relayed.Bytes(), wire)
-		}
-		got, err := rc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Output.Data, payload) {
-			t.Fatalf("binary=%v: payload %x", binWire, got.Output.Data)
-		}
+	if !bytes.Equal(got.Output.Data, payload) {
+		t.Fatalf("payload %x", got.Output.Data)
 	}
 }
 
@@ -99,7 +70,6 @@ func TestFrameRefcountAndPoison(t *testing.T) {
 
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
-	c.EnableBinary()
 	data := bytes.Repeat([]byte{0x11}, 256)
 	if err := c.Send(&Envelope{Kind: KindOutput, Output: &Output{TaskID: "t", Stream: "stdout", Data: data}}); err != nil {
 		t.Fatal(err)
@@ -131,7 +101,6 @@ func TestFrameRefcountAndPoison(t *testing.T) {
 func TestFrameOverReleasePanics(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
-	c.EnableBinary()
 	if err := c.Send(&Envelope{Kind: KindWorkRequest}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,16 +121,16 @@ func TestRecvFrameCorrupt(t *testing.T) {
 	for name, payload := range map[string][]byte{
 		"magic only":   {binMagic},
 		"unknown kind": {binMagic, 0x7E, 0x01},
-		"bad json":     []byte(`{"kind":`),
+		"json v1":      []byte(`{"kind":"output"}`),
 	} {
 		var buf bytes.Buffer
 		sendRaw(t, &buf, payload)
 		c := NewCodec(&buf)
-		if _, err := c.RecvFrame(); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := c.RecvFrame(); !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("%s: got %v want ErrCorruptFrame", name, err)
 		}
 	}
-	// A binary frame with a valid kind prefix but corrupt body classifies
+	// A frame with a valid kind prefix but corrupt body classifies
 	// fine (relays may forward it) but fails on Envelope().
 	var buf bytes.Buffer
 	sendRaw(t, &buf, []byte{binMagic, binOutput, 0x01, 0x01, 'x', 0x01, 's', 0x20})
@@ -182,7 +151,6 @@ func TestRecvFrameCorrupt(t *testing.T) {
 func TestFrameConcurrentEnvelopeAndRelease(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
-	c.EnableBinary()
 	for i := 0; i < 64; i++ {
 		if err := c.Send(&Envelope{Kind: KindOutput, Output: &Output{
 			TaskID: fmt.Sprintf("t%d", i), Stream: "stdout", Data: bytes.Repeat([]byte{byte(i)}, 128),

@@ -1,14 +1,15 @@
 package proto
 
 // Native fuzz targets for the wire codec (run in CI as a 20s smoke pass,
-// see .github/workflows/ci.yml). Two properties are load-bearing for the
-// relay data plane:
+// see .github/workflows/ci.yml). Two properties are load-bearing:
 //
-//  1. decode never panics: the dispatcher feeds every byte a worker sends
+//  1. decode never panics: the dispatcher feeds every byte a peer sends
 //     into decodeBinary, so any panic is a remote crash.
-//  2. binary and JSON agree: a frame relayed raw to a binary peer and the
-//     same frame decoded and re-encoded as JSON for a v1 peer must deliver
-//     identical payloads, for every kind.
+//  2. the codec loses nothing: for every kind, an envelope that goes
+//     through the binary codec equals the one that went in. encoding/json
+//     over the same struct tags is the independent oracle — a field the
+//     hand-written codec forgets shows up as a divergence from it. JSON is
+//     a test-side reference only; it is not a wire format.
 //
 // The seed corpus lives in testdata/fuzz/<Target>/ (the native corpus
 // location); regenerate it with
@@ -33,11 +34,47 @@ import (
 var fuzzKinds = []Kind{
 	KindWorkRequest, KindTask, KindResult, KindOutput, KindHeartbeat,
 	KindRegister, KindRegistered, KindStage, KindStaged, KindError,
+	KindPeerSubmit, KindJobDone, KindNoWork, KindShutdown, KindPeerAttach,
+	KindPeerAttached, KindLoadReport, KindStealRequest, KindStealReply,
 }
 
 // canonEnvelope normalizes the representations the two encodings cannot
 // distinguish: empty and nil slices (both encode as length 0 / omitted).
 func canonEnvelope(e *Envelope) *Envelope {
+	canonJob := func(p *PeerSubmit) {
+		if len(p.Args) == 0 {
+			p.Args = nil
+		}
+		if len(p.Env) == 0 {
+			p.Env = nil
+		}
+	}
+	if e.PeerSubmit != nil {
+		p := *e.PeerSubmit
+		canonJob(&p)
+		e.PeerSubmit = &p
+	}
+	if e.StealReply != nil {
+		jobs := append([]PeerSubmit(nil), e.StealReply.Jobs...)
+		for i := range jobs {
+			canonJob(&jobs[i])
+		}
+		e.StealReply = &StealReply{Jobs: jobs}
+	}
+	if e.PeerAttach != nil {
+		a := *e.PeerAttach
+		if len(a.Outstanding) == 0 {
+			a.Outstanding = nil
+		}
+		e.PeerAttach = &a
+	}
+	if e.PeerInfo != nil {
+		i := *e.PeerInfo
+		if len(i.Live) == 0 {
+			i.Live = nil
+		}
+		e.PeerInfo = &i
+	}
 	if e.Task != nil {
 		t := *e.Task
 		if len(t.Args) == 0 {
@@ -76,7 +113,7 @@ func canonEnvelope(e *Envelope) *Envelope {
 // that anything that decodes successfully re-encodes to an equal envelope
 // (the decoder accepts only envelopes the encoder can reproduce).
 func FuzzDecodeBinary(f *testing.F) {
-	for _, e := range hotEnvelopes() {
+	for _, e := range allEnvelopes() {
 		if payload, ok := appendBinary(nil, e); ok {
 			f.Add(payload)
 		}
@@ -105,8 +142,8 @@ func FuzzDecodeBinary(f *testing.F) {
 }
 
 // FuzzRoundTrip builds an envelope of every kind from fuzzed fields and
-// asserts the binary and JSON wire formats decode to the same envelope, so
-// a v1 peer and a v2 peer observe identical payloads.
+// asserts the binary round trip and the JSON oracle's round trip decode to
+// the same envelope, which is the one that went in.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(byte(1), "j1/rank3", "j1", "namd2.sh", []byte("hello\x00world"), int64(3), int64(90e9), uint64(7), true)
 	f.Add(byte(3), "t", "stdout", "", []byte{}, int64(-1), int64(0), uint64(0), false)
@@ -135,14 +172,28 @@ func FuzzRoundTrip(f *testing.F) {
 		case KindHeartbeat:
 			e.Heartbeat = &Heartbeat{WorkerID: s1, Busy: flag, Uptime: time.Duration(n1)}
 		case KindRegister:
-			e.Proto = byte(seq)
 			e.Register = &Register{WorkerID: s1, Host: s2, Cores: int(int32(n1)), Coord: []int{int(int32(n1)), int(int32(n2))}}
-		case KindRegistered:
-			e.Proto = byte(n1)
 		case KindStage, KindStaged:
 			e.Stage = &Stage{Name: s1, Path: s2, Data: blob}
 		case KindError:
 			e.Error = s1
+		case KindPeerSubmit:
+			e.PeerSubmit = fuzzJob(s1, s2, s3, n1, n2, flag)
+		case KindJobDone:
+			e.JobDone = &JobDone{JobID: s1, Failed: flag, Err: s2, Retries: int(int32(n1)), Rejected: !flag}
+		case KindPeerAttach:
+			e.PeerAttach = &PeerAttach{PeerID: s1, Outstanding: []string{s2, s3}, LoadEvery: time.Duration(n2)}
+		case KindPeerAttached:
+			e.PeerInfo = &PeerInfo{Live: []string{s1, s2, s3}}
+		case KindLoadReport:
+			e.LoadReport = &LoadReport{Queued: int(int32(n1)), Running: int(int32(n2)), Idle: int(int32(seq)), Workers: len(blob)}
+		case KindStealRequest:
+			e.StealRequest = &StealRequest{Max: int(int32(n1)), Dest: s1}
+		case KindStealReply:
+			e.StealReply = &StealReply{}
+			for i := 0; i < len(blob)%4; i++ {
+				e.StealReply.Jobs = append(e.StealReply.Jobs, *fuzzJob(s1, s2, s3, n1+int64(i), n2, flag))
+			}
 		}
 
 		enc, ok := appendBinary(nil, e)
@@ -171,8 +222,17 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
+// fuzzJob builds the job body shared by peer-submit and steal-reply.
+func fuzzJob(s1, s2, s3 string, n1, n2 int64, flag bool) *PeerSubmit {
+	return &PeerSubmit{
+		JobID: s1, JobType: int(int32(n1)) % 3, Priority: int(int32(n2)), NProcs: int(int32(n1)),
+		Cmd: s2, Args: []string{s3, s1}, Env: []string{s2}, Dir: s3,
+		WallLimit: time.Duration(n2), Stolen: flag, Retries: int(int32(n1 >> 8)),
+	}
+}
+
 // TestRegenerateFuzzCorpus rewrites the checked-in seed corpus from
-// hotEnvelopes when JETS_REGEN_CORPUS=1; by default it only verifies the
+// allEnvelopes when JETS_REGEN_CORPUS=1; by default it only verifies the
 // corpus directories exist and are non-empty.
 func TestRegenerateFuzzCorpus(t *testing.T) {
 	decodeDir := filepath.Join("testdata", "fuzz", "FuzzDecodeBinary")
@@ -191,7 +251,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, e := range hotEnvelopes() {
+	for i, e := range allEnvelopes() {
 		payload, ok := appendBinary(nil, e)
 		if !ok {
 			continue

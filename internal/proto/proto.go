@@ -1,7 +1,8 @@
-// Package proto defines the JETS wire protocol: a length-prefixed JSON
-// message framing used on every TCP connection in the system — worker agents
-// talking to the central dispatcher, Hydra proxies talking to the mpiexec
-// control process, and Coasters clients talking to the CoasterService.
+// Package proto defines the JETS wire protocol: length-prefixed frames with
+// a compact binary body (binary.go), used on the links that carry typed
+// envelopes — worker agents talking to the central dispatcher, routers
+// talking to dispatcher instances, and Coasters data-plane clients talking
+// to the CoasterService.
 //
 // The paper's architecture principle 2 ("separate service pipeline processes
 // through simple interfaces") is realized here: socket management is a thin,
@@ -12,7 +13,6 @@ package proto
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -51,16 +51,11 @@ const (
 )
 
 // Envelope is the frame carried on every connection. Exactly one payload
-// field is populated according to Kind.
+// field is populated according to Kind. The json tags render an envelope for
+// debugging; the wire encoding is binary.go's.
 type Envelope struct {
 	Kind Kind   `json:"kind"`
 	Seq  uint64 `json:"seq,omitempty"`
-
-	// Proto carries wire-version negotiation (see binary.go): on a
-	// register frame it announces the sender's maximum supported version,
-	// on the registered ack it confirms the negotiated version. Zero on
-	// every other frame and when talking to pre-v2 peers.
-	Proto uint8 `json:"proto,omitempty"`
 
 	Register  *Register  `json:"register,omitempty"`
 	Task      *Task      `json:"task,omitempty"`
@@ -152,9 +147,8 @@ type Codec struct {
 	w  *bufio.Writer
 	wc io.Closer
 
-	mu     sync.Mutex // guards w, seq, binary
-	seq    uint64
-	binary bool // emit the v2 fast path for hot kinds (see EnableBinary)
+	mu  sync.Mutex // guards w, seq
+	seq uint64
 }
 
 // bufPool recycles frame scratch buffers across Send and Recv calls. The
@@ -188,22 +182,10 @@ func (c *Codec) RemoteAddr() string {
 	return ""
 }
 
-// EnableBinary switches the send side to the v2 binary fast path for hot
-// frame kinds. Call it only after the peer has negotiated VersionBinary at
-// register time; the receive side needs no switch because frames are
-// self-describing (see binary.go).
-func (c *Codec) EnableBinary() {
-	c.mu.Lock()
-	c.binary = true
-	c.mu.Unlock()
-}
-
-// BinaryEnabled reports whether the send side uses the v2 fast path.
-func (c *Codec) BinaryEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.binary
-}
+// EnableBinary does nothing: binary is the only format a Codec speaks. It
+// survives solely because bench/probes.go calls it and bench/ is frozen
+// between benchmark PRs; delete it, and that call, with the next one.
+func (c *Codec) EnableBinary() {}
 
 // writeLocked encodes and buffers one envelope. Caller holds c.mu.
 func (c *Codec) writeLocked(e *Envelope) error {
@@ -211,20 +193,13 @@ func (c *Codec) writeLocked(e *Envelope) error {
 	e.Seq = c.seq
 
 	bp := bufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	var ok bool
-	if c.binary {
-		buf, ok = appendBinary(buf, e)
+	buf, ok := appendBinary((*bp)[:0], e)
+	var err error
+	if ok {
+		err = c.writeFrameLocked(buf)
+	} else {
+		err = fmt.Errorf("proto: cannot encode %q envelope: unknown kind or missing payload", e.Kind)
 	}
-	if !ok {
-		j, err := json.Marshal(e)
-		if err != nil {
-			bufPool.Put(bp)
-			return fmt.Errorf("proto: marshal: %w", err)
-		}
-		buf = append(buf, j...)
-	}
-	err := c.writeFrameLocked(buf)
 	*bp = buf[:0]
 	bufPool.Put(bp)
 	return err
@@ -310,28 +285,18 @@ func putBuf(bp *[]byte, buf []byte) {
 	bufPool.Put(bp)
 }
 
-// Recv reads one envelope, blocking until a full frame arrives. Binary and
-// JSON payloads are distinguished by their first byte, so a codec can
-// receive both regardless of what its send side negotiated.
+// Recv reads one envelope, blocking until a full frame arrives. A payload
+// in any other format (binary.go's checkMagic) is an error wrapping
+// ErrCorruptFrame; the stream cannot be trusted after it, so callers close
+// the connection.
 func (c *Codec) Recv() (*Envelope, error) {
 	bp, buf, err := c.readFrame()
 	if err != nil {
 		return nil, err
 	}
-	var e *Envelope
-	if len(buf) > 0 && buf[0] == binMagic {
-		e, err = decodeBinary(buf)
-	} else {
-		e = &Envelope{}
-		if jerr := json.Unmarshal(buf, e); jerr != nil {
-			err = fmt.Errorf("proto: unmarshal: %w", jerr)
-		}
-	}
+	e, err := decodeBinary(buf)
 	putBuf(bp, buf)
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
+	return e, err
 }
 
 // Close closes the underlying connection if it is closable.

@@ -208,7 +208,7 @@ func TestTaskRoundTripProperty(t *testing.T) {
 			return false
 		}
 		if len(got.Task.Args) != len(want.Args) {
-			// JSON turns empty slices into nil; tolerate that but nothing else.
+			// An empty slice decodes as nil; tolerate that but nothing else.
 			return len(want.Args) == 0 && len(got.Task.Args) == 0
 		}
 		for i := range want.Args {

@@ -159,8 +159,7 @@ func (p *peerLink) dialAttach() (*proto.Codec, error) {
 	}
 	outstanding := p.r.assignedTo(p.idx)
 	err = codec.Send(&proto.Envelope{
-		Kind:  proto.KindPeerAttach,
-		Proto: proto.MaxVersion,
+		Kind: proto.KindPeerAttach,
 		PeerAttach: &proto.PeerAttach{
 			PeerID:      p.r.id,
 			Outstanding: outstanding,
@@ -178,9 +177,6 @@ func (p *peerLink) dialAttach() (*proto.Codec, error) {
 			err = errors.New("router: unexpected attach reply")
 		}
 		return nil, err
-	}
-	if proto.Negotiate(reply.Proto) >= proto.VersionBinary {
-		codec.EnableBinary()
 	}
 	p.mu.Lock()
 	p.codec = codec

@@ -74,7 +74,7 @@ foreach i in [1:n] {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	err := RunScript(ctx, src, Config{
-		Executor: exec, WorkDir: t.TempDir(), Compile: true,
+		Executor: exec, WorkDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,10 +31,18 @@ func runScriptMode(t *testing.T, src string, compile bool) equivResult {
 	wd := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	err := RunScript(ctx, src, Config{
-		Executor: exec, Stdout: &out, WorkDir: wd, Compile: compile,
+	cfg := Config{
+		Executor: exec, Stdout: &out, WorkDir: wd,
 		Args: map[string]string{"njobs": "5", "nodes": "2", "waitms": "1", "nreps": "4", "rounds": "2", "n": "6"},
-	})
+	}
+	prog, err := Parse(src)
+	if err == nil {
+		if compile {
+			err = Run(ctx, prog, cfg)
+		} else {
+			err = Interpret(ctx, prog, cfg)
+		}
+	}
 	res := equivResult{}
 	if err != nil {
 		res.err = err.Error()

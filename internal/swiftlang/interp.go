@@ -43,19 +43,19 @@ type Config struct {
 	// Args are named script arguments available through the arg() builtin
 	// (Swift's @arg), e.g. swiftrun -arg steps=10.
 	Args map[string]string
-	// Compile lowers the program to a static dataflow graph before running it
-	// (constant folding, slot-resolved variables, batched submission). The
-	// tree-walking interpreter remains the Compile=false reference.
-	Compile bool
 }
 
-// Run executes a parsed program to completion under dataflow semantics and
-// returns the first error.
+// Run compiles a parsed program to a static dataflow graph (constant
+// folding, slot-resolved variables, batched submission), executes it to
+// completion under dataflow semantics and returns the first error.
 func Run(ctx context.Context, prog *Program, cfg Config) error {
-	if cfg.Compile {
-		cp := Compile(prog)
-		return cp.Run(ctx, cfg)
-	}
+	return Compile(prog).Run(ctx, cfg)
+}
+
+// Interpret executes a parsed program with the tree-walking interpreter. It
+// is the reference the compiled path is differential-tested against
+// (equivalence_test.go) and benchmarked against; nothing else calls it.
+func Interpret(ctx context.Context, prog *Program, cfg Config) error {
 	if cfg.Executor == nil {
 		return fmt.Errorf("swift: no executor configured")
 	}
@@ -71,7 +71,7 @@ func Run(ctx context.Context, prog *Program, cfg Config) error {
 	return in.eng.Wait()
 }
 
-// RunScript parses and runs a script source.
+// RunScript parses, compiles and runs a script source.
 func RunScript(ctx context.Context, src string, cfg Config) error {
 	prog, err := Parse(src)
 	if err != nil {

@@ -86,12 +86,6 @@ type Config struct {
 	// NoWorkBackoffMax caps the exponential no-work backoff; default 500ms.
 	NoWorkBackoffMax time.Duration
 
-	// JSONOnly disables the binary wire fast path: the worker announces no
-	// protocol version at registration and keeps speaking length-prefixed
-	// JSON (the v1 seed format). Used for old-peer interop testing and for
-	// A/B measurements of the codec.
-	JSONOnly bool
-
 	// Reconnect makes Run redial and re-register after a lost connection
 	// instead of returning, so a pool of pilot jobs survives a dispatcher
 	// restart (crash recovery): the restarted service sees the same worker
@@ -305,11 +299,7 @@ func (w *Worker) runOnce(ctx context.Context) error {
 		}
 	}()
 
-	var announce uint8
-	if !w.cfg.JSONOnly {
-		announce = proto.MaxVersion
-	}
-	if err := codec.Send(&proto.Envelope{Kind: proto.KindRegister, Proto: announce, Register: &proto.Register{
+	if err := codec.Send(&proto.Envelope{Kind: proto.KindRegister, Register: &proto.Register{
 		WorkerID: w.cfg.ID, Host: w.cfg.Host, Cores: w.cfg.Cores, Coord: w.cfg.Coord,
 	}}); err != nil {
 		return fmt.Errorf("worker %s: register: %w", w.cfg.ID, err)
@@ -320,11 +310,6 @@ func (w *Worker) runOnce(ctx context.Context) error {
 	}
 	if ack.Kind != proto.KindRegistered {
 		return fmt.Errorf("worker %s: unexpected registration reply %q: %s", w.cfg.ID, ack.Kind, ack.Error)
-	}
-	// The dispatcher confirmed the negotiated wire version; switch our send
-	// side to the binary fast path if both ends speak it (proto/binary.go).
-	if !w.cfg.JSONOnly && ack.Proto >= proto.VersionBinary {
-		codec.EnableBinary()
 	}
 	w.connected.Store(true)
 	w.registered.Store(true)
