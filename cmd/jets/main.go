@@ -53,7 +53,6 @@ func run() error {
 	outDir := flag.String("output", "", "directory for task stdout files (empty discards)")
 	format := flag.String("format", "lines", "input format: lines (MPI:/SEQ:) or json")
 	tracePath := flag.String("trace", "", "write a JSON-lines dispatcher event trace to this file")
-	coalesce := flag.Int("write-coalesce", 16, "max outbound frames batched per flush on each worker connection (<=1 disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof, and /healthz on this address (e.g. 127.0.0.1:9090; empty disables)")
 	listen := flag.String("listen", "", "dispatcher listen address for external workers (e.g. 0.0.0.0:7001; empty binds an ephemeral loopback port)")
 	federate := flag.Int("federate", 1, "dispatcher instances to run behind the work router (>=2 federates)")
@@ -117,7 +116,6 @@ func run() error {
 		Shards:         *shards,
 		OnOutput:       onOutput,
 		OnEvent:        onEvent,
-		WriteCoalesce:  *coalesce,
 		Obs:            reg,
 		DataDir:        *dataDir,
 		HotQueueJobs:   *hotQueue,

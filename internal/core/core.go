@@ -71,8 +71,10 @@ type Options struct {
 	OnOutputFrame func(*proto.Frame)
 	// OnEvent receives dispatcher trace events; nil disables tracing.
 	OnEvent func(dispatch.Event)
-	// WriteCoalesce batches up to N outbound frames per flush on each
-	// worker connection under backlog; <= 1 flushes every frame.
+	// WriteCoalesce is ignored: the dispatcher always batches up to 16
+	// outbound frames per flush under backlog. The field survives only
+	// because the frozen benchmark (bench/inproc.go) sets it; delete both
+	// with the next benchmark change.
 	WriteCoalesce int
 	// Obs, when non-nil, exports the dispatcher's instrumentation plus the
 	// hydra/PMI and worker package metrics through the registry, ready for
@@ -92,10 +94,6 @@ type Options struct {
 	// (see dispatch.Config.HotQueueJobs). 0 uses the dispatcher default;
 	// negative disables spilling.
 	HotQueueJobs int
-	// CompactSegments triggers an online journal checkpoint once the WAL
-	// exceeds that many segment files (see dispatch.Config.CompactSegments).
-	// 0 uses the dispatcher default; negative disables online compaction.
-	CompactSegments int
 	// Federate, when >= 2, runs that many dispatcher instances in this
 	// process behind a work router (internal/router): submissions partition
 	// across the instances by consistent hash with least-loaded fallback,
@@ -138,8 +136,85 @@ func NewEngine(opts Options) (*Engine, error) {
 		}
 		jnl = w
 	}
-	d := dispatch.New(dispatch.Config{
-		Addr:             opts.ListenAddr,
+	d := dispatch.New(opts.dispatchConfig("", opts.ListenAddr, jnl, opts.DataDir))
+	if opts.Obs != nil {
+		hydra.RegisterMetrics(opts.Obs)
+		worker.RegisterMetrics(opts.Obs)
+		journal.RegisterMetrics(opts.Obs)
+	}
+	addr, err := d.Start()
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{d: d, insts: []*dispatch.Dispatcher{d}, addr: addr, addrs: []string{addr}}
+	if err := e.startLocalWorkers(opts); err != nil {
+		e.Close()
+		return nil, err
+	}
+	return e, nil
+}
+
+// startLocalWorkers starts Options.LocalWorkers in-process workers, spread
+// over the engine's instances round-robin, and waits for them to register so
+// the first batch does not race registration.
+func (e *Engine) startLocalWorkers(opts Options) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	e.cancel = cancel
+	cores := opts.CoresPerWorker
+	if cores <= 0 {
+		cores = 1
+	}
+	for i := 0; i < opts.LocalWorkers; i++ {
+		// Home instance by round-robin; the rest of the rotation follows in
+		// order, so a worker whose instance dies fails over to the next one.
+		home := i % len(e.addrs)
+		rotation := make([]string, 0, len(e.addrs)-1)
+		for k := 1; k < len(e.addrs); k++ {
+			rotation = append(rotation, e.addrs[(home+k)%len(e.addrs)])
+		}
+		w, err := worker.New(worker.Config{
+			ID:                fmt.Sprintf("local-%d", i),
+			Host:              fmt.Sprintf("localhost/%d", i),
+			Cores:             cores,
+			Coord:             []int{i % 8, (i / 8) % 8, i / 64},
+			DispatcherAddr:    e.addrs[home],
+			DispatcherAddrs:   rotation,
+			Runner:            opts.Runner,
+			HeartbeatInterval: 250 * time.Millisecond,
+		})
+		if err != nil {
+			return err
+		}
+		e.workers = append(e.workers, w)
+		e.wg.Add(1)
+		go func(w *worker.Worker) {
+			defer e.wg.Done()
+			w.Run(ctx)
+		}(w)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.workerTotal() < opts.LocalWorkers {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("core: only %d/%d local workers registered", e.workerTotal(), opts.LocalWorkers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
+// dispatchConfig is the dispatcher configuration these options describe, for
+// the instance named instance (empty outside a federation) listening on addr
+// and journaling to jnl under dataDir. Spilled specs live beside the journal
+// they are referenced from, so recovery after a restart finds both or
+// neither; no dataDir keeps the dispatcher's ephemeral temp-dir store.
+func (opts Options) dispatchConfig(instance, addr string, jnl journal.Journal, dataDir string) dispatch.Config {
+	spill := ""
+	if dataDir != "" {
+		spill = filepath.Join(dataDir, "spill")
+	}
+	return dispatch.Config{
+		Addr:             addr,
+		Instance:         instance,
 		HeartbeatTimeout: opts.HeartbeatTimeout,
 		MaxJobRetries:    opts.MaxJobRetries,
 		RetryBackoff:     opts.RetryBackoff,
@@ -151,74 +226,11 @@ func NewEngine(opts Options) (*Engine, error) {
 		OnOutput:         opts.OnOutput,
 		OnOutputFrame:    opts.OnOutputFrame,
 		OnEvent:          opts.OnEvent,
-		WriteCoalesce:    opts.WriteCoalesce,
 		Obs:              opts.Obs,
 		Journal:          jnl,
 		HotQueueJobs:     opts.HotQueueJobs,
-		CompactSegments:  opts.CompactSegments,
-		SpillDir:         spillDir(opts.DataDir),
-	})
-	if opts.Obs != nil {
-		hydra.RegisterMetrics(opts.Obs)
-		worker.RegisterMetrics(opts.Obs)
-		journal.RegisterMetrics(opts.Obs)
+		SpillDir:         spill,
 	}
-	addr, err := d.Start()
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{d: d, insts: []*dispatch.Dispatcher{d}, addr: addr, addrs: []string{addr}}
-	ctx, cancel := context.WithCancel(context.Background())
-	e.cancel = cancel
-
-	cores := opts.CoresPerWorker
-	if cores <= 0 {
-		cores = 1
-	}
-	for i := 0; i < opts.LocalWorkers; i++ {
-		w, err := worker.New(worker.Config{
-			ID:                fmt.Sprintf("local-%d", i),
-			Host:              fmt.Sprintf("localhost/%d", i),
-			Cores:             cores,
-			Coord:             []int{i % 8, (i / 8) % 8, i / 64},
-			DispatcherAddr:    addr,
-			Runner:            opts.Runner,
-			HeartbeatInterval: 250 * time.Millisecond,
-		})
-		if err != nil {
-			cancel()
-			d.Close()
-			return nil, err
-		}
-		e.workers = append(e.workers, w)
-		e.wg.Add(1)
-		go func(w *worker.Worker) {
-			defer e.wg.Done()
-			w.Run(ctx)
-		}(w)
-	}
-	// Wait for local workers to come up so the first batch does not race
-	// registration.
-	deadline := time.Now().Add(10 * time.Second)
-	for d.Workers() < opts.LocalWorkers {
-		if time.Now().After(deadline) {
-			e.Close()
-			return nil, fmt.Errorf("core: only %d/%d local workers registered", d.Workers(), opts.LocalWorkers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return e, nil
-}
-
-// spillDir derives the cold-queue spill directory from a data directory:
-// specs spilled to disk live beside the journal they are referenced from, so
-// recovery after a restart finds both or neither. Empty (no DataDir) keeps
-// the dispatcher's ephemeral temp-dir store.
-func spillDir(dataDir string) string {
-	if dataDir == "" {
-		return ""
-	}
-	return filepath.Join(dataDir, "spill")
 }
 
 // Addr returns the dispatcher endpoint for external workers (the first

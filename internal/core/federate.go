@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"jets/internal/dispatch"
 	"jets/internal/hydra"
@@ -17,8 +15,7 @@ import (
 // in-process dispatcher instances (plus any FederatePeers) behind a work
 // router. Each instance listens on its own ephemeral endpoint and carries an
 // instance label so the shared obs registry keeps every instance's series
-// distinct; local workers spread across the instances round-robin, each
-// handed the full address rotation for failover.
+// distinct.
 func newFederatedEngine(opts Options) (*Engine, error) {
 	n := opts.Federate
 	if n < 1 {
@@ -42,8 +39,10 @@ func newFederatedEngine(opts Options) (*Engine, error) {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("inst%d", i)
 		var jnl journal.Journal
+		dir := ""
 		if opts.DataDir != "" {
-			w, err := journal.OpenWAL(journal.Options{Dir: filepath.Join(opts.DataDir, name)})
+			dir = filepath.Join(opts.DataDir, name)
+			w, err := journal.OpenWAL(journal.Options{Dir: dir})
 			if err != nil {
 				return fail(fmt.Errorf("core: open %s journal: %w", name, err))
 			}
@@ -53,31 +52,7 @@ func newFederatedEngine(opts Options) (*Engine, error) {
 		if i == 0 {
 			listen = opts.ListenAddr // a fixed endpoint can only go to one instance
 		}
-		spill := ""
-		if opts.DataDir != "" {
-			spill = spillDir(filepath.Join(opts.DataDir, name))
-		}
-		d := dispatch.New(dispatch.Config{
-			Addr:             listen,
-			Instance:         name,
-			HeartbeatTimeout: opts.HeartbeatTimeout,
-			MaxJobRetries:    opts.MaxJobRetries,
-			RetryBackoff:     opts.RetryBackoff,
-			RetryBackoffMax:  opts.RetryBackoffMax,
-			NewQueue:         opts.NewQueue,
-			Shards:           opts.Shards,
-			Group:            opts.Group,
-			JobTimeout:       opts.JobTimeout,
-			OnOutput:         opts.OnOutput,
-			OnOutputFrame:    opts.OnOutputFrame,
-			OnEvent:          opts.OnEvent,
-			WriteCoalesce:    opts.WriteCoalesce,
-			Obs:              opts.Obs,
-			Journal:          jnl,
-			HotQueueJobs:     opts.HotQueueJobs,
-			CompactSegments:  opts.CompactSegments,
-			SpillDir:         spill,
-		})
+		d := dispatch.New(opts.dispatchConfig(name, listen, jnl, dir))
 		addr, err := d.Start()
 		if err != nil {
 			return fail(err)
@@ -117,48 +92,9 @@ func newFederatedEngine(opts Options) (*Engine, error) {
 		journal.RegisterMetrics(opts.Obs)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	e.cancel = cancel
-	cores := opts.CoresPerWorker
-	if cores <= 0 {
-		cores = 1
-	}
-	for i := 0; i < opts.LocalWorkers; i++ {
-		// Home instance by round-robin; the rest of the rotation follows in
-		// order, so a worker whose instance dies fails over to the next one.
-		home := i % len(e.addrs)
-		rotation := make([]string, 0, len(e.addrs)-1)
-		for k := 1; k < len(e.addrs); k++ {
-			rotation = append(rotation, e.addrs[(home+k)%len(e.addrs)])
-		}
-		w, err := worker.New(worker.Config{
-			ID:                fmt.Sprintf("local-%d", i),
-			Host:              fmt.Sprintf("localhost/%d", i),
-			Cores:             cores,
-			Coord:             []int{i % 8, (i / 8) % 8, i / 64},
-			DispatcherAddr:    e.addrs[home],
-			DispatcherAddrs:   rotation,
-			Runner:            opts.Runner,
-			HeartbeatInterval: 250 * time.Millisecond,
-		})
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		e.workers = append(e.workers, w)
-		e.wg.Add(1)
-		go func(w *worker.Worker) {
-			defer e.wg.Done()
-			w.Run(ctx)
-		}(w)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for e.workerTotal() < opts.LocalWorkers {
-		if time.Now().After(deadline) {
-			e.Close()
-			return nil, fmt.Errorf("core: only %d/%d local workers registered", e.workerTotal(), opts.LocalWorkers)
-		}
-		time.Sleep(time.Millisecond)
+	if err := e.startLocalWorkers(opts); err != nil {
+		e.Close()
+		return nil, err
 	}
 	return e, nil
 }

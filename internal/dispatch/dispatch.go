@@ -12,8 +12,8 @@
 // Scheduling state is sharded (shard.go, steal.go): idle workers and queued
 // jobs are spread over N independently locked shards keyed by worker
 // coordinate plane, with sequence-arbitrated work stealing between shards.
-// Dispatcher.mu guards only the worker registry, the running-job table, and
-// the completed-job records.
+// Dispatcher.mu guards only the worker registry, the job table
+// (lifecycle.go), and the completed-job records.
 package dispatch
 
 import (
@@ -34,12 +34,10 @@ import (
 	"jets/internal/proto"
 )
 
-// ErrDispatcherClosed resolves the handle of any job stranded by Close — a
-// job still in a shard queue, parked in a retry-backoff timer, or requeued
-// after the sweep. Before it existed those handles never completed, leaking
-// every goroutine parked on Done()/OnDone. With a journal configured the
-// job itself is not lost: it stays live in the journal and is recovered on
-// the next start.
+// ErrDispatcherClosed fails the handle of any job stranded by Close — a job
+// still in a shard queue, parked in a retry-backoff timer, or requeued after
+// the sweep. With a journal configured the job itself is not lost: it stays
+// live in the journal and is recovered on the next start.
 var ErrDispatcherClosed = errors.New("dispatch: dispatcher closed")
 
 // Config parameterizes the dispatcher.
@@ -64,9 +62,9 @@ type Config struct {
 	// attempt up to RetryBackoffMax. Without it a job that reliably kills
 	// or faults its workers respins through the pool as fast as workers
 	// rejoin — the §6.1.5 retry storm. The delay is timer-driven off the
-	// dispatch path and honors Shutdown: Drain counts a backoff-pending job
-	// as live, and Close aborts the timers (resolving their handles with
-	// ErrDispatcherClosed). Zero means the 100ms default, consistent with
+	// dispatch path and honors Shutdown: a job backing off is still in the
+	// job table, so Drain waits for it, and Close aborts the timers (failing
+	// their handles with ErrDispatcherClosed). Zero means the 100ms default, consistent with
 	// core.Options; only a negative value disables the delay entirely (the
 	// pre-backoff immediate requeue).
 	RetryBackoff time.Duration
@@ -100,12 +98,6 @@ type Config struct {
 	// OnEvent receives life-cycle trace events (see events.go); nil
 	// disables tracing. Delivery is ordered but asynchronous.
 	OnEvent func(Event)
-	// WriteCoalesce is the maximum number of outbound frames each worker's
-	// writer goroutine batches into one flush (one syscall) when the send
-	// queue has backlog. Values <= 1 flush every frame, the seed behavior.
-	// Latency is unaffected when the queue is empty: the first frame always
-	// flushes as soon as no more are immediately available.
-	WriteCoalesce int
 	// Obs, when non-nil, exports the dispatcher's live counters, gauges,
 	// and latency histograms through the registry (see instruments.go).
 	// The histograms are maintained either way; export is sampling-only.
@@ -158,6 +150,11 @@ const DefaultHotQueueJobs = 131072
 // defaultCompactSegments is the checkpoint threshold applied when
 // Config.CompactSegments is zero.
 const defaultCompactSegments = 8
+
+// writeCoalesce is the most outbound frames a worker's writer goroutine
+// batches into one flush (one syscall) when its send queue has backlog. An
+// empty queue still flushes every frame at once, so latency is unaffected.
+const writeCoalesce = 16
 
 // Stats are cumulative dispatcher counters.
 type Stats struct {
@@ -311,20 +308,15 @@ type Dispatcher struct {
 	mu          sync.Mutex
 	workers     map[string]*workerConn
 	workersPeak int // most workers registered at once
-	running     map[string]*runningJob
-	records []metrics.JobRecord
-	staged  []proto.Stage
-	// live holds every job ID the dispatcher considers in flight: queued,
-	// running, or waiting in a retry backoff. Submit reserves an ID here
-	// atomically with its duplicate check and the reservation is held
-	// through placement, so a duplicate of a *queued* job and two racing
-	// submits of one ID are both rejected (the old check consulted only the
-	// running table and dropped the lock before placement).
-	live map[string]struct{}
-	// handles indexes the live jobs' handles by ID (same lifetime as the
-	// live reservation), so a federation peer link can re-subscribe to jobs
-	// this instance recovered from its journal after a restart.
-	handles map[string]*Handle
+	records     []metrics.JobRecord
+	staged      []proto.Stage
+	// jobs is the job table: every job in flight — queued hot or cold,
+	// running, or in a retry backoff — from admit to resolveLocked
+	// (lifecycle.go). An ID is reserved here atomically with its duplicate
+	// check and stays reserved until the job resolves. byState counts the
+	// entries per state.
+	jobs    map[string]*liveJob
+	byState [numStates]int
 
 	// Durable state (recovery.go): the journal, the handles of jobs
 	// rebuilt from it at startup, and the first replay error if any.
@@ -338,31 +330,23 @@ type Dispatcher struct {
 	// Queue spill (spill.go): the hot-window bound, the spill store holding
 	// cold jobs' specs, and the checkpoint trigger state. spillMu guards the
 	// lazy ephemeral open; spill itself is internally synchronized and, once
-	// set, never changes. retrying holds the jobs parked in retry-backoff
-	// timers (under mu) so checkpoints can re-journal their specs — the
-	// timer closures alone made them unreachable.
-	hotMax       int
-	spillMu      sync.Mutex // guards the lazy ephemeral open (spill writes, spillFailed, spillTmpDir)
-	spill        atomic.Pointer[journal.SpillStore]
-	spillDurable bool   // SpillDir configured: specs survive restarts
-	spillFailed  bool   // ephemeral open failed once; don't retry every push
-	spillTmpDir  string // ephemeral dir to remove at Close
-	spillErrOnce sync.Once
-	retrying     map[string]*Job
+	// set, never changes.
+	hotMax            int
+	spillMu           sync.Mutex // guards the lazy ephemeral open (spill writes, spillFailed, spillTmpDir)
+	spill             atomic.Pointer[journal.SpillStore]
+	spillDurable      bool   // SpillDir configured: specs survive restarts
+	spillFailed       bool   // ephemeral open failed once; don't retry every push
+	spillTmpDir       string // ephemeral dir to remove at Close
+	spillErrOnce      sync.Once
 	checkpointMu      sync.Mutex // serializes CompactJournal runs
 	checkpointLogOnce sync.Once
 
 	stats statsCounters
 	ins   *instruments
 
-	idleWait chan struct{} // closed+recreated on completion transitions (for Drain)
-	wg       sync.WaitGroup
-
-	// pendingRetries counts faulted jobs sitting in a retry-backoff timer:
-	// in neither a shard queue nor the running table, but still live for
-	// Drain. retryQuit aborts the timers on Close.
-	pendingRetries atomic.Int64
-	retryQuit      chan struct{}
+	idleWait  chan struct{} // closed+recreated whenever a job leaves the table (for Drain)
+	wg        sync.WaitGroup
+	retryQuit chan struct{} // aborts the retry-backoff timers on Close
 
 	events        chan Event
 	eventsQuit    chan struct{}
@@ -395,9 +379,6 @@ func New(cfg Config) *Dispatcher {
 	if cfg.Group == nil {
 		cfg.Group = FirstComeFirstServed
 	}
-	if cfg.WriteCoalesce < 1 {
-		cfg.WriteCoalesce = 1
-	}
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = 100 * time.Millisecond
 	}
@@ -417,10 +398,7 @@ func New(cfg Config) *Dispatcher {
 		cfg:       cfg,
 		shards:    newShards(cfg.Shards, func() QueuePolicy { return cfg.NewQueue() }),
 		workers:   make(map[string]*workerConn),
-		running:   make(map[string]*runningJob),
-		live:      make(map[string]struct{}),
-		handles:   make(map[string]*Handle),
-		retrying:  make(map[string]*Job),
+		jobs:      make(map[string]*liveJob),
 		jnl:       cfg.Journal,
 		hotMax:    cfg.HotQueueJobs,
 		idleWait:  make(chan struct{}),
@@ -580,7 +558,7 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 	d.mu.Unlock()
 
 	// Writer stage: drains the outbound queue so scheduling never blocks on
-	// a slow connection. Under backlog, up to WriteCoalesce frames are
+	// a slow connection. Under backlog, up to writeCoalesce frames are
 	// batched into the codec's write buffer before one flush, amortizing
 	// the syscall; an empty queue still flushes every frame immediately.
 	writerDone := make(chan struct{})
@@ -603,7 +581,6 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 				}
 			}
 		}()
-		batch := d.cfg.WriteCoalesce
 		// writeOut buffers one queue entry. A relayed frame goes out as the
 		// bytes it arrived in; its queue reference is dropped once they are
 		// in the write buffer (SendRawBuffered copies them).
@@ -618,7 +595,7 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 			if err := writeOut(of); err != nil {
 				return err
 			}
-			for n := 1; n < batch; n++ {
+			for n := 1; n < writeCoalesce; n++ {
 				select {
 				case more := <-wc.sendq:
 					if err := writeOut(more); err != nil {
@@ -714,9 +691,8 @@ func (d *Dispatcher) markIdle(wc *workerConn) {
 	d.schedule()
 }
 
-// registerRunning inserts the popped job into the running table. Called with
-// the popping shard's lock held (lock order shard -> mu), so Drain can never
-// observe the job in neither the queue nor the table.
+// registerRunning moves the popped job to the running state. Called with the
+// popping shard's lock held (lock order shard -> mu).
 func (d *Dispatcher) registerRunning(job *Job) *runningJob {
 	rj := &runningJob{
 		job:     job,
@@ -725,7 +701,8 @@ func (d *Dispatcher) registerRunning(job *Job) *runningJob {
 	}
 	d.ins.queueWait.Observe(rj.start.Sub(job.submitted))
 	d.mu.Lock()
-	d.running[job.Spec.JobID] = rj
+	d.setStateLocked(job.live, running)
+	job.live.run = rj
 	d.mu.Unlock()
 	d.journal(journal.Record{Kind: journal.Dispatched, JobID: job.Spec.JobID})
 	return rj
@@ -750,7 +727,6 @@ func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
 			d.mu.Lock()
 			// rj.exec is unset, so there is no teardown to collect.
 			retry = d.finalizeLocked(rj, fmt.Sprintf("mpiexec start: %v", err), nil)
-			d.kickLocked()
 			d.mu.Unlock()
 			d.releaseGroup(group)
 			if retry != nil {
@@ -814,7 +790,6 @@ func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
 	}
 	if len(rj.pending) == 0 {
 		retry = d.finalizeLocked(rj, "", &td)
-		d.kickLocked()
 	}
 	d.mu.Unlock()
 	td.run()
@@ -871,67 +846,42 @@ func (d *Dispatcher) releaseGroup(group []*workerConn) {
 	d.schedule()
 }
 
-// requeue returns a faulted job to the scheduling state and reschedules,
-// after the attempt's capped exponential backoff. The immediate path (no
-// delay configured) was a fault-retry hot loop: a job that reliably kills
-// or faults its workers respun through the pool as fast as workers
-// rejoined. Never called with locks held (finalizeLocked only marks the
-// retry).
+// requeue returns a job in retry-backoff to the front of a shard queue after
+// the attempt's capped exponential backoff — without it a job that reliably
+// kills or faults its workers respins through the pool as fast as workers
+// rejoin. Never called with d.mu or a shard lock held (finalizeLocked only
+// marks the retry).
 func (d *Dispatcher) requeue(j *Job) {
 	if d.closed.Load() {
-		d.failStranded(j)
+		d.strand(j)
 		return
 	}
-	delay := d.retryDelay(j.retries)
-	if delay <= 0 {
+	place := func() {
+		d.mu.Lock()
+		d.setStateLocked(j.live, queuedHot)
+		d.mu.Unlock()
 		d.placeJob(j, true)
 		if d.closed.Load() {
 			// Close may have swept the queues before the placement landed.
 			d.failQueued()
 		}
 		d.schedule()
+	}
+	delay := d.retryDelay(j.retries)
+	if delay <= 0 {
+		place()
 		return
 	}
-	// The job is visible to Drain through pendingRetries until placeJob has
-	// pushed it (the decrement happens after the push, and both Drain's
-	// check and the push run under the shard locks, so Drain can never see
-	// the job in neither place). The retrying map keeps the parked job's
-	// spec reachable for journal checkpoints — the timer closure alone made
-	// it unreachable; it is cleared only after the placement lands, so a
-	// checkpoint snapshot always sees the job somewhere (the overlap
-	// window is deduped by ID).
-	d.pendingRetries.Add(1)
-	d.mu.Lock()
-	d.retrying[j.Spec.JobID] = j
-	d.mu.Unlock()
 	go func() {
 		t := time.NewTimer(delay)
 		defer t.Stop()
 		select {
 		case <-t.C:
-			d.placeJob(j, true)
-			d.pendingRetries.Add(-1)
-			d.mu.Lock()
-			delete(d.retrying, j.Spec.JobID)
-			d.kickLocked()
-			d.mu.Unlock()
-			if d.closed.Load() {
-				d.failQueued()
-			}
-			d.schedule()
+			place()
 		case <-d.retryQuit:
-			// Close aborted this backoff: resolve the handle with
-			// ErrDispatcherClosed instead of stranding its waiters forever.
-			// With a journal the job is still durably live and recovers on
-			// the next start.
-			d.pendingRetries.Add(-1)
-			d.mu.Lock()
-			delete(d.retrying, j.Spec.JobID)
-			d.mu.Unlock()
-			d.failStranded(j)
-			d.mu.Lock()
-			d.kickLocked()
-			d.mu.Unlock()
+			// Close aborted this backoff: fail the handle instead of
+			// stranding its waiters forever.
+			d.strand(j)
 		}
 	}()
 }
@@ -964,11 +914,12 @@ func (d *Dispatcher) handleResult(wc *workerConn, res proto.Result) {
 	var retry *Job
 	var td execTeardown
 	d.mu.Lock()
-	rj, ok := d.running[res.JobID]
-	if !ok {
+	lj := d.jobs[res.JobID]
+	if lj == nil || lj.run == nil {
 		d.mu.Unlock()
 		return
 	}
+	rj := lj.run
 	if rj.pending[res.TaskID] != wc {
 		// The task is not pending on THIS worker: a late result from a
 		// prior faulted attempt's surviving worker (the retried attempt's
@@ -995,7 +946,6 @@ func (d *Dispatcher) handleResult(wc *workerConn, res proto.Result) {
 	if len(rj.pending) == 0 {
 		retry = d.finalizeLocked(rj, "", &td)
 	}
-	d.kickLocked()
 	d.mu.Unlock()
 	td.run()
 	if retry != nil {
@@ -1064,7 +1014,6 @@ func (d *Dispatcher) workerGone(wc *workerConn) {
 			}
 		}
 	}
-	d.kickLocked()
 	d.mu.Unlock()
 	td.run()
 	for _, j := range retries {
@@ -1072,14 +1021,13 @@ func (d *Dispatcher) workerGone(wc *workerConn) {
 	}
 }
 
-// finalizeLocked completes a finished job, or marks it for retry by
-// returning the job (the caller requeues it after releasing d.mu — pushing
-// to a shard queue under the dispatcher lock would invert the lock order).
-// The job's mpiexec is left in td for the caller to close after the unlock,
-// for the same reason. Caller holds d.mu.
+// finalizeLocked ends a seated attempt: the job resolves, or moves to
+// retry-backoff and is returned for the caller to requeue after releasing
+// d.mu (pushing to a shard queue under the dispatcher lock would invert the
+// lock order). The job's mpiexec is left in td for the caller to close after
+// the unlock, for the same reason. Caller holds d.mu.
 func (d *Dispatcher) finalizeLocked(rj *runningJob, overrideErr string, td *execTeardown) *Job {
 	d.ins.jobDur.Observe(time.Since(rj.start))
-	delete(d.running, rj.job.Spec.JobID)
 	if rj.exec != nil {
 		td.close = append(td.close, rj.exec)
 	}
@@ -1087,49 +1035,24 @@ func (d *Dispatcher) finalizeLocked(rj *runningJob, overrideErr string, td *exec
 		rj.failed = true
 		rj.errMsg = overrideErr
 	}
-
+	lj := rj.job.live
 	if rj.failed && rj.faulted && rj.job.retries < d.cfg.MaxJobRetries {
 		rj.job.retries++
+		d.setStateLocked(lj, retryBackoff)
+		lj.run = nil
 		d.stats.jobsRetried.Add(1)
 		d.journal(journal.Record{Kind: journal.Retried, JobID: rj.job.Spec.JobID, Attempt: rj.job.retries})
 		d.emit(Event{Kind: EvJobRetried, JobID: rj.job.Spec.JobID, Detail: rj.errMsg})
 		return rj.job
 	}
-
-	stop := time.Since(d.epoch)
-	start := rj.start.Sub(d.epoch)
-	if !rj.failed {
-		d.records = append(d.records, metrics.JobRecord{
-			ID:    rj.job.Spec.JobID,
-			Procs: rj.job.Procs(),
-			Start: start,
-			Stop:  stop,
-		})
-		d.stats.jobsCompleted.Add(1)
-		d.emit(Event{Kind: EvJobCompleted, JobID: rj.job.Spec.JobID})
-	} else {
-		d.stats.jobsFailed.Add(1)
-		d.emit(Event{Kind: EvJobFailed, JobID: rj.job.Spec.JobID, Detail: rj.errMsg})
-	}
-	// Terminal: the Completed record dedupes the job at recovery, and the ID
-	// becomes submittable again. A once-spilled job's spec leaves the spill
-	// store's custody here (Remove is a no-op for never-spilled jobs).
-	delete(d.live, rj.job.Spec.JobID)
-	delete(d.handles, rj.job.Spec.JobID)
-	d.journal(journal.Record{Kind: journal.Completed, JobID: rj.job.Spec.JobID, Failed: rj.failed})
-	if sp := d.spillLoaded(); sp != nil {
-		sp.Remove(rj.job.Spec.JobID)
-	}
-	rj.job.handle.complete(JobResult{
-		JobID:       rj.job.Spec.JobID,
+	d.resolveLocked(lj, exit{res: JobResult{
 		Failed:      rj.failed,
 		Err:         rj.errMsg,
-		Retries:     rj.job.retries,
-		Start:       start,
-		Stop:        stop,
+		Start:       rj.start.Sub(d.epoch),
+		Stop:        time.Since(d.epoch),
 		TaskResults: rj.results,
 		Workers:     rj.workers,
-	})
+	}})
 	return nil
 }
 
@@ -1175,130 +1098,41 @@ func (d *Dispatcher) kickLocked() {
 // the journal's fsync cadence (see Config.Journal for the window and how to
 // close it).
 func (d *Dispatcher) Submit(job Job) (*Handle, error) {
-	if err := job.Spec.Validate(); err != nil {
+	j := &job
+	if err := d.admit([]*Job{j}, placeBack); err != nil {
 		return nil, err
 	}
-	if job.Type == Sequential && job.Spec.NProcs != 1 {
-		return nil, fmt.Errorf("dispatch: sequential job %q must have NProcs 1", job.Spec.JobID)
-	}
-	h := newHandle(job.Spec.JobID)
-	j := &job
-	j.handle = h
-	j.submitted = time.Now()
-
-	// The shared lock spans the draining check and the queue push, so
-	// Shutdown (which takes it exclusively before draining) can never
-	// observe an empty queue while a submission is still mid-flight.
-	d.subMu.RLock()
-	if d.closed.Load() || d.draining.Load() {
-		d.subMu.RUnlock()
-		return nil, errors.New("dispatch: dispatcher is shut down")
-	}
-	if !d.reserveID(job.Spec.JobID, h) {
-		d.subMu.RUnlock()
-		return nil, fmt.Errorf("dispatch: duplicate job id %q", job.Spec.JobID)
-	}
-	j.seq = d.subSeq.Add(1)
-	d.stats.jobsSubmitted.Add(1)
-	d.emit(Event{Kind: EvJobSubmitted, JobID: job.Spec.JobID, Detail: job.Type.String()})
-	d.journal(submittedRecord(j))
-	d.placeJob(j, false)
-	if d.closed.Load() {
-		// Close does not take subMu, so it may have swept the queues between
-		// our check and the placement; sweep again so the handle resolves.
-		d.failQueued()
-	}
-	d.subMu.RUnlock()
-	d.schedule()
-	return h, nil
+	return &j.live.Handle, nil
 }
 
 // SubmitBatch enqueues a group of jobs under one submission-lock acquisition
 // and a single scheduling pass — the submit-side analogue of the wire
-// protocol's write coalescing. All jobs are validated before any is placed,
-// so the batch is accepted or rejected as a whole. Acceptance inherits
-// Submit's journal durability window (see Config.Journal).
+// protocol's write coalescing. The batch is accepted or rejected as a whole.
+// Acceptance inherits Submit's journal durability window (see
+// Config.Journal).
 func (d *Dispatcher) SubmitBatch(jobs []Job) ([]*Handle, error) {
+	js := make([]*Job, len(jobs))
 	for i := range jobs {
-		if err := jobs[i].Spec.Validate(); err != nil {
-			return nil, err
-		}
-		if jobs[i].Type == Sequential && jobs[i].Spec.NProcs != 1 {
-			return nil, fmt.Errorf("dispatch: sequential job %q must have NProcs 1", jobs[i].Spec.JobID)
-		}
+		job := jobs[i] // own copy: the queue must not alias the caller's slice
+		js[i] = &job
 	}
-	d.subMu.RLock()
-	if d.closed.Load() || d.draining.Load() {
-		d.subMu.RUnlock()
-		return nil, errors.New("dispatch: dispatcher is shut down")
+	if err := d.admit(js, placeBack); err != nil {
+		return nil, err
 	}
-	// Reserve every ID before placing any, under one lock acquisition, so the
-	// batch is accepted or rejected as a whole: a duplicate (against any live
-	// job — queued, running, retry-pending — or within the batch itself)
-	// rolls back the reservations already made. Handles are created first so
-	// the index entry lands atomically with the reservation.
-	handles := make([]*Handle, len(jobs))
-	for i := range jobs {
-		handles[i] = newHandle(jobs[i].Spec.JobID)
+	handles := make([]*Handle, len(js))
+	for i, j := range js {
+		handles[i] = &j.live.Handle
 	}
-	d.mu.Lock()
-	for i := range jobs {
-		id := jobs[i].Spec.JobID
-		if _, dup := d.live[id]; dup {
-			for k := 0; k < i; k++ {
-				delete(d.live, jobs[k].Spec.JobID)
-				delete(d.handles, jobs[k].Spec.JobID)
-			}
-			d.mu.Unlock()
-			d.subMu.RUnlock()
-			return nil, fmt.Errorf("dispatch: duplicate job id %q", id)
-		}
-		d.live[id] = struct{}{}
-		d.handles[id] = handles[i]
-	}
-	d.mu.Unlock()
-
-	now := time.Now()
-	for i := range jobs {
-		job := jobs[i]
-		j := &job
-		j.handle = handles[i]
-		j.submitted = now
-		j.seq = d.subSeq.Add(1)
-		d.stats.jobsSubmitted.Add(1)
-		d.emit(Event{Kind: EvJobSubmitted, JobID: job.Spec.JobID, Detail: job.Type.String()})
-		d.journal(submittedRecord(j))
-		d.placeJob(j, false)
-	}
-	if d.closed.Load() {
-		// Same race as Submit: Close's sweep may have run mid-batch.
-		d.failQueued()
-	}
-	d.subMu.RUnlock()
-	d.schedule()
 	return handles, nil
 }
 
-// Drain blocks until the queue and all running jobs are empty, or ctx ends.
+// Drain blocks until no job is live — queued, running, or backing off — or
+// ctx ends.
 func (d *Dispatcher) Drain(ctx context.Context) error {
 	for {
-		// Consistent snapshot: with every shard lock held no job can be
-		// mid-pop (pops hold their shard lock across the running-table
-		// insert), so queued+running covers every live job.
-		d.lockAll()
-		queued := 0
-		for _, s := range d.shards {
-			queued += s.depthLocked()
-		}
-		// Read inside the locked region: a retry's decrement happens after
-		// its placeJob push, which needs a shard lock held here — so a zero
-		// means the job is already visible as queued (or running).
-		retrying := d.pendingRetries.Load()
 		d.mu.Lock()
-		empty := queued == 0 && len(d.running) == 0 && retrying == 0
-		wait := d.idleWait
+		empty, wait := len(d.jobs) == 0, d.idleWait
 		d.mu.Unlock()
-		d.unlockAll()
 		if empty {
 			return nil
 		}
@@ -1336,8 +1170,7 @@ func (d *Dispatcher) Shutdown(ctx context.Context) error {
 
 // Close releases the listener immediately. Every handle still live
 // resolves: jobs stranded in a shard queue or a retry-backoff timer fail
-// with ErrDispatcherClosed (they used to hang forever, leaking every
-// goroutine parked on Done), and running jobs complete with failures as
+// with ErrDispatcherClosed, and running jobs complete with failures as
 // connections drop. A configured journal is flushed and closed last, so
 // the stranded jobs — journaled without a Completed record — recover on
 // the next start.
@@ -1378,104 +1211,30 @@ func (d *Dispatcher) Close() error {
 	return err
 }
 
-// reserveID claims a job ID against every live job — queued, running, or
-// parked in a retry backoff. The reservation is made atomically with the
-// duplicate check and held until the job reaches a terminal state, so two
-// racing submits of one ID cannot both pass, and a duplicate of a job that
-// is queued but not yet running is rejected (the old check consulted only
-// the running table, and released the lock before placement). The handle is
-// indexed under the same lifetime so federation peers can look live jobs up
-// by ID.
-func (d *Dispatcher) reserveID(id string, h *Handle) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, dup := d.live[id]; dup {
-		return false
-	}
-	d.live[id] = struct{}{}
-	d.handles[id] = h
-	return true
-}
-
-// failQueued drains every shard queue and resolves the stranded handles
-// with ErrDispatcherClosed. Called by Close once the closed flag is up, and
-// by any placer that observes the flag after pushing (the placement may
-// have raced past Close's sweep) — between the two, no queued job can
-// outlive Close unresolved.
+// failQueued drains every shard queue and fails the stranded handles with
+// ErrDispatcherClosed. Called by Close once the closed flag is up, and by any
+// placer that observes the flag after pushing (the placement may have raced
+// past Close's sweep) — between the two, no queued job can outlive Close
+// unresolved.
 func (d *Dispatcher) failQueued() {
-	var stranded []*Job
-	var cold []coldJob
+	var caught []*liveJob
 	d.lockAll()
 	for _, s := range d.shards {
-		for {
-			j := s.queue.Next(math.MaxInt)
-			if j == nil {
-				break
-			}
-			stranded = append(stranded, j)
+		for j := s.queue.Next(math.MaxInt); j != nil; j = s.queue.Next(math.MaxInt) {
+			caught = append(caught, j.live)
 		}
 		// The cold tail strands too; entries mid-refill stay with the refill
 		// goroutine, whose own post-push closed check re-runs this sweep.
-		cold = append(cold, s.cold...)
+		caught = append(caught, s.cold...)
 		s.cold = nil
 		s.refreshHead()
 	}
 	d.unlockAll()
-	if len(stranded) == 0 && len(cold) == 0 {
-		return
-	}
-	for _, j := range stranded {
-		d.failStranded(j)
-	}
-	for _, cj := range cold {
-		d.failColdStranded(cj)
-	}
 	d.mu.Lock()
-	d.kickLocked()
-	d.mu.Unlock()
-}
-
-// failColdStranded resolves a spilled job Close stranded in the cold tail.
-// Like failStranded, no Completed record is cut and the spill entry is kept:
-// with a durable journal the job recovers on the next start. The handle is
-// claimed by deleting its index entry, so a racing sweep (failQueued runs
-// from several paths) completes it exactly once.
-func (d *Dispatcher) failColdStranded(cj coldJob) {
-	d.mu.Lock()
-	h, ok := d.handles[cj.id]
-	delete(d.live, cj.id)
-	delete(d.handles, cj.id)
-	d.mu.Unlock()
-	if !ok {
-		return
+	for _, lj := range caught {
+		d.resolveLocked(lj, stranded)
 	}
-	d.stats.jobsFailed.Add(1)
-	d.emit(Event{Kind: EvJobFailed, JobID: cj.id, Detail: ErrDispatcherClosed.Error()})
-	h.complete(JobResult{
-		JobID:   cj.id,
-		Failed:  true,
-		Err:     ErrDispatcherClosed.Error(),
-		Retries: int(cj.retries),
-	})
-}
-
-// failStranded resolves the handle of one job Close stranded (in a queue or
-// a retry timer) with ErrDispatcherClosed. No Completed record is cut: with
-// a journal configured the job is still durably live and is rebuilt on the
-// next start.
-func (d *Dispatcher) failStranded(j *Job) {
-	d.mu.Lock()
-	delete(d.live, j.Spec.JobID)
-	delete(d.handles, j.Spec.JobID)
 	d.mu.Unlock()
-	d.stats.jobsFailed.Add(1)
-	d.emit(Event{Kind: EvJobFailed, JobID: j.Spec.JobID, Detail: ErrDispatcherClosed.Error()})
-	j.handle.complete(JobResult{
-		JobID:   j.Spec.JobID,
-		Failed:  true,
-		Err:     ErrDispatcherClosed.Error(),
-		Retries: j.retries,
-	})
 }
 
 // StageFile distributes a file to every current and future worker's local
@@ -1562,11 +1321,7 @@ func (d *Dispatcher) IdleWorkers() int { return d.idleCount() }
 func (d *Dispatcher) QueuedJobs() int { return d.queuedCount() }
 
 // RunningJobs reports jobs currently executing.
-func (d *Dispatcher) RunningJobs() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.running)
-}
+func (d *Dispatcher) RunningJobs() int { return d.stateCount(running) }
 
 // Records returns a copy of the completed-job records (offsets from Epoch),
 // the raw material for the utilization and load-level figures.

@@ -537,7 +537,7 @@ func readFile(path string) ([]byte, error) {
 // disconnected without a reply, nothing registers, and the dispatcher keeps
 // serving: a worker on the real wire then joins and runs the whole batch.
 func TestJSONv1PeerRejectedAtWorkerPort(t *testing.T) {
-	d := New(Config{WriteCoalesce: 8})
+	d := New(Config{})
 	addr, err := d.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -672,7 +672,7 @@ func TestManyWorkersIdleChurn(t *testing.T) {
 
 func manyWorkersIdleChurn(t *testing.T, shards int) {
 	const n = 64
-	tc := startCluster(t, n, Config{HeartbeatTimeout: 30 * time.Second, WriteCoalesce: 16, Shards: shards})
+	tc := startCluster(t, n, Config{HeartbeatTimeout: 30 * time.Second, Shards: shards})
 	tc.runner.Register("spin", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
 		time.Sleep(time.Millisecond)
 		return 0

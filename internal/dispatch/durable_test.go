@@ -122,7 +122,7 @@ func TestCloseFailsPendingRetryHandle(t *testing.T) {
 	}
 	<-faulted
 	deadline := time.Now().Add(5 * time.Second)
-	for tc.d.pendingRetries.Load() == 0 {
+	for tc.d.stateCount(retryBackoff) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("faulted job never entered retry backoff")
 		}

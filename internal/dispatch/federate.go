@@ -22,7 +22,6 @@ package dispatch
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -66,17 +65,12 @@ func (d *Dispatcher) StealQueued(max int, dest string) []StolenJob {
 	if max <= 0 {
 		return nil
 	}
-	// One extracted job: a hydrated hot job, or a cold-tail entry whose spec
-	// is read back after the locks drop. Cold entries are moved by ID under
-	// the multi-lock — stealing never forces a disk read into the locked
-	// region — and hydrated in a single batched spill read below. Entries a
-	// refill pass has already claimed (s.refill) stay put.
-	type stealEntry struct {
-		j    *Job
-		cj   coldJob
-		cold bool
-	}
-	var entries []stealEntry
+	// Cold-tail entries are taken without their specs — stealing never forces
+	// a disk read into the locked region — and hydrated in a single batched
+	// spill read after the locks drop. Entries a refill pass has already
+	// claimed (s.refill) stay put.
+	var entries []*liveJob
+	var coldIDs []string
 	d.lockAll()
 	for len(entries) < max {
 		// Exact global minimum under the full multi-lock, mirroring
@@ -96,10 +90,10 @@ func (d *Dispatcher) StealQueued(max int, dest string) []StolenJob {
 		}
 		s := d.shards[best]
 		if bestCold {
-			cj := s.cold[0]
+			entries = append(entries, s.cold[0])
+			coldIDs = append(coldIDs, s.cold[0].jobID)
 			s.cold = s.cold[:copy(s.cold, s.cold[1:])]
 			s.refreshHead()
-			entries = append(entries, stealEntry{cj: cj, cold: true})
 			continue
 		}
 		j := s.queue.Next(math.MaxInt)
@@ -107,21 +101,20 @@ func (d *Dispatcher) StealQueued(max int, dest string) []StolenJob {
 		if j == nil {
 			break
 		}
-		entries = append(entries, stealEntry{j: j})
+		entries = append(entries, j.live)
+	}
+	for _, s := range d.shards {
+		// A shard whose hot window the steal emptied looks empty to the
+		// scheduling pass until its cold tail rehydrates, and only a pop
+		// would otherwise start that.
+		d.maybeRefillLocked(s)
 	}
 	d.unlockAll()
 	if len(entries) == 0 {
 		return nil
 	}
-	var coldIDs []string
-	for _, e := range entries {
-		if e.cold {
-			coldIDs = append(coldIDs, e.cj.id)
-		}
-	}
 	var recs map[string]journal.Record
-	sp := d.spillLoaded()
-	if len(coldIDs) > 0 && sp != nil {
+	if sp := d.spillLoaded(); len(coldIDs) > 0 && sp != nil {
 		var err error
 		recs, err = sp.GetBatch(coldIDs)
 		d.stats.spillReads.Add(1)
@@ -129,101 +122,45 @@ func (d *Dispatcher) StealQueued(max int, dest string) []StolenJob {
 			d.spillFailure(err)
 		}
 	}
-	d.mu.Lock()
-	for _, e := range entries {
-		// Release the ID reservation and the handle index: the job is no
-		// longer this instance's. The local handle is abandoned unresolved —
-		// the routing tier owns the client-facing handle (see NewHandle).
-		id := e.cj.id
-		if !e.cold {
-			id = e.j.Spec.JobID
-		}
-		delete(d.live, id)
-		delete(d.handles, id)
-	}
-	d.mu.Unlock()
 	out := make([]StolenJob, 0, len(entries))
-	for _, e := range entries {
-		if e.cold {
-			rec, ok := recs[e.cj.id]
+	d.mu.Lock()
+	for _, lj := range entries {
+		j := lj.job
+		if j == nil {
+			rec, ok := recs[lj.jobID]
 			if !ok {
-				// Spec unreadable: terminal-fail locally so neither instance
+				// Spec unreadable: fail it here so neither instance
 				// resurrects a job nobody can reconstruct.
-				d.stats.jobsFailed.Add(1)
-				d.journal(journal.Record{Kind: journal.Completed, JobID: e.cj.id, Failed: true})
-				d.emit(Event{Kind: EvJobFailed, JobID: e.cj.id, Detail: "spilled job spec unreadable"})
+				d.specLostLocked(lj)
 				continue
 			}
-			j := jobFromRecord(rec)
-			j.retries = int(e.cj.retries)
-			e.j = j
+			j = jobFromRecord(rec)
+			j.retries = int(lj.retries)
 		}
-		d.journal(journal.Record{Kind: journal.Migrated, JobID: e.j.Spec.JobID, Node: dest})
-		if sp != nil {
-			// Migration ends the spill's custody: the Migrated record is
-			// terminal locally and the destination journals its own Submitted.
-			sp.Remove(e.j.Spec.JobID)
-		}
-		d.emit(Event{Kind: EvJobMigrated, JobID: e.j.Spec.JobID, Detail: dest})
-		out = append(out, StolenJob{Spec: e.j.Spec, Type: e.j.Type, Priority: e.j.Priority, Retries: e.j.retries})
+		d.resolveLocked(lj, exit{migrated: dest})
+		out = append(out, StolenJob{Spec: j.Spec, Type: j.Type, Priority: j.Priority, Retries: j.retries})
 	}
+	d.mu.Unlock()
 	return out
 }
 
 // SubmitStolen places a job stolen from a peer instance. It differs from
-// Submit in three ways: the job keeps its consumed retry budget (journaled
-// as a Retried record so the budget survives a crash), it is placed at the
-// front of a shard queue — it was the victim's oldest work — and a
-// dispatcher that has begun draining refuses it with ErrDraining.
-//
-// The draining gate matters: Shutdown flips the draining flag under subMu
-// and then waits for the queues to empty. A steal placement that landed
-// after that flip would resurrect a job behind the drain wait, running it
-// against workers already being told to exit (or hanging its handle
-// forever). Taking subMu shared across the check-and-place — exactly like
-// Submit — makes the gate race-free; the caller re-places the job on
-// another instance.
+// Submit in three ways: the job keeps its consumed retry budget, it is placed
+// at the front of a shard queue — it was the victim's oldest work — and a
+// dispatcher that has begun draining refuses it with ErrDraining, so the
+// caller re-places the job on another instance. A steal placement that landed
+// after Shutdown's draining flip would resurrect a job behind the drain wait,
+// running it against workers already being told to exit; admit's subMu gate
+// makes the refusal race-free.
 func (d *Dispatcher) SubmitStolen(sj StolenJob) (*Handle, error) {
-	if err := sj.Spec.Validate(); err != nil {
+	j := &Job{Spec: sj.Spec, Type: sj.Type, Priority: sj.Priority, retries: sj.Retries}
+	if err := d.admit([]*Job{j}, placeFront); err != nil {
+		if errors.Is(err, errShutDown) {
+			err = ErrDraining
+		}
 		return nil, err
 	}
-	if sj.Type == Sequential && sj.Spec.NProcs != 1 {
-		return nil, fmt.Errorf("dispatch: sequential job %q must have NProcs 1", sj.Spec.JobID)
-	}
-	h := newHandle(sj.Spec.JobID)
-	j := &Job{
-		Spec:      sj.Spec,
-		Type:      sj.Type,
-		Priority:  sj.Priority,
-		retries:   sj.Retries,
-		handle:    h,
-		submitted: time.Now(),
-	}
-	d.subMu.RLock()
-	if d.closed.Load() || d.draining.Load() {
-		d.subMu.RUnlock()
-		return nil, ErrDraining
-	}
-	if !d.reserveID(sj.Spec.JobID, h) {
-		d.subMu.RUnlock()
-		return nil, fmt.Errorf("dispatch: duplicate job id %q", sj.Spec.JobID)
-	}
-	j.seq = d.subSeq.Add(1)
-	d.stats.jobsSubmitted.Add(1)
-	d.emit(Event{Kind: EvJobSubmitted, JobID: sj.Spec.JobID, Detail: "stolen"})
-	d.journal(submittedRecord(j))
-	if j.retries > 0 {
-		d.journal(journal.Record{Kind: journal.Retried, JobID: sj.Spec.JobID, Attempt: j.retries})
-	}
-	d.placeJob(j, true)
-	if d.closed.Load() {
-		// Same race as Submit: Close's sweep may have run between the check
-		// and the placement.
-		d.failQueued()
-	}
-	d.subMu.RUnlock()
-	d.schedule()
-	return h, nil
+	return &j.live.Handle, nil
 }
 
 // LiveJobs returns the IDs of every job this instance considers in flight:
@@ -232,8 +169,8 @@ func (d *Dispatcher) SubmitStolen(sj StolenJob) (*Handle, error) {
 func (d *Dispatcher) LiveJobs() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ids := make([]string, 0, len(d.live))
-	for id := range d.live {
+	ids := make([]string, 0, len(d.jobs))
+	for id := range d.jobs {
 		ids = append(ids, id)
 	}
 	return ids
@@ -245,8 +182,11 @@ func (d *Dispatcher) LiveJobs() []string {
 func (d *Dispatcher) HandleOf(id string) (*Handle, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	h, ok := d.handles[id]
-	return h, ok
+	lj, ok := d.jobs[id]
+	if !ok {
+		return nil, false
+	}
+	return &lj.Handle, true
 }
 
 // Load samples the balancing inputs the router's least-loaded and steal

@@ -35,7 +35,7 @@ type Job struct {
 
 	retries   int
 	submitted time.Time
-	handle    *Handle
+	live      *liveJob // the job's table entry, set by admit (lifecycle.go)
 	// seq is the per-submit sequence number; the sharded scheduling pass
 	// always launches the lowest-seq queued job (steal.go), which keeps
 	// FIFO/FCFS order observable independent of shard placement. Retried

@@ -19,10 +19,6 @@ type QueuePolicy interface {
 	Peek() *Job
 	// Len reports queued jobs.
 	Len() int
-	// Jobs returns the queued jobs in any order, without removing them. The
-	// dispatcher's online journal checkpoint enumerates live state through
-	// it; the returned slice must not alias the queue's internal storage.
-	Jobs() []*Job
 }
 
 // ---------------------------------------------------------------------------
@@ -64,9 +60,6 @@ func (q *FIFOQueue) Peek() *Job {
 
 // Len implements QueuePolicy.
 func (q *FIFOQueue) Len() int { return len(q.jobs) }
-
-// Jobs implements QueuePolicy.
-func (q *FIFOQueue) Jobs() []*Job { return append([]*Job(nil), q.jobs...) }
 
 // ---------------------------------------------------------------------------
 
@@ -149,9 +142,6 @@ func (q *PriorityQueue) Peek() *Job {
 
 // Len implements QueuePolicy.
 func (q *PriorityQueue) Len() int { return len(q.jobs) }
-
-// Jobs implements QueuePolicy.
-func (q *PriorityQueue) Jobs() []*Job { return append([]*Job(nil), q.jobs...) }
 
 // ---------------------------------------------------------------------------
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"time"
 
 	"jets/internal/hydra"
 	"jets/internal/journal"
@@ -132,74 +131,58 @@ func (d *Dispatcher) recoverJournal() {
 		// order once per submission (the Completed record deletes the live
 		// entry, so the resubmission passes the !seen check again). Consume
 		// the entry so the later occurrence hits the !ok path above instead
-		// of recovering — and double-completing — the same *Job twice.
+		// of recovering — and double-completing — the same job twice.
 		delete(live, id)
-		j := s.job
+		j, where := s.job, placeBack
+		if s.dispatched {
+			// Formerly running: the old process died with this job on workers
+			// whose results can never be credited. Route it through the same
+			// backoff'd requeue a worker fault would.
+			where = placeBackoff
+		}
 		if j == nil {
-			// Spill-resident. A still-cold job goes straight back to a cold
-			// tail by reference; one the old process had rehydrated and
-			// dispatched needs its spec now, to ride the requeue path.
-			if sp := d.spillLoaded(); sp == nil {
+			// Spill-resident: the journal holds only a SpillRef.
+			sp := d.spillLoaded()
+			switch {
+			case sp == nil:
 				d.recoveryErr = errors.Join(d.recoveryErr,
 					fmt.Errorf("dispatch: journal references spilled job %q but no spill store is configured", id))
 				continue
+			case !s.dispatched:
+				// Still cold: straight back to a cold tail by reference — a
+				// million-job backlog recovers without reading a million specs.
+				j, where = &Job{Spec: hydra.JobSpec{JobID: id}}, placeColdRef
+			default:
+				// The old process had rehydrated and dispatched it, so the
+				// requeue needs its spec now. The spill entry stays until a
+				// terminal record exists, like any rehydration.
+				rec, found, err := sp.Get(id)
+				if err != nil || !found {
+					d.recoveryErr = errors.Join(d.recoveryErr,
+						fmt.Errorf("dispatch: spilled spec for recovered job %q unreadable (err=%v)", id, err))
+					// Cut a terminal record so the unresolvable reference does
+					// not replay forever.
+					d.journal(journal.Record{Kind: journal.Completed, JobID: id, Failed: true})
+					continue
+				}
+				j = jobFromRecord(rec)
 			}
-			if !s.dispatched {
-				h := newHandle(id)
-				d.live[id] = struct{}{}
-				d.handles[id] = h
-				d.stats.jobsReplayed.Add(1)
-				d.recovered = append(d.recovered, h)
-				d.journal(journal.Record{Kind: journal.SpillRef, JobID: id, Attempt: s.attempt})
-				d.placeCold(coldJob{
-					id:        id,
-					seq:       d.subSeq.Add(1),
-					submitted: time.Now().UnixNano(),
-					retries:   int32(s.attempt),
-				})
-				continue
-			}
-			rec, found, err := d.spillLoaded().Get(id)
-			if err != nil || !found {
-				d.recoveryErr = errors.Join(d.recoveryErr,
-					fmt.Errorf("dispatch: spilled spec for recovered job %q unreadable (err=%v)", id, err))
-				// Cut a terminal record so the unresolvable reference does not
-				// replay forever.
-				d.journal(journal.Record{Kind: journal.Completed, JobID: id, Failed: true})
-				continue
-			}
-			j = jobFromRecord(rec)
-			// The spec re-enters memory for the requeue; its spill entry stays
-			// until a terminal record exists, like any rehydration.
 		}
 		j.retries = s.attempt
-		j.handle = newHandle(id)
-		j.submitted = time.Now()
-		j.seq = d.subSeq.Add(1)
-		d.live[id] = struct{}{}
-		d.handles[id] = j.handle
+		// admit re-journals the job into the fresh post-open segment, so
+		// Compact below can drop the consumed history without losing it.
+		if err := d.admit([]*Job{j}, where); err != nil {
+			d.recoveryErr = errors.Join(d.recoveryErr, fmt.Errorf("dispatch: recovering job %q: %w", id, err))
+			continue
+		}
 		d.stats.jobsReplayed.Add(1)
-		d.recovered = append(d.recovered, j.handle)
-		// Re-journal into the fresh post-open segment so Compact below can
-		// drop the consumed history without losing the live set.
-		d.journal(submittedRecord(j))
-		if j.retries > 0 {
-			d.journal(journal.Record{Kind: journal.Retried, JobID: id, Attempt: j.retries})
-		}
-		if s.dispatched {
-			// Formerly running: the old process died with this job on
-			// workers whose results can never be credited. Route it through
-			// the same backoff'd requeue a worker fault would.
-			d.requeue(j)
-		} else {
-			d.placeJob(j, false)
-		}
+		d.recovered = append(d.recovered, &j.live.Handle)
 	}
 	if sp := d.spillLoaded(); sp != nil {
 		// Sweep spill entries whose jobs the journal shows terminal — without
 		// this, completed-then-compacted history leaks specs forever.
-		keep := make(map[string]struct{}, len(d.live))
-		for id := range d.live {
+		keep := make(map[string]struct{}, len(d.jobs))
+		for id := range d.jobs {
 			keep[id] = struct{}{}
 		}
 		sp.RetainOnly(keep)

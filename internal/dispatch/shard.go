@@ -30,17 +30,6 @@ import (
 // noJob is the headSeq sentinel for an empty shard queue.
 const noJob = int64(math.MaxInt64)
 
-// coldJob is the in-memory footprint of a spilled job: the identity, the
-// submit sequence that arbitrates global order, and the retry budget. The
-// full spec lives in the dispatcher's spill store; the handle stays reachable
-// through d.handles (every live job is indexed there for its whole life).
-type coldJob struct {
-	id        string
-	seq       int64
-	submitted int64 // unix nanos, restored on rehydration for queue-wait stats
-	retries   int32
-}
-
 // shard is one slice of the scheduling state.
 type shard struct {
 	idx int
@@ -55,9 +44,9 @@ type shard struct {
 	// (requeued retries go hot at the front regardless — they are old by
 	// definition and bounded by in-flight work, not backlog). refill holds
 	// the batch an in-flight rehydration pass has claimed: out of cold, not
-	// yet pushed hot, but still counted queued and snapshot-visible.
-	cold         []coldJob
-	refill       []coldJob
+	// yet pushed hot, but still counted queued.
+	cold         []*liveJob
+	refill       []*liveJob
 	refillActive bool
 
 	// Advisory mirrors of the locked state, maintained under mu and read
@@ -70,12 +59,6 @@ type shard struct {
 	nIdle     atomic.Int64 // idle.Len()
 	qlen      atomic.Int64 // hot + cold + mid-refill depth
 	coldN     atomic.Int64 // cold + mid-refill depth
-}
-
-// depthLocked is the shard's full queued depth: hot window, cold tail, and
-// any batch mid-rehydration. Caller holds s.mu.
-func (s *shard) depthLocked() int {
-	return s.queue.Len() + len(s.cold) + len(s.refill)
 }
 
 func newShards(n int, newQueue func() QueuePolicy) []*shard {
@@ -116,8 +99,9 @@ func (s *shard) refreshHead() {
 		s.headSeq.Store(noJob)
 		s.headProcs.Store(0)
 	}
-	s.qlen.Store(int64(s.depthLocked()))
-	s.coldN.Store(int64(len(s.cold) + len(s.refill)))
+	cold := len(s.cold) + len(s.refill)
+	s.qlen.Store(int64(s.queue.Len() + cold))
+	s.coldN.Store(int64(cold))
 }
 
 // addIdle parks a worker. Caller holds s.mu.
@@ -196,7 +180,7 @@ func (d *Dispatcher) unlockAll() {
 }
 
 // queuedCount sums the advisory queue lengths (exact once shard mutations
-// quiesce; use the multi-lock in Drain for a consistent snapshot).
+// quiesce).
 func (d *Dispatcher) queuedCount() int {
 	n := int64(0)
 	for _, s := range d.shards {

@@ -4,8 +4,8 @@ package dispatch
 // under a cold backlog far larger than the worker pool can drain. Each shard
 // keeps a *hot window* of at most Config.HotQueueJobs fully hydrated jobs;
 // beyond it, a newly placed job's spec is persisted in a journal.SpillStore
-// and the shard remembers only a coldJob — ID, submit sequence, and retry
-// budget. A read-ahead pass (refillLoop) rehydrates specs in batches as the
+// and the job's table entry moves to the queued-cold state: it drops the
+// *Job, and the shard's cold tail points at the entry itself. A read-ahead pass (refillLoop) rehydrates specs in batches as the
 // hot window drains, off the scheduler locks, so placement latency never pays
 // for a disk read.
 //
@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"time"
 
 	"jets/internal/journal"
@@ -63,48 +64,43 @@ func (d *Dispatcher) refillLow() int {
 // than losing the job. Caller holds s.mu; reports whether the job spilled.
 func (d *Dispatcher) pushJob(s *shard, j *Job) bool {
 	if d.hotMax > 0 && (len(s.cold) > 0 || len(s.refill) > 0 || s.queue.Len() >= d.hotMax) {
-		if d.spillLocked(s, j) {
-			return true
+		if sp := d.spillStore(); sp != nil {
+			n, err := sp.Put(submittedRecord(j))
+			if err == nil {
+				d.stats.jobsSpilled.Add(1)
+				d.stats.spillBytes.Add(int64(n))
+				d.coolLocked(s, j)
+				return true
+			}
+			d.spillFailure(err)
 		}
 	}
 	s.push(j)
 	return false
 }
 
-// spillLocked persists j's spec and appends its coldJob to the shard's cold
-// tail. Caller holds s.mu; reports false when the spec could not be stored.
-func (d *Dispatcher) spillLocked(s *shard, j *Job) bool {
-	sp := d.spillStore()
-	if sp == nil {
-		return false
-	}
-	n, err := sp.Put(submittedRecord(j))
-	if err != nil {
-		d.spillFailure(err)
-		return false
-	}
-	d.stats.jobsSpilled.Add(1)
-	d.stats.spillBytes.Add(int64(n))
-	s.cold = append(s.cold, coldJob{
-		id:        j.Spec.JobID,
-		seq:       j.seq,
-		submitted: j.submitted.UnixNano(),
-		retries:   int32(j.retries),
-	})
+// coolLocked moves a job whose spec the spill store holds to the queued-cold
+// state: the table entry drops the *Job and joins the shard's cold tail.
+// Caller holds s.mu.
+func (d *Dispatcher) coolLocked(s *shard, j *Job) {
+	lj := j.live
+	d.mu.Lock()
+	d.setStateLocked(lj, queuedCold)
+	lj.retries, lj.seq, lj.submitted, lj.job = int32(j.retries), j.seq, j.submitted.UnixNano(), nil
+	d.mu.Unlock()
+	s.cold = append(s.cold, lj)
 	s.refreshHead()
-	return true
 }
 
-// placeCold appends an already-spilled job (recovery re-placement of a
-// SpillRef) to a shard's cold tail without touching the spill store: the
-// entry written by the previous process is still the spec's durable home.
-func (d *Dispatcher) placeCold(cj coldJob) {
+// placeCold queues a recovered SpillRef without touching the spill store: the
+// entry written by the previous process is still the spec's durable home, so
+// j carries only the ID and the retry budget.
+func (d *Dispatcher) placeCold(j *Job) {
 	s := d.shards[int(d.subRR.Add(1)-1)%len(d.shards)]
 	s.mu.Lock()
-	s.cold = append(s.cold, cj)
-	s.refreshHead()
+	d.coolLocked(s, j)
 	s.mu.Unlock()
-	d.emit(Event{Kind: EvJobQueued, JobID: cj.id, Detail: "spilled"})
+	d.emit(Event{Kind: EvJobQueued, JobID: j.Spec.JobID, Detail: "spilled"})
 }
 
 // spillLoaded returns the spill store if one is open, without creating it.
@@ -165,8 +161,7 @@ func (d *Dispatcher) maybeRefillLocked(s *shard) {
 // refillLoop claims cold batches and pushes their rehydrated jobs into the
 // hot window until the window is back above the watermark (or the tail is
 // empty). Exactly one loop runs per shard (refillActive); the claimed batch
-// sits in s.refill while its specs are read, so Drain and checkpoint
-// snapshots never lose sight of it.
+// sits in s.refill while its specs are read, so it still counts as queued.
 func (d *Dispatcher) refillLoop(s *shard) {
 	for {
 		s.mu.Lock()
@@ -179,7 +174,7 @@ func (d *Dispatcher) refillLoop(s *shard) {
 		if n > refillBatch {
 			n = refillBatch
 		}
-		batch := make([]coldJob, n)
+		batch := make([]*liveJob, n)
 		copy(batch, s.cold[:n])
 		s.cold = s.cold[:copy(s.cold, s.cold[n:])]
 		s.refill = batch
@@ -208,16 +203,16 @@ func (d *Dispatcher) refillLoop(s *shard) {
 	}
 }
 
-// hydrateBatch reads a claimed cold batch's specs back and rebuilds the jobs.
-// The spill entries are deliberately left in place (see the package comment:
-// after a checkpoint they are the specs' only durable copy). An entry whose
-// spec cannot be read is failed terminally — unless the dispatcher is
-// closing, in which case the job is stranded like any other queued work and
-// recovers on the next start.
-func (d *Dispatcher) hydrateBatch(batch []coldJob) []*Job {
+// hydrateBatch reads a claimed cold batch's specs back, rebuilds the jobs and
+// moves them to the queued-hot state. The spill entries are deliberately left
+// in place (see the package comment: after a checkpoint they are the specs'
+// only durable copy). An entry whose spec cannot be read fails terminally —
+// unless the dispatcher is closing, in which case it is stranded like any
+// other queued work and recovers on the next start.
+func (d *Dispatcher) hydrateBatch(batch []*liveJob) []*Job {
 	ids := make([]string, len(batch))
-	for i, cj := range batch {
-		ids[i] = cj.id
+	for i, lj := range batch {
+		ids[i] = lj.jobID
 	}
 	var recs map[string]journal.Record
 	var err error
@@ -230,68 +225,22 @@ func (d *Dispatcher) hydrateBatch(batch []coldJob) []*Job {
 	if err != nil {
 		d.spillFailure(err)
 	}
-	type lostEntry struct {
-		cj coldJob
-		h  *Handle
-	}
 	jobs := make([]*Job, 0, len(batch))
-	var lost []lostEntry
 	d.mu.Lock()
-	for _, cj := range batch {
-		h, ok := d.handles[cj.id]
-		if !ok {
-			continue // already resolved by a concurrent sweep
-		}
-		rec, found := recs[cj.id]
+	for _, lj := range batch {
+		rec, found := recs[lj.jobID]
 		if !found {
-			// Claim the handle under the lock so exactly one path completes it.
-			delete(d.live, cj.id)
-			delete(d.handles, cj.id)
-			lost = append(lost, lostEntry{cj, h})
+			d.specLostLocked(lj)
 			continue
 		}
 		j := jobFromRecord(rec)
-		j.handle = h
-		j.seq = cj.seq
-		j.retries = int(cj.retries)
-		j.submitted = time.Unix(0, cj.submitted)
+		j.live, j.seq, j.retries, j.submitted = lj, lj.seq, int(lj.retries), time.Unix(0, lj.submitted)
+		lj.job = j
+		d.setStateLocked(lj, queuedHot)
 		jobs = append(jobs, j)
 	}
 	d.mu.Unlock()
-	for _, le := range lost {
-		d.failSpillLost(le.cj, le.h)
-	}
-	if len(lost) > 0 {
-		d.mu.Lock()
-		d.kickLocked()
-		d.mu.Unlock()
-	}
 	return jobs
-}
-
-// failSpillLost resolves a cold job whose spilled spec could not be read.
-func (d *Dispatcher) failSpillLost(cj coldJob, h *Handle) {
-	d.stats.jobsFailed.Add(1)
-	if d.closed.Load() {
-		// The store is closing under us, not corrupt: strand the job so a
-		// durable journal recovers it on the next start.
-		d.emit(Event{Kind: EvJobFailed, JobID: cj.id, Detail: ErrDispatcherClosed.Error()})
-		h.complete(JobResult{
-			JobID:   cj.id,
-			Failed:  true,
-			Err:     ErrDispatcherClosed.Error(),
-			Retries: int(cj.retries),
-		})
-		return
-	}
-	d.journal(journal.Record{Kind: journal.Completed, JobID: cj.id, Failed: true})
-	d.emit(Event{Kind: EvJobFailed, JobID: cj.id, Detail: "spilled job spec unreadable"})
-	h.complete(JobResult{
-		JobID:   cj.id,
-		Failed:  true,
-		Err:     "dispatch: spilled job spec unreadable",
-		Retries: int(cj.retries),
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -337,68 +286,57 @@ func (d *Dispatcher) CompactJournal() error {
 	return ck.Checkpoint(d.snapshotLive)
 }
 
-// snapshotLive emits a self-contained durable snapshot of every live job:
-// queued (hot and cold), running, and parked in a retry backoff. The state is
-// gathered under the scheduling locks into memory first, then emitted after
-// they are released, so the disk writes never stall dispatch. Consistency
-// does not depend on holding the locks through the emit: the checkpoint holds
-// the WAL's commit mutex, so any transition journaled concurrently lands
-// after the snapshot in replay order and applies on top of it.
+// snapshotLive emits a self-contained durable snapshot of every live job: one
+// walk of the job table by state, emitted in submit-sequence order so a
+// recovery from the checkpoint keeps FIFO. The state is gathered under d.mu
+// into memory first, then emitted after it is released, so the disk writes
+// never stall dispatch. Consistency does not depend on holding the lock
+// through the emit: every transition changes the table before (or atomically
+// with) its journal record, and the checkpoint holds the WAL's commit mutex,
+// so a transition journaled concurrently lands after the snapshot in replay
+// order and applies on top of it.
 func (d *Dispatcher) snapshotLive(emit func(journal.Record) error) error {
-	var recs []journal.Record
-	var cold []coldJob
-	seen := make(map[string]struct{})
-	// A job mid-transition (retry placement, queue pop) can be visible in two
-	// tables at once; first sighting wins and the duplicates carry the same
-	// state, so the snapshot stays consistent either way.
-	mark := func(id string) bool {
-		if _, dup := seen[id]; dup {
-			return false
-		}
-		seen[id] = struct{}{}
-		return true
+	type snap struct {
+		seq        int64
+		id         string
+		retries    int
+		job        *Job // nil for a cold job; its Spec is immutable
+		dispatched bool
 	}
-	addJob := func(j *Job, dispatched bool) {
-		if !mark(j.Spec.JobID) {
-			return
-		}
-		recs = append(recs, submittedRecord(j))
-		if j.retries > 0 {
-			recs = append(recs, journal.Record{Kind: journal.Retried, JobID: j.Spec.JobID, Attempt: j.retries})
-		}
-		if dispatched {
-			recs = append(recs, journal.Record{Kind: journal.Dispatched, JobID: j.Spec.JobID})
-		}
-	}
-	d.lockAll()
-	for _, s := range d.shards {
-		for _, j := range s.queue.Jobs() {
-			addJob(j, false)
-		}
-		for _, cj := range s.cold {
-			if mark(cj.id) {
-				cold = append(cold, cj)
-			}
-		}
-		for _, cj := range s.refill {
-			if mark(cj.id) {
-				cold = append(cold, cj)
-			}
-		}
-	}
+	var hot, cold []snap
 	d.mu.Lock()
-	for _, rj := range d.running {
-		addJob(rj.job, true)
-	}
-	for _, j := range d.retrying {
-		addJob(j, false)
+	for id, lj := range d.jobs {
+		if lj.state == queuedCold {
+			cold = append(cold, snap{seq: lj.seq, id: id, retries: int(lj.retries)})
+		} else {
+			hot = append(hot, snap{seq: lj.job.seq, id: id, retries: lj.job.retries, job: lj.job, dispatched: lj.state == running})
+		}
 	}
 	d.mu.Unlock()
-	d.unlockAll()
+	bySeq := func(s []snap) {
+		sort.Slice(s, func(i, k int) bool { return s[i].seq < s[k].seq })
+	}
+	bySeq(hot)
+	bySeq(cold)
 
-	for _, r := range recs {
-		if err := emit(r); err != nil {
+	// retried re-journals a job's consumed retry budget behind its spec.
+	retried := func(sn snap) error {
+		if sn.retries == 0 {
+			return nil
+		}
+		return emit(journal.Record{Kind: journal.Retried, JobID: sn.id, Attempt: sn.retries})
+	}
+	for _, sn := range hot {
+		if err := emit(submittedRecord(sn.job)); err != nil {
 			return err
+		}
+		if err := retried(sn); err != nil {
+			return err
+		}
+		if sn.dispatched {
+			if err := emit(journal.Record{Kind: journal.Dispatched, JobID: sn.id}); err != nil {
+				return err
+			}
 		}
 	}
 	if len(cold) == 0 {
@@ -415,8 +353,8 @@ func (d *Dispatcher) snapshotLive(emit func(journal.Record) error) error {
 		// durable before the checkpoint commits — it runs inside the
 		// checkpoint callback, so no entry written after it can be referenced
 		// by this snapshot.
-		for _, cj := range cold {
-			if err := emit(journal.Record{Kind: journal.SpillRef, JobID: cj.id, Attempt: int(cj.retries)}); err != nil {
+		for _, sn := range cold {
+			if err := emit(journal.Record{Kind: journal.SpillRef, JobID: sn.id, Attempt: sn.retries}); err != nil {
 				return err
 			}
 		}
@@ -424,32 +362,27 @@ func (d *Dispatcher) snapshotLive(emit func(journal.Record) error) error {
 	}
 	// Ephemeral spill: the temp directory dies with the process, so cold
 	// specs must be re-journaled in full for the snapshot to stand alone.
-	for start := 0; start < len(cold); start += refillBatch {
-		end := start + refillBatch
-		if end > len(cold) {
-			end = len(cold)
-		}
-		chunk := cold[start:end]
+	for len(cold) > 0 {
+		chunk := cold[:min(len(cold), refillBatch)]
+		cold = cold[len(chunk):]
 		ids := make([]string, len(chunk))
-		for i, cj := range chunk {
-			ids[i] = cj.id
+		for i, sn := range chunk {
+			ids[i] = sn.id
 		}
 		got, err := sp.GetBatch(ids)
 		if err != nil {
 			return fmt.Errorf("dispatch: reading spilled specs for checkpoint: %w", err)
 		}
-		for _, cj := range chunk {
-			r, ok := got[cj.id]
+		for _, sn := range chunk {
+			r, ok := got[sn.id]
 			if !ok {
 				continue // left the spill's custody since the gather (stolen/terminal)
 			}
 			if err := emit(r); err != nil {
 				return err
 			}
-			if cj.retries > 0 {
-				if err := emit(journal.Record{Kind: journal.Retried, JobID: cj.id, Attempt: int(cj.retries)}); err != nil {
-					return err
-				}
+			if err := retried(sn); err != nil {
+				return err
 			}
 		}
 	}

@@ -2,15 +2,11 @@ package journal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -79,23 +75,10 @@ func OpenSpill(dir string, segBytes int64) (*SpillStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(dir)
+	nums, err := listSegments(dir, "spill-", ".seg")
 	if err != nil {
 		return nil, err
 	}
-	var nums []int
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "spill-") || !strings.HasSuffix(name, ".seg") {
-			continue
-		}
-		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "spill-"), ".seg"))
-		if err != nil {
-			continue
-		}
-		nums = append(nums, n)
-	}
-	sort.Ints(nums)
 	s := &SpillStore{
 		dir:      dir,
 		segBytes: segBytes,
@@ -104,10 +87,13 @@ func OpenSpill(dir string, segBytes int64) (*SpillStore, error) {
 	}
 	last := 0
 	for _, n := range nums {
-		s.scanSegment(n)
-		if n > last {
-			last = n
-		}
+		// Rebuild the index; a torn tail is the unsynced end of the crash
+		// being recovered from.
+		scanSegment(filepath.Join(dir, spillSegmentName(n)), spillMagic, func(r Record, off int64, frame int) error {
+			s.setRefLocked(r.JobID, spillRef{seg: n, off: off, n: int32(frame)})
+			return nil
+		})
+		last = n
 	}
 	// Drop segments the scan left empty (every record superseded or torn).
 	for _, n := range nums {
@@ -124,49 +110,11 @@ func OpenSpill(dir string, segBytes int64) (*SpillStore, error) {
 	return s, nil
 }
 
-// scanSegment rebuilds index entries from one surviving segment. A torn or
-// corrupt frame ends the segment's scan quietly (the unsynced tail of the
-// crash being recovered from).
-func (s *SpillStore) scanSegment(n int) {
-	data, err := os.ReadFile(filepath.Join(s.dir, spillSegmentName(n)))
-	if err != nil {
-		return
-	}
-	if len(data) < len(spillMagic) || string(data[:len(spillMagic)]) != spillMagic {
-		return
-	}
-	off := int64(len(spillMagic))
-	data = data[len(spillMagic):]
-	for len(data) >= frameHeaderLen {
-		bodyLen := binary.LittleEndian.Uint32(data[0:4])
-		crc := binary.LittleEndian.Uint32(data[4:8])
-		if bodyLen > maxBodyLen || int(bodyLen) > len(data)-frameHeaderLen {
-			return
-		}
-		body := data[frameHeaderLen : frameHeaderLen+int(bodyLen)]
-		if crc32.ChecksumIEEE(body) != crc {
-			return
-		}
-		rec, derr := decodeRecord(body)
-		if derr != nil {
-			return
-		}
-		frame := int64(frameHeaderLen) + int64(bodyLen)
-		s.setRefLocked(rec.JobID, spillRef{seg: n, off: off, n: int32(frame)})
-		off += frame
-		data = data[frame:]
-	}
-}
-
 // openSegment starts the next active segment. Caller holds s.mu (or is the
 // single-threaded Open path).
 func (s *SpillStore) openSegment() error {
-	f, err := os.OpenFile(filepath.Join(s.dir, spillSegmentName(s.seg)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := createSegment(filepath.Join(s.dir, spillSegmentName(s.seg)), spillMagic)
 	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(spillMagic); err != nil {
-		f.Close()
 		return err
 	}
 	s.f = f
@@ -214,12 +162,7 @@ func (s *SpillStore) Put(r Record) (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	s.enc = s.enc[:0]
-	s.enc = append(s.enc, make([]byte, frameHeaderLen)...)
-	s.enc = encodeRecord(s.enc, r)
-	body := s.enc[frameHeaderLen:]
-	binary.LittleEndian.PutUint32(s.enc[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(s.enc[4:8], crc32.ChecksumIEEE(body))
+	s.enc = appendFrame(s.enc[:0], r)
 	if s.size+int64(len(s.enc)) > s.segBytes && s.size > int64(len(spillMagic)) {
 		if err := s.rotateLocked(); err != nil {
 			return 0, err
@@ -343,18 +286,10 @@ func (s *SpillStore) GetBatch(ids []string) (map[string]Record, error) {
 			}
 			continue
 		}
-		bodyLen := binary.LittleEndian.Uint32(b[0:4])
-		crc := binary.LittleEndian.Uint32(b[4:8])
-		if int(bodyLen) != len(b)-frameHeaderLen || crc32.ChecksumIEEE(b[frameHeaderLen:]) != crc {
+		rec, n, err := readFrame(b)
+		if err != nil || n != len(b) {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("journal: corrupt spill frame for %q", r.id)
-			}
-			continue
-		}
-		rec, err := decodeRecord(b[frameHeaderLen:])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
 			}
 			continue
 		}

@@ -4,12 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -84,8 +80,7 @@ const (
 	walMagic       = "JETSWAL1"
 	frameHeaderLen = 8
 	// maxBodyLen rejects absurd frame lengths when a corrupt header happens
-	// to pass the length read (the CRC catches corrupt bodies; this catches
-	// a corrupt length that would otherwise allocate gigabytes).
+	// to pass the length read.
 	maxBodyLen = 16 << 20
 	// maxPendingBytes bounds the pending buffer while commits are failing:
 	// past it, new appends are dropped (and reported) instead of growing the
@@ -117,32 +112,17 @@ func OpenWAL(opts Options) (*WAL, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(opts.Dir)
+	nums, err := listSegments(opts.Dir, "wal-", ".log")
 	if err != nil {
 		return nil, err
 	}
-	var segs []string
-	last, first := 0, 0
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"))
-		if err != nil {
-			continue
-		}
-		segs = append(segs, filepath.Join(opts.Dir, name))
-		if n > last {
-			last = n
-		}
-		if first == 0 || n < first {
-			first = n
-		}
+	segs := make([]string, len(nums))
+	for i, n := range nums {
+		segs[i] = filepath.Join(opts.Dir, segmentName(n))
 	}
-	sort.Strings(segs)
-	if first == 0 {
-		first = last + 1
+	last, first := 0, 1
+	if len(nums) > 0 {
+		first, last = nums[0], nums[len(nums)-1]
 	}
 	w := &WAL{
 		opts:      opts,
@@ -163,12 +143,8 @@ func OpenWAL(opts Options) (*WAL, error) {
 // openSegment creates the next active segment and writes its magic. Caller
 // is single-threaded (Open) or holds both flushMu and mu (rotation).
 func (w *WAL) openSegment() error {
-	f, err := os.OpenFile(filepath.Join(w.opts.Dir, segmentName(w.seg)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := createSegment(filepath.Join(w.opts.Dir, segmentName(w.seg)), walMagic)
 	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(walMagic); err != nil {
-		f.Close()
 		return err
 	}
 	if w.f != nil {
@@ -179,10 +155,9 @@ func (w *WAL) openSegment() error {
 	return nil
 }
 
-// Append implements Journal: encode and buffer the record. The record is
-// encoded straight into the pending buffer (header patched in afterwards),
-// so the submit hot path pays no per-record allocation. The disk is never
-// touched here; durability comes from the flusher cadence or Sync.
+// Append implements Journal: frame the record straight into the pending
+// buffer, so the submit hot path pays no per-record allocation. The disk is
+// never touched here; durability comes from the flusher cadence or Sync.
 func (w *WAL) Append(r Record) error {
 	w.mu.Lock()
 	if w.closed {
@@ -201,11 +176,7 @@ func (w *WAL) Append(r Record) error {
 		w.pending, w.spare = w.spare, nil
 	}
 	start := len(w.pending)
-	w.pending = append(w.pending, make([]byte, frameHeaderLen)...)
-	w.pending = encodeRecord(w.pending, r)
-	body := w.pending[start+frameHeaderLen:]
-	binary.LittleEndian.PutUint32(w.pending[start:start+4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(w.pending[start+4:start+8], crc32.ChecksumIEEE(body))
+	w.pending = appendFrame(w.pending, r)
 	w.size += int64(len(w.pending) - start)
 	w.mu.Unlock()
 	appendsTotal.Inc()
@@ -355,48 +326,12 @@ func (w *WAL) flusher() {
 // into the segment that follows.
 func (w *WAL) Replay(fn func(Record) error) error {
 	for _, path := range w.replay {
-		if _, err := replaySegment(path, fn); err != nil {
+		err := scanSegment(path, walMagic, func(r Record, _ int64, _ int) error { return fn(r) })
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// replaySegment decodes one segment. It reports stop=true on a torn or
-// corrupt frame (the rest of this segment is untrusted) and err only when fn
-// itself fails; unreadable files count as torn.
-func replaySegment(path string, fn func(Record) error) (stop bool, err error) {
-	data, rerr := os.ReadFile(path)
-	if rerr != nil {
-		return true, nil
-	}
-	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		return true, nil
-	}
-	data = data[len(walMagic):]
-	for len(data) > 0 {
-		if len(data) < frameHeaderLen {
-			return true, nil // torn header
-		}
-		bodyLen := binary.LittleEndian.Uint32(data[0:4])
-		crc := binary.LittleEndian.Uint32(data[4:8])
-		if bodyLen > maxBodyLen || int(bodyLen) > len(data)-frameHeaderLen {
-			return true, nil // torn or corrupt body
-		}
-		body := data[frameHeaderLen : frameHeaderLen+int(bodyLen)]
-		if crc32.ChecksumIEEE(body) != crc {
-			return true, nil
-		}
-		rec, derr := decodeRecord(body)
-		if derr != nil {
-			return true, nil
-		}
-		if err := fn(rec); err != nil {
-			return false, err
-		}
-		data = data[frameHeaderLen+int(bodyLen):]
-	}
-	return false, nil
 }
 
 // Compact implements Journal: delete the segments Replay consumed. Call it
@@ -481,12 +416,7 @@ func (w *WAL) Checkpoint(write func(emit func(Record) error) error) error {
 		return nil
 	}
 	emit := func(r Record) error {
-		start := len(buf)
-		buf = append(buf, make([]byte, frameHeaderLen)...)
-		buf = encodeRecord(buf, r)
-		body := buf[start+frameHeaderLen:]
-		binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(body)))
-		binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(body))
+		buf = appendFrame(buf, r)
 		if len(buf) >= 1<<20 {
 			return flushBuf()
 		}

@@ -41,11 +41,6 @@ type Config struct {
 	StealInterval time.Duration
 	// StealBatch bounds the jobs moved per steal pass (default 16).
 	StealBatch int
-	// CompactSegments triggers an online routing-table checkpoint once the
-	// journal exceeds that many segment files, bounding WAL growth on
-	// long-lived federations (the startup-only Compact never ran again).
-	// 0 defaults to 8; negative disables online compaction.
-	CompactSegments int
 	// LoadEvery is the cadence remote instances report load at (default
 	// 50ms). Local instances are sampled directly.
 	LoadEvery time.Duration
@@ -129,9 +124,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.LoadEvery <= 0 {
 		cfg.LoadEvery = 50 * time.Millisecond
-	}
-	if cfg.CompactSegments == 0 {
-		cfg.CompactSegments = 8
 	}
 	r := &Router{
 		cfg:   cfg,
@@ -238,17 +230,21 @@ func (r *Router) JournalSegments() int {
 	return 0
 }
 
+// compactSegments is how many segment files the routing-table journal may
+// span before an online checkpoint rewrites it.
+const compactSegments = 8
+
 // maybeCheckpoint runs an online routing-table checkpoint when the journal
-// has grown past the configured segment threshold. Mirrors the dispatcher's
+// has grown past compactSegments. Mirrors the dispatcher's
 // online compaction: the startup Compact only ever ran once, so a long-lived
 // router's WAL grew without bound (two records per accepted job, one per
 // migration) until restart.
 func (r *Router) maybeCheckpoint() {
-	if r.jnl == nil || r.cfg.CompactSegments < 0 {
+	if r.jnl == nil {
 		return
 	}
 	ck, ok := r.jnl.(journal.Checkpointer)
-	if !ok || ck.Segments() <= r.cfg.CompactSegments {
+	if !ok || ck.Segments() <= compactSegments {
 		return
 	}
 	r.checkpointMu.Lock()
