@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -975,6 +976,102 @@ func (x *nullAsyncExecutor) Execute(ctx context.Context, inv swiftlang.AppInvoca
 func (x *nullAsyncExecutor) ExecuteAsync(ctx context.Context, inv swiftlang.AppInvocation, done func(error)) {
 	x.n.Add(1)
 	done(nil)
+}
+
+// chainScript is the dependent two-stage chain of the swift-script workload:
+// every cooked[i] reads raw[i], which is unset when the walk reaches it, so
+// half of the statements suspend.
+const chainScript = `
+int n = toInt(arg("n", "4"));
+app (file o) mkinput (int i) { "mkinput" i @o; }
+app (file o) process (file a, int i) { "process" @a i @o; }
+file raw[] <"raw_%d.file">;
+file cooked[] <"cooked_%d.file">;
+foreach i in [0:n-1] {
+    raw[i] = mkinput(i);
+    cooked[i] = process(raw[i], i * 2);
+}
+`
+
+// laterExecutor completes every invocation from one goroutine of its own,
+// after ExecuteAsync has returned — the way the dispatcher does — and tracks
+// the process's peak goroutine count while it does.
+type laterExecutor struct {
+	n     atomic.Int64
+	peak  int
+	queue chan func(error)
+}
+
+func (x *laterExecutor) Execute(ctx context.Context, inv swiftlang.AppInvocation) error {
+	x.n.Add(1)
+	return nil
+}
+
+func (x *laterExecutor) ExecuteAsync(ctx context.Context, inv swiftlang.AppInvocation, done func(error)) {
+	x.n.Add(1)
+	x.queue <- done
+}
+
+// complete runs until the queue is closed.
+func (x *laterExecutor) complete() {
+	for done := range x.queue {
+		if g := runtime.NumGoroutine(); g > x.peak {
+			x.peak = g
+		}
+		done(nil)
+	}
+}
+
+// BenchmarkSwiftChain is the script layer's scale axis: the same suspending
+// program at two sizes. tasks/s and B/task should be flat in n, and peak
+// goroutines a constant — a statement waiting for data is a record, not a
+// goroutine.
+func BenchmarkSwiftChain(b *testing.B) {
+	prog, err := swiftlang.Parse(chainScript)
+	if err != nil {
+		b.Fatal(err)
+	}
+	compiled := swiftlang.Compile(prog)
+	for _, n := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			args := map[string]string{"n": fmt.Sprint(n)}
+			wd := b.TempDir()
+			tasks := int64(2 * n)
+			peak := 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// The queue holds a whole stage, so the walk never waits for
+				// the completer and every stage-2 statement has to suspend.
+				ex := &laterExecutor{queue: make(chan func(error), n)}
+				finished := make(chan struct{})
+				go func() {
+					defer close(finished)
+					ex.complete()
+				}()
+				err := compiled.Run(context.Background(), swiftlang.Config{Executor: ex, WorkDir: wd, Args: args})
+				close(ex.queue)
+				<-finished
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := ex.n.Load(); got != tasks {
+					b.Fatalf("ran %d tasks, want %d", got, tasks)
+				}
+				if ex.peak > peak {
+					peak = ex.peak
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			total := float64(tasks) * float64(b.N)
+			b.ReportMetric(total/b.Elapsed().Seconds(), "tasks/s")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/task")
+			b.ReportMetric(float64(peak), "peak-goroutines")
+		})
+	}
 }
 
 // BenchmarkSwiftGenerate measures script-side task throughput of the 100k

@@ -138,9 +138,15 @@ func (h *Handle) TryResult() (JobResult, bool) {
 
 // OnDone registers fn to run once when the job reaches a terminal state; if
 // it already has, fn runs immediately on the caller's goroutine, otherwise on
-// the dispatcher's completion goroutine. This is the shared completion demux
+// the goroutine that resolves the job. This is the shared completion demux
 // for batched submitters: one callback per job instead of one goroutine
-// parked on Done() per job. fn must not block.
+// parked on Done() per job.
+//
+// For a handle a dispatcher returned, fn runs under Dispatcher.mu — every
+// completion goes through resolveLocked. fn must not block and must not call
+// back into that dispatcher (Submit, SubmitBatch, Drain, Close, ...):
+// doing so deadlocks on the mutex its caller holds. Work that follows a
+// completion is handed to another goroutine; fn may only enqueue it.
 func (h *Handle) OnDone(fn func(JobResult)) {
 	h.mu.Lock()
 	if h.completed {

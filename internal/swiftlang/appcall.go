@@ -2,8 +2,9 @@ package swiftlang
 
 // Compiled app invocations. A call site lowers into two phases: phase A is
 // pure — it evaluates arguments, resolves output paths, and builds the
-// AppInvocation without any side effect, so the fast path may retry it after
-// a would-block. Phase B hands the invocation to the async executor and
+// AppInvocation without any side effect, so a statement-position call whose
+// argument is still unset is parked and phase A simply runs again when the
+// runner retries it. Phase B hands the invocation to the async executor and
 // returns immediately; the completion callback sets the output futures under
 // an engine hold, replacing the interpreter's goroutine parked per app call.
 
@@ -280,9 +281,11 @@ func (a *cAppCall) phaseA(fr *frame, ec *ectx) (AppInvocation, []*dataflow.Futur
 	return inv, outFuts, outVals, nil
 }
 
-// compileAppStmt lowers a statement-position app call: phase A inline (or on
-// the retry goroutine), phase B fire-and-forget — no goroutine parks waiting
-// for the job.
+// compileAppStmt lowers a statement-position app call: phase A inline — on
+// the walk, or on the runner when the statement had to wait for an argument —
+// and phase B fire-and-forget; no goroutine parks waiting for the data or
+// for the job. A call with an effectful argument is not fast and runs both
+// phases on a blocking goroutine of its own.
 func (c *compiler) compileAppStmt(sc *cscope, call *Call, targets []LValue, line int) cstmt {
 	ac := c.compileAppCall(sc, call, targets, line)
 	return cstmt{fast: ac.fast(), exec: func(fr *frame, ec *ectx) error {

@@ -19,7 +19,10 @@ import (
 )
 
 // AsyncExecutor is an Executor with a non-blocking submission path. done is
-// called when the invocation completes; the compiled runtime tolerates late
+// called when the invocation completes, from any goroutine and under
+// whatever locks the executor holds: it sets the output futures, which only
+// moves waiting statements to the run's ready list, and never evaluates a
+// statement or calls ExecuteAsync itself. The compiled runtime tolerates late
 // calls (a canceled run abandons its waits first, as the interpreter
 // abandons Done() waits).
 type AsyncExecutor interface {
@@ -59,10 +62,9 @@ const (
 )
 
 type pendingSubmit struct {
-	jobID string
-	job   dispatch.Job
-	done  func(error)
-	f     *os.File // stdout redirect, registered at enqueue
+	job  dispatch.Job
+	done func(error)
+	rd   *redirect // stdout=@ target registered at enqueue, or nil
 }
 
 // ExecuteAsync implements AsyncExecutor: the invocation is buffered and
@@ -74,14 +76,14 @@ func (x *JETSExecutor) ExecuteAsync(ctx context.Context, inv AppInvocation, done
 		done(fmt.Errorf("swift: JETS executor not bound to an engine"))
 		return
 	}
-	job, f, err := x.buildJob(inv)
+	job, rd, err := x.buildJob(inv)
 	if err != nil {
 		done(err)
 		return
 	}
 	swiftTasksSubmitted.Add(1)
 	x.bmu.Lock()
-	x.pending = append(x.pending, pendingSubmit{jobID: job.Spec.JobID, job: job, done: done, f: f})
+	x.pending = append(x.pending, pendingSubmit{job: job, done: done, rd: rd})
 	n := len(x.pending)
 	if n == 1 {
 		delay := x.BatchDelay
@@ -122,47 +124,61 @@ func (x *JETSExecutor) Flush() {
 	handles, err := x.eng.SubmitBatch(jobs)
 	if err != nil {
 		for i := range pend {
-			p := pend[i]
-			x.releaseStdout(p.jobID, p.f)
-			p.done(err)
+			x.releaseStdout(jobs[i].Spec.JobID, pend[i].rd)
+			pend[i].done(err)
 		}
 		return
 	}
 	for i, h := range handles {
-		p := pend[i]
+		// The callback lives as long as the job: it keeps the two fields it
+		// needs, not the pendingSubmit and its copy of the dispatch.Job.
+		done, rd := pend[i].done, pend[i].rd
 		h.OnDone(func(res dispatch.JobResult) {
-			x.releaseStdout(p.jobID, p.f)
+			x.releaseStdout(res.JobID, rd)
 			if res.Failed {
-				p.done(fmt.Errorf("job %s failed: %s", p.jobID, res.Err))
+				done(fmt.Errorf("job %s failed: %s", res.JobID, res.Err))
 				return
 			}
-			p.done(nil)
+			done(nil)
 		})
 	}
 }
 
+// redirect is one job's stdout=@ target. The file is opened by the job's
+// first output chunk and closed at completion, so open descriptors are bounded
+// by the tasks that are running and have printed something, not by how many
+// invocations are queued.
+type redirect struct {
+	path string
+	f    *os.File // guarded by JETSExecutor.mu
+}
+
 // buildJob resolves one invocation into a dispatcher job, creating the
-// stdout redirect file and output directories.
-func (x *JETSExecutor) buildJob(inv AppInvocation) (dispatch.Job, *os.File, error) {
+// output directories and — so that an app which prints nothing still leaves
+// an empty file — the stdout redirect target, which it registers by path.
+func (x *JETSExecutor) buildJob(inv AppInvocation) (dispatch.Job, *redirect, error) {
 	jobID := fmt.Sprintf("swift-%s-%d", inv.App, x.seq.Add(1))
-	var f *os.File
+	var rd *redirect
 	if inv.StdoutFile != "" {
 		if err := os.MkdirAll(filepath.Dir(inv.StdoutFile), 0o755); err != nil {
 			return dispatch.Job{}, nil, err
 		}
-		var err error
-		f, err = os.Create(inv.StdoutFile)
+		f, err := os.Create(inv.StdoutFile)
 		if err != nil {
 			return dispatch.Job{}, nil, err
 		}
+		if err := f.Close(); err != nil {
+			return dispatch.Job{}, nil, err
+		}
+		rd = &redirect{path: inv.StdoutFile}
 		x.mu.Lock()
-		x.stdouts[jobID] = f
+		x.stdouts[jobID] = rd
 		x.mu.Unlock()
 	}
 	for _, out := range inv.OutFiles {
 		if dir := filepath.Dir(out); dir != "." && dir != "" {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
-				x.releaseStdout(jobID, f)
+				x.releaseStdout(jobID, rd)
 				return dispatch.Job{}, nil, err
 			}
 		}
@@ -180,16 +196,21 @@ func (x *JETSExecutor) buildJob(inv AppInvocation) (dispatch.Job, *os.File, erro
 		job.Type = dispatch.MPI
 		job.Spec.NProcs = inv.NProcs
 	}
-	return job, f, nil
+	return job, rd, nil
 }
 
-// releaseStdout unregisters and closes a job's stdout redirect.
-func (x *JETSExecutor) releaseStdout(jobID string, f *os.File) {
-	if f == nil {
+// releaseStdout unregisters a job's stdout redirect and closes its file if
+// output ever opened it.
+func (x *JETSExecutor) releaseStdout(jobID string, rd *redirect) {
+	if rd == nil {
 		return
 	}
 	x.mu.Lock()
 	delete(x.stdouts, jobID)
+	f := rd.f
+	rd.f = nil
 	x.mu.Unlock()
-	f.Close()
+	if f != nil {
+		f.Close()
+	}
 }

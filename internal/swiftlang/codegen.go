@@ -15,16 +15,19 @@ import (
 // their value during compilation.
 
 // errWouldBlock is the non-blocking fast path's signal: evaluation reached
-// an unset future. Statements perform all reads before any side effect, so
-// the caller can safely retry the whole statement on a blocking goroutine.
+// an unset future, left in ectx.blocked. Fast statements perform all reads
+// before any side effect, so the runtime can park the statement on that
+// future and retry the whole of it once the future is set.
 var errWouldBlock = errors.New("swift: evaluation would block")
 
 // ectx is one evaluation context: the engine's cancellation context, the
-// run state, and whether future reads may block.
+// run state, and whether future reads may block. Each goroutine that
+// evaluates statements owns its ectx — blocked is per evaluation.
 type ectx struct {
 	ctx      context.Context
 	rt       *crt
 	blocking bool
+	blocked  *dataflow.Future // non-blocking mode: the future errWouldBlock stopped at
 }
 
 // cexpr is a compiled expression.
@@ -59,6 +62,7 @@ func readFut(f *dataflow.Future, ec *ectx) (interface{}, error) {
 		return v, nil
 	}
 	if !ec.blocking {
+		ec.blocked = f
 		return nil, errWouldBlock
 	}
 	return f.Get(ec.ctx)

@@ -5,8 +5,10 @@ package swiftlang
 // reference to a (depth, slot) index, folds constant subtrees, specializes
 // each foreach body into one compiled blueprint instantiated per index, and
 // emits AppInvocations directly. At run time, statements whose reads all
-// precede their side effects execute inline without blocking; only
-// statements suspended on an unset future fall back to the interpreter's
+// precede their side effects (cstmt.fast) execute inline without blocking,
+// and one that reaches an unset future is parked on it as a record and
+// retried by the run's runner goroutine once the future is set (runtime.go).
+// Only statements that interleave reads with effects keep the interpreter's
 // goroutine-per-statement cost model.
 
 import (
@@ -59,8 +61,8 @@ type blockBP struct {
 }
 
 // cstmt is one lowered statement. fast statements perform all future reads
-// before any side effect, so the runtime may attempt them inline in
-// non-blocking mode and retry on a goroutine if they would block.
+// before any side effect, so the runtime may attempt them in non-blocking
+// mode, park them when they would block, and retry them from the top later.
 type cstmt struct {
 	fast bool
 	exec func(fr *frame, ec *ectx) error
@@ -496,10 +498,10 @@ func (c *compiler) compileIf(sc *cscope, st *If) cstmt {
 			return rtErrf(line, "if condition must be boolean, got %T", cv)
 		}
 		if b {
-			return ec.rt.runBlock(thenBP, newFrame(thenBP, fr, ec.rt))
+			return ec.rt.runBlock(thenBP, newFrame(thenBP, fr, ec.rt), ec)
 		}
 		if elseBP != nil {
-			return ec.rt.runBlock(elseBP, newFrame(elseBP, fr, ec.rt))
+			return ec.rt.runBlock(elseBP, newFrame(elseBP, fr, ec.rt), ec)
 		}
 		return nil
 	}}
@@ -555,7 +557,7 @@ func (c *compiler) compileForeach(sc *cscope, st *Foreach) cstmt {
 			if hasIdx {
 				sub.slots[1].imm = i - l
 			}
-			if err := ec.rt.runBlock(bodyBP, sub); err != nil {
+			if err := ec.rt.runBlock(bodyBP, sub, ec); err != nil {
 				return err
 			}
 		}

@@ -45,6 +45,11 @@ func startJETS(t *testing.T, workers int) (*JETSExecutor, *core.Engine) {
 	runner.Register("gen", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
 		return 0
 	})
+	return startJETSRunner(t, workers, runner)
+}
+
+func startJETSRunner(t *testing.T, workers int, runner hydra.Runner) (*JETSExecutor, *core.Engine) {
+	t.Helper()
 	exec := NewJETSExecutor()
 	eng, err := core.NewEngine(core.Options{
 		LocalWorkers: workers, Runner: runner, OnOutput: exec.OutputSink,

@@ -200,7 +200,8 @@ func TestCommentsEverywhere(t *testing.T) {
 }
 
 func TestDeepDependencyChain(t *testing.T) {
-	// 200-element chain: stress the goroutine-per-statement model.
+	// 200-element chain: every statement parks on its predecessor, and each
+	// Set on the runner wakes the next — the ready list, not the stack, grows.
 	exec := NewFuncExecutor()
 	out := runScript(t, `
 int a[];

@@ -27,7 +27,7 @@ type JETSExecutor struct {
 	seq atomic.Int64
 
 	mu      sync.Mutex
-	stdouts map[string]*os.File // jobID -> open redirect target
+	stdouts map[string]*redirect // jobID -> stdout=@ target of a live job
 
 	bmu     sync.Mutex
 	pending []pendingSubmit
@@ -41,7 +41,7 @@ type JETSExecutor struct {
 //	eng, _ := core.NewEngine(core.Options{..., OnOutput: exec.OutputSink})
 //	exec.Bind(eng)
 func NewJETSExecutor() *JETSExecutor {
-	return &JETSExecutor{stdouts: map[string]*os.File{}}
+	return &JETSExecutor{stdouts: map[string]*redirect{}}
 }
 
 // Bind attaches the engine (two-phase construction because the engine needs
@@ -57,13 +57,25 @@ func (x *JETSExecutor) OutputSink(taskID, stream string, data []byte) {
 		jobID = taskID[:i]
 	}
 	x.mu.Lock()
-	f := x.stdouts[jobID]
-	x.mu.Unlock()
-	if f != nil {
-		n, err := f.Write(data)
+	rd := x.stdouts[jobID]
+	if rd == nil {
+		x.mu.Unlock()
+		return
+	}
+	if rd.f == nil {
+		// First chunk: buildJob left the file created and closed.
+		f, err := os.OpenFile(rd.path, os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
-			swiftRedirectDrops.Add(int64(len(data) - n))
+			x.mu.Unlock()
+			swiftRedirectDrops.Add(int64(len(data)))
+			return
 		}
+		rd.f = f
+	}
+	f := rd.f
+	x.mu.Unlock()
+	if n, err := f.Write(data); err != nil {
+		swiftRedirectDrops.Add(int64(len(data) - n))
 	}
 }
 
@@ -72,12 +84,12 @@ func (x *JETSExecutor) Execute(ctx context.Context, inv AppInvocation) error {
 	if x.eng == nil {
 		return fmt.Errorf("swift: JETS executor not bound to an engine")
 	}
-	job, f, err := x.buildJob(inv)
+	job, rd, err := x.buildJob(inv)
 	if err != nil {
 		return err
 	}
 	jobID := job.Spec.JobID
-	defer x.releaseStdout(jobID, f)
+	defer x.releaseStdout(jobID, rd)
 	swiftTasksSubmitted.Add(1)
 	h, err := x.eng.Submit(job)
 	if err != nil {

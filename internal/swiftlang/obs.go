@@ -20,6 +20,13 @@ var (
 		"tasks per batched engine submit (1s == 1 task)", batchSizeBounds)
 	swiftRedirectDrops = obs.NewCounter("swift_redirect_dropped_bytes_total",
 		"stdout-redirect bytes lost to file write errors")
+	// "Why is this still waiting?": statements parked on an unset future
+	// right now, and how often the runner has retried one after a wake-up (a
+	// statement that parks again on a second input counts once per retry).
+	swiftSuspended = obs.NewGauge("swift_statements_suspended",
+		"compiled statements parked on an unset future")
+	swiftResumed = obs.NewCounter("swift_statements_resumed_total",
+		"retries of a parked statement after the future it waited for was set")
 	compileNanos atomic.Int64
 )
 
@@ -31,7 +38,7 @@ var batchSizeBounds = []time.Duration{
 
 // RegisterMetrics exports the script layer's instrumentation through reg.
 func RegisterMetrics(reg *obs.Registry) {
-	reg.Register(swiftTasksSubmitted, swiftBatchSize, swiftRedirectDrops)
+	reg.Register(swiftTasksSubmitted, swiftBatchSize, swiftRedirectDrops, swiftSuspended, swiftResumed)
 	reg.GaugeFunc("swift_compile_seconds",
 		"wall time of the most recent script compilation", func() float64 {
 			return float64(compileNanos.Load()) / 1e9

@@ -569,6 +569,15 @@ y = x + 1;
 	if err == nil {
 		t.Fatal("circular dependency not detected")
 	}
+	// Both statements are parked, not blocked in Get; the error must still say
+	// what the script was waiting for and why the wait ended.
+	msg := err.Error()
+	if !strings.Contains(msg, "dataflow: waiting for x: ") && !strings.Contains(msg, "dataflow: waiting for y: ") {
+		t.Fatalf("error %q does not name the awaited variable", msg)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error %q does not carry the context's error", msg)
+	}
 }
 
 func TestConcurrencyActuallyParallel(t *testing.T) {
