@@ -26,6 +26,7 @@ import (
 	"jets/internal/event/legacy"
 	"jets/internal/hydra"
 	"jets/internal/mpi"
+	"jets/internal/obs"
 	"jets/internal/pmi"
 	"jets/internal/proto"
 	"jets/internal/simjets"
@@ -994,13 +995,20 @@ foreach i in [0:n-1] {
 `
 
 // laterExecutor completes every invocation from one goroutine of its own,
-// after ExecuteAsync has returned — the way the dispatcher does — and tracks
-// the process's peak goroutine count while it does.
+// after ExecuteAsync has returned — the way the dispatcher does — and samples
+// the process while it does: peak goroutines and in-flight foreach iterations
+// at every completion, and every heapSampleEvery completions the live heap.
 type laterExecutor struct {
-	n     atomic.Int64
-	peak  int
-	queue chan func(error)
+	n        atomic.Int64
+	inflight *obs.Gauge // swift_foreach_iterations_inflight
+	queue    chan func(error)
+
+	peakGoroutines int
+	peakInflight   int64
+	peakHeap       uint64
 }
+
+const heapSampleEvery = 8192
 
 func (x *laterExecutor) Execute(ctx context.Context, inv swiftlang.AppInvocation) error {
 	x.n.Add(1)
@@ -1012,40 +1020,75 @@ func (x *laterExecutor) ExecuteAsync(ctx context.Context, inv swiftlang.AppInvoc
 	x.queue <- done
 }
 
-// complete runs until the queue is closed.
+// complete runs until the queue is closed. Heap samples are taken with the
+// script layer at rest — the completer holds its next completion until the
+// queue has stopped growing, which is the walk out of credits and the runner
+// out of ready statements — so they read the window's live set, not how much
+// the walker happened to allocate while the collector ran. The first sample
+// sees the first full window, whatever n is.
 func (x *laterExecutor) complete() {
-	for done := range x.queue {
-		if g := runtime.NumGoroutine(); g > x.peak {
-			x.peak = g
+	var ms runtime.MemStats
+	for i := 0; ; i++ {
+		done, ok := <-x.queue
+		if !ok {
+			return
+		}
+		if i%heapSampleEvery == 0 {
+			for prev := -1; ; time.Sleep(time.Millisecond) {
+				l := len(x.queue)
+				if l == prev {
+					break
+				}
+				prev = l
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			x.peakHeap = max(x.peakHeap, ms.HeapAlloc)
+		}
+		if g := runtime.NumGoroutine(); g > x.peakGoroutines {
+			x.peakGoroutines = g
+		}
+		if v := x.inflight.Value(); v > x.peakInflight {
+			x.peakInflight = v
 		}
 		done(nil)
 	}
 }
 
 // BenchmarkSwiftChain is the script layer's scale axis: the same suspending
-// program at two sizes. tasks/s and B/task should be flat in n, and peak
+// program at two sizes. tasks/s and B/task should be flat in n, peak
 // goroutines a constant — a statement waiting for data is a record, not a
-// goroutine.
+// goroutine — and so should peak-inflight-iterations and the sampled
+// peak-heap-MB: the loop is windowable, so the walk holds a window of
+// iterations (8 default batches here), not n. The 100k run fails if its peak
+// heap is more than 1.5x the 10k run's.
 func BenchmarkSwiftChain(b *testing.B) {
 	prog, err := swiftlang.Parse(chainScript)
 	if err != nil {
 		b.Fatal(err)
 	}
 	compiled := swiftlang.Compile(prog)
+	reg := obs.NewRegistry()
+	swiftlang.RegisterMetrics(reg)
+	inflight := reg.Lookup("swift_foreach_iterations_inflight").(*obs.Gauge)
+	peakHeap := map[int]uint64{}
 	for _, n := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			args := map[string]string{"n": fmt.Sprint(n)}
 			wd := b.TempDir()
 			tasks := int64(2 * n)
-			peak := 0
+			var peak laterExecutor
 			var before, after runtime.MemStats
+			runtime.GC()
 			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// The queue holds a whole stage, so the walk never waits for
-				// the completer and every stage-2 statement has to suspend.
-				ex := &laterExecutor{queue: make(chan func(error), n)}
+				// The completer runs behind the walk, so every stage-2
+				// statement of a walked iteration has to suspend. The window
+				// keeps outstanding invocations well under the queue's
+				// capacity, which therefore need not grow with n.
+				ex := &laterExecutor{queue: make(chan func(error), 1<<13), inflight: inflight}
 				finished := make(chan struct{})
 				go func() {
 					defer close(finished)
@@ -1060,17 +1103,24 @@ func BenchmarkSwiftChain(b *testing.B) {
 				if got := ex.n.Load(); got != tasks {
 					b.Fatalf("ran %d tasks, want %d", got, tasks)
 				}
-				if ex.peak > peak {
-					peak = ex.peak
-				}
+				peak.peakGoroutines = max(peak.peakGoroutines, ex.peakGoroutines)
+				peak.peakInflight = max(peak.peakInflight, ex.peakInflight)
+				peak.peakHeap = max(peak.peakHeap, ex.peakHeap)
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			total := float64(tasks) * float64(b.N)
 			b.ReportMetric(total/b.Elapsed().Seconds(), "tasks/s")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/task")
-			b.ReportMetric(float64(peak), "peak-goroutines")
+			b.ReportMetric(float64(peak.peakGoroutines), "peak-goroutines")
+			b.ReportMetric(float64(peak.peakInflight), "peak-inflight-iterations")
+			b.ReportMetric(float64(peak.peakHeap)/1e6, "peak-heap-MB")
+			peakHeap[n] = peak.peakHeap
 		})
+	}
+	if small, big := peakHeap[10000], peakHeap[100000]; small > 0 && big > small+small/2 {
+		b.Errorf("peak heap %.1f MB at n=100000 is more than 1.5x the %.1f MB at n=10000",
+			float64(big)/1e6, float64(small)/1e6)
 	}
 }
 

@@ -193,9 +193,9 @@ func (e *Engine) startLocalWorkers(opts Options) error {
 		}(w)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for e.workerTotal() < opts.LocalWorkers {
+	for e.WorkerTotal() < opts.LocalWorkers {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("core: only %d/%d local workers registered", e.workerTotal(), opts.LocalWorkers)
+			return fmt.Errorf("core: only %d/%d local workers registered", e.WorkerTotal(), opts.LocalWorkers)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -319,8 +319,8 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// workerTotal sums registered workers across instances.
-func (e *Engine) workerTotal() int {
+// WorkerTotal sums the workers registered right now across instances.
+func (e *Engine) WorkerTotal() int {
 	n := 0
 	for _, d := range e.insts {
 		n += d.Workers()
@@ -340,8 +340,9 @@ func (e *Engine) peakWorkers() int {
 	return n
 }
 
-// records merges per-instance job records (submission interleaving across
-// instances has no global order; callers summarize, they don't sequence).
+// records merges the per-instance samples of recently completed jobs
+// (submission interleaving across instances has no global order; callers
+// summarize, they don't sequence).
 func (e *Engine) records() []metrics.JobRecord {
 	if len(e.insts) == 1 {
 		return e.d.Records()
@@ -353,9 +354,21 @@ func (e *Engine) records() []metrics.JobRecord {
 	return recs
 }
 
+// tally merges the per-instance sums over every completed job.
+func (e *Engine) tally() metrics.Tally {
+	var t metrics.Tally
+	for _, d := range e.insts {
+		t.Merge(d.Tally())
+	}
+	return t
+}
+
 // BatchReport summarizes one batch execution.
 type BatchReport struct {
 	Results []dispatch.JobResult
+	// Records is a bounded sample: each dispatcher's most recently completed
+	// jobs (dispatch.Dispatcher.Records). Summary is computed from running
+	// sums over every completed job, not from the sample.
 	Records []metrics.JobRecord
 	Summary metrics.Summary
 	// Allocation is the worker count used for the utilization summary.
@@ -399,7 +412,7 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []dispatch.Job) (*BatchRepor
 	report.Elapsed = time.Since(start)
 	report.Records = e.records()
 	report.Allocation = e.peakWorkers()
-	report.Summary = metrics.Summarize(report.Records, report.Allocation)
+	report.Summary = e.tally().Summary(report.Allocation)
 	return report, nil
 }
 

@@ -172,6 +172,16 @@ func (a *Array) Elem(i int) *Future {
 	return f
 }
 
+// Drop forgets element i. The caller vouches that nothing will refer to the
+// element again — a later Elem(i) would mint a fresh, unset future — which the
+// compiled Swift runtime can say of an element only one foreach iteration
+// could reach, once that iteration has retired.
+func (a *Array) Drop(i int) {
+	a.mu.Lock()
+	delete(a.elems, i)
+	a.mu.Unlock()
+}
+
 // Close marks the array complete; idempotent.
 func (a *Array) Close() { a.once.Do(func() { close(a.closed) }) }
 

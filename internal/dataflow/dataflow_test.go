@@ -88,6 +88,26 @@ func TestArrayElemIdentity(t *testing.T) {
 	}
 }
 
+func TestArrayDrop(t *testing.T) {
+	a := NewArray("a")
+	first := a.Elem(3)
+	first.Set(1)
+	a.Elem(4)
+	a.Drop(3)
+	a.Drop(99) // never referenced: nothing to forget
+	if a.Len() != 1 {
+		t.Fatalf("Len = %d after dropping one of two elements", a.Len())
+	}
+	// The dropped future is untouched for whoever still holds it; the index
+	// starts over.
+	if v, ok := first.TryGet(); !ok || v != 1 {
+		t.Fatalf("dropped element reads %v, %v", v, ok)
+	}
+	if again := a.Elem(3); again == first || again.IsSet() {
+		t.Fatal("Elem after Drop returned the old future")
+	}
+}
+
 func TestArrayWaitAfterClose(t *testing.T) {
 	a := NewArray("a")
 	a.Elem(2).Set("x")

@@ -308,8 +308,13 @@ type Dispatcher struct {
 	mu          sync.Mutex
 	workers     map[string]*workerConn
 	workersPeak int // most workers registered at once
-	records     []metrics.JobRecord
-	staged      []proto.Stage
+	// Completed jobs: running sums for the summary figures, plus the most
+	// recent recordSample records as a ring (recentNext is the oldest once
+	// full) — a campaign's completion log does not grow with its length.
+	tally      metrics.Tally
+	recent     []metrics.JobRecord
+	recentNext int
+	staged     []proto.Stage
 	// jobs is the job table: every job in flight — queued hot or cold,
 	// running, or in a retry backoff — from admit to resolveLocked
 	// (lifecycle.go). An ID is reserved here atomically with its duplicate
@@ -1323,10 +1328,35 @@ func (d *Dispatcher) QueuedJobs() int { return d.queuedCount() }
 // RunningJobs reports jobs currently executing.
 func (d *Dispatcher) RunningJobs() int { return d.stateCount(running) }
 
-// Records returns a copy of the completed-job records (offsets from Epoch),
-// the raw material for the utilization and load-level figures.
+// recordSample is how many completed-job records a dispatcher keeps.
+const recordSample = 4096
+
+// recordLocked accounts one completed job. Caller holds d.mu.
+func (d *Dispatcher) recordLocked(rec metrics.JobRecord) {
+	d.tally.Add(rec)
+	if len(d.recent) < recordSample {
+		d.recent = append(d.recent, rec)
+		return
+	}
+	d.recent[d.recentNext] = rec
+	d.recentNext = (d.recentNext + 1) % recordSample
+}
+
+// Records returns the records (offsets from Epoch) of the most recently
+// completed jobs, oldest first: a bounded sample — at most recordSample — for
+// load-level figures and spot checks, not a log of the run. Tally has the
+// totals over every completed job.
 func (d *Dispatcher) Records() []metrics.JobRecord {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]metrics.JobRecord(nil), d.records...)
+	out := make([]metrics.JobRecord, 0, len(d.recent))
+	return append(append(out, d.recent[d.recentNext:]...), d.recent[:d.recentNext]...)
+}
+
+// Tally returns the running sums over every job completed so far, the raw
+// material for the utilization formula (Eq. 1) and the batch summary.
+func (d *Dispatcher) Tally() metrics.Tally {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.tally
 }

@@ -199,7 +199,7 @@ func (d *Dispatcher) resolveLocked(lj *liveJob, x exit) {
 		d.stats.jobsFailed.Add(1)
 		d.emit(Event{Kind: EvJobFailed, JobID: id, Detail: res.Err})
 	default:
-		d.records = append(d.records, metrics.JobRecord{ID: id, Procs: lj.job.Procs(), Start: res.Start, Stop: res.Stop})
+		d.recordLocked(metrics.JobRecord{ID: id, Procs: lj.job.Procs(), Start: res.Start, Stop: res.Stop})
 		d.stats.jobsCompleted.Add(1)
 		d.emit(Event{Kind: EvJobCompleted, JobID: id})
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -402,6 +403,72 @@ func TestMillionQueuedJobsFlatRSS(t *testing.T) {
 		spilled, float64(d.SpillBytes())/(1<<20), float64(rss)/(1<<20))
 	if rss > 1<<30 {
 		t.Fatalf("RSS = %.1f MiB with %d queued jobs, want well under 1 GiB", float64(rss)/(1<<20), total)
+	}
+}
+
+// TestCompletedJobsFlatHeap is the completed-jobs twin of the test above: a
+// campaign's completion log must not grow with its length. 300,000 noop jobs
+// run to completion through real workers; once the first 50,000 have filled
+// every bounded structure (the record sample, the job table's buckets), the
+// other 250,000 may grow the live heap by no more than heapGrowthLimit. One
+// retained metrics.JobRecord per job plus the ID string it pins is about
+// 50 bytes a job — 12 MiB over the measured stretch.
+func TestCompletedJobsFlatHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("300,000 jobs through real workers")
+	}
+	const (
+		total           = 300_000
+		warm            = 50_000
+		batch           = 5_000
+		heapGrowthLimit = 3 << 20
+	)
+	tc := startCluster(t, 4, Config{})
+	tc.runner.Register("noop", func(context.Context, []string, map[string]string, io.Writer) int { return 0 })
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapInuse)
+	}
+	var atWarm int64
+	jobs := make([]Job, batch)
+	for off := 0; off < total; off += batch {
+		if off == warm {
+			atWarm = heap()
+		}
+		for i := range jobs {
+			jobs[i] = seqJob(fmt.Sprintf("c%07d", off+i))
+		}
+		handles, err := tc.d.SubmitBatch(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range handles {
+			if res := h.Wait(); res.Failed {
+				t.Fatalf("job %s failed: %s", res.JobID, res.Err)
+			}
+		}
+	}
+	growth := heap() - atWarm
+	tally, sample := tc.d.Tally(), tc.d.Records()
+	t.Logf("heap in use grew %.2f MiB over the last %d of %d completed jobs; %d records kept",
+		float64(growth)/(1<<20), total-warm, total, len(sample))
+	if tally.Jobs != total || tc.d.Stats().JobsCompleted != total {
+		t.Fatalf("tally counts %d jobs, stats %d, want %d", tally.Jobs, tc.d.Stats().JobsCompleted, total)
+	}
+	if len(sample) != recordSample {
+		t.Fatalf("sample holds %d records, want %d", len(sample), recordSample)
+	}
+	for _, rec := range sample {
+		// Jobs complete out of order, but only within the batch in flight.
+		if rec.ID < fmt.Sprintf("c%07d", total-batch) {
+			t.Fatalf("sample holds %s, not one of the most recent %d completions", rec.ID, recordSample)
+		}
+	}
+	if growth > heapGrowthLimit {
+		t.Fatalf("heap in use grew %.2f MiB after the first %d jobs, limit %.0f MiB",
+			float64(growth)/(1<<20), warm, float64(heapGrowthLimit)/(1<<20))
 	}
 }
 

@@ -43,12 +43,18 @@ func Utilization(duration time.Duration, jobs, n, allocation int, total time.Dur
 // durations and sizes: the sum of busy processor-seconds divided by the
 // processor-seconds held by the allocation.
 func WeightedUtilization(jobs []JobRecord, allocation int, total time.Duration) float64 {
-	if allocation <= 0 || total <= 0 {
-		return 0
-	}
 	var busy float64
 	for _, j := range jobs {
-		busy += j.Duration().Seconds() * float64(j.Procs)
+		busy += j.busy()
+	}
+	return busyFraction(busy, allocation, total)
+}
+
+// busyFraction is busy processor-seconds over the processor-seconds an
+// allocation was held, clamped to [0, 1]; a zero allocation or total yields 0.
+func busyFraction(busy float64, allocation int, total time.Duration) float64 {
+	if allocation <= 0 || total <= 0 {
+		return 0
 	}
 	u := busy / (float64(allocation) * total.Seconds())
 	if u < 0 {
@@ -75,6 +81,9 @@ func (j JobRecord) Duration() time.Duration {
 	}
 	return j.Stop - j.Start
 }
+
+// busy is the processor-seconds the job kept busy.
+func (j JobRecord) busy() float64 { return j.Duration().Seconds() * float64(j.Procs) }
 
 // Series is a step function sampled at event boundaries, e.g. "busy cores at
 // time t" (Fig. 13) or "nodes available" (Fig. 10).
@@ -307,33 +316,71 @@ type Summary struct {
 	Rate        float64 // jobs per second over the makespan
 }
 
-// Summarize computes a Summary for a batch run on an allocation of the given
-// processor count. Makespan is measured from the earliest start to the
-// latest stop.
-func Summarize(jobs []JobRecord, allocation int) Summary {
+// Tally folds job records into the six sums a Summary is computed from, so a
+// campaign of any length keeps these numbers instead of one record per job.
+type Tally struct {
+	Jobs  int
+	Procs int           // processors summed over jobs
+	Run   time.Duration // run time summed over jobs
+	Busy  float64       // processor-seconds kept busy, summed over jobs
+	First time.Duration // earliest start
+	Last  time.Duration // latest stop
+}
+
+// Add folds one record in.
+func (t *Tally) Add(j JobRecord) {
+	if t.Jobs == 0 || j.Start < t.First {
+		t.First = j.Start
+	}
+	if t.Jobs == 0 || j.Stop > t.Last {
+		t.Last = j.Stop
+	}
+	t.Jobs++
+	t.Procs += j.Procs
+	t.Run += j.Duration()
+	t.Busy += j.busy()
+}
+
+// Merge folds another tally in, for runs spread over several dispatchers.
+func (t *Tally) Merge(o Tally) {
+	if o.Jobs == 0 {
+		return
+	}
+	if t.Jobs == 0 || o.First < t.First {
+		t.First = o.First
+	}
+	if t.Jobs == 0 || o.Last > t.Last {
+		t.Last = o.Last
+	}
+	t.Jobs += o.Jobs
+	t.Procs += o.Procs
+	t.Run += o.Run
+	t.Busy += o.Busy
+}
+
+// Summary computes the figures for a run on an allocation of the given
+// processor count. Makespan is measured from the earliest start to the latest
+// stop.
+func (t Tally) Summary(allocation int) Summary {
 	var s Summary
-	if len(jobs) == 0 {
+	if t.Jobs == 0 {
 		return s
 	}
-	first := jobs[0].Start
-	last := jobs[0].Stop
-	var totalRun time.Duration
-	for _, j := range jobs {
-		if j.Start < first {
-			first = j.Start
-		}
-		if j.Stop > last {
-			last = j.Stop
-		}
-		totalRun += j.Duration()
-		s.Procs += j.Procs
-	}
-	s.Jobs = len(jobs)
-	s.MeanRun = totalRun / time.Duration(len(jobs))
-	s.Makespan = last - first
-	s.Utilization = WeightedUtilization(jobs, allocation, s.Makespan)
+	s.Jobs, s.Procs = t.Jobs, t.Procs
+	s.MeanRun = t.Run / time.Duration(t.Jobs)
+	s.Makespan = t.Last - t.First
+	s.Utilization = busyFraction(t.Busy, allocation, s.Makespan)
 	if s.Makespan > 0 {
 		s.Rate = float64(s.Jobs) / s.Makespan.Seconds()
 	}
 	return s
+}
+
+// Summarize computes a Summary from the records of a batch run.
+func Summarize(jobs []JobRecord, allocation int) Summary {
+	var t Tally
+	for _, j := range jobs {
+		t.Add(j)
+	}
+	return t.Summary(allocation)
 }

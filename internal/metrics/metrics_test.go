@@ -218,6 +218,42 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestTallyMatchesSummarize: a tally fed record by record — or merged from
+// two dispatchers' tallies — gives the Summary the records themselves give.
+func TestTallyMatchesSummarize(t *testing.T) {
+	var jobs []JobRecord
+	for i := 0; i < 100; i++ {
+		start := time.Duration(i*37%50) * time.Millisecond
+		jobs = append(jobs, JobRecord{Procs: 1 + i%4, Start: start, Stop: start + time.Duration(5+i%11)*time.Millisecond})
+	}
+	jobs = append(jobs, JobRecord{Procs: 2, Start: 9 * time.Millisecond, Stop: 3 * time.Millisecond}) // runs backwards: zero duration
+	want := Summarize(jobs, 16)
+	var whole, a, b Tally
+	for i, j := range jobs {
+		whole.Add(j)
+		if i%3 == 0 {
+			a.Add(j)
+		} else {
+			b.Add(j)
+		}
+	}
+	if got := whole.Summary(16); got != want {
+		t.Errorf("tally summary %+v, Summarize %+v", got, want)
+	}
+	a.Merge(b)
+	a.Merge(Tally{})
+	got := a.Summary(16)
+	if got.Jobs != want.Jobs || got.Procs != want.Procs || got.MeanRun != want.MeanRun ||
+		got.Makespan != want.Makespan || got.Rate != want.Rate || math.Abs(got.Utilization-want.Utilization) > 1e-12 {
+		t.Errorf("merged summary %+v, Summarize %+v", got, want)
+	}
+	var empty Tally
+	empty.Merge(whole)
+	if empty != whole {
+		t.Errorf("merge into an empty tally gave %+v, want %+v", empty, whole)
+	}
+}
+
 func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize(nil, 8)
 	if s.Jobs != 0 || s.Utilization != 0 {

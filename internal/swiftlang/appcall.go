@@ -293,7 +293,7 @@ func (c *compiler) compileAppStmt(sc *cscope, call *Call, targets []LValue, line
 		if err != nil {
 			return err
 		}
-		ec.rt.dispatchApp(inv, outFuts, outVals, ac.name, ac.line, nil)
+		ec.rt.dispatchApp(inv, outFuts, outVals, ac.name, ac.line, fr.it, nil)
 		return nil
 	}}
 }
@@ -307,7 +307,7 @@ func (a *cAppCall) invokeWait(fr *frame, ec *ectx) error {
 		return err
 	}
 	ch := make(chan error, 1)
-	ec.rt.dispatchApp(inv, outFuts, outVals, a.name, a.line, ch)
+	ec.rt.dispatchApp(inv, outFuts, outVals, a.name, a.line, fr.it, ch)
 	select {
 	case err := <-ch:
 		return err

@@ -36,6 +36,14 @@ type Flusher interface {
 	Flush()
 }
 
+// WindowSizer is implemented by executors that know how much submitted work
+// keeps them busy; the compiled runtime sizes its foreach window from it
+// (foreachWindow) instead of taking a setting.
+type WindowSizer interface {
+	BatchLimit() int  // submissions coalesced into one batch
+	WorkerSlots() int // tasks the executor can run at once
+}
+
 // goAsync adapts a synchronous Executor with a goroutine per call — the
 // compiled runtime's fallback, cost-equivalent to the interpreter's
 // per-statement goroutine.
@@ -92,12 +100,8 @@ func (x *JETSExecutor) ExecuteAsync(ctx context.Context, inv AppInvocation, done
 		}
 		x.timer = time.AfterFunc(delay, x.Flush)
 	}
-	max := x.BatchMax
-	if max <= 0 {
-		max = defaultBatchMax
-	}
 	x.bmu.Unlock()
-	if n >= max {
+	if n >= x.BatchLimit() {
 		x.Flush()
 	}
 }
@@ -160,7 +164,7 @@ func (x *JETSExecutor) buildJob(inv AppInvocation) (dispatch.Job, *redirect, err
 	jobID := fmt.Sprintf("swift-%s-%d", inv.App, x.seq.Add(1))
 	var rd *redirect
 	if inv.StdoutFile != "" {
-		if err := os.MkdirAll(filepath.Dir(inv.StdoutFile), 0o755); err != nil {
+		if err := x.ensureDir(filepath.Dir(inv.StdoutFile)); err != nil {
 			return dispatch.Job{}, nil, err
 		}
 		f, err := os.Create(inv.StdoutFile)
@@ -176,11 +180,9 @@ func (x *JETSExecutor) buildJob(inv AppInvocation) (dispatch.Job, *redirect, err
 		x.mu.Unlock()
 	}
 	for _, out := range inv.OutFiles {
-		if dir := filepath.Dir(out); dir != "." && dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				x.releaseStdout(jobID, rd)
-				return dispatch.Job{}, nil, err
-			}
+		if err := x.ensureDir(filepath.Dir(out)); err != nil {
+			x.releaseStdout(jobID, rd)
+			return dispatch.Job{}, nil, err
 		}
 	}
 	job := dispatch.Job{
@@ -197,6 +199,37 @@ func (x *JETSExecutor) buildJob(inv AppInvocation) (dispatch.Job, *redirect, err
 		job.Spec.NProcs = inv.NProcs
 	}
 	return job, rd, nil
+}
+
+// mkdirAll is os.MkdirAll, replaceable so a test can count the calls.
+var mkdirAll = os.MkdirAll
+
+// maxKnownDirs bounds the set of directories ensureDir remembers.
+const maxKnownDirs = 1024
+
+// ensureDir creates dir unless this executor already has: MkdirAll costs a
+// stat system call even when the directory exists, and a script's outputs
+// share a handful of directories across all of its jobs.
+func (x *JETSExecutor) ensureDir(dir string) error {
+	if dir == "." || dir == "" {
+		return nil
+	}
+	x.mu.Lock()
+	_, known := x.dirs[dir]
+	x.mu.Unlock()
+	if known {
+		return nil
+	}
+	if err := mkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	x.mu.Lock()
+	if x.dirs == nil || len(x.dirs) >= maxKnownDirs {
+		x.dirs = map[string]struct{}{}
+	}
+	x.dirs[dir] = struct{}{}
+	x.mu.Unlock()
+	return nil
 }
 
 // releaseStdout unregisters a job's stdout redirect and closes its file if

@@ -9,7 +9,9 @@ package swiftlang
 // and one that reaches an unset future is parked on it as a record and
 // retried by the run's runner goroutine once the future is set (runtime.go).
 // Only statements that interleave reads with effects keep the interpreter's
-// goroutine-per-statement cost model.
+// goroutine-per-statement cost model. A foreach lowers to a loop record the
+// runtime walks on credits: a loop the flows-to analysis (flow.go) finds
+// windowable gets the run's window, any other an unlimited supply.
 
 import (
 	"fmt"
@@ -78,6 +80,7 @@ func errStmt(err error) cstmt {
 type frame struct {
 	parent *frame
 	slots  []rslot
+	it     *iter // the foreach iteration this frame belongs to; nil outside any loop
 }
 
 type rslot struct {
@@ -104,7 +107,19 @@ func (rs *rslot) getPath(ec *ectx) (string, error) {
 // future-backed slots drawn from one bulk allocation, arrays created, and
 // auto-mapped paths minted.
 func newFrame(bp *blockBP, parent *frame, rt *crt) *frame {
-	fr := &frame{parent: parent, slots: make([]rslot, len(bp.slots))}
+	fr := &frame{}
+	initFrame(fr, bp, parent, rt)
+	return fr
+}
+
+// initFrame fills in a zero frame, or the body frame of a foreach iteration,
+// which arrives with its own token set; any other frame belongs to the
+// iteration its parent belongs to.
+func initFrame(fr *frame, bp *blockBP, parent *frame, rt *crt) {
+	fr.parent, fr.slots = parent, make([]rslot, len(bp.slots))
+	if fr.it == nil && parent != nil {
+		fr.it = parent.it
+	}
 	var futs []*dataflow.Future
 	if len(bp.futNames) > 0 {
 		futs = dataflow.NewFutures(bp.futNames)
@@ -133,15 +148,17 @@ func newFrame(bp *blockBP, parent *frame, rt *crt) *frame {
 			rs.pathFut = futs[sb.pathFutIdx]
 		}
 	}
-	return fr
 }
 
 // ---------------------------------------------------------------------------
 // Compiler
 
 type compiler struct {
-	prog *Program
-	apps map[string]*capp
+	prog  *Program
+	apps  map[string]*capp
+	loops map[*Foreach]loopClass
+	slow  int // statements lowered so far that are not fast
+	out   *CompiledProgram
 }
 
 // cscope is the compile-time mirror of the runtime frame chain.
@@ -167,7 +184,25 @@ func (s *cscope) resolve(name string) (*cscope, int, int) {
 // CompiledProgram is a script lowered to slot-resolved closures; one
 // compiled program can Run any number of times.
 type CompiledProgram struct {
-	root *blockBP
+	root  *blockBP
+	loops []loopInfo // every foreach, in source order of their closing braces
+}
+
+// loopInfo is the compiler's verdict on one foreach: unbounded is empty for a
+// loop walked a window at a time, and says why not otherwise.
+type loopInfo struct {
+	line      int
+	unbounded string
+}
+
+// foreachHook is the test hook of the windowed walk: window overrides the
+// derived credit count of the runs started while it is set, and
+// forceWindowable makes Compile treat every loop as windowable, which is how
+// the tests show that the classification is what keeps the hazard scripts
+// from deadlocking.
+var foreachHook struct {
+	window          int64
+	forceWindowable bool
 }
 
 // Compile lowers a parsed program into a static dataflow graph. Semantic
@@ -176,7 +211,7 @@ type CompiledProgram struct {
 // identical messages, so compiled and interpreted runs fail identically.
 func Compile(prog *Program) *CompiledProgram {
 	start := time.Now()
-	c := &compiler{prog: prog, apps: map[string]*capp{}}
+	c := &compiler{prog: prog, apps: map[string]*capp{}, loops: classifyLoops(prog), out: &CompiledProgram{}}
 	// App shells first: call sites compiled anywhere below hold the *capp
 	// pointer; bodies are filled before any Run.
 	for name, app := range prog.Apps {
@@ -203,8 +238,9 @@ func Compile(prog *Program) *CompiledProgram {
 		c.fillApp(ca, rootSc)
 	}
 	rootBP.stmts = c.compileStmts(prog.Stmts, rootSc, decls)
+	c.out.root = rootBP
 	compileNanos.Store(time.Since(start).Nanoseconds())
-	return &CompiledProgram{root: rootBP}
+	return c.out
 }
 
 // exprEffect reports whether evaluating e can perform a side effect (trace
@@ -318,6 +354,11 @@ func (c *compiler) compileStmts(stmts []Stmt, sc *cscope, decls map[*VarDecl]int
 			out = append(out, c.compileExprStmt(sc, st))
 		default:
 			out = append(out, errStmt(fmt.Errorf("swift: unknown statement %T", s)))
+		}
+	}
+	for i := range out {
+		if !out[i].fast {
+			c.slow++
 		}
 	}
 	return out
@@ -531,7 +572,22 @@ func (c *compiler) compileForeach(sc *cscope, st *Foreach) cstmt {
 		}
 	}
 	decls := c.declareBlock(st.Body, bodySc)
+	slowBefore := c.slow
 	bodyBP.stmts = c.compileStmts(st.Body, bodySc, decls)
+	cls := c.loops[st]
+	if c.slow != slowBefore {
+		cls = loopClass{reason: "a body statement interleaves reads with effects and runs on a goroutine of its own"}
+	}
+	c.out.loops = append(c.out.loops, loopInfo{line: st.Line, unbounded: cls.reason})
+	windowable := cls.reason == "" || foreachHook.forceWindowable
+	// Arrays whose elements die with the iteration, as slots seen from the
+	// frame the loop statement runs in.
+	var private []slotRef
+	for _, name := range cls.private {
+		if scope, idx, depth := sc.resolve(name); scope != nil && scope.bp.slots[idx].kind == kArr {
+			private = append(private, slotRef{depth: depth, idx: idx})
+		}
+	}
 	line := st.Line
 	return cstmt{fast: !lo.effectful && !hi.effectful, exec: func(fr *frame, ec *ectx) error {
 		lov, err := lo.fn(fr, ec)
@@ -551,15 +607,15 @@ func (c *compiler) compileForeach(sc *cscope, st *Foreach) cstmt {
 			return loopErr
 		}
 		// Swift ranges are inclusive: [0:2] is 0, 1, 2.
-		for i := l; i <= h; i++ {
-			sub := newFrame(bodyBP, fr, ec.rt)
-			sub.slots[0].imm = i
-			if hasIdx {
-				sub.slots[1].imm = i - l
-			}
-			if err := ec.rt.runBlock(bodyBP, sub, ec); err != nil {
-				return err
-			}
+		lp := &loopRec{body: bodyBP, lo: l, next: l, hi: h, hasIdx: hasIdx, window: unlimitedCredits, private: private}
+		lp.parked = parked{fr: fr, rt: ec.rt, loop: lp}
+		if windowable {
+			lp.window = ec.rt.window
+		} else {
+			swiftUnbounded.Inc()
+		}
+		if err := ec.rt.walkLoop(lp, ec); err != errLoopParked {
+			return err
 		}
 		return nil
 	}}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,5 +118,62 @@ func TestExecuteAsyncFlushTimer(t *testing.T) {
 	}
 	if done.Load() != 3 {
 		t.Fatalf("%d/3 submissions succeeded", done.Load())
+	}
+}
+
+// TestOutputDirectoriesMadeOnce: buildJob creates a job's output directories,
+// however deep, and asks the file system about each directory only once — a
+// second job writing into the same place costs no further MkdirAll (and so no
+// stat system call).
+func TestOutputDirectoriesMadeOnce(t *testing.T) {
+	var calls []string
+	real := mkdirAll
+	mkdirAll = func(dir string, perm os.FileMode) error {
+		calls = append(calls, dir)
+		return real(dir, perm)
+	}
+	defer func() { mkdirAll = real }()
+
+	x := NewJETSExecutor()
+	root := t.TempDir()
+	deep := filepath.Join(root, "a", "b", "c")
+	logs := filepath.Join(root, "logs", "today")
+	inv := func(i int) AppInvocation {
+		return AppInvocation{
+			App: "w", Tokens: []string{"w"},
+			OutFiles:   []string{filepath.Join(deep, fmt.Sprintf("out_%d", i)), filepath.Join(deep, fmt.Sprintf("aux_%d", i)), fmt.Sprintf("cwd_%d", i)},
+			StdoutFile: filepath.Join(logs, fmt.Sprintf("log_%d", i)),
+		}
+	}
+	if _, rd, err := x.buildJob(inv(0)); err != nil {
+		t.Fatal(err)
+	} else if rd == nil || rd.path != filepath.Join(logs, "log_0") {
+		t.Fatalf("stdout redirect %+v", rd)
+	}
+	for _, dir := range []string{deep, logs} {
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			t.Fatalf("fresh nested directory %s not created: %v", dir, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(logs, "log_0")); err != nil {
+		t.Fatalf("an app that prints nothing must still leave its stdout file: %v", err)
+	}
+	if len(calls) != 2 {
+		t.Fatalf("first job made %v, want one MkdirAll per distinct directory", calls)
+	}
+	for i := 1; i < 50; i++ {
+		if _, _, err := x.buildJob(inv(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(calls) != 2 {
+		t.Fatalf("later jobs into the same directories made %v", calls[2:])
+	}
+	// A directory that cannot be made is still an error, every time.
+	blocked := filepath.Join(root, "logs", "today", "log_0", "sub")
+	for i := 0; i < 2; i++ {
+		if _, _, err := x.buildJob(AppInvocation{App: "w", Tokens: []string{"w"}, OutFiles: []string{filepath.Join(blocked, "o")}}); err == nil {
+			t.Fatal("output under a regular file accepted")
+		}
 	}
 }

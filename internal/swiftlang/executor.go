@@ -28,6 +28,7 @@ type JETSExecutor struct {
 
 	mu      sync.Mutex
 	stdouts map[string]*redirect // jobID -> stdout=@ target of a live job
+	dirs    map[string]struct{}  // output directories already made (ensureDir)
 
 	bmu     sync.Mutex
 	pending []pendingSubmit
@@ -47,6 +48,25 @@ func NewJETSExecutor() *JETSExecutor {
 // Bind attaches the engine (two-phase construction because the engine needs
 // the executor's OutputSink at creation).
 func (x *JETSExecutor) Bind(eng *core.Engine) { x.eng = eng }
+
+// BatchLimit implements WindowSizer: the size at which pending async
+// submissions are flushed as one dispatcher batch.
+func (x *JETSExecutor) BatchLimit() int {
+	if x.BatchMax > 0 {
+		return x.BatchMax
+	}
+	return defaultBatchMax
+}
+
+// WorkerSlots implements WindowSizer: the workers registered with the bound
+// engine right now (0 before Bind, or while external workers are yet to
+// attach).
+func (x *JETSExecutor) WorkerSlots() int {
+	if x.eng == nil {
+		return 0
+	}
+	return x.eng.WorkerTotal()
+}
 
 // OutputSink routes task output chunks into any registered stdout redirect
 // file, reproducing the application -> proxy -> mpiexec -> JETS -> file

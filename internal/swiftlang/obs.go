@@ -27,6 +27,16 @@ var (
 		"compiled statements parked on an unset future")
 	swiftResumed = obs.NewCounter("swift_statements_resumed_total",
 		"retries of a parked statement after the future it waited for was set")
+	// "Why is this loop not advancing?": iterations of any foreach that have
+	// been walked and still have work outstanding, loops whose walk is waiting
+	// for some of those to retire, and loops the flows-to analysis could not
+	// window (each execution walks all of its iterations at once).
+	swiftIterationsInflight = obs.NewGauge("swift_foreach_iterations_inflight",
+		"foreach iterations walked and not yet retired")
+	swiftLoopsParked = obs.NewGauge("swift_foreach_loops_parked",
+		"foreach loops whose walk is waiting for in-flight iterations to retire")
+	swiftUnbounded = obs.NewCounter("swift_foreach_unbounded_total",
+		"executions of a foreach the compiler could not prove safe to walk a window at a time")
 	compileNanos atomic.Int64
 )
 
@@ -38,7 +48,8 @@ var batchSizeBounds = []time.Duration{
 
 // RegisterMetrics exports the script layer's instrumentation through reg.
 func RegisterMetrics(reg *obs.Registry) {
-	reg.Register(swiftTasksSubmitted, swiftBatchSize, swiftRedirectDrops, swiftSuspended, swiftResumed)
+	reg.Register(swiftTasksSubmitted, swiftBatchSize, swiftRedirectDrops, swiftSuspended, swiftResumed,
+		swiftIterationsInflight, swiftLoopsParked, swiftUnbounded)
 	reg.GaugeFunc("swift_compile_seconds",
 		"wall time of the most recent script compilation", func() float64 {
 			return float64(compileNanos.Load()) / 1e9

@@ -87,8 +87,8 @@ func TestRedirectDescriptorsBoundedByRunningTasks(t *testing.T) {
 		}
 	}()
 
-	// No task finishes before the whole script has been walked, so the queue
-	// is n deep however fast this machine's workers are.
+	// No task finishes before the whole script has been walked — in one
+	// window, so the queue is n deep however fast this machine's workers are.
 	walked := newTraceSignal("pipeline")
 	runner := hydra.NewFuncRunner()
 	for _, cmd := range []string{"mkinput", "process", "combine"} {
@@ -115,6 +115,7 @@ func TestRedirectDescriptorsBoundedByRunningTasks(t *testing.T) {
 	}
 	defer os.Chdir(wd)
 	const n = 4000
+	setForeachHook(t, n, false)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	err = RunScript(ctx, src, Config{

@@ -21,7 +21,9 @@ import (
 
 // chainSrc is the dependent two-stage chain: cooked[i] reads raw[i], which is
 // still unset when the walk reaches the statement. The trailing trace runs
-// inline once the whole foreach has been walked.
+// inline once the root block has been walked — the foreach as far as its
+// window lets it, so tests that mean "n statements are parked" by it raise
+// the window to n.
 const chainSrc = `
 int n = toInt(arg("n", "4"));
 app (file o) mkinput (int i) { "mkinput" i @o; }
@@ -176,6 +178,7 @@ func awaitRun(t *testing.T, errc <-chan error) error {
 
 func TestSuspendedStatementsSpawnNoGoroutines(t *testing.T) {
 	const n = 20000
+	setForeachHook(t, n, false) // one window holds the whole loop: n statements park
 	ex := newHeldExecutor("mkinput")
 	out := newTraceSignal("walked")
 	base := runtime.NumGoroutine()
@@ -343,6 +346,7 @@ trace("walked");
 
 func TestCancelWithStatementsParked(t *testing.T) {
 	const n = 10000
+	setForeachHook(t, n, false) // one window holds the whole loop: n statements park
 	ex := newHeldExecutor("mkinput")
 	out := newTraceSignal("walked")
 	base := runtime.NumGoroutine()
@@ -432,12 +436,10 @@ func TestResumedStatementMaySubmit(t *testing.T) {
 	}
 }
 
-// TestSuspensionMetricsScrape reads the two series the way an operator would,
-// from the registry's exposition, mid-run and at exit.
-func TestSuspensionMetricsScrape(t *testing.T) {
-	reg := obs.NewRegistry()
-	RegisterMetrics(reg)
-	scrape := func(series string) int64 {
+// scraper returns a function that reads one series the way an operator
+// would: from the registry's Prometheus exposition.
+func scraper(t *testing.T, reg *obs.Registry) func(series string) int64 {
+	return func(series string) int64 {
 		t.Helper()
 		var b bytes.Buffer
 		if err := reg.WritePrometheus(&b); err != nil {
@@ -452,6 +454,14 @@ func TestSuspensionMetricsScrape(t *testing.T) {
 		t.Fatalf("series %s missing from:\n%s", series, b.String())
 		return 0
 	}
+}
+
+// TestSuspensionMetricsScrape reads the two series the way an operator would,
+// from the registry's exposition, mid-run and at exit.
+func TestSuspensionMetricsScrape(t *testing.T) {
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg)
+	scrape := scraper(t, reg)
 	const n = 50
 	susp0, res0 := scrape("swift_statements_suspended"), scrape("swift_statements_resumed_total")
 	ex := newHeldExecutor("mkinput")
