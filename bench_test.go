@@ -709,7 +709,13 @@ func BenchmarkFederatedThroughput(b *testing.B) {
 
 // BenchmarkMPIJobLaunch measures the full MPI job cycle through the real
 // stack: mpiexec start, proxy dispatch, PMI wire-up, barrier, teardown.
+// pmi-conns/job is what the control plane still pays per job in connections:
+// in steady state the ranks run on connections their workers kept, so it
+// tends to 0 (nproc connections once, over b.N jobs).
 func BenchmarkMPIJobLaunch(b *testing.B) {
+	reg := obs.NewRegistry()
+	pmi.RegisterMetrics(reg)
+	accepted := reg.Lookup("jets_pmi_connections_accepted_total").(*obs.Counter)
 	for _, nproc := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("nproc=%d", nproc), func(b *testing.B) {
 			runner := hydra.NewFuncRunner()
@@ -719,6 +725,7 @@ func BenchmarkMPIJobLaunch(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer eng.Close()
+			before := accepted.Value()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				h, err := eng.Submit(dispatch.Job{
@@ -733,6 +740,7 @@ func BenchmarkMPIJobLaunch(b *testing.B) {
 					b.Fatalf("job failed: %+v", res)
 				}
 			}
+			b.ReportMetric(float64(accepted.Value()-before)/float64(b.N), "pmi-conns/job")
 		})
 	}
 }
@@ -767,35 +775,23 @@ func BenchmarkMPICollectives(b *testing.B) {
 	})
 }
 
-// BenchmarkPMIWireUp measures the full PMI bootstrap (put, barrier, get all)
-// for an 8-rank job.
+// BenchmarkPMIWireUp measures the PMI side of an 8-rank job's MPI_Init and
+// exit (one fenced bootstrap per rank, get all, finalize) against the two
+// kinds of endpoint: a listener of the job's own, dialed by every rank and
+// closed with the job, and the shared endpoint, where a job is a registry
+// entry and its ranks run on connections kept from the job before.
 func BenchmarkPMIWireUp(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		srv, err := pmi.NewServer(fmt.Sprintf("kvs%d", i), 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		errs := make(chan error, 8)
-		for rank := 0; rank < 8; rank++ {
+	const ranks = 8
+	wireUp := func(b *testing.B, addr, kvs string) {
+		errs := make(chan error, ranks)
+		for rank := 0; rank < ranks; rank++ {
 			go func(rank int) {
-				c, err := pmi.Dial(addr, rank)
+				c, err := pmi.DialFence(addr, kvs, rank, fmt.Sprintf("addr-%d", rank), fmt.Sprintf("h%d", rank))
 				if err != nil {
 					errs <- err
 					return
 				}
-				if err := c.Put(fmt.Sprintf("addr-%d", rank), fmt.Sprintf("h%d", rank)); err != nil {
-					errs <- err
-					return
-				}
-				if err := c.Barrier(); err != nil {
-					errs <- err
-					return
-				}
-				for p := 0; p < 8; p++ {
+				for p := 0; p < ranks; p++ {
 					if _, err := c.Get(fmt.Sprintf("addr-%d", p)); err != nil {
 						errs <- err
 						return
@@ -804,13 +800,45 @@ func BenchmarkPMIWireUp(b *testing.B) {
 				errs <- c.Finalize()
 			}(rank)
 		}
-		for rank := 0; rank < 8; rank++ {
+		for rank := 0; rank < ranks; rank++ {
 			if err := <-errs; err != nil {
 				b.Fatal(err)
 			}
 		}
-		srv.Close()
 	}
+	b.Run("per-job-listener", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			srv, err := pmi.NewServer(fmt.Sprintf("kvs%d", i), ranks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			wireUp(b, addr, "")
+			srv.Close()
+		}
+	})
+	b.Run("shared-endpoint", func(b *testing.B) {
+		svc, err := pmi.NewService("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer svc.Close()
+		for i := 0; i < b.N; i++ {
+			kvs := fmt.Sprintf("kvs%d", i)
+			srv, err := pmi.NewServer(kvs, ranks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := svc.Attach(srv); err != nil {
+				b.Fatal(err)
+			}
+			wireUp(b, svc.Addr(), kvs)
+			srv.Close()
+		}
+	})
 }
 
 // BenchmarkProtoCodec measures wire-protocol framing cost — one Send plus

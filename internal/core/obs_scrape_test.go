@@ -156,3 +156,102 @@ func TestMetricsScrapeLiveEngine(t *testing.T) {
 		t.Error("/debug/pprof/goroutine not serving")
 	}
 }
+
+// TestPMIEndpointScrape runs 200 MPI jobs on 8 local workers and reads the
+// control plane's cost off /metrics: one session per rank, and no more
+// connections than workers (plus any redial), however many jobs ran.
+func TestPMIEndpointScrape(t *testing.T) {
+	const workers, jobs = 8, 200
+	reg := obs.NewRegistry()
+	runner := hydra.NewFuncRunner()
+	runner.Register("mpi-app", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
+		comm, err := mpi.InitEnvFrom(env)
+		if err != nil {
+			return 1
+		}
+		defer comm.Close()
+		if err := comm.Barrier(); err != nil {
+			return 2
+		}
+		return 0
+	})
+	eng, err := NewEngine(Options{LocalWorkers: workers, Runner: runner, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := obs.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	before := scrape(t, srv.Addr(), "/metrics")
+
+	batch := make([]dispatch.Job, jobs)
+	ranks := 0
+	for i := range batch {
+		n := []int{2, 4, 8}[i%3]
+		ranks += n
+		batch[i] = dispatch.Job{Spec: hydra.JobSpec{JobID: fmt.Sprintf("g%d", i), NProcs: n, Cmd: "mpi-app"}, Type: dispatch.MPI}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	rep, err := eng.RunBatch(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() != 0 {
+		t.Fatalf("%d of %d jobs failed", rep.Failed(), jobs)
+	}
+
+	body := scrape(t, srv.Addr(), "/metrics")
+	grew := func(name string) float64 { return metricValue(t, body, name) - metricValue(t, before, name) }
+	if got := grew("jets_pmi_sessions_total"); got != float64(ranks) {
+		t.Errorf("jets_pmi_sessions_total grew by %g, want one per rank = %d", got, ranks)
+	}
+	if got := grew("jets_pmi_wireup_seconds_count"); got != jobs {
+		t.Errorf("jets_pmi_wireup_seconds observed %g wire-ups for %d jobs", got, jobs)
+	}
+	accepted, redials := grew("jets_pmi_connections_accepted_total"), grew("jets_pmi_stale_redials_total")
+	if accepted > workers+redials {
+		t.Errorf("jets_pmi_connections_accepted_total grew by %g for %d jobs: want at most %d workers + %g redials",
+			accepted, jobs, workers, redials)
+	}
+	if open := metricValue(t, body, "jets_pmi_connections_open"); open < 1 {
+		t.Errorf("jets_pmi_connections_open = %g with kept connections idle", open)
+	}
+	if !strings.Contains(body, "# TYPE jets_pmi_connections_open gauge") {
+		t.Error("jets_pmi_connections_open is not exported as a gauge")
+	}
+}
+
+// TestMPIJobThatNeverSpeaksPMI: ranks that are plain executables (the
+// benchmark's set-up job, `MPI: 2 /bin/sleep 0.05`) get a KVS at the control
+// endpoint and never open a session in it. The job completes and leaves
+// nothing behind.
+func TestMPIJobThatNeverSpeaksPMI(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng, err := NewEngine(Options{LocalWorkers: 2, Runner: hydra.ExecRunner{}, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sessions := reg.Lookup("jets_pmi_sessions_total").(*obs.Counter)
+	starts := reg.Lookup("jets_mpiexec_starts_total").(*obs.Counter)
+	s0, m0 := sessions.Value(), starts.Value()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rep, err := eng.RunFile(ctx, strings.NewReader("MPI: 2 /bin/sleep 0.05\nMPI: 2 /bin/sleep 0.05\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() != 0 {
+		t.Skipf("no /bin/sleep here? %+v", rep.Results)
+	}
+	if got := starts.Value() - m0; got != 2 {
+		t.Errorf("%d mpiexec starts, want 2", got)
+	}
+	if got := sessions.Value() - s0; got != 0 {
+		t.Errorf("%d PMI sessions for ranks that never spoke PMI", got)
+	}
+}

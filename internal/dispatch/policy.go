@@ -28,38 +28,66 @@ type QueuePolicy interface {
 // production policy — MPTC workloads are typically uniform, so the
 // simplicity buys dispatch speed.
 type FIFOQueue struct {
+	// jobs[head:] is the queue, oldest first; jobs[:head] are popped slots,
+	// nil so that a popped job is not kept alive, and room for Requeue.
 	jobs []*Job
+	head int
 }
 
 // NewFIFOQueue returns an empty FIFO queue.
 func NewFIFOQueue() *FIFOQueue { return &FIFOQueue{} }
 
-// Push implements QueuePolicy.
-func (q *FIFOQueue) Push(j *Job) { q.jobs = append(q.jobs, j) }
+// Push implements QueuePolicy. When the array is full and at least half of it
+// is popped slots, the queue moves down over them instead of growing, so the
+// array stays within a constant factor of the queue and every copy is paid for
+// by as many pops.
+func (q *FIFOQueue) Push(j *Job) {
+	if len(q.jobs) == cap(q.jobs) && q.head > 0 && q.head >= len(q.jobs)/2 {
+		n := copy(q.jobs, q.jobs[q.head:])
+		clear(q.jobs[n:])
+		q.jobs, q.head = q.jobs[:n], 0
+	}
+	q.jobs = append(q.jobs, j)
+}
 
-// Requeue implements QueuePolicy.
-func (q *FIFOQueue) Requeue(j *Job) { q.jobs = append([]*Job{j}, q.jobs...) }
+// Requeue implements QueuePolicy. The slot in front of the head is free
+// whenever a job was popped since Push last moved the queue, so a retry storm
+// into a deep queue costs a store per job, not a copy of the queue per job;
+// without one, the copy opens room for the next quarter-queue of retries.
+func (q *FIFOQueue) Requeue(j *Job) {
+	if q.head == 0 {
+		room := len(q.jobs)/4 + 16
+		moved := make([]*Job, room+len(q.jobs), room+2*len(q.jobs))
+		copy(moved[room:], q.jobs)
+		q.jobs, q.head = moved, room
+	}
+	q.head--
+	q.jobs[q.head] = j
+}
 
 // Next implements QueuePolicy.
 func (q *FIFOQueue) Next(idle int) *Job {
-	if len(q.jobs) == 0 || q.jobs[0].Procs() > idle {
+	if q.head == len(q.jobs) || q.jobs[q.head].Procs() > idle {
 		return nil
 	}
-	j := q.jobs[0]
-	q.jobs = q.jobs[1:]
+	j := q.jobs[q.head]
+	q.jobs[q.head] = nil
+	if q.head++; q.head == len(q.jobs) {
+		q.jobs, q.head = q.jobs[:0], 0
+	}
 	return j
 }
 
 // Peek implements QueuePolicy.
 func (q *FIFOQueue) Peek() *Job {
-	if len(q.jobs) == 0 {
+	if q.head == len(q.jobs) {
 		return nil
 	}
-	return q.jobs[0]
+	return q.jobs[q.head]
 }
 
 // Len implements QueuePolicy.
-func (q *FIFOQueue) Len() int { return len(q.jobs) }
+func (q *FIFOQueue) Len() int { return len(q.jobs) - q.head }
 
 // ---------------------------------------------------------------------------
 

@@ -7,10 +7,11 @@
 //
 // Here, MPIExec is the background mpiexec process: starting one yields a
 // set of per-rank proxy task specifications (ProxyTasks) that the JETS
-// dispatcher sends to workers. Each worker executes the proxy (RunProxy in
-// proxy.go), which dials back to the MPIExec control endpoint, sets up the
-// PMI environment, and launches the user process. MPIExec observes job
-// completion through PMI finalization.
+// dispatcher sends to workers. Every MPIExec of the process is served at one
+// control endpoint (a pmi.Service), which tells their ranks apart by KVS
+// name. Each worker executes the proxy (RunProxy in proxy.go), which dials
+// back to the control endpoint, sets up the PMI environment, and launches the
+// user process. MPIExec observes job completion through PMI finalization.
 package hydra
 
 import (
@@ -81,9 +82,31 @@ type MPIExec struct {
 	err     error
 }
 
+// control is the process's PMI endpoint: one listener on a loopback ephemeral
+// port, started by the first MPI job and shared by every job after it, so a
+// job costs a registry entry, not a listen and a close, and a rank process
+// can keep its connection from one job to the next.
+var control struct {
+	sync.Mutex
+	svc *pmi.Service
+}
+
+func controlService() (*pmi.Service, error) {
+	control.Lock()
+	defer control.Unlock()
+	if control.svc == nil {
+		svc, err := pmi.NewService("127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		control.svc = svc
+	}
+	return control.svc, nil
+}
+
 // StartMPIExec launches the mpiexec network services for the job: a PMI
-// server bound to a loopback ephemeral port. It corresponds to JETS forking
-// `mpiexec -launcher manual` in the background.
+// server under a fresh KVS name at the process's control endpoint. It
+// corresponds to JETS forking `mpiexec -launcher manual` in the background.
 func StartMPIExec(spec JobSpec) (*MPIExec, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -93,12 +116,15 @@ func StartMPIExec(spec JobSpec) (*MPIExec, error) {
 	if err != nil {
 		return nil, err
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
+	svc, err := controlService()
 	if err != nil {
 		return nil, err
 	}
+	if err := svc.Attach(srv); err != nil {
+		return nil, err
+	}
 	startsTotal.Inc()
-	return &MPIExec{Spec: spec, kvsName: kvs, addr: addr, srv: srv}, nil
+	return &MPIExec{Spec: spec, kvsName: kvs, addr: svc.Addr(), srv: srv}, nil
 }
 
 func sanitizeToken(s string) string {
@@ -177,8 +203,8 @@ func (m *MPIExec) OnWired(fn func()) { m.srv.OnWired(fn) }
 // Done exposes the PMI completion channel.
 func (m *MPIExec) Done() <-chan struct{} { return m.srv.Done() }
 
-// Abort tears down the mpiexec network services; user processes blocked in
-// PMI operations fail promptly. It is called when a worker running one of
+// Abort ends the job at the control endpoint; user processes blocked in PMI
+// operations fail promptly. It is called when a worker running one of
 // the job's proxies dies.
 func (m *MPIExec) Abort() { m.AbortErr(fmt.Errorf("hydra: job %s aborted", m.Spec.JobID)) }
 
@@ -203,5 +229,6 @@ func (m *MPIExec) Aborted() bool {
 	return m.aborted
 }
 
-// Close releases mpiexec resources after the job completes.
+// Close takes the job off the control endpoint after it completes. Ranks
+// keep their connections to the endpoint.
 func (m *MPIExec) Close() error { return m.srv.Close() }

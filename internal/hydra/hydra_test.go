@@ -85,6 +85,72 @@ func TestKVSNamesUnique(t *testing.T) {
 	}
 }
 
+// TestOneControlEndpoint: every mpiexec of the process answers at the same
+// address, and starting or closing one neither listens nor disturbs another.
+// Two jobs run their ranks at that address concurrently and each wires up
+// only with its own.
+func TestOneControlEndpoint(t *testing.T) {
+	runner := NewFuncRunner()
+	runner.Register("sum", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
+		comm, err := mpi.InitEnvFrom(env)
+		if err != nil {
+			fmt.Fprintf(stdout, "init error: %v\n", err)
+			return 1
+		}
+		defer comm.Close()
+		out, err := comm.AllreduceInt64(mpi.OpSum, []int64{1})
+		if err != nil || out[0] != int64(comm.Size()) {
+			fmt.Fprintf(stdout, "allreduce got %v err %v\n", out, err)
+			return 1
+		}
+		return 0
+	})
+	sizes := []int{3, 5}
+	var execs []*MPIExec
+	for i, n := range sizes {
+		m, err := StartMPIExec(JobSpec{JobID: fmt.Sprintf("shared-%d", i), NProcs: n, Cmd: "sum"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		execs = append(execs, m)
+	}
+	if execs[0].ControlAddr() != execs[1].ControlAddr() {
+		t.Fatalf("control endpoints %s and %s: want one per process", execs[0].ControlAddr(), execs[1].ControlAddr())
+	}
+	// A job that comes and goes in between takes nothing with it.
+	gone, err := StartMPIExec(JobSpec{JobID: "gone", NProcs: 2, Cmd: "sum"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Close()
+
+	var wg sync.WaitGroup
+	for _, m := range execs {
+		for _, task := range m.ProxyTasks() {
+			wg.Add(1)
+			go func(task proto.Task) {
+				defer wg.Done()
+				var out bytes.Buffer
+				if res := RunProxy(context.Background(), &task, runner, &out); res.ExitCode != 0 {
+					t.Errorf("%s: exit=%d err=%q out=%q", task.TaskID, res.ExitCode, res.Err, out.String())
+				}
+			}(task)
+		}
+	}
+	wg.Wait()
+	for _, m := range execs {
+		if err := m.Wait(5 * time.Second); err != nil {
+			t.Errorf("%s: %v", m.Spec.JobID, err)
+		}
+	}
+	// A rank of a closed job is turned away at the shared address.
+	task := gone.ProxyTasks()[0]
+	if res := RunProxy(context.Background(), &task, runner, io.Discard); res.ExitCode == 0 {
+		t.Error("a rank of a closed job wired up")
+	}
+}
+
 // TestFullMPIJobThroughProxies is the core integration test of the JETS
 // launch mechanism: start mpiexec, run each proxy concurrently (as workers
 // would), have the user app wire up with internal/mpi and do real

@@ -197,6 +197,7 @@ func InitEnv() (*Comm, error) {
 	return InitEnvFrom(map[string]string{
 		pmi.EnvPort: os.Getenv(pmi.EnvPort),
 		pmi.EnvRank: os.Getenv(pmi.EnvRank),
+		pmi.EnvKVS:  os.Getenv(pmi.EnvKVS),
 	})
 }
 
@@ -212,16 +213,17 @@ func InitEnvFrom(env map[string]string) (*Comm, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpi: bad %s: %v", pmi.EnvRank, err)
 	}
-	return Init(addr, rank)
+	return Init(addr, env[pmi.EnvKVS], rank)
 }
 
 // Init wires up a TCP-transport communicator for the given rank through the
-// PMI server at addr: one exchange that publishes this rank's address and
-// learns every peer's, then lazy connect. It is the programmatic form of
-// InitEnv.
-func Init(addr string, rank int) (*Comm, error) {
+// PMI endpoint at addr: one exchange that publishes this rank's address and
+// learns every peer's, then lazy connect. kvsName names the job at an
+// endpoint shared by many and is empty for a job's private one
+// (pmi.DialFence). It is the programmatic form of InitEnv.
+func Init(addr, kvsName string, rank int) (*Comm, error) {
 	q := newMatchQueue()
-	tr, err := newTCPTransport(addr, rank, q)
+	tr, err := newTCPTransport(addr, kvsName, rank, q)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +297,7 @@ func RunTCP(n int, fn func(c *Comm) error) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			comm, err := Init(addr, rank)
+			comm, err := Init(addr, "", rank)
 			if err != nil {
 				errs[rank] = err
 				return

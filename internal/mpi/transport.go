@@ -174,12 +174,12 @@ func pmiAddrKey(rank int) string { return "mpiaddr-" + strconv.Itoa(rank) }
 // newTCPTransport performs the socket wire-up for one rank: listen, then one
 // PMI exchange that publishes the address and returns once every rank's
 // address is known.
-func newTCPTransport(pmiAddr string, rank int, q *matchQueue) (*tcpTransport, error) {
+func newTCPTransport(pmiAddr, kvsName string, rank int, q *matchQueue) (*tcpTransport, error) {
 	ln, err := listenConfig.Listen(context.Background(), "tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("mpi: listen: %w", err)
 	}
-	pc, err := pmi.DialFence(pmiAddr, rank, pmiAddrKey(rank), ln.Addr().String())
+	pc, err := pmi.DialFence(pmiAddr, kvsName, rank, pmiAddrKey(rank), ln.Addr().String())
 	if err != nil {
 		ln.Close()
 		return nil, err

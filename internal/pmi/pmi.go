@@ -5,23 +5,27 @@
 // (internal/hydra) and the client side in our MPI library (internal/mpi).
 //
 // The wire format follows PMI-1: newline-terminated records of
-// space-separated key=value pairs, beginning with cmd=<name>. One server
-// instance serves exactly one job (one key-value space, one barrier group),
-// mirroring the one-mpiexec-per-job structure of JETS.
+// space-separated key=value pairs, beginning with cmd=<name>. A Server is one
+// job (one key-value space, one barrier group), mirroring the
+// one-mpiexec-per-job structure of JETS; a Service is the endpoint, one
+// listener that serves every job attached to it and outlives them all.
 //
-// Three departures from PMI-1 keep a rank's bootstrap to one exchange
-// (DESIGN.md, "Gang-launch fast path"): a pipelined batch of requests is
-// answered with one write; barrier_out carries the fence, every key=value put
-// since the previous release, which clients cache; and finalize is one-way.
+// Four departures from PMI-1 keep a rank's bootstrap to one exchange on a
+// connection it may already hold (DESIGN.md, "Gang-launch fast path"): a
+// pipelined batch of requests is answered with one write; barrier_out carries
+// the fence, every key=value put since the previous release, which clients
+// cache; finalize is one-way; and a connection carries a sequence of
+// sessions, each opened by an init that names its job, so a process keeps the
+// connection it finalized on for its next job.
 package pmi
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,18 +34,28 @@ import (
 	"jets/internal/obs"
 )
 
-// Package-level instrumentation, shared by every PMI server in the process
-// (one per in-flight MPI job). The histograms work detached; RegisterMetrics
-// exports them through a registry.
+// Package-level instrumentation, shared by every PMI endpoint, job and client
+// in the process. It works detached; RegisterMetrics exports it through a
+// registry.
 var (
 	wireupHist = obs.NewHist("jets_pmi_wireup_seconds",
-		"time from PMI listen to all ranks connected (MPI_Init wire-up)", nil)
+		"time from a job's attach to its endpoint to its last rank's init (MPI_Init wire-up)", nil)
 	barrierHist = obs.NewHist("jets_pmi_barrier_seconds",
 		"PMI barrier span from first barrier_in to the release broadcast", nil)
+	connsAccepted = obs.NewCounter("jets_pmi_connections_accepted_total",
+		"connections accepted by PMI endpoints")
+	connsOpen = obs.NewGauge("jets_pmi_connections_open",
+		"connections open at PMI endpoints, idle between jobs or in a session")
+	sessionsTotal = obs.NewCounter("jets_pmi_sessions_total",
+		"PMI sessions opened (one per rank that initialised in a job)")
+	staleRedials = obs.NewCounter("jets_pmi_stale_redials_total",
+		"bootstraps that found their kept connection cut and ran again on a fresh dial")
 )
 
 // RegisterMetrics exports this package's PMI instrumentation.
-func RegisterMetrics(reg *obs.Registry) { reg.Register(wireupHist, barrierHist) }
+func RegisterMetrics(reg *obs.Registry) {
+	reg.Register(wireupHist, barrierHist, connsAccepted, connsOpen, sessionsTotal, staleRedials)
+}
 
 // Environment variable names used to bootstrap a PMI client, following the
 // PMI_RANK convention the paper exposes to wrapper scripts (§5.2).
@@ -59,8 +73,8 @@ var ErrKeyNotFound = errors.New("pmi: key not found")
 // ErrClosed is returned on operations after Finalize or server shutdown.
 var ErrClosed = errors.New("pmi: connection closed")
 
-// Job connections live for milliseconds; enabling keep-alive would only add
-// setsockopt calls to every dial and accept.
+// These are loopback control connections whose both ends notice a dead peer
+// at once; keep-alive would only add setsockopt calls to every dial and accept.
 var (
 	listenConfig = net.ListenConfig{KeepAlive: -1}
 	dialer       = net.Dialer{Timeout: 10 * time.Second, KeepAlive: -1}
@@ -151,54 +165,35 @@ func validToken(s string) bool {
 // ---------------------------------------------------------------------------
 // Server
 
-// Server is the process-manager side of PMI for a single job.
+// Server is the process-manager side of PMI for a single job: one key-value
+// space and one barrier group. It owns no socket; its ranks reach it through
+// the Service it is attached to.
 type Server struct {
 	kvsName string
 	size    int
 
-	ln net.Listener
-
 	mu           sync.Mutex
+	svc          *Service // the endpoint this job is attached to
+	attachAt     time.Time
 	kvs          map[string]string
 	fence        []string // keys and values put since the last barrier release
 	barrierN     int
 	barrierStart time.Time
-	conns        map[int]*serverConn // by rank
+	ranks        []rankState
+	inited       int // distinct ranks that have initialised
 	finalized    int
 	closed       bool
-	listenAt     time.Time
-	wired        bool   // every rank has connected at least once
-	onWired      func() // fired once, outside mu, when wired flips
+	onWired      func() // fired once, outside mu, when the last rank initialises
 
 	doneCh chan struct{} // closed when all ranks finalize
 	once   sync.Once
 }
 
-// serverConn is one rank's connection. Replies collect in out and leave in
-// one write: when the connection's pipelined input is drained, or, for a rank
-// waiting in a barrier, together with the release.
-type serverConn struct {
-	rank int
-	conn net.Conn
-	wmu  sync.Mutex
-	out  []byte
-}
-
-func (sc *serverConn) reply(cmd string, kv ...string) {
-	sc.wmu.Lock()
-	sc.out = appendRecord(sc.out, cmd, kv...)
-	sc.wmu.Unlock()
-}
-
-// flush writes the collected replies plus line. A write error is left for the
-// connection's reader to find.
-func (sc *serverConn) flush(line []byte) {
-	sc.wmu.Lock()
-	if sc.out = append(sc.out, line...); len(sc.out) > 0 {
-		sc.conn.Write(sc.out)
-		sc.out = sc.out[:0]
-	}
-	sc.wmu.Unlock()
+// rankState is what a job remembers of one rank: whether it has initialised
+// (a rank does so once per job) and the connection its session is on now.
+type rankState struct {
+	inited bool
+	sess   *serverConn
 }
 
 // NewServer creates a PMI server for a job of the given size. kvsName must
@@ -214,74 +209,89 @@ func NewServer(kvsName string, size int) (*Server, error) {
 		kvsName: kvsName,
 		size:    size,
 		kvs:     make(map[string]string),
-		conns:   make(map[int]*serverConn),
+		ranks:   make([]rankState, size),
 		doneCh:  make(chan struct{}),
 	}, nil
 }
 
-// Listen binds the server to addr (use "127.0.0.1:0" for an ephemeral port)
-// and starts accepting clients. It returns the bound address.
+// Listen gives the job an endpoint of its own: a Service on addr (use
+// "127.0.0.1:0" for an ephemeral port) that serves only this job, so a rank
+// may leave kvsname out of its init, and that Close shuts with the job. It
+// returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
-	ln, err := listenConfig.Listen(context.Background(), "tcp", addr)
+	sv, err := newService(addr, s)
 	if err != nil {
 		return "", err
 	}
-	s.ln = ln
+	return sv.addr, nil
+}
+
+// join opens rank's session on sc. It returns the reason when the job refuses.
+func (s *Server) join(sc *serverConn, rank int) (refused string) {
 	s.mu.Lock()
-	s.listenAt = time.Now()
-	s.mu.Unlock()
-	go s.acceptLoop()
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		go s.serveConn(conn)
+	switch {
+	case s.closed:
+		refused = "job_closed"
+	case rank < 0 || rank >= s.size:
+		refused = "bad_pmiid"
+	case s.ranks[rank].inited:
+		// Also what makes a client's redial safe: a rank the job has already
+		// counted cannot be counted again.
+		refused = "rank_already_initialised"
 	}
-}
-
-// serveConn handles one client connection until EOF or finalize.
-func (s *Server) serveConn(conn net.Conn) {
-	sc := &serverConn{rank: -1, conn: conn}
-	r := bufio.NewReaderSize(conn, 512) // a rank's requests are short
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		if sc.rank >= 0 && s.conns[sc.rank] == sc {
-			delete(s.conns, sc.rank)
-		}
+	if refused != "" {
 		s.mu.Unlock()
-	}()
-	var rec record
-	for {
-		line, err := readLine(r)
-		if err != nil {
-			return
-		}
-		if err := rec.parse(line); err != nil {
-			sc.reply("error", "msg", strings.ReplaceAll(err.Error(), " ", "_"))
-			sc.flush(nil)
-			return
-		}
-		done, held := s.dispatch(sc, &rec)
-		if done {
-			sc.flush(nil)
-			return
-		}
-		if r.Buffered() == 0 && !held {
-			sc.flush(nil)
-		}
+		return refused
+	}
+	s.ranks[rank] = rankState{inited: true, sess: sc}
+	sc.job, sc.rank = s, rank
+	s.inited++
+	var fire func()
+	if s.inited == s.size { // once: a rank is counted once
+		wireupHist.Observe(time.Since(s.attachAt))
+		fire = s.onWired
+	}
+	s.mu.Unlock()
+	sessionsTotal.Inc()
+	sc.reply("response_to_init", "rc", "0", "size", strconv.Itoa(s.size),
+		"rank", strconv.Itoa(rank), "kvsname", s.kvsName)
+	if fire != nil {
+		fire()
+	}
+	return ""
+}
+
+// leave ends sc's session with the job; finalized says the rank ended it
+// itself, which counts towards Done.
+func (s *Server) leave(sc *serverConn, finalized bool) {
+	s.mu.Lock()
+	if s.ranks[sc.rank].sess == sc {
+		s.ranks[sc.rank].sess = nil
+	}
+	sc.held = false
+	all := false
+	if finalized {
+		s.finalized++
+		all = s.finalized >= s.size
+	}
+	s.mu.Unlock()
+	sc.job = nil
+	if all {
+		s.once.Do(func() { close(s.doneCh) })
 	}
 }
 
-// dispatch serves one request. done ends the connection; held means the rank
-// now waits in a barrier, whose release will carry the replies collected so
-// far.
-func (s *Server) dispatch(sc *serverConn, rec *record) (done, held bool) {
+// dispatch serves one request of sc's session. drop ends the connection; held
+// means the rank now waits in a barrier, whose release will carry the replies
+// collected so far.
+func (s *Server) dispatch(sc *serverConn, rec *record) (drop, held bool) {
+	if string(rec.cmd) == "finalize" {
+		// Served even after Close: a rank's one-way finalize routinely races
+		// the teardown that follows the job's last result, and the connection
+		// it arrives on is healthy.
+		s.leave(sc, true)
+		return false, false
+	}
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -292,27 +302,6 @@ func (s *Server) dispatch(sc *serverConn, rec *record) (done, held bool) {
 		return true, false
 	}
 	switch string(rec.cmd) {
-	case "init":
-		rank, err := strconv.Atoi(string(rec.get("pmiid")))
-		if err != nil || rank < 0 || rank >= s.size {
-			sc.reply("response_to_init", "rc", "-1", "msg", "bad_pmiid")
-			return true, false
-		}
-		sc.rank = rank
-		s.mu.Lock()
-		s.conns[rank] = sc
-		var fire func()
-		if !s.wired && len(s.conns) == s.size {
-			s.wired = true
-			wireupHist.Observe(time.Since(s.listenAt))
-			fire = s.onWired
-		}
-		s.mu.Unlock()
-		sc.reply("response_to_init", "rc", "0", "size", strconv.Itoa(s.size),
-			"rank", strconv.Itoa(rank), "kvsname", s.kvsName)
-		if fire != nil {
-			fire()
-		}
 	case "get_maxes":
 		sc.reply("maxes", "kvsname_max", "256", "keylen_max", "256", "vallen_max", "1024")
 	case "get_appnum":
@@ -341,17 +330,7 @@ func (s *Server) dispatch(sc *serverConn, rec *record) (done, held bool) {
 		}
 		sc.reply("get_result", "rc", "0", "value", v)
 	case "barrier_in":
-		s.barrierIn()
-		return false, true
-	case "finalize":
-		s.mu.Lock()
-		s.finalized++
-		all := s.finalized >= s.size
-		s.mu.Unlock()
-		if all {
-			s.once.Do(func() { close(s.doneCh) })
-		}
-		return true, false
+		return s.barrierIn(sc)
 	default:
 		sc.reply("error", "msg", "unknown_command_"+string(rec.cmd))
 	}
@@ -359,37 +338,48 @@ func (s *Server) dispatch(sc *serverConn, rec *record) (done, held bool) {
 }
 
 // ownKVS reports whether the request addresses this job's key-value space,
-// the only one a server holds; a put pipelined behind init cannot name it yet
-// and leaves kvsname out.
+// the only one a session may touch; a put pipelined behind init cannot name
+// it yet and leaves kvsname out.
 func (s *Server) ownKVS(rec *record) bool {
 	name := rec.get("kvsname")
 	return name == nil || string(name) == s.kvsName
 }
 
-// barrierIn counts one rank into the barrier; the last one releases every
+// barrierIn counts sc's rank into the barrier; the last one releases every
 // rank with a barrier_out that lists the fence.
-func (s *Server) barrierIn() {
+func (s *Server) barrierIn(sc *serverConn) (drop, held bool) {
 	s.mu.Lock()
+	if s.closed {
+		// Close landed after dispatch looked: a rank counted now would wait
+		// for a release nobody is left to cut it out of.
+		s.mu.Unlock()
+		return true, false
+	}
 	if s.barrierN == 0 {
 		s.barrierStart = time.Now()
 	}
 	s.barrierN++
 	if s.barrierN < s.size {
+		sc.held = true
 		s.mu.Unlock()
-		return
+		return false, true
 	}
 	s.barrierN = 0
 	barrierHist.Observe(time.Since(s.barrierStart))
 	release := appendRecord(nil, "barrier_out", s.fence...)
 	s.fence = s.fence[:0]
-	conns := make([]*serverConn, 0, len(s.conns))
-	for _, c := range s.conns {
-		conns = append(conns, c)
+	conns := make([]*serverConn, 0, s.size)
+	for i := range s.ranks {
+		if c := s.ranks[i].sess; c != nil {
+			c.held = false
+			conns = append(conns, c)
+		}
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
 		c.flush(release)
 	}
+	return false, true
 }
 
 // Done returns a channel closed once every rank has finalized.
@@ -411,12 +401,12 @@ func (s *Server) Wait(timeout time.Duration) error {
 	}
 }
 
-// OnWired registers fn to run once every rank has connected (the MPI_Init
+// OnWired registers fn to run once every rank has initialised (the MPI_Init
 // wire-up point). If the server is already wired, fn runs immediately. The
 // callback executes outside the server lock.
 func (s *Server) OnWired(fn func()) {
 	s.mu.Lock()
-	if s.wired {
+	if s.inited == s.size {
 		s.mu.Unlock()
 		if fn != nil {
 			fn()
@@ -435,7 +425,12 @@ func (s *Server) KVSLen() int {
 	return len(s.kvs)
 }
 
-// Close shuts the listener and all client connections.
+// Close ends the job: it leaves its Service, and the connections of ranks
+// waiting in a barrier, which can no longer release, are cut so the ranks
+// fail instead of hanging. Any other rank's connection is left alone, being
+// the client's to keep: its finalize is still served, and any other request
+// from it drops the connection. A private endpoint (Listen) closes with the
+// job, connections and all.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -443,16 +438,23 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	conns := make([]*serverConn, 0, len(s.conns))
-	for _, c := range s.conns {
-		conns = append(conns, c)
+	var cut []*serverConn
+	for i := range s.ranks {
+		if c := s.ranks[i].sess; c != nil && c.held {
+			cut = append(cut, c)
+		}
 	}
+	svc := s.svc
 	s.mu.Unlock()
-	for _, c := range conns {
+	for _, c := range cut {
 		c.conn.Close()
 	}
-	if s.ln != nil {
-		return s.ln.Close()
+	switch {
+	case svc == nil:
+	case svc.only == s:
+		return svc.Close()
+	default:
+		svc.detach(s)
 	}
 	return nil
 }
@@ -463,32 +465,42 @@ func (s *Server) Close() error {
 // Client is the MPI-process side of PMI. Its methods may be called from
 // several goroutines; each call holds the connection for its whole exchange.
 type Client struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	r      *bufio.Reader
-	out    []byte // requests not yet written
-	rec    record
-	cache  map[string]string // keys delivered by barrier releases
-	closed bool
+	mu       sync.Mutex
+	conn     net.Conn
+	r        *bufio.Reader
+	out      []byte // requests not yet written
+	rec      record
+	cache    map[string]string // keys delivered by barrier releases
+	closed   bool
+	answered bool   // the server has replied to something on this connection
+	keep     string // the shared endpoint's address; empty on a private one
 
 	rank    int
 	size    int
 	kvsName string
 }
 
-// Dial connects to a PMI server and performs the init handshake for the
-// given rank.
-func Dial(addr string, rank int) (*Client, error) { return dial(addr, rank, (*Client).awaitInit) }
+// Dial connects to a job's private PMI endpoint (Server.Listen) and performs
+// the init handshake for the given rank.
+func Dial(addr string, rank int) (*Client, error) {
+	return open(addr, "", rank, (*Client).awaitInit)
+}
 
-// DialFence is Dial, Put(key, value) and Barrier in one exchange: the three
+// DialFence is init, Put(key, value) and Barrier in one exchange: the three
 // requests leave in a single write, and the call returns when the barrier
 // releases, with every key put before it (the fence) already cached for Get.
 // It is the whole PMI side of a rank's MPI_Init.
-func DialFence(addr string, rank int, key, value string) (*Client, error) {
+//
+// A non-empty kvsName names the job at an endpoint shared by many (a Service,
+// PMI_KVSNAME in the rank's environment). The exchange then runs on a
+// connection this process kept from an earlier job there, if it has one, and
+// Finalize keeps the connection for the next. With an empty kvsName the
+// endpoint is the job's own, dialed now and closed by Finalize.
+func DialFence(addr, kvsName string, rank int, key, value string) (*Client, error) {
 	if !validToken(key) || !validToken(value) {
 		return nil, fmt.Errorf("pmi: invalid token in put %q=%q", key, value)
 	}
-	return dial(addr, rank, func(c *Client) error {
+	return open(addr, kvsName, rank, func(c *Client) error {
 		c.out = appendRecord(c.out, "put", "key", key, "value", value)
 		c.out = appendRecord(c.out, "barrier_in")
 		if err := c.awaitInit(); err != nil {
@@ -501,20 +513,101 @@ func DialFence(addr string, rank int, key, value string) (*Client, error) {
 	})
 }
 
-// dial connects, queues the init request and runs the rest of the bootstrap.
-func dial(addr string, rank int, bootstrap func(*Client) error) (*Client, error) {
-	conn, err := dialer.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
+// open queues the init request on a connection to addr and runs the rest of
+// the bootstrap: on a kept connection first, when the endpoint is shared and
+// there is one, else on a fresh dial.
+//
+// A kept connection the server has cut since it was parked fails its first
+// exchange without a reply; only then is the bootstrap run again, once, on a
+// fresh dial. No reply does not mean the server saw nothing: replies to the
+// pipelined requests are held until the barrier releases, so the rank may
+// already be counted. The second init is safe because the server refuses a
+// rank it has counted; the job then fails rather than release a barrier on a
+// rank counted twice.
+func open(addr, kvsName string, rank int, bootstrap func(*Client) error) (*Client, error) {
+	var k keptConn
+	kept := false
+	if kvsName != "" {
+		k, kept = takeIdle(addr)
 	}
-	// 1 KiB holds a fence of ~30 ranks' addresses; readLine takes longer ones.
-	c := &Client{conn: conn, r: bufio.NewReaderSize(conn, 1<<10), rank: rank}
-	c.out = appendRecord(c.out, "init", "pmiid", strconv.Itoa(rank))
-	if err := bootstrap(c); err != nil {
-		conn.Close()
-		return nil, err
+	for {
+		if !kept {
+			conn, err := dialer.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			// 1 KiB holds a fence of ~30 ranks' addresses; readLine takes
+			// longer ones.
+			k = keptConn{conn: conn, r: bufio.NewReaderSize(conn, 1<<10)}
+		}
+		c := &Client{conn: k.conn, r: k.r, rank: rank}
+		if kvsName == "" {
+			c.out = appendRecord(c.out, "init", "pmiid", strconv.Itoa(rank))
+		} else {
+			c.keep = addr
+			c.out = appendRecord(c.out, "init", "pmiid", strconv.Itoa(rank), "kvsname", kvsName)
+		}
+		err := bootstrap(c)
+		if err == nil {
+			return c, nil
+		}
+		k.conn.Close()
+		if !kept || c.answered {
+			return nil, err
+		}
+		staleRedials.Inc()
+		kept = false
 	}
-	return c, nil
+}
+
+// keptConn is a connection between jobs, with its reader (empty: a connection
+// is parked only when nothing is buffered).
+type keptConn struct {
+	addr string
+	conn net.Conn
+	r    *bufio.Reader
+}
+
+// idle holds the connections to shared endpoints this process has finalized
+// on and not closed, newest last. A forked rank's list is empty when it
+// starts and dies with it; a process that runs rank after rank (in-process
+// workers) settles at about one connection per worker. maxIdle is a constant
+// because it is a leak guard, not a tuning knob: the live part of the list
+// cannot outgrow the number of ranks the process runs at once, and what the
+// cap evicts is the oldest entry, which is closed.
+var idle struct {
+	sync.Mutex
+	conns []keptConn
+}
+
+const maxIdle = 64
+
+func takeIdle(addr string) (keptConn, bool) {
+	idle.Lock()
+	defer idle.Unlock()
+	for i := len(idle.conns) - 1; i >= 0; i-- {
+		if k := idle.conns[i]; k.addr == addr {
+			idle.conns = slices.Delete(idle.conns, i, i+1)
+			return k, true
+		}
+	}
+	return keptConn{}, false
+}
+
+// park keeps k for this process's next job at k.addr. A full list drops its
+// oldest entry, so connections to an endpoint that is gone age out.
+func park(k keptConn) {
+	idle.Lock()
+	var evicted net.Conn
+	if len(idle.conns) == maxIdle {
+		evicted = idle.conns[0].conn
+		idle.conns = slices.Delete(idle.conns, 0, 1)
+	}
+	idle.conns = append(idle.conns, k)
+	idle.Unlock()
+	if evicted != nil {
+		evicted.Close()
+	}
 }
 
 // Env renders the client bootstrap environment for a child process.
@@ -543,6 +636,7 @@ func (c *Client) await(wantCmd string) error {
 	if err != nil {
 		return fmt.Errorf("pmi: read: %w", err)
 	}
+	c.answered = true
 	if err := c.rec.parse(line); err != nil {
 		return err
 	}
@@ -637,8 +731,11 @@ func (c *Client) Barrier() error {
 	return c.awaitBarrier()
 }
 
-// Finalize tells the server this rank is done and closes the connection. The
-// server sends no acknowledgement, so this costs one write.
+// Finalize tells the server this rank is done. The server sends no
+// acknowledgement, so this costs one write. The connection to a job's private
+// endpoint is closed; the connection to a shared endpoint is kept for this
+// process's next job there, unless the write failed or the connection holds
+// input nobody asked for.
 func (c *Client) Finalize() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -647,6 +744,10 @@ func (c *Client) Finalize() error {
 	}
 	c.closed = true
 	_, err := c.conn.Write(appendRecord(c.out[:0], "finalize"))
+	if err == nil && c.keep != "" && c.r.Buffered() == 0 {
+		park(keptConn{addr: c.keep, conn: c.conn, r: c.r})
+		return nil
+	}
 	c.conn.Close()
 	return err
 }

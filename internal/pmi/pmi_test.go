@@ -342,12 +342,19 @@ func TestPipelinedBootstrapWire(t *testing.T) {
 			t.Fatalf("got %q, %v; want %q", got, err, want)
 		}
 	}
-	// finalize is one-way: the server counts it and says nothing.
-	if _, err := conn.Write([]byte("cmd=finalize\n")); err != nil {
+	// finalize is one-way: the server counts it, says nothing and keeps
+	// serving the connection. The next thing it answers is the next init,
+	// refused here (rank 0 has had its session in this job), which drops the
+	// connection.
+	if _, err := conn.Write([]byte("cmd=finalize\ncmd=init pmiid=0\n")); err != nil {
 		t.Fatal(err)
 	}
+	want := "cmd=response_to_init rc=-1 msg=rank_already_initialised\n"
+	if got, err := r.ReadString('\n'); err != nil || got != want {
+		t.Fatalf("after finalize: got %q, %v; want %q", got, err, want)
+	}
 	if got, err := r.ReadString('\n'); err != io.EOF {
-		t.Fatalf("after finalize: got %q, %v; want EOF", got, err)
+		t.Fatalf("after a refused init: got %q, %v; want EOF", got, err)
 	}
 }
 
@@ -379,7 +386,7 @@ func fenceRank(addr string, rank, n int) error {
 	var c *Client
 	var err error
 	if rank%2 == 0 {
-		c, err = DialFence(addr, rank, key, val)
+		c, err = DialFence(addr, "", rank, key, val)
 	} else if c, err = Dial(addr, rank); err == nil {
 		if err = c.Put(key, val); err == nil {
 			err = c.Barrier()
@@ -415,37 +422,56 @@ func fenceRank(addr string, rank, n int) error {
 }
 
 // TestCloseMidFence aborts the job while all but one rank wait in the
-// bootstrap barrier: every waiter must return an error, not hang.
+// bootstrap barrier: every waiter must return an error, not hang, and the
+// rank that was not waiting finds its next request refused. On a private
+// endpoint Close shuts every connection; on a shared one it cuts the waiters
+// and refuses the other.
 func TestCloseMidFence(t *testing.T) {
 	const n = 8
-	s, addr := startServer(t, n)
-	wired := make(chan struct{})
-	s.OnWired(func() { close(wired) })
-	errs := make(chan error, n)
-	for rank := 0; rank < n-1; rank++ {
-		go func(rank int) {
-			_, err := DialFence(addr, rank, fmt.Sprintf("k%d", rank), "v")
-			errs <- err
-		}(rank)
-	}
-	// The last rank connects but never enters the barrier.
-	last, err := Dial(addr, n-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-wired
-	s.Close()
-	for rank := 0; rank < n-1; rank++ {
-		select {
-		case err := <-errs:
-			if err == nil {
-				t.Error("a rank left a barrier that never completed")
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("rank still blocked in the fence after Server.Close")
+	for _, kvs := range []string{"", "job"} {
+		name := "private"
+		if kvs != "" {
+			name = "shared"
 		}
-	}
-	if err := last.Barrier(); err == nil {
-		t.Error("barrier on a closed server succeeded")
+		t.Run(name, func(t *testing.T) {
+			var s *Server
+			var addr string
+			if kvs == "" {
+				s, addr = startServer(t, n)
+			} else {
+				sv := startService(t)
+				s, addr = attachJob(t, sv, kvs, n), sv.Addr()
+			}
+			wired := make(chan struct{})
+			s.OnWired(func() { close(wired) })
+			errs := make(chan error, n)
+			for rank := 0; rank < n-1; rank++ {
+				go func(rank int) {
+					_, err := DialFence(addr, kvs, rank, fmt.Sprintf("k%d", rank), "v")
+					errs <- err
+				}(rank)
+			}
+			// The last rank connects but never enters the barrier.
+			last, err := open(addr, kvs, n-1, (*Client).awaitInit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-wired
+			waitFor(t, s, "the other ranks in the barrier", func() bool { return s.barrierN == n-1 })
+			s.Close()
+			for rank := 0; rank < n-1; rank++ {
+				select {
+				case err := <-errs:
+					if err == nil {
+						t.Error("a rank left a barrier that never completed")
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("rank still blocked in the fence after Server.Close")
+				}
+			}
+			if err := last.Barrier(); err == nil {
+				t.Error("barrier on a closed server succeeded")
+			}
+		})
 	}
 }
