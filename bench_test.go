@@ -711,11 +711,14 @@ func BenchmarkFederatedThroughput(b *testing.B) {
 // stack: mpiexec start, proxy dispatch, PMI wire-up, barrier, teardown.
 // pmi-conns/job is what the control plane still pays per job in connections:
 // in steady state the ranks run on connections their workers kept, so it
-// tends to 0 (nproc connections once, over b.N jobs).
+// tends to 0 (nproc connections once, over b.N jobs). mpi-conns/job is what
+// the ranks pay among themselves: one socket per edge of the barrier's tree,
+// nproc-1 exactly.
 func BenchmarkMPIJobLaunch(b *testing.B) {
 	reg := obs.NewRegistry()
-	pmi.RegisterMetrics(reg)
+	hydra.RegisterMetrics(reg)
 	accepted := reg.Lookup("jets_pmi_connections_accepted_total").(*obs.Counter)
+	dialed := reg.Lookup("jets_mpi_connections_dialed_total").(*obs.Counter)
 	for _, nproc := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("nproc=%d", nproc), func(b *testing.B) {
 			runner := hydra.NewFuncRunner()
@@ -725,7 +728,7 @@ func BenchmarkMPIJobLaunch(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer eng.Close()
-			before := accepted.Value()
+			before, dialedBefore := accepted.Value(), dialed.Value()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				h, err := eng.Submit(dispatch.Job{
@@ -741,13 +744,22 @@ func BenchmarkMPIJobLaunch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(accepted.Value()-before)/float64(b.N), "pmi-conns/job")
+			b.ReportMetric(float64(dialed.Value()-dialedBefore)/float64(b.N), "mpi-conns/job")
 		})
 	}
 }
 
 // BenchmarkMPICollectives measures barrier and allreduce over the channel
-// transport.
+// transport, warm, and a whole cold 8-rank TCP barrier job (listen, PMI fence,
+// the tree's seven connections, one barrier, teardown) per iteration.
 func BenchmarkMPICollectives(b *testing.B) {
+	b.Run("barrier-8-tcp-cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := mpi.RunTCP(8, func(c *mpi.Comm) error { return c.Barrier() }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("barrier-8", func(b *testing.B) {
 		if err := mpi.RunLocal(8, func(c *mpi.Comm) error {
 			for i := 0; i < b.N; i++ {

@@ -159,7 +159,8 @@ func TestMetricsScrapeLiveEngine(t *testing.T) {
 
 // TestPMIEndpointScrape runs 200 MPI jobs on 8 local workers and reads the
 // control plane's cost off /metrics: one session per rank, and no more
-// connections than workers (plus any redial), however many jobs ran.
+// connections than workers (plus any redial), however many jobs ran. The
+// ranks' own sockets are on the same page: one per tree edge, n-1 a job.
 func TestPMIEndpointScrape(t *testing.T) {
 	const workers, jobs = 8, 200
 	reg := obs.NewRegistry()
@@ -188,10 +189,11 @@ func TestPMIEndpointScrape(t *testing.T) {
 	before := scrape(t, srv.Addr(), "/metrics")
 
 	batch := make([]dispatch.Job, jobs)
-	ranks := 0
+	ranks, edges := 0, 0
 	for i := range batch {
 		n := []int{2, 4, 8}[i%3]
 		ranks += n
+		edges += n - 1
 		batch[i] = dispatch.Job{Spec: hydra.JobSpec{JobID: fmt.Sprintf("g%d", i), NProcs: n, Cmd: "mpi-app"}, Type: dispatch.MPI}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -222,6 +224,13 @@ func TestPMIEndpointScrape(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE jets_pmi_connections_open gauge") {
 		t.Error("jets_pmi_connections_open is not exported as a gauge")
+	}
+	dialed, taken := grew("jets_mpi_connections_dialed_total"), grew("jets_mpi_connections_accepted_total")
+	if dialed != float64(edges) || taken != dialed {
+		t.Errorf("rank-pair connections: %g dialed, %g accepted, want %d (n-1 per job) of each", dialed, taken, edges)
+	}
+	if got := grew("jets_mpi_connections_discarded_total"); got != 0 {
+		t.Errorf("jets_mpi_connections_discarded_total grew by %g in barrier-only jobs", got)
 	}
 }
 

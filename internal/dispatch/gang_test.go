@@ -16,18 +16,25 @@ import (
 	"jets/internal/pmi"
 )
 
-// pmiCounters reads the process-global PMI instruments the way an operator
-// does, through a registry.
-type pmiCounters struct{ accepted, sessions, redials *obs.Counter }
+// connCounters reads the process-global PMI instruments, and the ranks' own
+// connection counters, the way an operator does: through a registry.
+type connCounters struct {
+	accepted, sessions, redials       *obs.Counter
+	mpiDialed, mpiAccepted, mpiWasted *obs.Counter
+}
 
-func newPMICounters() pmiCounters {
+func newConnCounters() connCounters {
 	reg := obs.NewRegistry()
 	pmi.RegisterMetrics(reg)
+	mpi.RegisterMetrics(reg)
 	get := func(name string) *obs.Counter { return reg.Lookup(name).(*obs.Counter) }
-	return pmiCounters{
-		accepted: get("jets_pmi_connections_accepted_total"),
-		sessions: get("jets_pmi_sessions_total"),
-		redials:  get("jets_pmi_stale_redials_total"),
+	return connCounters{
+		accepted:    get("jets_pmi_connections_accepted_total"),
+		sessions:    get("jets_pmi_sessions_total"),
+		redials:     get("jets_pmi_stale_redials_total"),
+		mpiDialed:   get("jets_mpi_connections_dialed_total"),
+		mpiAccepted: get("jets_mpi_connections_accepted_total"),
+		mpiWasted:   get("jets_mpi_connections_discarded_total"),
 	}
 }
 
@@ -122,8 +129,9 @@ func openFDs(t *testing.T) int {
 
 // TestGangSoak runs 5,000 MPI jobs through 8 in-process workers, 4 at a time,
 // and checks that nothing accumulates: no failed job, no connection per job at
-// the PMI endpoint, and as many goroutines and descriptors at the end as after
-// the first 100 jobs.
+// the PMI endpoint, one rank-pair socket per tree edge and none lost to a dial
+// race, and as many goroutines and descriptors at the end as after the first
+// 100 jobs.
 func TestGangSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5,000-job soak")
@@ -131,11 +139,12 @@ func TestGangSoak(t *testing.T) {
 	const workers, jobs, outstanding = 8, 5000, 4
 	tc := startCluster(t, workers, Config{})
 	tc.runner.Register("barrier", barrierApp)
-	pc := newPMICounters()
+	pc := newConnCounters()
 	accepted, sessions, redials := pc.accepted.Value(), pc.sessions.Value(), pc.redials.Value()
+	dialed, paired, wasted := pc.mpiDialed.Value(), pc.mpiAccepted.Value(), pc.mpiWasted.Value()
 
 	sizes := []int{2, 2, 4, 4, 8}
-	ranks := 0
+	ranks, edges := 0, 0
 	slots := make(chan struct{}, outstanding)
 	drain := func() {
 		for i := 0; i < outstanding; i++ {
@@ -159,6 +168,7 @@ func TestGangSoak(t *testing.T) {
 		}
 		n := sizes[j%len(sizes)]
 		ranks += n
+		edges += n - 1
 		slots <- struct{}{}
 		h, err := tc.d.Submit(Job{Spec: hydra.JobSpec{JobID: fmt.Sprintf("soak-%d", j), NProcs: n, Cmd: "barrier"}, Type: MPI})
 		if err != nil {
@@ -174,9 +184,10 @@ func TestGangSoak(t *testing.T) {
 	gEnd, fdEnd := settled()
 
 	st := tc.d.Stats()
-	t.Logf("%d jobs (%d ranks): completed %d, failed %d; PMI connections accepted %d, sessions %d, stale redials %d; goroutines %d -> %d, fds %d -> %d (after 100 jobs -> after %d)",
+	dialed, paired, wasted = pc.mpiDialed.Value()-dialed, pc.mpiAccepted.Value()-paired, pc.mpiWasted.Value()-wasted
+	t.Logf("%d jobs (%d ranks): completed %d, failed %d; PMI connections accepted %d, sessions %d, stale redials %d; rank-pair connections dialed %d, accepted %d, discarded %d; goroutines %d -> %d, fds %d -> %d (after 100 jobs -> after %d)",
 		jobs, ranks, st.JobsCompleted, st.JobsFailed, pc.accepted.Value()-accepted, pc.sessions.Value()-sessions,
-		pc.redials.Value()-redials, g100, gEnd, fd100, fdEnd, jobs)
+		pc.redials.Value()-redials, dialed, paired, wasted, g100, gEnd, fd100, fdEnd, jobs)
 	if st.JobsCompleted != jobs || st.JobsFailed != 0 {
 		t.Errorf("completed %d failed %d, want %d and 0", st.JobsCompleted, st.JobsFailed, jobs)
 	}
@@ -185,6 +196,9 @@ func TestGangSoak(t *testing.T) {
 	}
 	if got, max := pc.accepted.Value()-accepted, int64(workers)+pc.redials.Value()-redials; got > max {
 		t.Errorf("PMI endpoint accepted %d connections, want at most workers + redials = %d", got, max)
+	}
+	if dialed != int64(edges) || paired != dialed || wasted != 0 {
+		t.Errorf("rank-pair connections: %d dialed, %d accepted, %d discarded; want n-1 per job = %d, as many, 0", dialed, paired, wasted, edges)
 	}
 	const slack = 16
 	if gEnd > g100+slack {

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jets/internal/mpi"
 	"jets/internal/obs"
 	"jets/internal/pmi"
 	"jets/internal/proto"
@@ -40,6 +41,7 @@ var (
 func RegisterMetrics(reg *obs.Registry) {
 	reg.Register(startsTotal, abortsTotal)
 	pmi.RegisterMetrics(reg)
+	mpi.RegisterMetrics(reg)
 }
 
 // JobSpec describes one MPI job: the unit of the paper's input files

@@ -3,29 +3,88 @@ package mpi
 import "fmt"
 
 // Collectives are implemented over point-to-point messages in a reserved
-// (negative) tag space, using the standard binomial-tree and dissemination
-// algorithms. All ranks of a communicator must call each collective in the
-// same order, as in MPI.
+// (negative) tag space. All ranks of a communicator must call each collective
+// in the same order, as in MPI.
+//
+// The latency-bound ones (Barrier, Bcast, Reduce*, Allreduce*) walk one
+// binomial tree, so a job that uses them from rank 0 opens size-1 rank-pair
+// connections however many of them it calls. Gather, Scatter and Alltoall
+// are payload-bound and keep their star and all-pairs edges.
 
-// Barrier blocks until every rank has entered it (dissemination algorithm:
-// ceil(log2(size)) rounds of pairwise exchange).
+// treePos places this rank in the binomial tree rooted at root. rel is its
+// rank relative to root and span the lowest set bit of rel (at the root, the
+// first power of two >= size): the parent is rel-span and the children are
+// rel+m for every power of two m < span with rel+m < size.
+func (c *Comm) treePos(root int) (rel, span int) {
+	rel = (c.rank - root + c.size) % c.size
+	span = 1
+	for span < c.size && rel&span == 0 {
+		span <<= 1
+	}
+	return rel, span
+}
+
+// treeGather is the upward half of a tree collective: one message from each
+// child, nearest first, handed to merge, then own() to the parent. Either
+// function may be nil when the messages carry nothing.
+func (c *Comm) treeGather(root, tag int, merge func([]byte) error, own func() []byte) error {
+	rel, span := c.treePos(root)
+	for m := 1; m < span && rel+m < c.size; m <<= 1 {
+		msg, err := c.irecv((rel+m+root)%c.size, tag)
+		if err != nil {
+			return err
+		}
+		if merge != nil {
+			if err := merge(msg.Data); err != nil {
+				return err
+			}
+		}
+	}
+	if rel == 0 {
+		return nil
+	}
+	var data []byte
+	if own != nil {
+		data = own()
+	}
+	return c.isend((rel-span+root)%c.size, tag, data)
+}
+
+// treeRelease is the downward half: every rank but the root takes data from
+// its parent, and all forward it to their children, farthest first.
+func (c *Comm) treeRelease(root, tag int, data []byte) ([]byte, error) {
+	rel, span := c.treePos(root)
+	if rel != 0 {
+		m, err := c.irecv((rel-span+root)%c.size, tag)
+		if err != nil {
+			return nil, err
+		}
+		data = m.Data
+	}
+	for m := span >> 1; m > 0; m >>= 1 {
+		if rel+m < c.size {
+			if err := c.isend((rel+m+root)%c.size, tag, data); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return data, nil
+}
+
+// Barrier blocks until every rank has entered it: an empty gather up the
+// binomial tree rooted at rank 0, then a release down it. A child sends
+// first, so over TCP it is the child that dials and the parent replies on the
+// connection it accepted.
 func (c *Comm) Barrier() error {
 	base := c.nextCollTag()
 	if c.size == 1 {
 		return nil
 	}
-	for k, round := 1, 0; k < c.size; k, round = k<<1, round+1 {
-		to := (c.rank + k) % c.size
-		from := (c.rank - k + c.size) % c.size
-		tag := base - round
-		if err := c.isend(to, tag, nil); err != nil {
-			return err
-		}
-		if _, err := c.irecv(from, tag); err != nil {
-			return err
-		}
+	if err := c.treeGather(0, base, nil, nil); err != nil {
+		return err
 	}
-	return nil
+	_, err := c.treeRelease(0, base-1, nil)
+	return err
 }
 
 // Bcast distributes root's data to every rank along a binomial tree and
@@ -34,37 +93,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	if root < 0 || root >= c.size {
 		return nil, fmt.Errorf("mpi: bcast invalid root %d", root)
 	}
-	tag := c.nextCollTag()
-	if c.size == 1 {
-		return data, nil
-	}
-	rel := (c.rank - root + c.size) % c.size
-	// Receive phase: a non-root rank receives from its tree parent.
-	mask := 1
-	for mask < c.size {
-		if rel&mask != 0 {
-			src := (rel - mask + root) % c.size
-			m, err := c.irecv(src, tag)
-			if err != nil {
-				return nil, err
-			}
-			data = m.Data
-			break
-		}
-		mask <<= 1
-	}
-	// Send phase: forward down the tree.
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < c.size {
-			dst := (rel + mask + root) % c.size
-			if err := c.isend(dst, tag, data); err != nil {
-				return nil, err
-			}
-		}
-		mask >>= 1
-	}
-	return data, nil
+	return c.treeRelease(root, c.nextCollTag(), data)
 }
 
 // Gather collects each rank's data at root. Root receives a slice indexed by
@@ -263,31 +292,16 @@ func (c *Comm) ReduceFloat64(root int, op Op, in []float64) ([]float64, error) {
 	if root < 0 || root >= c.size {
 		return nil, fmt.Errorf("mpi: reduce invalid root %d", root)
 	}
-	tag := c.nextCollTag()
 	acc := append([]float64(nil), in...)
-	rel := (c.rank - root + c.size) % c.size
-	for mask := 1; mask < c.size; mask <<= 1 {
-		if rel&mask != 0 {
-			dst := ((rel & ^mask) + root) % c.size
-			if err := c.isend(dst, tag, Float64sToBytes(acc)); err != nil {
-				return nil, err
-			}
-			return nil, nil
+	err := c.treeGather(root, c.nextCollTag(), func(b []byte) error {
+		other, err := BytesToFloat64s(b)
+		if err != nil {
+			return err
 		}
-		src := rel | mask
-		if src < c.size {
-			m, err := c.irecv((src+root)%c.size, tag)
-			if err != nil {
-				return nil, err
-			}
-			other, err := BytesToFloat64s(m.Data)
-			if err != nil {
-				return nil, err
-			}
-			if err := reduceFloat64(op, acc, other); err != nil {
-				return nil, err
-			}
-		}
+		return reduceFloat64(op, acc, other)
+	}, func() []byte { return Float64sToBytes(acc) })
+	if err != nil || c.rank != root {
+		return nil, err
 	}
 	return acc, nil
 }
@@ -315,31 +329,16 @@ func (c *Comm) ReduceInt64(root int, op Op, in []int64) ([]int64, error) {
 	if root < 0 || root >= c.size {
 		return nil, fmt.Errorf("mpi: reduce invalid root %d", root)
 	}
-	tag := c.nextCollTag()
 	acc := append([]int64(nil), in...)
-	rel := (c.rank - root + c.size) % c.size
-	for mask := 1; mask < c.size; mask <<= 1 {
-		if rel&mask != 0 {
-			dst := ((rel & ^mask) + root) % c.size
-			if err := c.isend(dst, tag, Int64sToBytes(acc)); err != nil {
-				return nil, err
-			}
-			return nil, nil
+	err := c.treeGather(root, c.nextCollTag(), func(b []byte) error {
+		other, err := BytesToInt64s(b)
+		if err != nil {
+			return err
 		}
-		src := rel | mask
-		if src < c.size {
-			m, err := c.irecv((src+root)%c.size, tag)
-			if err != nil {
-				return nil, err
-			}
-			other, err := BytesToInt64s(m.Data)
-			if err != nil {
-				return nil, err
-			}
-			if err := reduceInt64(op, acc, other); err != nil {
-				return nil, err
-			}
-		}
+		return reduceInt64(op, acc, other)
+	}, func() []byte { return Int64sToBytes(acc) })
+	if err != nil || c.rank != root {
+		return nil, err
 	}
 	return acc, nil
 }

@@ -1,7 +1,9 @@
 // Package mpi is a from-scratch message-passing library with MPI semantics,
 // standing in for the modified MPICH2 the paper uses. It provides blocking
 // point-to-point operations with (source, tag) matching, the standard
-// collectives, and MPI_Wtime, over two interchangeable transports:
+// collectives (the latency-bound ones on one binomial tree, so a barrier job
+// of n ranks opens n-1 sockets), and MPI_Wtime, over two interchangeable
+// transports:
 //
 //   - a TCP loopback transport bootstrapped through PMI (internal/pmi),
 //     reproducing the MPICH2-over-ZeptoOS-sockets path JETS launches; and

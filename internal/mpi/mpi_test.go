@@ -9,20 +9,24 @@ import (
 	"testing/quick"
 )
 
-// forEachTransport runs the body under both the in-process ("native") and
-// TCP/PMI ("sockets") transports so every semantic test covers both paths.
+// jobRunners are the two harnesses every semantic test runs under: the
+// in-process ("native") and the TCP/PMI ("sockets") transport.
+var jobRunners = []struct {
+	name string
+	run  func(n int, fn func(c *Comm) error) error
+}{{"local", RunLocal}, {"tcp", RunTCP}}
+
+// forEachTransport runs the body under both transports so every semantic test
+// covers both paths.
 func forEachTransport(t *testing.T, n int, body func(c *Comm) error) {
 	t.Helper()
-	t.Run("local", func(t *testing.T) {
-		if err := RunLocal(n, body); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("tcp", func(t *testing.T) {
-		if err := RunTCP(n, body); err != nil {
-			t.Fatal(err)
-		}
-	})
+	for _, jr := range jobRunners {
+		t.Run(jr.name, func(t *testing.T) {
+			if err := jr.run(n, body); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 func TestRankSize(t *testing.T) {

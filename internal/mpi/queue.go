@@ -2,11 +2,19 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 )
 
 // ErrCommClosed is returned by operations on a finalized communicator.
 var ErrCommClosed = errors.New("mpi: communicator closed")
+
+// ErrPeerClosed is returned by a receive from a specific rank that has closed
+// its communicator (or died) with no matching message left to deliver. A tree
+// collective's inner ranks only receive while they gather, so this is how a
+// lost rank fails its job instead of hanging it.
+var ErrPeerClosed = errors.New("mpi: peer closed its communicator")
 
 // Message is one received point-to-point message. Src is expressed in the
 // receiving communicator's rank space. Ctx is the communicator context
@@ -27,6 +35,7 @@ type matchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	msgs   []Message
+	gone   []int // world ranks whose stream to this process has ended (peerGone)
 	closed bool
 }
 
@@ -51,9 +60,20 @@ func matches(m Message, ctx uint32, src, tag int) bool {
 	return m.Ctx == ctx && (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag)
 }
 
+// peerGone records that nothing more can arrive from src and wakes receivers
+// waiting on it.
+func (q *matchQueue) peerGone(src int) {
+	q.mu.Lock()
+	if !slices.Contains(q.gone, src) {
+		q.gone = append(q.gone, src)
+	}
+	q.mu.Unlock()
+	q.cond.Broadcast()
+}
+
 // pop blocks until a message matching (src, tag) is available and removes
-// it. It returns ErrCommClosed once the queue is closed and drained of
-// matching messages.
+// it. Once the queue is drained of matching messages it returns ErrCommClosed
+// if the queue is closed and ErrPeerClosed if src is gone.
 func (q *matchQueue) pop(ctx uint32, src, tag int) (Message, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -66,6 +86,9 @@ func (q *matchQueue) pop(ctx uint32, src, tag int) (Message, error) {
 		}
 		if q.closed {
 			return Message{}, ErrCommClosed
+		}
+		if src != AnySource && slices.Contains(q.gone, src) {
+			return Message{}, fmt.Errorf("mpi: receive from rank %d: %w", src, ErrPeerClosed)
 		}
 		q.cond.Wait()
 	}

@@ -11,8 +11,26 @@ import (
 	"sync"
 	"time"
 
+	"jets/internal/obs"
 	"jets/internal/pmi"
 )
+
+// Rank-pair sockets opened by the TCP transports of every rank this process
+// hosts (a forked rank's counters end with it). They work detached;
+// RegisterMetrics exports them through a registry.
+var (
+	connsDialed = obs.NewCounter("jets_mpi_connections_dialed_total",
+		"rank-pair connections dialed by MPI ranks in this process")
+	connsAccepted = obs.NewCounter("jets_mpi_connections_accepted_total",
+		"rank-pair connections accepted by MPI ranks in this process")
+	connsDiscarded = obs.NewCounter("jets_mpi_connections_discarded_total",
+		"dialed rank-pair connections closed unused because the peer's own dial arrived first")
+)
+
+// RegisterMetrics exports this package's connection counters.
+func RegisterMetrics(reg *obs.Registry) {
+	reg.Register(connsDialed, connsAccepted, connsDiscarded)
+}
 
 // maxMessage bounds a single MPI message; larger payloads indicate stream
 // corruption.
@@ -80,7 +98,8 @@ func (t *localTransport) close() error {
 // accepted. When both sides send first at once, both dial; each then keeps
 // sending on the connection it dialed and only reads the other, so every
 // message still travels one ordered stream per direction and nothing is
-// delivered twice.
+// delivered twice. The tree collectives never race: a child's message to its
+// parent is the first on their edge, so the child dials (collectives.go).
 //
 // The dialing side always closes a connection first: a rank done with an
 // accepted connection sends a bye frame and closes on the dialer's EOF. That
@@ -204,6 +223,7 @@ func (t *tcpTransport) acceptLoop() {
 		if err != nil {
 			return
 		}
+		connsAccepted.Inc()
 		t.mu.Lock()
 		if t.done {
 			conn.Close()
@@ -248,6 +268,16 @@ func (t *tcpTransport) readLoop(c *tcpConn, src int) {
 		}
 		t.mu.Unlock()
 	}
+	// A peer sends to this rank on one connection for the whole job and ends
+	// it only by closing or dying: once that connection is read out, receives
+	// still waiting on the peer must fail. A connection this rank dialed and
+	// never got a frame on is not it (the peer dialed its own, or sent nothing).
+	inbound := c.accepted
+	defer func() {
+		if inbound {
+			t.q.peerGone(src)
+		}
+	}()
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
@@ -263,6 +293,7 @@ func (t *tcpTransport) readLoop(c *tcpConn, src int) {
 			return
 		}
 		t.q.push(Message{Ctx: ctx, Src: src, Tag: tag, Data: data})
+		inbound = true
 	}
 }
 
@@ -286,6 +317,7 @@ func (t *tcpTransport) peer(dst int) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpi: dial rank %d: %w", dst, err)
 	}
+	connsDialed.Inc()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
@@ -295,6 +327,7 @@ func (t *tcpTransport) peer(dst int) (*tcpConn, error) {
 	if existing := t.peers[dst]; existing != nil {
 		// The peer's own connection arrived, or another sender dialed, while
 		// we were connecting; ours has carried nothing yet.
+		connsDiscarded.Inc()
 		conn.Close()
 		return existing, nil
 	}

@@ -127,7 +127,8 @@ func TestLargePingPongTCP(t *testing.T) {
 func barrierJob(c *Comm) error { return c.Barrier() }
 
 // TestBarrierJobAllocation guards the launch path's memory: a 4-rank job that
-// wires up, barriers and exits must allocate no more than 128 KiB in total.
+// wires up, barriers and exits must allocate no more than 64 KiB in total
+// (it measures about 36 KiB; twice that under the race detector).
 // The per-connection 64 KiB reader and writer this transport once had cost
 // about 1 MiB per such job, all of it zeroed by the allocator.
 func TestBarrierJobAllocation(t *testing.T) {
@@ -147,8 +148,12 @@ func TestBarrierJobAllocation(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perJob := (after.TotalAlloc - before.TotalAlloc) / jobs
 	t.Logf("%d bytes allocated per 4-rank barrier job", perJob)
-	if perJob > 128<<10 {
-		t.Fatalf("%d bytes allocated per 4-rank barrier job, want <= %d", perJob, 128<<10)
+	bound := uint64(64 << 10)
+	if raceEnabled {
+		bound *= 2
+	}
+	if perJob > bound {
+		t.Fatalf("%d bytes allocated per 4-rank barrier job, want <= %d", perJob, bound)
 	}
 }
 

@@ -38,7 +38,9 @@ type Profile struct {
 	RTT         time.Duration
 
 	// WireUpBase + NProcs*WireUpPerRank models PMI wire-up (put, barrier,
-	// lazy connects) once all proxies are up.
+	// lazy connects) once all proxies are up. Linear in NProcs, as the live
+	// path is: one PMI exchange per rank, and one rank-pair socket per edge
+	// of the collectives' binomial tree, NProcs-1 a job (internal/mpi).
 	WireUpBase    time.Duration
 	WireUpPerRank time.Duration
 
