@@ -391,8 +391,10 @@ func BenchmarkAblationGroupPolicy(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var mean float64
+			var sel []int
 			for i := 0; i < b.N; i++ {
-				mean = hops(tc.policy(coords, 8))
+				sel = tc.policy(sel[:0], coords, 8)
+				mean = hops(sel)
 			}
 			b.ReportMetric(mean, "mean-hops")
 		})

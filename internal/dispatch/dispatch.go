@@ -227,9 +227,20 @@ type workerConn struct {
 	// so a worker can never be parked or tasked after teardown began.
 	gone atomic.Bool
 
-	// tasks (taskID -> job currently on this worker) is guarded by
+	// The worker's links in its home shard's idle set (idleset.go), guarded
+	// by that shard's mutex. idleIn is the set while the worker is parked.
+	idleIn             *idleSet
+	idlePrev, idleNext *workerConn
+
+	// tasks (taskID -> the rank of a job on this worker) is guarded by
 	// Dispatcher.mu.
-	tasks map[string]*runningJob
+	tasks map[string]taskRef
+}
+
+// taskRef names one rank of a running job.
+type taskRef struct {
+	rj   *runningJob
+	rank int
 }
 
 // touch records inbound traffic for the janitor's liveness check.
@@ -273,13 +284,24 @@ func (wc *workerConn) push(of outFrame) bool {
 type runningJob struct {
 	job     *Job
 	exec    *hydra.MPIExec // nil for sequential jobs
-	pending map[string]*workerConn
-	results []proto.Result
-	workers []string
+	ranks   []rank         // one per task, in rank order
+	pending int            // ranks that have not reported
+	results []proto.Result // in completion order; becomes JobResult.TaskResults
+	workers []string       // in rank order; becomes JobResult.Workers
 	failed  bool
 	faulted bool // failure caused by worker loss rather than the application
 	errMsg  string
 	start   time.Time
+}
+
+// rank is one task of a running job: the frame that carries it and the
+// worker it is bound to. A job's ranks are one allocation, envelopes and
+// tasks included; the worker's send queue holds &env until it is written.
+type rank struct {
+	env     proto.Envelope
+	task    proto.Task
+	wc      *workerConn
+	pending bool
 }
 
 // Dispatcher is the central JETS scheduler.
@@ -349,7 +371,7 @@ type Dispatcher struct {
 	stats statsCounters
 	ins   *instruments
 
-	idleWait  chan struct{} // closed+recreated whenever a job leaves the table (for Drain)
+	idleWait  chan struct{} // made by a waiting Drain, closed when a job leaves the table
 	wg        sync.WaitGroup
 	retryQuit chan struct{} // aborts the retry-backoff timers on Close
 
@@ -406,7 +428,6 @@ func New(cfg Config) *Dispatcher {
 		jobs:      make(map[string]*liveJob),
 		jnl:       cfg.Journal,
 		hotMax:    cfg.HotQueueJobs,
-		idleWait:  make(chan struct{}),
 		retryQuit: make(chan struct{}),
 		ins:       newInstruments(cfg.Instance),
 	}
@@ -551,7 +572,7 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 		codec: codec,
 		sendq: make(chan outFrame, 1024),
 		quit:  make(chan struct{}),
-		tasks: make(map[string]*runningJob),
+		tasks: make(map[string]taskRef),
 	}
 	wc.touch()
 
@@ -664,7 +685,7 @@ inbound:
 				f.Release()
 				break inbound
 			}
-			d.handleResult(wc, *env.Result)
+			d.handleResult(wc, env.Result)
 		case proto.KindOutput:
 			d.handleOutput(f)
 		case proto.KindHeartbeat:
@@ -696,13 +717,14 @@ func (d *Dispatcher) markIdle(wc *workerConn) {
 	d.schedule()
 }
 
-// registerRunning moves the popped job to the running state. Called with the
-// popping shard's lock held (lock order shard -> mu).
+// registerRunning moves the popped job to the running state and makes its
+// runningJob, whose ranks the caller binds to the group it selects. Called
+// with the popping shard's lock held (lock order shard -> mu).
 func (d *Dispatcher) registerRunning(job *Job) *runningJob {
 	rj := &runningJob{
-		job:     job,
-		pending: make(map[string]*workerConn, job.Procs()),
-		start:   time.Now(),
+		job:   job,
+		ranks: make([]rank, job.Procs()),
+		start: time.Now(),
 	}
 	d.ins.queueWait.Observe(rj.start.Sub(job.submitted))
 	d.mu.Lock()
@@ -713,12 +735,12 @@ func (d *Dispatcher) registerRunning(job *Job) *runningJob {
 	return rj
 }
 
-// dispatchJob builds the popped job's tasks and streams them to the selected
-// group. Runs outside all scheduling locks — mpiexec startup is slow — and
-// re-checks each worker's liveness under Dispatcher.mu when binding tasks.
-func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
+// dispatchJob builds the popped job's tasks and streams them to the workers
+// its ranks are bound to. Runs outside all scheduling locks — mpiexec startup
+// is slow — and re-checks each worker's liveness under Dispatcher.mu when
+// binding tasks.
+func (d *Dispatcher) dispatchJob(rj *runningJob) {
 	job := rj.job
-	var tasks []proto.Task
 	var exec *hydra.MPIExec
 	if job.Type == MPI {
 		spec := job.Spec
@@ -733,13 +755,15 @@ func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
 			// rj.exec is unset, so there is no teardown to collect.
 			retry = d.finalizeLocked(rj, fmt.Sprintf("mpiexec start: %v", err), nil)
 			d.mu.Unlock()
-			d.releaseGroup(group)
+			d.releaseGroup(rj)
 			if retry != nil {
 				d.requeue(retry)
 			}
 			return
 		}
-		tasks = exec.ProxyTasks()
+		for i := range rj.ranks {
+			rj.ranks[i].task = exec.ProxyTask(i)
+		}
 		// Fires when the last rank connects to the PMI endpoint. Set before
 		// any task is enqueued, so it cannot race its own registration; it
 		// cannot fire before EvJobStarted below because no rank can dial in
@@ -756,7 +780,7 @@ func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
 			// worker forever.
 			wall = d.cfg.JobTimeout
 		}
-		tasks = []proto.Task{{
+		rj.ranks[0].task = proto.Task{
 			TaskID:    job.Spec.JobID + "/seq",
 			JobID:     job.Spec.JobID,
 			Cmd:       job.Spec.Cmd,
@@ -764,7 +788,7 @@ func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
 			Env:       append([]string(nil), job.Spec.Env...),
 			Dir:       job.Spec.Dir,
 			WallLimit: wall,
-		}}
+		}
 	}
 
 	d.emit(Event{Kind: EvJobStarted, JobID: job.Spec.JobID})
@@ -772,28 +796,31 @@ func (d *Dispatcher) dispatchJob(rj *runningJob, group []*workerConn) {
 	var td execTeardown
 	d.mu.Lock()
 	rj.exec = exec
-	for i := range tasks {
-		wc := group[i]
-		taskID := tasks[i].TaskID
-		rj.pending[taskID] = wc
-		rj.workers = append(rj.workers, wc.id)
+	rj.pending = len(rj.ranks)
+	rj.results = make([]proto.Result, 0, len(rj.ranks))
+	rj.workers = make([]string, len(rj.ranks))
+	for i := range rj.ranks {
+		r := &rj.ranks[i]
+		r.pending = true
+		wc, taskID := r.wc, r.task.TaskID
+		rj.workers[i] = wc.id
 		d.stats.tasksDispatched.Add(1)
 		d.emit(Event{Kind: EvTaskSent, JobID: job.Spec.JobID, TaskID: taskID, WorkerID: wc.id})
 		if wc.gone.Load() {
 			// The worker died between group selection and task binding; its
 			// workerGone pass cannot see this task, so record the loss here.
-			d.failTaskLocked(rj, taskID, wc, &td)
+			d.failTaskLocked(rj, i, &td)
 			continue
 		}
-		wc.tasks[taskID] = rj
-		task := tasks[i]
-		if !wc.enqueue(&proto.Envelope{Kind: proto.KindTask, Task: &task}) {
+		wc.tasks[taskID] = taskRef{rj: rj, rank: i}
+		r.env = proto.Envelope{Kind: proto.KindTask, Task: &r.task}
+		if !wc.enqueue(&r.env) {
 			// Writer queue overflow: treat the worker as faulty. The result
 			// path will synthesize the failure when workerGone runs.
 			go wc.codec.Close()
 		}
 	}
-	if len(rj.pending) == 0 {
+	if rj.pending == 0 {
 		retry = d.finalizeLocked(rj, "", &td)
 	}
 	d.mu.Unlock()
@@ -819,17 +846,20 @@ func (td *execTeardown) run() {
 	}
 }
 
-// failTaskLocked records the loss of one dispatched task. Caller holds d.mu,
-// has verified rj.pending[taskID] maps to wc, and runs td after unlocking.
-func (d *Dispatcher) failTaskLocked(rj *runningJob, taskID string, wc *workerConn, td *execTeardown) {
-	delete(rj.pending, taskID)
+// failTaskLocked records the loss of one dispatched task, the job's rank i,
+// to the death of its worker. Caller holds d.mu, has verified the rank is
+// pending, and runs td after unlocking.
+func (d *Dispatcher) failTaskLocked(rj *runningJob, i int, td *execTeardown) {
+	r := &rj.ranks[i]
+	r.pending = false
+	rj.pending--
 	rj.failed = true
 	rj.faulted = true
 	if rj.errMsg == "" {
-		rj.errMsg = fmt.Sprintf("worker %s lost while running %s", wc.id, taskID)
+		rj.errMsg = fmt.Sprintf("worker %s lost while running %s", r.wc.id, r.task.TaskID)
 	}
 	rj.results = append(rj.results, proto.Result{
-		TaskID: taskID, JobID: rj.job.Spec.JobID, ExitCode: -1,
+		TaskID: r.task.TaskID, JobID: rj.job.Spec.JobID, ExitCode: -1,
 		Err: "worker lost",
 	})
 	if rj.exec != nil {
@@ -837,10 +867,11 @@ func (d *Dispatcher) failTaskLocked(rj *runningJob, taskID string, wc *workerCon
 	}
 }
 
-// releaseGroup returns workers to their shards' idle sets after a launch
-// that never bound tasks to them, then reschedules.
-func (d *Dispatcher) releaseGroup(group []*workerConn) {
-	for _, wc := range group {
+// releaseGroup returns a job's workers to their shards' idle sets after a
+// launch that never bound tasks to them, then reschedules.
+func (d *Dispatcher) releaseGroup(rj *runningJob) {
+	for i := range rj.ranks {
+		wc := rj.ranks[i].wc
 		s := wc.shard
 		s.mu.Lock()
 		if !wc.gone.Load() {
@@ -915,28 +946,29 @@ func (d *Dispatcher) retryDelay(attempt int) time.Duration {
 }
 
 // handleResult processes a rank's completion report.
-func (d *Dispatcher) handleResult(wc *workerConn, res proto.Result) {
+func (d *Dispatcher) handleResult(wc *workerConn, res *proto.Result) {
 	var retry *Job
 	var td execTeardown
 	d.mu.Lock()
-	lj := d.jobs[res.JobID]
-	if lj == nil || lj.run == nil {
+	ref, ok := wc.tasks[res.TaskID]
+	if !ok || ref.rj.job.Spec.JobID != res.JobID {
+		// A frame from a connection that was never assigned the task, or a
+		// duplicate report. Credit nothing.
 		d.mu.Unlock()
 		return
 	}
-	rj := lj.run
-	if rj.pending[res.TaskID] != wc {
-		// The task is not pending on THIS worker: a late result from a
-		// prior faulted attempt's surviving worker (the retried attempt's
-		// task with the same job/task ID is owned by someone else), or a
-		// frame from a connection that was never assigned the task. Credit
-		// nothing.
-		d.mu.Unlock()
-		return
-	}
-	delete(rj.pending, res.TaskID)
 	delete(wc.tasks, res.TaskID)
-	rj.results = append(rj.results, res)
+	rj := ref.rj
+	if rj.job.live.run != rj || !rj.ranks[ref.rank].pending {
+		// A late result from a prior faulted attempt's surviving worker: the
+		// attempt is over, and a retry of it (with the same job and task IDs)
+		// is owned by someone else. Credit nothing.
+		d.mu.Unlock()
+		return
+	}
+	rj.ranks[ref.rank].pending = false
+	rj.pending--
+	rj.results = append(rj.results, *res)
 	d.emit(Event{Kind: EvTaskDone, JobID: res.JobID, TaskID: res.TaskID, WorkerID: wc.id})
 	if res.ExitCode != 0 {
 		rj.failed = true
@@ -944,11 +976,11 @@ func (d *Dispatcher) handleResult(wc *workerConn, res proto.Result) {
 			rj.errMsg = fmt.Sprintf("task %s exited %d: %s", res.TaskID, res.ExitCode, res.Err)
 		}
 		// Unblock sibling ranks that may be stuck in MPI operations.
-		if rj.exec != nil && len(rj.pending) > 0 {
+		if rj.exec != nil && rj.pending > 0 {
 			td.abort = append(td.abort, rj.exec)
 		}
 	}
-	if len(rj.pending) == 0 {
+	if rj.pending == 0 {
 		retry = d.finalizeLocked(rj, "", &td)
 	}
 	d.mu.Unlock()
@@ -1007,13 +1039,14 @@ func (d *Dispatcher) workerGone(wc *workerConn) {
 	}
 	d.stats.workersLost.Add(1)
 	d.emit(Event{Kind: EvWorkerLost, WorkerID: wc.id})
-	for taskID, rj := range wc.tasks {
+	for taskID, ref := range wc.tasks {
 		delete(wc.tasks, taskID)
-		if rj.pending[taskID] != wc {
+		rj := ref.rj
+		if rj.job.live.run != rj || !rj.ranks[ref.rank].pending {
 			continue
 		}
-		d.failTaskLocked(rj, taskID, wc, &td)
-		if len(rj.pending) == 0 {
+		d.failTaskLocked(rj, ref.rank, &td)
+		if rj.pending == 0 {
 			if r := d.finalizeLocked(rj, "", &td); r != nil {
 				retries = append(retries, r)
 			}
@@ -1092,10 +1125,12 @@ func (d *Dispatcher) janitor() {
 	}
 }
 
-// kickLocked wakes Drain waiters. Caller holds d.mu.
+// kickLocked wakes Drain waiters, if any. Caller holds d.mu.
 func (d *Dispatcher) kickLocked() {
-	close(d.idleWait)
-	d.idleWait = make(chan struct{})
+	if d.idleWait != nil {
+		close(d.idleWait)
+		d.idleWait = nil
+	}
 }
 
 // Submit enqueues a job and returns its handle. With a journal configured,
@@ -1136,11 +1171,15 @@ func (d *Dispatcher) SubmitBatch(jobs []Job) ([]*Handle, error) {
 func (d *Dispatcher) Drain(ctx context.Context) error {
 	for {
 		d.mu.Lock()
-		empty, wait := len(d.jobs) == 0, d.idleWait
-		d.mu.Unlock()
-		if empty {
+		if len(d.jobs) == 0 {
+			d.mu.Unlock()
 			return nil
 		}
+		if d.idleWait == nil {
+			d.idleWait = make(chan struct{})
+		}
+		wait := d.idleWait
+		d.mu.Unlock()
 		select {
 		case <-wait:
 		case <-ctx.Done():

@@ -1,78 +1,66 @@
 package dispatch
 
-// idleSet tracks parked workers (those with an unanswered work request).
-// The seed kept a bare slice, which made workerGone's removal O(n) and
-// launch's group extraction an O(n·m) rebuild — measurable churn once the
-// pool reaches paper scale (thousands of pilots). The index map makes
-// membership, add, and remove O(1) while preserving a stable slice for the
-// grouping policies, which select workers by index into Coords().
+// idleSet tracks parked workers (those with an unanswered work request) in
+// the order they parked. It is an intrusive doubly linked list through the
+// workers' own idlePrev/idleNext fields: membership, add and remove are O(1)
+// and allocate nothing, and a walk from head visits the longest-idle worker
+// first. That order is what GroupPolicy's index 0 means — the paper's
+// "first come, first served" grouping and TopologyAware's seed — and it is
+// the FIFO idle pool internal/simjets models.
 //
-// Not safe for concurrent use; every method is called under Dispatcher.mu.
+// Not safe for concurrent use; every method is called under the owning
+// shard's mutex.
 type idleSet struct {
-	list []*workerConn
-	pos  map[*workerConn]int
+	head, tail *workerConn
+	n          int
 }
 
-func newIdleSet() *idleSet {
-	return &idleSet{pos: make(map[*workerConn]int)}
-}
-
-func (s *idleSet) Len() int { return len(s.list) }
+func (s *idleSet) Len() int { return s.n }
 
 // Contains reports membership.
-func (s *idleSet) Contains(wc *workerConn) bool {
-	_, ok := s.pos[wc]
-	return ok
-}
+func (s *idleSet) Contains(wc *workerConn) bool { return wc.idleIn == s }
 
-// Add parks a worker; it reports false if the worker was already parked.
+// Add parks a worker at the tail; it reports false if the worker was
+// already parked.
 func (s *idleSet) Add(wc *workerConn) bool {
-	if _, ok := s.pos[wc]; ok {
+	if wc.idleIn != nil {
 		return false
 	}
-	s.pos[wc] = len(s.list)
-	s.list = append(s.list, wc)
+	wc.idleIn, wc.idlePrev, wc.idleNext = s, s.tail, nil
+	if s.tail != nil {
+		s.tail.idleNext = wc
+	} else {
+		s.head = wc
+	}
+	s.tail = wc
+	s.n++
 	return true
 }
 
-// Remove unparks a worker by swapping the tail into its slot.
+// Remove unparks a worker, keeping the others in arrival order.
 func (s *idleSet) Remove(wc *workerConn) bool {
-	i, ok := s.pos[wc]
-	if !ok {
+	if wc.idleIn != s {
 		return false
 	}
-	last := len(s.list) - 1
-	if i != last {
-		moved := s.list[last]
-		s.list[i] = moved
-		s.pos[moved] = i
+	if wc.idlePrev != nil {
+		wc.idlePrev.idleNext = wc.idleNext
+	} else {
+		s.head = wc.idleNext
 	}
-	s.list[last] = nil // don't pin the dropped worker
-	s.list = s.list[:last]
-	delete(s.pos, wc)
+	if wc.idleNext != nil {
+		wc.idleNext.idlePrev = wc.idlePrev
+	} else {
+		s.tail = wc.idlePrev
+	}
+	wc.idleIn, wc.idlePrev, wc.idleNext = nil, nil, nil
+	s.n--
 	return true
 }
 
-// Coords snapshots the parked workers' interconnect coordinates in slice
-// order, the input contract of GroupPolicy.
-func (s *idleSet) Coords() [][]int {
-	coords := make([][]int, len(s.list))
-	for i, wc := range s.list {
-		coords[i] = wc.reg.Coord
+// appendTo appends the parked workers to dst, longest-idle first.
+func (s *idleSet) appendTo(dst []*workerConn) []*workerConn {
+	for wc := s.head; wc != nil; wc = wc.idleNext {
+		dst = append(dst, wc)
 	}
-	return coords
-}
-
-// Take removes and returns the workers at the given indices (a GroupPolicy
-// selection over the Coords() snapshot). Indices refer to the pre-removal
-// slice, so workers are collected first and removed after.
-func (s *idleSet) Take(sel []int) []*workerConn {
-	group := make([]*workerConn, len(sel))
-	for i, idx := range sel {
-		group[i] = s.list[idx]
-	}
-	for _, wc := range group {
-		s.Remove(wc)
-	}
-	return group
+	return dst
 }

@@ -74,7 +74,8 @@ type Handle struct {
 	done      chan struct{} // lazily allocated: callers on the OnDone demux never pay for it
 	completed bool
 	res       JobResult
-	cbs       []func(JobResult)
+	cb        func(JobResult)   // the first OnDone callback: most handles have one
+	more      []func(JobResult) // any later ones, in registration order
 }
 
 // closedChan is the shared already-closed channel handed to Done() callers
@@ -155,7 +156,11 @@ func (h *Handle) OnDone(fn func(JobResult)) {
 		fn(res)
 		return
 	}
-	h.cbs = append(h.cbs, fn)
+	if h.cb == nil {
+		h.cb = fn
+	} else {
+		h.more = append(h.more, fn)
+	}
 	h.mu.Unlock()
 }
 
@@ -163,13 +168,16 @@ func (h *Handle) complete(res JobResult) {
 	h.mu.Lock()
 	h.res = res
 	h.completed = true
-	cbs := h.cbs
-	h.cbs = nil
+	cb, more := h.cb, h.more
+	h.cb, h.more = nil, nil
 	if h.done != nil {
 		close(h.done)
 	}
 	h.mu.Unlock()
-	for _, fn := range cbs {
+	if cb != nil {
+		cb(res)
+	}
+	for _, fn := range more {
 		fn(res)
 	}
 }

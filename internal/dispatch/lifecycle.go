@@ -105,7 +105,10 @@ func (d *Dispatcher) admit(jobs []*Job, where placement) error {
 		st = retryBackoff
 	}
 	// A duplicate — of any live job, in any state, or within the batch —
-	// rolls back the reservations already made.
+	// rolls back the reservations already made. The submit time and sequence
+	// are set here, under d.mu, because the entry is visible from here on: an
+	// online checkpoint reads them under d.mu alone.
+	now := time.Now()
 	d.mu.Lock()
 	for i, j := range jobs {
 		id := j.Spec.JobID
@@ -117,17 +120,15 @@ func (d *Dispatcher) admit(jobs []*Job, where placement) error {
 			d.subMu.RUnlock()
 			return fmt.Errorf("dispatch: duplicate job id %q", id)
 		}
+		j.submitted, j.seq = now, d.subSeq.Add(1)
 		j.live = &liveJob{Handle: Handle{jobID: id}, state: st, job: j}
 		d.jobs[id] = j.live
 	}
 	d.byState[st] += len(jobs)
 	d.mu.Unlock()
 
-	now := time.Now()
 	for _, j := range jobs {
 		id := j.Spec.JobID
-		j.submitted = now
-		j.seq = d.subSeq.Add(1)
 		d.stats.jobsSubmitted.Add(1)
 		detail := j.Type.String()
 		if where == placeFront {

@@ -229,6 +229,10 @@ func TestStealEventAndCounter(t *testing.T) {
 	if st.Steals == 0 {
 		t.Fatal("no steals recorded for cross-shard group assembly")
 	}
+	// Events reach the recorder through the dispatcher's drainer goroutine,
+	// possibly after the jobs' handles complete; Close waits for it to
+	// deliver everything emitted so far.
+	tc.d.Close()
 	stolen := 0
 	for _, e := range rec.Events() {
 		if e.Kind == EvGroupAssembled && e.Detail == "stolen" {

@@ -1,6 +1,9 @@
 package dispatch
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // QueuePolicy orders the job queue. The paper's JETS uses simple FIFO for
 // speed (§7 notes priority scheduling and backfill as planned work; both are
@@ -175,37 +178,39 @@ func (q *PriorityQueue) Len() int { return len(q.jobs) }
 
 // GroupPolicy selects which n idle workers form an MPI job's group, given
 // the interconnect coordinates of each idle worker (nil for workers that
-// did not report coordinates). It returns n distinct indexes into the idle
-// list.
+// did not report coordinates), longest-idle first. It appends n distinct
+// indexes into coords to dst and returns the extended slice; the dispatcher
+// passes scratch space, so a policy that needs no other memory selects a
+// group without allocating.
 //
 // The paper's default is first-come-first-served; topology-aware grouping
 // is listed as future work (§7) and implemented here as an extension.
-type GroupPolicy func(coords [][]int, n int) []int
+type GroupPolicy func(dst []int, coords [][]int, n int) []int
 
 // FirstComeFirstServed picks the n longest-idle workers — the paper's
 // default behavior ("group nodes in first come, first served order").
-func FirstComeFirstServed(coords [][]int, n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+func FirstComeFirstServed(dst []int, coords [][]int, n int) []int {
+	for i := 0; i < n; i++ {
+		dst = append(dst, i)
 	}
-	return idx
+	return dst
 }
 
 // TopologyAware greedily grows a group with minimal total Manhattan distance
 // on the interconnect: seed with the longest-idle worker, then repeatedly
 // add the idle worker closest to the current group. Workers without
 // coordinates are treated as maximally distant.
-func TopologyAware(coords [][]int, n int) []int {
+func TopologyAware(dst []int, coords [][]int, n int) []int {
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	chosen := []int{0}
-	used := map[int]bool{0: true}
-	for len(chosen) < n {
+	base := len(dst)
+	dst = append(dst, 0)
+	for len(dst)-base < n {
+		chosen := dst[base:]
 		best, bestDist := -1, int(^uint(0)>>1)
 		for i := range coords {
-			if used[i] {
+			if slices.Contains(chosen, i) {
 				continue
 			}
 			d := 0
@@ -216,10 +221,9 @@ func TopologyAware(coords [][]int, n int) []int {
 				best, bestDist = i, d
 			}
 		}
-		chosen = append(chosen, best)
-		used[best] = true
+		dst = append(dst, best)
 	}
-	return chosen
+	return dst
 }
 
 // manhattan returns the L1 distance between coordinate vectors; missing or

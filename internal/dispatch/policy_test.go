@@ -236,7 +236,7 @@ func TestPriorityRequeueAhead(t *testing.T) {
 }
 
 func TestFCFSGroup(t *testing.T) {
-	idx := FirstComeFirstServed(make([][]int, 5), 3)
+	idx := FirstComeFirstServed(nil, make([][]int, 5), 3)
 	if len(idx) != 3 || idx[0] != 0 || idx[1] != 1 || idx[2] != 2 {
 		t.Fatalf("got %v", idx)
 	}
@@ -251,7 +251,7 @@ func TestTopologyAwarePrefersNearby(t *testing.T) {
 		{0, 0, 1}, // near
 		{1, 0, 0}, // near
 	}
-	idx := TopologyAware(coords, 3)
+	idx := TopologyAware(nil, coords, 3)
 	if len(idx) != 3 {
 		t.Fatalf("got %v", idx)
 	}
@@ -266,7 +266,7 @@ func TestTopologyAwarePrefersNearby(t *testing.T) {
 
 func TestTopologyAwareHandlesMissingCoords(t *testing.T) {
 	coords := [][]int{{0, 0}, nil, {0, 1}, nil}
-	idx := TopologyAware(coords, 2)
+	idx := TopologyAware(nil, coords, 2)
 	chosen := map[int]bool{}
 	for _, i := range idx {
 		chosen[i] = true
@@ -327,7 +327,7 @@ func TestTopologyAwareValidProperty(t *testing.T) {
 			coords[i] = []int{int(v % 8), int(v / 8 % 8), int(v / 64)}
 		}
 		n := int(nRaw)%len(coords) + 1
-		idx := TopologyAware(coords, n)
+		idx := TopologyAware(nil, coords, n)
 		if len(idx) != n {
 			return false
 		}

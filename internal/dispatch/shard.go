@@ -34,9 +34,10 @@ const noJob = int64(math.MaxInt64)
 type shard struct {
 	idx int
 
-	mu    sync.Mutex
-	idle  *idleSet
-	queue QueuePolicy
+	mu      sync.Mutex
+	idle    idleSet
+	queue   QueuePolicy
+	scratch groupScratch // group selection's reusable space (takeGroup)
 
 	// The cold tail (spill.go): jobs past the hot-window bound, FIFO by
 	// submission. Invariant: once cold is non-empty every new push goes
@@ -64,7 +65,7 @@ type shard struct {
 func newShards(n int, newQueue func() QueuePolicy) []*shard {
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = &shard{idx: i, idle: newIdleSet(), queue: newQueue()}
+		shards[i] = &shard{idx: i, queue: newQueue()}
 		shards[i].headSeq.Store(noJob)
 	}
 	return shards
@@ -87,6 +88,15 @@ func DefaultShards() int {
 		s *= 2
 	}
 	return s
+}
+
+// groupScratch is the space group selection reuses from one launch to the
+// next, guarded by its shard's lock: the candidate workers in selection
+// order, their coordinates (the GroupPolicy input), and the policy's choice.
+type groupScratch struct {
+	flat   []*workerConn
+	coords [][]int
+	sel    []int
 }
 
 // refreshHead re-derives the advisory mirrors after a queue mutation.

@@ -273,7 +273,7 @@ func TestNoWorkerInTwoShards(t *testing.T) {
 	seen := map[*workerConn]int{}
 	total := 0
 	for _, s := range d.shards {
-		for _, wc := range s.idle.list {
+		for _, wc := range s.idle.appendTo(nil) {
 			if prev, dup := seen[wc]; dup {
 				t.Errorf("worker %s parked in shards %d and %d", wc.id, prev, s.idx)
 			}

@@ -214,10 +214,11 @@ func (d *Dispatcher) hydrateBatch(batch []*liveJob) []*Job {
 	for i, lj := range batch {
 		ids[i] = lj.jobID
 	}
-	var recs map[string]journal.Record
+	// read[i] is batch[i]'s job rebuilt from its record; nil if unread.
+	read := make([]*Job, len(batch))
 	var err error
 	if sp := d.spillLoaded(); sp != nil {
-		recs, err = sp.GetBatch(ids)
+		err = sp.ReadBatch(ids, func(i int, r journal.Record) { read[i] = jobFromRecord(r) })
 		d.stats.spillReads.Add(1)
 	} else {
 		err = errors.New("dispatch: spill store unavailable")
@@ -225,15 +226,14 @@ func (d *Dispatcher) hydrateBatch(batch []*liveJob) []*Job {
 	if err != nil {
 		d.spillFailure(err)
 	}
-	jobs := make([]*Job, 0, len(batch))
+	jobs := read[:0] // the rebuilt jobs, compacted in place
 	d.mu.Lock()
-	for _, lj := range batch {
-		rec, found := recs[lj.jobID]
-		if !found {
+	for i, lj := range batch {
+		j := read[i]
+		if j == nil {
 			d.specLostLocked(lj)
 			continue
 		}
-		j := jobFromRecord(rec)
 		j.live, j.seq, j.retries, j.submitted = lj, lj.seq, int(lj.retries), time.Unix(0, lj.submitted)
 		lj.job = j
 		d.setStateLocked(lj, queuedHot)

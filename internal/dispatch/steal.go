@@ -69,17 +69,15 @@ func (d *Dispatcher) launchLocal(c *shard) bool {
 		c.mu.Unlock()
 		return false
 	}
-	sel := d.cfg.Group(c.idle.Coords(), job.Procs())
-	group := c.idle.Take(sel)
-	c.nIdle.Store(int64(c.idle.Len()))
 	rj := d.registerRunning(job)
+	d.takeGroup(c, nil, rj)
 	c.refreshHead()
 	d.maybeRefillLocked(c)
 	// Emitted before the unlock: the pop held the same shard lock the queued
 	// event was emitted under, so the pair cannot reorder.
 	d.emit(Event{Kind: EvGroupAssembled, JobID: job.Spec.JobID, Detail: "local"})
 	c.mu.Unlock()
-	d.dispatchJob(rj, group)
+	d.dispatchJob(rj)
 	return true
 }
 
@@ -107,39 +105,47 @@ func (d *Dispatcher) launchStolen() bool {
 		d.unlockAll()
 		return false
 	}
-
-	// Combined idle view in shard-index order, the GroupPolicy input. The
-	// job's own shard leads so FCFS selection favors co-keyed workers.
-	var flat []*workerConn
-	appendShard := func(s *shard) {
-		flat = append(flat, s.idle.list...)
-	}
-	appendShard(c)
-	for _, s := range d.shards {
-		if s != c {
-			appendShard(s)
-		}
-	}
-	coords := make([][]int, len(flat))
-	for i, wc := range flat {
-		coords[i] = wc.reg.Coord
-	}
-	sel := d.cfg.Group(coords, job.Procs())
-	group := make([]*workerConn, len(sel))
-	for i, idx := range sel {
-		group[i] = flat[idx]
-	}
-	for _, wc := range group {
-		wc.shard.removeIdle(wc)
-	}
 	rj := d.registerRunning(job)
+	d.takeGroup(c, d.shards, rj)
 	c.refreshHead()
 	d.maybeRefillLocked(c)
 	d.stats.steals.Add(1)
 	d.emit(Event{Kind: EvGroupAssembled, JobID: job.Spec.JobID, Detail: "stolen"})
 	d.unlockAll()
-	d.dispatchJob(rj, group)
+	d.dispatchJob(rj)
 	return true
+}
+
+// takeGroup is group selection, for both launch paths: it binds rj's ranks
+// to idle workers chosen by the group policy. The candidates are the job's
+// own shard's idle workers first, so FCFS favours co-keyed workers, then
+// those of others in shard-index order; within a shard, longest-idle first.
+// The candidate list, its coordinates and the policy's choice live in the
+// job's shard's scratch, so selection allocates nothing. Caller holds c.mu
+// and the lock of every shard in others.
+func (d *Dispatcher) takeGroup(c *shard, others []*shard, rj *runningJob) {
+	sc := &c.scratch
+	flat := c.idle.appendTo(sc.flat)
+	for _, s := range others {
+		if s != c {
+			flat = s.idle.appendTo(flat)
+		}
+	}
+	coords := sc.coords
+	for _, wc := range flat {
+		coords = append(coords, wc.reg.Coord)
+	}
+	sel := d.cfg.Group(sc.sel, coords, len(rj.ranks))
+	for i, idx := range sel {
+		wc := flat[idx]
+		wc.shard.removeIdle(wc)
+		rj.ranks[i].wc = wc
+	}
+	// Keep the capacity, not the workers: a departed worker must not stay
+	// reachable from the scratch.
+	clear(flat)
+	clear(coords)
+	sc.flat, sc.coords, sc.sel = flat[:0], coords[:0], sel[:0]
 }
 
 // placeJob queues a submitted (or retried) job. Placement is a performance

@@ -157,22 +157,27 @@ func (m *MPIExec) KVSName() string { return m.kvsName }
 // ready for the dispatcher to hand to workers.
 func (m *MPIExec) ProxyTasks() []proto.Task {
 	tasks := make([]proto.Task, m.Spec.NProcs)
-	for rank := 0; rank < m.Spec.NProcs; rank++ {
-		tasks[rank] = proto.Task{
-			TaskID:    fmt.Sprintf("%s/rank%d", m.Spec.JobID, rank),
-			JobID:     m.Spec.JobID,
-			Cmd:       m.Spec.Cmd,
-			Args:      append([]string(nil), m.Spec.Args...),
-			Env:       append([]string(nil), m.Spec.Env...),
-			Dir:       m.Spec.Dir,
-			Rank:      rank,
-			Size:      m.Spec.NProcs,
-			Control:   m.addr,
-			KVS:       m.kvsName,
-			WallLimit: m.Spec.WallLimit,
-		}
+	for rank := range tasks {
+		tasks[rank] = m.ProxyTask(rank)
 	}
 	return tasks
+}
+
+// ProxyTask renders the proxy task of one rank.
+func (m *MPIExec) ProxyTask(rank int) proto.Task {
+	return proto.Task{
+		TaskID:    fmt.Sprintf("%s/rank%d", m.Spec.JobID, rank),
+		JobID:     m.Spec.JobID,
+		Cmd:       m.Spec.Cmd,
+		Args:      append([]string(nil), m.Spec.Args...),
+		Env:       append([]string(nil), m.Spec.Env...),
+		Dir:       m.Spec.Dir,
+		Rank:      rank,
+		Size:      m.Spec.NProcs,
+		Control:   m.addr,
+		KVS:       m.kvsName,
+		WallLimit: m.Spec.WallLimit,
+	}
 }
 
 // Wait blocks until every rank has finalized through PMI or the timeout

@@ -33,8 +33,8 @@ type Runner interface {
 }
 
 // AppFunc is an in-process stand-in for a user executable: argv-style
-// arguments, environment map, and a stdout stream. The returned int is the
-// exit code.
+// arguments, environment map (read-only; nil when the environment is empty),
+// and a stdout stream. The returned int is the exit code.
 type AppFunc func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int
 
 // FuncRunner runs registered AppFuncs by command name.
@@ -76,7 +76,12 @@ func (r *FuncRunner) Run(ctx context.Context, task *proto.Task, env []string, st
 	if !ok {
 		return -1, fmt.Errorf("hydra: no registered app %q", task.Cmd)
 	}
-	envMap := make(map[string]string, len(env))
+	// An empty environment is a nil map: an AppFunc only reads it, and
+	// reading a nil map is reading an empty one.
+	var envMap map[string]string
+	if len(env) > 0 {
+		envMap = make(map[string]string, len(env))
+	}
 	for _, kv := range env {
 		if i := strings.IndexByte(kv, '='); i >= 0 {
 			envMap[kv[:i]] = kv[i+1:]

@@ -211,25 +211,36 @@ func (s *SpillStore) Get(id string) (Record, bool, error) {
 	return r, ok, err
 }
 
-// GetBatch reads the live records for ids, sorted by (segment, offset) so a
-// cold-tail refill costs one sequential sweep per touched segment. IDs with
-// no live entry are simply absent from the result; the first read error is
-// returned alongside whatever was read successfully.
+// GetBatch reads the live records for ids into a map keyed by ID (see
+// ReadBatch). IDs with no live entry are simply absent from the result; the
+// first read error is returned alongside whatever was read successfully.
 func (s *SpillStore) GetBatch(ids []string) (map[string]Record, error) {
-	type refID struct {
+	out := make(map[string]Record, len(ids))
+	err := s.ReadBatch(ids, func(i int, r Record) { out[ids[i]] = r })
+	return out, err
+}
+
+// ReadBatch reads the live records for ids and calls fn with each one and
+// its index in ids. The reads go in (segment, offset) order, so a cold-tail
+// refill costs one sequential sweep per touched segment, and records that
+// lie end to end on disk — a refill batch spilled in submission order —
+// come in with one read. IDs with no live entry are skipped; the first read
+// error is returned after every readable record has been passed to fn.
+func (s *SpillStore) ReadBatch(ids []string, fn func(i int, r Record)) error {
+	type refIdx struct {
 		ref spillRef
-		id  string
+		i   int
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	refs := make([]refID, 0, len(ids))
+	refs := make([]refIdx, 0, len(ids))
 	needActive := false
-	for _, id := range ids {
+	for i, id := range ids {
 		if ref, ok := s.idx[id]; ok {
-			refs = append(refs, refID{ref, id})
+			refs = append(refs, refIdx{ref, i})
 			if ref.seg == s.seg {
 				needActive = true
 			}
@@ -238,7 +249,7 @@ func (s *SpillStore) GetBatch(ids []string) (map[string]Record, error) {
 	if needActive && s.buffered {
 		if err := s.w.Flush(); err != nil {
 			s.mu.Unlock()
-			return nil, err
+			return err
 		}
 		s.buffered = false
 	}
@@ -252,54 +263,75 @@ func (s *SpillStore) GetBatch(ids []string) (map[string]Record, error) {
 	// The reads run outside the mutex: every target record is live (the
 	// caller holds its job), so its segment cannot be reclaimed underneath
 	// us, and a concurrent rotation never mutates already-written bytes.
-	out := make(map[string]Record, len(refs))
 	var firstErr error
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
 	var f *os.File
 	cur := -1
 	var buf []byte
-	for _, r := range refs {
-		if r.ref.seg != cur {
+	solo := 0 // after a failed run read: refs left to read one at a time
+	for len(refs) > 0 {
+		// The run: refs[:n] lie end to end in one segment.
+		first := refs[0].ref
+		n, size := 1, int64(first.n)
+		for solo == 0 && n < len(refs) && refs[n].ref.seg == first.seg &&
+			refs[n].ref.off == first.off+size && size < maxReadRun {
+			size += int64(refs[n].ref.n)
+			n++
+		}
+		if first.seg != cur {
 			if f != nil {
 				f.Close()
 			}
 			var err error
-			f, err = os.Open(filepath.Join(s.dir, spillSegmentName(r.ref.seg)))
-			cur = r.ref.seg
+			f, err = os.Open(filepath.Join(s.dir, spillSegmentName(first.seg)))
+			cur = first.seg
 			if err != nil {
 				f = nil
-				if firstErr == nil {
-					firstErr = err
+				fail(err)
+			}
+		}
+		if f != nil {
+			if int(size) > cap(buf) {
+				buf = make([]byte, size)
+			}
+			b := buf[:size]
+			if _, err := f.ReadAt(b, first.off); err != nil {
+				if n > 1 {
+					// Read the run's records one at a time, so that only
+					// the unreadable ones fail.
+					solo = n
+					continue
 				}
-				continue
+				fail(err)
+			} else {
+				for _, r := range refs[:n] {
+					rec, used, err := readFrame(b[:r.ref.n])
+					b = b[r.ref.n:]
+					if err != nil || used != int(r.ref.n) {
+						fail(fmt.Errorf("journal: corrupt spill frame for %q", ids[r.i]))
+						continue
+					}
+					fn(r.i, rec)
+				}
 			}
 		}
-		if f == nil {
-			continue
+		refs = refs[n:]
+		if solo > 0 {
+			solo--
 		}
-		if int(r.ref.n) > cap(buf) {
-			buf = make([]byte, r.ref.n)
-		}
-		b := buf[:r.ref.n]
-		if _, err := f.ReadAt(b, r.ref.off); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		rec, n, err := readFrame(b)
-		if err != nil || n != len(b) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("journal: corrupt spill frame for %q", r.id)
-			}
-			continue
-		}
-		out[r.id] = rec
 	}
 	if f != nil {
 		f.Close()
 	}
-	return out, firstErr
+	return firstErr
 }
+
+// maxReadRun bounds one ReadBatch read, and so its buffer.
+const maxReadRun = 1 << 20
 
 // Remove drops id's entry, reclaiming its segment once empty. Call it when
 // the job leaves the spill's custody for good (terminal state, migration to

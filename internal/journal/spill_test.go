@@ -240,3 +240,68 @@ func TestSpillPutReplacesEntry(t *testing.T) {
 		t.Fatalf("Get after re-put = %+v ok=%v err=%v, want the updated record", rec, ok, err)
 	}
 }
+
+// TestSpillReadBatchRuns: records spilled end to end come back through
+// ReadBatch with their indexes in ids, whatever order ids names them in; and
+// when the segment is cut short under a live store, the records before the
+// cut are still delivered — a failed run read falls back to one read per
+// record — and the error names what was lost.
+func TestSpillReadBatchRuns(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSpill(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var ids []string
+	for i := 0; i < 8; i++ {
+		id := fmt.Sprintf("r%d", i)
+		if _, err := s.Put(spillRecord(id)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append([]string{id}, ids...) // newest first: ReadBatch sorts by offset
+	}
+	ids = append(ids, "absent")
+	read := func() (map[int]Record, error) {
+		got := map[int]Record{}
+		err := s.ReadBatch(ids, func(i int, r Record) {
+			if _, dup := got[i]; dup {
+				t.Errorf("index %d delivered twice", i)
+			}
+			got[i] = r
+		})
+		return got, err
+	}
+	got, err := read()
+	if err != nil || len(got) != 8 {
+		t.Fatalf("read %d records, err %v; want 8, nil", len(got), err)
+	}
+	for i, r := range got {
+		if r.JobID != ids[i] || r.Args[1] != ids[i] {
+			t.Fatalf("index %d (%s) delivered %+v", i, ids[i], r)
+		}
+	}
+
+	// Cut the segment inside the last record: r0..r6 stay readable.
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, spillSegmentName(1))
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	got, err = read()
+	if err == nil {
+		t.Fatal("reading a truncated record reported no error")
+	}
+	if len(got) != 7 {
+		t.Fatalf("%d records read past the cut, want the 7 before it", len(got))
+	}
+	if _, lost := got[0]; lost {
+		t.Fatalf("the cut record %s was delivered", ids[0])
+	}
+}

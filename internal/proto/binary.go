@@ -272,25 +272,41 @@ func appendPeerSubmit(buf []byte, p *PeerSubmit) []byte {
 // bounds a steal-reply's announced count against the bytes actually present.
 const minPeerSubmit = 11
 
-// decodeBinary parses one frame payload (including the magic byte). All
-// []byte payloads are copied out of buf, so the caller may reuse it.
+// withBody is an envelope and its payload as one object: a decoded frame's
+// two parts are made together and die together, so they cost one allocation.
+type withBody[T any] struct {
+	env  Envelope
+	body T
+}
+
+// newBody allocates an envelope of the kind together with its payload.
+func newBody[T any](kind Kind, seq uint64) (*Envelope, *T) {
+	m := &withBody[T]{env: Envelope{Kind: kind, Seq: seq}}
+	return &m.env, &m.body
+}
+
+// decodeBinary parses one frame payload (including the magic byte). Every
+// string and []byte is copied out of buf, so the caller may reuse it. The
+// envelope and its payload are one allocation; the strings of a task or a
+// result frame are slices of one copy of its body (binReader.str).
 func decodeBinary(buf []byte) (*Envelope, error) {
 	if err := checkMagic(buf); err != nil {
 		return nil, err
 	}
-	r := binReader{buf: buf, off: 2}
-	e := &Envelope{}
-	e.Seq = r.uvarint()
-	switch buf[1] {
+	code := buf[1]
+	r := binReader{buf: buf, off: 2, shareText: code == binTask || code == binResult}
+	seq := r.uvarint()
+	var e *Envelope
+	switch code {
 	case binWorkRequest:
-		e.Kind = KindWorkRequest
+		e = &Envelope{Kind: KindWorkRequest, Seq: seq}
 	case binNoWork:
-		e.Kind = KindNoWork
+		e = &Envelope{Kind: KindNoWork, Seq: seq}
 	case binShutdown:
-		e.Kind = KindShutdown
+		e = &Envelope{Kind: KindShutdown, Seq: seq}
 	case binTask:
-		e.Kind = KindTask
-		t := &Task{}
+		var t *Task
+		e, t = newBody[Task](KindTask, seq)
 		t.TaskID = r.str()
 		t.JobID = r.str()
 		t.Cmd = r.str()
@@ -304,8 +320,8 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 		t.WallLimit = time.Duration(r.varint())
 		e.Task = t
 	case binResult:
-		e.Kind = KindResult
-		res := &Result{}
+		var res *Result
+		e, res = newBody[Result](KindResult, seq)
 		res.TaskID = r.str()
 		res.JobID = r.str()
 		res.Err = r.str()
@@ -313,50 +329,51 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 		res.Elapsed = time.Duration(r.varint())
 		e.Result = res
 	case binOutput:
-		e.Kind = KindOutput
-		o := &Output{}
+		var o *Output
+		e, o = newBody[Output](KindOutput, seq)
 		o.TaskID = r.str()
 		o.Stream = r.str()
 		o.Data = r.byteSlice()
 		e.Output = o
 	case binHeartbeat:
-		e.Kind = KindHeartbeat
-		h := &Heartbeat{}
+		var h *Heartbeat
+		e, h = newBody[Heartbeat](KindHeartbeat, seq)
 		h.WorkerID = r.str()
 		h.Busy = r.bool()
 		h.Uptime = time.Duration(r.varint())
 		e.Heartbeat = h
 	case binRegister:
-		e.Kind = KindRegister
-		reg := &Register{}
+		var reg *Register
+		e, reg = newBody[Register](KindRegister, seq)
 		reg.WorkerID = r.str()
 		reg.Host = r.str()
 		reg.Cores = int(r.varint())
 		reg.Coord = r.ints()
 		e.Register = reg
 	case binRegistered:
-		e.Kind = KindRegistered
+		e = &Envelope{Kind: KindRegistered, Seq: seq}
 	case binStage, binStaged:
-		e.Kind = KindStage
-		if buf[1] == binStaged {
-			e.Kind = KindStaged
+		kind := KindStage
+		if code == binStaged {
+			kind = KindStaged
 		}
-		s := &Stage{}
-		s.Name = r.str()
-		s.Path = r.str()
-		s.Data = r.byteSlice()
-		e.Stage = s
+		var st *Stage
+		e, st = newBody[Stage](kind, seq)
+		st.Name = r.str()
+		st.Path = r.str()
+		st.Data = r.byteSlice()
+		e.Stage = st
 	case binError:
-		e.Kind = KindError
+		e = &Envelope{Kind: KindError, Seq: seq}
 		e.Error = r.str()
 	case binPeerSubmit:
-		e.Kind = KindPeerSubmit
-		p := &PeerSubmit{}
+		var p *PeerSubmit
+		e, p = newBody[PeerSubmit](KindPeerSubmit, seq)
 		r.peerSubmit(p)
 		e.PeerSubmit = p
 	case binJobDone:
-		e.Kind = KindJobDone
-		jd := &JobDone{}
+		var jd *JobDone
+		e, jd = newBody[JobDone](KindJobDone, seq)
 		jd.JobID = r.str()
 		jd.Err = r.str()
 		jd.Retries = int(r.varint())
@@ -364,32 +381,34 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 		jd.Rejected = r.bool()
 		e.JobDone = jd
 	case binPeerAttach:
-		e.Kind = KindPeerAttach
-		a := &PeerAttach{}
+		var a *PeerAttach
+		e, a = newBody[PeerAttach](KindPeerAttach, seq)
 		a.PeerID = r.str()
 		a.Outstanding = r.strs()
 		a.LoadEvery = time.Duration(r.varint())
 		e.PeerAttach = a
 	case binPeerAttached:
-		e.Kind = KindPeerAttached
-		e.PeerInfo = &PeerInfo{Live: r.strs()}
+		var pi *PeerInfo
+		e, pi = newBody[PeerInfo](KindPeerAttached, seq)
+		pi.Live = r.strs()
+		e.PeerInfo = pi
 	case binLoadReport:
-		e.Kind = KindLoadReport
-		l := &LoadReport{}
+		var l *LoadReport
+		e, l = newBody[LoadReport](KindLoadReport, seq)
 		l.Queued = int(r.varint())
 		l.Running = int(r.varint())
 		l.Idle = int(r.varint())
 		l.Workers = int(r.varint())
 		e.LoadReport = l
 	case binStealRequest:
-		e.Kind = KindStealRequest
-		sr := &StealRequest{}
+		var sr *StealRequest
+		e, sr = newBody[StealRequest](KindStealRequest, seq)
 		sr.Max = int(r.varint())
 		sr.Dest = r.str()
 		e.StealRequest = sr
 	case binStealReply:
-		e.Kind = KindStealReply
-		rep := &StealReply{}
+		var rep *StealReply
+		e, rep = newBody[StealReply](KindStealReply, seq)
 		n := r.uvarint()
 		if n > uint64(len(buf)-r.off)/minPeerSubmit {
 			r.fail()
@@ -401,7 +420,7 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 		}
 		e.StealReply = rep
 	default:
-		return nil, fmt.Errorf("%w: unknown kind code %d", ErrCorruptFrame, buf[1])
+		return nil, fmt.Errorf("%w: unknown kind code %d", ErrCorruptFrame, code)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -463,6 +482,16 @@ type binReader struct {
 	buf []byte
 	off int
 	err error
+
+	// With shareText set, the first non-empty str copies the rest of the
+	// payload into text (which starts at buf offset textAt), and every string
+	// of the frame is a slice of that one copy. Only task and result frames
+	// set it: their strings die with the task or the result. Another frame's
+	// strings can outlive it one by one — a job ID kept in a table while the
+	// job's spec goes to the spill store — and would pin the rest.
+	shareText bool
+	text      string
+	textAt    int
 }
 
 func (r *binReader) fail() {
@@ -506,7 +535,17 @@ func (r *binReader) str() string {
 		r.fail()
 		return ""
 	}
-	s := string(r.buf[r.off : r.off+int(n)])
+	var s string
+	switch {
+	case n == 0:
+	case r.shareText:
+		if r.text == "" {
+			r.text, r.textAt = string(r.buf[r.off:]), r.off
+		}
+		s = r.text[r.off-r.textAt : r.off-r.textAt+int(n)]
+	default:
+		s = string(r.buf[r.off : r.off+int(n)])
+	}
 	r.off += int(n)
 	return s
 }

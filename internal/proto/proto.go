@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"time"
 )
@@ -143,12 +144,14 @@ type Stage struct {
 // concurrent writer; writes are additionally serialized internally so many
 // goroutines may Send.
 type Codec struct {
-	r  *bufio.Reader
-	w  *bufio.Writer
-	wc io.Closer
+	r    *bufio.Reader
+	rhdr [4]byte // length prefix being read; the codec has one reader
+	w    *bufio.Writer
+	wc   io.Closer
 
-	mu  sync.Mutex // guards w, seq
-	seq uint64
+	mu   sync.Mutex // guards w, whdr, seq
+	whdr [4]byte    // length prefix being written
+	seq  uint64
 }
 
 // bufPool recycles frame scratch buffers across Send and Recv calls. The
@@ -198,7 +201,9 @@ func (c *Codec) writeLocked(e *Envelope) error {
 	if ok {
 		err = c.writeFrameLocked(buf)
 	} else {
-		err = fmt.Errorf("proto: cannot encode %q envelope: unknown kind or missing payload", e.Kind)
+		// A clone, not e.Kind itself: nothing reachable from e may escape,
+		// so a caller's envelope and its payload can live on its stack.
+		err = fmt.Errorf("proto: cannot encode %q envelope: unknown kind or missing payload", strings.Clone(string(e.Kind)))
 	}
 	*bp = buf[:0]
 	bufPool.Put(bp)
@@ -209,9 +214,8 @@ func (c *Codec) writeFrameLocked(buf []byte) error {
 	if len(buf) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(buf)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(c.whdr[:], uint32(len(buf)))
+	if _, err := c.w.Write(c.whdr[:]); err != nil {
 		return err
 	}
 	_, err := c.w.Write(buf)
@@ -251,11 +255,10 @@ func (c *Codec) Flush() error {
 // returns the pool entry plus the payload slice. The caller owns the entry
 // and must return it with putBuf.
 func (c *Codec) readFrame() (*[]byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.rhdr[:]); err != nil {
 		return nil, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.rhdr[:])
 	if n > MaxFrame {
 		return nil, nil, ErrFrameTooLarge
 	}

@@ -121,10 +121,7 @@ type Worker struct {
 	registered atomic.Bool  // this attempt reached registration (resets redial backoff)
 	tasks      atomic.Int64 // tasks completed
 
-	// killCtx ends when Kill is called; killed is its Done channel.
-	killCtx  context.Context
-	kill     context.CancelFunc
-	killed   <-chan struct{}
+	killed   chan struct{} // closed by Kill
 	killOnce sync.Once
 }
 
@@ -177,8 +174,7 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.Host == "" {
 		cfg.Host, _ = os.Hostname()
 	}
-	killCtx, kill := context.WithCancel(context.Background())
-	return &Worker{cfg: cfg, addrs: addrs, killCtx: killCtx, kill: kill, killed: killCtx.Done()}, nil
+	return &Worker{cfg: cfg, addrs: addrs, killed: make(chan struct{})}, nil
 }
 
 // TasksCompleted reports how many tasks this worker has finished.
@@ -201,7 +197,7 @@ func (w *Worker) Healthy() error {
 // the redial loop observes the kill and exits.
 func (w *Worker) Kill() {
 	w.killOnce.Do(func() {
-		w.kill()
+		close(w.killed)
 		w.codecMu.Lock()
 		c := w.codec
 		w.codecMu.Unlock()
@@ -285,6 +281,11 @@ func (w *Worker) runOnce(ctx context.Context) error {
 	defer codec.Flush()
 	w.started = time.Now()
 
+	// taskCtx is the context of every task this connection runs: it ends
+	// with ctx, on Kill, and when the cycle returns, so one per connection
+	// does what a kill-aware context per task did. A reconnect gets a new one.
+	taskCtx, cancelTasks := context.WithCancel(ctx)
+	defer cancelTasks()
 	// Unblock any pending Recv when the context ends; otherwise a canceled
 	// worker would sit parked in the dispatcher forever.
 	stop := make(chan struct{})
@@ -294,6 +295,7 @@ func (w *Worker) runOnce(ctx context.Context) error {
 		case <-ctx.Done():
 			codec.Close()
 		case <-w.killed:
+			cancelTasks()
 			codec.Close()
 		case <-stop:
 		}
@@ -318,6 +320,8 @@ func (w *Worker) runOnce(ctx context.Context) error {
 	hbCtx, hbCancel := context.WithCancel(ctx)
 	defer hbCancel()
 	go w.heartbeatLoop(hbCtx, codec)
+
+	out := &outputForwarder{codec: codec, stream: "stdout"}
 
 	// One reusable timer serves every no-work backoff in the cycle below; it
 	// is created lazily (most workers never see a no-work reply) and stopped
@@ -353,7 +357,7 @@ func (w *Worker) runOnce(ctx context.Context) error {
 				return fmt.Errorf("worker %s: task frame without payload", w.cfg.ID)
 			}
 			backoff = w.cfg.NoWorkBackoff
-			w.execute(ctx, env.Task)
+			w.execute(taskCtx, out, env.Task)
 		case proto.KindStage:
 			backoff = w.cfg.NoWorkBackoff
 			if err := w.stage(env.Stage); err != nil {
@@ -429,29 +433,44 @@ func (w *Worker) heartbeatLoop(ctx context.Context, codec *proto.Codec) {
 
 // outputForwarder streams task output back through the service in chunks,
 // implementing the paper's application -> proxy -> mpiexec -> JETS routing.
+// One serves every task of a connection: execute attaches it to the task it
+// runs and detaches it when the task returns, so a write that outlives its
+// task is dropped rather than sent under the next task's ID.
 type outputForwarder struct {
 	codec  *proto.Codec
-	taskID string
 	stream string
+
+	mu     sync.Mutex // held across a chunk's Send, so detaching waits it out
+	taskID string     // the running task; "" between tasks
+}
+
+func (f *outputForwarder) attach(taskID string) {
+	f.mu.Lock()
+	f.taskID = taskID
+	f.mu.Unlock()
 }
 
 func (f *outputForwarder) Write(p []byte) (int, error) {
-	// No defensive copy: Send encodes the envelope into the codec's write
-	// buffer synchronously under its lock and never retains p, so aliasing
-	// the caller's buffer for the duration of the call is safe.
-	err := f.codec.Send(&proto.Envelope{Kind: proto.KindOutput, Output: &proto.Output{
-		TaskID: f.taskID, Stream: f.stream, Data: p,
-	}})
-	if err != nil {
-		// Losing output must not kill the user process; swallow and drop.
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.taskID == "" {
 		return len(p), nil
 	}
+	// No defensive copy: Send encodes the envelope into the codec's write
+	// buffer synchronously under its lock and never retains p, so aliasing
+	// the caller's buffer for the duration of the call is safe. Losing output
+	// must not kill the user process, so a send error drops the chunk.
+	f.codec.Send(&proto.Envelope{Kind: proto.KindOutput, Output: &proto.Output{
+		TaskID: f.taskID, Stream: f.stream, Data: p,
+	}})
 	return len(p), nil
 }
 
 var _ io.Writer = (*outputForwarder)(nil)
 
-func (w *Worker) execute(ctx context.Context, task *proto.Task) {
+// execute runs one task under ctx, the connection's task context, and
+// buffers its result on out's connection.
+func (w *Worker) execute(ctx context.Context, out *outputForwarder, task *proto.Task) {
 	w.busy.Store(true)
 	defer w.busy.Store(false)
 
@@ -461,17 +480,15 @@ func (w *Worker) execute(ctx context.Context, task *proto.Task) {
 		task.Env = append(task.Env, "JETS_CACHE="+w.cfg.CacheDir)
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	stopKillWatch := context.AfterFunc(w.killCtx, cancel)
-	res := hydra.RunProxy(runCtx, task, w.cfg.Runner, &outputForwarder{codec: w.codec, taskID: task.TaskID, stream: "stdout"})
-	stopKillWatch()
-	cancel()
+	out.attach(task.TaskID)
+	res := hydra.RunProxy(ctx, task, w.cfg.Runner, out)
+	out.attach("")
 
 	w.tasks.Add(1)
 	tasksExecutedTotal.Inc()
 	// Buffered, not sent: the cycle's next frame is the work request, and the
 	// two leave in one write (runOnce flushes on every other way out).
-	w.codec.SendBuffered(&proto.Envelope{Kind: proto.KindResult, Result: &res})
+	out.codec.SendBuffered(&proto.Envelope{Kind: proto.KindResult, Result: &res})
 }
 
 func (w *Worker) stage(s *proto.Stage) error {

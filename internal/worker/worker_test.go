@@ -689,3 +689,79 @@ func TestResultSharesWriteWithNextRequest(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 }
+
+// TestReconnectWorkerKilledMidTask: a reconnecting worker killed while a
+// task runs cancels the task and ends Run with its "worker killed" error,
+// not the cancellation of the context the task ran under.
+func TestReconnectWorkerKilledMidTask(t *testing.T) {
+	fd := newFakeDispatcher(t)
+	runner := hydra.NewFuncRunner()
+	started := make(chan struct{})
+	runner.Register("block", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
+		close(started)
+		<-ctx.Done()
+		return 9
+	})
+	w, err := New(Config{ID: "rk", DispatcherAddr: fd.addr(), Runner: runner, HeartbeatInterval: time.Hour,
+		Reconnect: true, ReconnectBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+	codec, _ := fd.accept(t)
+	defer codec.Close()
+	drainUntil(t, codec, proto.KindWorkRequest)
+	codec.Send(&proto.Envelope{Kind: proto.KindTask, Task: &proto.Task{TaskID: "t", JobID: "j", Cmd: "block"}})
+	<-started
+	w.Kill()
+	select {
+	case err := <-done:
+		if err == nil || err.Error() != "worker killed" || errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v, want the worker-killed error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("kill did not stop the worker")
+	}
+}
+
+// TestReconnectedWorkerRunsUnderLiveContext: the context a task runs under
+// belongs to the connection, so a worker whose connection dropped runs the
+// next connection's tasks under a fresh, live one.
+func TestReconnectedWorkerRunsUnderLiveContext(t *testing.T) {
+	fd := newFakeDispatcher(t)
+	runner := hydra.NewFuncRunner()
+	ctxErrs := make(chan error, 2)
+	runner.Register("ctx", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
+		ctxErrs <- ctx.Err()
+		return 0
+	})
+	w, err := New(Config{ID: "rl", DispatcherAddr: fd.addr(), Runner: runner, HeartbeatInterval: time.Hour,
+		Reconnect: true, ReconnectBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+	for i := 0; i < 2; i++ {
+		codec, _ := fd.accept(t)
+		drainUntil(t, codec, proto.KindWorkRequest)
+		codec.Send(&proto.Envelope{Kind: proto.KindTask, Task: &proto.Task{TaskID: "t", JobID: "j", Cmd: "ctx"}})
+		if res := drainUntil(t, codec, proto.KindResult).Result; res.ExitCode != 0 {
+			t.Fatalf("connection %d: result %+v", i, res)
+		}
+		if err := <-ctxErrs; err != nil {
+			t.Fatalf("connection %d: task ran under a dead context: %v", i, err)
+		}
+		if i == 0 {
+			codec.Close() // the dispatcher crashed; the worker redials
+			continue
+		}
+		drainUntil(t, codec, proto.KindWorkRequest)
+		codec.Send(&proto.Envelope{Kind: proto.KindShutdown})
+		codec.Close()
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Run after ordered shutdown = %v", err)
+	}
+}
