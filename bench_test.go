@@ -527,7 +527,7 @@ func BenchmarkIdealLaunchRate(b *testing.B) {
 }
 
 // BenchmarkDispatchThroughput measures the real dispatcher's sequential task
-// rate over loopback TCP with in-process workers, reporting jobs/s, with
+// rate with in-process workers (each on an in-memory pipe), reporting jobs/s, with
 // write coalescing on. The shards variants isolate the scheduling-state
 // sharding: one global lock (shards=1) against the sharded+stealing
 // scheduler (shards=4; the 8 workers' coordinate planes spread two per

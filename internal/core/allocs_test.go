@@ -13,7 +13,8 @@ import (
 
 // Per-job allocation budgets: the most heap allocations one sequential job
 // may cost end to end — Submit, the task frame, the worker, the result frame
-// and OnDone, on both sides of the loopback connection. DESIGN.md "Per-job
+// and OnDone, on both sides of the in-memory pipe between the dispatcher and
+// each local worker. DESIGN.md "Per-job
 // allocation budget" lists what the counts are made of.
 const (
 	seqJobAllocBudget     = 15 // hot path: 13 measured

@@ -36,8 +36,9 @@ import (
 // Options configures an Engine.
 type Options struct {
 	// LocalWorkers, when positive, starts that many in-process worker
-	// agents connected over loopback TCP — the single-machine form of an
-	// allocation. Zero means workers join externally (cmd/jets-worker).
+	// agents, each connected to its dispatcher over an in-memory pipe — the
+	// single-machine form of an allocation. Zero means workers join
+	// externally (cmd/jets-worker).
 	LocalWorkers int
 	// CoresPerWorker is reported by local workers at registration.
 	CoresPerWorker int
@@ -98,11 +99,11 @@ type Options struct {
 	// process behind a work router (internal/router): submissions partition
 	// across the instances by consistent hash with least-loaded fallback,
 	// queued work rebalances between them, and local workers spread across
-	// the instances round-robin (each carrying the full address rotation for
-	// failover). With DataDir set, each instance journals under
-	// DataDir/inst<i> and the router's routing table under DataDir/router,
-	// so any subset of the federation recovers after a crash. 0 or 1 keeps
-	// the single-dispatcher engine unchanged.
+	// the instances round-robin, each pinned to its instance. With DataDir
+	// set, each instance journals under DataDir/inst<i> and the router's
+	// routing table under DataDir/router, so any subset of the federation
+	// recovers after a crash. 0 or 1 keeps the single-dispatcher engine
+	// unchanged.
 	Federate int
 	// FederatePeers adds out-of-process dispatcher instances (by address) to
 	// the federation; the router attaches to them over the wire protocol.
@@ -165,26 +166,23 @@ func (e *Engine) startLocalWorkers(opts Options) error {
 		cores = 1
 	}
 	for i := 0; i < opts.LocalWorkers; i++ {
-		// Home instance by round-robin; the rest of the rotation follows in
-		// order, so a worker whose instance dies fails over to the next one.
-		home := i % len(e.addrs)
-		rotation := make([]string, 0, len(e.addrs)-1)
-		for k := 1; k < len(e.addrs); k++ {
-			rotation = append(rotation, e.addrs[(home+k)%len(e.addrs)])
-		}
+		// A local worker shares its dispatcher's address space, so it is
+		// pinned to one instance (round-robin) over an in-memory pipe; a
+		// loopback socket would add two trips through the kernel per frame.
+		conn, served := proto.Pipe()
 		w, err := worker.New(worker.Config{
 			ID:                fmt.Sprintf("local-%d", i),
 			Host:              fmt.Sprintf("localhost/%d", i),
 			Cores:             cores,
 			Coord:             []int{i % 8, (i / 8) % 8, i / 64},
-			DispatcherAddr:    e.addrs[home],
-			DispatcherAddrs:   rotation,
+			Conn:              conn,
 			Runner:            opts.Runner,
 			HeartbeatInterval: 250 * time.Millisecond,
 		})
 		if err != nil {
 			return err
 		}
+		e.insts[i%len(e.insts)].ServeConn(served)
 		e.workers = append(e.workers, w)
 		e.wg.Add(1)
 		go func(w *worker.Worker) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -66,6 +67,38 @@ func TestParseInputErrors(t *testing.T) {
 			t.Errorf("accepted %q", in)
 		}
 	}
+}
+
+// TestLocalWorkersOpenNoSockets pins the local workers' transport: an engine
+// with 8 of them holds one socket, the listener for external workers. Over
+// loopback TCP it held 17, a dial and an accept per worker beside it.
+func TestLocalWorkersOpenNoSockets(t *testing.T) {
+	before := openSockets(t)
+	e, err := NewEngine(Options{LocalWorkers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if n := openSockets(t) - before; n != 1 {
+		t.Fatalf("an engine with 8 local workers opened %d sockets, want 1 (its listener)", n)
+	}
+}
+
+// openSockets counts the process's socket descriptors; it skips where
+// /proc/self/fd does not exist.
+func openSockets(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	n := 0
+	for _, ent := range ents {
+		if target, err := os.Readlink("/proc/self/fd/" + ent.Name()); err == nil && strings.HasPrefix(target, "socket:") {
+			n++
+		}
+	}
+	return n
 }
 
 func newTestEngine(t *testing.T, workers int) (*Engine, *hydra.FuncRunner) {

@@ -640,7 +640,9 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 					return
 				}
 			case <-wc.quit:
-				// Flush anything already queued (best effort), then exit.
+				// The worker is gone and serveWorker closes the connection
+				// next: flush what is queued while it lasts, then exit. A
+				// write to a peer that stopped reading fails on that close.
 				for {
 					select {
 					case of := <-wc.sendq:
@@ -697,6 +699,10 @@ inbound:
 		f.Release()
 	}
 	d.workerGone(wc)
+	// Close before waiting for the writer: it may be blocked writing to a
+	// peer that has stopped reading, and on a synchronous pipe nothing but
+	// the close unblocks it.
+	codec.Close()
 	<-writerDone
 }
 

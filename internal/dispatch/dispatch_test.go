@@ -658,6 +658,48 @@ func TestUndecodableResultFailsItsJob(t *testing.T) {
 	}
 }
 
+// TestReaderExitUnblocksWriter: when the reader leaves its loop while the
+// writer is blocked on a peer that has stopped reading, serveWorker closes
+// the connection before it waits for the writer. On a synchronous pipe
+// nothing else unblocks that write; the connection and both sides'
+// goroutines stayed until the process ended.
+func TestReaderExitUnblocksWriter(t *testing.T) {
+	d := New(Config{})
+	if _, err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	fake, served := proto.Pipe()
+	defer fake.Close()
+	d.ServeConn(served)
+
+	if err := fake.Send(&proto.Envelope{Kind: proto.KindRegister, Register: &proto.Register{WorkerID: "fake", Cores: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := fake.Recv(); err != nil || ack.Kind != proto.KindRegistered {
+		t.Fatalf("registration ack: %+v, %v", ack, err)
+	}
+	// The fake stops reading, so the writer blocks on the stage frame.
+	d.StageFile("blob", []byte("x"))
+	// The result frame of TestUndecodableResultFailsItsJob: it classifies
+	// but does not decode, which ends the reader's loop.
+	if err := fake.SendRaw([]byte{0xBF, 3, 0x01, 0x05, 't'}); err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() {
+		sent <- fake.Send(&proto.Envelope{Kind: proto.KindHeartbeat, Heartbeat: &proto.Heartbeat{WorkerID: "fake"}})
+	}()
+	select {
+	case err := <-sent:
+		if err == nil {
+			t.Fatal("a frame was read from a connection the dispatcher dropped")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dispatcher still holds the connection: its writer is blocked on a peer that stopped reading")
+	}
+}
+
 // TestManyWorkersIdleChurn is the regression test for the idle-set
 // complexity fix: a large pool cycles through park/dispatch/death and the
 // idle accounting must stay exact throughout. Run at both shard extremes so

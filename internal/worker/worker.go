@@ -50,19 +50,11 @@ type Config struct {
 	Cores int
 	Coord []int // interconnect coordinates for topology-aware grouping
 
-	// DispatcherAddr is the TCP endpoint of the JETS service. At least one of
-	// DispatcherAddr, DispatcherAddrs, or Conn must be set.
+	// DispatcherAddr is the TCP endpoint of the JETS service. One of
+	// DispatcherAddr or Conn must be set.
 	DispatcherAddr string
-	// DispatcherAddrs lists additional endpoints tried in rotation when an
-	// attempt fails before reaching registration (federated deployments hand
-	// every worker the full instance list). DispatcherAddr, when set, leads
-	// the rotation. A worker that registered successfully stays on its
-	// current endpoint across reconnects — a restarted dispatcher at the
-	// same address gets its workers back — and rotates only when an endpoint
-	// fails it before the registered ack.
-	DispatcherAddrs []string
-	// Conn, when non-nil, is a pre-established connection (in-process
-	// runtime and tests).
+	// Conn, when non-nil, is a pre-established connection: the in-process
+	// runtime hands each local worker one end of a proto.Pipe.
 	Conn *proto.Codec
 
 	// Runner executes user processes; defaults to hydra.ExecRunner.
@@ -105,11 +97,6 @@ type Config struct {
 type Worker struct {
 	cfg Config
 
-	// addrs is the dial rotation (DispatcherAddr + DispatcherAddrs); addrIdx
-	// is advanced only by Run's retry loop, which owns it.
-	addrs   []string
-	addrIdx int
-
 	// codec is the current connection; codecMu orders its replacement on a
 	// reconnect against Kill reading it from another goroutine.
 	codecMu sync.Mutex
@@ -130,12 +117,7 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.ID == "" {
 		return nil, errors.New("worker: empty ID")
 	}
-	var addrs []string
-	if cfg.DispatcherAddr != "" {
-		addrs = append(addrs, cfg.DispatcherAddr)
-	}
-	addrs = append(addrs, cfg.DispatcherAddrs...)
-	if len(addrs) == 0 && cfg.Conn == nil {
+	if cfg.DispatcherAddr == "" && cfg.Conn == nil {
 		return nil, errors.New("worker: no dispatcher address or connection")
 	}
 	if cfg.Runner == nil {
@@ -174,7 +156,7 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.Host == "" {
 		cfg.Host, _ = os.Hostname()
 	}
-	return &Worker{cfg: cfg, addrs: addrs, killed: make(chan struct{})}, nil
+	return &Worker{cfg: cfg, killed: make(chan struct{})}, nil
 }
 
 // TasksCompleted reports how many tasks this worker has finished.
@@ -234,14 +216,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// connections but refuses registration (full restart loop, wrong
 			// endpoint behind a load balancer) must keep the backoff growing,
 			// or a large worker pool hammers it at the initial rate forever.
-			// The reset applies regardless of which address in the rotation
-			// served the successful attempt.
 			backoff = w.cfg.ReconnectBackoff
-		} else {
-			// The endpoint failed us before registration: rotate to the next
-			// one. A worker that did register stays put, so a dispatcher
-			// restarting at the same address gets its workers back.
-			w.addrIdx++
 		}
 		t := time.NewTimer(backoff)
 		select {
@@ -265,11 +240,10 @@ func (w *Worker) Run(ctx context.Context) error {
 func (w *Worker) runOnce(ctx context.Context) error {
 	codec := w.cfg.Conn
 	if codec == nil {
-		addr := w.addrs[w.addrIdx%len(w.addrs)]
 		var err error
-		codec, err = proto.Dial(addr, w.cfg.DialTimeout)
+		codec, err = proto.Dial(w.cfg.DispatcherAddr, w.cfg.DialTimeout)
 		if err != nil {
-			return fmt.Errorf("worker %s: dial %s: %w", w.cfg.ID, addr, err)
+			return fmt.Errorf("worker %s: dial %s: %w", w.cfg.ID, w.cfg.DispatcherAddr, err)
 		}
 	}
 	w.codecMu.Lock()

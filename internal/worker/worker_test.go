@@ -480,64 +480,17 @@ func TestWorkerReconnects(t *testing.T) {
 	}
 }
 
-// TestWorkerFailsOverToSecondaryAddr: with DispatcherAddrs, an endpoint
-// that fails before registration rotates the worker to the next address in
-// the list (federated deployments hand every worker the full instance
-// rotation).
-func TestWorkerFailsOverToSecondaryAddr(t *testing.T) {
+// TestReconnectBackoffResetsOnRegisteredAck: the redial backoff resets when
+// an attempt reaches the registered ack, not when a dial succeeds. The test
+// grows the backoff through six refused registrations (the dial succeeds,
+// registration is refused), lets the worker register, severs the connection,
+// and requires the re-register to arrive far sooner than the grown backoff
+// would allow.
+func TestReconnectBackoffResetsOnRegisteredAck(t *testing.T) {
 	fd := newFakeDispatcher(t)
 	w, err := New(Config{
-		ID: "fo", Cores: 1,
-		DispatcherAddr:  "127.0.0.1:1", // nothing listens here
-		DispatcherAddrs: []string{fd.addr()},
-		Runner:          hydra.NewFuncRunner(),
-		DialTimeout:     200 * time.Millisecond,
-		Reconnect:       true, ReconnectBackoff: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- w.Run(context.Background()) }()
-
-	codec, reg := fd.accept(t)
-	if reg.WorkerID != "fo" {
-		t.Fatalf("register %+v", reg)
-	}
-	drainUntil(t, codec, proto.KindWorkRequest)
-	if err := codec.Send(&proto.Envelope{Kind: proto.KindShutdown}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Run after shutdown on failover addr = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker did not exit on shutdown")
-	}
-}
-
-// TestReconnectBackoffResetsOnRegisteredAckAfterFailover is the satellite-3
-// regression: the redial backoff must reset when an attempt reaches the
-// registered ack — even when that ack came from a *different* address than
-// the one the worker first dialed (the router failover path). Before the
-// fix the reset was tied to the primary endpoint, so a worker that failed
-// over kept its grown backoff forever and recovered from every subsequent
-// blip at the maximum delay.
-//
-// The test grows the backoff through six refused registrations (dial
-// succeeds, registration is refused — so this is not a dial-success reset
-// either), lets the worker register on the secondary address, severs the
-// connection, and requires the re-register to arrive far sooner than the
-// grown backoff would allow.
-func TestReconnectBackoffResetsOnRegisteredAckAfterFailover(t *testing.T) {
-	primary := newFakeDispatcher(t)
-	secondary := newFakeDispatcher(t)
-	w, err := New(Config{
 		ID: "bk", Cores: 1,
-		DispatcherAddr:   primary.addr(),
-		DispatcherAddrs:  []string{secondary.addr()},
+		DispatcherAddr:   fd.addr(),
 		Runner:           hydra.NewFuncRunner(),
 		Reconnect:        true,
 		ReconnectBackoff: 10 * time.Millisecond, ReconnectBackoffMax: 10 * time.Second,
@@ -547,32 +500,25 @@ func TestReconnectBackoffResetsOnRegisteredAckAfterFailover(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- w.Run(ctx) }()
+	go w.Run(ctx)
 
-	// Six refusals across the rotation: backoff 10→20→40→80→160→320→640ms.
-	// Attempts alternate primary/secondary, so drain whichever connects.
-	for i := 0; i < 6; i++ {
+	next := func(what string) *proto.Codec {
+		t.Helper()
 		select {
-		case codec := <-primary.conns:
-			refuseOn(t, codec)
-		case codec := <-secondary.conns:
-			refuseOn(t, codec)
+		case codec := <-fd.conns:
+			return codec
 		case <-time.After(10 * time.Second):
-			t.Fatalf("refusal %d: worker stopped dialing", i)
+			t.Fatalf("%s: worker stopped dialing", what)
+			return nil
 		}
 	}
-
-	// Now accept: the next attempt registers (on whichever address the
-	// rotation is at — by construction at least one acceptance is against
-	// the secondary rotation slot over this test's lifetime).
-	var codec *proto.Codec
-	select {
-	case codec = <-primary.conns:
-	case codec = <-secondary.conns:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never redialed after refusals")
+	// Six refusals: backoff 10→20→40→80→160→320→640ms.
+	for i := 0; i < 6; i++ {
+		refuseOn(t, next("refusal"))
 	}
+
+	// Now accept: the next attempt registers.
+	codec := next("registration")
 	if env, err := codec.Recv(); err != nil || env.Kind != proto.KindRegister {
 		t.Fatalf("recv %v %v", env, err)
 	}
@@ -582,17 +528,10 @@ func TestReconnectBackoffResetsOnRegisteredAckAfterFailover(t *testing.T) {
 	drainUntil(t, codec, proto.KindWorkRequest)
 
 	// Sever. The registered ack above must have reset the backoff to 10ms;
-	// without the fix the worker sleeps its grown 640ms before redialing.
+	// without the reset the worker sleeps its grown 640ms before redialing.
 	severed := time.Now()
 	codec.Close()
-	select {
-	case c := <-primary.conns:
-		c.Close()
-	case c := <-secondary.conns:
-		c.Close()
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never redialed after sever")
-	}
+	next("redial after sever").Close()
 	if gap := time.Since(severed); gap > 400*time.Millisecond {
 		t.Fatalf("redial after registered-ack took %v; backoff did not reset", gap)
 	}
