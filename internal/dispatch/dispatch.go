@@ -223,7 +223,7 @@ type workerConn struct {
 	lastSeen atomic.Int64
 
 	// gone flips once, when the worker is declared dead. Checked under the
-	// shard lock by markIdle and under Dispatcher.mu by the dispatch path,
+	// shard lock by park and under Dispatcher.mu by the dispatch path,
 	// so a worker can never be parked or tasked after teardown began.
 	gone atomic.Bool
 
@@ -375,7 +375,11 @@ type Dispatcher struct {
 	wg        sync.WaitGroup
 	retryQuit chan struct{} // aborts the retry-backoff timers on Close
 
-	events        chan Event
+	// Lifecycle events (events.go): emit appends to evPending, and the
+	// drainer swaps the whole batch out and delivers it without the lock.
+	evMu          sync.Mutex
+	evPending     []Event
+	evReady       chan struct{} // one slot: evPending became non-empty; nil when tracing is off
 	eventsQuit    chan struct{}
 	evWG          sync.WaitGroup // tracks the drainer; Close waits for its flush
 	droppedEvents atomic.Int64
@@ -469,7 +473,7 @@ func (d *Dispatcher) Start() (string, error) {
 	d.ln = ln
 	d.epoch = time.Now()
 	if d.cfg.OnEvent != nil {
-		d.events = make(chan Event, 8192)
+		d.evReady = make(chan struct{}, 1)
 		d.eventsQuit = make(chan struct{})
 		d.evWG.Add(1)
 		go d.drainEvents()
@@ -661,12 +665,15 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 	for i := range staged {
 		wc.enqueue(&proto.Envelope{Kind: proto.KindStage, Stage: &staged[i]})
 	}
+	// A registered worker holds no task: it is idle until the dispatcher
+	// gives it one. Its first task queues behind the replayed stages.
+	d.park(wc)
 
-	// Inbound hot loop: work requests touch only the worker's shard lock,
-	// results only Dispatcher.mu; heartbeat and output frames take none.
+	// Inbound hot loop: results take Dispatcher.mu and then park the worker
+	// under its shard lock; heartbeat and output frames take no lock.
 	// RecvFrame classifies frames from their two-byte prefix, so the kinds
-	// that carry no payload the dispatcher reads (work-request, heartbeat)
-	// and the relayed kinds (output) skip body decoding entirely.
+	// that carry no payload the dispatcher reads (heartbeat, staged) and the
+	// relayed kinds (output) skip body decoding entirely.
 inbound:
 	for {
 		f, err := codec.RecvFrame()
@@ -675,8 +682,6 @@ inbound:
 		}
 		wc.touch()
 		switch f.Kind() {
-		case proto.KindWorkRequest:
-			d.markIdle(wc)
 		case proto.KindResult:
 			env, derr := f.Envelope()
 			if derr != nil {
@@ -700,14 +705,17 @@ inbound:
 	}
 	d.workerGone(wc)
 	// Close before waiting for the writer: it may be blocked writing to a
-	// peer that has stopped reading, and on a synchronous pipe nothing but
-	// the close unblocks it.
+	// peer that has stopped reading, and once the pipe's buffer or the
+	// socket's window is full nothing but the close unblocks it.
 	codec.Close()
 	<-writerDone
 }
 
-// markIdle parks a worker's work request in its home shard and schedules.
-func (d *Dispatcher) markIdle(wc *workerConn) {
+// park puts a worker that holds no task into its home shard's idle set and
+// schedules. The dispatcher owns the worker's credit: it parks a worker when
+// it registers and when the result of a task bound to it arrives, and at no
+// other time. A stopping dispatcher answers with shutdown instead.
+func (d *Dispatcher) park(wc *workerConn) {
 	if d.stopping.Load() || d.closed.Load() {
 		wc.enqueue(&proto.Envelope{Kind: proto.KindShutdown})
 		return
@@ -951,7 +959,9 @@ func (d *Dispatcher) retryDelay(attempt int) time.Duration {
 	return delay
 }
 
-// handleResult processes a rank's completion report.
+// handleResult processes a rank's completion report. A result for a task
+// bound to this connection frees the worker, which is parked for its next
+// task once Dispatcher.mu is released (lock order shard -> mu).
 func (d *Dispatcher) handleResult(wc *workerConn, res *proto.Result) {
 	var retry *Job
 	var td execTeardown
@@ -959,7 +969,7 @@ func (d *Dispatcher) handleResult(wc *workerConn, res *proto.Result) {
 	ref, ok := wc.tasks[res.TaskID]
 	if !ok || ref.rj.job.Spec.JobID != res.JobID {
 		// A frame from a connection that was never assigned the task, or a
-		// duplicate report. Credit nothing.
+		// duplicate report. Credit nothing: the worker may still be busy.
 		d.mu.Unlock()
 		return
 	}
@@ -968,8 +978,10 @@ func (d *Dispatcher) handleResult(wc *workerConn, res *proto.Result) {
 	if rj.job.live.run != rj || !rj.ranks[ref.rank].pending {
 		// A late result from a prior faulted attempt's surviving worker: the
 		// attempt is over, and a retry of it (with the same job and task IDs)
-		// is owned by someone else. Credit nothing.
+		// is owned by someone else. Credit nothing to the job; the worker
+		// itself is free again.
 		d.mu.Unlock()
+		d.park(wc)
 		return
 	}
 	rj.ranks[ref.rank].pending = false
@@ -991,6 +1003,7 @@ func (d *Dispatcher) handleResult(wc *workerConn, res *proto.Result) {
 	}
 	d.mu.Unlock()
 	td.run()
+	d.park(wc)
 	if retry != nil {
 		d.requeue(retry)
 	}
@@ -1231,10 +1244,10 @@ func (d *Dispatcher) Close() error {
 	close(d.retryQuit) // abort retry-backoff timers; each resolves its handle
 	d.failQueued()
 	if d.eventsQuit != nil {
-		// Signal the drainer and wait for it to flush the buffered tail, so
+		// Signal the drainer and wait for it to flush the pending tail, so
 		// an observer (e.g. a trace file written after Close) sees every
-		// event emitted before shutdown. The drainer never blocks — it only
-		// empties the channel and returns — so this wait is bounded.
+		// event emitted before shutdown. The drainer only delivers what is
+		// pending and returns, so this wait is bounded by the observer.
 		close(d.eventsQuit)
 		d.evWG.Wait()
 	}

@@ -637,9 +637,6 @@ func TestUndecodableResultFailsItsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fake.Send(&proto.Envelope{Kind: proto.KindWorkRequest}); err != nil {
-		t.Fatal(err)
-	}
 	if task, err := fake.Recv(); err != nil || task.Kind != proto.KindTask {
 		t.Fatalf("task: %+v, %v", task, err)
 	}
@@ -660,9 +657,10 @@ func TestUndecodableResultFailsItsJob(t *testing.T) {
 
 // TestReaderExitUnblocksWriter: when the reader leaves its loop while the
 // writer is blocked on a peer that has stopped reading, serveWorker closes
-// the connection before it waits for the writer. On a synchronous pipe
-// nothing else unblocks that write; the connection and both sides'
-// goroutines stayed until the process ended.
+// the connection before it waits for the writer. A stage larger than the
+// pipe's buffer keeps the writer blocked until something unblocks it; if
+// only the peer's reading could, the dispatcher would hold the connection
+// and both sides' goroutines for as long as the peer stayed silent.
 func TestReaderExitUnblocksWriter(t *testing.T) {
 	d := New(Config{})
 	if _, err := d.Start(); err != nil {
@@ -679,21 +677,30 @@ func TestReaderExitUnblocksWriter(t *testing.T) {
 	if ack, err := fake.Recv(); err != nil || ack.Kind != proto.KindRegistered {
 		t.Fatalf("registration ack: %+v, %v", ack, err)
 	}
-	// The fake stops reading, so the writer blocks on the stage frame.
-	d.StageFile("blob", []byte("x"))
+	// The fake stops reading, so the writer blocks on the stage frame once
+	// the pipe's buffer is full.
+	d.StageFile("blob", make([]byte, 4*proto.PipeBuffer))
 	// The result frame of TestUndecodableResultFailsItsJob: it classifies
 	// but does not decode, which ends the reader's loop.
 	if err := fake.SendRaw([]byte{0xBF, 3, 0x01, 0x05, 't'}); err != nil {
 		t.Fatal(err)
 	}
-	sent := make(chan error, 1)
+	// Wait for the dispatcher to close its end (the fake's writes start to
+	// fail), then drain the buffer: the stage frame must be cut short.
+	// Without the close the fake waits forever, and reading earlier would
+	// let the blocked writer finish the frame.
+	recvErr := make(chan error, 1)
 	go func() {
-		sent <- fake.Send(&proto.Envelope{Kind: proto.KindHeartbeat, Heartbeat: &proto.Heartbeat{WorkerID: "fake"}})
+		for fake.Send(&proto.Envelope{Kind: proto.KindHeartbeat, Heartbeat: &proto.Heartbeat{WorkerID: "fake"}}) == nil {
+			time.Sleep(time.Millisecond)
+		}
+		_, err := fake.Recv()
+		recvErr <- err
 	}()
 	select {
-	case err := <-sent:
+	case err := <-recvErr:
 		if err == nil {
-			t.Fatal("a frame was read from a connection the dispatcher dropped")
+			t.Fatal("the whole stage frame arrived on a connection the dispatcher dropped")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the dispatcher still holds the connection: its writer is blocked on a peer that stopped reading")

@@ -53,38 +53,63 @@ const (
 	EvJobMigrated EventKind = "job-migrated"
 )
 
+// maxPendingEvents bounds the events emitted but not yet taken by the
+// drainer. A batch is delivered in one pass without the lock, so the bound
+// only has to cover the events emitted while the observer handles the
+// previous batch; past it, events are dropped (counted in DroppedEvents)
+// rather than growing memory behind a stalled observer.
+const maxPendingEvents = 1 << 16
+
 // emit records an event; safe from any goroutine, with or without locks
-// held. The event is buffered and delivered by a dedicated drainer goroutine
-// so the observer can never deadlock the scheduler. A full buffer drops
-// events (counted in DroppedEvents) rather than blocking dispatch.
+// held. The event is queued for a dedicated drainer goroutine, so the
+// observer can never deadlock the scheduler, and emit never blocks on it.
 func (d *Dispatcher) emit(e Event) {
-	if d.events == nil {
+	if d.evReady == nil {
 		return
 	}
 	e.T = time.Since(d.epoch)
-	select {
-	case d.events <- e:
-	default:
+	d.evMu.Lock()
+	if len(d.evPending) >= maxPendingEvents {
+		d.evMu.Unlock()
 		d.droppedEvents.Add(1)
+		return
+	}
+	d.evPending = append(d.evPending, e)
+	first := len(d.evPending) == 1
+	d.evMu.Unlock()
+	if first {
+		// The drainer swaps out whole batches, so only the first event of
+		// a batch needs to wake it.
+		select {
+		case d.evReady <- struct{}{}:
+		default:
+		}
 	}
 }
 
+// drainEvents delivers pending events in emit order, a batch at a time: it
+// swaps the pending slice for its spare under the lock and calls the
+// observer without it. On quit it delivers the last batch and returns.
 func (d *Dispatcher) drainEvents() {
 	defer d.evWG.Done()
+	var spare []Event
+	deliver := func() {
+		d.evMu.Lock()
+		batch := d.evPending
+		d.evPending = spare[:0]
+		d.evMu.Unlock()
+		for i := range batch {
+			d.cfg.OnEvent(batch[i])
+		}
+		spare = batch
+	}
 	for {
 		select {
-		case e := <-d.events:
-			d.cfg.OnEvent(e)
+		case <-d.evReady:
+			deliver()
 		case <-d.eventsQuit:
-			// Deliver anything already buffered, then exit.
-			for {
-				select {
-				case e := <-d.events:
-					d.cfg.OnEvent(e)
-				default:
-					return
-				}
-			}
+			deliver()
+			return
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -124,5 +125,45 @@ func TestNoTracingByDefault(t *testing.T) {
 	}
 	if tc.d.DroppedEvents() != 0 {
 		t.Fatal("events counted with tracing disabled")
+	}
+}
+
+// TestEventBurstBehindHeldObserver: events emitted while the observer is
+// busy wait for it rather than being dropped, up to a bound far above the
+// 8,192 a per-event channel held, and arrive in emit order.
+func TestEventBurstBehindHeldObserver(t *testing.T) {
+	const burst = 3 * 8192
+	held, release := make(chan struct{}), make(chan struct{})
+	var got []Event // written only by the drainer; read after Close waits for it
+	d := New(Config{OnEvent: func(e Event) {
+		if e.Kind == EvJobQueued && e.JobID == "hold" {
+			close(held)
+			<-release
+			return
+		}
+		if e.Kind == EvJobSubmitted {
+			got = append(got, e)
+		}
+	}})
+	if _, err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	d.emit(Event{Kind: EvJobQueued, JobID: "hold"})
+	<-held
+	for i := 0; i < burst; i++ {
+		d.emit(Event{Kind: EvJobSubmitted, JobID: strconv.Itoa(i)})
+	}
+	close(release)
+	d.Close()
+	if n := d.DroppedEvents(); n != 0 {
+		t.Errorf("%d events dropped behind a held observer", n)
+	}
+	if len(got) != burst {
+		t.Fatalf("observer saw %d of %d events", len(got), burst)
+	}
+	for i, e := range got {
+		if e.JobID != strconv.Itoa(i) {
+			t.Fatalf("event %d carries job %s: out of emit order", i, e.JobID)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 package dispatch
 
-// idleSet tracks parked workers (those with an unanswered work request) in
+// idleSet tracks parked workers (those holding no task) in
 // the order they parked. It is an intrusive doubly linked list through the
 // workers' own idlePrev/idleNext fields: membership, add and remove are O(1)
 // and allocate nothing, and a walk from head visits the longest-idle worker

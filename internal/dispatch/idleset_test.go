@@ -140,8 +140,7 @@ func TestGroupOrderIsParkOrder(t *testing.T) {
 	defer d.Close()
 	const n = 5
 	for i := 0; i < n; i++ {
-		codec := rawWorker(t, addr, fmt.Sprintf("w%d", i), nil)
-		codec.Send(&proto.Envelope{Kind: proto.KindWorkRequest})
+		rawWorker(t, addr, fmt.Sprintf("w%d", i), nil)
 		waitFor(t, func() bool { return d.IdleWorkers() == i+1 })
 	}
 	for i := 0; i < n; i++ {

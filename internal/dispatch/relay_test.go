@@ -169,14 +169,14 @@ func TestStageFrameFansOutAndReplays(t *testing.T) {
 	a, b := proto.Pipe()
 	defer a.Close()
 	defer b.Close()
-	go a.Send(&proto.Envelope{Kind: proto.KindWorkRequest})
+	go a.Send(&proto.Envelope{Kind: proto.KindHeartbeat, Heartbeat: &proto.Heartbeat{WorkerID: "w"}})
 	wf, err := b.RecvFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wf.Release()
 	if err := d.StageFrame(wf); err == nil {
-		t.Fatal("StageFrame accepted a work-request frame")
+		t.Fatal("StageFrame accepted a heartbeat frame")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // The dispatcher's scheduling state — the idle-worker set and the job queue —
-// is split into N shards, each guarded by its own mutex, so that markIdle,
+// is split into N shards, each guarded by its own mutex, so that park,
 // Submit, and the scheduling pass stop serializing on one lock at high worker
 // counts (the scheduler-centric bottleneck pilot-job characterizations
 // identify as the limiting component at scale).

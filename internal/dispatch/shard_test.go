@@ -61,8 +61,7 @@ func TestStaleResultFromWrongWorkerRejected(t *testing.T) {
 	}
 	defer d.Close()
 
-	wa := rawWorker(t, addr, "wa", nil)
-	wa.Send(&proto.Envelope{Kind: proto.KindWorkRequest})
+	wa := rawWorker(t, addr, "wa", nil) // parked by its registration
 
 	h, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: "j1", NProcs: 1, Cmd: "app"}, Type: Sequential})
 	if err != nil {
@@ -206,8 +205,8 @@ func TestReconnectAfterBlipEvicted(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 
-	// The admitted connection is live: it can park and receive work.
-	fresh.Send(&proto.Envelope{Kind: proto.KindWorkRequest})
+	// The admitted connection is live: registration parked it, so it
+	// receives work.
 	if _, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: "post", NProcs: 1, Cmd: "app"}, Type: Sequential}); err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +256,7 @@ func TestNoWorkerInTwoShards(t *testing.T) {
 		if i%3 != 0 { // every third worker exercises the hash fallback
 			coord = []int{i % 8, (i / 8) % 8, 0}
 		}
-		codec := rawWorker(t, addr, fmt.Sprintf("p%d", i), coord)
-		codec.Send(&proto.Envelope{Kind: proto.KindWorkRequest})
+		rawWorker(t, addr, fmt.Sprintf("p%d", i), coord)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for d.IdleWorkers() != n {

@@ -52,7 +52,7 @@ func (d *Dispatcher) scheduleOnce() bool {
 	}
 	if d.idleCount() == 0 {
 		// Advisory reject: no idle workers anywhere. A worker parking
-		// concurrently re-runs the pass itself (markIdle schedules), so a
+		// concurrently re-runs the pass itself (park schedules), so a
 		// stale zero here costs nothing.
 		return false
 	}

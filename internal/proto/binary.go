@@ -43,8 +43,9 @@ func checkMagic(buf []byte) error {
 // Kind codes, the second payload byte of every frame. Codes are wire
 // constants: never renumber one, only append (and add the kind to kindOfCode,
 // appendBinary and decodeBinary — TestEveryKindHasACodec fails otherwise).
+// Retired codes stay unassigned and are never reused: 1 was work-request and
+// 13 no-work, before a result became the worker's next request.
 const (
-	binWorkRequest  = 1
 	binTask         = 2
 	binResult       = 3
 	binOutput       = 4
@@ -56,7 +57,6 @@ const (
 	binError        = 10
 	binPeerSubmit   = 11
 	binJobDone      = 12
-	binNoWork       = 13
 	binShutdown     = 14
 	binPeerAttach   = 15
 	binPeerAttached = 16
@@ -67,7 +67,6 @@ const (
 
 // kindOfCode maps a kind code to its Kind; "" marks an unassigned code.
 var kindOfCode = [...]Kind{
-	binWorkRequest:  KindWorkRequest,
 	binTask:         KindTask,
 	binResult:       KindResult,
 	binOutput:       KindOutput,
@@ -79,7 +78,6 @@ var kindOfCode = [...]Kind{
 	binError:        KindError,
 	binPeerSubmit:   KindPeerSubmit,
 	binJobDone:      KindJobDone,
-	binNoWork:       KindNoWork,
 	binShutdown:     KindShutdown,
 	binPeerAttach:   KindPeerAttach,
 	binPeerAttached: KindPeerAttached,
@@ -102,10 +100,6 @@ func binKindOf(code byte) (Kind, bool) {
 // unknown kind, or a kind whose payload field is nil.
 func appendBinary(buf []byte, e *Envelope) ([]byte, bool) {
 	switch e.Kind {
-	case KindWorkRequest:
-		buf = appendHead(buf, binWorkRequest, e.Seq)
-	case KindNoWork:
-		buf = appendHead(buf, binNoWork, e.Seq)
 	case KindShutdown:
 		buf = appendHead(buf, binShutdown, e.Seq)
 	case KindTask:
@@ -298,10 +292,6 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 	seq := r.uvarint()
 	var e *Envelope
 	switch code {
-	case binWorkRequest:
-		e = &Envelope{Kind: KindWorkRequest, Seq: seq}
-	case binNoWork:
-		e = &Envelope{Kind: KindNoWork, Seq: seq}
 	case binShutdown:
 		e = &Envelope{Kind: KindShutdown, Seq: seq}
 	case binTask:

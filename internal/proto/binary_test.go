@@ -26,8 +26,6 @@ func allEnvelopes() []*Envelope {
 		WallLimit: time.Minute, Stolen: true, Retries: 2,
 	}
 	return []*Envelope{
-		{Kind: KindWorkRequest},
-		{Kind: KindNoWork},
 		{Kind: KindShutdown},
 		{Kind: KindTask, Task: &Task{
 			TaskID: "j1/rank3", JobID: "j1", Cmd: "namd2.sh",
@@ -135,8 +133,15 @@ func TestEveryKindHasACodec(t *testing.T) {
 		}
 	}
 	kinds := declaredKinds(t)
-	if len(kinds) < 19 {
+	if len(kinds) < 17 {
 		t.Fatalf("found only %d Kind constants in the source; the scan is broken", len(kinds))
+	}
+	// Retired codes (work-request, no-work) are never reassigned: a peer
+	// still sending one must get a decode error, not some other kind.
+	for _, code := range []byte{1, 13} {
+		if k, ok := binKindOf(code); ok {
+			t.Errorf("retired kind code %d reassigned to %q", code, k)
+		}
 	}
 	coded := map[Kind]bool{}
 	for code := range kindOfCode {

@@ -101,7 +101,7 @@ func TestFrameRefcountAndPoison(t *testing.T) {
 func TestFrameOverReleasePanics(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
-	if err := c.Send(&Envelope{Kind: KindWorkRequest}); err != nil {
+	if err := c.Send(&Envelope{Kind: KindShutdown}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := c.RecvFrame()

@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -32,10 +33,20 @@ import (
 // fuzzKinds is the fixed order FuzzRoundTrip maps its kind selector onto;
 // corpus files encode indexes into it.
 var fuzzKinds = []Kind{
-	KindWorkRequest, KindTask, KindResult, KindOutput, KindHeartbeat,
+	KindTask, KindResult, KindOutput, KindHeartbeat,
 	KindRegister, KindRegistered, KindStage, KindStaged, KindError,
-	KindPeerSubmit, KindJobDone, KindNoWork, KindShutdown, KindPeerAttach,
+	KindPeerSubmit, KindJobDone, KindShutdown, KindPeerAttach,
 	KindPeerAttached, KindLoadReport, KindStealRequest, KindStealReply,
+}
+
+// retiredFrames are frames of the kinds whose codes were retired: a peer
+// still sending one must get a decode error.
+var retiredFrames = []struct {
+	kind    string
+	payload []byte
+}{
+	{"work-request", []byte{binMagic, 1, 0x00}},
+	{"no-work", []byte{binMagic, 13, 0x00}},
 }
 
 // canonEnvelope normalizes the representations the two encodings cannot
@@ -122,6 +133,9 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add([]byte{binMagic, 0x7E, 0x01})
 	f.Add([]byte{binMagic, binOutput, 0x01, 0x01, 'x', 0x01, 's', 0x20})
 	f.Add([]byte(`{"kind":"task"}`))
+	for _, r := range retiredFrames {
+		f.Add(r.payload)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		e, err := decodeBinary(payload) // must not panic
 		if err != nil {
@@ -145,10 +159,10 @@ func FuzzDecodeBinary(f *testing.F) {
 // asserts the binary round trip and the JSON oracle's round trip decode to
 // the same envelope, which is the one that went in.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(byte(1), "j1/rank3", "j1", "namd2.sh", []byte("hello\x00world"), int64(3), int64(90e9), uint64(7), true)
-	f.Add(byte(3), "t", "stdout", "", []byte{}, int64(-1), int64(0), uint64(0), false)
-	f.Add(byte(7), "namd2.sh", "bin/x", "", []byte{0xBF, 0x7B, 0xFF}, int64(4), int64(1), uint64(1), true)
-	f.Add(byte(9), "boom", "", "", []byte(nil), int64(0), int64(0), uint64(2), false)
+	f.Add(byte(0), "j1/rank3", "j1", "namd2.sh", []byte("hello\x00world"), int64(3), int64(90e9), uint64(7), true) // task
+	f.Add(byte(2), "t", "stdout", "", []byte{}, int64(-1), int64(0), uint64(0), false)                             // output
+	f.Add(byte(6), "namd2.sh", "bin/x", "", []byte{0xBF, 0x7B, 0xFF}, int64(4), int64(1), uint64(1), true)         // stage
+	f.Add(byte(8), "boom", "", "", []byte(nil), int64(0), int64(0), uint64(2), false)                              // error
 	f.Fuzz(func(t *testing.T, kindSel byte, s1, s2, s3 string, blob []byte, n1, n2 int64, seq uint64, flag bool) {
 		// JSON replaces invalid UTF-8 with U+FFFD; that is a property of
 		// encoding/json, not a codec divergence, so compare on valid UTF-8.
@@ -251,22 +265,28 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, e := range allEnvelopes() {
-		payload, ok := appendBinary(nil, e)
-		if !ok {
-			continue
-		}
+	// Seed file names stay stable when kinds retire, so each seed's subtest
+	// keeps its name. Decode seeds are numbered as if the retired frames
+	// still led allEnvelopes, and those numbers hold the retired frames,
+	// which must not decode; round-trip seeds are numbered by kind code.
+	writeDecodeSeed := func(name string, payload []byte) {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(payload)))
-		if err := os.WriteFile(filepath.Join(decodeDir, fmt.Sprintf("seed-%02d-%s", i, e.Kind)), []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(decodeDir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// One corrupt seed so the decoder's error paths stay in the corpus.
-	corrupt := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string([]byte{binMagic, binTask, 0x01, 0xFF})))
-	if err := os.WriteFile(filepath.Join(decodeDir, "seed-corrupt-task"), []byte(corrupt), 0o644); err != nil {
-		t.Fatal(err)
+	for i, r := range retiredFrames {
+		writeDecodeSeed(fmt.Sprintf("seed-%02d-%s", i, r.kind), r.payload)
 	}
+	for i, e := range allEnvelopes() {
+		if payload, ok := appendBinary(nil, e); ok {
+			writeDecodeSeed(fmt.Sprintf("seed-%02d-%s", len(retiredFrames)+i, e.Kind), payload)
+		}
+	}
+	// A truncated task keeps the decoder's error paths in the corpus.
+	writeDecodeSeed("seed-corrupt-task", []byte{binMagic, binTask, 0x01, 0xFF})
 	for i, k := range fuzzKinds {
+		code := slices.Index(kindOfCode[:], k)
 		var b bytes.Buffer
 		b.WriteString("go test fuzz v1\n")
 		fmt.Fprintf(&b, "byte(%d)\n", i)
@@ -275,7 +295,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		fmt.Fprintf(&b, "string(%s)\n", strconv.Quote("namd2.sh"))
 		fmt.Fprintf(&b, "[]byte(%s)\n", strconv.Quote("payload\x00\xbf\x7b"))
 		b.WriteString("int64(-3)\nint64(90000000000)\nuint64(7)\nbool(true)\n")
-		if err := os.WriteFile(filepath.Join(roundDir, fmt.Sprintf("seed-%02d-%s", i, k)), b.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(roundDir, fmt.Sprintf("seed-%02d-%s", code-1, k)), b.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,21 +34,20 @@ var ErrFrameTooLarge = errors.New("proto: frame exceeds maximum size")
 type Kind string
 
 // Message kinds. The dispatcher/worker cycle follows the paper's Fig. 4:
-// workers register, report readiness (work request), receive proxy tasks,
-// stream output, and report completion.
+// workers register, receive proxy tasks, stream output, and report
+// completion. Registration and each result are the worker's request for its
+// next task; no separate frame asks for work.
 const (
-	KindRegister    Kind = "register"     // worker -> dispatcher: here I am
-	KindRegistered  Kind = "registered"   // dispatcher -> worker: accepted
-	KindWorkRequest Kind = "work-request" // worker -> dispatcher: ready for a task
-	KindTask        Kind = "task"         // dispatcher -> worker: run this
-	KindNoWork      Kind = "no-work"      // dispatcher -> worker: drained, retry or exit
-	KindResult      Kind = "result"       // worker -> dispatcher: task finished
-	KindOutput      Kind = "output"       // worker -> dispatcher: task stdout/stderr chunk
-	KindHeartbeat   Kind = "heartbeat"    // worker -> dispatcher: liveness
-	KindShutdown    Kind = "shutdown"     // dispatcher -> worker: exit cleanly
-	KindStage       Kind = "stage"        // dispatcher -> worker: cache file locally
-	KindStaged      Kind = "staged"       // worker -> dispatcher: cache ack
-	KindError       Kind = "error"        // either direction: protocol-level failure
+	KindRegister   Kind = "register"   // worker -> dispatcher: here I am, ready for a task
+	KindRegistered Kind = "registered" // dispatcher -> worker: accepted
+	KindTask       Kind = "task"       // dispatcher -> worker: run this
+	KindResult     Kind = "result"     // worker -> dispatcher: task finished, ready for the next
+	KindOutput     Kind = "output"     // worker -> dispatcher: task stdout/stderr chunk
+	KindHeartbeat  Kind = "heartbeat"  // worker -> dispatcher: liveness
+	KindShutdown   Kind = "shutdown"   // dispatcher -> worker: exit cleanly
+	KindStage      Kind = "stage"      // dispatcher -> worker: cache file locally
+	KindStaged     Kind = "staged"     // worker -> dispatcher: cache ack
+	KindError      Kind = "error"      // either direction: protocol-level failure
 )
 
 // Envelope is the frame carried on every connection. Exactly one payload
@@ -317,11 +316,4 @@ func Dial(addr string, timeout time.Duration) (*Codec, error) {
 		return nil, err
 	}
 	return NewCodec(conn), nil
-}
-
-// Pipe returns a connected pair of codecs over an in-memory duplex pipe,
-// used by tests and the in-process runtime.
-func Pipe() (*Codec, *Codec) {
-	a, b := net.Pipe()
-	return NewCodec(a), NewCodec(b)
 }

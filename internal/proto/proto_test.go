@@ -81,7 +81,7 @@ func TestConcurrentSenders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a.Send(&Envelope{Kind: KindWorkRequest})
+			a.Send(&Envelope{Kind: KindShutdown})
 		}()
 	}
 	seen := map[uint64]bool{}

@@ -1,9 +1,14 @@
 // Package worker implements the JETS pilot-job worker agent: the persistent
 // process started on each compute node by the allocation scripts. A worker
 // connects to the central dispatcher, registers, and then cycles through the
-// paper's Fig. 4 protocol: report readiness, receive a task (a sequential
-// command or one Hydra proxy of a decomposed MPI job), execute it, stream
-// its output, report the result, and request more work.
+// paper's Fig. 4 protocol: receive a task (a sequential command or one Hydra
+// proxy of a decomposed MPI job), execute it, stream its output, and report
+// the result.
+//
+// The result is the request for more work. The paper's §4 pull model keeps
+// its meaning: a worker is idle exactly when it holds no task, so the
+// dispatcher parks it for the next task when it registers and whenever its
+// task's result arrives, and no separate frame asks for work.
 //
 // The worker is deliberately decomposable (architecture principle 3): it
 // can run against any proto-speaking service and is used on its own as a
@@ -34,13 +39,11 @@ var (
 		"tasks executed by workers in this process")
 	heartbeatsTotal = obs.NewCounter("jets_worker_heartbeats_total",
 		"heartbeat frames sent by workers in this process")
-	noWorkBackoffsTotal = obs.NewCounter("jets_worker_nowork_backoffs_total",
-		"no-work replies answered with a backoff sleep")
 )
 
 // RegisterMetrics exports this package's worker instrumentation.
 func RegisterMetrics(reg *obs.Registry) {
-	reg.Register(tasksExecutedTotal, heartbeatsTotal, noWorkBackoffsTotal)
+	reg.Register(tasksExecutedTotal, heartbeatsTotal)
 }
 
 // Config parameterizes a worker agent.
@@ -69,14 +72,6 @@ type Config struct {
 
 	// DialTimeout bounds the initial connection; default 10s.
 	DialTimeout time.Duration
-
-	// NoWorkBackoff is the initial sleep after a no-work reply (dispatcher
-	// draining); default 10ms, the seed's fixed poll interval. Consecutive
-	// no-work replies double the sleep up to NoWorkBackoffMax; receiving real
-	// work resets it.
-	NoWorkBackoff time.Duration
-	// NoWorkBackoffMax caps the exponential no-work backoff; default 500ms.
-	NoWorkBackoffMax time.Duration
 
 	// Reconnect makes Run redial and re-register after a lost connection
 	// instead of returning, so a pool of pilot jobs survives a dispatcher
@@ -128,18 +123,6 @@ func New(cfg Config) (*Worker, error) {
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.NoWorkBackoff <= 0 {
-		cfg.NoWorkBackoff = 10 * time.Millisecond
-	}
-	// Default the cap only when unset, then clamp it to the initial backoff:
-	// an explicitly configured cap below NoWorkBackoff means "don't grow",
-	// not "silently take the 500ms default".
-	if cfg.NoWorkBackoffMax <= 0 {
-		cfg.NoWorkBackoffMax = 500 * time.Millisecond
-	}
-	if cfg.NoWorkBackoffMax < cfg.NoWorkBackoff {
-		cfg.NoWorkBackoffMax = cfg.NoWorkBackoff
 	}
 	if cfg.ReconnectBackoff <= 0 {
 		cfg.ReconnectBackoff = 250 * time.Millisecond
@@ -250,9 +233,6 @@ func (w *Worker) runOnce(ctx context.Context) error {
 	w.codec = codec
 	w.codecMu.Unlock()
 	defer codec.Close()
-	// A task's result is buffered so it can share a write with the next work
-	// request (see execute); whatever path leaves the cycle, send it first.
-	defer codec.Flush()
 	w.started = time.Now()
 
 	// taskCtx is the context of every task this connection runs: it ends
@@ -297,17 +277,6 @@ func (w *Worker) runOnce(ctx context.Context) error {
 
 	out := &outputForwarder{codec: codec, stream: "stdout"}
 
-	// One reusable timer serves every no-work backoff in the cycle below; it
-	// is created lazily (most workers never see a no-work reply) and stopped
-	// on return so an armed timer never outlives the worker.
-	backoff := w.cfg.NoWorkBackoff
-	var backoffTimer *time.Timer
-	defer func() {
-		if backoffTimer != nil {
-			backoffTimer.Stop()
-		}
-	}()
-
 	for {
 		select {
 		case <-ctx.Done():
@@ -316,11 +285,9 @@ func (w *Worker) runOnce(ctx context.Context) error {
 			return errors.New("worker killed")
 		default:
 		}
-		if err := codec.Send(&proto.Envelope{Kind: proto.KindWorkRequest}); err != nil {
-			return w.runErr(err)
-		}
-		// The dispatcher parks work requests until a task exists, so this
-		// Recv is the idle state of the pilot job.
+		// Registration and every result leave the worker parked in the
+		// dispatcher until a task exists, so this Recv is the idle state of
+		// the pilot job.
 		env, err := codec.Recv()
 		if err != nil {
 			return w.runErr(err)
@@ -330,10 +297,11 @@ func (w *Worker) runOnce(ctx context.Context) error {
 			if env.Task == nil {
 				return fmt.Errorf("worker %s: task frame without payload", w.cfg.ID)
 			}
-			backoff = w.cfg.NoWorkBackoff
-			w.execute(taskCtx, out, env.Task)
+			if err := w.execute(taskCtx, out, env.Task); err != nil {
+				return w.runErr(err)
+			}
 		case proto.KindStage:
-			backoff = w.cfg.NoWorkBackoff
+			// Side traffic: the ack is all the dispatcher expects back.
 			if err := w.stage(env.Stage); err != nil {
 				codec.Send(&proto.Envelope{Kind: proto.KindError, Error: err.Error()})
 			} else {
@@ -341,29 +309,6 @@ func (w *Worker) runOnce(ctx context.Context) error {
 			}
 		case proto.KindShutdown:
 			return nil
-		case proto.KindNoWork:
-			// Dispatcher is draining: back off before re-requesting, doubling
-			// up to the cap so an idle worker polls ever more gently instead
-			// of hammering a service that has nothing for it. The seed slept a
-			// fixed 10ms through a fresh time.After channel per reply, leaking
-			// a timer per poll and holding the poll rate at 100/s per worker.
-			noWorkBackoffsTotal.Inc()
-			if backoffTimer == nil {
-				backoffTimer = time.NewTimer(backoff)
-			} else {
-				backoffTimer.Reset(backoff)
-			}
-			select {
-			case <-backoffTimer.C:
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-w.killed:
-				return errors.New("worker killed")
-			}
-			backoff *= 2
-			if backoff > w.cfg.NoWorkBackoffMax {
-				backoff = w.cfg.NoWorkBackoffMax
-			}
 		default:
 			return fmt.Errorf("worker %s: unexpected message %q", w.cfg.ID, env.Kind)
 		}
@@ -442,9 +387,10 @@ func (f *outputForwarder) Write(p []byte) (int, error) {
 
 var _ io.Writer = (*outputForwarder)(nil)
 
-// execute runs one task under ctx, the connection's task context, and
-// buffers its result on out's connection.
-func (w *Worker) execute(ctx context.Context, out *outputForwarder, task *proto.Task) {
+// execute runs one task under ctx, the connection's task context, and sends
+// its result on out's connection. The result is also the worker's request
+// for its next task, so a failed send ends the cycle.
+func (w *Worker) execute(ctx context.Context, out *outputForwarder, task *proto.Task) error {
 	w.busy.Store(true)
 	defer w.busy.Store(false)
 
@@ -460,9 +406,7 @@ func (w *Worker) execute(ctx context.Context, out *outputForwarder, task *proto.
 
 	w.tasks.Add(1)
 	tasksExecutedTotal.Inc()
-	// Buffered, not sent: the cycle's next frame is the work request, and the
-	// two leave in one write (runOnce flushes on every other way out).
-	out.codec.SendBuffered(&proto.Envelope{Kind: proto.KindResult, Result: &res})
+	return out.codec.Send(&proto.Envelope{Kind: proto.KindResult, Result: &res})
 }
 
 func (w *Worker) stage(s *proto.Stage) error {

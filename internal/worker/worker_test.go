@@ -139,9 +139,8 @@ func TestRegistrationFieldsAndWorkCycle(t *testing.T) {
 	if reg.WorkerID != "node7" || reg.Host != "h7" || reg.Cores != 4 || len(reg.Coord) != 3 {
 		t.Fatalf("register %+v", reg)
 	}
-	// Worker must request work.
-	drainUntil(t, codec, proto.KindWorkRequest)
-	// Assign a task; expect output then result.
+	// Registration leaves the worker idle: assign a task at once and expect
+	// output, then the result.
 	codec.Send(&proto.Envelope{Kind: proto.KindTask, Task: &proto.Task{
 		TaskID: "t1", JobID: "j1", Cmd: "echo", Args: []string{"hello"},
 	}})
@@ -171,8 +170,14 @@ func TestRegistrationFieldsAndWorkCycle(t *testing.T) {
 	if w.TasksCompleted() != 1 {
 		t.Errorf("completed=%d", w.TasksCompleted())
 	}
-	// Worker cycles back to requesting work.
-	drainUntil(t, codec, proto.KindWorkRequest)
+	// The result was the request for more: a second task runs with nothing
+	// sent in between.
+	codec.Send(&proto.Envelope{Kind: proto.KindTask, Task: &proto.Task{
+		TaskID: "t2", JobID: "j2", Cmd: "echo", Args: []string{"again"},
+	}})
+	if res := drainUntil(t, codec, proto.KindResult).Result; res.TaskID != "t2" || res.ExitCode != 0 {
+		t.Fatalf("second result %+v", res)
+	}
 	// Shutdown terminates Run cleanly.
 	codec.Send(&proto.Envelope{Kind: proto.KindShutdown})
 	select {
@@ -216,7 +221,6 @@ func TestStageWritesCache(t *testing.T) {
 	go w.Run(ctx)
 	codec, _ := fd.accept(t)
 	defer codec.Close()
-	drainUntil(t, codec, proto.KindWorkRequest)
 	codec.Send(&proto.Envelope{Kind: proto.KindStage, Stage: &proto.Stage{
 		Name: "lib/app.so", Data: []byte("bits"),
 	}})
@@ -227,6 +231,12 @@ func TestStageWritesCache(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(dir, "lib/app.so"))
 	if err != nil || string(data) != "bits" {
 		t.Fatalf("cache file: %v %q", err, data)
+	}
+	// The ack is the whole answer to a stage: after a shutdown, the
+	// connection closes with nothing else sent.
+	codec.Send(&proto.Envelope{Kind: proto.KindShutdown})
+	if env, err := codec.Recv(); err == nil {
+		t.Fatalf("a stage was answered with a %q frame besides its ack", env.Kind)
 	}
 }
 
@@ -243,7 +253,6 @@ func TestStagePathTraversalContained(t *testing.T) {
 	go w.Run(ctx)
 	codec, _ := fd.accept(t)
 	defer codec.Close()
-	drainUntil(t, codec, proto.KindWorkRequest)
 	codec.Send(&proto.Envelope{Kind: proto.KindStage, Stage: &proto.Stage{
 		Name: "../../escape.txt", Data: []byte("x"),
 	}})
@@ -269,7 +278,6 @@ func TestStageWithoutCacheDirReportsError(t *testing.T) {
 	go w.Run(ctx)
 	codec, _ := fd.accept(t)
 	defer codec.Close()
-	drainUntil(t, codec, proto.KindWorkRequest)
 	codec.Send(&proto.Envelope{Kind: proto.KindStage, Stage: &proto.Stage{Name: "f", Data: []byte("x")}})
 	drainUntil(t, codec, proto.KindError)
 }
@@ -292,7 +300,6 @@ func TestKillCancelsRunningTask(t *testing.T) {
 	go func() { done <- w.Run(context.Background()) }()
 	codec, _ := fd.accept(t)
 	defer codec.Close()
-	drainUntil(t, codec, proto.KindWorkRequest)
 	codec.Send(&proto.Envelope{Kind: proto.KindTask, Task: &proto.Task{TaskID: "t", JobID: "j", Cmd: "block"}})
 	<-started
 	if !w.Busy() {
@@ -324,117 +331,11 @@ func TestContextCancelStopsParkedWorker(t *testing.T) {
 	go func() { done <- w.Run(ctx) }()
 	codec, _ := fd.accept(t)
 	defer codec.Close()
-	drainUntil(t, codec, proto.KindWorkRequest) // parked now
 	cancel()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancel did not unpark the worker")
-	}
-}
-
-func TestNoWorkBackoffMaxDefaultsAndClamp(t *testing.T) {
-	build := func(backoff, max time.Duration) Config {
-		w, err := New(Config{ID: "clamp", DispatcherAddr: "127.0.0.1:1",
-			Runner:        hydra.NewFuncRunner(),
-			NoWorkBackoff: backoff, NoWorkBackoffMax: max})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.cfg
-	}
-	// Unset: both take their documented defaults.
-	cfg := build(0, 0)
-	if cfg.NoWorkBackoff != 10*time.Millisecond || cfg.NoWorkBackoffMax != 500*time.Millisecond {
-		t.Errorf("defaults = %v/%v, want 10ms/500ms", cfg.NoWorkBackoff, cfg.NoWorkBackoffMax)
-	}
-	// An explicit cap below the initial backoff means "don't grow": it is
-	// clamped up to the initial value, not silently rewritten to 500ms
-	// (which would make the worker back off 5x longer than configured).
-	cfg = build(100*time.Millisecond, 20*time.Millisecond)
-	if cfg.NoWorkBackoffMax != 100*time.Millisecond {
-		t.Errorf("cap below initial: max = %v, want clamp to initial 100ms", cfg.NoWorkBackoffMax)
-	}
-	// A cap at or above the initial value is preserved verbatim.
-	cfg = build(10*time.Millisecond, 40*time.Millisecond)
-	if cfg.NoWorkBackoffMax != 40*time.Millisecond {
-		t.Errorf("explicit max = %v, want 40ms untouched", cfg.NoWorkBackoffMax)
-	}
-}
-
-func TestNoWorkBacksOff(t *testing.T) {
-	fd := newFakeDispatcher(t)
-	w, err := New(Config{ID: "nw", DispatcherAddr: fd.addr(),
-		Runner: hydra.NewFuncRunner(), HeartbeatInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go w.Run(ctx)
-	codec, _ := fd.accept(t)
-	defer codec.Close()
-	drainUntil(t, codec, proto.KindWorkRequest)
-	codec.Send(&proto.Envelope{Kind: proto.KindNoWork})
-	// The worker must come back with another request.
-	drainUntil(t, codec, proto.KindWorkRequest)
-}
-
-func TestNoWorkBackoffGrowsCapsAndResets(t *testing.T) {
-	const initial, max = 10 * time.Millisecond, 40 * time.Millisecond
-	fd := newFakeDispatcher(t)
-	runner := hydra.NewFuncRunner()
-	runner.Register("noop", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
-		return 0
-	})
-	w, err := New(Config{ID: "nwb", DispatcherAddr: fd.addr(),
-		Runner: runner, HeartbeatInterval: time.Hour,
-		NoWorkBackoff: initial, NoWorkBackoffMax: max})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go w.Run(ctx)
-	codec, _ := fd.accept(t)
-	defer codec.Close()
-
-	// Invariant across gap calls: the worker's current work request has been
-	// consumed and it is parked in Recv. gap replies no-work and measures how
-	// long the worker sleeps before its next request arrives.
-	drainUntil(t, codec, proto.KindWorkRequest)
-	gap := func() time.Duration {
-		start := time.Now()
-		codec.Send(&proto.Envelope{Kind: proto.KindNoWork})
-		drainUntil(t, codec, proto.KindWorkRequest)
-		return time.Since(start)
-	}
-	// Consecutive no-work replies: 10ms, 20ms, 40ms, 40ms (capped). Timer
-	// scheduling only adds delay, so lower bounds are safe to assert; the
-	// upper bound on the first gap just has to beat the cap.
-	first := gap()
-	if first < initial {
-		t.Fatalf("first backoff %v < configured initial %v", first, initial)
-	}
-	var last time.Duration
-	for i := 0; i < 3; i++ {
-		last = gap()
-	}
-	// After four consecutive no-work replies the sleep must be at the cap
-	// (>= 40ms), clearly above the initial 10ms.
-	if last < max {
-		t.Fatalf("capped backoff %v < configured max %v", last, max)
-	}
-
-	// Real work resets the backoff to the initial value: answer the parked
-	// request with a task, wait for its result, re-park, and measure again.
-	codec.Send(&proto.Envelope{Kind: proto.KindTask, Task: &proto.Task{
-		TaskID: "t1", JobID: "j1", Cmd: "noop"}})
-	drainUntil(t, codec, proto.KindResult)
-	drainUntil(t, codec, proto.KindWorkRequest)
-	afterReset := gap()
-	if afterReset >= max {
-		t.Fatalf("backoff after real work = %v, want reset toward %v", afterReset, initial)
 	}
 }
 
@@ -466,7 +367,6 @@ func TestWorkerReconnects(t *testing.T) {
 	if reg2.WorkerID != "rc" {
 		t.Fatalf("re-register %+v", reg2)
 	}
-	drainUntil(t, codec2, proto.KindWorkRequest)
 	if err := codec2.Send(&proto.Envelope{Kind: proto.KindShutdown}); err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +425,6 @@ func TestReconnectBackoffResetsOnRegisteredAck(t *testing.T) {
 	if err := codec.Send(&proto.Envelope{Kind: proto.KindRegistered}); err != nil {
 		t.Fatal(err)
 	}
-	drainUntil(t, codec, proto.KindWorkRequest)
 
 	// Sever. The registered ack above must have reset the backoff to 10ms;
 	// without the reset the worker sleeps its grown 640ms before redialing.
@@ -578,11 +477,11 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestResultSharesWriteWithNextRequest pins the hot loop's write count: a
-// task's result and the work request that follows it leave in one write, in
-// that order, and a result is on the wire before the worker acts on whatever
-// the dispatcher says next (here: shutdown).
-func TestResultSharesWriteWithNextRequest(t *testing.T) {
+// TestResultLeavesFlushed pins the hot loop's write count: a task's result
+// is the worker's only frame for the task (no request for more work follows
+// it), and it leaves in one write, before the worker acts on whatever the
+// dispatcher says next.
+func TestResultLeavesFlushed(t *testing.T) {
 	a, b := net.Pipe()
 	cc := &countingConn{Conn: a}
 	disp := proto.NewCodec(b)
@@ -601,9 +500,6 @@ func TestResultSharesWriteWithNextRequest(t *testing.T) {
 	if err := disp.Send(&proto.Envelope{Kind: proto.KindRegistered}); err != nil {
 		t.Fatal(err)
 	}
-	if env, err := disp.Recv(); err != nil || env.Kind != proto.KindWorkRequest {
-		t.Fatalf("first request: %v %v", env, err)
-	}
 	const tasks = 3
 	before := cc.writes.Load()
 	for i := 0; i < tasks; i++ {
@@ -612,17 +508,17 @@ func TestResultSharesWriteWithNextRequest(t *testing.T) {
 			t.Fatal(err)
 		}
 		if env, err := disp.Recv(); err != nil || env.Kind != proto.KindResult || env.Result.TaskID != id {
-			t.Fatalf("task %d: want its result first, got %v %v", i, env, err)
-		}
-		if env, err := disp.Recv(); err != nil || env.Kind != proto.KindWorkRequest {
-			t.Fatalf("task %d: want a work request after the result, got %v %v", i, env, err)
+			t.Fatalf("task %d: want its result, got %v %v", i, env, err)
 		}
 	}
 	if got := cc.writes.Load() - before; got != tasks {
-		t.Fatalf("%d writes for %d result+request pairs, want one each", got, tasks)
+		t.Fatalf("%d writes for %d results, want one each", got, tasks)
 	}
 	if err := disp.Send(&proto.Envelope{Kind: proto.KindShutdown}); err != nil {
 		t.Fatal(err)
+	}
+	if env, err := disp.Recv(); err == nil {
+		t.Fatalf("a %q frame followed the last result", env.Kind)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
@@ -650,7 +546,6 @@ func TestReconnectWorkerKilledMidTask(t *testing.T) {
 	go func() { done <- w.Run(context.Background()) }()
 	codec, _ := fd.accept(t)
 	defer codec.Close()
-	drainUntil(t, codec, proto.KindWorkRequest)
 	codec.Send(&proto.Envelope{Kind: proto.KindTask, Task: &proto.Task{TaskID: "t", JobID: "j", Cmd: "block"}})
 	<-started
 	w.Kill()
@@ -684,7 +579,6 @@ func TestReconnectedWorkerRunsUnderLiveContext(t *testing.T) {
 	go func() { done <- w.Run(context.Background()) }()
 	for i := 0; i < 2; i++ {
 		codec, _ := fd.accept(t)
-		drainUntil(t, codec, proto.KindWorkRequest)
 		codec.Send(&proto.Envelope{Kind: proto.KindTask, Task: &proto.Task{TaskID: "t", JobID: "j", Cmd: "ctx"}})
 		if res := drainUntil(t, codec, proto.KindResult).Result; res.ExitCode != 0 {
 			t.Fatalf("connection %d: result %+v", i, res)
@@ -696,7 +590,6 @@ func TestReconnectedWorkerRunsUnderLiveContext(t *testing.T) {
 			codec.Close() // the dispatcher crashed; the worker redials
 			continue
 		}
-		drainUntil(t, codec, proto.KindWorkRequest)
 		codec.Send(&proto.Envelope{Kind: proto.KindShutdown})
 		codec.Close()
 	}
