@@ -72,10 +72,11 @@ type Options struct {
 	OnOutputFrame func(*proto.Frame)
 	// OnEvent receives dispatcher trace events; nil disables tracing.
 	OnEvent func(dispatch.Event)
-	// WriteCoalesce is ignored: the dispatcher always batches up to 16
-	// outbound frames per flush under backlog. The field survives only
-	// because the frozen benchmark (bench/inproc.go) sets it; delete both
-	// with the next benchmark change.
+	// WriteCoalesce is ignored: a task is written and flushed by the
+	// goroutine that seats it, and a worker's other frames are drained from
+	// its outbox with one flush per batch. The field survives only because
+	// the frozen benchmark (bench/inproc.go) sets it; delete both with the
+	// next benchmark change.
 	WriteCoalesce int
 	// Obs, when non-nil, exports the dispatcher's instrumentation plus the
 	// hydra/PMI and worker package metrics through the registry, ready for

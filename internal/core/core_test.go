@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -291,4 +292,60 @@ func TestStageFileThroughEngine(t *testing.T) {
 	if err != nil || rep.Failed() != 0 {
 		t.Fatalf("err=%v failed=%d", err, rep.Failed())
 	}
+}
+
+// TestGoroutinesPerIdleLocalWorker pins what an idle local worker costs in
+// goroutines: three of the worker's own (its receive loop, the watcher that
+// closes the link on cancel, its heartbeat) and one on the dispatcher's
+// side, the connection's reader. The dispatcher's outbox for the worker runs
+// a goroutine only while frames wait to be written. Two engines, with 1 and
+// 9 workers, run side by side, so their fixed goroutines cancel.
+func TestGoroutinesPerIdleLocalWorker(t *testing.T) {
+	const want = 4
+	g0 := settledGoroutines()
+	small, err := NewEngine(Options{LocalWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	waitIdle(t, small, 1)
+	g1 := settledGoroutines()
+	large, err := NewEngine(Options{LocalWorkers: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer large.Close()
+	waitIdle(t, large, 9)
+	g2 := settledGoroutines()
+	perWorker := float64((g2-g1)-(g1-g0)) / 8
+	t.Logf("%.2f goroutines per idle local worker", perWorker)
+	if perWorker != want {
+		t.Fatalf("%.2f goroutines per idle local worker, want %d", perWorker, want)
+	}
+}
+
+// waitIdle waits until all n of e's workers are parked.
+func waitIdle(t *testing.T, e *Engine, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Dispatcher().IdleWorkers() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers idle", e.Dispatcher().IdleWorkers(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// settledGoroutines is the goroutine count once it has held for 20 ms.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); same < 4 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }

@@ -151,11 +151,6 @@ const DefaultHotQueueJobs = 131072
 // Config.CompactSegments is zero.
 const defaultCompactSegments = 8
 
-// writeCoalesce is the most outbound frames a worker's writer goroutine
-// batches into one flush (one syscall) when its send queue has backlog. An
-// empty queue still flushes every frame at once, so latency is unaffected.
-const writeCoalesce = 16
-
 // Stats are cumulative dispatcher counters.
 type Stats struct {
 	JobsSubmitted   int
@@ -198,12 +193,16 @@ type statsCounters struct {
 	spillReads      atomic.Int64
 }
 
-// outFrame is one entry in a worker's send queue: either a typed envelope
-// the writer encodes, or a raw relayed frame (stage/output passthrough) the
-// writer forwards byte-for-byte when the connection's encoding allows it.
+// outboxCap bounds a worker's outbox. A worker whose link falls this far
+// behind is treated as faulty when a task does not fit.
+const outboxCap = 1024
+
+// outFrame is one entry in a worker's outbox: either a typed envelope the
+// drainer encodes, or a raw relayed frame (stage passthrough) it forwards
+// byte-for-byte.
 type outFrame struct {
 	env *proto.Envelope
-	raw *proto.Frame // holds one reference owned by the queue entry
+	raw *proto.Frame // holds one reference owned by the outbox entry
 }
 
 // workerConn is the dispatcher-side state of one pilot-job connection.
@@ -213,8 +212,13 @@ type workerConn struct {
 	codec *proto.Codec
 	shard *shard // home scheduling shard, fixed at registration
 
-	sendq chan outFrame
-	quit  chan struct{} // closed when the worker is declared gone
+	// The outbox (outbox.go): frames waiting to be written, in FIFO order.
+	// writing is set while one goroutine owns the codec's write side, which
+	// it keeps until the outbox is empty; out is non-empty only while
+	// writing is set. outMu is a leaf lock, never held across a write.
+	outMu   sync.Mutex
+	out     []outFrame
+	writing bool
 
 	// lastSeen is the unix-nano time of the last inbound frame. It is
 	// written by the connection's reader goroutine and read by the janitor
@@ -224,7 +228,8 @@ type workerConn struct {
 
 	// gone flips once, when the worker is declared dead. Checked under the
 	// shard lock by park and under Dispatcher.mu by the dispatch path,
-	// so a worker can never be parked or tasked after teardown began.
+	// so a worker can never be parked or tasked after teardown began; the
+	// outbox refuses frames once it is set.
 	gone atomic.Bool
 
 	// The worker's links in its home shard's idle set (idleset.go), guarded
@@ -246,40 +251,6 @@ type taskRef struct {
 // touch records inbound traffic for the janitor's liveness check.
 func (wc *workerConn) touch() { wc.lastSeen.Store(time.Now().UnixNano()) }
 
-// enqueue hands a frame to the worker's writer goroutine without blocking;
-// a worker too slow to drain its queue is treated as faulty. sendq is never
-// closed — the writer exits through quit — so enqueue is race-free against
-// worker teardown.
-func (wc *workerConn) enqueue(e *proto.Envelope) bool {
-	return wc.push(outFrame{env: e})
-}
-
-// enqueueRaw queues a relayed frame for this worker, taking a reference for
-// the queue entry (released by the writer after the bytes are on the wire)
-// and giving it back if the queue rejects the frame.
-func (wc *workerConn) enqueueRaw(f *proto.Frame) bool {
-	f.Retain()
-	if !wc.push(outFrame{raw: f}) {
-		f.Release()
-		return false
-	}
-	return true
-}
-
-func (wc *workerConn) push(of outFrame) bool {
-	select {
-	case <-wc.quit:
-		return false
-	default:
-	}
-	select {
-	case wc.sendq <- of:
-		return true
-	default:
-		return false
-	}
-}
-
 // runningJob tracks one dispatched job until every rank reports.
 type runningJob struct {
 	job     *Job
@@ -292,11 +263,17 @@ type runningJob struct {
 	faulted bool // failure caused by worker loss rather than the application
 	errMsg  string
 	start   time.Time
+
+	// Storage for a one-rank job's rank, result and worker ID, so that its
+	// launch costs one allocation: this runningJob.
+	rank1   [1]rank
+	result1 [1]proto.Result
+	worker1 [1]string
 }
 
 // rank is one task of a running job: the frame that carries it and the
 // worker it is bound to. A job's ranks are one allocation, envelopes and
-// tasks included; the worker's send queue holds &env until it is written.
+// tasks included; the worker's outbox holds &env until it is written.
 type rank struct {
 	env     proto.Envelope
 	task    proto.Task
@@ -549,6 +526,15 @@ func (d *Dispatcher) register(wc *workerConn) bool {
 	d.workersPeak = max(d.workersPeak, len(d.workers))
 	d.stats.workersJoined.Add(1)
 	d.emit(Event{Kind: EvWorkerJoined, WorkerID: wc.id, Detail: wc.reg.Host})
+	// Queued in the section that publishes the worker, so a stage fan-out
+	// (which snapshots d.workers under d.mu) either reaches it through this
+	// replay or queues behind it: registered is always the first frame, and
+	// every stage arrives exactly once. The replay points into d.staged,
+	// whose entries are never rewritten once appended.
+	wc.enqueue(&proto.Envelope{Kind: proto.KindRegistered})
+	for i := range d.staged {
+		wc.enqueue(&proto.Envelope{Kind: proto.KindStage, Stage: &d.staged[i]})
+	}
 	d.mu.Unlock()
 	return true
 }
@@ -574,8 +560,6 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 		id:    first.Register.WorkerID,
 		reg:   *first.Register,
 		codec: codec,
-		sendq: make(chan outFrame, 1024),
-		quit:  make(chan struct{}),
 		tasks: make(map[string]taskRef),
 	}
 	wc.touch()
@@ -583,90 +567,9 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 	if !d.register(wc) {
 		return
 	}
-	d.mu.Lock()
-	staged := append([]proto.Stage(nil), d.staged...)
-	d.mu.Unlock()
-
-	// Writer stage: drains the outbound queue so scheduling never blocks on
-	// a slow connection. Under backlog, up to writeCoalesce frames are
-	// batched into the codec's write buffer before one flush, amortizing
-	// the syscall; an empty queue still flushes every frame immediately.
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		// Release any relayed frames still queued when the writer exits, so
-		// their pooled buffers go back even for a worker that died mid-burst.
-		// (A frame enqueued after this final sweep — the enqueue raced the
-		// quit close — is simply collected by the GC; only pool reuse is
-		// lost, never correctness.)
-		defer func() {
-			for {
-				select {
-				case of := <-wc.sendq:
-					if of.raw != nil {
-						of.raw.Release()
-					}
-				default:
-					return
-				}
-			}
-		}()
-		// writeOut buffers one queue entry. A relayed frame goes out as the
-		// bytes it arrived in; its queue reference is dropped once they are
-		// in the write buffer (SendRawBuffered copies them).
-		writeOut := func(of outFrame) error {
-			if of.raw == nil {
-				return codec.SendBuffered(of.env)
-			}
-			defer of.raw.Release()
-			return codec.SendRawBuffered(of.raw.Payload())
-		}
-		drain := func(of outFrame) error {
-			if err := writeOut(of); err != nil {
-				return err
-			}
-			for n := 1; n < writeCoalesce; n++ {
-				select {
-				case more := <-wc.sendq:
-					if err := writeOut(more); err != nil {
-						return err
-					}
-				default:
-					return codec.Flush()
-				}
-			}
-			return codec.Flush()
-		}
-		for {
-			select {
-			case of := <-wc.sendq:
-				if err := drain(of); err != nil {
-					return
-				}
-			case <-wc.quit:
-				// The worker is gone and serveWorker closes the connection
-				// next: flush what is queued while it lasts, then exit. A
-				// write to a peer that stopped reading fails on that close.
-				for {
-					select {
-					case of := <-wc.sendq:
-						if err := drain(of); err != nil {
-							return
-						}
-					default:
-						return
-					}
-				}
-			}
-		}
-	}()
-
-	wc.enqueue(&proto.Envelope{Kind: proto.KindRegistered})
-	for i := range staged {
-		wc.enqueue(&proto.Envelope{Kind: proto.KindStage, Stage: &staged[i]})
-	}
 	// A registered worker holds no task: it is idle until the dispatcher
-	// gives it one. Its first task queues behind the replayed stages.
+	// gives it one. Its first task queues behind registered and the
+	// replayed stages.
 	d.park(wc)
 
 	// Inbound hot loop: results take Dispatcher.mu and then park the worker
@@ -704,11 +607,9 @@ inbound:
 		f.Release()
 	}
 	d.workerGone(wc)
-	// Close before waiting for the writer: it may be blocked writing to a
-	// peer that has stopped reading, and once the pipe's buffer or the
-	// socket's window is full nothing but the close unblocks it.
-	codec.Close()
-	<-writerDone
+	// The deferred close also unblocks a drain goroutine stuck writing to a
+	// peer that has stopped reading: once the pipe's buffer or the socket's
+	// window is full, nothing else does.
 }
 
 // park puts a worker that holds no task into its home shard's idle set and
@@ -735,10 +636,11 @@ func (d *Dispatcher) park(wc *workerConn) {
 // runningJob, whose ranks the caller binds to the group it selects. Called
 // with the popping shard's lock held (lock order shard -> mu).
 func (d *Dispatcher) registerRunning(job *Job) *runningJob {
-	rj := &runningJob{
-		job:   job,
-		ranks: make([]rank, job.Procs()),
-		start: time.Now(),
+	rj := &runningJob{job: job, start: time.Now()}
+	if n := job.Procs(); n == 1 {
+		rj.ranks = rj.rank1[:]
+	} else {
+		rj.ranks = make([]rank, n)
 	}
 	d.ins.queueWait.Observe(rj.start.Sub(job.submitted))
 	d.mu.Lock()
@@ -749,10 +651,11 @@ func (d *Dispatcher) registerRunning(job *Job) *runningJob {
 	return rj
 }
 
-// dispatchJob builds the popped job's tasks and streams them to the workers
+// dispatchJob builds the popped job's tasks and sends them to the workers
 // its ranks are bound to. Runs outside all scheduling locks — mpiexec startup
 // is slow — and re-checks each worker's liveness under Dispatcher.mu when
-// binding tasks.
+// binding tasks. The tasks go out after the unlock, each written by this
+// goroutine when its worker's outbox is idle (outbox.go).
 func (d *Dispatcher) dispatchJob(rj *runningJob) {
 	job := rj.job
 	var exec *hydra.MPIExec
@@ -811,8 +714,12 @@ func (d *Dispatcher) dispatchJob(rj *runningJob) {
 	d.mu.Lock()
 	rj.exec = exec
 	rj.pending = len(rj.ranks)
-	rj.results = make([]proto.Result, 0, len(rj.ranks))
-	rj.workers = make([]string, len(rj.ranks))
+	if len(rj.ranks) == 1 {
+		rj.results, rj.workers = rj.result1[:0], rj.worker1[:]
+	} else {
+		rj.results = make([]proto.Result, 0, len(rj.ranks))
+		rj.workers = make([]string, len(rj.ranks))
+	}
 	for i := range rj.ranks {
 		r := &rj.ranks[i]
 		r.pending = true
@@ -828,16 +735,21 @@ func (d *Dispatcher) dispatchJob(rj *runningJob) {
 		}
 		wc.tasks[taskID] = taskRef{rj: rj, rank: i}
 		r.env = proto.Envelope{Kind: proto.KindTask, Task: &r.task}
-		if !wc.enqueue(&r.env) {
-			// Writer queue overflow: treat the worker as faulty. The result
-			// path will synthesize the failure when workerGone runs.
-			go wc.codec.Close()
-		}
 	}
 	if rj.pending == 0 {
 		retry = d.finalizeLocked(rj, "", &td)
 	}
 	d.mu.Unlock()
+	// Only this goroutine touches the envelopes until it hands them over, so
+	// a rank whose envelope is set is one bound above.
+	for i := range rj.ranks {
+		r := &rj.ranks[i]
+		if r.env.Task != nil && !r.wc.sendTask(&r.env) {
+			// The worker is gone or its outbox overflowed: treat it as
+			// faulty. workerGone fails the task.
+			r.wc.codec.Close()
+		}
+	}
 	td.run()
 	d.ins.assembly.Observe(time.Since(rj.start))
 	if retry != nil {
@@ -1041,7 +953,6 @@ func (d *Dispatcher) workerGone(wc *workerConn) {
 	if !wc.gone.CompareAndSwap(false, true) {
 		return
 	}
-	close(wc.quit)
 	s := wc.shard
 	if s != nil {
 		s.mu.Lock()

@@ -210,7 +210,7 @@ func (d *Dispatcher) Instance() string { return d.cfg.Instance }
 // peerSender serializes outbound frames to an attached router. Completion
 // callbacks run on the dispatcher's completion goroutine and must not block,
 // so they append under a mutex and a writer goroutine drains — the peer-link
-// analogue of a worker's sendq, unbounded because dropping a JobDone would
+// analogue of a worker's outbox, unbounded because dropping a JobDone would
 // strand the router-side handle forever (the backlog is bounded by the
 // number of live jobs).
 type peerSender struct {

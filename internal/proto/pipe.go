@@ -19,7 +19,7 @@ const PipeBuffer = 256 << 10
 // while the buffer is full. Closing either end closes both directions: the
 // other end reads what is still buffered and then io.EOF, the closing end's
 // own reads fail at once, and every write fails with io.ErrClosedPipe.
-// Goroutines block only in channel operations; the mutex of a direction is
+// Goroutines block only in channel receives; the mutex of a direction is
 // held only to copy bytes.
 func Pipe() (*Codec, *Codec) {
 	ab, ba := newPipeBuf(), newPipeBuf()
@@ -46,16 +46,17 @@ type pipeBuf struct {
 	off  int
 	err  error // set once by shut: what a read returns after the buffer drains
 
-	readable chan struct{} // one slot: bytes arrived
-	writable chan struct{} // one slot: room freed
-	done     chan struct{} // closed by the first shut; wakes every waiter
+	// One-slot wake-ups. shut leaves one in each, and a waiter that finds
+	// the direction shut passes its wake-up on before it returns, so every
+	// waiter sees the shut.
+	readable chan struct{} // bytes arrived, or the direction was shut
+	writable chan struct{} // room freed, or the direction was shut
 }
 
 func newPipeBuf() *pipeBuf {
 	return &pipeBuf{
 		readable: make(chan struct{}, 1),
 		writable: make(chan struct{}, 1),
-		done:     make(chan struct{}),
 	}
 }
 
@@ -73,6 +74,7 @@ func (b *pipeBuf) write(p []byte) (int, error) {
 		b.mu.Lock()
 		if b.err != nil {
 			b.mu.Unlock()
+			signal(b.writable)
 			return n, io.ErrClosedPipe
 		}
 		m := min(PipeBuffer-(len(b.data)-b.off), len(p)-n)
@@ -92,10 +94,7 @@ func (b *pipeBuf) write(p []byte) (int, error) {
 		if n == len(p) {
 			return n, nil
 		}
-		select {
-		case <-b.writable:
-		case <-b.done:
-		}
+		<-b.writable
 	}
 }
 
@@ -118,12 +117,10 @@ func (b *pipeBuf) read(p []byte) (int, error) {
 		err := b.err
 		b.mu.Unlock()
 		if err != nil {
+			signal(b.readable)
 			return 0, err
 		}
-		select {
-		case <-b.readable:
-		case <-b.done:
-		}
+		<-b.readable
 	}
 }
 
@@ -134,13 +131,13 @@ func (b *pipeBuf) read(p []byte) (int, error) {
 // always drops the bytes.
 func (b *pipeBuf) shut(err error) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if err == io.ErrClosedPipe {
 		b.data, b.off = nil, 0
 	}
-	if b.err != nil {
-		return
+	if b.err == nil {
+		b.err = err
 	}
-	b.err = err
-	close(b.done)
+	b.mu.Unlock()
+	signal(b.readable)
+	signal(b.writable)
 }

@@ -233,7 +233,7 @@ func (c *Codec) Send(e *Envelope) error {
 }
 
 // SendBuffered writes one envelope into the codec's write buffer without
-// flushing. A batching writer (the dispatcher's per-worker goroutine) calls
+// flushing. A batching writer (a dispatcher worker link's outbox) calls
 // it N times and then Flush once, amortizing the syscall per flush rather
 // than per frame. Interleaving with Send is safe; Send simply flushes
 // whatever is buffered along with its own frame.
