@@ -6,6 +6,9 @@
 // carries file staging over the same connection, removing the need for a
 // separate data transfer mechanism.
 //
+// Bulk traffic travels on a binary data plane (dataplane.go), where each
+// client's frames queue in a bounded proto.Outbox.
+//
 // The "multiple-job-size spectrum" block allocator of the paper's future
 // work (§7) is implemented as an optional policy: instead of one monolithic
 // block, worker capacity is requested as a spectrum of block sizes so
@@ -218,7 +221,7 @@ func NewService(cfg Config) (*Service, error) {
 // scrape time from state the service already maintains.
 func (s *Service) registerObs(reg *obs.Registry) {
 	reg.CounterFunc("jets_dataplane_dropped_outputs_total",
-		"output frames dropped because a data-plane subscriber queue was full", s.droppedOut.Load)
+		"output frames dropped because a data-plane subscriber outbox was full", s.droppedOut.Load)
 	reg.CounterFunc("jets_stage_files_total",
 		"files accepted into the service staging store", s.stagedFiles.Load)
 	reg.CounterFunc("jets_stage_bytes_total",
@@ -230,12 +233,12 @@ func (s *Service) registerObs(reg *obs.Registry) {
 			return float64(len(s.subs))
 		})
 	reg.GaugeFunc("jets_dataplane_queue_depth",
-		"relayed output frames buffered across all subscriber queues", func() float64 {
+		"relayed output frames buffered across all subscriber outboxes", func() float64 {
 			s.subMu.RLock()
 			defer s.subMu.RUnlock()
 			n := 0
 			for sub := range s.subs {
-				n += len(sub.q)
+				n += sub.out.Len()
 			}
 			return float64(n)
 		})

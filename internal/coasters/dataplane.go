@@ -6,12 +6,14 @@ package coasters
 // payloads travel as raw length-prefixed bytes (no base64) and output frames
 // produced by workers are forwarded to subscribers without a decode/re-encode
 // cycle: the dispatcher's OnOutputFrame hook hands the service the raw frame,
-// each subscriber queue takes a reference, and the per-subscriber writer puts
-// the original bytes on the wire before releasing it.
+// each subscriber's outbox (proto.Outbox) takes a reference, and whoever
+// drains it puts the original bytes on the wire before releasing it.
 //
-// A slow client never stalls a worker's reader: subscriber queues are
-// bounded and overflow drops the frame (releasing its reference and
-// counting it) rather than blocking the relay.
+// A slow client never stalls a worker's reader: each outbox is bounded at
+// 1,024 frames and overflow drops the frame (releasing its reference and
+// counting it) rather than blocking the relay. A client costs one goroutine
+// at rest, its reader; a drain goroutine exists only while its outbox holds
+// frames.
 
 import (
 	"fmt"
@@ -27,84 +29,19 @@ import (
 // subscriber is one data-plane connection receiving relayed output.
 type subscriber struct {
 	codec *proto.Codec
-	q     chan *proto.Frame // entries hold one reference each
-	quit  chan struct{}
+	out   *proto.Outbox
 
 	// dropWarned rate-limits the slow-subscriber diagnostic to one warning
 	// per connection: the first dropped frame logs, the rest only count.
 	dropWarned atomic.Bool
 }
 
-// offer hands a frame to the subscriber's writer without blocking,
-// reporting whether it was queued (false: the subscriber is gone or too
-// slow, and the frame was dropped with its reference returned).
-func (sub *subscriber) offer(f *proto.Frame) bool {
-	select {
-	case <-sub.quit:
-		return false
-	default:
-	}
-	f.Retain()
-	select {
-	case sub.q <- f:
-		return true
-	default:
-		f.Release()
-		return false
-	}
-}
-
-// writeLoop drains the subscriber queue onto the connection, writing each
-// frame as the bytes it arrived in; the queue's reference is released once
-// they are in the connection's write buffer.
-func (sub *subscriber) writeLoop() {
-	defer func() {
-		for {
-			select {
-			case f := <-sub.q:
-				f.Release()
-			default:
-				return
-			}
-		}
-	}()
-	write := func(f *proto.Frame) error {
-		defer f.Release()
-		return sub.codec.SendRawBuffered(f.Payload())
-	}
-	for {
-		select {
-		case <-sub.quit:
-			return
-		case f := <-sub.q:
-			if err := write(f); err != nil {
-				return
-			}
-			// Coalesce whatever is already queued into this flush.
-		more:
-			for {
-				select {
-				case f := <-sub.q:
-					if err := write(f); err != nil {
-						return
-					}
-				default:
-					break more
-				}
-			}
-			if err := sub.codec.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
 // relayOutput is the dispatcher's OnOutputFrame hook: fan the borrowed
-// frame out to every subscriber queue (each taking its own reference).
+// frame out to every subscriber's outbox (each taking its own reference).
 func (s *Service) relayOutput(f *proto.Frame) {
 	s.subMu.RLock()
 	for sub := range s.subs {
-		if !sub.offer(f) {
+		if !sub.out.PushRaw(f) {
 			s.droppedOut.Add(1)
 			if sub.dropWarned.CompareAndSwap(false, true) {
 				log.Printf("coasters: data-plane subscriber %s is not keeping up; dropping output frames (see jets_dataplane_dropped_outputs_total)",
@@ -115,8 +52,8 @@ func (s *Service) relayOutput(f *proto.Frame) {
 	s.subMu.RUnlock()
 }
 
-// DroppedOutputs reports output frames dropped because a subscriber queue
-// was full (slow client) or closing.
+// DroppedOutputs reports output frames dropped because a subscriber's
+// outbox was full (slow client) or closed.
 func (s *Service) DroppedOutputs() int64 { return s.droppedOut.Load() }
 
 // ServeData starts the data-plane listener; returns its address.
@@ -157,16 +94,15 @@ func (s *Service) serveData(codec *proto.Codec) {
 		return
 	}
 
-	sub := &subscriber{codec: codec, q: make(chan *proto.Frame, 1024), quit: make(chan struct{})}
+	sub := &subscriber{codec: codec, out: proto.NewOutbox(codec, 1024)}
 	s.subMu.Lock()
 	s.subs[sub] = struct{}{}
 	s.subMu.Unlock()
-	go sub.writeLoop()
 	defer func() {
 		s.subMu.Lock()
 		delete(s.subs, sub)
 		s.subMu.Unlock()
-		close(sub.quit)
+		sub.out.Close()
 	}()
 
 	for {

@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -297,4 +298,68 @@ func fillByte(taskID string) byte {
 		b = 0x11
 	}
 	return b
+}
+
+// TestGoroutinesPerDataPlaneClient pins what a connected data client costs
+// the service at rest: one goroutine, the connection's reader. Its outbox
+// runs a drain goroutine only while relayed frames wait to be written.
+// Nothing remains once the clients disconnect. The clients are bare codecs,
+// so none of the counted goroutines is theirs.
+func TestGoroutinesPerDataPlaneClient(t *testing.T) {
+	const clients, want = 8, 1
+	svc, err := NewService(Config{Provider: &LocalProvider{Runner: hydra.NewFuncRunner()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	addr, err := svc.ServeData("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g0 := settledGoroutines()
+	codecs := make([]*proto.Codec, clients)
+	for i := range codecs {
+		c, err := proto.Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Send(&proto.Envelope{Kind: proto.KindRegister, Register: &proto.Register{WorkerID: "data-client"}}); err != nil {
+			t.Fatal(err)
+		}
+		if ack, err := c.Recv(); err != nil || ack.Kind != proto.KindRegistered {
+			t.Fatalf("handshake: %+v, %v", ack, err)
+		}
+		codecs[i] = c
+	}
+	g1 := settledGoroutines()
+	perClient := float64(g1-g0) / clients
+	t.Logf("%.2f goroutines per idle data client", perClient)
+	if perClient != want {
+		t.Fatalf("%.2f goroutines per idle data client, want %d", perClient, want)
+	}
+	for _, c := range codecs {
+		c.Close()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > g0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after every client disconnected, want %d", runtime.NumGoroutine(), g0)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// settledGoroutines is the goroutine count once it has held for 20 ms.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); same < 4 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }

@@ -193,18 +193,6 @@ type statsCounters struct {
 	spillReads      atomic.Int64
 }
 
-// outboxCap bounds a worker's outbox. A worker whose link falls this far
-// behind is treated as faulty when a task does not fit.
-const outboxCap = 1024
-
-// outFrame is one entry in a worker's outbox: either a typed envelope the
-// drainer encodes, or a raw relayed frame (stage passthrough) it forwards
-// byte-for-byte.
-type outFrame struct {
-	env *proto.Envelope
-	raw *proto.Frame // holds one reference owned by the outbox entry
-}
-
 // workerConn is the dispatcher-side state of one pilot-job connection.
 type workerConn struct {
 	id    string
@@ -212,13 +200,9 @@ type workerConn struct {
 	codec *proto.Codec
 	shard *shard // home scheduling shard, fixed at registration
 
-	// The outbox (outbox.go): frames waiting to be written, in FIFO order.
-	// writing is set while one goroutine owns the codec's write side, which
-	// it keeps until the outbox is empty; out is non-empty only while
-	// writing is set. outMu is a leaf lock, never held across a write.
-	outMu   sync.Mutex
-	out     []outFrame
-	writing bool
+	// out carries every frame to the worker (proto.Outbox): registered, the
+	// stage replay and fan-outs, tasks, shutdown.
+	out *proto.Outbox
 
 	// lastSeen is the unix-nano time of the last inbound frame. It is
 	// written by the connection's reader goroutine and read by the janitor
@@ -228,8 +212,8 @@ type workerConn struct {
 
 	// gone flips once, when the worker is declared dead. Checked under the
 	// shard lock by park and under Dispatcher.mu by the dispatch path,
-	// so a worker can never be parked or tasked after teardown began; the
-	// outbox refuses frames once it is set.
+	// so a worker can never be parked or tasked after teardown began;
+	// workerGone closes the outbox where it sets gone.
 	gone atomic.Bool
 
 	// The worker's links in its home shard's idle set (idleset.go), guarded
@@ -366,7 +350,7 @@ type Dispatcher struct {
 	// per-chunk check on the output hot path is one atomic load when no
 	// peer is attached.
 	peerOutMu sync.Mutex
-	peerOut   map[string]*peerSender
+	peerOut   map[string]*proto.Outbox
 	peerOutN  atomic.Int64
 }
 
@@ -407,6 +391,7 @@ func New(cfg Config) *Dispatcher {
 		shards:    newShards(cfg.Shards, func() QueuePolicy { return cfg.NewQueue() }),
 		workers:   make(map[string]*workerConn),
 		jobs:      make(map[string]*liveJob),
+		peerOut:   make(map[string]*proto.Outbox),
 		jnl:       cfg.Journal,
 		hotMax:    cfg.HotQueueJobs,
 		retryQuit: make(chan struct{}),
@@ -531,9 +516,9 @@ func (d *Dispatcher) register(wc *workerConn) bool {
 	// replay or queues behind it: registered is always the first frame, and
 	// every stage arrives exactly once. The replay points into d.staged,
 	// whose entries are never rewritten once appended.
-	wc.enqueue(&proto.Envelope{Kind: proto.KindRegistered})
+	wc.out.Push(&proto.Envelope{Kind: proto.KindRegistered})
 	for i := range d.staged {
-		wc.enqueue(&proto.Envelope{Kind: proto.KindStage, Stage: &d.staged[i]})
+		wc.out.Push(&proto.Envelope{Kind: proto.KindStage, Stage: &d.staged[i]})
 	}
 	d.mu.Unlock()
 	return true
@@ -560,6 +545,9 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 		id:    first.Register.WorkerID,
 		reg:   *first.Register,
 		codec: codec,
+		// A worker whose link falls 1,024 frames behind is treated as
+		// faulty when a task does not fit.
+		out:   proto.NewOutbox(codec, 1024),
 		tasks: make(map[string]taskRef),
 	}
 	wc.touch()
@@ -618,7 +606,7 @@ inbound:
 // other time. A stopping dispatcher answers with shutdown instead.
 func (d *Dispatcher) park(wc *workerConn) {
 	if d.stopping.Load() || d.closed.Load() {
-		wc.enqueue(&proto.Envelope{Kind: proto.KindShutdown})
+		wc.out.Push(&proto.Envelope{Kind: proto.KindShutdown})
 		return
 	}
 	s := wc.shard
@@ -655,7 +643,9 @@ func (d *Dispatcher) registerRunning(job *Job) *runningJob {
 // its ranks are bound to. Runs outside all scheduling locks — mpiexec startup
 // is slow — and re-checks each worker's liveness under Dispatcher.mu when
 // binding tasks. The tasks go out after the unlock, each written by this
-// goroutine when its worker's outbox is idle (outbox.go).
+// goroutine when its worker's outbox is idle (proto.Outbox.SendOrPush). The
+// credit rule makes that safe: a task only ever goes to a parked worker,
+// which is blocked in Recv (DESIGN.md "The outbox").
 func (d *Dispatcher) dispatchJob(rj *runningJob) {
 	job := rj.job
 	var exec *hydra.MPIExec
@@ -744,7 +734,7 @@ func (d *Dispatcher) dispatchJob(rj *runningJob) {
 	// a rank whose envelope is set is one bound above.
 	for i := range rj.ranks {
 		r := &rj.ranks[i]
-		if r.env.Task != nil && !r.wc.sendTask(&r.env) {
+		if r.env.Task != nil && !r.wc.out.SendOrPush(&r.env) {
 			// The worker is gone or its outbox overflowed: treat it as
 			// faulty. workerGone fails the task.
 			r.wc.codec.Close()
@@ -942,7 +932,7 @@ func (d *Dispatcher) handleOutput(f *proto.Frame) {
 		d.cfg.OnOutput(env.Output.TaskID, env.Output.Stream, env.Output.Data)
 	}
 	if relay {
-		d.relayPeerOutput(env.Output)
+		d.relayPeerOutput(f, env.Output.TaskID)
 	}
 }
 
@@ -953,6 +943,7 @@ func (d *Dispatcher) workerGone(wc *workerConn) {
 	if !wc.gone.CompareAndSwap(false, true) {
 		return
 	}
+	wc.out.Close()
 	s := wc.shard
 	if s != nil {
 		s.mu.Lock()
@@ -1136,7 +1127,7 @@ func (d *Dispatcher) Shutdown(ctx context.Context) error {
 	}
 	d.mu.Unlock()
 	for _, wc := range workers {
-		wc.enqueue(&proto.Envelope{Kind: proto.KindShutdown})
+		wc.out.Push(&proto.Envelope{Kind: proto.KindShutdown})
 	}
 	d.Close()
 	return err
@@ -1224,7 +1215,7 @@ func (d *Dispatcher) StageFile(name string, data []byte) {
 	}
 	d.mu.Unlock()
 	for _, wc := range workers {
-		wc.enqueue(&proto.Envelope{Kind: proto.KindStage, Stage: &s})
+		wc.out.Push(&proto.Envelope{Kind: proto.KindStage, Stage: &s})
 	}
 }
 
@@ -1250,7 +1241,7 @@ func (d *Dispatcher) StageFrame(f *proto.Frame) error {
 	}
 	d.mu.Unlock()
 	for _, wc := range workers {
-		wc.enqueueRaw(f)
+		wc.out.PushRaw(f)
 	}
 	return nil
 }

@@ -656,11 +656,12 @@ func TestUndecodableResultFailsItsJob(t *testing.T) {
 }
 
 // TestReaderExitUnblocksWriter: when the reader leaves its loop while the
-// writer is blocked on a peer that has stopped reading, serveWorker closes
-// the connection before it waits for the writer. A stage larger than the
-// pipe's buffer keeps the writer blocked until something unblocks it; if
-// only the peer's reading could, the dispatcher would hold the connection
-// and both sides' goroutines for as long as the peer stayed silent.
+// outbox's drain goroutine is blocked on a peer that has stopped reading,
+// serveWorker closes the connection, which fails that write; it waits for
+// no writer. A stage larger than the pipe's buffer keeps the drain blocked
+// until something unblocks it; if only the peer's reading could, the
+// dispatcher would hold the connection and both sides' goroutines for as
+// long as the peer stayed silent.
 func TestReaderExitUnblocksWriter(t *testing.T) {
 	d := New(Config{})
 	if _, err := d.Start(); err != nil {

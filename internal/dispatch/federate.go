@@ -24,7 +24,6 @@ import (
 	"errors"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"jets/internal/hydra"
@@ -207,99 +206,25 @@ func (d *Dispatcher) Instance() string { return d.cfg.Instance }
 // ---------------------------------------------------------------------------
 // Remote peer links (router process ≠ dispatcher process)
 
-// peerSender serializes outbound frames to an attached router. Completion
-// callbacks run on the dispatcher's completion goroutine and must not block,
-// so they append under a mutex and a writer goroutine drains — the peer-link
-// analogue of a worker's outbox, unbounded because dropping a JobDone would
-// strand the router-side handle forever (the backlog is bounded by the
-// number of live jobs).
-type peerSender struct {
-	codec *proto.Codec
-
-	mu      sync.Mutex
-	pending []*proto.Envelope
-
-	kick chan struct{}
-	quit chan struct{}
-	once sync.Once
-	done chan struct{}
-}
-
-func newPeerSender(codec *proto.Codec) *peerSender {
-	p := &peerSender{
-		codec: codec,
-		kick:  make(chan struct{}, 1),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go p.run()
-	return p
-}
-
-func (p *peerSender) enqueue(e *proto.Envelope) {
-	p.mu.Lock()
-	p.pending = append(p.pending, e)
-	p.mu.Unlock()
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
-}
-
-func (p *peerSender) stop() { p.once.Do(func() { close(p.quit) }) }
-
-func (p *peerSender) run() {
-	defer close(p.done)
-	flush := func() error {
-		p.mu.Lock()
-		batch := p.pending
-		p.pending = nil
-		p.mu.Unlock()
-		for _, e := range batch {
-			if err := p.codec.SendBuffered(e); err != nil {
-				return err
-			}
-		}
-		if len(batch) == 0 {
-			return nil
-		}
-		return p.codec.Flush()
-	}
-	for {
-		select {
-		case <-p.kick:
-			if flush() != nil {
-				return
-			}
-		case <-p.quit:
-			flush() // best-effort final drain
-			return
-		}
-	}
-}
-
 // registerPeerOutput subscribes an attached router to the output chunks of
 // one peer-submitted job. Without this, a job routed to an out-of-process
 // member would run fine but its stdout would stay on the executing instance,
 // invisible to the router-side client.
-func (d *Dispatcher) registerPeerOutput(jobID string, snd *peerSender) {
+func (d *Dispatcher) registerPeerOutput(jobID string, out *proto.Outbox) {
 	d.peerOutMu.Lock()
-	if d.peerOut == nil {
-		d.peerOut = make(map[string]*peerSender)
-	}
 	if _, ok := d.peerOut[jobID]; !ok {
 		d.peerOutN.Add(1)
 	}
-	d.peerOut[jobID] = snd
+	d.peerOut[jobID] = out
 	d.peerOutMu.Unlock()
 }
 
-// unregisterPeerOutput drops the subscription at job completion. The sender
+// unregisterPeerOutput drops the subscription at job completion. The outbox
 // identity check keeps a stale link's teardown (callbacks wired before a
 // reattach) from dropping the subscription the new link just registered.
-func (d *Dispatcher) unregisterPeerOutput(jobID string, snd *peerSender) {
+func (d *Dispatcher) unregisterPeerOutput(jobID string, out *proto.Outbox) {
 	d.peerOutMu.Lock()
-	if d.peerOut[jobID] == snd {
+	if d.peerOut[jobID] == out {
 		delete(d.peerOut, jobID)
 		d.peerOutN.Add(-1)
 	}
@@ -308,10 +233,10 @@ func (d *Dispatcher) unregisterPeerOutput(jobID string, snd *peerSender) {
 
 // dropPeerOutputs sweeps every subscription held by a disconnecting link;
 // the router's reconcile-on-reattach re-registers the jobs still live here.
-func (d *Dispatcher) dropPeerOutputs(snd *peerSender) {
+func (d *Dispatcher) dropPeerOutputs(out *proto.Outbox) {
 	d.peerOutMu.Lock()
-	for id, s := range d.peerOut {
-		if s == snd {
+	for id, o := range d.peerOut {
+		if o == out {
 			delete(d.peerOut, id)
 			d.peerOutN.Add(-1)
 		}
@@ -319,50 +244,51 @@ func (d *Dispatcher) dropPeerOutputs(snd *peerSender) {
 	d.peerOutMu.Unlock()
 }
 
-// relayPeerOutput forwards one decoded output chunk to the router attached
-// to its job, if any. Task IDs are jobID+"/seq" or jobID+"/rankN" (see
-// launch and hydra.Decompose). The data slice aliases the worker frame's
-// buffer, which the caller releases after this returns, so the relay copy
-// is mandatory, not defensive.
-func (d *Dispatcher) relayPeerOutput(out *proto.Output) {
-	jobID := out.TaskID
+// relayPeerOutput forwards one output frame, byte for byte, to the router
+// attached to its job, if any. Task IDs are jobID+"/seq" or jobID+"/rankN"
+// (see launch and hydra.Decompose). The outbox takes its own reference, so
+// the caller keeps ownership of f.
+func (d *Dispatcher) relayPeerOutput(f *proto.Frame, taskID string) {
+	jobID := taskID
 	if i := strings.LastIndexByte(jobID, '/'); i >= 0 {
 		jobID = jobID[:i]
 	}
 	d.peerOutMu.Lock()
-	snd := d.peerOut[jobID]
+	link := d.peerOut[jobID]
 	d.peerOutMu.Unlock()
-	if snd == nil {
-		return
+	if link != nil {
+		link.PushRaw(f)
 	}
-	snd.enqueue(&proto.Envelope{Kind: proto.KindOutput, Output: &proto.Output{
-		TaskID: out.TaskID,
-		Stream: out.Stream,
-		Data:   append([]byte(nil), out.Data...),
-	}})
 }
 
 // servePeer runs one attached router connection. The first frame (already
 // read by serveWorker) carries the router's outstanding-job set; the reply
-// reports which of those are live here, wiring completion callbacks for
-// each in the same pass — OnDone fires immediately for a handle that
-// completed between lookup and wiring, so no completion can fall in a gap.
-// Thereafter the link carries PeerSubmit/StealRequest inbound and
-// JobDone/LoadReport outbound until either side closes.
+// reports which of those are live here. Completion callbacks for them are
+// wired only after the reply is queued, so FIFO puts every JobDone behind
+// it; OnDone fires at once for a handle that completed in between, so no
+// completion falls in a gap. Thereafter the link carries
+// PeerSubmit/StealRequest inbound and JobDone/LoadReport outbound until
+// either side closes.
+//
+// Every outbound frame goes through the link's outbox, unbounded because
+// dropping a JobDone would strand the router-side handle forever (the
+// backlog is bounded by the number of live jobs). Completion callbacks run
+// under Dispatcher.mu and must not write, so every other frame is pushed
+// too, keeping the link's frames in one order. serveWorker's deferred close
+// frees a drain blocked on a router that stopped reading.
 func (d *Dispatcher) servePeer(codec *proto.Codec, first *proto.Envelope) {
 	attach := first.PeerAttach
-	snd := newPeerSender(codec)
+	out := proto.NewOutbox(codec, 0)
 	defer func() {
-		d.dropPeerOutputs(snd)
-		snd.stop()
-		<-snd.done
+		d.dropPeerOutputs(out)
+		out.Close()
 	}()
 
 	notify := func(h *Handle) {
-		d.registerPeerOutput(h.JobID(), snd)
+		d.registerPeerOutput(h.JobID(), out)
 		h.OnDone(func(res JobResult) {
-			d.unregisterPeerOutput(res.JobID, snd)
-			snd.enqueue(&proto.Envelope{Kind: proto.KindJobDone, JobDone: &proto.JobDone{
+			d.unregisterPeerOutput(res.JobID, out)
+			out.Push(&proto.Envelope{Kind: proto.KindJobDone, JobDone: &proto.JobDone{
 				JobID:   res.JobID,
 				Failed:  res.Failed,
 				Err:     res.Err,
@@ -372,14 +298,16 @@ func (d *Dispatcher) servePeer(codec *proto.Codec, first *proto.Envelope) {
 	}
 
 	info := &proto.PeerInfo{}
+	var live []*Handle
 	for _, id := range attach.Outstanding {
 		if h, ok := d.HandleOf(id); ok {
 			info.Live = append(info.Live, id)
-			notify(h)
+			live = append(live, h)
 		}
 	}
-	if err := codec.Send(&proto.Envelope{Kind: proto.KindPeerAttached, PeerInfo: info}); err != nil {
-		return
+	out.Push(&proto.Envelope{Kind: proto.KindPeerAttached, PeerInfo: info})
+	for _, h := range live {
+		notify(h)
 	}
 
 	// Periodic load reports drive the router's least-loaded placement and
@@ -388,17 +316,18 @@ func (d *Dispatcher) servePeer(codec *proto.Codec, first *proto.Envelope) {
 	if loadEvery <= 0 {
 		loadEvery = 50 * time.Millisecond
 	}
+	// The ticker only pushes, so the link tells it to quit and does not wait
+	// for it: a report it pushes after the outbox closed is refused.
 	tickerQuit := make(chan struct{})
-	tickerDone := make(chan struct{})
+	defer close(tickerQuit)
 	go func() {
-		defer close(tickerDone)
 		t := time.NewTicker(loadEvery)
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
 				q, r, i, w := d.Load()
-				snd.enqueue(&proto.Envelope{Kind: proto.KindLoadReport, LoadReport: &proto.LoadReport{
+				out.Push(&proto.Envelope{Kind: proto.KindLoadReport, LoadReport: &proto.LoadReport{
 					Queued: q, Running: r, Idle: i, Workers: w,
 				}})
 			case <-tickerQuit:
@@ -406,8 +335,6 @@ func (d *Dispatcher) servePeer(codec *proto.Codec, first *proto.Envelope) {
 			}
 		}
 	}()
-	defer close(tickerQuit)
-	defer func() { <-tickerDone }()
 
 	for {
 		env, err := codec.Recv()
@@ -419,7 +346,7 @@ func (d *Dispatcher) servePeer(codec *proto.Codec, first *proto.Envelope) {
 			if env.PeerSubmit == nil {
 				continue
 			}
-			d.handlePeerSubmit(env.PeerSubmit, snd, notify)
+			d.handlePeerSubmit(env.PeerSubmit, out, notify)
 		case proto.KindStealRequest:
 			if env.StealRequest == nil {
 				continue
@@ -429,7 +356,7 @@ func (d *Dispatcher) servePeer(codec *proto.Codec, first *proto.Envelope) {
 			for i, sj := range jobs {
 				reply.Jobs[i] = peerSubmitOf(sj)
 			}
-			snd.enqueue(&proto.Envelope{Kind: proto.KindStealReply, StealReply: reply})
+			out.Push(&proto.Envelope{Kind: proto.KindStealReply, StealReply: reply})
 		case proto.KindHeartbeat:
 			// liveness only
 		default:
@@ -442,11 +369,14 @@ func (d *Dispatcher) servePeer(codec *proto.Codec, first *proto.Envelope) {
 // either way the job never ran here). A submit for an ID already live here
 // is idempotent: it re-wires the completion callback instead of erroring,
 // which is what a router retrying over a link that dropped mid-submit needs.
-func (d *Dispatcher) handlePeerSubmit(ps *proto.PeerSubmit, snd *peerSender, notify func(*Handle)) {
+func (d *Dispatcher) handlePeerSubmit(ps *proto.PeerSubmit, out *proto.Outbox, notify func(*Handle)) {
 	if h, ok := d.HandleOf(ps.JobID); ok {
 		notify(h)
 		return
 	}
+	// Subscribe the link to the job's output before the job can run, or its
+	// first chunks may find no link to relay to.
+	d.registerPeerOutput(ps.JobID, out)
 	var (
 		h   *Handle
 		err error
@@ -458,7 +388,8 @@ func (d *Dispatcher) handlePeerSubmit(ps *proto.PeerSubmit, snd *peerSender, not
 		h, err = d.Submit(Job{Spec: sj.Spec, Type: sj.Type, Priority: sj.Priority})
 	}
 	if err != nil {
-		snd.enqueue(&proto.Envelope{Kind: proto.KindJobDone, JobDone: &proto.JobDone{
+		d.unregisterPeerOutput(ps.JobID, out)
+		out.Push(&proto.Envelope{Kind: proto.KindJobDone, JobDone: &proto.JobDone{
 			JobID:    ps.JobID,
 			Failed:   true,
 			Rejected: true,

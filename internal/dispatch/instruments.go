@@ -17,8 +17,8 @@ type instruments struct {
 	// scheduling pass seated it on workers.
 	queueWait *obs.Hist
 	// assembly is pop-to-dispatched: group binding plus (for MPI jobs)
-	// mpiexec/PMI-server startup, ending when every task is handed to a
-	// worker's writer.
+	// mpiexec/PMI-server startup, ending when every task is handed to its
+	// worker's outbox.
 	assembly *obs.Hist
 	// jobDur is the seated lifetime: pop to final rank report.
 	jobDur *obs.Hist

@@ -10,7 +10,7 @@ import (
 	"jets/internal/proto"
 )
 
-// Tests of a worker's outbox (outbox.go): the order of the frames a worker
+// Tests of a worker's outbox (proto.Outbox): the order of the frames a worker
 // sees, and that no write to one worker waits on another. The workers are
 // fakes over proto.Pipe, so every frame the dispatcher sends is visible.
 
@@ -275,77 +275,4 @@ func TestOutboxStalledWorkerDoesNotDelaySubmit(t *testing.T) {
 			t.Fatalf("idle: no %q frame: its link waited for the stalled worker", kind)
 		}
 	}
-}
-
-// TestOutboxConcurrentPushesKeepOrder drives one outbox from several
-// goroutines at once: four append frames, one writes tasks inline whenever
-// the outbox is idle. Every frame arrives, each goroutine's in the order it
-// pushed them, and the write side is free again once the outbox is empty.
-func TestOutboxConcurrentPushesKeepOrder(t *testing.T) {
-	reader, served := proto.Pipe()
-	defer reader.Close()
-	wc := &workerConn{id: "w", codec: served}
-	const pushers, frames = 4, 500
-	got := make(chan map[string]int, 1)
-	go func() {
-		next := map[string]int{}
-		for n := 0; n < (pushers+1)*frames; n++ {
-			env, err := reader.Recv()
-			if err != nil {
-				t.Error(err)
-				break
-			}
-			var who string
-			var i int
-			switch env.Kind {
-			case proto.KindError:
-				fmt.Sscanf(env.Error, "%s %d", &who, &i)
-			case proto.KindTask:
-				who, i = "task", env.Task.Rank
-			}
-			if i != next[who] {
-				t.Errorf("%s: frame %d arrived when %d was due", who, i, next[who])
-			}
-			next[who] = i + 1
-		}
-		got <- next
-	}()
-	var wg sync.WaitGroup
-	for p := 0; p < pushers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < frames; i++ {
-				for !wc.enqueue(&proto.Envelope{Kind: proto.KindError, Error: fmt.Sprintf("p%d %d", p, i)}) {
-					time.Sleep(time.Millisecond) // outbox full: let the drain catch up
-				}
-			}
-		}(p)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < frames; i++ {
-			task := proto.Task{TaskID: "t", JobID: "j", Rank: i}
-			for !wc.sendTask(&proto.Envelope{Kind: proto.KindTask, Task: &task}) {
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-	wg.Wait()
-	select {
-	case next := <-got:
-		for _, who := range []string{"p0", "p1", "p2", "p3", "task"} {
-			if next[who] != frames {
-				t.Errorf("%s: %d frames arrived, want %d", who, next[who], frames)
-			}
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("frames missing: the outbox kept some without a writer")
-	}
-	waitFor(t, func() bool {
-		wc.outMu.Lock()
-		defer wc.outMu.Unlock()
-		return !wc.writing && len(wc.out) == 0
-	})
 }

@@ -16,8 +16,8 @@ package proto
 //
 //   - RecvFrame returns a Frame holding one reference; the receiver owns it
 //     and must Release exactly once.
-//   - A handler that hands the frame to another goroutine (a relay queue, a
-//     per-connection writer) calls Retain first; that goroutine Releases
+//   - A handler that hands the frame to another goroutine (an Outbox, whose
+//     PushRaw does this) calls Retain first; that goroutine Releases
 //     after its write completes. SendRaw copies the payload into the
 //     connection's write buffer before returning, so releasing immediately
 //     after it returns is safe.

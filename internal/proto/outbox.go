@@ -1,0 +1,172 @@
+package proto
+
+import "sync"
+
+// Outbox is the outbound queue of one connection, and the only thing that
+// queues frames for one: a dispatcher's worker links and router links and a
+// Coasters data client each write through one. At most one goroutine writes
+// to the codec at a time, the one that set writing, and no connection keeps
+// a writer goroutine while it is idle.
+//
+//   - Push and PushRaw append a frame without blocking. If nobody is writing,
+//     the push starts a drain goroutine, which writes the queue in FIFO
+//     order, one flush per batch it takes, and exits once the queue is empty.
+//     A peer that stops reading stalls only that goroutine.
+//   - SendOrPush writes a frame on the calling goroutine when the outbox is
+//     idle, and appends it otherwise. Frames pushed while it writes go to a
+//     drain goroutine afterwards: the caller never writes a frame queued
+//     behind its own, to a peer that may have stopped reading.
+//
+// A failed write closes the connection, and the frames behind it are
+// released unwritten. Closing the connection is also how an owner frees a
+// drain goroutine blocked on a peer that stopped reading; it never waits for
+// one.
+type Outbox struct {
+	codec *Codec
+	limit int // most frames queued at once; 0 means no bound
+
+	// mu is a leaf lock, never held across a write. q is non-empty only
+	// while writing is set.
+	mu      sync.Mutex
+	q       []outFrame
+	writing bool
+	closed  bool
+}
+
+// outFrame is one queued frame: either a typed envelope the drain encodes,
+// or a raw relayed frame it forwards byte for byte.
+type outFrame struct {
+	env *Envelope
+	raw *Frame // holds one reference, owned by the entry
+}
+
+// NewOutbox returns an outbox writing to c that holds at most limit frames;
+// a limit of 0 means no bound.
+func NewOutbox(c *Codec, limit int) *Outbox {
+	return &Outbox{codec: c, limit: limit}
+}
+
+// Push appends e without blocking. It reports false when the outbox is
+// closed or full.
+func (o *Outbox) Push(e *Envelope) bool {
+	return o.push(outFrame{env: e})
+}
+
+// PushRaw appends a relayed frame without blocking, taking a reference for
+// the entry (released by whoever drains it, once the bytes are in the write
+// buffer or the write has failed) and giving it back if the outbox refuses
+// the frame.
+func (o *Outbox) PushRaw(f *Frame) bool {
+	f.Retain()
+	if !o.push(outFrame{raw: f}) {
+		f.Release()
+		return false
+	}
+	return true
+}
+
+// push appends of and starts a drain goroutine if nobody is writing.
+func (o *Outbox) push(of outFrame) bool {
+	o.mu.Lock()
+	ok := o.appendLocked(of)
+	start := ok && !o.writing
+	if start {
+		o.writing = true
+	}
+	o.mu.Unlock()
+	if start {
+		go o.drain()
+	}
+	return ok
+}
+
+// appendLocked adds of unless the outbox is closed or full. Caller holds
+// o.mu.
+func (o *Outbox) appendLocked(of outFrame) bool {
+	if o.closed || (o.limit > 0 && len(o.q) >= o.limit) {
+		return false
+	}
+	o.q = append(o.q, of)
+	return true
+}
+
+// SendOrPush hands e to the connection: written and flushed on the calling
+// goroutine when the outbox is idle, appended behind the frames already
+// queued otherwise. It reports false when the outbox is closed or full.
+func (o *Outbox) SendOrPush(e *Envelope) bool {
+	o.mu.Lock()
+	if o.writing || o.closed {
+		// The goroutine that set writing drains the frame.
+		ok := o.appendLocked(outFrame{env: e})
+		o.mu.Unlock()
+		return ok
+	}
+	o.writing = true
+	o.mu.Unlock()
+	if err := o.codec.Send(e); err != nil {
+		o.codec.Close()
+	}
+	o.mu.Lock()
+	handoff := len(o.q) > 0
+	o.writing = handoff
+	o.mu.Unlock()
+	if handoff {
+		go o.drain()
+	}
+	return true
+}
+
+// Close makes the outbox refuse every later frame. Frames already queued
+// are still drained, or released if the connection is gone.
+func (o *Outbox) Close() {
+	o.mu.Lock()
+	o.closed = true
+	o.mu.Unlock()
+}
+
+// Len reports how many frames wait to be written.
+func (o *Outbox) Len() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.q)
+}
+
+// drain writes the queue in FIFO order until it is empty, one flush per
+// batch it takes, then gives up the write side. A failed write closes the
+// connection; the frames behind it are released unwritten.
+func (o *Outbox) drain() {
+	var err error
+	o.mu.Lock()
+	for len(o.q) > 0 {
+		batch := o.q
+		o.q = nil
+		o.mu.Unlock()
+		for _, of := range batch {
+			if err == nil {
+				if of.raw == nil {
+					err = o.codec.SendBuffered(of.env)
+				} else {
+					// SendRawBuffered copies the bytes, so the entry's
+					// reference can go at once.
+					err = o.codec.SendRawBuffered(of.raw.Payload())
+				}
+			}
+			if of.raw != nil {
+				of.raw.Release()
+			}
+		}
+		if err == nil {
+			err = o.codec.Flush()
+		}
+		if err != nil {
+			o.codec.Close()
+		}
+		clear(batch)
+		o.mu.Lock()
+		if o.q == nil {
+			o.q = batch[:0] // nothing arrived meanwhile: keep the storage
+		}
+	}
+	o.writing = false
+	o.mu.Unlock()
+}
