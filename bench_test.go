@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"jets/internal/coasters"
 	"jets/internal/core"
 	"jets/internal/dht"
 	"jets/internal/dispatch"
@@ -903,107 +902,6 @@ func BenchmarkProtoCodec(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/msg")
 		})
 	}
-}
-
-// BenchmarkOutputRelay measures the data-plane output path end to end:
-// worker stdout chunks -> dispatcher -> subscriber relay -> data client,
-// 16 chunks of 8 KiB per job, reporting relayed MB/s. The relay forwards
-// the worker's original frame bytes to the client ("raw", the only mode).
-func BenchmarkOutputRelay(b *testing.B) {
-	const chunks, chunkSize = 16, 8 << 10
-	b.Run("raw", func(b *testing.B) {
-		runner := hydra.NewFuncRunner()
-		payload := bytes.Repeat([]byte{0x42}, chunkSize)
-		runner.Register("burst", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
-			for i := 0; i < chunks; i++ {
-				stdout.Write(payload)
-			}
-			return 0
-		})
-		svc, err := coasters.NewService(coasters.Config{
-			Provider: &coasters.LocalProvider{Runner: runner},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer svc.Close()
-		if err := svc.EnsureWorkers(context.Background(), 4); err != nil {
-			b.Fatal(err)
-		}
-		addr, err := svc.ServeData("")
-		if err != nil {
-			b.Fatal(err)
-		}
-		dc, err := coasters.DialData(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer dc.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h, err := svc.Submit(context.Background(), dispatch.Job{
-				Spec: hydra.JobSpec{JobID: fmt.Sprintf("b%d", i), NProcs: 1, Cmd: "burst"},
-				Type: dispatch.Sequential,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res := h.Wait(); res.Failed {
-				b.Fatal(res.Err)
-			}
-			got := 0
-			for got < chunks*chunkSize {
-				ch, ok := <-dc.Outputs()
-				if !ok {
-					b.Fatal("output channel closed")
-				}
-				got += len(ch.Data)
-			}
-		}
-		b.StopTimer()
-		mb := float64(b.N) * chunks * chunkSize / (1 << 20)
-		b.ReportMetric(mb/b.Elapsed().Seconds(), "MB/s")
-	})
-}
-
-// BenchmarkStageRelay measures stage-payload ingest through the data plane:
-// one 256 KiB file per iteration, client -> service -> 4 worker caches,
-// waiting for the staged ack. The payload travels as raw length-prefixed
-// bytes end to end.
-func BenchmarkStageRelay(b *testing.B) {
-	const fileSize = 256 << 10
-	b.Run("binary", func(b *testing.B) {
-		runner := hydra.NewFuncRunner()
-		svc, err := coasters.NewService(coasters.Config{
-			Provider: &coasters.LocalProvider{Runner: runner, CacheDir: b.TempDir()},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer svc.Close()
-		if err := svc.EnsureWorkers(context.Background(), 4); err != nil {
-			b.Fatal(err)
-		}
-		addr, err := svc.ServeData("")
-		if err != nil {
-			b.Fatal(err)
-		}
-		dc, err := coasters.DialData(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer dc.Close()
-		data := bytes.Repeat([]byte{0x7F}, fileSize)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := dc.Stage(fmt.Sprintf("f%d.bin", i), data, 10*time.Second); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		mb := float64(b.N) * fileSize / (1 << 20)
-		b.ReportMetric(mb/b.Elapsed().Seconds(), "MB/s")
-	})
 }
 
 // nullAsyncExecutor counts invocations and completes them immediately, so

@@ -6,8 +6,11 @@
 // Usage:
 //
 //	swiftrun -workers 8 script.swift
+//	swiftrun -listen 0.0.0.0:7001 -workers 0 script.swift   # external workers
 //
-// App commands run as real subprocesses.
+// App commands run as real subprocesses. With -listen, jets-worker processes
+// started with -dispatcher ADDR join the local workers (or replace them,
+// with -workers 0).
 package main
 
 import (
@@ -59,6 +62,7 @@ func (nullRunner) Run(ctx context.Context, task *proto.Task, env []string, stdou
 
 func run() error {
 	workers := flag.Int("workers", 4, "local worker agents")
+	listen := flag.String("listen", "", "dispatcher listen address for external workers (e.g. 0.0.0.0:7001; empty binds an ephemeral loopback port)")
 	workdir := flag.String("workdir", "swift-work", "directory for auto-mapped files")
 	timeout := flag.Duration("timeout", time.Hour, "script wall limit")
 	batch := flag.Int("batch", 0, "max invocations per batched engine submit (0 uses the default)")
@@ -69,6 +73,9 @@ func run() error {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		return fmt.Errorf("usage: swiftrun [flags] script.swift")
+	}
+	if *workers <= 0 && *listen == "" {
+		return fmt.Errorf("usage: -workers %d needs -listen, or no worker can join", *workers)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -92,6 +99,7 @@ func run() error {
 	}
 	eng, err := core.NewEngine(core.Options{
 		LocalWorkers: *workers,
+		ListenAddr:   *listen,
 		Runner:       runner,
 		OnOutput:     exec.OutputSink,
 		Obs:          reg,
@@ -101,6 +109,9 @@ func run() error {
 	}
 	defer eng.Close()
 	exec.Bind(eng)
+	if *listen != "" {
+		fmt.Printf("swiftrun: dispatcher on %s, %d local workers\n", eng.Addr(), *workers)
+	}
 	if *metricsAddr != "" {
 		srv, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {

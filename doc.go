@@ -20,8 +20,9 @@
 //     the PMI-1 protocol it serves;
 //   - internal/mpi — a pure-Go MPI (point-to-point with tag matching,
 //     collectives, MPI_Wtime) over channel and TCP transports;
-//   - internal/swiftlang, internal/dataflow, internal/coasters — the
-//     mini-Swift dataflow language and CoasterService integration;
+//   - internal/swiftlang, internal/dataflow — the mini-Swift dataflow
+//     language, whose app calls reach JETS through internal/core (the
+//     paper's CoasterService path, cmd/swiftrun);
 //   - internal/namd, internal/rem — the synthetic NAMD application and the
 //     replica exchange method;
 //   - internal/event, internal/simjets, internal/topology, internal/fsim —

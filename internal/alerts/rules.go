@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"jets/internal/coasters"
 	"jets/internal/dispatch"
 	"jets/internal/obs"
 )
@@ -95,21 +94,6 @@ func ForDispatcher(d *dispatch.Dispatcher) []Rule {
 		{
 			Name: "journal-errors", Severity: Critical,
 			Counter:   func() int64 { return int64(d.Stats().JournalErrors) },
-			Op:        Above,
-			Threshold: 0,
-			Window:    30 * time.Second,
-			Hold:      10 * time.Second,
-		},
-	}
-}
-
-// ForCoasters extends the dispatcher defaults with data-plane rules for an
-// embedded Coasters service.
-func ForCoasters(s *coasters.Service) []Rule {
-	return []Rule{
-		{
-			Name: "dataplane-drops", Severity: Warning,
-			Counter:   s.DroppedOutputs,
 			Op:        Above,
 			Threshold: 0,
 			Window:    30 * time.Second,

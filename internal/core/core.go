@@ -67,9 +67,6 @@ type Options struct {
 	JobTimeout time.Duration
 	// OnOutput receives task output; nil discards.
 	OnOutput func(taskID, stream string, data []byte)
-	// OnOutputFrame receives each raw output frame before OnOutput, for
-	// zero-copy relay (borrow semantics — see dispatch.Config.OnOutputFrame).
-	OnOutputFrame func(*proto.Frame)
 	// OnEvent receives dispatcher trace events; nil disables tracing.
 	OnEvent func(dispatch.Event)
 	// WriteCoalesce is ignored: a task is written and flushed by the
@@ -223,7 +220,6 @@ func (opts Options) dispatchConfig(instance, addr string, jnl journal.Journal, d
 		Group:            opts.Group,
 		JobTimeout:       opts.JobTimeout,
 		OnOutput:         opts.OnOutput,
-		OnOutputFrame:    opts.OnOutputFrame,
 		OnEvent:          opts.OnEvent,
 		Obs:              opts.Obs,
 		Journal:          jnl,

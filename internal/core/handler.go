@@ -12,7 +12,6 @@ import (
 
 	"jets/internal/dispatch"
 	"jets/internal/hydra"
-	"jets/internal/proto"
 )
 
 // Handler parses one job-source format. The paper (§5) structures the
@@ -145,8 +144,8 @@ func (e *Engine) RunHandler(ctx context.Context, h Handler, r io.Reader) (*Batch
 // detached, and every later chunk for that task dropped instead of wedging
 // the batch.
 //
-// HandleChunk matches Options.OnOutput and HandleFrame matches
-// Options.OnOutputFrame, so a router plugs into an Engine directly.
+// HandleChunk matches Options.OnOutput, so a router plugs into an Engine
+// directly.
 type OutputRouter struct {
 	mu        sync.Mutex
 	writers   map[string]io.Writer
@@ -208,14 +207,4 @@ func (r *OutputRouter) HandleChunk(taskID, stream string, data []byte) {
 		r.truncated[taskID] = err
 		delete(r.writers, taskID)
 	}
-}
-
-// HandleFrame routes one raw output frame (Options.OnOutputFrame shape,
-// borrow semantics): it decodes within the call and never retains the frame.
-func (r *OutputRouter) HandleFrame(f *proto.Frame) {
-	env, err := f.Envelope()
-	if err != nil || env.Output == nil {
-		return
-	}
-	r.HandleChunk(env.Output.TaskID, env.Output.Stream, env.Output.Data)
 }

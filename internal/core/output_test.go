@@ -12,7 +12,6 @@ import (
 
 	"jets/internal/dispatch"
 	"jets/internal/hydra"
-	"jets/internal/proto"
 )
 
 // failAfter is a writer standing in for a client that disconnects
@@ -161,35 +160,8 @@ func TestOutputRouterFallbackAndDetach(t *testing.T) {
 	}
 }
 
-func TestOutputRouterHandleFrame(t *testing.T) {
-	r := NewOutputRouter()
-	var w bytes.Buffer
-	r.Attach("tf", &w)
-	a, b := proto.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errc := make(chan error, 1)
-	go func() {
-		errc <- a.Send(&proto.Envelope{Kind: proto.KindOutput, Output: &proto.Output{
-			TaskID: "tf", Stream: "stdout", Data: []byte("framed"),
-		}})
-	}()
-	f, err := b.RecvFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	r.HandleFrame(f)
-	f.Release()
-	if w.String() != "framed" {
-		t.Fatalf("got %q", w.String())
-	}
-}
-
 // TestEngineOutputThroughRouter drives the full output path: worker stdout
-// -> dispatcher -> Options hooks -> router -> per-task buffer, with a
+// -> dispatcher -> Options.OnOutput -> router -> per-task buffer, with a
 // disconnecting client truncating one task while another completes.
 func TestEngineOutputThroughRouter(t *testing.T) {
 	r := NewOutputRouter()
@@ -199,9 +171,9 @@ func TestEngineOutputThroughRouter(t *testing.T) {
 		return 0
 	})
 	eng, err := NewEngine(Options{
-		LocalWorkers:  2,
-		Runner:        runner,
-		OnOutputFrame: r.HandleFrame,
+		LocalWorkers: 2,
+		Runner:       runner,
+		OnOutput:     r.HandleChunk,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,8 @@
 // The dispatcher observes the paper's architecture principles: socket
 // handling, request handling, and process management are separate concurrent
 // stages; workers that fail or hang are disregarded automatically; and the
-// component composes into the stand-alone jets tool (internal/core), the
-// Coasters service (internal/coasters), or custom frameworks.
+// component composes into the stand-alone jets tool and the Swift executor
+// (both through internal/core), or custom frameworks.
 //
 // Scheduling state is sharded (shard.go, steal.go): idle workers and queued
 // jobs are spread over N independently locked shards keyed by worker
@@ -88,13 +88,6 @@ type Config struct {
 	JobTimeout time.Duration
 	// OnOutput receives task output chunks; nil discards them.
 	OnOutput func(taskID, stream string, data []byte)
-	// OnOutputFrame receives each raw output frame before OnOutput, for
-	// zero-copy relay to downstream connections. The frame is borrowed for
-	// the duration of the call: a callee that keeps it past return (for
-	// example by queueing it on a subscriber connection) must Retain it
-	// first and Release after its write completes. nil disables the raw
-	// path; OnOutput still sees decoded chunks either way.
-	OnOutputFrame func(*proto.Frame)
 	// OnEvent receives life-cycle trace events (see events.go); nil
 	// disables tracing. Delivery is ordered but asynchronous.
 	OnEvent func(Event)
@@ -134,22 +127,16 @@ type Config struct {
 	// spill and removed at Close: spilling still bounds memory, but
 	// checkpoints then re-journal cold specs in full.
 	SpillDir string
-	// CompactSegments triggers an online journal checkpoint (re-journal the
-	// live state, drop older segments) whenever the journal spans more than
-	// this many segment files, bounding WAL growth over a long uptime —
-	// without it, segments were only compacted during restart recovery.
-	// Zero means the default (8); negative disables online checkpoints.
-	// Effective only when the journal implements journal.Checkpointer.
-	CompactSegments int
 }
 
 // DefaultHotQueueJobs is the per-shard hot-window bound applied when
 // Config.HotQueueJobs is zero.
 const DefaultHotQueueJobs = 131072
 
-// defaultCompactSegments is the checkpoint threshold applied when
-// Config.CompactSegments is zero.
-const defaultCompactSegments = 8
+// compactSegments is how many segment files the journal may span before
+// the janitor runs an online checkpoint (re-journal the live state, drop
+// older segments), bounding WAL growth over a long uptime.
+const compactSegments = 8
 
 // Stats are cumulative dispatcher counters.
 type Stats struct {
@@ -320,6 +307,7 @@ type Dispatcher struct {
 	// lazy ephemeral open; spill itself is internally synchronized and, once
 	// set, never changes.
 	hotMax            int
+	compact           int        // checkpoint past this many journal segments; negative never
 	spillMu           sync.Mutex // guards the lazy ephemeral open (spill writes, spillFailed, spillTmpDir)
 	spill             atomic.Pointer[journal.SpillStore]
 	spillDurable      bool   // SpillDir configured: specs survive restarts
@@ -383,9 +371,6 @@ func New(cfg Config) *Dispatcher {
 	if cfg.HotQueueJobs == 0 {
 		cfg.HotQueueJobs = DefaultHotQueueJobs
 	}
-	if cfg.CompactSegments == 0 {
-		cfg.CompactSegments = defaultCompactSegments
-	}
 	d := &Dispatcher{
 		cfg:       cfg,
 		shards:    newShards(cfg.Shards, func() QueuePolicy { return cfg.NewQueue() }),
@@ -394,6 +379,7 @@ func New(cfg Config) *Dispatcher {
 		peerOut:   make(map[string]*proto.Outbox),
 		jnl:       cfg.Journal,
 		hotMax:    cfg.HotQueueJobs,
+		compact:   compactSegments,
 		retryQuit: make(chan struct{}),
 		ins:       newInstruments(cfg.Instance),
 	}
@@ -911,15 +897,10 @@ func (d *Dispatcher) handleResult(wc *workerConn, res *proto.Result) {
 	}
 }
 
-// handleOutput routes one output frame from a worker. The raw-frame hook
-// runs first with borrow semantics (it Retains to keep the frame past the
-// call); the decoded callback then sees the chunk only if it is wired,
-// paying the decode exactly when someone wants typed data. The caller still
-// owns its reference and releases it afterwards.
+// handleOutput routes one output frame from a worker to the OnOutput
+// callback and any attached router peers, decoding it only when one of them
+// is wired. The caller owns its reference and releases it afterwards.
 func (d *Dispatcher) handleOutput(f *proto.Frame) {
-	if d.cfg.OnOutputFrame != nil {
-		d.cfg.OnOutputFrame(f)
-	}
 	relay := d.peerOutN.Load() > 0
 	if d.cfg.OnOutput == nil && !relay {
 		return
@@ -1217,33 +1198,6 @@ func (d *Dispatcher) StageFile(name string, data []byte) {
 	for _, wc := range workers {
 		wc.out.Push(&proto.Envelope{Kind: proto.KindStage, Stage: &s})
 	}
-}
-
-// StageFrame distributes an already-encoded stage frame — typically received
-// from a data-plane client — to every current and future worker. The payload
-// is decoded once to record the Stage for replay to late-joining workers;
-// live workers get the original frame bytes relayed without re-encoding.
-// Borrow semantics: the relay takes its own references, so
-// the caller keeps ownership of f.
-func (d *Dispatcher) StageFrame(f *proto.Frame) error {
-	env, err := f.Envelope()
-	if err != nil {
-		return err
-	}
-	if env.Kind != proto.KindStage || env.Stage == nil {
-		return fmt.Errorf("dispatch: StageFrame on %q frame", f.Kind())
-	}
-	d.mu.Lock()
-	d.staged = append(d.staged, *env.Stage)
-	workers := make([]*workerConn, 0, len(d.workers))
-	for _, wc := range d.workers {
-		workers = append(workers, wc)
-	}
-	d.mu.Unlock()
-	for _, wc := range workers {
-		wc.out.PushRaw(f)
-	}
-	return nil
 }
 
 // Stats returns a snapshot of the cumulative counters.

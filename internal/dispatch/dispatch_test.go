@@ -32,7 +32,13 @@ type testCluster struct {
 
 func startCluster(t *testing.T, n int, cfg Config) *testCluster {
 	t.Helper()
-	tc := &testCluster{d: New(cfg), runner: hydra.NewFuncRunner()}
+	return startClusterOn(t, n, New(cfg))
+}
+
+// startClusterOn is startCluster for a dispatcher built but not yet started.
+func startClusterOn(t *testing.T, n int, d *Dispatcher) *testCluster {
+	t.Helper()
+	tc := &testCluster{d: d, runner: hydra.NewFuncRunner()}
 	addr, err := tc.d.Start()
 	if err != nil {
 		t.Fatal(err)

@@ -139,10 +139,11 @@ func lifecycleRun(t *testing.T, shards int, seed int64, closeMidFlight bool) {
 	cfg := Config{
 		Shards: shards, HotQueueJobs: 4, SpillDir: filepath.Join(dir, "spill"),
 		MaxJobRetries: 3, RetryBackoff: time.Millisecond, RetryBackoffMax: 2 * time.Millisecond,
-		HeartbeatTimeout: 5 * time.Second, CompactSegments: -1,
+		HeartbeatTimeout: 5 * time.Second,
 	}
 	cfg.Journal = openWAL()
 	d := New(cfg)
+	d.compact = -1
 	addr, err := d.Start()
 	if err != nil {
 		t.Fatal(err)

@@ -247,18 +247,18 @@ func (d *Dispatcher) hydrateBatch(batch []*liveJob) []*Job {
 // Online journal checkpoint
 
 // maybeCheckpoint, called from the janitor tick, triggers an online
-// checkpoint once the journal spans more than Config.CompactSegments segment
-// files. Failures are retried on the next tick (and logged once): a degraded
+// checkpoint once the journal spans more than d.compact segment files
+// (compactSegments unless a test lowered it). Failures are retried on the next tick (and logged once): a degraded
 // journal refuses to checkpoint until its commit retry succeeds.
 func (d *Dispatcher) maybeCheckpoint() {
-	if d.jnl == nil || d.cfg.CompactSegments < 0 {
+	if d.jnl == nil || d.compact < 0 {
 		return
 	}
 	ck, ok := d.jnl.(journal.Checkpointer)
 	if !ok {
 		return
 	}
-	if ck.Segments() <= d.cfg.CompactSegments {
+	if ck.Segments() <= d.compact {
 		return
 	}
 	if err := d.CompactJournal(); err != nil {

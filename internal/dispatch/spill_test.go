@@ -215,11 +215,12 @@ func TestJournalSegmentsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := startCluster(t, 2, Config{
+	d := New(Config{
 		Journal:          w,
-		CompactSegments:  3,
 		HeartbeatTimeout: 200 * time.Millisecond, // janitor (checkpoint) tick every 50ms
 	})
+	d.compact = 3
+	tc := startClusterOn(t, 2, d)
 	tc.runner.Register("noop", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
 		return 0
 	})
@@ -255,7 +256,7 @@ func TestJournalSegmentsBounded(t *testing.T) {
 	// count grows monotonically to that; with it, the peak stays within the
 	// threshold plus however much one janitor window (50ms) accumulates.
 	if maxSeen > 25 {
-		t.Fatalf("segment count peaked at %d with CompactSegments=3; online checkpointing is not bounding growth", maxSeen)
+		t.Fatalf("segment count peaked at %d with compact=3; online checkpointing is not bounding growth", maxSeen)
 	}
 }
 

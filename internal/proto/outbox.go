@@ -3,8 +3,8 @@ package proto
 import "sync"
 
 // Outbox is the outbound queue of one connection, and the only thing that
-// queues frames for one: a dispatcher's worker links and router links and a
-// Coasters data client each write through one. At most one goroutine writes
+// queues frames for one: a dispatcher's worker links and router links each
+// write through one. At most one goroutine writes
 // to the codec at a time, the one that set writing, and no connection keeps
 // a writer goroutine while it is idle.
 //

@@ -1,8 +1,7 @@
 // Package proto defines the JETS wire protocol: length-prefixed frames with
 // a compact binary body (binary.go), used on the links that carry typed
-// envelopes — worker agents talking to the central dispatcher, routers
-// talking to dispatcher instances, and Coasters data-plane clients talking
-// to the CoasterService.
+// envelopes — worker agents talking to the central dispatcher, and routers
+// talking to dispatcher instances.
 //
 // The paper's architecture principle 2 ("separate service pipeline processes
 // through simple interfaces") is realized here: socket management is a thin,

@@ -27,8 +27,7 @@ type AppInvocation struct {
 }
 
 // Executor runs app invocations; implementations submit to JETS
-// (exec_jets.go), to the Coasters service, or to in-process functions for
-// tests.
+// (JETSExecutor) or to in-process functions for tests.
 type Executor interface {
 	Execute(ctx context.Context, inv AppInvocation) error
 }
