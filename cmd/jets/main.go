@@ -24,7 +24,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"jets/internal/alerts"
@@ -81,9 +83,7 @@ func run() error {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return err
 		}
-		sink := newOutputDir(*outDir)
-		defer sink.Close()
-		onOutput = sink.Write
+		onOutput = newOutputDir(*outDir).Write
 	}
 
 	var newQueue func() dispatch.QueuePolicy
@@ -235,32 +235,38 @@ func run() error {
 	return nil
 }
 
-// outputDir appends task output chunks to one file per task.
+// outputDir writes task output chunks to one file per task. Write runs on
+// every worker link's reader goroutine at once, so mu serialises it. No
+// descriptor is held between chunks, so a batch of any size stays within
+// the process's descriptor limit: each chunk opens its task's file to
+// append, and a task's first chunk truncates what an earlier run left.
 type outputDir struct {
-	dir   string
-	files map[string]*os.File
+	dir  string
+	mu   sync.Mutex
+	seen map[string]bool // tasks whose file this run has truncated
 }
 
 func newOutputDir(dir string) *outputDir {
-	return &outputDir{dir: dir, files: map[string]*os.File{}}
+	return &outputDir{dir: dir, seen: map[string]bool{}}
 }
 
 func (o *outputDir) Write(taskID, stream string, data []byte) {
-	f, ok := o.files[taskID]
-	if !ok {
-		var err error
-		f, err = os.Create(o.dir + "/" + sanitize(taskID) + ".out")
-		if err != nil {
-			return
-		}
-		o.files[taskID] = f
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	flags := os.O_WRONLY | os.O_CREATE | os.O_APPEND
+	if !o.seen[taskID] {
+		flags |= os.O_TRUNC
 	}
-	f.Write(data)
-}
-
-func (o *outputDir) Close() {
-	for _, f := range o.files {
-		f.Close()
+	f, err := os.OpenFile(filepath.Join(o.dir, sanitize(taskID)+".out"), flags, 0o644)
+	if err == nil {
+		o.seen[taskID] = true
+		_, err = f.Write(data)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jets: output of %s: %v\n", taskID, err)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // each local worker. DESIGN.md "Per-job
 // allocation budget" lists what the counts are made of.
 const (
-	seqJobAllocBudget     = 10 // hot path: 9 measured
-	spilledJobAllocBudget = 13 // plus journal and spill round trip: 12 measured
+	seqJobAllocBudget     = 9  // hot path: 8 measured
+	spilledJobAllocBudget = 12 // plus journal and spill round trip: 11 measured
 )
 
 // TestSequentialJobAllocs pins the per-job allocation count of the

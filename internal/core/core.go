@@ -65,7 +65,9 @@ type Options struct {
 	HeartbeatTimeout time.Duration
 	// JobTimeout bounds each job; 0 disables.
 	JobTimeout time.Duration
-	// OnOutput receives task output; nil discards.
+	// OnOutput receives task output; nil discards. It runs concurrently,
+	// on each worker link's reader goroutine (dispatch.Config.OnOutput),
+	// so a callback that shares state across tasks must lock it.
 	OnOutput func(taskID, stream string, data []byte)
 	// OnEvent receives dispatcher trace events; nil disables tracing.
 	OnEvent func(dispatch.Event)

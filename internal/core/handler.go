@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"jets/internal/dispatch"
@@ -134,77 +133,4 @@ func (e *Engine) RunHandler(ctx context.Context, h Handler, r io.Reader) (*Batch
 		return nil, fmt.Errorf("core: %s handler: %w", h.Name(), err)
 	}
 	return e.RunBatch(ctx, jobs)
-}
-
-// OutputRouter is the output-side counterpart of the input handlers: it
-// fans task output chunks to per-task writers (the paper's application ->
-// proxy -> mpiexec -> JETS -> file routing ends here). Chunks are written
-// in arrival order per task, and a task whose writer fails — a client that
-// disconnected mid-stream — is truncated: the error is recorded, the writer
-// detached, and every later chunk for that task dropped instead of wedging
-// the batch.
-//
-// HandleChunk matches Options.OnOutput, so a router plugs into an Engine
-// directly.
-type OutputRouter struct {
-	mu        sync.Mutex
-	writers   map[string]io.Writer
-	truncated map[string]error
-	// Fallback receives chunks for tasks with no attached writer; nil
-	// discards them.
-	Fallback io.Writer
-}
-
-// NewOutputRouter returns an empty router.
-func NewOutputRouter() *OutputRouter {
-	return &OutputRouter{
-		writers:   map[string]io.Writer{},
-		truncated: map[string]error{},
-	}
-}
-
-// Attach routes a task's future chunks to w, clearing any truncation state
-// from a previous attachment under the same ID.
-func (r *OutputRouter) Attach(taskID string, w io.Writer) {
-	r.mu.Lock()
-	r.writers[taskID] = w
-	delete(r.truncated, taskID)
-	r.mu.Unlock()
-}
-
-// Detach stops routing a task; later chunks fall through to Fallback.
-func (r *OutputRouter) Detach(taskID string) {
-	r.mu.Lock()
-	delete(r.writers, taskID)
-	r.mu.Unlock()
-}
-
-// Truncated reports the writer error that cut a task's stream short, if any.
-func (r *OutputRouter) Truncated(taskID string) (error, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	err, ok := r.truncated[taskID]
-	return err, ok
-}
-
-// HandleChunk routes one decoded output chunk (Options.OnOutput shape).
-// The router lock spans the write, so chunks for one task are written in
-// exactly their arrival order even when callers race.
-func (r *OutputRouter) HandleChunk(taskID, stream string, data []byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, cut := r.truncated[taskID]; cut {
-		return
-	}
-	w, ok := r.writers[taskID]
-	if !ok {
-		if r.Fallback != nil {
-			r.Fallback.Write(data)
-		}
-		return
-	}
-	if _, err := w.Write(data); err != nil {
-		r.truncated[taskID] = err
-		delete(r.writers, taskID)
-	}
 }

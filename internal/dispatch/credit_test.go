@@ -156,16 +156,14 @@ func TestCreditTwoFramesPerSequentialJob(t *testing.T) {
 	relay := func(from, to *proto.Codec) {
 		defer to.Close()
 		for {
-			f, err := from.RecvFrame()
+			env, err := from.Recv()
 			if err != nil {
 				return
 			}
 			mu.Lock()
-			frames[f.Kind()]++
+			frames[env.Kind]++
 			mu.Unlock()
-			err = to.SendRaw(f.Payload())
-			f.Release()
-			if err != nil {
+			if to.Send(env) != nil {
 				return
 			}
 		}

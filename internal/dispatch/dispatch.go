@@ -86,7 +86,10 @@ type Config struct {
 	// get it as the mpiexec watchdog, sequential jobs as the per-task
 	// WallLimit, so a hung task cannot wedge a worker forever either way.
 	JobTimeout time.Duration
-	// OnOutput receives task output chunks; nil discards them.
+	// OnOutput receives task output chunks; nil discards them. It runs
+	// on each worker link's reader goroutine, so calls for chunks from
+	// different links run concurrently: a callback that shares state
+	// across tasks must lock it. Chunks from one link arrive in order.
 	OnOutput func(taskID, stream string, data []byte)
 	// OnEvent receives life-cycle trace events (see events.go); nil
 	// disables tracing. Delivery is ordered but asynchronous.
@@ -547,38 +550,28 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 	d.park(wc)
 
 	// Inbound hot loop: results take Dispatcher.mu and then park the worker
-	// under its shard lock; heartbeat and output frames take no lock.
-	// RecvFrame classifies frames from their two-byte prefix, so the kinds
-	// that carry no payload the dispatcher reads (heartbeat, staged) and the
-	// relayed kinds (output) skip body decoding entirely.
-inbound:
+	// under its shard lock; heartbeat and output frames take no lock. A
+	// frame whose body does not decode ends the link: the stream cannot be
+	// trusted after it, and an undecodable result could not be credited to
+	// its task, which would stay pending forever on a worker that looks
+	// idle. workerGone below retries or fails every task bound to it.
 	for {
-		f, err := codec.RecvFrame()
+		env, err := codec.Recv()
 		if err != nil {
 			break
 		}
 		wc.touch()
-		switch f.Kind() {
+		switch env.Kind {
 		case proto.KindResult:
-			env, derr := f.Envelope()
-			if derr != nil {
-				// The task this result belongs to cannot be named, so it
-				// would stay pending forever on a worker that looks idle.
-				// Treat the stream as lost: workerGone below retries or
-				// fails every task bound to this connection.
-				f.Release()
-				break inbound
-			}
 			d.handleResult(wc, env.Result)
 		case proto.KindOutput:
-			d.handleOutput(f)
+			d.handleOutput(env.Output)
 		case proto.KindHeartbeat:
 			// Liveness only; touch above already recorded it lock-free.
 		case proto.KindStaged, proto.KindError:
 			// acks and diagnostics; nothing to do
 		default:
 		}
-		f.Release()
 	}
 	d.workerGone(wc)
 	// The deferred close also unblocks a drain goroutine stuck writing to a
@@ -897,23 +890,14 @@ func (d *Dispatcher) handleResult(wc *workerConn, res *proto.Result) {
 	}
 }
 
-// handleOutput routes one output frame from a worker to the OnOutput
-// callback and any attached router peers, decoding it only when one of them
-// is wired. The caller owns its reference and releases it afterwards.
-func (d *Dispatcher) handleOutput(f *proto.Frame) {
-	relay := d.peerOutN.Load() > 0
-	if d.cfg.OnOutput == nil && !relay {
-		return
-	}
-	env, err := f.Envelope()
-	if err != nil || env.Output == nil {
-		return
-	}
+// handleOutput routes one output chunk from a worker to the OnOutput
+// callback and to the router attached to its job, if any.
+func (d *Dispatcher) handleOutput(o *proto.Output) {
 	if d.cfg.OnOutput != nil {
-		d.cfg.OnOutput(env.Output.TaskID, env.Output.Stream, env.Output.Data)
+		d.cfg.OnOutput(o.TaskID, o.Stream, o.Data)
 	}
-	if relay {
-		d.relayPeerOutput(f, env.Output.TaskID)
+	if d.peerOutN.Load() > 0 {
+		d.relayPeerOutput(o)
 	}
 }
 

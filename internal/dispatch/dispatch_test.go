@@ -619,45 +619,68 @@ func TestJSONv1PeerRejectedAtWorkerPort(t *testing.T) {
 	}
 }
 
-// TestUndecodableResultFailsItsJob: a result frame whose body does not
-// decode cannot be credited to a task, so the connection is treated as lost
-// and the job goes through the retry/fail path instead of staying pending
-// forever on a worker that re-entered the idle set.
-func TestUndecodableResultFailsItsJob(t *testing.T) {
-	d := New(Config{})
-	if _, err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	fake, served := proto.Pipe()
-	defer fake.Close()
-	d.ServeConn(served)
+// servePipe connects a fake peer to d over a proto.PipeConn. It returns the
+// fake's codec and its end of the pipe, for bytes no codec would write.
+func servePipe(t *testing.T, d *Dispatcher) (*proto.Codec, io.Writer) {
+	t.Helper()
+	end, served := proto.PipeConn()
+	fake := proto.NewCodec(end)
+	t.Cleanup(func() { fake.Close() })
+	d.ServeConn(proto.NewCodec(served))
+	return fake, end
+}
 
-	if err := fake.Send(&proto.Envelope{Kind: proto.KindRegister, Register: &proto.Register{WorkerID: "fake", Cores: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if ack, err := fake.Recv(); err != nil || ack.Kind != proto.KindRegistered {
-		t.Fatalf("registration ack: %+v, %v", ack, err)
-	}
-	h, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: "garbled", NProcs: 1, Cmd: "x"}, Type: Sequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if task, err := fake.Recv(); err != nil || task.Kind != proto.KindTask {
-		t.Fatalf("task: %+v, %v", task, err)
-	}
-	// Magic, the result kind code, seq 1, then a task-id length of 5 with
-	// one byte behind it: classifies as a result, fails to decode.
-	if err := fake.SendRaw([]byte{0xBF, 3, 0x01, 0x05, 't'}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-h.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("job still pending after its result failed to decode")
-	}
-	if res := h.Wait(); !res.Failed {
-		t.Fatalf("job reported success: %+v", res)
+// undecodable is a whole frame, length prefix included, of the given kind
+// code whose body does not decode: magic, the kind code, seq 1, then a
+// string length of 5 with one byte behind it.
+func undecodable(code byte) []byte {
+	return []byte{0, 0, 0, 5, 0xBF, code, 0x01, 0x05, 't'}
+}
+
+// TestUndecodableResultFailsItsJob: a worker frame whose body does not
+// decode ends the link, whatever its kind. A result that cannot be credited
+// to a task would otherwise leave the job pending forever on a worker that
+// re-entered the idle set; the stream cannot be trusted after an output or
+// heartbeat body that does not decode either. The job goes through the
+// retry/fail path.
+func TestUndecodableResultFailsItsJob(t *testing.T) {
+	for _, tc := range []struct {
+		kind string
+		code byte
+	}{{"result", 3}, {"output", 4}, {"heartbeat", 5}} {
+		t.Run(tc.kind, func(t *testing.T) {
+			d := New(Config{})
+			if _, err := d.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			fake, raw := servePipe(t, d)
+
+			if err := fake.Send(&proto.Envelope{Kind: proto.KindRegister, Register: &proto.Register{WorkerID: "fake", Cores: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if ack, err := fake.Recv(); err != nil || ack.Kind != proto.KindRegistered {
+				t.Fatalf("registration ack: %+v, %v", ack, err)
+			}
+			h, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: "garbled", NProcs: 1, Cmd: "x"}, Type: Sequential})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if task, err := fake.Recv(); err != nil || task.Kind != proto.KindTask {
+				t.Fatalf("task: %+v, %v", task, err)
+			}
+			if _, err := raw.Write(undecodable(tc.code)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-h.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatalf("job still pending after an undecodable %s frame", tc.kind)
+			}
+			if res := h.Wait(); !res.Failed {
+				t.Fatalf("job reported success: %+v", res)
+			}
+		})
 	}
 }
 
@@ -674,9 +697,7 @@ func TestReaderExitUnblocksWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	fake, served := proto.Pipe()
-	defer fake.Close()
-	d.ServeConn(served)
+	fake, raw := servePipe(t, d)
 
 	if err := fake.Send(&proto.Envelope{Kind: proto.KindRegister, Register: &proto.Register{WorkerID: "fake", Cores: 1}}); err != nil {
 		t.Fatal(err)
@@ -687,9 +708,8 @@ func TestReaderExitUnblocksWriter(t *testing.T) {
 	// The fake stops reading, so the writer blocks on the stage frame once
 	// the pipe's buffer is full.
 	d.StageFile("blob", make([]byte, 4*proto.PipeBuffer))
-	// The result frame of TestUndecodableResultFailsItsJob: it classifies
-	// but does not decode, which ends the reader's loop.
-	if err := fake.SendRaw([]byte{0xBF, 3, 0x01, 0x05, 't'}); err != nil {
+	// A result frame that does not decode ends the reader's loop.
+	if _, err := raw.Write(undecodable(3)); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the dispatcher to close its end (the fake's writes start to

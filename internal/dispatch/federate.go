@@ -244,12 +244,11 @@ func (d *Dispatcher) dropPeerOutputs(out *proto.Outbox) {
 	d.peerOutMu.Unlock()
 }
 
-// relayPeerOutput forwards one output frame, byte for byte, to the router
-// attached to its job, if any. Task IDs are jobID+"/seq" or jobID+"/rankN"
-// (see launch and hydra.Decompose). The outbox takes its own reference, so
-// the caller keeps ownership of f.
-func (d *Dispatcher) relayPeerOutput(f *proto.Frame, taskID string) {
-	jobID := taskID
+// relayPeerOutput queues one output chunk for the router attached to its
+// job, if any. Task IDs are jobID+"/seq" or jobID+"/rankN" (see launch and
+// hydra.Decompose).
+func (d *Dispatcher) relayPeerOutput(o *proto.Output) {
+	jobID := o.TaskID
 	if i := strings.LastIndexByte(jobID, '/'); i >= 0 {
 		jobID = jobID[:i]
 	}
@@ -257,7 +256,7 @@ func (d *Dispatcher) relayPeerOutput(f *proto.Frame, taskID string) {
 	link := d.peerOut[jobID]
 	d.peerOutMu.Unlock()
 	if link != nil {
-		link.PushRaw(f)
+		link.Push(&proto.Envelope{Kind: proto.KindOutput, Output: o})
 	}
 }
 

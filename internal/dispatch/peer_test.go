@@ -15,16 +15,14 @@ import (
 )
 
 // Tests of a router link (servePeer) driven by a fake router over
-// proto.Pipe: the order of its frames, and that nothing it starts outlives
+// proto.PipeConn: the order of its frames, and that nothing it starts outlives
 // the connection.
 
 // attachFake connects a fake router to d and sends its attach frame. It does
 // not read the reply.
 func attachFake(t *testing.T, d *Dispatcher, attach *proto.PeerAttach) *proto.Codec {
 	t.Helper()
-	fake, served := proto.Pipe()
-	t.Cleanup(func() { fake.Close() })
-	d.ServeConn(served)
+	fake, _ := servePipe(t, d)
 	if err := fake.Send(&proto.Envelope{Kind: proto.KindPeerAttach, PeerAttach: attach}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +253,10 @@ func TestStalledPeerCannotHoldLink(t *testing.T) {
 	}
 	defer d.Close()
 	g0 := settledGoroutines()
-	fake := attachFake(t, d, &proto.PeerAttach{PeerID: "r", LoadEvery: time.Hour})
+	fake, raw := servePipe(t, d)
+	if err := fake.Send(&proto.Envelope{Kind: proto.KindPeerAttach, PeerAttach: &proto.PeerAttach{PeerID: "r", LoadEvery: time.Hour}}); err != nil {
+		t.Fatal(err)
+	}
 	expectAttached(t, fake)
 	arg := strings.Repeat("x", 64<<10)
 	for i := 0; i < jobs; i++ {
@@ -272,8 +273,8 @@ func TestStalledPeerCannotHoldLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { q, _, _, _ := d.Load(); return q == 0 })
-	// A result frame that classifies but does not decode ends the reader.
-	if err := fake.SendRaw([]byte{0xBF, 3, 0x01, 0x05, 't'}); err != nil {
+	// A result frame that does not decode ends the reader.
+	if _, err := raw.Write(undecodable(3)); err != nil {
 		t.Fatal(err)
 	}
 	closed := make(chan struct{})

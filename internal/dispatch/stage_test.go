@@ -14,8 +14,8 @@ import (
 // TestStageFileFansOutAndReplays covers Dispatcher.StageFile: one call
 // reaches every connected worker's cache, and the recorded stage replays to
 // a worker that joins afterwards. The payload holds the frame magic byte and
-// the pool's poison byte, so a codec that confuses either with framing shows
-// up as a byte mismatch.
+// the '{' that opened the retired JSON frames, so a codec that confuses
+// either with framing shows up as a byte mismatch.
 func TestStageFileFansOutAndReplays(t *testing.T) {
 	d := New(Config{})
 	addr, err := d.Start()

@@ -77,44 +77,43 @@ func TestCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodedBodyOutlivesFrame: a task or result decoded from a received
-// frame shares one allocation with its envelope and one copy of its strings,
-// none of it in the frame's pooled buffer. It stays intact after the frame's
-// final Release poisons that buffer and the next frame reuses it.
+// TestDecodedBodyOutlivesFrame: a task or result decoded by Recv shares one
+// allocation with its envelope and one copy of its strings, none of it in
+// the pooled buffer the frame was read into. It stays intact after the next
+// frame, no larger and with different bytes, is read into that buffer.
 func TestDecodedBodyOutlivesFrame(t *testing.T) {
-	PoisonFrames(true)
-	defer PoisonFrames(false)
-	for _, want := range []*Envelope{
+	for _, pair := range [][2]*Envelope{{
 		{Kind: KindTask, Task: &Task{TaskID: "j1/rank3", JobID: "j1", Cmd: "namd2.sh",
 			Args: []string{"in.pdb", "out.log"}, Env: []string{"A=1"}, Dir: "/tmp",
 			Rank: 3, Size: 4, Control: "127.0.0.1:7000", KVS: "kvs_j1_1", WallLimit: time.Hour}},
+		{Kind: KindTask, Task: &Task{TaskID: "k2/rank4", JobID: "k2", Cmd: "gromacs!",
+			Args: []string{"ab.cde", "fgh.ijk"}, Env: []string{"B=2"}, Dir: "/var",
+			Rank: 4, Size: 5, Control: "10.9.8.7:65000", KVS: "kvs_k2_9", WallLimit: time.Minute}},
+	}, {
 		{Kind: KindResult, Result: &Result{TaskID: "j1/rank3", JobID: "j1", ExitCode: 2, Err: "boom", Elapsed: time.Second}},
-	} {
+		{Kind: KindResult, Result: &Result{TaskID: "k2/rank4", JobID: "k2", ExitCode: 3, Err: "bang", Elapsed: time.Minute}},
+	}} {
 		var buf bytes.Buffer
 		c := NewCodec(&buf)
-		for i := 0; i < 2; i++ {
-			if err := c.Send(want); err != nil {
+		for _, e := range pair {
+			if err := c.Send(e); err != nil {
 				t.Fatal(err)
 			}
 		}
-		f, err := c.RecvFrame()
+		got, err := c.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := f.Envelope()
+		// The second frame reads into the buffer the first one used.
+		next, err := c.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Release()
-		// The second frame reads into the buffer the first one released.
-		next, err := c.RecvFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		next.Release()
-		got.Seq = want.Seq
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s after release:\n got %+v\nwant %+v", want.Kind, got, want)
+		for i, e := range []*Envelope{got, next} {
+			e.Seq = pair[i].Seq
+			if !reflect.DeepEqual(e, pair[i]) {
+				t.Errorf("%s frame %d after the next read:\n got %+v\nwant %+v", e.Kind, i, e, pair[i])
+			}
 		}
 	}
 }

@@ -6,10 +6,10 @@ package proto
 //	u32 big-endian length | 0xBF magic | kind code | uvarint seq | body
 //
 // Every Kind has a kind code and a body layout below, so a frame is
-// self-describing from its first two payload bytes and a relay can forward
-// it without decoding (frame.go). There is one format and no negotiation: a
-// payload whose first byte is not the magic is rejected with an error
-// wrapping ErrCorruptFrame, and the accepting side closes the connection.
+// self-describing from its first two payload bytes. There is one format and
+// no negotiation: a payload whose first byte is not the magic is rejected
+// with an error wrapping ErrCorruptFrame, and the accepting side closes the
+// connection.
 // The json tags on Envelope only render an envelope for debugging and
 // serve as the fuzz round-trip oracle; nothing on the wire is JSON.
 
@@ -41,8 +41,9 @@ func checkMagic(buf []byte) error {
 }
 
 // Kind codes, the second payload byte of every frame. Codes are wire
-// constants: never renumber one, only append (and add the kind to kindOfCode,
-// appendBinary and decodeBinary — TestEveryKindHasACodec fails otherwise).
+// constants: never renumber one, only append (and add the kind to
+// appendBinary, decodeBinary and the tests' kindOfCode —
+// TestEveryKindHasACodec fails otherwise).
 // Retired codes stay unassigned and are never reused: 1 was work-request and
 // 13 no-work, before a result became the worker's next request.
 const (
@@ -64,36 +65,6 @@ const (
 	binStealRequest = 18
 	binStealReply   = 19
 )
-
-// kindOfCode maps a kind code to its Kind; "" marks an unassigned code.
-var kindOfCode = [...]Kind{
-	binTask:         KindTask,
-	binResult:       KindResult,
-	binOutput:       KindOutput,
-	binHeartbeat:    KindHeartbeat,
-	binRegister:     KindRegister,
-	binRegistered:   KindRegistered,
-	binStage:        KindStage,
-	binStaged:       KindStaged,
-	binError:        KindError,
-	binPeerSubmit:   KindPeerSubmit,
-	binJobDone:      KindJobDone,
-	binShutdown:     KindShutdown,
-	binPeerAttach:   KindPeerAttach,
-	binPeerAttached: KindPeerAttached,
-	binLoadReport:   KindLoadReport,
-	binStealRequest: KindStealRequest,
-	binStealReply:   KindStealReply,
-}
-
-// binKindOf maps a kind code to its Kind without decoding the frame body,
-// so a relay can classify a frame from its first two payload bytes.
-func binKindOf(code byte) (Kind, bool) {
-	if int(code) >= len(kindOfCode) || kindOfCode[code] == "" {
-		return "", false
-	}
-	return kindOfCode[code], true
-}
 
 // appendBinary encodes e onto buf, returning the extended buffer and true.
 // It reports false for an envelope that cannot be put on the wire: an

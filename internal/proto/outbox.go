@@ -8,17 +8,17 @@ import "sync"
 // to the codec at a time, the one that set writing, and no connection keeps
 // a writer goroutine while it is idle.
 //
-//   - Push and PushRaw append a frame without blocking. If nobody is writing,
-//     the push starts a drain goroutine, which writes the queue in FIFO
-//     order, one flush per batch it takes, and exits once the queue is empty.
-//     A peer that stops reading stalls only that goroutine.
+//   - Push appends a frame without blocking. If nobody is writing, the push
+//     starts a drain goroutine, which writes the queue in FIFO order, one
+//     flush per batch it takes, and exits once the queue is empty. A peer
+//     that stops reading stalls only that goroutine.
 //   - SendOrPush writes a frame on the calling goroutine when the outbox is
 //     idle, and appends it otherwise. Frames pushed while it writes go to a
 //     drain goroutine afterwards: the caller never writes a frame queued
 //     behind its own, to a peer that may have stopped reading.
 //
 // A failed write closes the connection, and the frames behind it are
-// released unwritten. Closing the connection is also how an owner frees a
+// dropped unwritten. Closing the connection is also how an owner frees a
 // drain goroutine blocked on a peer that stopped reading; it never waits for
 // one.
 type Outbox struct {
@@ -28,16 +28,9 @@ type Outbox struct {
 	// mu is a leaf lock, never held across a write. q is non-empty only
 	// while writing is set.
 	mu      sync.Mutex
-	q       []outFrame
+	q       []*Envelope
 	writing bool
 	closed  bool
-}
-
-// outFrame is one queued frame: either a typed envelope the drain encodes,
-// or a raw relayed frame it forwards byte for byte.
-type outFrame struct {
-	env *Envelope
-	raw *Frame // holds one reference, owned by the entry
 }
 
 // NewOutbox returns an outbox writing to c that holds at most limit frames;
@@ -46,29 +39,11 @@ func NewOutbox(c *Codec, limit int) *Outbox {
 	return &Outbox{codec: c, limit: limit}
 }
 
-// Push appends e without blocking. It reports false when the outbox is
-// closed or full.
+// Push appends e without blocking and starts a drain goroutine if nobody is
+// writing. It reports false when the outbox is closed or full.
 func (o *Outbox) Push(e *Envelope) bool {
-	return o.push(outFrame{env: e})
-}
-
-// PushRaw appends a relayed frame without blocking, taking a reference for
-// the entry (released by whoever drains it, once the bytes are in the write
-// buffer or the write has failed) and giving it back if the outbox refuses
-// the frame.
-func (o *Outbox) PushRaw(f *Frame) bool {
-	f.Retain()
-	if !o.push(outFrame{raw: f}) {
-		f.Release()
-		return false
-	}
-	return true
-}
-
-// push appends of and starts a drain goroutine if nobody is writing.
-func (o *Outbox) push(of outFrame) bool {
 	o.mu.Lock()
-	ok := o.appendLocked(of)
+	ok := o.appendLocked(e)
 	start := ok && !o.writing
 	if start {
 		o.writing = true
@@ -80,13 +55,13 @@ func (o *Outbox) push(of outFrame) bool {
 	return ok
 }
 
-// appendLocked adds of unless the outbox is closed or full. Caller holds
+// appendLocked adds e unless the outbox is closed or full. Caller holds
 // o.mu.
-func (o *Outbox) appendLocked(of outFrame) bool {
+func (o *Outbox) appendLocked(e *Envelope) bool {
 	if o.closed || (o.limit > 0 && len(o.q) >= o.limit) {
 		return false
 	}
-	o.q = append(o.q, of)
+	o.q = append(o.q, e)
 	return true
 }
 
@@ -97,7 +72,7 @@ func (o *Outbox) SendOrPush(e *Envelope) bool {
 	o.mu.Lock()
 	if o.writing || o.closed {
 		// The goroutine that set writing drains the frame.
-		ok := o.appendLocked(outFrame{env: e})
+		ok := o.appendLocked(e)
 		o.mu.Unlock()
 		return ok
 	}
@@ -117,7 +92,7 @@ func (o *Outbox) SendOrPush(e *Envelope) bool {
 }
 
 // Close makes the outbox refuse every later frame. Frames already queued
-// are still drained, or released if the connection is gone.
+// are still drained, or dropped if the connection is gone.
 func (o *Outbox) Close() {
 	o.mu.Lock()
 	o.closed = true
@@ -133,7 +108,7 @@ func (o *Outbox) Len() int {
 
 // drain writes the queue in FIFO order until it is empty, one flush per
 // batch it takes, then gives up the write side. A failed write closes the
-// connection; the frames behind it are released unwritten.
+// connection; the frames behind it are dropped unwritten.
 func (o *Outbox) drain() {
 	var err error
 	o.mu.Lock()
@@ -141,19 +116,11 @@ func (o *Outbox) drain() {
 		batch := o.q
 		o.q = nil
 		o.mu.Unlock()
-		for _, of := range batch {
-			if err == nil {
-				if of.raw == nil {
-					err = o.codec.SendBuffered(of.env)
-				} else {
-					// SendRawBuffered copies the bytes, so the entry's
-					// reference can go at once.
-					err = o.codec.SendRawBuffered(of.raw.Payload())
-				}
+		for _, e := range batch {
+			if err != nil {
+				break
 			}
-			if of.raw != nil {
-				of.raw.Release()
-			}
+			err = o.codec.SendBuffered(e)
 		}
 		if err == nil {
 			err = o.codec.Flush()

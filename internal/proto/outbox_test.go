@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -23,20 +22,6 @@ func waitIdle(t *testing.T, o *Outbox) {
 			t.Fatal("the outbox kept its write side after it emptied")
 		}
 	}
-}
-
-// relayFrame returns a received output frame holding one reference.
-func relayFrame(t *testing.T) *Frame {
-	t.Helper()
-	c := NewCodec(&bytes.Buffer{})
-	if err := c.Send(&Envelope{Kind: KindOutput, Output: &Output{TaskID: "t", Stream: "stdout", Data: []byte("x")}}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := c.RecvFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
 }
 
 // TestOutboxConcurrentPushesKeepOrder drives one outbox from several
@@ -109,8 +94,7 @@ func TestOutboxConcurrentPushesKeepOrder(t *testing.T) {
 }
 
 // TestOutboxRefusesWhenFullOrClosed: a push past the bound or after Close
-// is refused, and a refused raw frame gets its reference back. While a
-// writer holds the outbox, a push only queues.
+// is refused. While a writer holds the outbox, a push only queues.
 func TestOutboxRefusesWhenFullOrClosed(t *testing.T) {
 	reader, served := Pipe()
 	defer reader.Close()
@@ -121,12 +105,8 @@ func TestOutboxRefusesWhenFullOrClosed(t *testing.T) {
 			t.Fatalf("push %d refused below the bound", i)
 		}
 	}
-	f := relayFrame(t)
-	if o.PushRaw(f) || o.SendOrPush(&Envelope{Kind: KindShutdown}) {
+	if o.Push(&Envelope{Kind: KindShutdown}) || o.SendOrPush(&Envelope{Kind: KindShutdown}) {
 		t.Fatal("a push past the bound was accepted")
-	}
-	if n := f.refs.Load(); n != 1 {
-		t.Fatalf("refused raw frame holds %d references, want 1", n)
 	}
 	if o.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", o.Len())
@@ -136,31 +116,22 @@ func TestOutboxRefusesWhenFullOrClosed(t *testing.T) {
 	o.mu.Unlock()
 
 	o.Close()
-	if o.Push(&Envelope{Kind: KindShutdown}) || o.SendOrPush(&Envelope{Kind: KindShutdown}) || o.PushRaw(f) {
+	if o.Push(&Envelope{Kind: KindShutdown}) || o.SendOrPush(&Envelope{Kind: KindShutdown}) {
 		t.Fatal("a closed outbox accepted a frame")
 	}
-	if n := f.refs.Load(); n != 1 {
-		t.Fatalf("raw frame refused by a closed outbox holds %d references, want 1", n)
-	}
-	f.Release()
 }
 
 // TestOutboxFailedWriteReleasesFrames: a drain whose write fails closes the
-// connection, releases every raw frame behind the failure and gives up the
-// write side, so no goroutine outlives the queue.
+// connection, drops every frame behind the failure and gives up the write
+// side, so no goroutine outlives the queue.
 func TestOutboxFailedWriteReleasesFrames(t *testing.T) {
 	reader, served := Pipe()
 	reader.Close()
 	o := NewOutbox(served, 0)
-	f := relayFrame(t)
 	for i := 0; i < 100; i++ {
-		o.PushRaw(f)
+		o.Push(&Envelope{Kind: KindOutput, Output: &Output{TaskID: "t", Stream: "stdout", Data: []byte("x")}})
 	}
 	waitIdle(t, o)
-	if n := f.refs.Load(); n != 1 {
-		t.Fatalf("raw frame holds %d references after a failed drain, want 1", n)
-	}
-	f.Release()
 	if err := served.Send(&Envelope{Kind: KindShutdown}); err == nil {
 		t.Fatal("the connection is still open after a failed write")
 	}

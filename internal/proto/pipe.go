@@ -12,8 +12,16 @@ import (
 // the direction is full.
 const PipeBuffer = 256 << 10
 
-// Pipe returns a connected pair of codecs over a bounded, buffered in-memory
-// duplex, used by the in-process runtime and by tests.
+// Pipe returns a connected pair of codecs over the two ends of a PipeConn,
+// used by the in-process runtime and by tests.
+func Pipe() (*Codec, *Codec) {
+	a, b := PipeConn()
+	return NewCodec(a), NewCodec(b)
+}
+
+// PipeConn returns the two ends of a bounded, buffered in-memory duplex. A
+// test that must put bytes on the wire that no codec would write, such as a
+// malformed frame, writes them to an end directly.
 //
 // A write copies into the direction's buffer and returns; it blocks only
 // while the buffer is full. Closing either end closes both directions: the
@@ -21,9 +29,9 @@ const PipeBuffer = 256 << 10
 // own reads fail at once, and every write fails with io.ErrClosedPipe.
 // Goroutines block only in channel receives; the mutex of a direction is
 // held only to copy bytes.
-func Pipe() (*Codec, *Codec) {
+func PipeConn() (io.ReadWriteCloser, io.ReadWriteCloser) {
 	ab, ba := newPipeBuf(), newPipeBuf()
-	return NewCodec(&pipeEnd{r: ba, w: ab}), NewCodec(&pipeEnd{r: ab, w: ba})
+	return &pipeEnd{r: ba, w: ab}, &pipeEnd{r: ab, w: ba}
 }
 
 // pipeEnd is one end of a Pipe: it reads one direction and writes the other.

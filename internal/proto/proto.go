@@ -174,15 +174,6 @@ func NewCodec(rw io.ReadWriter) *Codec {
 	return c
 }
 
-// RemoteAddr reports the peer address when the underlying transport is a
-// net.Conn, and "" otherwise (in-process pipes, test harnesses).
-func (c *Codec) RemoteAddr() string {
-	if conn, ok := c.wc.(net.Conn); ok {
-		return conn.RemoteAddr().String()
-	}
-	return ""
-}
-
 // EnableBinary does nothing: binary is the only format a Codec speaks. It
 // survives solely because bench/probes.go calls it and bench/ is frozen
 // between benchmark PRs; delete it, and that call, with the next one.
@@ -249,16 +240,19 @@ func (c *Codec) Flush() error {
 	return c.w.Flush()
 }
 
-// readFrame reads one length-prefixed frame into a pooled buffer and
-// returns the pool entry plus the payload slice. The caller owns the entry
-// and must return it with putBuf.
-func (c *Codec) readFrame() (*[]byte, []byte, error) {
+// Recv reads one envelope, blocking until a full frame arrives. The frame
+// is read into a pooled buffer that goes back to the pool before Recv
+// returns: decodeBinary copies out every byte the envelope keeps, so no
+// decoded body aliases the buffer. A payload in any other format
+// (binary.go's checkMagic) is an error wrapping ErrCorruptFrame; the stream
+// cannot be trusted after it, so callers close the connection.
+func (c *Codec) Recv() (*Envelope, error) {
 	if _, err := io.ReadFull(c.r, c.rhdr[:]); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n := binary.BigEndian.Uint32(c.rhdr[:])
 	if n > MaxFrame {
-		return nil, nil, ErrFrameTooLarge
+		return nil, ErrFrameTooLarge
 	}
 	bp := bufPool.Get().(*[]byte)
 	buf := *bp
@@ -267,36 +261,13 @@ func (c *Codec) readFrame() (*[]byte, []byte, error) {
 	} else {
 		buf = buf[:n]
 	}
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		putBuf(bp, buf)
-		return nil, nil, err
-	}
-	return bp, buf, nil
-}
-
-// putBuf returns a frame buffer to the pool, scribbling over the payload
-// first when poisoning is enabled (see PoisonFrames).
-func putBuf(bp *[]byte, buf []byte) {
-	if poisonFrames.Load() {
-		for i := range buf {
-			buf[i] = poisonByte
-		}
+	var e *Envelope
+	_, err := io.ReadFull(c.r, buf)
+	if err == nil {
+		e, err = decodeBinary(buf)
 	}
 	*bp = buf[:0]
 	bufPool.Put(bp)
-}
-
-// Recv reads one envelope, blocking until a full frame arrives. A payload
-// in any other format (binary.go's checkMagic) is an error wrapping
-// ErrCorruptFrame; the stream cannot be trusted after it, so callers close
-// the connection.
-func (c *Codec) Recv() (*Envelope, error) {
-	bp, buf, err := c.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	e, err := decodeBinary(buf)
-	putBuf(bp, buf)
 	return e, err
 }
 
