@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"jets/internal/core"
-	"jets/internal/dht"
 	"jets/internal/dispatch"
 	"jets/internal/event"
 	"jets/internal/event/legacy"
@@ -461,50 +460,6 @@ func (w *countingWriterAt) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// BenchmarkDHT measures the distributed-hash-table data-passing layer (§7).
-func BenchmarkDHT(b *testing.B) {
-	for _, op := range []string{"put", "get"} {
-		b.Run(op, func(b *testing.B) {
-			err := mpi.RunLocal(4, func(c *mpi.Comm) error {
-				tab, err := dht.New(c)
-				if err != nil {
-					return err
-				}
-				val := make([]byte, 256)
-				if c.Rank() == 0 {
-					if op == "get" {
-						for i := 0; i < b.N; i++ {
-							if err := tab.Put(fmt.Sprintf("k%d", i), val); err != nil {
-								return err
-							}
-						}
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							if _, err := tab.Get(fmt.Sprintf("k%d", i)); err != nil {
-								return err
-							}
-						}
-					} else {
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							if err := tab.Put(fmt.Sprintf("k%d", i), val); err != nil {
-								return err
-							}
-						}
-					}
-				}
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-				return tab.Close()
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Real-runtime microbenchmarks
 
@@ -872,9 +827,7 @@ func BenchmarkProtoCodec(b *testing.B) {
 	output := &proto.Envelope{Kind: proto.KindOutput, Output: &proto.Output{
 		TaskID: "job174/rank3", Stream: "stdout", Data: make([]byte, 512),
 	}}
-	heartbeat := &proto.Envelope{Kind: proto.KindHeartbeat, Heartbeat: &proto.Heartbeat{
-		WorkerID: "ion-17-worker-4", Busy: true, Uptime: 17 * time.Minute,
-	}}
+	heartbeat := &proto.Envelope{Kind: proto.KindHeartbeat}
 	stage := &proto.Envelope{Kind: proto.KindStage, Stage: &proto.Stage{
 		Name: "namd2.sh", Data: make([]byte, 64<<10),
 	}}

@@ -17,7 +17,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"time"
 
 	"jets/internal/hydra"
 	"jets/internal/obs"
@@ -37,7 +36,6 @@ func run() error {
 	cores := flag.Int("cores", 1, "cores to report")
 	cache := flag.String("cache", "", "node-local cache directory for staged files")
 	coord := flag.String("coord", "", "interconnect coordinates, e.g. 3,0,7 (first plane keys the dispatcher's scheduling shard)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "heartbeat interval")
 	reconnect := flag.Bool("reconnect", false, "redial and re-register after a lost dispatcher connection (capped exponential backoff), surviving dispatcher restarts")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof, and /healthz on this address (empty disables)")
 	flag.Parse()
@@ -65,14 +63,13 @@ func run() error {
 		}
 	}
 	w, err := worker.New(worker.Config{
-		ID:                *id,
-		Cores:             *cores,
-		Coord:             coords,
-		DispatcherAddr:    *dispatcher,
-		Runner:            hydra.ExecRunner{},
-		HeartbeatInterval: *heartbeat,
-		CacheDir:          *cache,
-		Reconnect:         *reconnect,
+		ID:             *id,
+		Cores:          *cores,
+		Coord:          coords,
+		DispatcherAddr: *dispatcher,
+		Runner:         hydra.ExecRunner{},
+		CacheDir:       *cache,
+		Reconnect:      *reconnect,
 	})
 	if err != nil {
 		return err

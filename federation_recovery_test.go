@@ -163,11 +163,10 @@ func runFederatedCrashRecoveryKill9(t *testing.T, hot int) {
 	for i := 0; i < 2*nInst; i++ {
 		w, err := worker.New(worker.Config{
 			ID: fmt.Sprintf("fed-w%d", i), Cores: 1,
-			DispatcherAddr:    addrs[i%nInst],
-			Runner:            runner,
-			HeartbeatInterval: 50 * time.Millisecond,
-			Reconnect:         true,
-			ReconnectBackoff:  20 * time.Millisecond,
+			DispatcherAddr:   addrs[i%nInst],
+			Runner:           runner,
+			Reconnect:        true,
+			ReconnectBackoff: 20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -61,7 +61,9 @@ type Options struct {
 	// before a faulted job is requeued (see dispatch.Config.RetryBackoff).
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
-	// HeartbeatTimeout for declaring workers dead; default 10s.
+	// HeartbeatTimeout for declaring a silent external worker dead; default
+	// 10s. Each is told to send a heartbeat every tenth of it; local workers
+	// send none (see dispatch.Config.HeartbeatTimeout).
 	HeartbeatTimeout time.Duration
 	// JobTimeout bounds each job; 0 disables.
 	JobTimeout time.Duration
@@ -171,13 +173,12 @@ func (e *Engine) startLocalWorkers(opts Options) error {
 		// loopback socket would add two trips through the kernel per frame.
 		conn, served := proto.Pipe()
 		w, err := worker.New(worker.Config{
-			ID:                fmt.Sprintf("local-%d", i),
-			Host:              fmt.Sprintf("localhost/%d", i),
-			Cores:             cores,
-			Coord:             []int{i % 8, (i / 8) % 8, i / 64},
-			Conn:              conn,
-			Runner:            opts.Runner,
-			HeartbeatInterval: 250 * time.Millisecond,
+			ID:     fmt.Sprintf("local-%d", i),
+			Host:   fmt.Sprintf("localhost/%d", i),
+			Cores:  cores,
+			Coord:  []int{i % 8, (i / 8) % 8, i / 64},
+			Conn:   conn,
+			Runner: opts.Runner,
 		})
 		if err != nil {
 			return err
@@ -240,12 +241,6 @@ func (e *Engine) Addrs() []string { return append([]string(nil), e.addrs...) }
 // Dispatcher exposes the underlying dispatcher (the first instance, when
 // federated) for advanced composition.
 func (e *Engine) Dispatcher() *dispatch.Dispatcher { return e.d }
-
-// Dispatchers exposes every federated instance (a single-element slice in
-// single-dispatcher mode).
-func (e *Engine) Dispatchers() []*dispatch.Dispatcher {
-	return append([]*dispatch.Dispatcher(nil), e.insts...)
-}
 
 // Router exposes the federation router; nil in single-dispatcher mode.
 func (e *Engine) Router() *router.Router { return e.rtr }

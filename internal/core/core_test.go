@@ -295,13 +295,14 @@ func TestStageFileThroughEngine(t *testing.T) {
 }
 
 // TestGoroutinesPerIdleLocalWorker pins what an idle local worker costs in
-// goroutines: three of the worker's own (its receive loop, the watcher that
-// closes the link on cancel, its heartbeat) and one on the dispatcher's
-// side, the connection's reader. The dispatcher's outbox for the worker runs
-// a goroutine only while frames wait to be written. Two engines, with 1 and
-// 9 workers, run side by side, so their fixed goroutines cancel.
+// goroutines: its receive loop and, on the dispatcher's side, the
+// connection's reader. A local link sends no heartbeats, the link is closed
+// on cancel by a context.AfterFunc registration, which holds no goroutine,
+// and the dispatcher's outbox for the worker runs a goroutine only while
+// frames wait to be written. Two engines, with 1 and 9 workers, run side by
+// side, so their fixed goroutines cancel.
 func TestGoroutinesPerIdleLocalWorker(t *testing.T) {
-	const want = 4
+	const want = 2
 	g0 := settledGoroutines()
 	small, err := NewEngine(Options{LocalWorkers: 1})
 	if err != nil {
@@ -321,6 +322,43 @@ func TestGoroutinesPerIdleLocalWorker(t *testing.T) {
 	t.Logf("%.2f goroutines per idle local worker", perWorker)
 	if perWorker != want {
 		t.Fatalf("%.2f goroutines per idle local worker, want %d", perWorker, want)
+	}
+}
+
+// TestExternalWorkerCannotEvictLocalWorker: an idle local worker sends no
+// heartbeats, so after half the heartbeat timeout its link looks stale. An
+// external worker registering under its ID must still be refused as a
+// duplicate rather than evict it, and the local worker keeps serving.
+func TestExternalWorkerCannotEvictLocalWorker(t *testing.T) {
+	runner := hydra.NewFuncRunner()
+	runner.Register("noop", func(context.Context, []string, map[string]string, io.Writer) int { return 0 })
+	e, err := NewEngine(Options{LocalWorkers: 1, Runner: runner, HeartbeatTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	time.Sleep(300 * time.Millisecond)
+
+	ext, err := worker.New(worker.Config{ID: "local-0", DispatcherAddr: e.Addr(), Runner: runner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An admitted newcomer would serve until the context ends.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := ext.Run(ctx); err == nil || !strings.Contains(err.Error(), "duplicate worker id") {
+		t.Fatalf("external local-0: %v, want a duplicate worker id refusal", err)
+	}
+
+	h, err := e.Submit(dispatch.Job{Spec: hydra.JobSpec{JobID: "after", NProcs: 1, Cmd: "noop"}, Type: dispatch.Sequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := h.Wait(); res.Failed || len(res.Workers) != 1 || res.Workers[0] != "local-0" {
+		t.Fatalf("job after the refusal: %+v", res)
+	}
+	if st := e.Dispatcher().Stats(); st.WorkersLost != 0 {
+		t.Fatalf("%d workers lost", st.WorkersLost)
 	}
 }
 

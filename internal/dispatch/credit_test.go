@@ -32,7 +32,7 @@ func startPipeWorkers(t *testing.T, d *Dispatcher, n int, runner hydra.Runner) {
 		conn, served := proto.Pipe()
 		w, err := worker.New(worker.Config{
 			ID: fmt.Sprintf("w%d", i), Conn: conn, Runner: runner,
-			CacheDir: t.TempDir(), HeartbeatInterval: time.Hour,
+			CacheDir: t.TempDir(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestCreditTwoFramesPerSequentialJob(t *testing.T) {
 	go relay(workerSide, dispSide)
 	go relay(dispSide, workerSide)
 	d.ServeConn(served)
-	w, err := worker.New(worker.Config{ID: "w", Conn: conn, Runner: runner, HeartbeatInterval: time.Hour})
+	w, err := worker.New(worker.Config{ID: "w", Conn: conn, Runner: runner})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,13 @@ type Config struct {
 	// and silently loses its metrics. Empty keeps the unlabeled single-
 	// instance series names.
 	Instance string
-	// HeartbeatTimeout after which a silent worker is declared dead;
-	// default 10s. A worker whose connection has been silent for half this
-	// long is also evicted eagerly when a new connection registers under
-	// the same worker ID (reconnect after a network blip).
+	// HeartbeatTimeout after which a silent TCP worker is declared dead;
+	// default 10s. Each TCP worker is told at registration to send a
+	// heartbeat every tenth of it. A TCP worker silent for half this long is
+	// also evicted eagerly when a new connection registers under the same
+	// worker ID (reconnect after a network blip). Links from ServeConn are
+	// in-process and cannot go silent: they send no heartbeats and are never
+	// expired or evicted.
 	HeartbeatTimeout time.Duration
 	// MaxJobRetries bounds automatic resubmission of jobs that failed due
 	// to worker loss (not application error); default 0.
@@ -194,6 +197,12 @@ type workerConn struct {
 	// stage replay and fan-outs, tasks, shutdown.
 	out *proto.Outbox
 
+	// local marks a link from ServeConn, an in-process pipe. It cannot go
+	// silent while its worker lives, and a dead worker closes it, which the
+	// reader sees; so it sends no heartbeats, and neither the janitor nor
+	// register's eviction checks its lastSeen.
+	local bool
+
 	// lastSeen is the unix-nano time of the last inbound frame. It is
 	// written by the connection's reader goroutine and read by the janitor
 	// and the duplicate-registration eviction path without any lock, so
@@ -323,9 +332,9 @@ type Dispatcher struct {
 	stats statsCounters
 	ins   *instruments
 
-	idleWait  chan struct{} // made by a waiting Drain, closed when a job leaves the table
-	wg        sync.WaitGroup
-	retryQuit chan struct{} // aborts the retry-backoff timers on Close
+	idleWait chan struct{} // made by a waiting Drain, closed when a job leaves the table
+	wg       sync.WaitGroup
+	quit     chan struct{} // closed by Close: aborts the retry-backoff timers, stops the janitor
 
 	// Lifecycle events (events.go): emit appends to evPending, and the
 	// drainer swaps the whole batch out and delivers it without the lock.
@@ -375,16 +384,16 @@ func New(cfg Config) *Dispatcher {
 		cfg.HotQueueJobs = DefaultHotQueueJobs
 	}
 	d := &Dispatcher{
-		cfg:       cfg,
-		shards:    newShards(cfg.Shards, func() QueuePolicy { return cfg.NewQueue() }),
-		workers:   make(map[string]*workerConn),
-		jobs:      make(map[string]*liveJob),
-		peerOut:   make(map[string]*proto.Outbox),
-		jnl:       cfg.Journal,
-		hotMax:    cfg.HotQueueJobs,
-		compact:   compactSegments,
-		retryQuit: make(chan struct{}),
-		ins:       newInstruments(cfg.Instance),
+		cfg:     cfg,
+		shards:  newShards(cfg.Shards, func() QueuePolicy { return cfg.NewQueue() }),
+		workers: make(map[string]*workerConn),
+		jobs:    make(map[string]*liveJob),
+		peerOut: make(map[string]*proto.Outbox),
+		jnl:     cfg.Journal,
+		hotMax:  cfg.HotQueueJobs,
+		compact: compactSegments,
+		quit:    make(chan struct{}),
+		ins:     newInstruments(cfg.Instance),
 	}
 	if cfg.SpillDir != "" && d.hotMax > 0 {
 		// A configured spill directory opens eagerly: recovery may need it to
@@ -451,25 +460,27 @@ func (d *Dispatcher) acceptLoop() {
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
-			d.serveWorker(proto.NewCodec(conn))
+			d.serveWorker(proto.NewCodec(conn), false)
 		}()
 	}
 }
 
-// ServeConn attaches a pre-established connection as a worker transport,
-// used by the in-process runtime.
+// ServeConn attaches a pre-established in-process connection (one end of a
+// proto.Pipe) as a worker transport, used by the in-process runtime. Such a
+// link is never checked for silence.
 func (d *Dispatcher) ServeConn(codec *proto.Codec) {
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		d.serveWorker(codec)
+		d.serveWorker(codec, true)
 	}()
 }
 
-// register admits the worker into the registry, evicting a stale predecessor
-// holding the same ID (a worker reconnecting after a network blip must not
-// wait out the full heartbeat timeout behind its dead previous connection).
-// It reports whether the worker was admitted.
+// register admits the worker into the registry, evicting a stale TCP
+// predecessor holding the same ID (a worker reconnecting after a network
+// blip must not wait out the full heartbeat timeout behind its dead previous
+// connection), and tells it its heartbeat period. It reports whether the
+// worker was admitted.
 func (d *Dispatcher) register(wc *workerConn) bool {
 	staleAfter := int64(d.cfg.HeartbeatTimeout / 2)
 	d.mu.Lock()
@@ -482,7 +493,7 @@ func (d *Dispatcher) register(wc *workerConn) bool {
 		if !dup {
 			break
 		}
-		if time.Now().UnixNano()-old.lastSeen.Load() < staleAfter {
+		if old.local || time.Now().UnixNano()-old.lastSeen.Load() < staleAfter {
 			// The existing connection is live: genuine duplicate ID.
 			d.mu.Unlock()
 			wc.codec.Send(&proto.Envelope{Kind: proto.KindError, Error: "duplicate worker id " + wc.id})
@@ -505,7 +516,11 @@ func (d *Dispatcher) register(wc *workerConn) bool {
 	// replay or queues behind it: registered is always the first frame, and
 	// every stage arrives exactly once. The replay points into d.staged,
 	// whose entries are never rewritten once appended.
-	wc.out.Push(&proto.Envelope{Kind: proto.KindRegistered})
+	reg := &proto.Registered{HeartbeatEvery: d.cfg.HeartbeatTimeout / 10}
+	if wc.local {
+		reg.HeartbeatEvery = 0
+	}
+	wc.out.Push(&proto.Envelope{Kind: proto.KindRegistered, Registered: reg})
 	for i := range d.staged {
 		wc.out.Push(&proto.Envelope{Kind: proto.KindStage, Stage: &d.staged[i]})
 	}
@@ -513,7 +528,7 @@ func (d *Dispatcher) register(wc *workerConn) bool {
 	return true
 }
 
-func (d *Dispatcher) serveWorker(codec *proto.Codec) {
+func (d *Dispatcher) serveWorker(codec *proto.Codec, local bool) {
 	defer codec.Close()
 	first, err := codec.Recv()
 	if err != nil {
@@ -534,6 +549,7 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec) {
 		id:    first.Register.WorkerID,
 		reg:   *first.Register,
 		codec: codec,
+		local: local,
 		// A worker whose link falls 1,024 frames behind is treated as
 		// faulty when a task does not fit.
 		out:   proto.NewOutbox(codec, 1024),
@@ -809,7 +825,7 @@ func (d *Dispatcher) requeue(j *Job) {
 		select {
 		case <-t.C:
 			place()
-		case <-d.retryQuit:
+		case <-d.quit:
 			// Close aborted this backoff: fail the handle instead of
 			// stranding its waiters forever.
 			d.strand(j)
@@ -980,7 +996,7 @@ func (d *Dispatcher) finalizeLocked(rj *runningJob, overrideErr string, td *exec
 	return nil
 }
 
-// janitor expires workers whose heartbeats stopped.
+// janitor expires TCP workers whose heartbeats stopped.
 func (d *Dispatcher) janitor() {
 	defer d.wg.Done()
 	interval := d.cfg.HeartbeatTimeout / 4
@@ -989,7 +1005,12 @@ func (d *Dispatcher) janitor() {
 	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
-	for range t.C {
+	for {
+		select {
+		case <-t.C:
+		case <-d.quit:
+			return
+		}
 		if d.closed.Load() {
 			return
 		}
@@ -998,7 +1019,7 @@ func (d *Dispatcher) janitor() {
 		var expired []*workerConn
 		d.mu.Lock()
 		for _, wc := range d.workers {
-			if wc.lastSeen.Load() < cutoff {
+			if !wc.local && wc.lastSeen.Load() < cutoff {
 				expired = append(expired, wc)
 			}
 		}
@@ -1108,7 +1129,7 @@ func (d *Dispatcher) Close() error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	close(d.retryQuit) // abort retry-backoff timers; each resolves its handle
+	close(d.quit) // abort retry-backoff timers (each resolves its handle) and stop the janitor
 	d.failQueued()
 	if d.eventsQuit != nil {
 		// Signal the drainer and wait for it to flush the pending tail, so

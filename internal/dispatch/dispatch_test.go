@@ -48,13 +48,12 @@ func startClusterOn(t *testing.T, n int, d *Dispatcher) *testCluster {
 	tc.cancel = cancel
 	for i := 0; i < n; i++ {
 		w, err := worker.New(worker.Config{
-			ID:                fmt.Sprintf("w%d", i),
-			Host:              fmt.Sprintf("node%d", i),
-			Cores:             4,
-			Coord:             []int{i % 8, (i / 8) % 8, i / 64},
-			DispatcherAddr:    addr,
-			Runner:            tc.runner,
-			HeartbeatInterval: 20 * time.Millisecond,
+			ID:             fmt.Sprintf("w%d", i),
+			Host:           fmt.Sprintf("node%d", i),
+			Cores:          4,
+			Coord:          []int{i % 8, (i / 8) % 8, i / 64},
+			DispatcherAddr: addr,
+			Runner:         tc.runner,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -342,6 +341,64 @@ func TestHeartbeatTimeoutExpiresSilentWorker(t *testing.T) {
 	}
 }
 
+// TestLongTaskOutlivesHeartbeatTimeout: a task five heartbeat timeouts long
+// completes on either kind of link, and no worker is lost. A local (pipe)
+// link sends no heartbeats, so the janitor must pass it over; a TCP worker
+// must heartbeat at the period its registered frame set.
+func TestLongTaskOutlivesHeartbeatTimeout(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	for _, link := range []string{"local-pipe", "tcp"} {
+		t.Run(link, func(t *testing.T) {
+			d := New(Config{HeartbeatTimeout: timeout})
+			addr, err := d.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			runner := hydra.NewFuncRunner()
+			runner.Register("long", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
+				select {
+				case <-time.After(5 * timeout):
+					return 0
+				case <-ctx.Done():
+					return 1
+				}
+			})
+			cfg := worker.Config{ID: "w", DispatcherAddr: addr, Runner: runner}
+			if link == "local-pipe" {
+				conn, served := proto.Pipe()
+				cfg.DispatcherAddr, cfg.Conn = "", conn
+				d.ServeConn(served)
+			}
+			w, err := worker.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.Run(ctx)
+			}()
+			defer wg.Wait()
+			defer cancel()
+			waitFor(t, func() bool { return d.IdleWorkers() == 1 })
+
+			h, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: "long", NProcs: 1, Cmd: "long"}, Type: Sequential})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := h.Wait(); res.Failed {
+				t.Fatalf("job failed: %s", res.Err)
+			}
+			if st := d.Stats(); st.WorkersLost != 0 {
+				t.Fatalf("%d workers lost", st.WorkersLost)
+			}
+		})
+	}
+}
+
 func TestDuplicateWorkerIDRejected(t *testing.T) {
 	tc := startCluster(t, 1, Config{})
 	codec, err := proto.Dial(tc.addr, time.Second)
@@ -490,8 +547,7 @@ func TestStageFileReachesWorkers(t *testing.T) {
 	defer d.Close()
 	runner := hydra.NewFuncRunner()
 	w, err := worker.New(worker.Config{
-		ID: "cacher", DispatcherAddr: addr, Runner: runner,
-		HeartbeatInterval: 20 * time.Millisecond, CacheDir: dir,
+		ID: "cacher", DispatcherAddr: addr, Runner: runner, CacheDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -581,7 +637,7 @@ func TestJSONv1PeerRejectedAtWorkerPort(t *testing.T) {
 		fmt.Fprintln(stdout, "output via", args[0])
 		return 0
 	})
-	w, err := worker.New(worker.Config{ID: "modern", DispatcherAddr: addr, Runner: runner, HeartbeatInterval: 20 * time.Millisecond})
+	w, err := worker.New(worker.Config{ID: "modern", DispatcherAddr: addr, Runner: runner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +703,7 @@ func TestUndecodableResultFailsItsJob(t *testing.T) {
 	for _, tc := range []struct {
 		kind string
 		code byte
-	}{{"result", 3}, {"output", 4}, {"heartbeat", 5}} {
+	}{{"result", 3}, {"output", 4}, {"heartbeat", 20}} {
 		t.Run(tc.kind, func(t *testing.T) {
 			d := New(Config{})
 			if _, err := d.Start(); err != nil {
@@ -718,7 +774,7 @@ func TestReaderExitUnblocksWriter(t *testing.T) {
 	// let the blocked writer finish the frame.
 	recvErr := make(chan error, 1)
 	go func() {
-		for fake.Send(&proto.Envelope{Kind: proto.KindHeartbeat, Heartbeat: &proto.Heartbeat{WorkerID: "fake"}}) == nil {
+		for fake.Send(&proto.Envelope{Kind: proto.KindHeartbeat}) == nil {
 			time.Sleep(time.Millisecond)
 		}
 		_, err := fake.Recv()

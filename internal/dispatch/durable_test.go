@@ -99,7 +99,7 @@ func TestCloseFailsQueuedHandle(t *testing.T) {
 }
 
 // TestCloseFailsPendingRetryHandle: a faulted job parked in its retry-backoff
-// timer when Close runs had its timer aborted via retryQuit with the handle
+// timer when Close runs had its timer aborted via quit with the handle
 // left unresolved. The waiter must unblock with ErrDispatcherClosed.
 func TestCloseFailsPendingRetryHandle(t *testing.T) {
 	tc := startCluster(t, 1, Config{
@@ -212,7 +212,6 @@ func TestJournalRecoveryLifecycle(t *testing.T) {
 		w, err := worker.New(worker.Config{
 			ID: fmt.Sprintf("rw%d", i), Host: "local", Cores: 1,
 			DispatcherAddr: addr, Runner: runner,
-			HeartbeatInterval: 20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -356,8 +356,6 @@ func (d *Dispatcher) servePeer(codec *proto.Codec, first *proto.Envelope) {
 				reply.Jobs[i] = peerSubmitOf(sj)
 			}
 			out.Push(&proto.Envelope{Kind: proto.KindStealReply, StealReply: reply})
-		case proto.KindHeartbeat:
-			// liveness only
 		default:
 		}
 	}

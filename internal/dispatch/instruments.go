@@ -51,12 +51,6 @@ func instanceLabel(instance string) string {
 // (internal/alerts) watch its windowed quantiles.
 func (d *Dispatcher) QueueWaitHist() *obs.Hist { return d.ins.queueWait }
 
-// AssemblyHist exposes the pop-to-dispatched latency histogram.
-func (d *Dispatcher) AssemblyHist() *obs.Hist { return d.ins.assembly }
-
-// JobDurationHist exposes the seated-job lifetime histogram.
-func (d *Dispatcher) JobDurationHist() *obs.Hist { return d.ins.jobDur }
-
 // registerObs exports the dispatcher through the registry: the histograms
 // above, counter views over the stats atomics, and gauge views over the
 // advisory scheduling state (global and per shard).

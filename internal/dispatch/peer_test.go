@@ -280,7 +280,7 @@ func TestStalledPeerCannotHoldLink(t *testing.T) {
 	closed := make(chan struct{})
 	go func() {
 		defer close(closed)
-		for fake.Send(&proto.Envelope{Kind: proto.KindHeartbeat, Heartbeat: &proto.Heartbeat{WorkerID: "r"}}) == nil {
+		for fake.Send(&proto.Envelope{Kind: proto.KindHeartbeat}) == nil {
 			time.Sleep(time.Millisecond)
 		}
 	}()

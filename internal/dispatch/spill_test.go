@@ -28,7 +28,6 @@ func newTestWorker(id, addr string, runner hydra.Runner) (*worker.Worker, error)
 	return worker.New(worker.Config{
 		ID: id, Host: "local", Cores: 1,
 		DispatcherAddr: addr, Runner: runner,
-		HeartbeatInterval: 20 * time.Millisecond,
 	})
 }
 

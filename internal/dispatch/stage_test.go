@@ -31,8 +31,7 @@ func TestStageFileFansOutAndReplays(t *testing.T) {
 	startWorker := func(id string) string {
 		dir := t.TempDir()
 		w, werr := worker.New(worker.Config{
-			ID: id, DispatcherAddr: addr, Runner: runner,
-			HeartbeatInterval: 20 * time.Millisecond, CacheDir: dir,
+			ID: id, DispatcherAddr: addr, Runner: runner, CacheDir: dir,
 		})
 		if werr != nil {
 			t.Fatal(werr)

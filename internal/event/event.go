@@ -17,7 +17,7 @@
 //     per-event allocation, no interface boxing, no GC write barriers during
 //     sift, and half the levels of a binary heap, so a million-entry queue
 //     stays cache-friendly.
-//   - Handler/arg callbacks (AtCall, Station.RequestCall, Pool.AcquireCall)
+//   - Handler/arg callbacks (AtCall, Station.RequestCall)
 //     let steady-state model code schedule work with zero closure
 //     allocations; the fn func() forms remain for cold paths.
 //   - Station and Pool wait queues are growable ring buffers, and Station
@@ -733,13 +733,7 @@ func (st *Station) Served() uint64 { return st.served }
 // frees. It models bounded resources like worker slots.
 type Pool struct {
 	tokens  int
-	waiters Ring[poolWaiter]
-}
-
-type poolWaiter struct {
-	fn  func()
-	h   Handler
-	arg int
+	waiters Ring[func()]
 }
 
 // NewPool creates a pool with n tokens.
@@ -758,28 +752,13 @@ func (p *Pool) Acquire(fn func()) {
 		fn()
 		return
 	}
-	p.waiters.Push(poolWaiter{fn: fn})
-}
-
-// AcquireCall is Acquire with a Handler/arg callback instead of a closure.
-func (p *Pool) AcquireCall(h Handler, arg int) {
-	if p.tokens > 0 {
-		p.tokens--
-		h.Fire(arg)
-		return
-	}
-	p.waiters.Push(poolWaiter{h: h, arg: arg})
+	p.waiters.Push(fn)
 }
 
 // Release returns a token, handing it to the oldest waiter if any.
 func (p *Pool) Release() {
 	if p.waiters.Len() > 0 {
-		w := p.waiters.Pop()
-		if w.fn != nil {
-			w.fn()
-		} else {
-			w.h.Fire(w.arg)
-		}
+		p.waiters.Pop()()
 		return
 	}
 	p.tokens++

@@ -45,14 +45,14 @@ func checkMagic(buf []byte) error {
 // appendBinary, decodeBinary and the tests' kindOfCode —
 // TestEveryKindHasACodec fails otherwise).
 // Retired codes stay unassigned and are never reused: 1 was work-request and
-// 13 no-work, before a result became the worker's next request.
+// 13 no-work, before a result became the worker's next request; 5 and 7 were
+// heartbeat and registered before the heartbeat lost its body and registered
+// gained one, so a peer speaking the old layouts fails on its kind code.
 const (
 	binTask         = 2
 	binResult       = 3
 	binOutput       = 4
-	binHeartbeat    = 5
 	binRegister     = 6
-	binRegistered   = 7
 	binStage        = 8
 	binStaged       = 9
 	binError        = 10
@@ -64,6 +64,8 @@ const (
 	binLoadReport   = 17
 	binStealRequest = 18
 	binStealReply   = 19
+	binHeartbeat    = 20
+	binRegistered   = 21
 )
 
 // appendBinary encodes e onto buf, returning the extended buffer and true.
@@ -73,6 +75,8 @@ func appendBinary(buf []byte, e *Envelope) ([]byte, bool) {
 	switch e.Kind {
 	case KindShutdown:
 		buf = appendHead(buf, binShutdown, e.Seq)
+	case KindHeartbeat:
+		buf = appendHead(buf, binHeartbeat, e.Seq)
 	case KindTask:
 		if e.Task == nil {
 			return buf, false
@@ -110,15 +114,6 @@ func appendBinary(buf []byte, e *Envelope) ([]byte, bool) {
 		buf = appendString(buf, o.TaskID)
 		buf = appendString(buf, o.Stream)
 		buf = appendByteSlice(buf, o.Data)
-	case KindHeartbeat:
-		if e.Heartbeat == nil {
-			return buf, false
-		}
-		h := e.Heartbeat
-		buf = appendHead(buf, binHeartbeat, e.Seq)
-		buf = appendString(buf, h.WorkerID)
-		buf = appendBool(buf, h.Busy)
-		buf = appendVarint(buf, int64(h.Uptime))
 	case KindRegister:
 		if e.Register == nil {
 			return buf, false
@@ -130,7 +125,11 @@ func appendBinary(buf []byte, e *Envelope) ([]byte, bool) {
 		buf = appendVarint(buf, int64(reg.Cores))
 		buf = appendInts(buf, reg.Coord)
 	case KindRegistered:
+		if e.Registered == nil {
+			return buf, false
+		}
 		buf = appendHead(buf, binRegistered, e.Seq)
+		buf = appendVarint(buf, int64(e.Registered.HeartbeatEvery))
 	case KindStage, KindStaged:
 		if e.Stage == nil {
 			return buf, false
@@ -265,6 +264,8 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 	switch code {
 	case binShutdown:
 		e = &Envelope{Kind: KindShutdown, Seq: seq}
+	case binHeartbeat:
+		e = &Envelope{Kind: KindHeartbeat, Seq: seq}
 	case binTask:
 		var t *Task
 		e, t = newBody[Task](KindTask, seq)
@@ -296,13 +297,6 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 		o.Stream = r.str()
 		o.Data = r.byteSlice()
 		e.Output = o
-	case binHeartbeat:
-		var h *Heartbeat
-		e, h = newBody[Heartbeat](KindHeartbeat, seq)
-		h.WorkerID = r.str()
-		h.Busy = r.bool()
-		h.Uptime = time.Duration(r.varint())
-		e.Heartbeat = h
 	case binRegister:
 		var reg *Register
 		e, reg = newBody[Register](KindRegister, seq)
@@ -312,7 +306,10 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 		reg.Coord = r.ints()
 		e.Register = reg
 	case binRegistered:
-		e = &Envelope{Kind: KindRegistered, Seq: seq}
+		var reg *Registered
+		e, reg = newBody[Registered](KindRegistered, seq)
+		reg.HeartbeatEvery = time.Duration(r.varint())
+		e.Registered = reg
 	case binStage, binStaged:
 		kind := KindStage
 		if code == binStaged {

@@ -44,15 +44,13 @@ func allEnvelopes() []*Envelope {
 			TaskID: "j1/rank3", Stream: "stdout", Data: []byte("hello\x00world"),
 		}},
 		{Kind: KindOutput, Output: &Output{TaskID: "t", Stream: "stderr"}},
-		{Kind: KindHeartbeat, Heartbeat: &Heartbeat{
-			WorkerID: "w17", Busy: true, Uptime: 3 * time.Minute,
-		}},
+		{Kind: KindHeartbeat},
 		{Kind: KindRegister, Register: &Register{
 			WorkerID: "ion-17-worker-4", Host: "ion-17", Cores: 4,
 			Coord: []int{3, 0, -1},
 		}},
 		{Kind: KindRegister, Register: &Register{WorkerID: "w"}},
-		{Kind: KindRegistered},
+		{Kind: KindRegistered, Registered: &Registered{HeartbeatEvery: time.Second}},
 		{Kind: KindStage, Stage: &Stage{
 			Name: "namd2.sh", Path: "bin/namd2.sh", Data: []byte("\x7fELF\x00raw bytes"),
 		}},
@@ -127,9 +125,7 @@ var kindOfCode = [...]Kind{
 	binTask:         KindTask,
 	binResult:       KindResult,
 	binOutput:       KindOutput,
-	binHeartbeat:    KindHeartbeat,
 	binRegister:     KindRegister,
-	binRegistered:   KindRegistered,
 	binStage:        KindStage,
 	binStaged:       KindStaged,
 	binError:        KindError,
@@ -141,6 +137,8 @@ var kindOfCode = [...]Kind{
 	binLoadReport:   KindLoadReport,
 	binStealRequest: KindStealRequest,
 	binStealReply:   KindStealReply,
+	binHeartbeat:    KindHeartbeat,
+	binRegistered:   KindRegistered,
 }
 
 // TestEveryKindHasACodec ranges over every Kind constant the package
@@ -159,13 +157,15 @@ func TestEveryKindHasACodec(t *testing.T) {
 	if len(kinds) < 17 {
 		t.Fatalf("found only %d Kind constants in the source; the scan is broken", len(kinds))
 	}
-	// Retired codes (work-request, no-work) are never reassigned: a peer
-	// still sending one must get a decode error, not some other kind.
-	for _, code := range []byte{1, 13} {
+	// Retired codes (work-request, the old heartbeat and registered
+	// layouts, no-work) are never reassigned: a peer still sending one must
+	// get an unknown-kind error, not some other kind or a misleading one.
+	for _, code := range []byte{1, 5, 7, 13} {
 		if k := kindOfCode[code]; k != "" {
 			t.Errorf("retired kind code %d reassigned to %q", code, k)
 		}
-		if e, err := decodeBinary([]byte{binMagic, code, 0x01}); !errors.Is(err, ErrCorruptFrame) {
+		e, err := decodeBinary([]byte{binMagic, code, 0x01})
+		if !errors.Is(err, ErrCorruptFrame) || !strings.Contains(err.Error(), "unknown kind code") {
 			t.Errorf("retired kind code %d decoded to %+v, %v", code, e, err)
 		}
 	}
@@ -244,6 +244,7 @@ func TestBinaryRoundTripAllEnvelopes(t *testing.T) {
 func TestSendRejectsUnencodable(t *testing.T) {
 	for _, e := range []*Envelope{
 		{Kind: KindStage},            // nil payload
+		{Kind: KindRegistered},       // nil payload
 		{Kind: KindStealReply},       // nil payload
 		{Kind: Kind("no-such")},      // unknown kind
 		{Kind: KindTask, Error: "x"}, // wrong field populated

@@ -40,14 +40,20 @@ var fuzzKinds = []Kind{
 }
 
 // retiredFrames are frames of the kinds whose codes were retired: a peer
-// still sending one must get a decode error.
+// still sending one must get a decode error. seed names its corpus file.
 var retiredFrames = []struct {
-	kind    string
+	seed    string
 	payload []byte
 }{
-	{"work-request", []byte{binMagic, 1, 0x00}},
-	{"no-work", []byte{binMagic, 13, 0x00}},
+	{"seed-00-work-request", []byte{binMagic, 1, 0x00}},
+	{"seed-01-no-work", []byte{binMagic, 13, 0x00}},
+	{"seed-retired-heartbeat", []byte{binMagic, 5, 0x00, 0x01, 'w', 0x01, 0x02}},
+	{"seed-retired-registered", []byte{binMagic, 7, 0x00}},
 }
+
+// firstCode is the kind code a kind had when its round-trip seed was first
+// written, for the kinds whose layout later moved to a new code.
+var firstCode = map[Kind]int{KindHeartbeat: 5, KindRegistered: 7}
 
 // canonEnvelope normalizes the representations the two encodings cannot
 // distinguish: empty and nil slices (both encode as length 0 / omitted).
@@ -183,8 +189,8 @@ func FuzzRoundTrip(f *testing.F) {
 			e.Result = &Result{TaskID: s1, JobID: s2, ExitCode: int(int32(n1)), Err: s3, Elapsed: time.Duration(n2)}
 		case KindOutput:
 			e.Output = &Output{TaskID: s1, Stream: s2, Data: blob}
-		case KindHeartbeat:
-			e.Heartbeat = &Heartbeat{WorkerID: s1, Busy: flag, Uptime: time.Duration(n1)}
+		case KindRegistered:
+			e.Registered = &Registered{HeartbeatEvery: time.Duration(n1)}
 		case KindRegister:
 			e.Register = &Register{WorkerID: s1, Host: s2, Cores: int(int32(n1)), Coord: []int{int(int32(n1)), int(int32(n2))}}
 		case KindStage, KindStaged:
@@ -265,28 +271,31 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Seed file names stay stable when kinds retire, so each seed's subtest
-	// keeps its name. Decode seeds are numbered as if the retired frames
-	// still led allEnvelopes, and those numbers hold the retired frames,
-	// which must not decode; round-trip seeds are numbered by kind code.
+	// Seed file names stay stable when kinds retire or change layout, so
+	// each seed's subtest keeps its name. Decode seeds are numbered as if
+	// the first two retired frames still led allEnvelopes, and those numbers
+	// hold them; round-trip seeds are numbered by the kind's first code.
 	writeDecodeSeed := func(name string, payload []byte) {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(payload)))
 		if err := os.WriteFile(filepath.Join(decodeDir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, r := range retiredFrames {
-		writeDecodeSeed(fmt.Sprintf("seed-%02d-%s", i, r.kind), r.payload)
+	for _, r := range retiredFrames {
+		writeDecodeSeed(r.seed, r.payload)
 	}
 	for i, e := range allEnvelopes() {
 		if payload, ok := appendBinary(nil, e); ok {
-			writeDecodeSeed(fmt.Sprintf("seed-%02d-%s", len(retiredFrames)+i, e.Kind), payload)
+			writeDecodeSeed(fmt.Sprintf("seed-%02d-%s", 2+i, e.Kind), payload)
 		}
 	}
 	// A truncated task keeps the decoder's error paths in the corpus.
 	writeDecodeSeed("seed-corrupt-task", []byte{binMagic, binTask, 0x01, 0xFF})
 	for i, k := range fuzzKinds {
-		code := slices.Index(kindOfCode[:], k)
+		code, moved := firstCode[k]
+		if !moved {
+			code = slices.Index(kindOfCode[:], k)
+		}
 		var b bytes.Buffer
 		b.WriteString("go test fuzz v1\n")
 		fmt.Fprintf(&b, "byte(%d)\n", i)

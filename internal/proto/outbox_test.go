@@ -101,7 +101,7 @@ func TestOutboxRefusesWhenFullOrClosed(t *testing.T) {
 	o := NewOutbox(served, 2)
 	o.writing = true // a writer that has not come back yet
 	for i := 0; i < 2; i++ {
-		if !o.Push(&Envelope{Kind: KindHeartbeat, Heartbeat: &Heartbeat{WorkerID: "w"}}) {
+		if !o.Push(&Envelope{Kind: KindHeartbeat}) {
 			t.Fatalf("push %d refused below the bound", i)
 		}
 	}

@@ -38,11 +38,11 @@ type Kind string
 // next task; no separate frame asks for work.
 const (
 	KindRegister   Kind = "register"   // worker -> dispatcher: here I am, ready for a task
-	KindRegistered Kind = "registered" // dispatcher -> worker: accepted
+	KindRegistered Kind = "registered" // dispatcher -> worker: accepted, and how often to prove liveness
 	KindTask       Kind = "task"       // dispatcher -> worker: run this
 	KindResult     Kind = "result"     // worker -> dispatcher: task finished, ready for the next
 	KindOutput     Kind = "output"     // worker -> dispatcher: task stdout/stderr chunk
-	KindHeartbeat  Kind = "heartbeat"  // worker -> dispatcher: liveness
+	KindHeartbeat  Kind = "heartbeat"  // worker -> dispatcher: liveness, no body
 	KindShutdown   Kind = "shutdown"   // dispatcher -> worker: exit cleanly
 	KindStage      Kind = "stage"      // dispatcher -> worker: cache file locally
 	KindStaged     Kind = "staged"     // worker -> dispatcher: cache ack
@@ -56,13 +56,13 @@ type Envelope struct {
 	Kind Kind   `json:"kind"`
 	Seq  uint64 `json:"seq,omitempty"`
 
-	Register  *Register  `json:"register,omitempty"`
-	Task      *Task      `json:"task,omitempty"`
-	Result    *Result    `json:"result,omitempty"`
-	Output    *Output    `json:"output,omitempty"`
-	Heartbeat *Heartbeat `json:"heartbeat,omitempty"`
-	Stage     *Stage     `json:"stage,omitempty"`
-	Error     string     `json:"error,omitempty"`
+	Register   *Register   `json:"register,omitempty"`
+	Registered *Registered `json:"registered,omitempty"`
+	Task       *Task       `json:"task,omitempty"`
+	Result     *Result     `json:"result,omitempty"`
+	Output     *Output     `json:"output,omitempty"`
+	Stage      *Stage      `json:"stage,omitempty"`
+	Error      string      `json:"error,omitempty"`
 
 	// Federation payloads (federate.go): router <-> dispatcher traffic.
 	PeerAttach   *PeerAttach   `json:"peer_attach,omitempty"`
@@ -81,6 +81,14 @@ type Register struct {
 	Cores    int    `json:"cores"`
 	// Rank coordinates on the interconnect, used by topology-aware grouping.
 	Coord []int `json:"coord,omitempty"`
+}
+
+// Registered accepts a worker. The dispatcher owns liveness: it knows which
+// of its links can go silent, and tells each worker here how often to prove
+// it is alive.
+type Registered struct {
+	// HeartbeatEvery is the heartbeat period; 0 means send none.
+	HeartbeatEvery time.Duration `json:"heartbeat_every"`
 }
 
 // Task is one unit of work sent to a worker: either a plain sequential
@@ -120,13 +128,6 @@ type Output struct {
 	TaskID string `json:"task_id"`
 	Stream string `json:"stream"` // "stdout" or "stderr"
 	Data   []byte `json:"data"`
-}
-
-// Heartbeat is a periodic liveness report.
-type Heartbeat struct {
-	WorkerID string        `json:"worker_id"`
-	Busy     bool          `json:"busy"`
-	Uptime   time.Duration `json:"uptime"`
 }
 
 // Stage asks a worker to copy a file into node-local storage (the paper's

@@ -57,7 +57,7 @@ func TestSequenceNumbers(t *testing.T) {
 	defer b.Close()
 	go func() {
 		for i := 0; i < 3; i++ {
-			a.Send(&Envelope{Kind: KindHeartbeat, Heartbeat: &Heartbeat{WorkerID: "w"}})
+			a.Send(&Envelope{Kind: KindHeartbeat})
 		}
 	}()
 	for i := uint64(1); i <= 3; i++ {

@@ -7,14 +7,14 @@
 // attaches to an instance the same way a worker does, distinguished only by
 // its first frame (proto.KindPeerAttach).
 //
-// Placement is consistent hashing on the job ID — the same FNV-1a scheme
-// internal/dht partitions its keyspace with — over a ring of virtual nodes,
-// with a least-loaded fallback when the ring owner has no idle workers. A
-// periodic steal pass moves *queued* (never running) jobs from the most
-// backlogged instance to an idle one; per-submitter FIFO stays observable
-// because victims always give up their oldest queued work and thieves place
-// it at the front of their queues. Completions route back through the
-// router's stable per-job handle no matter how many times the job migrated.
+// Placement is consistent hashing on the job ID — an FNV-1a hash over a
+// ring of virtual nodes, 64 per instance — with a least-loaded fallback
+// when the ring owner has no idle workers. A periodic steal pass moves
+// *queued* (never running) jobs from the most backlogged instance to an
+// idle one; per-submitter FIFO stays observable because victims always give
+// up their oldest queued work and thieves place it at the front of their
+// queues. Completions route back through the router's stable per-job handle
+// no matter how many times the job migrated.
 package router
 
 import (
@@ -28,9 +28,9 @@ import (
 // while the ring stays tiny (N*64 points, binary-searched per placement).
 const vnodesPerMember = 64
 
-// ring is a consistent-hash ring over member indices: FNV-1a (the
-// internal/dht partitioning hash) positions vnodesPerMember points per
-// member, and a key is owned by the first point clockwise from its hash.
+// ring is a consistent-hash ring over member indices: an FNV-1a hash of
+// "name#v" positions vnodesPerMember virtual nodes per member, and a key is
+// owned by the first point clockwise from its hash.
 type ring struct {
 	points []ringPoint
 }
@@ -68,7 +68,7 @@ func (r *ring) owner(key string) int {
 	return r.points[i].idx
 }
 
-// hash32 is FNV-1a (the internal/dht key hash) with a murmur3-style
+// hash32 is 32-bit FNV-1a with a murmur3-style
 // finalizer. Raw FNV-1a has no avalanche: job IDs that differ only in a
 // trailing counter ("job-0".."job-19") land in one tiny arc of the ring and
 // a single member ends up owning the whole batch. The mixer spreads those

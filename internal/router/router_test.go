@@ -62,13 +62,12 @@ func startFed(t *testing.T, nInst, workersPer int, rcfg Config, dcfg dispatch.Co
 	for i := 0; i < nInst*workersPer; i++ {
 		home := i % nInst
 		w, err := worker.New(worker.Config{
-			ID:                fmt.Sprintf("w%d", i),
-			Host:              fmt.Sprintf("node%d", i),
-			Cores:             1,
-			Coord:             []int{i % 8, (i / 8) % 8, i / 64},
-			DispatcherAddr:    fc.addrs[home],
-			Runner:            fc.runner,
-			HeartbeatInterval: 20 * time.Millisecond,
+			ID:             fmt.Sprintf("w%d", i),
+			Host:           fmt.Sprintf("node%d", i),
+			Cores:          1,
+			Coord:          []int{i % 8, (i / 8) % 8, i / 64},
+			DispatcherAddr: fc.addrs[home],
+			Runner:         fc.runner,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -340,9 +339,8 @@ func TestStealRebalancesBacklog(t *testing.T) {
 		for i := 0; i < n; i++ {
 			w, err := worker.New(worker.Config{
 				ID: fmt.Sprintf("%s%d", idBase, i), Cores: 1,
-				DispatcherAddr:    fc.addrs[inst],
-				Runner:            fc.runner,
-				HeartbeatInterval: 20 * time.Millisecond,
+				DispatcherAddr: fc.addrs[inst],
+				Runner:         fc.runner,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -539,9 +537,8 @@ func TestRouterRecoversRoutingTableFromJournal(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		w, err := worker.New(worker.Config{
 			ID: fmt.Sprintf("w%d", i), Cores: 1,
-			DispatcherAddr:    addr,
-			Runner:            runner,
-			HeartbeatInterval: 20 * time.Millisecond,
+			DispatcherAddr: addr,
+			Runner:         runner,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -603,9 +600,8 @@ func TestRemotePeerFederation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		w, err := worker.New(worker.Config{
 			ID: fmt.Sprintf("rw%d", i), Cores: 1,
-			DispatcherAddr:    addrs[i%2],
-			Runner:            runner,
-			HeartbeatInterval: 20 * time.Millisecond,
+			DispatcherAddr: addrs[i%2],
+			Runner:         runner,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -696,9 +692,8 @@ func TestRemotePeerOutputRelay(t *testing.T) {
 	defer cancel()
 	w, err := worker.New(worker.Config{
 		ID: "row0", Cores: 1,
-		DispatcherAddr:    addr,
-		Runner:            runner,
-		HeartbeatInterval: 20 * time.Millisecond,
+		DispatcherAddr: addr,
+		Runner:         runner,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -68,11 +68,10 @@ func startExternalEngine(t *testing.T, nworkers, shards int) (*core.Engine, *JET
 	})
 	for i := 0; i < nworkers; i++ {
 		w, err := worker.New(worker.Config{
-			ID:                fmt.Sprintf("ext-%d", i),
-			Coord:             []int{i, 0, 0},
-			DispatcherAddr:    eng.Addr(),
-			Runner:            runner,
-			HeartbeatInterval: 50 * time.Millisecond,
+			ID:             fmt.Sprintf("ext-%d", i),
+			Coord:          []int{i, 0, 0},
+			DispatcherAddr: eng.Addr(),
+			Runner:         runner,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,6 +10,10 @@
 // dispatcher parks it for the next task when it registers and whenever its
 // task's result arrives, and no separate frame asks for work.
 //
+// The worker has no liveness settings: the dispatcher's registered frame
+// says how often to send a heartbeat, and over an in-process link, which
+// cannot go silent, it says never.
+//
 // The worker is deliberately decomposable (architecture principle 3): it
 // can run against any proto-speaking service and is used on its own as a
 // benchmarking component.
@@ -46,6 +50,9 @@ func RegisterMetrics(reg *obs.Registry) {
 	reg.Register(tasksExecutedTotal, heartbeatsTotal)
 }
 
+// errKilled ends the cycle of a worker that Kill severed.
+var errKilled = errors.New("worker killed")
+
 // Config parameterizes a worker agent.
 type Config struct {
 	ID    string
@@ -62,9 +69,6 @@ type Config struct {
 
 	// Runner executes user processes; defaults to hydra.ExecRunner.
 	Runner hydra.Runner
-
-	// HeartbeatInterval between liveness reports; default 1s.
-	HeartbeatInterval time.Duration
 
 	// CacheDir is node-local storage for staged files (the paper's local
 	// storage optimization). Empty disables staging.
@@ -92,19 +96,13 @@ type Config struct {
 type Worker struct {
 	cfg Config
 
-	// codec is the current connection; codecMu orders its replacement on a
-	// reconnect against Kill reading it from another goroutine.
-	codecMu sync.Mutex
-	codec   *proto.Codec
-
-	started    time.Time
 	busy       atomic.Bool
 	connected  atomic.Bool  // registered with the dispatcher and serving
 	registered atomic.Bool  // this attempt reached registration (resets redial backoff)
 	tasks      atomic.Int64 // tasks completed
 
-	killed   chan struct{} // closed by Kill
-	killOnce sync.Once
+	killed context.Context // done once Kill is called
+	kill   context.CancelFunc
 }
 
 // New creates a worker agent from cfg, applying defaults.
@@ -117,9 +115,6 @@ func New(cfg Config) (*Worker, error) {
 	}
 	if cfg.Runner == nil {
 		cfg.Runner = hydra.ExecRunner{}
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = time.Second
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second
@@ -139,7 +134,9 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.Host == "" {
 		cfg.Host, _ = os.Hostname()
 	}
-	return &Worker{cfg: cfg, killed: make(chan struct{})}, nil
+	w := &Worker{cfg: cfg}
+	w.killed, w.kill = context.WithCancel(context.Background())
+	return w, nil
 }
 
 // TasksCompleted reports how many tasks this worker has finished.
@@ -158,19 +155,10 @@ func (w *Worker) Healthy() error {
 }
 
 // Kill abruptly severs the worker, simulating a node failure (used by the
-// fault-injection experiments, §6.1.5). A reconnecting worker stays dead:
-// the redial loop observes the kill and exits.
-func (w *Worker) Kill() {
-	w.killOnce.Do(func() {
-		close(w.killed)
-		w.codecMu.Lock()
-		c := w.codec
-		w.codecMu.Unlock()
-		if c != nil {
-			c.Close()
-		}
-	})
-}
+// fault-injection experiments, §6.1.5): it ends the running task's context
+// and closes the connection. A reconnecting worker stays dead: the redial
+// loop observes the kill and exits.
+func (w *Worker) Kill() { w.kill() }
 
 // Run connects (if needed), registers, and serves the work cycle until the
 // dispatcher shuts the worker down, the context is canceled, or the
@@ -189,7 +177,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err // dispatcher-ordered shutdown or canceled context
 		}
 		select {
-		case <-w.killed:
+		case <-w.killed.Done():
 			return err
 		default:
 		}
@@ -207,9 +195,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			t.Stop()
 			return ctx.Err()
-		case <-w.killed:
+		case <-w.killed.Done():
 			t.Stop()
-			return errors.New("worker killed")
+			return errKilled
 		}
 		t.Stop()
 		backoff *= 2
@@ -229,31 +217,18 @@ func (w *Worker) runOnce(ctx context.Context) error {
 			return fmt.Errorf("worker %s: dial %s: %w", w.cfg.ID, w.cfg.DispatcherAddr, err)
 		}
 	}
-	w.codecMu.Lock()
-	w.codec = codec
-	w.codecMu.Unlock()
 	defer codec.Close()
-	w.started = time.Now()
 
-	// taskCtx is the context of every task this connection runs: it ends
-	// with ctx, on Kill, and when the cycle returns, so one per connection
-	// does what a kill-aware context per task did. A reconnect gets a new one.
-	taskCtx, cancelTasks := context.WithCancel(ctx)
-	defer cancelTasks()
-	// Unblock any pending Recv when the context ends; otherwise a canceled
-	// worker would sit parked in the dispatcher forever.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			codec.Close()
-		case <-w.killed:
-			cancelTasks()
-			codec.Close()
-		case <-stop:
-		}
-	}()
+	// connCtx is the context of this connection, of every task it runs and
+	// of its heartbeats: it ends with ctx, on Kill, and when the cycle
+	// returns. Its end closes the codec, which unblocks a pending Recv;
+	// otherwise a canceled worker would sit parked in the dispatcher
+	// forever. The AfterFunc registrations hold no goroutine while they
+	// wait. A reconnect gets a new connCtx.
+	connCtx, cancelConn := context.WithCancel(ctx)
+	defer cancelConn()
+	defer context.AfterFunc(w.killed, cancelConn)()
+	defer context.AfterFunc(connCtx, func() { codec.Close() })()
 
 	if err := codec.Send(&proto.Envelope{Kind: proto.KindRegister, Register: &proto.Register{
 		WorkerID: w.cfg.ID, Host: w.cfg.Host, Cores: w.cfg.Cores, Coord: w.cfg.Coord,
@@ -271,9 +246,9 @@ func (w *Worker) runOnce(ctx context.Context) error {
 	w.registered.Store(true)
 	defer w.connected.Store(false)
 
-	hbCtx, hbCancel := context.WithCancel(ctx)
-	defer hbCancel()
-	go w.heartbeatLoop(hbCtx, codec)
+	if every := ack.Registered.HeartbeatEvery; every > 0 {
+		go heartbeatLoop(connCtx, codec, every)
+	}
 
 	out := &outputForwarder{codec: codec, stream: "stdout"}
 
@@ -281,8 +256,8 @@ func (w *Worker) runOnce(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-w.killed:
-			return errors.New("worker killed")
+		case <-w.killed.Done():
+			return errKilled
 		default:
 		}
 		// Registration and every result leave the worker parked in the
@@ -297,7 +272,7 @@ func (w *Worker) runOnce(ctx context.Context) error {
 			if env.Task == nil {
 				return fmt.Errorf("worker %s: task frame without payload", w.cfg.ID)
 			}
-			if err := w.execute(taskCtx, out, env.Task); err != nil {
+			if err := w.execute(connCtx, out, env.Task); err != nil {
 				return w.runErr(err)
 			}
 		case proto.KindStage:
@@ -317,32 +292,25 @@ func (w *Worker) runOnce(ctx context.Context) error {
 
 func (w *Worker) runErr(err error) error {
 	select {
-	case <-w.killed:
-		return errors.New("worker killed")
+	case <-w.killed.Done():
+		return errKilled
 	default:
 		return fmt.Errorf("worker %s: connection: %w", w.cfg.ID, err)
 	}
 }
 
-// heartbeatLoop reports liveness on its attempt's connection. The codec is
-// passed in rather than read from the Worker: a reconnect replaces w.codec,
-// and a previous attempt's loop may still be winding down when it does.
-func (w *Worker) heartbeatLoop(ctx context.Context, codec *proto.Codec) {
-	t := time.NewTicker(w.cfg.HeartbeatInterval)
+// heartbeatLoop proves the worker alive on codec, its connection, every
+// period the dispatcher set, until ctx (the connection's context) ends.
+func heartbeatLoop(ctx context.Context, codec *proto.Codec, every time.Duration) {
+	t := time.NewTicker(every)
 	defer t.Stop()
+	hb := &proto.Envelope{Kind: proto.KindHeartbeat}
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-w.killed:
-			return
 		case <-t.C:
-			err := codec.Send(&proto.Envelope{Kind: proto.KindHeartbeat, Heartbeat: &proto.Heartbeat{
-				WorkerID: w.cfg.ID,
-				Busy:     w.busy.Load(),
-				Uptime:   time.Since(w.started),
-			}})
-			if err != nil {
+			if codec.Send(hb) != nil {
 				return
 			}
 			heartbeatsTotal.Inc()
@@ -406,6 +374,11 @@ func (w *Worker) execute(ctx context.Context, out *outputForwarder, task *proto.
 
 	w.tasks.Add(1)
 	tasksExecutedTotal.Inc()
+	if w.killed.Err() != nil {
+		// A killed node reports nothing, though Kill closes the connection
+		// on another goroutine and it may still be open.
+		return errKilled
+	}
 	return out.codec.Send(&proto.Envelope{Kind: proto.KindResult, Result: &res})
 }
 

@@ -23,6 +23,8 @@ import (
 type fakeDispatcher struct {
 	ln    net.Listener
 	conns chan *proto.Codec
+
+	heartbeatEvery time.Duration // the period its registered frame sets
 }
 
 func newFakeDispatcher(t *testing.T) *fakeDispatcher {
@@ -59,7 +61,7 @@ func (fd *fakeDispatcher) accept(t *testing.T) (*proto.Codec, *proto.Register) {
 		if env.Kind != proto.KindRegister {
 			t.Fatalf("first frame %q", env.Kind)
 		}
-		if err := codec.Send(&proto.Envelope{Kind: proto.KindRegistered}); err != nil {
+		if err := codec.Send(registered(fd.heartbeatEvery)); err != nil {
 			t.Fatal(err)
 		}
 		return codec, env.Register
@@ -67,6 +69,11 @@ func (fd *fakeDispatcher) accept(t *testing.T) (*proto.Codec, *proto.Register) {
 		t.Fatal("worker never connected")
 		return nil, nil
 	}
+}
+
+// registered is the dispatcher's registration ack with a heartbeat period.
+func registered(every time.Duration) *proto.Envelope {
+	return &proto.Envelope{Kind: proto.KindRegistered, Registered: &proto.Registered{HeartbeatEvery: every}}
 }
 
 // drainUntil reads frames until one matches kind, failing on timeout.
@@ -99,7 +106,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Defaults applied.
-	if w.cfg.Cores != 1 || w.cfg.Runner == nil || w.cfg.HeartbeatInterval <= 0 {
+	if w.cfg.Cores != 1 || w.cfg.Runner == nil {
 		t.Fatalf("defaults not applied: %+v", w.cfg)
 	}
 }
@@ -124,7 +131,6 @@ func TestRegistrationFieldsAndWorkCycle(t *testing.T) {
 	w, err := New(Config{
 		ID: "node7", Host: "h7", Cores: 4, Coord: []int{1, 2, 3},
 		DispatcherAddr: fd.addr(), Runner: runner,
-		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,21 +196,49 @@ func TestRegistrationFieldsAndWorkCycle(t *testing.T) {
 	}
 }
 
+// TestHeartbeatsFlow: the worker sends heartbeats at the period its
+// registered frame sets, and none when that period is 0.
 func TestHeartbeatsFlow(t *testing.T) {
-	fd := newFakeDispatcher(t)
-	w, err := New(Config{ID: "hb", DispatcherAddr: fd.addr(),
-		Runner: hydra.NewFuncRunner(), HeartbeatInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go w.Run(ctx)
-	codec, _ := fd.accept(t)
-	defer codec.Close()
-	hb := drainUntil(t, codec, proto.KindHeartbeat)
-	if hb.Heartbeat.WorkerID != "hb" || hb.Heartbeat.Busy {
-		t.Fatalf("heartbeat %+v", hb.Heartbeat)
+	for _, tc := range []struct {
+		name  string
+		every time.Duration
+	}{{"every-10ms", 10 * time.Millisecond}, {"none", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fd := newFakeDispatcher(t)
+			fd.heartbeatEvery = tc.every
+			w, err := New(Config{ID: "hb", DispatcherAddr: fd.addr(), Runner: hydra.NewFuncRunner()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go w.Run(ctx)
+			codec, _ := fd.accept(t)
+			defer codec.Close()
+			got := make(chan string, 1)
+			go func() {
+				env, err := codec.Recv()
+				if err != nil {
+					got <- err.Error()
+				} else {
+					got <- string(env.Kind)
+				}
+			}()
+			wait := 100 * time.Millisecond
+			if tc.every > 0 {
+				wait = 5 * time.Second
+			}
+			select {
+			case frame := <-got:
+				if tc.every == 0 || frame != string(proto.KindHeartbeat) {
+					t.Fatalf("first frame at period %v: %s", tc.every, frame)
+				}
+			case <-time.After(wait):
+				if tc.every > 0 {
+					t.Fatalf("no heartbeat within %v at period %v", wait, tc.every)
+				}
+			}
+		})
 	}
 }
 
@@ -212,7 +246,7 @@ func TestStageWritesCache(t *testing.T) {
 	dir := t.TempDir()
 	fd := newFakeDispatcher(t)
 	w, err := New(Config{ID: "c", DispatcherAddr: fd.addr(),
-		Runner: hydra.NewFuncRunner(), CacheDir: dir, HeartbeatInterval: time.Hour})
+		Runner: hydra.NewFuncRunner(), CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +278,7 @@ func TestStagePathTraversalContained(t *testing.T) {
 	dir := t.TempDir()
 	fd := newFakeDispatcher(t)
 	w, err := New(Config{ID: "c2", DispatcherAddr: fd.addr(),
-		Runner: hydra.NewFuncRunner(), CacheDir: dir, HeartbeatInterval: time.Hour})
+		Runner: hydra.NewFuncRunner(), CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +303,7 @@ func TestStagePathTraversalContained(t *testing.T) {
 func TestStageWithoutCacheDirReportsError(t *testing.T) {
 	fd := newFakeDispatcher(t)
 	w, err := New(Config{ID: "nc", DispatcherAddr: fd.addr(),
-		Runner: hydra.NewFuncRunner(), HeartbeatInterval: time.Hour})
+		Runner: hydra.NewFuncRunner()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +325,7 @@ func TestKillCancelsRunningTask(t *testing.T) {
 		<-ctx.Done()
 		return 9
 	})
-	w, err := New(Config{ID: "k", DispatcherAddr: fd.addr(), Runner: runner,
-		HeartbeatInterval: time.Hour})
+	w, err := New(Config{ID: "k", DispatcherAddr: fd.addr(), Runner: runner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +355,7 @@ func TestKillCancelsRunningTask(t *testing.T) {
 func TestContextCancelStopsParkedWorker(t *testing.T) {
 	fd := newFakeDispatcher(t)
 	w, err := New(Config{ID: "p", DispatcherAddr: fd.addr(),
-		Runner: hydra.NewFuncRunner(), HeartbeatInterval: time.Hour})
+		Runner: hydra.NewFuncRunner()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +455,7 @@ func TestReconnectBackoffResetsOnRegisteredAck(t *testing.T) {
 	if env, err := codec.Recv(); err != nil || env.Kind != proto.KindRegister {
 		t.Fatalf("recv %v %v", env, err)
 	}
-	if err := codec.Send(&proto.Envelope{Kind: proto.KindRegistered}); err != nil {
+	if err := codec.Send(registered(0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -487,7 +520,7 @@ func TestResultLeavesFlushed(t *testing.T) {
 	disp := proto.NewCodec(b)
 	runner := hydra.NewFuncRunner()
 	runner.Register("noop", func(context.Context, []string, map[string]string, io.Writer) int { return 0 })
-	w, err := New(Config{ID: "w", Conn: proto.NewCodec(cc), Runner: runner, HeartbeatInterval: time.Hour})
+	w, err := New(Config{ID: "w", Conn: proto.NewCodec(cc), Runner: runner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +530,7 @@ func TestResultLeavesFlushed(t *testing.T) {
 	if env, err := disp.Recv(); err != nil || env.Kind != proto.KindRegister {
 		t.Fatalf("register: %v %v", env, err)
 	}
-	if err := disp.Send(&proto.Envelope{Kind: proto.KindRegistered}); err != nil {
+	if err := disp.Send(registered(0)); err != nil {
 		t.Fatal(err)
 	}
 	const tasks = 3
@@ -537,7 +570,7 @@ func TestReconnectWorkerKilledMidTask(t *testing.T) {
 		<-ctx.Done()
 		return 9
 	})
-	w, err := New(Config{ID: "rk", DispatcherAddr: fd.addr(), Runner: runner, HeartbeatInterval: time.Hour,
+	w, err := New(Config{ID: "rk", DispatcherAddr: fd.addr(), Runner: runner,
 		Reconnect: true, ReconnectBackoff: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -570,7 +603,7 @@ func TestReconnectedWorkerRunsUnderLiveContext(t *testing.T) {
 		ctxErrs <- ctx.Err()
 		return 0
 	})
-	w, err := New(Config{ID: "rl", DispatcherAddr: fd.addr(), Runner: runner, HeartbeatInterval: time.Hour,
+	w, err := New(Config{ID: "rl", DispatcherAddr: fd.addr(), Runner: runner,
 		Reconnect: true, ReconnectBackoff: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

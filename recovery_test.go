@@ -132,11 +132,10 @@ func runCrashRecoveryKill9(t *testing.T, hot int) {
 	for i := 0; i < 4; i++ {
 		w, err := worker.New(worker.Config{
 			ID: fmt.Sprintf("crash-w%d", i), Cores: 1,
-			DispatcherAddr:    addr,
-			Runner:            runner,
-			HeartbeatInterval: 50 * time.Millisecond,
-			Reconnect:         true,
-			ReconnectBackoff:  20 * time.Millisecond,
+			DispatcherAddr:   addr,
+			Runner:           runner,
+			Reconnect:        true,
+			ReconnectBackoff: 20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
