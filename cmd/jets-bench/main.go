@@ -213,8 +213,11 @@ func fig10(seed int64) {
 func fig11(seed int64) {
 	header("Fig 11 — NAMD wall-time distribution, 1,536 4-proc jobs")
 	h := simjets.Fig11Histogram(1536, seed)
-	fmt.Print(h.String())
-	fmt.Printf("n=%d mean=%.1fs min=%.1fs max=%.1fs\n", h.N, h.Mean(), h.Min(), h.Max())
+	bounds, counts := simjets.Fig11Bounds(), h.Buckets(nil)
+	for i := 1; i < len(bounds); i++ {
+		fmt.Printf("%8.1f..%-8.1f %d\n", bounds[i-1].Seconds(), bounds[i].Seconds(), counts[i])
+	}
+	fmt.Printf("n=%d mean=%.1fs\n", h.Count(), h.Sum().Seconds()/float64(h.Count()))
 }
 
 func fig12(seed int64) {

@@ -19,7 +19,8 @@
 //   - internal/hydra, internal/pmi — the mpiexec/proxy process manager and
 //     the PMI-1 protocol it serves;
 //   - internal/mpi — a pure-Go MPI (point-to-point with tag matching,
-//     collectives, MPI_Wtime) over channel and TCP transports;
+//     tree collectives, two-phase collective writes) over channel and TCP
+//     transports;
 //   - internal/swiftlang, internal/dataflow — the mini-Swift dataflow
 //     language, whose app calls reach JETS through internal/core (the
 //     paper's CoasterService path, cmd/swiftrun);

@@ -1,7 +1,7 @@
 // Package metrics implements the measurement primitives used throughout the
 // JETS evaluation: the allocation-utilization formula of Eq. (1) in the
 // paper, load-level time series computed from job start/stop records, and
-// fixed-width histograms such as the NAMD wall-time distribution (Fig. 11).
+// the running sums a batch report is computed from.
 //
 // All times are expressed as time.Duration offsets from an arbitrary epoch
 // so the package works identically for wall-clock runs and for the
@@ -9,10 +9,7 @@
 package metrics
 
 import (
-	"fmt"
-	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -37,17 +34,6 @@ func Utilization(duration time.Duration, jobs, n, allocation int, total time.Dur
 		return 1
 	}
 	return u
-}
-
-// WeightedUtilization computes utilization for a batch of jobs with varying
-// durations and sizes: the sum of busy processor-seconds divided by the
-// processor-seconds held by the allocation.
-func WeightedUtilization(jobs []JobRecord, allocation int, total time.Duration) float64 {
-	var busy float64
-	for _, j := range jobs {
-		busy += j.busy()
-	}
-	return busyFraction(busy, allocation, total)
 }
 
 // busyFraction is busy processor-seconds over the processor-seconds an
@@ -176,136 +162,6 @@ func LoadLevel(jobs []JobRecord) *Series {
 	return s
 }
 
-// Histogram is a fixed-width bucket histogram over float64 samples.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples at or above Hi
-	N      int
-	sum    float64
-	sumsq  float64
-	min    float64
-	max    float64
-}
-
-// NewHistogram creates a histogram with nbuckets equal-width buckets over
-// [lo, hi). It panics if nbuckets <= 0 or hi <= lo, which indicate
-// programming errors rather than data errors.
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if nbuckets <= 0 {
-		panic("metrics: NewHistogram nbuckets must be positive")
-	}
-	if hi <= lo {
-		panic("metrics: NewHistogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbuckets),
-		min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.N++
-	h.sum += x
-	h.sumsq += x * x
-	if x < h.min {
-		h.min = x
-	}
-	if x > h.max {
-		h.max = x
-	}
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		w := (h.Hi - h.Lo) / float64(len(h.Counts))
-		i := int((x - h.Lo) / w)
-		if i >= len(h.Counts) { // guard float rounding at the upper edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Mean returns the sample mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return h.sum / float64(h.N)
-}
-
-// Stddev returns the population standard deviation, or 0 with <2 samples.
-func (h *Histogram) Stddev() float64 {
-	if h.N < 2 {
-		return 0
-	}
-	m := h.Mean()
-	v := h.sumsq/float64(h.N) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// BucketLo returns the lower edge of bucket i.
-func (h *Histogram) BucketLo(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + float64(i)*w
-}
-
-// String renders the histogram as rows of "lo..hi count", one per bucket,
-// suitable for the jets-bench text harness.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		fmt.Fprintf(&b, "%8.1f..%-8.1f %d\n", h.BucketLo(i), h.BucketLo(i)+w, c)
-	}
-	return b.String()
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of a sample slice. The input
-// is not modified. Empty input reports 0.
-func Quantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[i]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
-}
-
 // Summary aggregates job records into the figures the harness prints.
 type Summary struct {
 	Jobs        int
@@ -374,13 +230,4 @@ func (t Tally) Summary(allocation int) Summary {
 		s.Rate = float64(s.Jobs) / s.Makespan.Seconds()
 	}
 	return s
-}
-
-// Summarize computes a Summary from the records of a batch run.
-func Summarize(jobs []JobRecord, allocation int) Summary {
-	var t Tally
-	for _, j := range jobs {
-		t.Add(j)
-	}
-	return t.Summary(allocation)
 }

@@ -32,18 +32,6 @@ func TestUtilizationClampsAndGuards(t *testing.T) {
 	}
 }
 
-func TestWeightedUtilization(t *testing.T) {
-	jobs := []JobRecord{
-		{Procs: 4, Start: 0, Stop: 10 * time.Second},
-		{Procs: 2, Start: 0, Stop: 5 * time.Second},
-	}
-	// busy = 40 + 10 = 50 proc-s; held = 10 procs * 10 s = 100
-	u := WeightedUtilization(jobs, 10, 10*time.Second)
-	if math.Abs(u-0.5) > 1e-12 {
-		t.Fatalf("got %v want 0.5", u)
-	}
-}
-
 func TestJobRecordDuration(t *testing.T) {
 	j := JobRecord{Start: 5 * time.Second, Stop: 3 * time.Second}
 	if d := j.Duration(); d != 0 {
@@ -112,97 +100,12 @@ func TestSeriesMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(100, 160, 6)
-	for _, x := range []float64{100, 105, 110, 119.9, 120, 159, 160, 99, 50} {
-		h.Add(x)
-	}
-	if h.N != 9 {
-		t.Fatalf("N=%d", h.N)
-	}
-	if h.Counts[0] != 2 { // 100..110 -> 100,105
-		t.Errorf("bucket0=%d want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 2 { // 110..120 -> 110,119.9
-		t.Errorf("bucket1=%d want 2", h.Counts[1])
-	}
-	if h.Under != 2 || h.Over != 1 {
-		t.Errorf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Min() != 50 || h.Max() != 160 {
-		t.Errorf("min=%v max=%v", h.Min(), h.Max())
-	}
-}
-
-func TestHistogramUpperEdgeRounding(t *testing.T) {
-	h := NewHistogram(0, 0.3, 3)
-	h.Add(0.3 - 1e-16) // float rounding can index past the last bucket
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total+h.Over != 1 {
-		t.Fatalf("sample lost: counts=%v over=%d", h.Counts, h.Over)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, tc := range []struct {
-		lo, hi float64
-		n      int
-	}{{0, 1, 0}, {1, 1, 4}, {2, 1, 4}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%v,%v,%d) did not panic", tc.lo, tc.hi, tc.n)
-				}
-			}()
-			NewHistogram(tc.lo, tc.hi, tc.n)
-		}()
-	}
-}
-
-func TestHistogramStats(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, x := range []float64{2, 4, 6, 8} {
-		h.Add(x)
-	}
-	if m := h.Mean(); math.Abs(m-5) > 1e-12 {
-		t.Errorf("mean=%v", m)
-	}
-	if sd := h.Stddev(); math.Abs(sd-math.Sqrt(5)) > 1e-9 {
-		t.Errorf("stddev=%v want %v", sd, math.Sqrt(5))
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	s := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(s, 0); q != 1 {
-		t.Errorf("q0=%v", q)
-	}
-	if q := Quantile(s, 1); q != 5 {
-		t.Errorf("q1=%v", q)
-	}
-	if q := Quantile(s, 0.5); q != 3 {
-		t.Errorf("q0.5=%v", q)
-	}
-	if q := Quantile(nil, 0.5); q != 0 {
-		t.Errorf("empty=%v", q)
-	}
-	// input must not be reordered
-	s2 := []float64{5, 1, 3}
-	Quantile(s2, 0.5)
-	if s2[0] != 5 || s2[1] != 1 || s2[2] != 3 {
-		t.Errorf("input mutated: %v", s2)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	jobs := []JobRecord{
 		{Procs: 4, Start: 0, Stop: 10 * time.Second},
 		{Procs: 4, Start: 2 * time.Second, Stop: 12 * time.Second},
 	}
-	s := Summarize(jobs, 8)
+	s := summarize(jobs, 8)
 	if s.Jobs != 2 || s.Procs != 8 {
 		t.Errorf("jobs=%d procs=%d", s.Jobs, s.Procs)
 	}
@@ -218,8 +121,17 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// TestTallyMatchesSummarize: a tally fed record by record — or merged from
-// two dispatchers' tallies — gives the Summary the records themselves give.
+// summarize folds a batch's records into one tally and reports its Summary.
+func summarize(jobs []JobRecord, allocation int) Summary {
+	var t Tally
+	for _, j := range jobs {
+		t.Add(j)
+	}
+	return t.Summary(allocation)
+}
+
+// TestTallyMatchesSummarize: tallies merged from two dispatchers give the
+// Summary one tally fed every record gives.
 func TestTallyMatchesSummarize(t *testing.T) {
 	var jobs []JobRecord
 	for i := 0; i < 100; i++ {
@@ -227,7 +139,6 @@ func TestTallyMatchesSummarize(t *testing.T) {
 		jobs = append(jobs, JobRecord{Procs: 1 + i%4, Start: start, Stop: start + time.Duration(5+i%11)*time.Millisecond})
 	}
 	jobs = append(jobs, JobRecord{Procs: 2, Start: 9 * time.Millisecond, Stop: 3 * time.Millisecond}) // runs backwards: zero duration
-	want := Summarize(jobs, 16)
 	var whole, a, b Tally
 	for i, j := range jobs {
 		whole.Add(j)
@@ -237,15 +148,13 @@ func TestTallyMatchesSummarize(t *testing.T) {
 			b.Add(j)
 		}
 	}
-	if got := whole.Summary(16); got != want {
-		t.Errorf("tally summary %+v, Summarize %+v", got, want)
-	}
+	want := whole.Summary(16)
 	a.Merge(b)
 	a.Merge(Tally{})
 	got := a.Summary(16)
 	if got.Jobs != want.Jobs || got.Procs != want.Procs || got.MeanRun != want.MeanRun ||
 		got.Makespan != want.Makespan || got.Rate != want.Rate || math.Abs(got.Utilization-want.Utilization) > 1e-12 {
-		t.Errorf("merged summary %+v, Summarize %+v", got, want)
+		t.Errorf("merged summary %+v, whole %+v", got, want)
 	}
 	var empty Tally
 	empty.Merge(whole)
@@ -255,7 +164,7 @@ func TestTallyMatchesSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil, 8)
+	s := summarize(nil, 8)
 	if s.Jobs != 0 || s.Utilization != 0 {
 		t.Fatalf("empty summary: %+v", s)
 	}
@@ -294,32 +203,6 @@ func TestLoadLevelProperty(t *testing.T) {
 			return false
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: quantile is monotone in q.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(xs []float64, a, b float64) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-		}
-		qa, qb := math.Abs(math.Mod(a, 1)), math.Abs(math.Mod(b, 1))
-		if math.IsNaN(qa) || math.IsNaN(qb) {
-			return true
-		}
-		lo, hi := qa, qb
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		return Quantile(xs, lo) <= Quantile(xs, hi)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -6,10 +6,11 @@ import "fmt"
 // (negative) tag space. All ranks of a communicator must call each collective
 // in the same order, as in MPI.
 //
-// The latency-bound ones (Barrier, Bcast, Reduce*, Allreduce*) walk one
-// binomial tree, so a job that uses them from rank 0 opens size-1 rank-pair
-// connections however many of them it calls. Gather, Scatter and Alltoall
-// are payload-bound and keep their star and all-pairs edges.
+// Every collective in this file walks one binomial tree: parts and partial
+// results go up it (treeGather) and payloads come down it (treeRelease). A child sends to
+// its parent first, so over TCP the child dials, and a job whose collectives
+// are all rooted at rank 0 opens size-1 rank-pair connections however many of
+// them it calls.
 
 // treePos places this rank in the binomial tree rooted at root. rel is its
 // rank relative to root and span the lowest set bit of rel (at the root, the
@@ -30,7 +31,7 @@ func (c *Comm) treePos(root int) (rel, span int) {
 func (c *Comm) treeGather(root, tag int, merge func([]byte) error, own func() []byte) error {
 	rel, span := c.treePos(root)
 	for m := 1; m < span && rel+m < c.size; m <<= 1 {
-		msg, err := c.irecv((rel+m+root)%c.size, tag)
+		msg, err := c.q.pop((rel+m+root)%c.size, tag)
 		if err != nil {
 			return err
 		}
@@ -47,7 +48,7 @@ func (c *Comm) treeGather(root, tag int, merge func([]byte) error, own func() []
 	if own != nil {
 		data = own()
 	}
-	return c.isend((rel-span+root)%c.size, tag, data)
+	return c.tr.send((rel-span+root)%c.size, tag, data)
 }
 
 // treeRelease is the downward half: every rank but the root takes data from
@@ -55,7 +56,7 @@ func (c *Comm) treeGather(root, tag int, merge func([]byte) error, own func() []
 func (c *Comm) treeRelease(root, tag int, data []byte) ([]byte, error) {
 	rel, span := c.treePos(root)
 	if rel != 0 {
-		m, err := c.irecv((rel-span+root)%c.size, tag)
+		m, err := c.q.pop((rel-span+root)%c.size, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +64,7 @@ func (c *Comm) treeRelease(root, tag int, data []byte) ([]byte, error) {
 	}
 	for m := span >> 1; m > 0; m >>= 1 {
 		if rel+m < c.size {
-			if err := c.isend((rel+m+root)%c.size, tag, data); err != nil {
+			if err := c.tr.send((rel+m+root)%c.size, tag, data); err != nil {
 				return nil, err
 			}
 		}
@@ -97,37 +98,40 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 }
 
 // Gather collects each rank's data at root. Root receives a slice indexed by
-// rank; other ranks receive nil.
+// rank; other ranks receive nil. The parts go up the tree rooted at root: the
+// ranks below any rank are consecutive relative to root, its own first and
+// then each child's, nearest child first, so the root ends up holding every
+// part in relative order and rotates them into rank order.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	if root < 0 || root >= c.size {
 		return nil, fmt.Errorf("mpi: gather invalid root %d", root)
 	}
-	tag := c.nextCollTag()
-	if c.rank != root {
-		return nil, c.isend(root, tag, data)
+	rel, _ := c.treePos(root)
+	parts := [][]byte{append([]byte(nil), data...)}
+	err := c.treeGather(root, c.nextCollTag(), func(b []byte) error {
+		// parts holds ranks rel .. rel+len(parts)-1 (relative to root); the
+		// child at rel+len(parts) sends as many, fewer where the job ends.
+		sub, err := unpackParts(b, min(len(parts), c.size-rel-len(parts)))
+		parts = append(parts, sub...)
+		return err
+	}, func() []byte { return packParts(parts) })
+	if err != nil || rel != 0 {
+		return nil, err
 	}
 	out := make([][]byte, c.size)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	out[c.rank] = cp
-	for i := 0; i < c.size-1; i++ {
-		m, err := c.irecv(AnySource, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[m.Src] = m.Data
+	for i, p := range parts {
+		out[(i+root)%c.size] = p
 	}
 	return out, nil
 }
 
-// Allgather collects each rank's data at every rank.
+// Allgather collects each rank's data at every rank: a Gather up the tree
+// rooted at rank 0 and a Bcast of the packed parts back down it.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	parts, err := c.Gather(0, data)
 	if err != nil {
 		return nil, err
 	}
-	// Broadcast the gathered set from root. Encode as length-prefixed
-	// concatenation.
 	var blob []byte
 	if c.rank == 0 {
 		blob = packParts(parts)
@@ -137,66 +141,6 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 		return nil, err
 	}
 	return unpackParts(blob, c.size)
-}
-
-// Scatter distributes parts[i] from root to rank i and returns this rank's
-// part. Only root's parts argument is consulted; it must have length Size.
-func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	if root < 0 || root >= c.size {
-		return nil, fmt.Errorf("mpi: scatter invalid root %d", root)
-	}
-	tag := c.nextCollTag()
-	if c.rank == root {
-		if len(parts) != c.size {
-			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", c.size, len(parts))
-		}
-		for dst := 0; dst < c.size; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := c.isend(dst, tag, parts[dst]); err != nil {
-				return nil, err
-			}
-		}
-		cp := make([]byte, len(parts[root]))
-		copy(cp, parts[root])
-		return cp, nil
-	}
-	m, err := c.irecv(root, tag)
-	if err != nil {
-		return nil, err
-	}
-	return m.Data, nil
-}
-
-// Alltoall sends parts[j] to rank j and returns the slice of received
-// payloads indexed by source rank. parts must have length Size on every
-// rank.
-func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	if len(parts) != c.size {
-		return nil, fmt.Errorf("mpi: alltoall needs %d parts, got %d", c.size, len(parts))
-	}
-	tag := c.nextCollTag()
-	out := make([][]byte, c.size)
-	cp := make([]byte, len(parts[c.rank]))
-	copy(cp, parts[c.rank])
-	out[c.rank] = cp
-	for dst := 0; dst < c.size; dst++ {
-		if dst == c.rank {
-			continue
-		}
-		if err := c.isend(dst, tag, parts[dst]); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < c.size-1; i++ {
-		m, err := c.irecv(AnySource, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[m.Src] = m.Data
-	}
-	return out, nil
 }
 
 // Op is a reduction operator.

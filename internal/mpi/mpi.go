@@ -1,8 +1,8 @@
 // Package mpi is a from-scratch message-passing library with MPI semantics,
 // standing in for the modified MPICH2 the paper uses. It provides blocking
-// point-to-point operations with (source, tag) matching, the standard
-// collectives (the latency-bound ones on one binomial tree, so a barrier job
-// of n ranks opens n-1 sockets), and MPI_Wtime, over two interchangeable
+// point-to-point operations with (source, tag) matching, the collectives its
+// applications call, all on one binomial tree (so a job of n ranks opens n-1
+// sockets), and two-phase collective writes, over two interchangeable
 // transports:
 //
 //   - a TCP loopback transport bootstrapped through PMI (internal/pmi),
@@ -35,47 +35,20 @@ const (
 // internal tags are negative; user tags must be non-negative.
 var errBadTag = errors.New("mpi: user message tags must be >= 0")
 
-// Comm is a communicator: the process's endpoint in a job. The world
-// communicator owns the transport; subcommunicators created by Split share
-// it under a distinct context ID.
+// Comm is a communicator: the process's endpoint in a job, owning the
+// transport it reaches its peers on.
 type Comm struct {
-	rank  int
-	size  int
-	ctx   uint32
-	q     *matchQueue
-	tr    transport
-	start time.Time
+	rank int
+	size int
+	q    *matchQueue
+	tr   transport
 
-	// group maps local rank -> world rank; nil means identity (world).
-	group   []int
-	toLocal map[int]int // world rank -> local rank; nil for world
-
-	// owned marks the communicator that tears down the transport on Close.
-	owned bool
-
-	mu       sync.Mutex
-	collSeq  int
-	splitSeq int
-	closed   bool
+	mu      sync.Mutex
+	collSeq int
+	closed  bool
 
 	// pc is set for PMI-bootstrapped communicators and finalized on Close.
 	pc *pmi.Client
-}
-
-// worldRank translates a local rank to the transport's world rank space.
-func (c *Comm) worldRank(local int) int {
-	if c.group == nil {
-		return local
-	}
-	return c.group[local]
-}
-
-// localRank translates a world rank back into this communicator.
-func (c *Comm) localRank(world int) int {
-	if c.toLocal == nil {
-		return world
-	}
-	return c.toLocal[world]
 }
 
 // Rank returns this process's rank in [0, Size).
@@ -83,10 +56,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of processes in the communicator.
 func (c *Comm) Size() int { return c.size }
-
-// Wtime returns elapsed seconds since the communicator was created,
-// mirroring MPI_Wtime.
-func (c *Comm) Wtime() float64 { return time.Since(c.start).Seconds() }
 
 // Send delivers data to rank dst with the given tag. Sends are eager: they
 // buffer at the receiver and do not block waiting for a matching Recv.
@@ -97,7 +66,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
 	}
-	return c.tr.send(c.ctx, c.worldRank(dst), tag, data)
+	return c.tr.send(dst, tag, data)
 }
 
 // Recv blocks until a message matching (src, tag) arrives. Use AnySource
@@ -109,50 +78,7 @@ func (c *Comm) Recv(src, tag int) (Message, error) {
 	if src != AnySource && (src < 0 || src >= c.size) {
 		return Message{}, fmt.Errorf("mpi: recv from invalid rank %d", src)
 	}
-	return c.irecv(src, tag)
-}
-
-// Sendrecv sends data to dst and receives a message from src in one call,
-// the classic exchange primitive. Because sends are eager this cannot
-// deadlock in symmetric exchanges.
-func (c *Comm) Sendrecv(dst, dtag int, data []byte, src, stag int) (Message, error) {
-	if err := c.Send(dst, dtag, data); err != nil {
-		return Message{}, err
-	}
-	return c.Recv(src, stag)
-}
-
-// Probe reports whether a matching message is already queued, without
-// removing it.
-func (c *Comm) Probe(src, tag int) bool {
-	wsrc := src
-	if src != AnySource {
-		if src < 0 || src >= c.size {
-			return false
-		}
-		wsrc = c.worldRank(src)
-	}
-	return c.q.peek(c.ctx, wsrc, tag)
-}
-
-// internal send/recv shared by the public operations and the collectives
-// (which use the negative tag space). Ranks are local to this communicator;
-// translation to the world rank space happens here.
-func (c *Comm) isend(dst, tag int, data []byte) error {
-	return c.tr.send(c.ctx, c.worldRank(dst), tag, data)
-}
-
-func (c *Comm) irecv(src, tag int) (Message, error) {
-	wsrc := src
-	if src != AnySource {
-		wsrc = c.worldRank(src)
-	}
-	m, err := c.q.pop(c.ctx, wsrc, tag)
-	if err != nil {
-		return m, err
-	}
-	m.Src = c.localRank(m.Src)
-	return m, nil
+	return c.q.pop(src, tag)
 }
 
 // nextCollTag reserves a fresh negative tag block for one collective
@@ -176,11 +102,6 @@ func (c *Comm) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	if !c.owned {
-		// Subcommunicators share the parent's transport; freeing them is a
-		// no-op on the wire, as with MPI_Comm_free.
-		return nil
-	}
 	err := c.tr.close()
 	if c.pc != nil {
 		if ferr := c.pc.Finalize(); err == nil {
@@ -230,13 +151,11 @@ func Init(addr, kvsName string, rank int) (*Comm, error) {
 		return nil, err
 	}
 	return &Comm{
-		rank:  rank,
-		size:  tr.size,
-		q:     q,
-		tr:    tr,
-		start: time.Now(),
-		owned: true,
-		pc:    tr.pc,
+		rank: rank,
+		size: tr.size,
+		q:    q,
+		tr:   tr,
+		pc:   tr.pc,
 	}, nil
 }
 
@@ -248,17 +167,14 @@ func RunLocal(n int, fn func(c *Comm) error) error {
 		return fmt.Errorf("mpi: RunLocal size %d", n)
 	}
 	fabric := newLocalFabric(n)
-	start := time.Now()
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for rank := 0; rank < n; rank++ {
 		comm := &Comm{
-			rank:  rank,
-			size:  n,
-			q:     fabric.queues[rank],
-			tr:    &localTransport{fabric: fabric, rank: rank},
-			start: start,
-			owned: true,
+			rank: rank,
+			size: n,
+			q:    fabric.queues[rank],
+			tr:   &localTransport{fabric: fabric, rank: rank},
 		}
 		wg.Add(1)
 		go func(rank int, comm *Comm) {

@@ -19,9 +19,9 @@ import (
 type IOStats struct {
 	// Aggregator reports whether this rank performed filesystem accesses.
 	Aggregator bool
-	// Accesses is the number of Write/Read calls issued by this rank.
+	// Accesses is the number of WriteAt calls issued by this rank.
 	Accesses int
-	// Bytes moved to or from storage by this rank.
+	// Bytes written to storage by this rank.
 	Bytes int64
 }
 
@@ -81,7 +81,7 @@ func (c *Comm) WriteAtAll(w io.WriterAt, off int64, data []byte, naggs int) (IOS
 	agg, lo, hi := aggregatorInfo(c.rank, c.size, naggs)
 
 	if c.rank != agg {
-		if err := c.isend(agg, tag, packExtent(off, data)); err != nil {
+		if err := c.tr.send(agg, tag, packExtent(off, data)); err != nil {
 			return st, err
 		}
 		return st, c.Barrier()
@@ -91,7 +91,7 @@ func (c *Comm) WriteAtAll(w io.WriterAt, off int64, data []byte, naggs int) (IOS
 	st.Aggregator = true
 	extents := []extent{{off: off, data: data}}
 	for i := 0; i < hi-lo-1; i++ {
-		m, err := c.irecv(AnySource, tag)
+		m, err := c.q.pop(AnySource, tag)
 		if err != nil {
 			return st, err
 		}
@@ -123,90 +123,4 @@ func (c *Comm) WriteAtAll(w io.WriterAt, off int64, data []byte, naggs int) (IOS
 		i = j
 	}
 	return st, c.Barrier()
-}
-
-// ReadAtAll collectively reads n bytes at each rank's offset: aggregators
-// read one span covering their group's extents and scatter the pieces. Only
-// aggregator ranks use r. The call is collective.
-func (c *Comm) ReadAtAll(r io.ReaderAt, off int64, n int, naggs int) ([]byte, IOStats, error) {
-	var st IOStats
-	if naggs < 1 {
-		return nil, st, fmt.Errorf("mpi: need at least one aggregator, got %d", naggs)
-	}
-	if n < 0 {
-		return nil, st, fmt.Errorf("mpi: negative read size %d", n)
-	}
-	reqTag := c.nextCollTag()
-	repTag := c.nextCollTag()
-	agg, lo, hi := aggregatorInfo(c.rank, c.size, naggs)
-
-	if c.rank != agg {
-		// Request: (offset, length) to the aggregator, then await the data.
-		var req [16]byte
-		binary.LittleEndian.PutUint64(req[0:8], uint64(off))
-		binary.LittleEndian.PutUint64(req[8:16], uint64(int64(n)))
-		if err := c.isend(agg, reqTag, req[:]); err != nil {
-			return nil, st, err
-		}
-		m, err := c.irecv(agg, repTag)
-		if err != nil {
-			return nil, st, err
-		}
-		return m.Data, st, nil
-	}
-
-	st.Aggregator = true
-	type request struct {
-		src int
-		off int64
-		n   int
-	}
-	reqs := []request{{src: c.rank, off: off, n: n}}
-	for i := 0; i < hi-lo-1; i++ {
-		m, err := c.irecv(AnySource, reqTag)
-		if err != nil {
-			return nil, st, err
-		}
-		if len(m.Data) != 16 {
-			return nil, st, fmt.Errorf("mpi: corrupt read request from %d", m.Src)
-		}
-		reqs = append(reqs, request{
-			src: m.Src,
-			off: int64(binary.LittleEndian.Uint64(m.Data[0:8])),
-			n:   int(int64(binary.LittleEndian.Uint64(m.Data[8:16]))),
-		})
-	}
-	// One spanning read covering all requests.
-	lo64, hi64 := reqs[0].off, reqs[0].off+int64(reqs[0].n)
-	for _, q := range reqs[1:] {
-		if q.off < lo64 {
-			lo64 = q.off
-		}
-		if end := q.off + int64(q.n); end > hi64 {
-			hi64 = end
-		}
-	}
-	span := make([]byte, hi64-lo64)
-	if len(span) > 0 {
-		if r == nil {
-			return nil, st, fmt.Errorf("mpi: aggregator rank %d has no reader", c.rank)
-		}
-		if _, err := r.ReadAt(span, lo64); err != nil && err != io.EOF {
-			return nil, st, fmt.Errorf("mpi: collective read at %d: %w", lo64, err)
-		}
-		st.Accesses++
-		st.Bytes += int64(len(span))
-	}
-	var mine []byte
-	for _, q := range reqs {
-		piece := span[q.off-lo64 : q.off-lo64+int64(q.n)]
-		if q.src == c.rank {
-			mine = append([]byte(nil), piece...)
-			continue
-		}
-		if err := c.isend(q.src, repTag, piece); err != nil {
-			return nil, st, err
-		}
-	}
-	return mine, st, nil
 }

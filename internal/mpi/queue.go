@@ -16,12 +16,8 @@ var ErrCommClosed = errors.New("mpi: communicator closed")
 // lost rank fails its job instead of hanging it.
 var ErrPeerClosed = errors.New("mpi: peer closed its communicator")
 
-// Message is one received point-to-point message. Src is expressed in the
-// receiving communicator's rank space. Ctx is the communicator context
-// identifier that isolates subcommunicators created by Split; users never
-// set it.
+// Message is one received point-to-point message.
 type Message struct {
-	Ctx  uint32
 	Src  int
 	Tag  int
 	Data []byte
@@ -35,7 +31,7 @@ type matchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	msgs   []Message
-	gone   []int // world ranks whose stream to this process has ended (peerGone)
+	gone   []int // ranks whose stream to this process has ended (peerGone)
 	closed bool
 }
 
@@ -56,8 +52,8 @@ func (q *matchQueue) push(m Message) {
 	q.cond.Broadcast()
 }
 
-func matches(m Message, ctx uint32, src, tag int) bool {
-	return m.Ctx == ctx && (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag)
+func matches(m Message, src, tag int) bool {
+	return (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag)
 }
 
 // peerGone records that nothing more can arrive from src and wakes receivers
@@ -74,12 +70,12 @@ func (q *matchQueue) peerGone(src int) {
 // pop blocks until a message matching (src, tag) is available and removes
 // it. Once the queue is drained of matching messages it returns ErrCommClosed
 // if the queue is closed and ErrPeerClosed if src is gone.
-func (q *matchQueue) pop(ctx uint32, src, tag int) (Message, error) {
+func (q *matchQueue) pop(src, tag int) (Message, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
 		for i, m := range q.msgs {
-			if matches(m, ctx, src, tag) {
+			if matches(m, src, tag) {
 				q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
 				return m, nil
 			}
@@ -92,32 +88,6 @@ func (q *matchQueue) pop(ctx uint32, src, tag int) (Message, error) {
 		}
 		q.cond.Wait()
 	}
-}
-
-// peek reports whether a message matching (src, tag) is queued, without
-// removing it.
-func (q *matchQueue) peek(ctx uint32, src, tag int) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, m := range q.msgs {
-		if matches(m, ctx, src, tag) {
-			return true
-		}
-	}
-	return false
-}
-
-// tryPop is pop without blocking; ok reports whether a match was found.
-func (q *matchQueue) tryPop(ctx uint32, src, tag int) (Message, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for i, m := range q.msgs {
-		if matches(m, ctx, src, tag) {
-			q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
-			return m, true
-		}
-	}
-	return Message{}, false
 }
 
 func (q *matchQueue) close() {

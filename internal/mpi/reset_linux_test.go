@@ -63,12 +63,11 @@ func TestResetAfterByeKeepsDeliveredData(t *testing.T) {
 			return err
 		}
 		defer conn.Close()
-		frame := make([]byte, 12+size)
+		frame := make([]byte, 8+size)
 		binary.BigEndian.PutUint32(frame[0:4], size)
-		binary.BigEndian.PutUint32(frame[4:8], c.ctx)
-		binary.BigEndian.PutUint32(frame[8:12], tag)
+		binary.BigEndian.PutUint32(frame[4:8], tag)
 		for i := 0; i < msgs; i++ {
-			binary.BigEndian.PutUint32(frame[12:], uint32(i))
+			binary.BigEndian.PutUint32(frame[8:], uint32(i))
 			frame[len(frame)-1] = byte(i)
 			out := frame
 			if i == 0 {
@@ -90,7 +89,7 @@ func TestResetAfterByeKeepsDeliveredData(t *testing.T) {
 		for {
 			var unsent int32 // SIOCOUTQ writes a C int
 			var unread int
-			var peek [12]byte
+			var peek [8]byte
 			var perr error
 			raw.Control(func(fd uintptr) {
 				syscall.Syscall(syscall.SYS_IOCTL, fd, syscall.TIOCOUTQ, uintptr(unsafe.Pointer(&unsent)))

@@ -39,9 +39,9 @@ const maxMessage = 256 << 20
 // transport moves framed messages between ranks. Implementations must allow
 // concurrent sends from multiple goroutines.
 type transport interface {
-	// send delivers data to dst (world rank) in communicator context ctx;
-	// it is eager (buffered) and does not wait for a matching receive.
-	send(ctx uint32, dst, tag int, data []byte) error
+	// send delivers data to rank dst; it is eager (buffered) and does not
+	// wait for a matching receive.
+	send(dst, tag int, data []byte) error
 	// close tears the transport down; pending receivers are woken with
 	// ErrCommClosed.
 	close() error
@@ -70,14 +70,14 @@ type localTransport struct {
 	rank   int
 }
 
-func (t *localTransport) send(ctx uint32, dst, tag int, data []byte) error {
+func (t *localTransport) send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= len(t.fabric.queues) {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
 	}
 	// Copy so the sender may reuse its buffer, matching MPI semantics.
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	t.fabric.queues[dst].push(Message{Ctx: ctx, Src: t.rank, Tag: tag, Data: cp})
+	t.fabric.queues[dst].push(Message{Src: t.rank, Tag: tag, Data: cp})
 	return nil
 }
 
@@ -147,9 +147,9 @@ type tcpConn struct {
 	buf      [256]byte // header plus a small payload: one write per frame
 }
 
-// frame layout: [4 len][4 ctx][4 tag][payload]. The first frame a dialer
-// writes is preceded by its 4-byte rank.
-func (c *tcpConn) writeFrame(ctx uint32, tag int, data []byte) error {
+// frame layout: [4 len][4 tag][payload]. The first frame a dialer writes is
+// preceded by its 4-byte rank.
+func (c *tcpConn) writeFrame(tag int, data []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	b := c.buf[:0]
@@ -158,7 +158,6 @@ func (c *tcpConn) writeFrame(ctx uint32, tag int, data []byte) error {
 		c.hello = -1
 	}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(data)))
-	b = binary.BigEndian.AppendUint32(b, ctx)
 	b = binary.BigEndian.AppendUint32(b, uint32(int32(tag)))
 	if len(data) <= cap(b)-len(b) {
 		_, err := c.conn.Write(append(b, data...))
@@ -183,7 +182,7 @@ func (c *tcpConn) bye() {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.conn.SetReadDeadline(time.Now().Add(byeWait))
-	hdr := c.buf[:12]
+	hdr := c.buf[:8]
 	binary.BigEndian.PutUint32(hdr, byeLen)
 	c.conn.Write(hdr)
 }
@@ -252,7 +251,7 @@ func (t *tcpTransport) readLoop(c *tcpConn, src int) {
 		r.Reset(nil)
 		readerPool.Put(r)
 	}()
-	var hdr [12]byte
+	var hdr [8]byte
 	if src < 0 {
 		if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 			return
@@ -283,8 +282,7 @@ func (t *tcpTransport) readLoop(c *tcpConn, src int) {
 			return
 		}
 		n := binary.BigEndian.Uint32(hdr[0:4])
-		ctx := binary.BigEndian.Uint32(hdr[4:8])
-		tag := int(int32(binary.BigEndian.Uint32(hdr[8:12])))
+		tag := int(int32(binary.BigEndian.Uint32(hdr[4:8])))
 		if n > maxMessage { // a bye, or a corrupt stream
 			return
 		}
@@ -292,7 +290,7 @@ func (t *tcpTransport) readLoop(c *tcpConn, src int) {
 		if _, err := io.ReadFull(r, data); err != nil {
 			return
 		}
-		t.q.push(Message{Ctx: ctx, Src: src, Tag: tag, Data: data})
+		t.q.push(Message{Src: src, Tag: tag, Data: data})
 		inbound = true
 	}
 }
@@ -337,11 +335,11 @@ func (t *tcpTransport) peer(dst int) (*tcpConn, error) {
 	return c, nil
 }
 
-func (t *tcpTransport) send(ctx uint32, dst, tag int, data []byte) error {
+func (t *tcpTransport) send(dst, tag int, data []byte) error {
 	if dst == t.rank { // self-send short-circuits the socket layer
 		cp := make([]byte, len(data))
 		copy(cp, data)
-		t.q.push(Message{Ctx: ctx, Src: t.rank, Tag: tag, Data: cp})
+		t.q.push(Message{Src: t.rank, Tag: tag, Data: cp})
 		return nil
 	}
 	if dst < 0 || dst >= t.size {
@@ -351,7 +349,7 @@ func (t *tcpTransport) send(ctx uint32, dst, tag int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.writeFrame(ctx, tag, data)
+	return c.writeFrame(tag, data)
 }
 
 // close shuts the listener and every connection, inbound ones included, and

@@ -18,10 +18,10 @@ func connCounts() (dialed, accepted, discarded int64) {
 	return connsDialed.Value(), connsAccepted.Value(), connsDiscarded.Value()
 }
 
-// TestCollectivesShareOneTree runs the three application shapes in the repo
-// as cold TCP jobs and counts their rank-pair sockets: the collectives they
-// use all walk the binomial tree rooted at rank 0, whose children dial their
-// parents, so a job opens exactly n-1 connections and loses no dial race.
+// TestCollectivesShareOneTree runs the application shapes in the repo as cold
+// TCP jobs and counts their rank-pair sockets: the collectives they use all
+// walk the binomial tree rooted at rank 0, whose children dial their parents,
+// so a job opens exactly n-1 connections and loses no dial race.
 func TestCollectivesShareOneTree(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -33,20 +33,21 @@ func TestCollectivesShareOneTree(t *testing.T) {
 			}
 			return c.Barrier()
 		}},
-		{"barrier-allreduce-barrier", func(c *Comm) error { // namd
-			if err := c.Barrier(); err != nil {
+		{"barrier-allreduce-barrier", namdSteps}, // namd without its checksum
+		{"barrier-allreduce-barrier-allgather", func(c *Comm) error { // namd
+			if err := namdSteps(c); err != nil {
 				return err
 			}
-			for k := 0; k < 5; k++ {
-				sum, err := c.AllreduceFloat64(OpSum, []float64{1})
-				if err != nil {
-					return err
-				}
-				if int(sum[0]) != c.Size() {
-					return fmt.Errorf("allreduce %d: sum %v over %d ranks", k, sum, c.Size())
+			parts, err := c.Allgather([]byte{byte(c.Rank())})
+			if err != nil {
+				return err
+			}
+			for r, p := range parts {
+				if len(p) != 1 || int(p[0]) != r {
+					return fmt.Errorf("allgather: parts[%d] = %v", r, p)
 				}
 			}
-			return c.Barrier()
+			return nil
 		}},
 		{"barrier-bcast-reduce", func(c *Comm) error {
 			if err := c.Barrier(); err != nil {
@@ -80,6 +81,24 @@ func TestCollectivesShareOneTree(t *testing.T) {
 			})
 		}
 	}
+}
+
+// namdSteps is internal/namd's Run up to its checksum: a barrier, an
+// allreduce per time step, a barrier.
+func namdSteps(c *Comm) error {
+	if err := c.Barrier(); err != nil {
+		return err
+	}
+	for k := 0; k < 5; k++ {
+		sum, err := c.AllreduceFloat64(OpSum, []float64{1})
+		if err != nil {
+			return err
+		}
+		if int(sum[0]) != c.Size() {
+			return fmt.Errorf("allreduce %d: sum %v over %d ranks", k, sum, c.Size())
+		}
+	}
+	return c.Barrier()
 }
 
 // barrierRounds runs rounds back-to-back barriers on c, which has n members,
@@ -117,44 +136,6 @@ func TestBarrierTreeHoldsEveryRank(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestBarrierTreeOnSplitComm barriers 200 times on the odd ranks of a 9-rank
-// job (world ranks 1, 3, 5, 7: the tree runs over communicator ranks 0..3 and
-// reaches the wire through worldRank) while every rank barriers on the world
-// communicator from a second goroutine. Neither may release the other.
-func TestBarrierTreeOnSplitComm(t *testing.T) {
-	const n, rounds = 9, 200
-	for _, jr := range jobRunners {
-		t.Run(jr.name, func(t *testing.T) {
-			odd := make([]atomic.Int32, rounds)
-			world := make([]atomic.Int32, rounds)
-			err := jr.run(n, func(c *Comm) error {
-				color := UndefinedColor
-				if c.Rank()%2 == 1 {
-					color = 0
-				}
-				sub, err := c.Split(color, c.Rank())
-				if err != nil {
-					return err
-				}
-				worldErr := make(chan error, 1)
-				go func() { worldErr <- barrierRounds(c, n, world) }()
-				if sub != nil {
-					if sub.Size() != n/2 || sub.Rank() != c.Rank()/2 {
-						return fmt.Errorf("world rank %d is %d of %d in the odd communicator", c.Rank(), sub.Rank(), sub.Size())
-					}
-					if err := barrierRounds(sub, n/2, odd); err != nil {
-						return fmt.Errorf("odd communicator: %w", err)
-					}
-				}
-				return <-worldErr
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 
@@ -266,15 +247,15 @@ func TestQueuedMessagesOutliveTheirSender(t *testing.T) {
 	q.push(Message{Src: 1, Tag: 7, Data: []byte("last words")})
 	q.peerGone(1)
 	q.peerGone(1)
-	if m, err := q.pop(0, 1, 7); err != nil || !bytes.Equal(m.Data, []byte("last words")) {
+	if m, err := q.pop(1, 7); err != nil || !bytes.Equal(m.Data, []byte("last words")) {
 		t.Fatalf("queued message from a gone rank: %q, %v", m.Data, err)
 	}
-	if _, err := q.pop(0, 1, 7); !errors.Is(err, ErrPeerClosed) {
+	if _, err := q.pop(1, 7); !errors.Is(err, ErrPeerClosed) {
 		t.Fatalf("receive from a gone rank with nothing queued: %v", err)
 	}
 	got := make(chan error, 1)
 	go func() {
-		_, err := q.pop(0, AnySource, 7)
+		_, err := q.pop(AnySource, 7)
 		got <- err
 	}()
 	select {

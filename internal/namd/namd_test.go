@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"jets/internal/hydra"
-	"jets/internal/metrics"
 	"jets/internal/mpi"
+	"jets/internal/obs"
 	"jets/internal/proto"
 )
 
@@ -155,24 +155,30 @@ func TestUnevenPartition(t *testing.T) {
 
 func TestSampleWallTimeDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	h := metrics.NewHistogram(100, 160, 6)
-	for i := 0; i < 5000; i++ {
-		h.Add(SampleWallTime(rng).Seconds())
+	var bounds []time.Duration // 100, 110, ..., 160, then the clip
+	for b := 100 * time.Second; b <= 160*time.Second; b += 10 * time.Second {
+		bounds = append(bounds, b)
 	}
-	if h.Under != 0 {
-		t.Fatalf("samples below 100s: %d", h.Under)
+	bounds = append(bounds, 166*time.Second)
+	h := obs.NewHist("namd_wall_seconds", "sampled NAMD wall times", bounds)
+	for i := 0; i < 5000; i++ {
+		h.Observe(SampleWallTime(rng))
+	}
+	counts := h.Buckets(nil)
+	if counts[0] != 0 {
+		t.Fatalf("samples at or below 100s: %d", counts[0])
 	}
 	// Fig 11 shape: bulk in 100-120, visible tail beyond, none past ~165.
-	bulk := h.Counts[0] + h.Counts[1]
-	tail := h.N - bulk - h.Over
-	if float64(bulk)/float64(h.N) < 0.55 {
-		t.Fatalf("bulk fraction %.2f too small: %v", float64(bulk)/float64(h.N), h.Counts)
+	bulk := counts[1] + counts[2]
+	tail := counts[3] + counts[4] + counts[5] + counts[6] // 120-160
+	if float64(bulk)/float64(h.Count()) < 0.55 {
+		t.Fatalf("bulk fraction %.2f too small: %v", float64(bulk)/float64(h.Count()), counts)
 	}
 	if tail == 0 {
 		t.Fatal("no tail samples")
 	}
-	if h.Max() > 166 {
-		t.Fatalf("max %.1f beyond clip", h.Max())
+	if over := counts[len(counts)-1]; over != 0 {
+		t.Fatalf("%d samples beyond the clip", over)
 	}
 }
 

@@ -26,8 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"jets/internal/metrics"
 )
 
 // Metric is one exportable instrument.
@@ -338,24 +336,9 @@ var DefLatencyBounds = []time.Duration{
 	10 * time.Second, 30 * time.Second,
 }
 
-// LinearBounds derives n equal-width bucket upper bounds over (lo, hi] in
-// seconds using the same bucket-edge math as metrics.Histogram, so a live
-// obs histogram lines up bucket-for-bucket with the post-hoc fixed-width
-// figures (e.g. the Fig. 11 NAMD wall-time distribution).
-func LinearBounds(lo, hi float64, n int) []time.Duration {
-	h := metrics.NewHistogram(lo, hi, n)
-	out := make([]time.Duration, n)
-	for i := 0; i < n; i++ {
-		upper := h.BucketLo(i) + (hi-lo)/float64(n)
-		out[i] = time.Duration(upper * float64(time.Second))
-	}
-	return out
-}
-
-// Hist is a fixed-bucket duration histogram with atomic bucket counters:
-// the concurrent, preallocated sibling of metrics.Histogram, sharing its
-// under/over bucket accounting (the final implicit bucket is +Inf, so
-// "over" samples land there). Observe is allocation-free.
+// Hist is a fixed-bucket duration histogram with atomic bucket counters. A
+// sample lands in the first bucket whose upper bound it does not exceed; the
+// final implicit bucket is +Inf. Observe is allocation-free.
 type Hist struct {
 	d      Desc
 	bounds []float64      // upper bounds in seconds, ascending

@@ -91,19 +91,6 @@ func TestHistBuckets(t *testing.T) {
 	}
 }
 
-func TestLinearBounds(t *testing.T) {
-	bounds := LinearBounds(0, 10, 5)
-	want := []time.Duration{2 * time.Second, 4 * time.Second, 6 * time.Second, 8 * time.Second, 10 * time.Second}
-	if len(bounds) != len(want) {
-		t.Fatalf("got %v", bounds)
-	}
-	for i := range want {
-		if d := bounds[i] - want[i]; d > time.Microsecond || d < -time.Microsecond {
-			t.Errorf("bound %d = %v, want %v", i, bounds[i], want[i])
-		}
-	}
-}
-
 func TestNilRegistryAndDetachedInstruments(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("jets_detached_total", "works unregistered")

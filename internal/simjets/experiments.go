@@ -7,6 +7,7 @@ import (
 	"jets/internal/event"
 	"jets/internal/metrics"
 	"jets/internal/namd"
+	"jets/internal/obs"
 	"jets/internal/rem"
 )
 
@@ -193,12 +194,24 @@ func Fig10Faulty(workers int, interval, taskDur time.Duration, seed int64) Fault
 // ---------------------------------------------------------------------------
 // Fig. 11 — NAMD wall-time distribution (sampled, no cluster model needed).
 
+// Fig11Bounds are the upper edges of Fig. 11's buckets, 5 s wide from 100 s
+// to 170 s: bucket 0 holds what took at most 100 s, bucket i the samples in
+// (Fig11Bounds()[i-1], Fig11Bounds()[i]], and the last one what took longer
+// than 170 s.
+func Fig11Bounds() []time.Duration {
+	var bounds []time.Duration
+	for b := 100 * time.Second; b <= 170*time.Second; b += 5 * time.Second {
+		bounds = append(bounds, b)
+	}
+	return bounds
+}
+
 // Fig11Histogram draws n NAMD segment wall times and bins them as Fig. 11.
-func Fig11Histogram(n int, seed int64) *metrics.Histogram {
+func Fig11Histogram(n int, seed int64) *obs.Hist {
 	sim := event.New(seed)
-	h := metrics.NewHistogram(100, 170, 14)
+	h := obs.NewHist("namd_segment_wall_seconds", "NAMD segment wall time (Fig. 11)", Fig11Bounds())
 	for i := 0; i < n; i++ {
-		h.Add(namd.SampleWallTime(sim.Rand()).Seconds())
+		h.Observe(namd.SampleWallTime(sim.Rand()))
 	}
 	return h
 }

@@ -1,21 +1,19 @@
 // Package workload generates the benchmark task batches of the paper's
-// evaluation: no-op sequential tasks (Fig. 6), the barrier-sleep-barrier MPI
-// app (Figs. 7, 9, 15), and NAMD-like batches (Figs. 11-13). It also
-// registers the corresponding in-process applications with a FuncRunner.
+// evaluation: no-op sequential tasks (Fig. 6) and the barrier-sleep-barrier
+// MPI app (Figs. 7, 9, 15). It also registers the corresponding in-process
+// applications with a FuncRunner.
 package workload
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 	"time"
 
 	"jets/internal/dispatch"
 	"jets/internal/hydra"
 	"jets/internal/mpi"
-	"jets/internal/namd"
 )
 
 // App names registered by RegisterApps.
@@ -128,39 +126,4 @@ func MPIBatch(count, nprocs int, wait time.Duration) []dispatch.Job {
 		}
 	}
 	return jobs
-}
-
-// NAMDBatch builds the §6.1.6 workload: a round-robin batch of NAMD segment
-// jobs "that would require jobsPerNode executions per node on average" for
-// the given allocation, each on procs nodes.
-func NAMDBatch(allocation, jobsPerNode, procs, atoms, steps int, scale float64, seed int64) []dispatch.Job {
-	count := allocation * jobsPerNode / procs
-	jobs := make([]dispatch.Job, count)
-	for i := range jobs {
-		jobs[i] = dispatch.Job{
-			Spec: hydra.JobSpec{
-				JobID:  fmt.Sprintf("namd-%d", i),
-				NProcs: procs,
-				Cmd:    namd.AppName,
-				Args: []string{
-					"-atoms", fmt.Sprint(atoms),
-					"-steps", fmt.Sprint(steps),
-					"-seed", fmt.Sprint(seed + int64(i)),
-					"-scale", fmt.Sprintf("%.6f", scale),
-				},
-			},
-			Type: dispatch.MPI,
-		}
-	}
-	return jobs
-}
-
-// Durations draws n wall times from the Fig. 11 NAMD distribution.
-func Durations(n int, seed int64) []time.Duration {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = namd.SampleWallTime(rng)
-	}
-	return out
 }

@@ -46,32 +46,6 @@ func TestMPIBatchShape(t *testing.T) {
 	}
 }
 
-func TestNAMDBatchSizing(t *testing.T) {
-	// 256 nodes, 6 jobs/node, 4-proc jobs => 384 jobs (the paper's batch
-	// construction for Fig. 12).
-	jobs := NAMDBatch(256, 6, 4, 1000, 10, 0.01, 1)
-	if len(jobs) != 384 {
-		t.Fatalf("len=%d want 384", len(jobs))
-	}
-}
-
-func TestDurationsDeterministic(t *testing.T) {
-	a := Durations(50, 9)
-	b := Durations(50, 9)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("not deterministic")
-		}
-	}
-	for _, d := range a {
-		if d < 100*time.Second || d > 166*time.Second {
-			t.Fatalf("duration %v outside Fig 11 range", d)
-		}
-	}
-}
-
-// TestWorkloadAppsEndToEnd drives all three synthetic apps through a real
-// engine.
 func TestWorkloadAppsEndToEnd(t *testing.T) {
 	runner := hydra.NewFuncRunner()
 	RegisterApps(runner)
