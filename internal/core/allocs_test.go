@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"jets/internal/dispatch"
@@ -19,6 +22,14 @@ import (
 const (
 	seqJobAllocBudget     = 9  // hot path: 8 measured
 	spilledJobAllocBudget = 12 // plus journal and spill round trip: 11 measured
+	// spilledJobReadBudget is the read syscalls per spilled job: a refill
+	// batch of 1,024 is one read per segment it touches (0.001 measured;
+	// 0.44-0.62 when the reads stopped at each other shard's records).
+	spilledJobReadBudget = 0.01
+	// coldJobHeapBudget is the heap bytes one queued-cold job holds: its
+	// table entry, its ID and its place in a cold tail (288 measured; 332
+	// with the spill store's own by-ID index beside the table).
+	coldJobHeapBudget = 300
 )
 
 // TestSequentialJobAllocs pins the per-job allocation count of the
@@ -56,7 +67,7 @@ func TestSequentialJobAllocs(t *testing.T) {
 			checkDone(t, <-done)
 		}
 	}
-	perJob := jobAllocs(t, eng, 20000, closedLoop)
+	perJob, _ := jobAllocs(t, eng, 20000, closedLoop)
 	t.Logf("%.2f allocations per job (budget %d)", perJob, seqJobAllocBudget)
 	if perJob > seqJobAllocBudget {
 		t.Errorf("%.2f allocations per job, budget %d", perJob, seqJobAllocBudget)
@@ -65,7 +76,9 @@ func TestSequentialJobAllocs(t *testing.T) {
 
 // TestSpilledJobAllocs is the durable path's count: a burst submitted in
 // batches of 256 to an engine that journals every transition and keeps 64
-// jobs hot per shard, so nearly every job is spilled and read back.
+// jobs hot per shard, so nearly every job is spilled and read back. It also
+// counts the read syscalls the refills make; two shards interleave their
+// cold records in one spill segment.
 func TestSpilledJobAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own behalf")
@@ -75,7 +88,7 @@ func TestSpilledJobAllocs(t *testing.T) {
 	}
 	runner := hydra.NewFuncRunner()
 	runner.Register("noop", func(context.Context, []string, map[string]string, io.Writer) int { return 0 })
-	eng, err := NewEngine(Options{LocalWorkers: 8, Runner: runner, DataDir: t.TempDir(), HotQueueJobs: 64})
+	eng, err := NewEngine(Options{LocalWorkers: 8, Runner: runner, DataDir: t.TempDir(), HotQueueJobs: 64, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,21 +108,77 @@ func TestSpilledJobAllocs(t *testing.T) {
 		}
 	}
 	spilled0 := eng.Dispatcher().Stats().JobsSpilled
-	perJob := jobAllocs(t, eng, 20480, burst)
-	if spilled := eng.Dispatcher().Stats().JobsSpilled - spilled0; spilled < 20000 {
+	perJob, reads := jobAllocs(t, eng, 20480, burst)
+	spilled := eng.Dispatcher().Stats().JobsSpilled - spilled0
+	if spilled < 20000 {
 		t.Fatalf("%d of 20,480 jobs spilled: the test no longer exercises the spill path", spilled)
 	}
 	t.Logf("%.2f allocations per job (budget %d)", perJob, spilledJobAllocBudget)
 	if perJob > spilledJobAllocBudget {
 		t.Errorf("%.2f allocations per job, budget %d", perJob, spilledJobAllocBudget)
 	}
+	if reads < 0 {
+		t.Skip("no /proc/self/io: read syscalls not counted")
+	}
+	perSpilled := float64(reads) / float64(spilled)
+	t.Logf("%.4f read syscalls per spilled job (budget %g)", perSpilled, spilledJobReadBudget)
+	if perSpilled > spilledJobReadBudget {
+		t.Errorf("%.4f read syscalls per spilled job, budget %g", perSpilled, spilledJobReadBudget)
+	}
+}
+
+// TestColdJobHeapBytes pins what the dispatcher holds in memory for a
+// queued-cold job: 200,000 jobs queued behind a hot window of 64 with no
+// worker to run them, so all but a few hundred wait in the cold tails with
+// their specs on disk. The job IDs are the caller's and are made before the
+// count starts.
+func TestColdJobHeapBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("queues 200,000 jobs")
+	}
+	eng, err := NewEngine(Options{DataDir: t.TempDir(), HotQueueJobs: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const n, batch = 200000, 256
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("job%d", i)
+	}
+	jobs := make([]dispatch.Job, batch)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for lo := 0; lo < n; lo += batch {
+		part := jobs[:min(batch, n-lo)]
+		for i := range part {
+			part[i] = dispatch.Job{Spec: hydra.JobSpec{JobID: ids[lo+i], NProcs: 1, Cmd: "noop"}}
+		}
+		if _, err := eng.SubmitBatch(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clear(jobs)
+	if cold := eng.Dispatcher().SpilledJobs(); cold < n-1000 {
+		t.Fatalf("%d of %d jobs cold: the test no longer measures the cold tail", cold, n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ids)
+	perJob := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("%.0f heap bytes per cold job (budget %d)", perJob, coldJobHeapBudget)
+	if perJob > coldJobHeapBudget {
+		t.Errorf("%.0f heap bytes per cold job, budget %d", perJob, coldJobHeapBudget)
+	}
 }
 
 // jobAllocs warms eng up with 2,048 noop jobs, then runs n more through run
-// and returns the process's mallocs per job over the second run. The jobs
+// and returns the process's mallocs per job over the second run, and its
+// read syscalls over that run (-1 where /proc/self/io is absent). The jobs
 // and the completion callback are made before the count starts, so what is
 // counted is the engine's work alone.
-func jobAllocs(t *testing.T, eng *Engine, n int, run func(*Engine, []dispatch.Job, chan bool, func(dispatch.JobResult))) float64 {
+func jobAllocs(t *testing.T, eng *Engine, n int, run func(*Engine, []dispatch.Job, chan bool, func(dispatch.JobResult))) (float64, int64) {
 	t.Helper()
 	done := make(chan bool, n)
 	onDone := func(r dispatch.JobResult) { done <- r.Failed }
@@ -124,10 +193,40 @@ func jobAllocs(t *testing.T, eng *Engine, n int, run func(*Engine, []dispatch.Jo
 	measured := jobs("job", n)
 	runtime.GC()
 	var before, after runtime.MemStats
+	r0, _, ok := procIO()
 	runtime.ReadMemStats(&before)
 	run(eng, measured, done, onDone)
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(n)
+	r1, _, _ := procIO()
+	reads := r1 - r0
+	if !ok {
+		reads = -1
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(n), reads
+}
+
+// procIO reads the process's read and write syscall counts (syscr and syscw
+// in /proc/self/io); ok is false where the file is absent.
+func procIO() (reads, writes int64, ok bool) {
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, 0, false
+	}
+	seen := 0
+	for _, line := range strings.Split(string(b), "\n") {
+		name, val, found := strings.Cut(line, ": ")
+		v, err := strconv.ParseInt(val, 10, 64)
+		if !found || err != nil {
+			continue
+		}
+		switch name {
+		case "syscr":
+			reads, seen = v, seen+1
+		case "syscw":
+			writes, seen = v, seen+1
+		}
+	}
+	return reads, writes, seen == 2
 }
 
 func checkDone(t *testing.T, failed bool) {

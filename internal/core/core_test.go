@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,6 +101,80 @@ func openSockets(t *testing.T) int {
 		}
 	}
 	return n
+}
+
+// TestTCPSyscallsPerJob counts the paper's wire: 8 external workers on
+// loopback TCP run noop jobs through a closed window of 64, and each job may
+// cost at most 2 write syscalls (the task frame, the result frame) and 4 read
+// syscalls in the whole process (each side's read of its frame, and the read
+// that finds the socket drained before the reader parks). Heartbeats are
+// pushed past the run so they do not count. It skips where /proc/self/io
+// does not exist.
+func TestTCPSyscallsPerJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 22,048 jobs over TCP")
+	}
+	if _, _, ok := procIO(); !ok {
+		t.Skip("no /proc/self/io")
+	}
+	runner := hydra.NewFuncRunner()
+	runner.Register("noop", func(context.Context, []string, map[string]string, io.Writer) int { return 0 })
+	eng, err := NewEngine(Options{Runner: runner, Shards: 1, HeartbeatTimeout: 10 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() {
+		eng.Close()
+		cancel()
+		wg.Wait()
+	}()
+	const workers = 8
+	for i := 0; i < workers; i++ {
+		w, err := worker.New(worker.Config{ID: fmt.Sprintf("tcp-%d", i), DispatcherAddr: eng.Addr(), Runner: runner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(ctx)
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); eng.WorkerTotal() < workers; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d workers joined", eng.WorkerTotal(), workers)
+		}
+	}
+	done := make(chan bool, 64)
+	onDone := func(r dispatch.JobResult) { done <- r.Failed }
+	closedLoop := func(prefix string, n int) {
+		const window = 64
+		for i := 0; i < n; i++ {
+			if i >= window {
+				checkDone(t, <-done)
+			}
+			h, err := eng.Submit(dispatch.Job{Spec: hydra.JobSpec{JobID: fmt.Sprintf("%s%d", prefix, i), NProcs: 1, Cmd: "noop"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.OnDone(onDone)
+		}
+		for i := 0; i < min(n, window); i++ {
+			checkDone(t, <-done)
+		}
+	}
+	closedLoop("warm", 2048)
+	const n = 20000
+	r0, w0, _ := procIO()
+	closedLoop("job", n)
+	r1, w1, _ := procIO()
+	reads, writes := float64(r1-r0)/n, float64(w1-w0)/n
+	t.Logf("%.4f write and %.4f read syscalls per job", writes, reads)
+	if writes > 2 || reads > 4 {
+		t.Errorf("%.2f write and %.2f read syscalls per job, want at most 2 and 4", writes, reads)
+	}
 }
 
 func newTestEngine(t *testing.T, workers int) (*Engine, *hydra.FuncRunner) {

@@ -328,6 +328,10 @@ type Dispatcher struct {
 	spillErrOnce      sync.Once
 	checkpointMu      sync.Mutex // serializes CompactJournal runs
 	checkpointLogOnce sync.Once
+	// reclaim is the reopened spill store's by-ID view while recovery runs
+	// in New: admit hands each recovered job its record, and what is left
+	// belongs to terminal jobs and is released. nil afterwards.
+	reclaim map[string]journal.Loc
 
 	stats statsCounters
 	ins   *instruments
@@ -405,6 +409,7 @@ func New(cfg Config) *Dispatcher {
 		} else {
 			d.spill.Store(sp)
 			d.spillDurable = true
+			d.reclaim = sp.Claim()
 		}
 	}
 	if cfg.Obs != nil {
@@ -412,10 +417,15 @@ func New(cfg Config) *Dispatcher {
 	}
 	if d.jnl != nil {
 		d.recoverJournal()
-	} else if sp := d.spill.Load(); sp != nil {
-		// No journal: nothing on disk is live. Drop leftovers from a
-		// previous run so stale specs cannot accumulate.
-		sp.RetainOnly(nil)
+	}
+	if sp := d.spill.Load(); sp != nil {
+		// Records no recovered job took over belong to jobs the journal
+		// shows terminal — or, with no journal, to nothing live. Without
+		// this sweep, completed-then-compacted history leaks specs forever.
+		for _, loc := range d.reclaim {
+			sp.Release(loc)
+		}
+		d.reclaim = nil
 	}
 	return d
 }

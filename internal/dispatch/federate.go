@@ -69,7 +69,8 @@ func (d *Dispatcher) StealQueued(max int, dest string) []StolenJob {
 	// spill read after the locks drop. Entries a refill pass has already
 	// claimed (s.refill) stay put.
 	var entries []*liveJob
-	var coldIDs []string
+	var coldLocs []journal.Loc
+	var coldAt []int // coldLocs[k] is the record of entries[coldAt[k]]
 	d.lockAll()
 	for len(entries) < max {
 		// Exact global minimum under the full multi-lock, mirroring
@@ -89,8 +90,9 @@ func (d *Dispatcher) StealQueued(max int, dest string) []StolenJob {
 		}
 		s := d.shards[best]
 		if bestCold {
+			coldLocs = append(coldLocs, s.cold[0].loc)
+			coldAt = append(coldAt, len(entries))
 			entries = append(entries, s.cold[0])
-			coldIDs = append(coldIDs, s.cold[0].jobID)
 			s.cold = s.cold[:copy(s.cold, s.cold[1:])]
 			s.refreshHead()
 			continue
@@ -112,10 +114,10 @@ func (d *Dispatcher) StealQueued(max int, dest string) []StolenJob {
 	if len(entries) == 0 {
 		return nil
 	}
-	var recs map[string]journal.Record
-	if sp := d.spillLoaded(); len(coldIDs) > 0 && sp != nil {
-		var err error
-		recs, err = sp.GetBatch(coldIDs)
+	// read[i] is entries[i]'s cold job rebuilt from its record.
+	read := make([]*Job, len(entries))
+	if sp := d.spillLoaded(); len(coldLocs) > 0 && sp != nil {
+		err := sp.ReadBatch(coldLocs, func(k int, r journal.Record) { read[coldAt[k]] = jobFromRecord(r) })
 		d.stats.spillReads.Add(1)
 		if err != nil {
 			d.spillFailure(err)
@@ -123,17 +125,15 @@ func (d *Dispatcher) StealQueued(max int, dest string) []StolenJob {
 	}
 	out := make([]StolenJob, 0, len(entries))
 	d.mu.Lock()
-	for _, lj := range entries {
+	for i, lj := range entries {
 		j := lj.job
 		if j == nil {
-			rec, ok := recs[lj.jobID]
-			if !ok {
+			if j = read[i]; j == nil {
 				// Spec unreadable: fail it here so neither instance
 				// resurrects a job nobody can reconstruct.
 				d.specLostLocked(lj)
 				continue
 			}
-			j = jobFromRecord(rec)
 			j.retries = int(lj.retries)
 		}
 		d.resolveLocked(lj, exit{migrated: dest})

@@ -48,6 +48,11 @@ type liveJob struct {
 	submitted int64
 	job       *Job        // nil while queuedCold
 	run       *runningJob // set only while running
+	// loc is the job's record in the spill store, from its spill (or, after
+	// recovery, its record there) until resolveLocked releases it; zero for
+	// a job that never spilled. Written under d.mu and, by coolLocked, the
+	// shard lock too.
+	loc journal.Loc
 }
 
 // attempts is the retry budget the job has consumed.
@@ -125,6 +130,15 @@ func (d *Dispatcher) admit(jobs []*Job, where placement) error {
 		d.jobs[id] = j.live
 	}
 	d.byState[st] += len(jobs)
+	if d.reclaim != nil {
+		// Recovery: a job takes over its record in the reopened spill store.
+		for _, j := range jobs {
+			if loc, ok := d.reclaim[j.Spec.JobID]; ok {
+				j.live.loc = loc
+				delete(d.reclaim, j.Spec.JobID)
+			}
+		}
+	}
 	d.mu.Unlock()
 
 	for _, j := range jobs {
@@ -209,10 +223,11 @@ func (d *Dispatcher) resolveLocked(lj *liveJob, x exit) {
 		// The Completed record dedupes the job at recovery.
 		d.journal(journal.Record{Kind: journal.Completed, JobID: id, Failed: res.Failed})
 	}
-	if sp := d.spillLoaded(); sp != nil && !x.stranded {
+	if sp := d.spillLoaded(); sp != nil && !x.stranded && lj.loc != (journal.Loc{}) {
 		// Terminal here either way: a once-spilled job's spec leaves the
-		// spill store's custody (a no-op for a job that never spilled).
-		sp.Remove(id)
+		// spill store's custody.
+		sp.Release(lj.loc)
+		lj.loc = journal.Loc{}
 	}
 	if x.migrated == "" {
 		lj.complete(res)

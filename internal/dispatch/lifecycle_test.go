@@ -37,6 +37,11 @@ func TestStealQueuedUnreadableSpecFailsHandle(t *testing.T) {
 	if got := d.SpilledJobs(); got != 5 {
 		t.Fatalf("SpilledJobs = %d, want 5 behind a hot window of 1", got)
 	}
+	// Records not yet written are read from the store's buffer; put them on
+	// disk so that removing the segments loses them.
+	if err := d.spillLoaded().Sync(); err != nil {
+		t.Fatal(err)
+	}
 	segs, err := filepath.Glob(filepath.Join(dir, "spill-*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no spill segments to remove (err=%v)", err)

@@ -154,9 +154,12 @@ func (d *Dispatcher) recoverJournal() {
 				j, where = &Job{Spec: hydra.JobSpec{JobID: id}}, placeColdRef
 			default:
 				// The old process had rehydrated and dispatched it, so the
-				// requeue needs its spec now. The spill entry stays until a
-				// terminal record exists, like any rehydration.
-				rec, found, err := sp.Get(id)
+				// requeue needs its spec now. The spill record stays (admit
+				// hands it to the job) until a terminal record exists, like
+				// any rehydration.
+				var rec journal.Record
+				found := false
+				err := sp.ReadBatch([]journal.Loc{d.reclaim[id]}, func(_ int, r journal.Record) { rec, found = r, true })
 				if err != nil || !found {
 					d.recoveryErr = errors.Join(d.recoveryErr,
 						fmt.Errorf("dispatch: spilled spec for recovered job %q unreadable (err=%v)", id, err))
@@ -178,16 +181,10 @@ func (d *Dispatcher) recoverJournal() {
 		d.stats.jobsReplayed.Add(1)
 		d.recovered = append(d.recovered, &j.live.Handle)
 	}
-	if sp := d.spillLoaded(); sp != nil {
-		// Sweep spill entries whose jobs the journal shows terminal — without
-		// this, completed-then-compacted history leaks specs forever.
-		keep := make(map[string]struct{}, len(d.jobs))
-		for id := range d.jobs {
-			keep[id] = struct{}{}
-		}
-		sp.RetainOnly(keep)
+	if d.spillLoaded() != nil {
 		// Cold tails placed above refill lazily; kick the first pass so a
-		// worker arriving before any pop still finds hot work.
+		// worker arriving before any pop still finds hot work. (New releases
+		// the spill records no recovered job took over.)
 		for _, s := range d.shards {
 			s.mu.Lock()
 			d.maybeRefillLocked(s)

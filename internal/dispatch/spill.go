@@ -23,10 +23,12 @@ package dispatch
 // checkpoints reference spilled jobs with tiny SpillRef records instead of
 // re-copying a million specs into the WAL; with an ephemeral (temp-dir)
 // store, checkpoints read the cold specs back and re-journal them in full.
-// A spill entry is removed only when the job leaves the spill's custody for
-// good — terminal state, migration to a peer, or recovery re-placement —
-// never on rehydration, because after a checkpoint the spill entry is the
-// only durable copy of a once-spilled job's spec.
+// Each spilled job's table entry (liveJob.loc) holds the location of its
+// record, so every read and release goes by location and the store keeps no
+// index of its own. The record is released only when the job leaves the
+// spill's custody for good — terminal state, migration to a peer, or a newer
+// record after a retry — never on rehydration, because after a checkpoint
+// the record is the only durable copy of a once-spilled job's spec.
 //
 // This file also owns the online WAL checkpoint (CompactJournal /
 // maybeCheckpoint): re-journal the live state into a fresh segment and drop
@@ -44,7 +46,7 @@ import (
 )
 
 // refillBatch bounds how many cold jobs one rehydration pass claims — and
-// therefore the largest GetBatch read and the burst of hot pushes taken under
+// therefore the largest ReadBatch and the burst of hot pushes taken under
 // one shard-lock acquisition.
 const refillBatch = 1024
 
@@ -65,11 +67,11 @@ func (d *Dispatcher) refillLow() int {
 func (d *Dispatcher) pushJob(s *shard, j *Job) bool {
 	if d.hotMax > 0 && (len(s.cold) > 0 || len(s.refill) > 0 || s.queue.Len() >= d.hotMax) {
 		if sp := d.spillStore(); sp != nil {
-			n, err := sp.Put(submittedRecord(j))
+			loc, err := sp.Put(submittedRecord(j))
 			if err == nil {
 				d.stats.jobsSpilled.Add(1)
-				d.stats.spillBytes.Add(int64(n))
-				d.coolLocked(s, j)
+				d.stats.spillBytes.Add(int64(loc.Len()))
+				d.coolLocked(s, j, loc)
 				return true
 			}
 			d.spillFailure(err)
@@ -79,12 +81,17 @@ func (d *Dispatcher) pushJob(s *shard, j *Job) bool {
 	return false
 }
 
-// coolLocked moves a job whose spec the spill store holds to the queued-cold
-// state: the table entry drops the *Job and joins the shard's cold tail.
-// Caller holds s.mu.
-func (d *Dispatcher) coolLocked(s *shard, j *Job) {
+// coolLocked moves a job whose spec the spill store holds at loc to the
+// queued-cold state: the table entry keeps loc, drops the *Job and joins the
+// shard's cold tail. Caller holds s.mu.
+func (d *Dispatcher) coolLocked(s *shard, j *Job, loc journal.Loc) {
 	lj := j.live
 	d.mu.Lock()
+	if lj.loc != loc && lj.loc != (journal.Loc{}) {
+		// Spilled again on a retry: the new record supersedes the old one.
+		d.spillLoaded().Release(lj.loc)
+	}
+	lj.loc = loc
 	d.setStateLocked(lj, queuedCold)
 	lj.retries, lj.seq, lj.submitted, lj.job = int32(j.retries), j.seq, j.submitted.UnixNano(), nil
 	d.mu.Unlock()
@@ -93,12 +100,13 @@ func (d *Dispatcher) coolLocked(s *shard, j *Job) {
 }
 
 // placeCold queues a recovered SpillRef without touching the spill store: the
-// entry written by the previous process is still the spec's durable home, so
-// j carries only the ID and the retry budget.
+// record written by the previous process is still the spec's durable home
+// (admit gave the job its Loc), so j carries only the ID and the retry
+// budget.
 func (d *Dispatcher) placeCold(j *Job) {
 	s := d.shards[int(d.subRR.Add(1)-1)%len(d.shards)]
 	s.mu.Lock()
-	d.coolLocked(s, j)
+	d.coolLocked(s, j, j.live.loc)
 	s.mu.Unlock()
 	d.emit(Event{Kind: EvJobQueued, JobID: j.Spec.JobID, Detail: "spilled"})
 }
@@ -134,6 +142,7 @@ func (d *Dispatcher) spillStore() *journal.SpillStore {
 		d.spillFailure(err)
 		return nil
 	}
+	sp.Claim() // a fresh directory: nothing to take over, and no by-ID view
 	d.spillTmpDir = dir
 	d.spill.Store(sp)
 	return sp
@@ -203,22 +212,22 @@ func (d *Dispatcher) refillLoop(s *shard) {
 	}
 }
 
-// hydrateBatch reads a claimed cold batch's specs back, rebuilds the jobs and
-// moves them to the queued-hot state. The spill entries are deliberately left
-// in place (see the package comment: after a checkpoint they are the specs'
-// only durable copy). An entry whose spec cannot be read fails terminally —
-// unless the dispatcher is closing, in which case it is stranded like any
-// other queued work and recovers on the next start.
+// hydrateBatch reads a claimed cold batch's specs back by their Locs,
+// rebuilds the jobs and moves them to the queued-hot state. The spill
+// records are deliberately kept (see the package comment: after a checkpoint
+// they are the specs' only durable copy). A job whose spec cannot be read
+// fails terminally — unless the dispatcher is closing, in which case it is
+// stranded like any other queued work and recovers on the next start.
 func (d *Dispatcher) hydrateBatch(batch []*liveJob) []*Job {
-	ids := make([]string, len(batch))
+	locs := make([]journal.Loc, len(batch))
 	for i, lj := range batch {
-		ids[i] = lj.jobID
+		locs[i] = lj.loc
 	}
 	// read[i] is batch[i]'s job rebuilt from its record; nil if unread.
 	read := make([]*Job, len(batch))
 	var err error
 	if sp := d.spillLoaded(); sp != nil {
-		err = sp.ReadBatch(ids, func(i int, r journal.Record) { read[i] = jobFromRecord(r) })
+		err = sp.ReadBatch(locs, func(i int, r journal.Record) { read[i] = jobFromRecord(r) })
 		d.stats.spillReads.Add(1)
 	} else {
 		err = errors.New("dispatch: spill store unavailable")
@@ -302,12 +311,14 @@ func (d *Dispatcher) snapshotLive(emit func(journal.Record) error) error {
 		retries    int
 		job        *Job // nil for a cold job; its Spec is immutable
 		dispatched bool
+		lj         *liveJob    // a cold job's entry
+		loc        journal.Loc // and its spill record at the gather
 	}
 	var hot, cold []snap
 	d.mu.Lock()
 	for id, lj := range d.jobs {
 		if lj.state == queuedCold {
-			cold = append(cold, snap{seq: lj.seq, id: id, retries: int(lj.retries)})
+			cold = append(cold, snap{seq: lj.seq, id: id, retries: int(lj.retries), lj: lj, loc: lj.loc})
 		} else {
 			hot = append(hot, snap{seq: lj.job.seq, id: id, retries: lj.job.retries, job: lj.job, dispatched: lj.state == running})
 		}
@@ -362,23 +373,30 @@ func (d *Dispatcher) snapshotLive(emit func(journal.Record) error) error {
 	}
 	// Ephemeral spill: the temp directory dies with the process, so cold
 	// specs must be re-journaled in full for the snapshot to stand alone.
+	locs := make([]journal.Loc, refillBatch)
+	got := make([]*journal.Record, refillBatch)
 	for len(cold) > 0 {
 		chunk := cold[:min(len(cold), refillBatch)]
 		cold = cold[len(chunk):]
-		ids := make([]string, len(chunk))
+		clear(got)
 		for i, sn := range chunk {
-			ids[i] = sn.id
+			locs[i] = sn.loc
 		}
-		got, err := sp.GetBatch(ids)
-		if err != nil {
-			return fmt.Errorf("dispatch: reading spilled specs for checkpoint: %w", err)
-		}
-		for _, sn := range chunk {
-			r, ok := got[sn.id]
-			if !ok {
-				continue // left the spill's custody since the gather (stolen/terminal)
+		rerr := sp.ReadBatch(locs[:len(chunk)], func(i int, r journal.Record) { got[i] = &r })
+		for i, sn := range chunk {
+			r := got[i]
+			if r == nil && rerr != nil {
+				// The record went with its job since the gather: emit the job
+				// as it is now, if it is still live.
+				var err error
+				if r, err = d.recheckCold(sp, sn.lj, sn.loc); err != nil {
+					return fmt.Errorf("dispatch: reading spilled specs for checkpoint: %w", errors.Join(rerr, err))
+				}
 			}
-			if err := emit(r); err != nil {
+			if r == nil {
+				continue // left the job table since the gather (stolen/terminal)
+			}
+			if err := emit(*r); err != nil {
 				return err
 			}
 			if err := retried(sn); err != nil {
@@ -387,6 +405,36 @@ func (d *Dispatcher) snapshotLive(emit func(journal.Record) error) error {
 		}
 	}
 	return nil
+}
+
+// recheckCold is the checkpoint's second look at a cold job whose record it
+// could not read at the Loc it gathered: the job may since have completed
+// (nil), been rehydrated (its spec is in memory), or spilled again on a retry
+// (read the new record).
+func (d *Dispatcher) recheckCold(sp *journal.SpillStore, lj *liveJob, was journal.Loc) (*journal.Record, error) {
+	d.mu.Lock()
+	live := d.jobs[lj.jobID] == lj
+	var j *Job
+	loc := lj.loc
+	if live {
+		j = lj.job
+	}
+	d.mu.Unlock()
+	switch {
+	case !live:
+		return nil, nil
+	case j != nil:
+		r := submittedRecord(j)
+		return &r, nil
+	case loc == was:
+		return nil, errors.New("dispatch: a live cold job's spec is unreadable")
+	}
+	var r *journal.Record
+	err := sp.ReadBatch([]journal.Loc{loc}, func(_ int, rec journal.Record) { r = &rec })
+	if r == nil && err == nil {
+		err = errors.New("dispatch: a live cold job's spec is unreadable")
+	}
+	return r, err
 }
 
 // ---------------------------------------------------------------------------

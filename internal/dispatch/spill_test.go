@@ -331,7 +331,7 @@ func TestSpillRecoveryBySpillRef(t *testing.T) {
 		t.Fatalf("recovered %d jobs after completion, want 0", len(got))
 	}
 	if sp := d3.spillLoaded(); sp != nil && sp.Len() != 0 {
-		t.Fatalf("spill store holds %d entries after all jobs completed, want 0 (RetainOnly sweep)", sp.Len())
+		t.Fatalf("spill store holds %d entries after all jobs completed, want 0 (the recovery sweep)", sp.Len())
 	}
 }
 
@@ -490,4 +490,66 @@ func readRSSBytes(t *testing.T) int64 {
 	}
 	t.Fatal("no VmRSS line in /proc/self/status")
 	return 0
+}
+
+// TestCheckpointRejournalsEphemeralSpill: with no spill directory the spill
+// store dies with the process, so an online checkpoint reads every cold job's
+// record back by its Loc and re-journals the spec in full; a journal-only
+// restart then recovers every job with its spec. A record the checkpoint
+// cannot read at the Loc it gathered is looked up again as the job is now.
+func TestCheckpointRejournalsEphemeralSpill(t *testing.T) {
+	walDir := t.TempDir()
+	open := func() journal.Journal {
+		w, err := journal.OpenWAL(journal.Options{Dir: walDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	d1 := New(Config{Journal: open(), HotQueueJobs: 2, Shards: 1})
+	const jobs = 40
+	for i := 0; i < jobs; i++ {
+		id := fmt.Sprintf("eph-%02d", i)
+		if _, err := d1.Submit(Job{Spec: hydra.JobSpec{JobID: id, NProcs: 1, Cmd: "noop", Args: []string{id}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d1.SpilledJobs() != jobs-2 {
+		t.Fatalf("SpilledJobs = %d, want %d", d1.SpilledJobs(), jobs-2)
+	}
+
+	sp := d1.spillLoaded()
+	d1.mu.Lock()
+	cold := d1.jobs["eph-30"]
+	d1.mu.Unlock()
+	if r, err := d1.recheckCold(sp, cold, journal.Loc{}); err != nil || r == nil || r.Args[0] != "eph-30" {
+		t.Fatalf("recheckCold after a new record = %+v, %v; want eph-30's record", r, err)
+	}
+	if _, err := d1.recheckCold(sp, cold, cold.loc); err == nil {
+		t.Fatal("recheckCold of a live job's unreadable record reported no error")
+	}
+	if r, err := d1.recheckCold(sp, &liveJob{Handle: Handle{jobID: "gone"}}, journal.Loc{}); r != nil || err != nil {
+		t.Fatalf("recheckCold of a job no longer live = %+v, %v; want nothing", r, err)
+	}
+
+	if err := d1.CompactJournal(); err != nil {
+		t.Fatal(err)
+	}
+	d1.Close() // strands every job, and removes the ephemeral spill directory
+
+	d2 := New(Config{Journal: open(), Shards: 1})
+	defer d2.Close()
+	if err := d2.RecoveryError(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(d2.RecoveredJobs()); got != jobs {
+		t.Fatalf("recovered %d jobs, want %d", got, jobs)
+	}
+	d2.mu.Lock()
+	defer d2.mu.Unlock()
+	for id, lj := range d2.jobs {
+		if lj.job == nil || len(lj.job.Spec.Args) != 1 || lj.job.Spec.Args[0] != id {
+			t.Fatalf("job %s recovered without its spec: %+v", id, lj.job)
+		}
+	}
 }

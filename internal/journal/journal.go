@@ -63,8 +63,8 @@ const (
 	// online checkpoints write it: re-journaling a million-job cold backlog
 	// as full Submitted records would copy the entire spill store into the
 	// WAL, so a checkpoint emits one small SpillRef per spilled job instead.
-	// Attempt carries the retry budget; recovery resolves the spec through
-	// SpillStore.Get.
+	// Attempt carries the retry budget; recovery finds the spec's record in
+	// the reopened store's by-ID view (SpillStore.Claim).
 	SpillRef Kind = 6
 )
 

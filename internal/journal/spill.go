@@ -1,9 +1,9 @@
 package journal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,58 +12,76 @@ import (
 )
 
 // SpillStore holds the full specifications of cold-queued jobs on disk so
-// the in-memory queue tail can shrink to bare job IDs (the dispatcher's
-// hot-window spill, see internal/dispatch). It is an indexed sibling of the
-// WAL: records use the same frame format (u32 length | u32 CRC | body) and
-// the Submitted record encoding, written append-only into numbered segment
-// files, with an in-memory id → (segment, offset, length) index for random
-// reads. Segments are reference-counted by their live records and deleted as
-// soon as the last one is removed, so the store's footprint tracks the cold
+// the in-memory queue tail can shrink to bare job records (the dispatcher's
+// hot-window spill, see internal/dispatch). It is a sibling of the WAL:
+// records use the same frame format (u32 length | u32 CRC | body) and the
+// Submitted record encoding, written append-only into numbered segment
+// files. Segments are reference-counted by their live records and deleted as
+// soon as the last one is released, so the store's footprint tracks the cold
 // backlog, not everything ever spilled.
 //
-// Writes go through a buffered writer under the store's mutex — a Put is a
-// frame encode plus a memcpy, cheap enough to call under a scheduling shard
-// lock. Reads (GetBatch) snapshot the index under the mutex, then pread the
-// frames outside it, sorted by (segment, offset) so a refill batch costs one
-// sequential sweep per touched segment. Durability is explicit: Sync flushes
-// and fsyncs the active segment (rotation fsyncs a segment before it is
-// retired), which the dispatcher invokes before a journal checkpoint makes
-// SpillRef records — whose only spec copy lives here — durable truth.
+// Records are addressed by location: Put returns the record's Loc, the owner
+// keeps it beside its own job, and ReadBatch and Release take it back. The
+// store keeps a by-ID view only until its owner calls Claim — OpenSpill's
+// rescan of the surviving segments builds it, so recovery can find each
+// spilled job's record, and GetBatch and Remove read it. After Claim the
+// store holds no per-job map at all.
 //
-// Reopening a directory rescans the surviving segments to rebuild the index,
-// so spilled jobs recover across restarts exactly like queued ones.
+// A Put is a frame encode plus a memcpy into the store's pending buffer,
+// cheap enough to call under a scheduling shard lock; the buffer is written
+// to the active segment once it holds 64 KiB, and on Sync, rotation and
+// Close. Reads take the records still pending from that buffer and pread the
+// rest outside the mutex, one read per segment span. A failed write or
+// fsync makes every later Put fail (the owner keeps those jobs in memory)
+// while each record already accepted stays readable from the buffer.
+// Durability is explicit: Sync writes and fsyncs the active segment
+// (rotation fsyncs a segment before it is retired), which the dispatcher
+// invokes before a journal checkpoint makes SpillRef records — whose only
+// spec copy lives here — durable truth.
 type SpillStore struct {
 	dir      string
 	segBytes int64
 
-	mu       sync.Mutex
-	closed   bool
-	seg      int           // active segment number
-	f        *os.File      // active segment, append handle
-	w        *bufio.Writer // buffers Puts; flushed before reads and Sync
-	buffered bool          // w holds unflushed bytes
-	size     int64         // bytes written (incl. buffered) to the active segment
-	enc      []byte        // reusable Put frame-encode scratch
-	idx      map[string]spillRef
-	segRefs  map[int]int // live records per segment
-	bytes    int64       // sum of live frame lengths
+	mu      sync.Mutex
+	closed  bool
+	err     error          // first write or fsync failure; later Puts fail with it
+	seg     int32          // active segment number
+	f       *os.File       // active segment, append handle
+	out     io.Writer      // where pending bytes are written: f, or a failing writer in tests
+	written int64          // bytes of the active segment on disk, its magic included
+	pend    []byte         // frames Put but not yet written: the active segment's bytes from written on
+	enc     []byte         // reusable Put frame-encode scratch
+	segRefs map[int32]int  // live records per segment
+	bytes   int64          // sum of live frame lengths
+	idx     map[string]Loc // by-ID view until Claim; nil after
 
-	liveN atomic.Int64 // len(idx) mirror, for lock-free emptiness checks
+	liveN atomic.Int64 // live records, for lock-free emptiness checks
 }
 
-// spillRef locates one live record.
-type spillRef struct {
-	seg int
+// Loc locates one spilled record: its segment, its offset there and its
+// frame length. The zero Loc names no record (segments count from 1).
+type Loc struct {
+	seg int32
+	n   int32
 	off int64
-	n   int32 // full frame length (header + body)
 }
 
-const spillMagic = "JETSSPL1"
+// Len is the record's frame length in bytes.
+func (l Loc) Len() int { return int(l.n) }
 
-func spillSegmentName(n int) string { return fmt.Sprintf("spill-%08d.seg", n) }
+const (
+	spillMagic = "JETSSPL1"
+	// spillFlushBytes is how much the pending buffer holds before a Put
+	// writes it to the active segment.
+	spillFlushBytes = 64 << 10
+	// maxReadRun bounds one ReadBatch read, and so its buffer.
+	maxReadRun = 1 << 20
+)
 
-// OpenSpill opens (or creates) a spill directory, rebuilding the index from
-// any surviving segments. segBytes rotates the active segment past that
+func spillSegmentName(n int32) string { return fmt.Sprintf("spill-%08d.seg", n) }
+
+// OpenSpill opens (or creates) a spill directory, rebuilding the by-ID view
+// from any surviving segments. segBytes rotates the active segment past that
 // size; <= 0 means 64 MiB.
 func OpenSpill(dir string, segBytes int64) (*SpillStore, error) {
 	if dir == "" {
@@ -82,119 +100,155 @@ func OpenSpill(dir string, segBytes int64) (*SpillStore, error) {
 	s := &SpillStore{
 		dir:      dir,
 		segBytes: segBytes,
-		idx:      make(map[string]spillRef),
-		segRefs:  make(map[int]int),
+		idx:      make(map[string]Loc),
+		segRefs:  make(map[int32]int),
 	}
-	last := 0
+	var last int32
 	for _, n := range nums {
-		// Rebuild the index; a torn tail is the unsynced end of the crash
-		// being recovered from.
-		scanSegment(filepath.Join(dir, spillSegmentName(n)), spillMagic, func(r Record, off int64, frame int) error {
-			s.setRefLocked(r.JobID, spillRef{seg: n, off: off, n: int32(frame)})
+		seg := int32(n)
+		// A torn tail is the unsynced end of the crash being recovered from.
+		scanSegment(filepath.Join(dir, spillSegmentName(seg)), spillMagic, func(r Record, off int64, frame int) error {
+			s.holdLocked(Loc{seg: seg, n: int32(frame), off: off})
+			s.indexLocked(r.JobID, Loc{seg: seg, n: int32(frame), off: off})
 			return nil
 		})
-		last = n
+		last = seg
 	}
 	// Drop segments the scan left empty (every record superseded or torn).
 	for _, n := range nums {
-		if s.segRefs[n] == 0 {
-			delete(s.segRefs, n)
-			os.Remove(filepath.Join(dir, spillSegmentName(n)))
+		if s.segRefs[int32(n)] == 0 {
+			delete(s.segRefs, int32(n))
+			os.Remove(filepath.Join(dir, spillSegmentName(int32(n))))
 		}
 	}
 	s.seg = last + 1
 	if err := s.openSegment(); err != nil {
 		return nil, err
 	}
-	s.liveN.Store(int64(len(s.idx)))
 	return s, nil
 }
 
-// openSegment starts the next active segment. Caller holds s.mu (or is the
-// single-threaded Open path).
+// openSegment starts the active segment s.seg. Caller holds s.mu (or is the
+// single-threaded Open path); on error nothing changes.
 func (s *SpillStore) openSegment() error {
 	f, err := createSegment(filepath.Join(s.dir, spillSegmentName(s.seg)), spillMagic)
 	if err != nil {
 		return err
 	}
-	s.f = f
-	if s.w == nil {
-		s.w = bufio.NewWriterSize(f, 1<<16)
-	} else {
-		s.w.Reset(f)
-	}
-	s.buffered = false
-	s.size = int64(len(spillMagic))
+	s.f, s.out, s.written = f, f, int64(len(spillMagic))
 	return nil
 }
 
-// setRefLocked installs (or replaces) the index entry for id. Caller holds
-// s.mu (or is the single-threaded Open path).
-func (s *SpillStore) setRefLocked(id string, ref spillRef) {
-	if old, ok := s.idx[id]; ok {
-		s.bytes -= int64(old.n)
-		s.dropSegRefLocked(old.seg)
-	}
-	s.idx[id] = ref
-	s.bytes += int64(ref.n)
-	s.segRefs[ref.seg]++
+// holdLocked counts a new live record. Caller holds s.mu.
+func (s *SpillStore) holdLocked(l Loc) {
+	s.segRefs[l.seg]++
+	s.bytes += int64(l.n)
+	s.liveN.Add(1)
 }
 
-// dropSegRefLocked releases one record's hold on a segment, deleting the
-// file once nothing live remains in it (never the active segment — rotation
-// retires that naturally).
-func (s *SpillStore) dropSegRefLocked(seg int) {
-	s.segRefs[seg]--
-	if s.segRefs[seg] <= 0 {
-		delete(s.segRefs, seg)
-		if seg != s.seg {
-			os.Remove(filepath.Join(s.dir, spillSegmentName(seg)))
+// releaseLocked drops one record's hold on its segment, deleting the file
+// once nothing live remains in it (never the active segment — rotation
+// retires that). Caller holds s.mu.
+func (s *SpillStore) releaseLocked(l Loc) {
+	s.bytes -= int64(l.n)
+	s.liveN.Add(-1)
+	s.segRefs[l.seg]--
+	if s.segRefs[l.seg] <= 0 {
+		delete(s.segRefs, l.seg)
+		if l.seg != s.seg {
+			os.Remove(filepath.Join(s.dir, spillSegmentName(l.seg)))
 		}
 	}
 }
 
-// Put persists one record (keyed by its JobID, replacing any previous entry)
-// and returns the frame size written. It buffers — durability comes from
-// Sync — and is cheap enough to call under a scheduling lock.
-func (s *SpillStore) Put(r Record) (int, error) {
+// indexLocked points the by-ID view at the record, releasing the one it
+// replaces (a retried job that spilled again). Caller holds s.mu and s.idx is
+// not nil.
+func (s *SpillStore) indexLocked(id string, l Loc) {
+	if old, ok := s.idx[id]; ok {
+		s.releaseLocked(old)
+	}
+	s.idx[id] = l
+}
+
+// Put appends one record and returns its location, which the caller keeps
+// until it releases the record. It writes nothing unless the pending buffer
+// is full, so it is cheap enough to call under a scheduling lock;
+// durability comes from Sync. Once a write has failed, Put fails too.
+func (s *SpillStore) Put(r Record) (Loc, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, ErrClosed
+		return Loc{}, ErrClosed
+	}
+	if s.err != nil {
+		return Loc{}, s.err
 	}
 	s.enc = appendFrame(s.enc[:0], r)
-	if s.size+int64(len(s.enc)) > s.segBytes && s.size > int64(len(spillMagic)) {
+	off := s.written + int64(len(s.pend))
+	if off+int64(len(s.enc)) > s.segBytes && off > int64(len(spillMagic)) {
 		if err := s.rotateLocked(); err != nil {
-			return 0, err
+			return Loc{}, err
 		}
+		off = s.written
 	}
-	off := s.size
-	if _, err := s.w.Write(s.enc); err != nil {
-		return 0, err
+	l := Loc{seg: s.seg, n: int32(len(s.enc)), off: off}
+	s.pend = append(s.pend, s.enc...)
+	s.holdLocked(l)
+	if s.idx != nil {
+		s.indexLocked(r.JobID, l)
 	}
-	s.buffered = true
-	s.size += int64(len(s.enc))
-	s.setRefLocked(r.JobID, spillRef{seg: s.seg, off: off, n: int32(len(s.enc))})
-	s.liveN.Store(int64(len(s.idx)))
-	return len(s.enc), nil
+	if len(s.pend) >= spillFlushBytes {
+		// A failure here is the next Put's: this record stays readable from
+		// the buffer.
+		s.flushLocked()
+	}
+	return l, nil
 }
 
-// rotateLocked retires the active segment (flushed and fsynced, so only the
-// active segment is ever non-durable) and opens the next. Caller holds s.mu.
-func (s *SpillStore) rotateLocked() error {
-	if err := s.w.Flush(); err != nil {
+// flushLocked writes the pending buffer to the active segment. A failed or
+// short write keeps every pending byte — its records stay readable from
+// memory — and turns the store's error on. Caller holds s.mu.
+func (s *SpillStore) flushLocked() error {
+	if s.err != nil || len(s.pend) == 0 {
+		return s.err
+	}
+	n, err := s.out.Write(s.pend)
+	if err == nil && n < len(s.pend) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		s.err = err
 		return err
 	}
-	s.buffered = false
+	s.written += int64(n)
+	s.pend = s.pend[:0]
+	return nil
+}
+
+// syncLocked writes the pending buffer and fsyncs the active segment.
+// Caller holds s.mu.
+func (s *SpillStore) syncLocked() error {
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
 	if err := fsyncFile(s.f); err != nil {
+		s.err = err
+		return err
+	}
+	return nil
+}
+
+// rotateLocked retires the active segment (written and fsynced, so only the
+// active segment is ever non-durable) and opens the next. Caller holds s.mu.
+func (s *SpillStore) rotateLocked() error {
+	if err := s.syncLocked(); err != nil {
 		return err
 	}
 	old, oldSeg := s.f, s.seg
 	s.seg++
 	if err := s.openSegment(); err != nil {
-		s.seg--
-		s.f = old
-		s.w.Reset(old) // keep appending to the old segment; Reset discards nothing (flushed above)
+		s.seg-- // keep appending to the old segment
 		return err
 	}
 	old.Close()
@@ -204,184 +258,177 @@ func (s *SpillStore) rotateLocked() error {
 	return nil
 }
 
-// Get reads one record back. ok is false when the id has no live entry.
-func (s *SpillStore) Get(id string) (Record, bool, error) {
-	recs, err := s.GetBatch([]string{id})
-	r, ok := recs[id]
-	return r, ok, err
-}
-
-// GetBatch reads the live records for ids into a map keyed by ID (see
-// ReadBatch). IDs with no live entry are simply absent from the result; the
-// first read error is returned alongside whatever was read successfully.
+// GetBatch reads the records the by-ID view holds for ids into a map keyed
+// by ID. IDs with no entry — and every ID once the view is claimed — are
+// absent from the result; the first read error is returned alongside
+// whatever was read.
 func (s *SpillStore) GetBatch(ids []string) (map[string]Record, error) {
+	locs := make([]Loc, len(ids))
+	s.mu.Lock()
+	for i, id := range ids {
+		locs[i] = s.idx[id]
+	}
+	s.mu.Unlock()
 	out := make(map[string]Record, len(ids))
-	err := s.ReadBatch(ids, func(i int, r Record) { out[ids[i]] = r })
+	err := s.ReadBatch(locs, func(i int, r Record) { out[ids[i]] = r })
 	return out, err
 }
 
-// ReadBatch reads the live records for ids and calls fn with each one and
-// its index in ids. The reads go in (segment, offset) order, so a cold-tail
-// refill costs one sequential sweep per touched segment, and records that
-// lie end to end on disk — a refill batch spilled in submission order —
-// come in with one read. IDs with no live entry are skipped; the first read
-// error is returned after every readable record has been passed to fn.
-func (s *SpillStore) ReadBatch(ids []string, fn func(i int, r Record)) error {
-	type refIdx struct {
-		ref spillRef
-		i   int
+// ReadBatch reads the records at locs and calls fn with each one and its
+// index in locs; zero Locs are skipped. Records still in the pending buffer
+// are copied out under the mutex. The rest are read outside it in
+// (segment, offset) order, each segment's requested span in reads of at
+// most maxReadRun that take in whatever lies between the requested records
+// (other shards' records, released ones) — so a refill batch costs one read
+// per touched segment, however many shards' records interleave there. The
+// first error is returned after every readable record has gone to fn.
+//
+// Every Loc must be held by the caller (not yet released): a segment stays
+// on disk while it holds a live record, and written bytes never change.
+func (s *SpillStore) ReadBatch(locs []Loc, fn func(i int, r Record)) error {
+	order := make([]int, 0, len(locs))
+	for i, l := range locs {
+		if l.seg != 0 {
+			order = append(order, i)
+		}
 	}
+	sort.Slice(order, func(a, b int) bool {
+		la, lb := locs[order[a]], locs[order[b]]
+		if la.seg != lb.seg {
+			return la.seg < lb.seg
+		}
+		return la.off < lb.off
+	})
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	refs := make([]refIdx, 0, len(ids))
-	needActive := false
-	for i, id := range ids {
-		if ref, ok := s.idx[id]; ok {
-			refs = append(refs, refIdx{ref, i})
-			if ref.seg == s.seg {
-				needActive = true
-			}
+	// The records not yet written sort last: they are the active segment's
+	// newest bytes.
+	disk := len(order)
+	for disk > 0 {
+		l := locs[order[disk-1]]
+		if l.seg != s.seg || l.off < s.written {
+			break
 		}
+		disk--
 	}
-	if needActive && s.buffered {
-		if err := s.w.Flush(); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		s.buffered = false
+	var tail []byte
+	var tailOff int64
+	if disk < len(order) {
+		tailOff = locs[order[disk]].off
+		last := locs[order[len(order)-1]]
+		tail = append(tail, s.pend[tailOff-s.written:last.off+int64(last.n)-s.written]...)
 	}
 	s.mu.Unlock()
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].ref.seg != refs[j].ref.seg {
-			return refs[i].ref.seg < refs[j].ref.seg
-		}
-		return refs[i].ref.off < refs[j].ref.off
-	})
-	// The reads run outside the mutex: every target record is live (the
-	// caller holds its job), so its segment cannot be reclaimed underneath
-	// us, and a concurrent rotation never mutates already-written bytes.
+
 	var firstErr error
 	fail := func(err error) {
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	var f *os.File
-	cur := -1
+	// decode hands fn the records order[lo:hi], which lie in buf, read from
+	// offset base of their segment; a record past the buffer's end fails.
+	decode := func(buf []byte, base int64, lo, hi int, short error) {
+		for _, i := range order[lo:hi] {
+			l := locs[i]
+			start, end := l.off-base, l.off-base+int64(l.n)
+			if end > int64(len(buf)) {
+				fail(short)
+				continue
+			}
+			rec, used, err := readFrame(buf[start:end])
+			if err != nil || used != int(l.n) {
+				fail(fmt.Errorf("journal: corrupt spill frame at segment %d offset %d", l.seg, l.off))
+				continue
+			}
+			fn(i, rec)
+		}
+	}
 	var buf []byte
-	solo := 0 // after a failed run read: refs left to read one at a time
-	for len(refs) > 0 {
-		// The run: refs[:n] lie end to end in one segment.
-		first := refs[0].ref
-		n, size := 1, int64(first.n)
-		for solo == 0 && n < len(refs) && refs[n].ref.seg == first.seg &&
-			refs[n].ref.off == first.off+size && size < maxReadRun {
-			size += int64(refs[n].ref.n)
-			n++
+	for lo := 0; lo < disk; {
+		seg := locs[order[lo]].seg
+		end := lo
+		for end < disk && locs[order[end]].seg == seg {
+			end++
 		}
-		if first.seg != cur {
-			if f != nil {
-				f.Close()
-			}
-			var err error
-			f, err = os.Open(filepath.Join(s.dir, spillSegmentName(first.seg)))
-			cur = first.seg
-			if err != nil {
-				f = nil
-				fail(err)
-			}
+		f, err := os.Open(filepath.Join(s.dir, spillSegmentName(seg)))
+		if err != nil {
+			fail(err)
+			lo = end
+			continue
 		}
-		if f != nil {
+		for lo < end {
+			// One read: from the first record to the last that still fits
+			// in maxReadRun.
+			base := locs[order[lo]].off
+			hi := lo + 1
+			for hi < end && locs[order[hi]].off+int64(locs[order[hi]].n)-base <= maxReadRun {
+				hi++
+			}
+			last := locs[order[hi-1]]
+			size := last.off + int64(last.n) - base
 			if int(size) > cap(buf) {
 				buf = make([]byte, size)
 			}
-			b := buf[:size]
-			if _, err := f.ReadAt(b, first.off); err != nil {
-				if n > 1 {
-					// Read the run's records one at a time, so that only
-					// the unreadable ones fail.
-					solo = n
-					continue
-				}
-				fail(err)
-			} else {
-				for _, r := range refs[:n] {
-					rec, used, err := readFrame(b[:r.ref.n])
-					b = b[r.ref.n:]
-					if err != nil || used != int(r.ref.n) {
-						fail(fmt.Errorf("journal: corrupt spill frame for %q", ids[r.i]))
-						continue
-					}
-					fn(r.i, rec)
-				}
-			}
+			n, err := f.ReadAt(buf[:size], base) // err is set only if n < size
+			decode(buf[:n], base, lo, hi, err)
+			lo = hi
 		}
-		refs = refs[n:]
-		if solo > 0 {
-			solo--
-		}
-	}
-	if f != nil {
 		f.Close()
 	}
+	decode(tail, tailOff, disk, len(order), io.ErrUnexpectedEOF)
 	return firstErr
 }
 
-// maxReadRun bounds one ReadBatch read, and so its buffer.
-const maxReadRun = 1 << 20
+// Release drops the record at l, reclaiming its segment once empty. Call it
+// when the job leaves the spill's custody for good (terminal state,
+// migration to a peer, or a newer record of the same job) — not on
+// rehydration into the hot window: a checkpointed journal may hold only a
+// SpillRef for the job, so the spilled spec stays its durable copy until a
+// terminal record exists.
+func (s *SpillStore) Release(l Loc) {
+	if l.seg == 0 {
+		return
+	}
+	s.mu.Lock()
+	s.releaseLocked(l)
+	s.mu.Unlock()
+}
 
-// Remove drops id's entry, reclaiming its segment once empty. Call it when
-// the job leaves the spill's custody for good (terminal state, migration to
-// a peer, or recovery re-placement) — not on rehydration into the hot
-// window: a checkpointed journal may hold only a SpillRef for the job, so
-// the spilled spec stays its durable copy until a terminal record exists.
+// Remove releases the record the by-ID view holds for id; a no-op once the
+// view is claimed.
 func (s *SpillStore) Remove(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref, ok := s.idx[id]
-	if !ok {
-		return
+	if l, ok := s.idx[id]; ok {
+		delete(s.idx, id)
+		s.releaseLocked(l)
 	}
-	delete(s.idx, id)
-	s.bytes -= int64(ref.n)
-	s.dropSegRefLocked(ref.seg)
-	s.liveN.Store(int64(len(s.idx)))
 }
 
-// RetainOnly drops every entry whose id is not in keep — the post-recovery
-// sweep that discards records belonging to jobs the journal shows terminal.
-func (s *SpillStore) RetainOnly(keep map[string]struct{}) {
+// Claim hands the by-ID view to the store's owner and ends it: each record's
+// Loc is the owner's to keep or Release, and from here on the store keeps no
+// per-job map. A second Claim returns nil.
+func (s *SpillStore) Claim() map[string]Loc {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, ref := range s.idx {
-		if _, ok := keep[id]; ok {
-			continue
-		}
-		delete(s.idx, id)
-		s.bytes -= int64(ref.n)
-		s.dropSegRefLocked(ref.seg)
-	}
-	s.liveN.Store(int64(len(s.idx)))
+	idx := s.idx
+	s.idx = nil
+	return idx
 }
 
 // Sync makes every Put so far durable (rotation already fsynced the retired
-// segments; this flushes and fsyncs the active one).
+// segments; this writes and fsyncs the active one).
 func (s *SpillStore) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if s.buffered {
-		if err := s.w.Flush(); err != nil {
-			return err
-		}
-		s.buffered = false
-	}
-	return fsyncFile(s.f)
+	return s.syncLocked()
 }
 
 // Len reports live records.
@@ -394,21 +441,9 @@ func (s *SpillStore) Bytes() int64 {
 	return s.bytes
 }
 
-// Segments reports how many segment files hold live records (plus the
-// active segment).
-func (s *SpillStore) Segments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.segRefs)
-	if s.segRefs[s.seg] == 0 {
-		n++ // active segment not yet counted
-	}
-	return n
-}
-
-// Close flushes and releases the active segment. The files are left on disk:
-// a durable spill directory is recovered by the next OpenSpill, and an
-// ephemeral one is the caller's to delete.
+// Close writes the pending buffer and releases the active segment. The
+// files are left on disk: a durable spill directory is recovered by the next
+// OpenSpill, and an ephemeral one is the caller's to delete.
 func (s *SpillStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -416,7 +451,7 @@ func (s *SpillStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.w.Flush()
+	err := s.flushLocked()
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}

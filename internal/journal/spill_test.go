@@ -2,8 +2,12 @@ package journal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -37,18 +41,23 @@ func TestSpillPutGetRoundTrip(t *testing.T) {
 		Cmd: "namd2.sh", Args: []string{"in.pdb", "out.log"},
 		Env: []string{"A=1"}, Dir: "/tmp",
 	}
-	if _, err := s.Put(want); err != nil {
+	loc, err := s.Put(want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.Get("j1")
-	if err != nil || !ok {
-		t.Fatalf("Get = ok=%v err=%v", ok, err)
+	if loc.Len() <= frameHeaderLen {
+		t.Fatalf("Put returned a %d-byte record", loc.Len())
+	}
+	var got Record
+	n := 0
+	if err := s.ReadBatch([]Loc{{}, loc}, func(i int, r Record) { got, n = r, n+1 }); err != nil || n != 1 {
+		t.Fatalf("ReadBatch read %d records, err %v; want 1, nil", n, err)
 	}
 	if got.Cmd != want.Cmd || got.NProcs != want.NProcs || len(got.Args) != 2 || got.Args[1] != "out.log" {
-		t.Fatalf("Get = %+v, want %+v", got, want)
+		t.Fatalf("read back %+v, want %+v", got, want)
 	}
-	if _, ok, _ := s.Get("absent"); ok {
-		t.Fatal("Get found a record never put")
+	if recs, _ := s.GetBatch([]string{"j1", "absent"}); len(recs) != 1 || recs["j1"].Cmd != want.Cmd {
+		t.Fatalf("GetBatch = %+v, want j1 alone", recs)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
@@ -134,7 +143,8 @@ func TestSpillSegmentsReclaimed(t *testing.T) {
 }
 
 // TestSpillReopenRecovers: a Sync'd store reopened from the same directory
-// serves every live record; RetainOnly sweeps the rest.
+// serves every record still in a segment; its owner claims the by-ID view and
+// releases what it does not keep, after which the store keeps no view.
 func TestSpillReopenRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSpill(dir, 512)
@@ -160,21 +170,29 @@ func TestSpillReopenRecovers(t *testing.T) {
 	}
 	defer s2.Close()
 	// The rescan sees every record still in a segment file — including the
-	// Removed one, whose removal was index-only. RetainOnly is the sweep that
-	// makes the index match the journal's live set after recovery.
-	if _, ok, _ := s2.Get("j20"); !ok {
+	// Removed one, whose removal was in memory only. The owner's sweep after
+	// the claim makes the store match the journal's live set.
+	if recs, _ := s2.GetBatch([]string{"j20"}); len(recs) != 1 {
 		t.Fatal("reopened store lost a live record")
 	}
-	keep := map[string]struct{}{"j20": {}, "j30": {}}
-	s2.RetainOnly(keep)
+	claimed := s2.Claim()
+	if len(claimed) != 50 || s2.Len() != 50 {
+		t.Fatalf("claimed %d records, Len %d; want 50 (the rescan keeps the removed one)", len(claimed), s2.Len())
+	}
+	for id, loc := range claimed {
+		if id != "j20" && id != "j30" {
+			s2.Release(loc)
+		}
+	}
 	if s2.Len() != 2 {
-		t.Fatalf("Len after RetainOnly = %d, want 2", s2.Len())
+		t.Fatalf("Len after the sweep = %d, want 2", s2.Len())
 	}
-	if _, ok, _ := s2.Get("j10"); ok {
-		t.Fatal("RetainOnly kept a swept record")
+	if recs, _ := s2.GetBatch([]string{"j30"}); len(recs) != 0 {
+		t.Fatal("the by-ID view outlived the claim")
 	}
-	if rec, ok, err := s2.Get("j30"); err != nil || !ok || rec.Args[1] != "j30" {
-		t.Fatalf("kept record unreadable: ok=%v err=%v rec=%+v", ok, err, rec)
+	var rec Record
+	if err := s2.ReadBatch([]Loc{claimed["j30"]}, func(_ int, r Record) { rec = r }); err != nil || rec.Args[1] != "j30" {
+		t.Fatalf("kept record unreadable: err=%v rec=%+v", err, rec)
 	}
 }
 
@@ -211,13 +229,14 @@ func TestSpillReopenTornTail(t *testing.T) {
 		t.Fatalf("open over a torn tail failed: %v", err)
 	}
 	defer s2.Close()
-	if _, ok, err := s2.Get("ok"); err != nil || !ok {
-		t.Fatalf("record before the tear lost: ok=%v err=%v", ok, err)
+	if recs, err := s2.GetBatch([]string{"ok"}); err != nil || len(recs) != 1 {
+		t.Fatalf("record before the tear lost: %d records, err=%v", len(recs), err)
 	}
 }
 
-// TestSpillPutReplacesEntry: re-putting an ID (a retried job spilling again)
-// replaces the index entry instead of growing the live set.
+// TestSpillPutReplacesEntry: before the by-ID view is claimed, re-putting an
+// ID (a retried job spilling again) replaces its entry instead of growing the
+// live set.
 func TestSpillPutReplacesEntry(t *testing.T) {
 	s, err := OpenSpill(t.TempDir(), 0)
 	if err != nil {
@@ -235,17 +254,16 @@ func TestSpillPutReplacesEntry(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len after re-put = %d, want 1", s.Len())
 	}
-	rec, ok, err := s.Get("dup")
-	if err != nil || !ok || rec.Cmd != "updated" {
-		t.Fatalf("Get after re-put = %+v ok=%v err=%v, want the updated record", rec, ok, err)
+	recs, err := s.GetBatch([]string{"dup"})
+	if err != nil || recs["dup"].Cmd != "updated" {
+		t.Fatalf("GetBatch after re-put = %+v err=%v, want the updated record", recs, err)
 	}
 }
 
 // TestSpillReadBatchRuns: records spilled end to end come back through
-// ReadBatch with their indexes in ids, whatever order ids names them in; and
-// when the segment is cut short under a live store, the records before the
-// cut are still delivered — a failed run read falls back to one read per
-// record — and the error names what was lost.
+// ReadBatch with their indexes in locs, whatever order locs names them in;
+// and when the segment is cut short under a live store, the records before
+// the cut are still delivered and the error names what was lost.
 func TestSpillReadBatchRuns(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSpill(dir, 0)
@@ -253,18 +271,23 @@ func TestSpillReadBatchRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.Claim()
 	var ids []string
+	var locs []Loc
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("r%d", i)
-		if _, err := s.Put(spillRecord(id)); err != nil {
+		loc, err := s.Put(spillRecord(id))
+		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append([]string{id}, ids...) // newest first: ReadBatch sorts by offset
+		locs = append([]Loc{loc}, locs...)
 	}
 	ids = append(ids, "absent")
+	locs = append(locs, Loc{})
 	read := func() (map[int]Record, error) {
 		got := map[int]Record{}
-		err := s.ReadBatch(ids, func(i int, r Record) {
+		err := s.ReadBatch(locs, func(i int, r Record) {
 			if _, dup := got[i]; dup {
 				t.Errorf("index %d delivered twice", i)
 			}
@@ -304,4 +327,131 @@ func TestSpillReadBatchRuns(t *testing.T) {
 	if _, lost := got[0]; lost {
 		t.Fatalf("the cut record %s was delivered", ids[0])
 	}
+}
+
+// failingWriter passes the first budget bytes to w, then fails: a write that
+// crosses the budget lands its head and returns err (nil makes it a bare
+// short write), and every later write lands nothing.
+type failingWriter struct {
+	w      io.Writer
+	budget int
+	err    error
+}
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if len(p) <= f.budget {
+		f.budget -= len(p)
+		return f.w.Write(p)
+	}
+	n, _ := f.w.Write(p[:f.budget])
+	f.budget = 0
+	if f.err == nil && n == 0 {
+		return 0, syscall.EFBIG
+	}
+	return n, f.err
+}
+
+// TestSpillFailedWriteKeepsAcceptedRecords: once the segment write fails —
+// EFBIG past a file-size limit, or a short write — every later Put fails, so
+// its job stays in memory, and every Put that succeeded still reads back,
+// from the store's own buffer where the disk never got it. Reads do not stop
+// at the write error.
+func TestSpillFailedWriteKeepsAcceptedRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{{"EFBIG", syscall.EFBIG}, {"short write", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := OpenSpill(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.out = &failingWriter{w: s.f, budget: 100 << 10, err: tc.err}
+			var accepted []string
+			failed := 0
+			for i := 0; i < 5000; i++ {
+				id := fmt.Sprintf("j%04d", i)
+				if _, err := s.Put(spillRecord(id)); err != nil {
+					failed++
+					continue
+				}
+				if failed > 0 {
+					t.Fatalf("Put %s succeeded after an earlier Put failed", id)
+				}
+				accepted = append(accepted, id)
+			}
+			if failed == 0 || len(accepted) < 1000 {
+				t.Fatalf("%d Puts accepted, %d failed: the writer never failed mid-run", len(accepted), failed)
+			}
+			got, err := s.GetBatch(accepted)
+			if len(got) != len(accepted) {
+				t.Fatalf("%d of %d accepted records read back (err %v)", len(got), len(accepted), err)
+			}
+			for _, id := range accepted {
+				if got[id].Args[1] != id {
+					t.Fatalf("record %s read back as %+v", id, got[id])
+				}
+			}
+			if err := s.Sync(); err == nil {
+				t.Fatal("Sync reported success after a failed write")
+			}
+		})
+	}
+}
+
+// TestSpillReadBatchOneReadPerSpan: two shards' records interleave in one
+// segment; reading one shard's batch back costs one read, not one per run of
+// adjacent records. The count is the process's read syscalls from
+// /proc/self/io.
+func TestSpillReadBatchOneReadPerSpan(t *testing.T) {
+	s, err := OpenSpill(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Claim()
+	var shardA []Loc
+	for i := 0; i < 2048; i++ {
+		loc, err := s.Put(spillRecord(fmt.Sprintf("j%04d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			shardA = append(shardA, loc)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before := readSyscalls(t)
+	n := 0
+	if err := s.ReadBatch(shardA, func(int, Record) { n++ }); err != nil || n != len(shardA) {
+		t.Fatalf("read %d of %d records, err %v", n, len(shardA), err)
+	}
+	// Allow for the counter file's own reads.
+	if reads := readSyscalls(t) - before; reads > 4 {
+		t.Fatalf("reading %d interleaved records took %d read syscalls, want 1 (plus the counter's)", n, reads)
+	}
+}
+
+// readSyscalls is the process's read syscall count (syscr in /proc/self/io);
+// it skips where the file is absent.
+func readSyscalls(t *testing.T) int64 {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("no /proc/self/io: %v", err)
+	}
+	var v int64
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "syscr: "); ok {
+			if v, err = strconv.ParseInt(rest, 10, 64); err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+	}
+	t.Skip("no syscr in /proc/self/io")
+	return 0
 }

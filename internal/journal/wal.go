@@ -43,7 +43,7 @@ type WAL struct {
 
 	mu      sync.Mutex // guards pending, spare, size, f, seg, first, closed, err, retry*
 	pending []byte
-	spare   []byte // recycled flush buffer, reused by the next Append
+	spare   []byte // recycled flush buffer: pending at the next flush, or the next Append
 	f       *os.File
 	seg     int
 	first   int   // oldest segment still on disk (Segments gauge, Checkpoint sweep)
@@ -232,7 +232,11 @@ func (w *WAL) flush(force bool) error {
 		w.size = int64(len(walMagic)) + int64(len(w.pending))
 	}
 	buf := w.pending
-	w.pending = nil
+	if len(buf) > 0 {
+		// Appends made during the commit go to the spare buffer, not to one
+		// regrown from nil.
+		w.pending, w.spare = w.spare, nil
+	}
 	f := w.f
 	rotate := w.size > w.opts.SegmentBytes
 	degraded := w.err != nil
