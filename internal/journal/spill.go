@@ -280,7 +280,8 @@ func (s *SpillStore) GetBatch(ids []string) (map[string]Record, error) {
 // (segment, offset) order, each segment's requested span in reads of at
 // most maxReadRun that take in whatever lies between the requested records
 // (other shards' records, released ones) — so a refill batch costs one read
-// per touched segment, however many shards' records interleave there. The
+// per MiB of span in each touched segment, however many shards' records
+// interleave there. The
 // first error is returned after every readable record has gone to fn.
 //
 // Every Loc must be held by the caller (not yet released): a segment stays
