@@ -108,8 +108,10 @@ func openSockets(t *testing.T) int {
 // cost at most 2 write syscalls (the task frame, the result frame) and 4 read
 // syscalls in the whole process (each side's read of its frame, and the read
 // that finds the socket drained before the reader parks). Heartbeats are
-// pushed past the run so they do not count. It skips where /proc/self/io
-// does not exist.
+// pushed past the run so they do not count. The counts are the whole
+// process's, so the runtime's own writes (it wakes its network poller with
+// a write to an eventfd: one such write in 31 runs on a 2-vCPU box) get a
+// slack of 16 over the run. It skips where /proc/self/io does not exist.
 func TestTCPSyscallsPerJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 22,048 jobs over TCP")
@@ -170,10 +172,11 @@ func TestTCPSyscallsPerJob(t *testing.T) {
 	r0, w0, _ := procIO()
 	closedLoop("job", n)
 	r1, w1, _ := procIO()
+	const stray = 16
 	reads, writes := float64(r1-r0)/n, float64(w1-w0)/n
-	t.Logf("%.4f write and %.4f read syscalls per job", writes, reads)
-	if writes > 2 || reads > 4 {
-		t.Errorf("%.2f write and %.2f read syscalls per job, want at most 2 and 4", writes, reads)
+	t.Logf("%.4f write and %.4f read syscalls per job (%d and %d for %d jobs)", writes, reads, w1-w0, r1-r0, n)
+	if w1-w0 > 2*n+stray || r1-r0 > 4*n+stray {
+		t.Errorf("%d write and %d read syscalls for %d jobs, want at most 2 and 4 per job (+%d)", w1-w0, r1-r0, n, stray)
 	}
 }
 

@@ -27,8 +27,9 @@ package dispatch
 // record, so every read and release goes by location and the store keeps no
 // index of its own. The record is released only when the job leaves the
 // spill's custody for good — terminal state, migration to a peer, or a newer
-// record after a retry — never on rehydration, because after a checkpoint
-// the record is the only durable copy of a once-spilled job's spec.
+// record when a recovered job spills again — never on rehydration, because
+// after a checkpoint the record is the only durable copy of a once-spilled
+// job's spec.
 //
 // This file also owns the online WAL checkpoint (CompactJournal /
 // maybeCheckpoint): re-journal the live state into a fresh segment and drop
@@ -88,7 +89,8 @@ func (d *Dispatcher) coolLocked(s *shard, j *Job, loc journal.Loc) {
 	lj := j.live
 	d.mu.Lock()
 	if lj.loc != loc && lj.loc != (journal.Loc{}) {
-		// Spilled again on a retry: the new record supersedes the old one.
+		// A recovered job spilled again inside New: its new record
+		// supersedes the one the previous process wrote.
 		d.spillLoaded().Release(lj.loc)
 	}
 	lj.loc = loc
@@ -389,7 +391,7 @@ func (d *Dispatcher) snapshotLive(emit func(journal.Record) error) error {
 				// The record went with its job since the gather: emit the job
 				// as it is now, if it is still live.
 				var err error
-				if r, err = d.recheckCold(sp, sn.lj, sn.loc); err != nil {
+				if r, err = d.recheckCold(sn.lj); err != nil {
 					return fmt.Errorf("dispatch: reading spilled specs for checkpoint: %w", errors.Join(rerr, err))
 				}
 			}
@@ -408,17 +410,14 @@ func (d *Dispatcher) snapshotLive(emit func(journal.Record) error) error {
 }
 
 // recheckCold is the checkpoint's second look at a cold job whose record it
-// could not read at the Loc it gathered: the job may since have completed
-// (nil), been rehydrated (its spec is in memory), or spilled again on a retry
-// (read the new record).
-func (d *Dispatcher) recheckCold(sp *journal.SpillStore, lj *liveJob, was journal.Loc) (*journal.Record, error) {
+// could not read at the Loc it gathered: the job may since have left the job
+// table (nil) or been rehydrated (its spec is in memory). A job still cold
+// keeps its Loc — only a recovered job spills again, and that is inside New,
+// before any checkpoint — so its spec is lost.
+func (d *Dispatcher) recheckCold(lj *liveJob) (*journal.Record, error) {
 	d.mu.Lock()
 	live := d.jobs[lj.jobID] == lj
-	var j *Job
-	loc := lj.loc
-	if live {
-		j = lj.job
-	}
+	j := lj.job
 	d.mu.Unlock()
 	switch {
 	case !live:
@@ -426,15 +425,8 @@ func (d *Dispatcher) recheckCold(sp *journal.SpillStore, lj *liveJob, was journa
 	case j != nil:
 		r := submittedRecord(j)
 		return &r, nil
-	case loc == was:
-		return nil, errors.New("dispatch: a live cold job's spec is unreadable")
 	}
-	var r *journal.Record
-	err := sp.ReadBatch([]journal.Loc{loc}, func(_ int, rec journal.Record) { r = &rec })
-	if r == nil && err == nil {
-		err = errors.New("dispatch: a live cold job's spec is unreadable")
-	}
-	return r, err
+	return nil, errors.New("dispatch: a live cold job's spec is unreadable")
 }
 
 // ---------------------------------------------------------------------------

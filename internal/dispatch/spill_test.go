@@ -496,7 +496,8 @@ func readRSSBytes(t *testing.T) int64 {
 // store dies with the process, so an online checkpoint reads every cold job's
 // record back by its Loc and re-journals the spec in full; a journal-only
 // restart then recovers every job with its spec. A record the checkpoint
-// cannot read at the Loc it gathered is looked up again as the job is now.
+// cannot read at the Loc it gathered is looked up again as the job is now:
+// gone, in memory, or still cold and so lost.
 func TestCheckpointRejournalsEphemeralSpill(t *testing.T) {
 	walDir := t.TempDir()
 	open := func() journal.Journal {
@@ -518,17 +519,16 @@ func TestCheckpointRejournalsEphemeralSpill(t *testing.T) {
 		t.Fatalf("SpilledJobs = %d, want %d", d1.SpilledJobs(), jobs-2)
 	}
 
-	sp := d1.spillLoaded()
 	d1.mu.Lock()
-	cold := d1.jobs["eph-30"]
+	hot, cold := d1.jobs["eph-00"], d1.jobs["eph-30"]
 	d1.mu.Unlock()
-	if r, err := d1.recheckCold(sp, cold, journal.Loc{}); err != nil || r == nil || r.Args[0] != "eph-30" {
-		t.Fatalf("recheckCold after a new record = %+v, %v; want eph-30's record", r, err)
+	if r, err := d1.recheckCold(hot); err != nil || r == nil || r.Args[0] != "eph-00" {
+		t.Fatalf("recheckCold of a job in memory = %+v, %v; want eph-00's record", r, err)
 	}
-	if _, err := d1.recheckCold(sp, cold, cold.loc); err == nil {
-		t.Fatal("recheckCold of a live job's unreadable record reported no error")
+	if _, err := d1.recheckCold(cold); err == nil {
+		t.Fatal("recheckCold of a live cold job reported no error")
 	}
-	if r, err := d1.recheckCold(sp, &liveJob{Handle: Handle{jobID: "gone"}}, journal.Loc{}); r != nil || err != nil {
+	if r, err := d1.recheckCold(&liveJob{Handle: Handle{jobID: "gone"}}); r != nil || err != nil {
 		t.Fatalf("recheckCold of a job no longer live = %+v, %v; want nothing", r, err)
 	}
 

@@ -42,6 +42,8 @@ type SpillStore struct {
 	dir      string
 	segBytes int64
 
+	open func(name string) (segmentReader, error) // ReadBatch's segment opener: openSegmentReader, or a failing reader in tests
+
 	mu      sync.Mutex
 	closed  bool
 	err     error          // first write or fsync failure; later Puts fail with it
@@ -51,6 +53,7 @@ type SpillStore struct {
 	written int64          // bytes of the active segment on disk, its magic included
 	pend    []byte         // frames Put but not yet written: the active segment's bytes from written on
 	enc     []byte         // reusable Put frame-encode scratch
+	rbuf    []byte         // ReadBatch's read buffer, kept between calls
 	segRefs map[int32]int  // live records per segment
 	bytes   int64          // sum of live frame lengths
 	idx     map[string]Loc // by-ID view until Claim; nil after
@@ -76,7 +79,25 @@ const (
 	spillFlushBytes = 64 << 10
 	// maxReadRun bounds one ReadBatch read, and so its buffer.
 	maxReadRun = 1 << 20
+	// maxReadGap is the widest stretch of unrequested records (other
+	// shards', released ones) one ReadBatch read spans; a wider gap starts
+	// a new read. Copying it costs about what a pread does.
+	maxReadGap = 4 << 10
 )
+
+// segmentReader is what ReadBatch reads a segment through.
+type segmentReader interface {
+	io.ReaderAt
+	io.Closer
+}
+
+func openSegmentReader(name string) (segmentReader, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
 
 func spillSegmentName(n int32) string { return fmt.Sprintf("spill-%08d.seg", n) }
 
@@ -100,6 +121,7 @@ func OpenSpill(dir string, segBytes int64) (*SpillStore, error) {
 	s := &SpillStore{
 		dir:      dir,
 		segBytes: segBytes,
+		open:     openSegmentReader,
 		idx:      make(map[string]Loc),
 		segRefs:  make(map[int32]int),
 	}
@@ -277,12 +299,13 @@ func (s *SpillStore) GetBatch(ids []string) (map[string]Record, error) {
 // ReadBatch reads the records at locs and calls fn with each one and its
 // index in locs; zero Locs are skipped. Records still in the pending buffer
 // are copied out under the mutex. The rest are read outside it in
-// (segment, offset) order, each segment's requested span in reads of at
-// most maxReadRun that take in whatever lies between the requested records
-// (other shards' records, released ones) — so a refill batch costs one read
-// per MiB of span in each touched segment, however many shards' records
-// interleave there. The
-// first error is returned after every readable record has gone to fn.
+// (segment, offset) order: one read takes in a segment's requested records
+// for as long as the next one lies within maxReadGap of the last and the
+// read stays within maxReadRun, so the bytes it reads past what was asked
+// for are at most maxReadGap per requested record. When a read stops short,
+// the records past its end are read one at a time, so only the unreadable
+// ones fail. The first error is returned after every readable record has
+// gone to fn.
 //
 // Every Loc must be held by the caller (not yet released): a segment stays
 // on disk while it holds a live record, and written bytes never change.
@@ -322,6 +345,8 @@ func (s *SpillStore) ReadBatch(locs []Loc, fn func(i int, r Record)) error {
 		last := locs[order[len(order)-1]]
 		tail = append(tail, s.pend[tailOff-s.written:last.off+int64(last.n)-s.written]...)
 	}
+	buf := s.rbuf // taken, so concurrent calls never share it
+	s.rbuf = nil
 	s.mu.Unlock()
 
 	var firstErr error
@@ -330,57 +355,69 @@ func (s *SpillStore) ReadBatch(locs []Loc, fn func(i int, r Record)) error {
 			firstErr = err
 		}
 	}
-	// decode hands fn the records order[lo:hi], which lie in buf, read from
-	// offset base of their segment; a record past the buffer's end fails.
-	decode := func(buf []byte, base int64, lo, hi int, short error) {
-		for _, i := range order[lo:hi] {
-			l := locs[i]
-			start, end := l.off-base, l.off-base+int64(l.n)
-			if end > int64(len(buf)) {
-				fail(short)
-				continue
-			}
-			rec, used, err := readFrame(buf[start:end])
-			if err != nil || used != int(l.n) {
-				fail(fmt.Errorf("journal: corrupt spill frame at segment %d offset %d", l.seg, l.off))
-				continue
-			}
-			fn(i, rec)
+	// deliver decodes locs[i]'s record from b, its frame.
+	deliver := func(i int, b []byte) {
+		rec, used, err := readFrame(b)
+		if err != nil || used != len(b) {
+			fail(fmt.Errorf("journal: corrupt spill frame at segment %d offset %d", locs[i].seg, locs[i].off))
+			return
 		}
+		fn(i, rec)
 	}
-	var buf []byte
 	for lo := 0; lo < disk; {
 		seg := locs[order[lo]].seg
 		end := lo
 		for end < disk && locs[order[end]].seg == seg {
 			end++
 		}
-		f, err := os.Open(filepath.Join(s.dir, spillSegmentName(seg)))
+		f, err := s.open(filepath.Join(s.dir, spillSegmentName(seg)))
 		if err != nil {
 			fail(err)
 			lo = end
 			continue
 		}
 		for lo < end {
-			// One read: from the first record to the last that still fits
-			// in maxReadRun.
+			// One read: order[lo:hi], each record within maxReadGap of the
+			// one before and all within maxReadRun of the first.
 			base := locs[order[lo]].off
+			stop := base + int64(locs[order[lo]].n)
 			hi := lo + 1
-			for hi < end && locs[order[hi]].off+int64(locs[order[hi]].n)-base <= maxReadRun {
-				hi++
+			for ; hi < end; hi++ {
+				l := locs[order[hi]]
+				if l.off-stop > maxReadGap || l.off+int64(l.n)-base > maxReadRun {
+					break
+				}
+				stop = l.off + int64(l.n)
 			}
-			last := locs[order[hi-1]]
-			size := last.off + int64(last.n) - base
-			if int(size) > cap(buf) {
-				buf = make([]byte, size)
+			if int(stop-base) > cap(buf) {
+				buf = make([]byte, stop-base)
 			}
-			n, err := f.ReadAt(buf[:size], base) // err is set only if n < size
-			decode(buf[:n], base, lo, hi, err)
+			n, _ := f.ReadAt(buf[:stop-base], base) // n < stop-base only with an error
+			for _, i := range order[lo:hi] {
+				l := locs[i]
+				b := buf[l.off-base : l.off-base+int64(l.n)]
+				if l.off+int64(l.n)-base > int64(n) {
+					// Past where the read stopped: read this record alone.
+					if _, err := f.ReadAt(b, l.off); err != nil {
+						fail(fmt.Errorf("journal: reading spill record at segment %d offset %d: %w", l.seg, l.off, err))
+						continue
+					}
+				}
+				deliver(i, b)
+			}
 			lo = hi
 		}
 		f.Close()
 	}
-	decode(tail, tailOff, disk, len(order), io.ErrUnexpectedEOF)
+	for _, i := range order[disk:] {
+		l := locs[i]
+		deliver(i, tail[l.off-tailOff:l.off-tailOff+int64(l.n)])
+	}
+	s.mu.Lock()
+	if cap(buf) > cap(s.rbuf) {
+		s.rbuf = buf
+	}
+	s.mu.Unlock()
 	return firstErr
 }
 

@@ -15,6 +15,15 @@ func spillRecord(id string) Record {
 	return Record{Kind: Submitted, JobID: id, NProcs: 1, Cmd: "noop", Args: []string{"-x", id}}
 }
 
+// wideSpillRecord is a spec carrying arguments and environment, as a real
+// task's does: its frame is about 1 KiB.
+func wideSpillRecord(id string) Record {
+	r := spillRecord(id)
+	r.Args = append(r.Args, "-in", strings.Repeat("/scratch/inputs/", 16)+id, "-out", strings.Repeat("/scratch/outputs/", 16)+id)
+	r.Env = []string{"PATH=" + strings.Repeat("/opt/tools/bin:", 20), "HOME=/home/user", "RUN=" + id}
+	return r
+}
+
 func countFiles(t *testing.T, dir, suffix string) int {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -400,58 +409,229 @@ func TestSpillFailedWriteKeepsAcceptedRecords(t *testing.T) {
 	}
 }
 
-// TestSpillReadBatchOneReadPerSpan: two shards' records interleave in one
-// segment; reading one shard's batch back costs one read, not one per run of
-// adjacent records. The count is the process's read syscalls from
-// /proc/self/io.
-func TestSpillReadBatchOneReadPerSpan(t *testing.T) {
+// TestSpillReadBatchReads: several shards' records interleave in one
+// segment and one shard's batch is read back. With two shards and bare
+// specs the batch costs one read, not one per run of adjacent records. With
+// sixteen shards and ~1 KiB specs the other shards' records between two of
+// the batch's are wider than maxReadGap, so they are skipped, not read: the
+// bytes read stay within twice the bytes requested. The counts are the
+// process's read syscalls and bytes from /proc/self/io.
+func TestSpillReadBatchReads(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		shards    int
+		rec       func(string) Record
+		maxReads  int64 // read syscalls, the counter's own included
+		maxFactor int64 // bytes read per byte requested
+	}{
+		{"2 shards bare", 2, spillRecord, 4, 3},
+		{"16 shards 1KiB", 16, wideSpillRecord, 1 << 30, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := OpenSpill(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.Claim()
+			var batch []Loc
+			need := int64(0)
+			for i := 0; i < 1024*tc.shards; i++ {
+				loc, err := s.Put(tc.rec(fmt.Sprintf("j%05d", i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%tc.shards == 0 {
+					batch = append(batch, loc)
+					need += int64(loc.Len())
+				}
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			reads0, bytes0 := readCounts(t)
+			n := 0
+			if err := s.ReadBatch(batch, func(int, Record) { n++ }); err != nil || n != len(batch) {
+				t.Fatalf("read %d of %d records, err %v", n, len(batch), err)
+			}
+			reads1, bytes1 := readCounts(t)
+			reads, bytes := reads1-reads0, bytes1-bytes0
+			t.Logf("%d records of %d B: %d read syscalls, %d bytes read for %d requested", n, need/int64(n), reads, bytes, need)
+			if reads > tc.maxReads {
+				t.Errorf("%d read syscalls, want at most %d (the counter's own included)", reads, tc.maxReads)
+			}
+			if bytes > tc.maxFactor*need {
+				t.Errorf("read %d bytes for %d requested, want at most %dx", bytes, need, tc.maxFactor)
+			}
+		})
+	}
+}
+
+// badBlockReader reads a segment through its file but fails with EIO, as a
+// bad block would, any read that takes in the byte at offset bad.
+type badBlockReader struct {
+	*os.File
+	bad int64
+}
+
+func (r badBlockReader) ReadAt(p []byte, off int64) (int, error) {
+	if off <= r.bad && r.bad < off+int64(len(p)) {
+		n, _ := r.File.ReadAt(p[:r.bad-off], off)
+		return n, syscall.EIO
+	}
+	return r.File.ReadAt(p, off)
+}
+
+// TestSpillReadBatchBadBlock: a read that fails partway through a batch's
+// span fails only the record whose bytes cannot be read. A bad block in
+// another shard's record, which the batch does not ask for, fails nothing.
+func TestSpillReadBatchBadBlock(t *testing.T) {
 	s, err := OpenSpill(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	s.Claim()
-	var shardA []Loc
-	for i := 0; i < 2048; i++ {
-		loc, err := s.Put(spillRecord(fmt.Sprintf("j%04d", i)))
+	var all, batch []Loc
+	for i := 0; i < 64; i++ {
+		loc, err := s.Put(spillRecord(fmt.Sprintf("j%02d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		all = append(all, loc)
 		if i%2 == 0 {
-			shardA = append(shardA, loc)
+			batch = append(batch, loc)
 		}
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	before := readSyscalls(t)
-	n := 0
-	if err := s.ReadBatch(shardA, func(int, Record) { n++ }); err != nil || n != len(shardA) {
-		t.Fatalf("read %d of %d records, err %v", n, len(shardA), err)
-	}
-	// Allow for the counter file's own reads.
-	if reads := readSyscalls(t) - before; reads > 4 {
-		t.Fatalf("reading %d interleaved records took %d read syscalls, want 1 (plus the counter's)", n, reads)
+	for _, tc := range []struct {
+		name string
+		bad  Loc // the record holding the bad block
+		lost int // its index in batch; -1 when the batch does not ask for it
+	}{
+		{"requested record", all[20], 10},
+		{"another shard's record", all[21], -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s.open = func(name string) (segmentReader, error) {
+				f, err := os.Open(name)
+				if err != nil {
+					return nil, err
+				}
+				return badBlockReader{f, tc.bad.off + 5}, nil
+			}
+			defer func() { s.open = openSegmentReader }()
+			got := map[int]Record{}
+			err := s.ReadBatch(batch, func(i int, r Record) { got[i] = r })
+			for i := range batch {
+				id := fmt.Sprintf("j%02d", 2*i)
+				r, ok := got[i]
+				switch {
+				case i == tc.lost && ok:
+					t.Errorf("record %s was delivered from a bad block", id)
+				case i != tc.lost && (!ok || r.Args[1] != id):
+					t.Errorf("record %s: delivered %v as %+v; only the bad block's record may fail", id, ok, r)
+				}
+			}
+			if (err != nil) != (tc.lost >= 0) {
+				t.Errorf("ReadBatch error %v, want one only when a requested record is lost", err)
+			}
+		})
 	}
 }
 
 // readSyscalls is the process's read syscall count (syscr in /proc/self/io);
 // it skips where the file is absent.
-func readSyscalls(t *testing.T) int64 {
-	t.Helper()
+func readSyscalls(tb testing.TB) int64 {
+	tb.Helper()
+	reads, _ := readCounts(tb)
+	return reads
+}
+
+// readCounts is the process's read syscalls and bytes read (syscr and rchar
+// in /proc/self/io); it skips where the file or a field is absent.
+func readCounts(tb testing.TB) (reads, bytes int64) {
+	tb.Helper()
 	b, err := os.ReadFile("/proc/self/io")
 	if err != nil {
-		t.Skipf("no /proc/self/io: %v", err)
+		tb.Skipf("no /proc/self/io: %v", err)
 	}
-	var v int64
+	seen := 0
 	for _, line := range strings.Split(string(b), "\n") {
-		if rest, ok := strings.CutPrefix(line, "syscr: "); ok {
-			if v, err = strconv.ParseInt(rest, 10, 64); err != nil {
-				t.Fatal(err)
-			}
-			return v
+		name, val, ok := strings.Cut(line, ": ")
+		if !ok || (name != "syscr" && name != "rchar") {
+			continue
+		}
+		v, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if name == "syscr" {
+			reads = v
+		} else {
+			bytes = v
+		}
+		seen++
+	}
+	if seen != 2 {
+		tb.Skip("no syscr or rchar in /proc/self/io")
+	}
+	return reads, bytes
+}
+
+// BenchmarkSpillReadBatch reads one shard's 1,024-record refill batch back
+// from a segment where `shards` shards' records interleave, for a bare spec
+// (~60 B frames) and one carrying ~1 KiB of arguments and environment. It
+// reports read syscalls per record and bytes read per byte requested.
+func BenchmarkSpillReadBatch(b *testing.B) {
+	for _, spec := range []struct {
+		name string
+		rec  func(string) Record
+	}{{"bare", spillRecord}, {"1KiB", wideSpillRecord}} {
+		for _, shards := range []int{1, 2, 8, 16} {
+			b.Run(fmt.Sprintf("spec=%s/shards=%d", spec.name, shards), func(b *testing.B) {
+				s, err := OpenSpill(b.TempDir(), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				s.Claim()
+				var batch []Loc
+				need := 0
+				for i := 0; i < 1024*shards; i++ {
+					loc, err := s.Put(spec.rec(fmt.Sprintf("j%06d", i)))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if i%shards == 0 {
+						batch = append(batch, loc)
+						need += loc.Len()
+					}
+				}
+				if err := s.Sync(); err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				fn := func(int, Record) { n++ }
+				reads0, bytes0 := readCounts(b)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := s.ReadBatch(batch, fn); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				reads1, bytes1 := readCounts(b)
+				if n != b.N*len(batch) {
+					b.Fatalf("read %d records, want %d", n, b.N*len(batch))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/record")
+				b.ReportMetric(float64(reads1-reads0)/float64(n), "reads/record")
+				b.ReportMetric(float64(bytes1-bytes0)/float64(b.N*need), "read-B/need-B")
+				b.ReportMetric(float64(need)/float64(len(batch)), "B/record")
+			})
 		}
 	}
-	t.Skip("no syscr in /proc/self/io")
-	return 0
 }
