@@ -603,8 +603,8 @@ func BenchmarkDispatchThroughputSpilled(b *testing.B) {
 }
 
 // BenchmarkFederatedThroughput measures aggregate sequential job throughput
-// with the work router in front of federated dispatcher instances (ISSUE 9),
-// against a single dispatcher serving the same total worker pool. The
+// with the work router in front of federated in-process dispatcher
+// instances, against a single dispatcher serving the same total worker pool. The
 // submitter keeps a bounded outstanding window (64 jobs, 8 per worker) and
 // drains completions through the OnDone demux — the throttled-client shape
 // real MPTC frontends use — so both variants measure steady-state pipeline
@@ -660,6 +660,7 @@ func BenchmarkFederatedThroughput(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 	}
 	b.Run("single", func(b *testing.B) { run(b, 1) })
+	b.Run("federate=2", func(b *testing.B) { run(b, 2) })
 	b.Run("federate=4", func(b *testing.B) { run(b, 4) })
 }
 

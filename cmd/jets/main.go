@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -58,7 +57,6 @@ func run() error {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof, and /healthz on this address (e.g. 127.0.0.1:9090; empty disables)")
 	listen := flag.String("listen", "", "dispatcher listen address for external workers (e.g. 0.0.0.0:7001; empty binds an ephemeral loopback port)")
 	federate := flag.Int("federate", 1, "dispatcher instances to run behind the work router (>=2 federates)")
-	peers := flag.String("peers", "", "comma-separated addresses of external dispatcher instances to federate with")
 	dataDir := flag.String("data-dir", "", "directory for the crash-safe dispatcher journal; on restart, uncompleted jobs from a previous run are recovered and re-run (empty disables durability)")
 	hotQueue := flag.Int("hot-queue", 0, "max fully-hydrated queued jobs held in memory per scheduling shard; the excess backlog spills to disk (0 = default, negative disables spilling)")
 	alertsOn := flag.Bool("alerts", false, "evaluate the default self-monitoring alert rules (log warnings, export jets_alert_firing, fail /healthz on critical rules)")
@@ -120,7 +118,6 @@ func run() error {
 		DataDir:        *dataDir,
 		HotQueueJobs:   *hotQueue,
 		Federate:       *federate,
-		FederatePeers:  splitPeers(*peers),
 	})
 	if err != nil {
 		return err
@@ -268,19 +265,6 @@ func (o *outputDir) Write(taskID, stream string, data []byte) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jets: output of %s: %v\n", taskID, err)
 	}
-}
-
-func splitPeers(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func sanitize(s string) string {

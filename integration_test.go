@@ -33,8 +33,6 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	case "crash-dispatcher":
 		os.Exit(helperCrashDispatcher())
-	case "federate-instance":
-		os.Exit(helperFederateInstance())
 	default:
 		fmt.Fprintln(os.Stderr, "unknown helper", os.Getenv("JETS_HELPER"))
 		os.Exit(2)

@@ -107,9 +107,6 @@ type Options struct {
 	// recovers after a crash. 0 or 1 keeps the single-dispatcher engine
 	// unchanged.
 	Federate int
-	// FederatePeers adds out-of-process dispatcher instances (by address) to
-	// the federation; the router attaches to them over the wire protocol.
-	FederatePeers []string
 }
 
 // Engine is a running JETS instance — or, with Options.Federate, a running
@@ -128,7 +125,7 @@ type Engine struct {
 
 // NewEngine starts the dispatcher(s) and any local workers.
 func NewEngine(opts Options) (*Engine, error) {
-	if opts.Federate >= 2 || len(opts.FederatePeers) > 0 {
+	if opts.Federate >= 2 {
 		return newFederatedEngine(opts)
 	}
 	jnl := opts.Journal

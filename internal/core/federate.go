@@ -12,10 +12,9 @@ import (
 )
 
 // newFederatedEngine builds the Options.Federate form of the engine: N
-// in-process dispatcher instances (plus any FederatePeers) behind a work
-// router. Each instance listens on its own ephemeral endpoint and carries an
-// instance label so the shared obs registry keeps every instance's series
-// distinct.
+// in-process dispatcher instances behind a work router. Each instance
+// listens on its own ephemeral endpoint and carries an instance label so the
+// shared obs registry keeps every instance's series distinct.
 func newFederatedEngine(opts Options) (*Engine, error) {
 	n := opts.Federate
 	if n < 1 {
@@ -72,11 +71,9 @@ func newFederatedEngine(opts Options) (*Engine, error) {
 		rjnl = w
 	}
 	rtr, err := router.New(router.Config{
-		Local:    e.insts,
-		Peers:    opts.FederatePeers,
-		Journal:  rjnl,
-		Obs:      opts.Obs,
-		OnOutput: opts.OnOutput,
+		Local:   e.insts,
+		Journal: rjnl,
+		Obs:     opts.Obs,
 	})
 	if err != nil {
 		if rjnl != nil {

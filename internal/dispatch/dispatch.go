@@ -348,14 +348,6 @@ type Dispatcher struct {
 	eventsQuit    chan struct{}
 	evWG          sync.WaitGroup // tracks the drainer; Close waits for its flush
 	droppedEvents atomic.Int64
-
-	// peerOut routes output chunks of peer-submitted jobs back to the
-	// attached router (federate.go). peerOutN mirrors len(peerOut) so the
-	// per-chunk check on the output hot path is one atomic load when no
-	// peer is attached.
-	peerOutMu sync.Mutex
-	peerOut   map[string]*proto.Outbox
-	peerOutN  atomic.Int64
 }
 
 // New creates a dispatcher with defaults applied. Call Start to serve.
@@ -392,7 +384,6 @@ func New(cfg Config) *Dispatcher {
 		shards:  newShards(cfg.Shards, func() QueuePolicy { return cfg.NewQueue() }),
 		workers: make(map[string]*workerConn),
 		jobs:    make(map[string]*liveJob),
-		peerOut: make(map[string]*proto.Outbox),
 		jnl:     cfg.Journal,
 		hotMax:  cfg.HotQueueJobs,
 		compact: compactSegments,
@@ -463,7 +454,7 @@ func (d *Dispatcher) Epoch() time.Time { return d.epoch }
 func (d *Dispatcher) acceptLoop() {
 	defer d.wg.Done()
 	for {
-		conn, err := d.ln.Accept()
+		conn, err := obs.Accept(d.ln)
 		if err != nil {
 			return
 		}
@@ -542,13 +533,6 @@ func (d *Dispatcher) serveWorker(codec *proto.Codec, local bool) {
 	defer codec.Close()
 	first, err := codec.Recv()
 	if err != nil {
-		return
-	}
-	if first.Kind == proto.KindPeerAttach && first.PeerAttach != nil {
-		// A router attaching as a federation peer, not a worker registering.
-		// Same listener, same wire protocol — the first frame's kind is the
-		// only discriminator, so existing workers and clients need no changes.
-		d.servePeer(codec, first)
 		return
 	}
 	if first.Kind != proto.KindRegister || first.Register == nil {
@@ -917,13 +901,10 @@ func (d *Dispatcher) handleResult(wc *workerConn, res *proto.Result) {
 }
 
 // handleOutput routes one output chunk from a worker to the OnOutput
-// callback and to the router attached to its job, if any.
+// callback.
 func (d *Dispatcher) handleOutput(o *proto.Output) {
 	if d.cfg.OnOutput != nil {
 		d.cfg.OnOutput(o.TaskID, o.Stream, o.Data)
-	}
-	if d.peerOutN.Load() > 0 {
-		d.relayPeerOutput(o)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -594,10 +595,10 @@ func readFile(path string) ([]byte, error) {
 }
 
 // TestJSONv1PeerRejectedAtWorkerPort: the listener speaks one wire format.
-// A peer whose first frame is JSON v1 — a worker registering or a router
-// attaching, the two services the first frame selects between — is
-// disconnected without a reply, nothing registers, and the dispatcher keeps
-// serving: a worker on the real wire then joins and runs the whole batch.
+// A peer whose first frame is JSON v1 — a worker registering, or a router
+// attaching as the retired federation protocol did — is disconnected without
+// a reply, nothing registers, and the dispatcher keeps serving: a worker on
+// the real wire then joins and runs the whole batch.
 func TestJSONv1PeerRejectedAtWorkerPort(t *testing.T) {
 	d := New(Config{})
 	addr, err := d.Start()
@@ -672,6 +673,68 @@ func TestJSONv1PeerRejectedAtWorkerPort(t *testing.T) {
 	ran.Range(func(_, _ any) bool { count++; return true })
 	if count != 40 {
 		t.Fatalf("ran %d/40 tasks", count)
+	}
+}
+
+// TestPeerAttachRefusedAtWorkerPort: the worker port serves workers only. A
+// router's peer-attach first frame, in the binary layout federation over the
+// wire used before its kind code was retired, gets no reply: the connection
+// closes, nothing registers, and no goroutine of the link is left.
+func TestPeerAttachRefusedAtWorkerPort(t *testing.T) {
+	d := New(Config{})
+	addr, err := d.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	g0 := settledGoroutines()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	attach := []byte("\xbf\x0f\x00\brouter-1\x02\x02j1\x02j2\x80\xc2\xd7/") // code 15, seq 0
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(attach)))
+	if _, err := conn.Write(append(hdr[:], attach...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 64)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read %d bytes, err %v; want the connection closed with no reply", n, err)
+	}
+	conn.Close()
+	goroutinesBackTo(t, g0, "after a refused peer-attach")
+	if st := d.Stats(); d.Workers() != 0 || st.WorkersJoined != 0 {
+		t.Fatalf("a peer-attach registered: workers=%d joined=%d", d.Workers(), st.WorkersJoined)
+	}
+}
+
+// settledGoroutines is the goroutine count once it has held for 20 ms.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); same < 4 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// goroutinesBackTo fails the test unless the goroutine count falls to want
+// within 2 s.
+func goroutinesBackTo(t *testing.T, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines, want %d\n%s", what, runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

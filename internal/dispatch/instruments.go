@@ -55,7 +55,7 @@ func (d *Dispatcher) QueueWaitHist() *obs.Hist { return d.ins.queueWait }
 // above, counter views over the stats atomics, and gauge views over the
 // advisory scheduling state (global and per shard).
 func (d *Dispatcher) registerObs(reg *obs.Registry) {
-	reg.Register(d.ins.queueWait, d.ins.assembly, d.ins.jobDur)
+	reg.Register(d.ins.queueWait, d.ins.assembly, d.ins.jobDur, obs.AcceptErrors)
 
 	// Instance-qualified series names keep two dispatchers in one process
 	// (federation) from colliding in the shared registry: the second

@@ -80,7 +80,9 @@ const (
 	placeColdRef                  // recovered SpillRef: the spill store already holds the spec
 )
 
-var errShutDown = errors.New("dispatch: dispatcher is shut down")
+// ErrShutDown rejects a submission to a dispatcher that is draining or
+// closed. SubmitStolen reports the same refusal as ErrDraining.
+var ErrShutDown = errors.New("dispatch: dispatcher is shut down")
 
 // admit is the only way into the job table. All jobs are validated and their
 // IDs reserved before any is placed, so the batch enters as a whole or not at
@@ -103,7 +105,7 @@ func (d *Dispatcher) admit(jobs []*Job, where placement) error {
 	d.subMu.RLock()
 	if d.closed.Load() || d.draining.Load() {
 		d.subMu.RUnlock()
-		return errShutDown
+		return ErrShutDown
 	}
 	st := queuedHot
 	if where == placeBackoff {

@@ -359,22 +359,22 @@ func (d *Dispatcher) snapshotLive(emit func(journal.Record) error) error {
 	if sp == nil {
 		return errors.New("dispatch: cold-queued jobs but no spill store")
 	}
-	if d.spillDurable {
+	if d.spillDurable && sp.Sync() == nil {
 		// The spill store survives restarts: reference each cold job with a
 		// tiny SpillRef instead of copying a (possibly million-entry) backlog
-		// of specs into the WAL. The Sync below makes every referenced entry
-		// durable before the checkpoint commits — it runs inside the
-		// checkpoint callback, so no entry written after it can be referenced
-		// by this snapshot.
+		// of specs into the WAL. The Sync made every gathered job's record
+		// durable before any SpillRef is emitted.
 		for _, sn := range cold {
 			if err := emit(journal.Record{Kind: journal.SpillRef, JobID: sn.id, Attempt: sn.retries}); err != nil {
 				return err
 			}
 		}
-		return sp.Sync()
+		return nil
 	}
-	// Ephemeral spill: the temp directory dies with the process, so cold
-	// specs must be re-journaled in full for the snapshot to stand alone.
+	// Ephemeral spill, or a durable store that can no longer write (its
+	// error is sticky): the snapshot must stand alone, so cold specs are
+	// re-journaled in full. A record that was Put but never written reads
+	// back from the store's pending buffer.
 	locs := make([]journal.Loc, refillBatch)
 	got := make([]*journal.Record, refillBatch)
 	for len(cold) > 0 {

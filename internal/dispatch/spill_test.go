@@ -11,11 +11,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -551,5 +554,98 @@ func TestCheckpointRejournalsEphemeralSpill(t *testing.T) {
 		if lj.job == nil || len(lj.job.Spec.Args) != 1 || lj.job.Spec.Args[0] != id {
 			t.Fatalf("job %s recovered without its spec: %+v", id, lj.job)
 		}
+	}
+}
+
+// TestCheckpointSurvivesDegradedSpill: a durable spill store that can no
+// longer write does not fail every online checkpoint. A child process (the
+// limit is per process) spills and steals away a backlog, so its spill
+// segment holds more history than live jobs, then lowers its own
+// RLIMIT_FSIZE and submits again: the spill segment hits the limit partway,
+// while the WAL's small segments and the checkpoint's snapshot stay under it.
+// CompactJournal must succeed there by re-journaling the cold specs in full,
+// some of them from the store's pending buffer, and a restart here must
+// recover every job with its spec.
+func TestCheckpointSurvivesDegradedSpill(t *testing.T) {
+	const live = 300
+	if dir := os.Getenv("JETS_DEGRADED_SPILL_DIR"); dir != "" {
+		degradedSpillChild(t, dir, live)
+		return
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointSurvivesDegradedSpill$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "JETS_DEGRADED_SPILL_DIR="+dir)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+
+	wal, err := journal.OpenWAL(journal.Options{Dir: filepath.Join(dir, "wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(Config{Journal: wal, SpillDir: filepath.Join(dir, "spill"), HotQueueJobs: 4, Shards: 1})
+	defer d.Close()
+	rec := d.RecoveredJobs()
+	if len(rec) != live {
+		t.Fatalf("recovered %d jobs, want %d (recovery error: %v)", len(rec), live, d.RecoveryError())
+	}
+	runner := hydra.NewFuncRunner()
+	runner.Register("noop", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
+		if len(args) != 1 || len(args[0]) != 2<<10 {
+			return 1
+		}
+		return 0
+	})
+	startPipeWorkers(t, d, 2, runner)
+	for _, h := range rec {
+		if res := h.Wait(); res.Failed {
+			t.Fatalf("recovered job %s failed: %s", res.JobID, res.Err)
+		}
+	}
+}
+
+// degradedSpillChild is TestCheckpointSurvivesDegradedSpill's child process.
+func degradedSpillChild(t *testing.T, dir string, live int) {
+	wal, err := journal.OpenWAL(journal.Options{Dir: filepath.Join(dir, "wal"), SegmentBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spillDir := filepath.Join(dir, "spill")
+	d := New(Config{Journal: wal, SpillDir: spillDir, HotQueueJobs: 4, Shards: 1})
+	defer d.Close()
+	arg := strings.Repeat("x", 2<<10)
+	submit := func(prefix string, n int) {
+		for i := 0; i < n; i++ {
+			if _, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: fmt.Sprint(prefix, i), NProcs: 1, Cmd: "noop", Args: []string{arg}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	submit("gone-", 400)
+	if got := len(d.StealQueued(400, "elsewhere")); got != 400 {
+		t.Fatalf("stole %d jobs, want 400", got)
+	}
+	if err := d.CompactJournal(); err != nil {
+		t.Fatal(err)
+	}
+	var spilled int64
+	segs, _ := filepath.Glob(filepath.Join(spillDir, "spill-*.seg"))
+	for _, seg := range segs {
+		if fi, err := os.Stat(seg); err == nil {
+			spilled = max(spilled, fi.Size())
+		}
+	}
+	// The live backlog adds about 600 KiB to the spill segment, which passes
+	// the limit, and the snapshot of it is about as large, which does not.
+	limit := uint64(spilled + 256<<10)
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &syscall.Rlimit{Cur: limit, Max: limit}); err != nil {
+		t.Fatal(err)
+	}
+	submit("live-", live)
+	if err := d.spillLoaded().Sync(); err == nil {
+		t.Fatalf("the spill store wrote past RLIMIT_FSIZE %d", limit)
+	}
+	if err := d.CompactJournal(); err != nil {
+		t.Fatalf("checkpoint with a degraded spill store: %v", err)
 	}
 }

@@ -54,7 +54,7 @@ var (
 
 // RegisterMetrics exports this package's PMI instrumentation.
 func RegisterMetrics(reg *obs.Registry) {
-	reg.Register(wireupHist, barrierHist, connsAccepted, connsOpen, sessionsTotal, staleRedials)
+	reg.Register(wireupHist, barrierHist, connsAccepted, connsOpen, sessionsTotal, staleRedials, obs.AcceptErrors)
 }
 
 // Environment variable names used to bootstrap a PMI client, following the

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"jets/internal/obs"
 )
 
 // Service is a PMI endpoint: one listener that serves every job attached to
@@ -116,7 +118,7 @@ func (sv *Service) Close() error {
 
 func (sv *Service) acceptLoop() {
 	for {
-		conn, err := sv.ln.Accept()
+		conn, err := obs.Accept(sv.ln)
 		if err != nil {
 			return
 		}

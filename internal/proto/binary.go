@@ -47,25 +47,21 @@ func checkMagic(buf []byte) error {
 // Retired codes stay unassigned and are never reused: 1 was work-request and
 // 13 no-work, before a result became the worker's next request; 5 and 7 were
 // heartbeat and registered before the heartbeat lost its body and registered
-// gained one, so a peer speaking the old layouts fails on its kind code.
+// gained one, so a peer speaking the old layouts fails on its kind code; 11,
+// 12 and 15-19 were the federation kinds (peer-submit, job-done, peer-attach,
+// peer-attached, load-report, steal-request, steal-reply), so a router
+// attaching to a worker port is refused at its first frame.
 const (
-	binTask         = 2
-	binResult       = 3
-	binOutput       = 4
-	binRegister     = 6
-	binStage        = 8
-	binStaged       = 9
-	binError        = 10
-	binPeerSubmit   = 11
-	binJobDone      = 12
-	binShutdown     = 14
-	binPeerAttach   = 15
-	binPeerAttached = 16
-	binLoadReport   = 17
-	binStealRequest = 18
-	binStealReply   = 19
-	binHeartbeat    = 20
-	binRegistered   = 21
+	binTask       = 2
+	binResult     = 3
+	binOutput     = 4
+	binRegister   = 6
+	binStage      = 8
+	binStaged     = 9
+	binError      = 10
+	binShutdown   = 14
+	binHeartbeat  = 20
+	binRegistered = 21
 )
 
 // appendBinary encodes e onto buf, returning the extended buffer and true.
@@ -146,64 +142,6 @@ func appendBinary(buf []byte, e *Envelope) ([]byte, bool) {
 	case KindError:
 		buf = appendHead(buf, binError, e.Seq)
 		buf = appendString(buf, e.Error)
-	case KindPeerSubmit:
-		if e.PeerSubmit == nil {
-			return buf, false
-		}
-		buf = appendHead(buf, binPeerSubmit, e.Seq)
-		buf = appendPeerSubmit(buf, e.PeerSubmit)
-	case KindJobDone:
-		if e.JobDone == nil {
-			return buf, false
-		}
-		jd := e.JobDone
-		buf = appendHead(buf, binJobDone, e.Seq)
-		buf = appendString(buf, jd.JobID)
-		buf = appendString(buf, jd.Err)
-		buf = appendVarint(buf, int64(jd.Retries))
-		buf = appendBool(buf, jd.Failed)
-		buf = appendBool(buf, jd.Rejected)
-	case KindPeerAttach:
-		if e.PeerAttach == nil {
-			return buf, false
-		}
-		a := e.PeerAttach
-		buf = appendHead(buf, binPeerAttach, e.Seq)
-		buf = appendString(buf, a.PeerID)
-		buf = appendStrings(buf, a.Outstanding)
-		buf = appendVarint(buf, int64(a.LoadEvery))
-	case KindPeerAttached:
-		if e.PeerInfo == nil {
-			return buf, false
-		}
-		buf = appendHead(buf, binPeerAttached, e.Seq)
-		buf = appendStrings(buf, e.PeerInfo.Live)
-	case KindLoadReport:
-		if e.LoadReport == nil {
-			return buf, false
-		}
-		l := e.LoadReport
-		buf = appendHead(buf, binLoadReport, e.Seq)
-		buf = appendVarint(buf, int64(l.Queued))
-		buf = appendVarint(buf, int64(l.Running))
-		buf = appendVarint(buf, int64(l.Idle))
-		buf = appendVarint(buf, int64(l.Workers))
-	case KindStealRequest:
-		if e.StealRequest == nil {
-			return buf, false
-		}
-		buf = appendHead(buf, binStealRequest, e.Seq)
-		buf = appendVarint(buf, int64(e.StealRequest.Max))
-		buf = appendString(buf, e.StealRequest.Dest)
-	case KindStealReply:
-		if e.StealReply == nil {
-			return buf, false
-		}
-		buf = appendHead(buf, binStealReply, e.Seq)
-		buf = appendUvarint(buf, uint64(len(e.StealReply.Jobs)))
-		for i := range e.StealReply.Jobs {
-			buf = appendPeerSubmit(buf, &e.StealReply.Jobs[i])
-		}
 	default:
 		return buf, false
 	}
@@ -215,26 +153,6 @@ func appendHead(buf []byte, code byte, seq uint64) []byte {
 	buf = append(buf, binMagic, code)
 	return appendUvarint(buf, seq)
 }
-
-// appendPeerSubmit encodes the job body shared by peer-submit and each entry
-// of steal-reply.
-func appendPeerSubmit(buf []byte, p *PeerSubmit) []byte {
-	buf = appendString(buf, p.JobID)
-	buf = appendString(buf, p.Cmd)
-	buf = appendString(buf, p.Dir)
-	buf = appendStrings(buf, p.Args)
-	buf = appendStrings(buf, p.Env)
-	buf = appendVarint(buf, int64(p.JobType))
-	buf = appendVarint(buf, int64(p.Priority))
-	buf = appendVarint(buf, int64(p.NProcs))
-	buf = appendVarint(buf, int64(p.WallLimit))
-	buf = appendVarint(buf, int64(p.Retries))
-	return appendBool(buf, p.Stolen)
-}
-
-// minPeerSubmit is the smallest encoded job body (every field one byte); it
-// bounds a steal-reply's announced count against the bytes actually present.
-const minPeerSubmit = 11
 
 // withBody is an envelope and its payload as one object: a decoded frame's
 // two parts are made together and die together, so they cost one allocation.
@@ -324,59 +242,6 @@ func decodeBinary(buf []byte) (*Envelope, error) {
 	case binError:
 		e = &Envelope{Kind: KindError, Seq: seq}
 		e.Error = r.str()
-	case binPeerSubmit:
-		var p *PeerSubmit
-		e, p = newBody[PeerSubmit](KindPeerSubmit, seq)
-		r.peerSubmit(p)
-		e.PeerSubmit = p
-	case binJobDone:
-		var jd *JobDone
-		e, jd = newBody[JobDone](KindJobDone, seq)
-		jd.JobID = r.str()
-		jd.Err = r.str()
-		jd.Retries = int(r.varint())
-		jd.Failed = r.bool()
-		jd.Rejected = r.bool()
-		e.JobDone = jd
-	case binPeerAttach:
-		var a *PeerAttach
-		e, a = newBody[PeerAttach](KindPeerAttach, seq)
-		a.PeerID = r.str()
-		a.Outstanding = r.strs()
-		a.LoadEvery = time.Duration(r.varint())
-		e.PeerAttach = a
-	case binPeerAttached:
-		var pi *PeerInfo
-		e, pi = newBody[PeerInfo](KindPeerAttached, seq)
-		pi.Live = r.strs()
-		e.PeerInfo = pi
-	case binLoadReport:
-		var l *LoadReport
-		e, l = newBody[LoadReport](KindLoadReport, seq)
-		l.Queued = int(r.varint())
-		l.Running = int(r.varint())
-		l.Idle = int(r.varint())
-		l.Workers = int(r.varint())
-		e.LoadReport = l
-	case binStealRequest:
-		var sr *StealRequest
-		e, sr = newBody[StealRequest](KindStealRequest, seq)
-		sr.Max = int(r.varint())
-		sr.Dest = r.str()
-		e.StealRequest = sr
-	case binStealReply:
-		var rep *StealReply
-		e, rep = newBody[StealReply](KindStealReply, seq)
-		n := r.uvarint()
-		if n > uint64(len(buf)-r.off)/minPeerSubmit {
-			r.fail()
-		} else if n > 0 {
-			rep.Jobs = make([]PeerSubmit, n)
-			for i := range rep.Jobs {
-				r.peerSubmit(&rep.Jobs[i])
-			}
-		}
-		e.StealReply = rep
 	default:
 		return nil, fmt.Errorf("%w: unknown kind code %d", ErrCorruptFrame, code)
 	}
@@ -424,13 +289,6 @@ func appendInts(b []byte, vs []int) []byte {
 		b = appendVarint(b, int64(v))
 	}
 	return b
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
 }
 
 // binReader decodes the primitives with sticky-error accumulation: the
@@ -562,32 +420,4 @@ func (r *binReader) ints() []int {
 		}
 	}
 	return out
-}
-
-func (r *binReader) bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off >= len(r.buf) {
-		r.fail()
-		return false
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v != 0
-}
-
-// peerSubmit decodes the job body written by appendPeerSubmit.
-func (r *binReader) peerSubmit(p *PeerSubmit) {
-	p.JobID = r.str()
-	p.Cmd = r.str()
-	p.Dir = r.str()
-	p.Args = r.strs()
-	p.Env = r.strs()
-	p.JobType = int(r.varint())
-	p.Priority = int(r.varint())
-	p.NProcs = int(r.varint())
-	p.WallLimit = time.Duration(r.varint())
-	p.Retries = int(r.varint())
-	p.Stolen = r.bool()
 }

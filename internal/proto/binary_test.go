@@ -20,11 +20,6 @@ import (
 // allEnvelopes covers every kind, the first entry of each fully populated
 // and, where the payload has optional fields, a zero-ish one after it.
 func allEnvelopes() []*Envelope {
-	job := PeerSubmit{
-		JobID: "j9", JobType: 1, Priority: -2, NProcs: 4, Cmd: "namd2.sh",
-		Args: []string{"in.pdb", ""}, Env: []string{"A=1"}, Dir: "/tmp/x",
-		WallLimit: time.Minute, Stolen: true, Retries: 2,
-	}
 	return []*Envelope{
 		{Kind: KindShutdown},
 		{Kind: KindTask, Task: &Task{
@@ -58,26 +53,11 @@ func allEnvelopes() []*Envelope {
 		{Kind: KindStaged, Stage: &Stage{Name: "namd2.sh"}},
 		{Kind: KindError, Error: "duplicate worker id w4"},
 		{Kind: KindError},
-		{Kind: KindPeerAttach, PeerAttach: &PeerAttach{
-			PeerID: "router-1", Outstanding: []string{"j1", "j2"}, LoadEvery: 50 * time.Millisecond,
-		}},
-		{Kind: KindPeerAttach, PeerAttach: &PeerAttach{PeerID: "r"}},
-		{Kind: KindPeerAttached, PeerInfo: &PeerInfo{Live: []string{"j2"}}},
-		{Kind: KindPeerAttached, PeerInfo: &PeerInfo{}},
-		{Kind: KindPeerSubmit, PeerSubmit: &job},
-		{Kind: KindPeerSubmit, PeerSubmit: &PeerSubmit{JobID: "j", NProcs: 1, Cmd: "c"}},
-		{Kind: KindJobDone, JobDone: &JobDone{
-			JobID: "j9", Failed: true, Err: "exit 3", Retries: 1, Rejected: true,
-		}},
-		{Kind: KindLoadReport, LoadReport: &LoadReport{Queued: 900, Running: 8, Idle: 0, Workers: 8}},
-		{Kind: KindStealRequest, StealRequest: &StealRequest{Max: 32, Dest: "inst-2"}},
-		{Kind: KindStealReply, StealReply: &StealReply{Jobs: []PeerSubmit{job, {JobID: "j10", NProcs: 1, Cmd: "c"}}}},
-		{Kind: KindStealReply, StealReply: &StealReply{}},
 	}
 }
 
 // declaredKinds parses the package source for every constant of type Kind,
-// so a kind added to proto.go or federate.go shows up here without anyone
+// so a kind added to proto.go shows up here without anyone
 // remembering to list it.
 func declaredKinds(t *testing.T) map[Kind]string {
 	t.Helper()
@@ -122,24 +102,24 @@ func declaredKinds(t *testing.T) map[Kind]string {
 // kindOfCode is the tests' copy of the kind-code table: it maps a kind code
 // to its Kind, and "" marks an unassigned code.
 var kindOfCode = [...]Kind{
-	binTask:         KindTask,
-	binResult:       KindResult,
-	binOutput:       KindOutput,
-	binRegister:     KindRegister,
-	binStage:        KindStage,
-	binStaged:       KindStaged,
-	binError:        KindError,
-	binPeerSubmit:   KindPeerSubmit,
-	binJobDone:      KindJobDone,
-	binShutdown:     KindShutdown,
-	binPeerAttach:   KindPeerAttach,
-	binPeerAttached: KindPeerAttached,
-	binLoadReport:   KindLoadReport,
-	binStealRequest: KindStealRequest,
-	binStealReply:   KindStealReply,
-	binHeartbeat:    KindHeartbeat,
-	binRegistered:   KindRegistered,
+	binTask:       KindTask,
+	binResult:     KindResult,
+	binOutput:     KindOutput,
+	binRegister:   KindRegister,
+	binStage:      KindStage,
+	binStaged:     KindStaged,
+	binError:      KindError,
+	binShutdown:   KindShutdown,
+	binHeartbeat:  KindHeartbeat,
+	binRegistered: KindRegistered,
 }
+
+// retiredCodes are kind codes that once named a kind and are never reused:
+// work-request (1), the old heartbeat (5) and registered (7) layouts, no-work
+// (13), and the federation kinds peer-submit (11), job-done (12),
+// peer-attach (15), peer-attached (16), load-report (17), steal-request (18)
+// and steal-reply (19).
+var retiredCodes = []byte{1, 5, 7, 11, 12, 13, 15, 16, 17, 18, 19}
 
 // TestEveryKindHasACodec ranges over every Kind constant the package
 // declares and round-trips a populated envelope of that kind through
@@ -154,13 +134,12 @@ func TestEveryKindHasACodec(t *testing.T) {
 		}
 	}
 	kinds := declaredKinds(t)
-	if len(kinds) < 17 {
+	if len(kinds) < 10 {
 		t.Fatalf("found only %d Kind constants in the source; the scan is broken", len(kinds))
 	}
-	// Retired codes (work-request, the old heartbeat and registered
-	// layouts, no-work) are never reassigned: a peer still sending one must
-	// get an unknown-kind error, not some other kind or a misleading one.
-	for _, code := range []byte{1, 5, 7, 13} {
+	// Retired codes are never reassigned: a peer still sending one must get
+	// an unknown-kind error, not some other kind or a misleading one.
+	for _, code := range retiredCodes {
 		if k := kindOfCode[code]; k != "" {
 			t.Errorf("retired kind code %d reassigned to %q", code, k)
 		}
@@ -245,7 +224,7 @@ func TestSendRejectsUnencodable(t *testing.T) {
 	for _, e := range []*Envelope{
 		{Kind: KindStage},            // nil payload
 		{Kind: KindRegistered},       // nil payload
-		{Kind: KindStealReply},       // nil payload
+		{Kind: KindTask},             // nil payload
 		{Kind: Kind("no-such")},      // unknown kind
 		{Kind: KindTask, Error: "x"}, // wrong field populated
 	} {

@@ -3,10 +3,9 @@ package proto
 import "sync"
 
 // Outbox is the outbound queue of one connection, and the only thing that
-// queues frames for one: a dispatcher's worker links and router links each
-// write through one. At most one goroutine writes
-// to the codec at a time, the one that set writing, and no connection keeps
-// a writer goroutine while it is idle.
+// queues frames for one: each of a dispatcher's worker links writes through
+// one. At most one goroutine writes to the codec at a time, the one that set
+// writing, and no connection keeps a writer goroutine while it is idle.
 //
 //   - Push appends a frame without blocking. If nobody is writing, the push
 //     starts a drain goroutine, which writes the queue in FIFO order, one
@@ -23,7 +22,7 @@ import "sync"
 // one.
 type Outbox struct {
 	codec *Codec
-	limit int // most frames queued at once; 0 means no bound
+	limit int // most frames queued at once
 
 	// mu is a leaf lock, never held across a write. q is non-empty only
 	// while writing is set.
@@ -33,8 +32,7 @@ type Outbox struct {
 	closed  bool
 }
 
-// NewOutbox returns an outbox writing to c that holds at most limit frames;
-// a limit of 0 means no bound.
+// NewOutbox returns an outbox writing to c that holds at most limit frames.
 func NewOutbox(c *Codec, limit int) *Outbox {
 	return &Outbox{codec: c, limit: limit}
 }
@@ -58,7 +56,7 @@ func (o *Outbox) Push(e *Envelope) bool {
 // appendLocked adds e unless the outbox is closed or full. Caller holds
 // o.mu.
 func (o *Outbox) appendLocked(e *Envelope) bool {
-	if o.closed || (o.limit > 0 && len(o.q) >= o.limit) {
+	if o.closed || len(o.q) >= o.limit {
 		return false
 	}
 	o.q = append(o.q, e)

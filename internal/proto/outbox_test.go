@@ -127,7 +127,7 @@ func TestOutboxRefusesWhenFullOrClosed(t *testing.T) {
 func TestOutboxFailedWriteReleasesFrames(t *testing.T) {
 	reader, served := Pipe()
 	reader.Close()
-	o := NewOutbox(served, 0)
+	o := NewOutbox(served, 1024)
 	for i := 0; i < 100; i++ {
 		o.Push(&Envelope{Kind: KindOutput, Output: &Output{TaskID: "t", Stream: "stdout", Data: []byte("x")}})
 	}

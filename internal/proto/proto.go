@@ -1,7 +1,6 @@
 // Package proto defines the JETS wire protocol: length-prefixed frames with
-// a compact binary body (binary.go), used on the links that carry typed
-// envelopes — worker agents talking to the central dispatcher, and routers
-// talking to dispatcher instances.
+// a compact binary body (binary.go), used on the one link that carries typed
+// envelopes: worker agents talking to the central dispatcher.
 //
 // The paper's architecture principle 2 ("separate service pipeline processes
 // through simple interfaces") is realized here: socket management is a thin,
@@ -63,15 +62,6 @@ type Envelope struct {
 	Output     *Output     `json:"output,omitempty"`
 	Stage      *Stage      `json:"stage,omitempty"`
 	Error      string      `json:"error,omitempty"`
-
-	// Federation payloads (federate.go): router <-> dispatcher traffic.
-	PeerAttach   *PeerAttach   `json:"peer_attach,omitempty"`
-	PeerInfo     *PeerInfo     `json:"peer_info,omitempty"`
-	PeerSubmit   *PeerSubmit   `json:"peer_submit,omitempty"`
-	JobDone      *JobDone      `json:"job_done,omitempty"`
-	LoadReport   *LoadReport   `json:"load_report,omitempty"`
-	StealRequest *StealRequest `json:"steal_request,omitempty"`
-	StealReply   *StealReply   `json:"steal_reply,omitempty"`
 }
 
 // Register announces a worker to the dispatcher.

@@ -1,11 +1,8 @@
 // Package router is the dispatcher-of-dispatchers tier: it partitions
-// submitted jobs across N dispatcher instances and rebalances queued work
-// between them, generalizing the intra-dispatcher shard steal one level up.
-// The paper's single dispatcher saturates around one process's scheduling
-// throughput; federating instances behind a router multiplies that while
-// workers and clients keep speaking the existing wire protocol — a router
-// attaches to an instance the same way a worker does, distinguished only by
-// its first frame (proto.KindPeerAttach).
+// submitted jobs across N dispatcher instances in one process and rebalances
+// queued work between them, generalizing the intra-dispatcher shard steal one
+// level up. The router calls its members directly; nothing of it crosses the
+// wire, and each instance's worker port serves workers only.
 //
 // Placement is consistent hashing on the job ID — an FNV-1a hash over a
 // ring of virtual nodes, 64 per instance — with a least-loaded fallback

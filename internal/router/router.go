@@ -17,17 +17,14 @@ import (
 
 // Config configures a Router.
 type Config struct {
-	// Local lists in-process dispatcher instances; the router calls them
-	// directly (no wire round trip). Names come from each instance's
-	// Config.Instance, falling back to "inst<i>".
+	// Local lists the dispatcher instances, all in this process; the router
+	// calls them directly. Names come from each instance's Config.Instance,
+	// falling back to "inst<i>".
 	Local []*dispatch.Dispatcher
 	// LocalNames overrides the member name per Local entry (must be stable
 	// across restarts — the routing-table journal records placements by
 	// member name).
 	LocalNames []string
-	// Peers lists out-of-process dispatcher addresses; the router attaches
-	// over the wire protocol and redials with backoff when a link drops.
-	Peers []string
 	// Journal, when non-nil, makes the routing table durable: accepted jobs
 	// and their current placement replay on restart, and the router
 	// re-attaches each member to reconcile. The router takes ownership and
@@ -41,26 +38,12 @@ type Config struct {
 	StealInterval time.Duration
 	// StealBatch bounds the jobs moved per steal pass (default 16).
 	StealBatch int
-	// LoadEvery is the cadence remote instances report load at (default
-	// 50ms). Local instances are sampled directly.
-	LoadEvery time.Duration
-	// OnOutput receives task output chunks relayed back from out-of-process
-	// members for jobs this router placed there; nil discards them. Local
-	// members deliver output through their own dispatch.Config.OnOutput.
-	OnOutput func(taskID, stream string, data []byte)
-}
-
-// member is one federated dispatcher: exactly one of local/peer is set.
-type member struct {
-	name  string
-	local *dispatch.Dispatcher
-	peer  *peerLink
 }
 
 // entry is one routed job's routing-table state. The handle is the stable
 // client-facing handle; instance-level handles are rewired underneath it as
 // the job migrates, and exactly one completion resolves it (the done flag
-// arbitrates between a live completion, a stale link's duplicate, and a
+// arbitrates between a live completion, a failed placement, and a
 // post-recovery re-execution).
 type entry struct {
 	sj       dispatch.StolenJob
@@ -75,8 +58,8 @@ type entry struct {
 // comment for the placement and rebalancing model.
 type Router struct {
 	cfg     Config
-	id      string
-	members []*member
+	members []*dispatch.Dispatcher
+	names   []string // members[i]'s stable routing name
 	ring    *ring
 	jnl     journal.Journal
 
@@ -110,10 +93,9 @@ type Router struct {
 }
 
 // New builds the federation: recovers the routing table from the journal
-// (if any), connects every member, reconciles local members immediately
-// (remote ones reconcile as their links attach), and starts the steal pass.
+// (if any), reconciles every member against it, and starts the steal pass.
 func New(cfg Config) (*Router, error) {
-	if len(cfg.Local)+len(cfg.Peers) == 0 {
+	if len(cfg.Local) == 0 {
 		return nil, errors.New("router: no members configured")
 	}
 	if cfg.StealInterval == 0 {
@@ -122,17 +104,13 @@ func New(cfg Config) (*Router, error) {
 	if cfg.StealBatch <= 0 {
 		cfg.StealBatch = 16
 	}
-	if cfg.LoadEvery <= 0 {
-		cfg.LoadEvery = 50 * time.Millisecond
-	}
 	r := &Router{
-		cfg:   cfg,
-		id:    "router",
-		jnl:   cfg.Journal,
-		table: make(map[string]*entry),
-		quit:  make(chan struct{}),
+		cfg:     cfg,
+		members: cfg.Local,
+		jnl:     cfg.Journal,
+		table:   make(map[string]*entry),
+		quit:    make(chan struct{}),
 	}
-	var names []string
 	for i, d := range cfg.Local {
 		name := ""
 		if i < len(cfg.LocalNames) {
@@ -144,52 +122,38 @@ func New(cfg Config) (*Router, error) {
 		if name == "" {
 			name = fmt.Sprintf("inst%d", i)
 		}
-		names = append(names, name)
-		r.members = append(r.members, &member{name: name, local: d})
+		r.names = append(r.names, name)
 	}
-	for _, addr := range cfg.Peers {
-		names = append(names, addr)
-		r.members = append(r.members, &member{name: addr})
-	}
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
+	seen := make(map[string]bool, len(r.names))
+	for _, n := range r.names {
 		if seen[n] {
 			return nil, fmt.Errorf("router: duplicate member name %q", n)
 		}
 		seen[n] = true
 	}
-	r.ring = newRing(names)
+	r.ring = newRing(r.names)
 
 	if r.jnl != nil {
 		r.recoverJournal()
 	}
 
-	// Local members reconcile synchronously: wire completion callbacks for
-	// the jobs the instance recovered itself, resubmit the ones it lost.
+	// Every member reconciles before New returns: wire completion callbacks
+	// for the jobs the instance recovered itself, resubmit the ones it lost.
 	for i, m := range r.members {
-		if m.local == nil {
-			continue
-		}
 		outstanding := r.assignedTo(i)
 		var live []string
 		for _, id := range outstanding {
-			if h, ok := m.local.HandleOf(id); ok {
+			if h, ok := m.HandleOf(id); ok {
 				live = append(live, id)
 				r.mu.Lock()
 				e := r.table[id]
 				r.mu.Unlock()
 				if e != nil {
-					r.wire(e, i, h)
+					r.wire(e, h)
 				}
 			}
 		}
 		r.reconcile(i, live)
-	}
-	// Peer links attach (and reconcile) on their own goroutines.
-	for i, m := range r.members {
-		if m.local == nil {
-			m.peer = newPeerLink(r, i, m.name)
-		}
 	}
 
 	if cfg.StealInterval > 0 {
@@ -263,7 +227,7 @@ func (r *Router) maybeCheckpoint() {
 			if e.done {
 				continue
 			}
-			snaps = append(snaps, snap{sj: e.sj, node: r.members[e.member].name})
+			snaps = append(snaps, snap{sj: e.sj, node: r.names[e.member]})
 		}
 		r.mu.Unlock()
 		for _, s := range snaps {
@@ -286,28 +250,8 @@ func (r *Router) maybeCheckpoint() {
 // Members reports the federation size.
 func (r *Router) Members() int { return len(r.members) }
 
-// ConnectedMembers reports how many members can take placements right now:
-// every in-process instance, plus each remote peer whose attach handshake is
-// currently up. Callers that submit immediately after New can poll this to
-// avoid burning a job's placement rotation against still-dialing links.
-func (r *Router) ConnectedMembers() int {
-	n := 0
-	for _, m := range r.members {
-		if m.peer == nil {
-			n++
-			continue
-		}
-		m.peer.mu.Lock()
-		if m.peer.connected {
-			n++
-		}
-		m.peer.mu.Unlock()
-	}
-	return n
-}
-
 // MemberName returns the stable name of member i.
-func (r *Router) MemberName(i int) string { return r.members[i].name }
+func (r *Router) MemberName(i int) string { return r.names[i] }
 
 // RecoveredJobs returns the handles of jobs rebuilt from the routing-table
 // journal at startup, in original submission order.
@@ -405,7 +349,7 @@ func (r *Router) recoverJournal() {
 		r.table[id] = e
 		r.recovered = append(r.recovered, e.h)
 		r.journalLocked(submittedRecord(s.sj))
-		r.journalLocked(journal.Record{Kind: journal.Migrated, JobID: id, Node: r.members[mi].name})
+		r.journalLocked(journal.Record{Kind: journal.Migrated, JobID: id, Node: r.names[mi]})
 	}
 	// Same compaction gate as dispatcher recovery: only drop the replayed
 	// history once the re-journaled table is durable.
@@ -421,8 +365,8 @@ func (r *Router) recoverJournal() {
 }
 
 func (r *Router) memberIndex(name string) int {
-	for i, m := range r.members {
-		if m.name == name {
+	for i, n := range r.names {
+		if n == name {
 			return i
 		}
 	}
@@ -443,21 +387,16 @@ func (r *Router) assignedTo(mi int) []string {
 	return ids
 }
 
-// sample returns a member's load; ok is false for members that should not
-// receive placements (disconnected peer, draining local instance).
-func (r *Router) sample(mi int) (queued, running, idle, workers int, ok bool) {
+// sample returns a member's queue depth and idle workers; ok is false for a
+// draining member, which should not receive placements. Both are advisory
+// atomic sums: d.Load() would take the instance's scheduler lock on every
+// routed job — the very contention federation splits.
+func (r *Router) sample(mi int) (queued, idle int, ok bool) {
 	m := r.members[mi]
-	if m.local != nil {
-		if m.local.Draining() {
-			return 0, 0, 0, 0, false
-		}
-		// Placement and stealing only need queue depth and idle count, both
-		// advisory atomic sums; d.Load() would take the instance's scheduler
-		// lock on every routed job — the very contention federation splits.
-		return m.local.QueuedJobs(), 0, m.local.IdleWorkers(), 0, true
+	if m.Draining() {
+		return 0, 0, false
 	}
-	lr, ok := m.peer.sample()
-	return lr.Queued, lr.Running, lr.Idle, lr.Workers, ok
+	return m.QueuedJobs(), m.IdleWorkers(), true
 }
 
 // pickLocked chooses the member for a fresh submission: the consistent-hash
@@ -471,23 +410,23 @@ func (r *Router) pickLocked(id string) int {
 		}
 	}
 	owner := r.ring.owner(id)
-	_, _, ownerIdle, _, ownerOK := r.sample(owner)
+	_, ownerIdle, ownerOK := r.sample(owner)
 	if ownerOK && ownerIdle > 0 {
 		return owner
 	}
 	best, bestIdle, bestQueued := -1, -1, 0
 	for i := range r.members {
-		q, ru, idle, _, ok := r.sample(i)
+		q, idle, ok := r.sample(i)
 		if !ok {
 			continue
 		}
-		if idle > bestIdle || (idle == bestIdle && q+ru < bestQueued) {
-			best, bestIdle, bestQueued = i, idle, q+ru
+		if idle > bestIdle || (idle == bestIdle && q < bestQueued) {
+			best, bestIdle, bestQueued = i, idle, q
 		}
 	}
 	switch {
 	case best < 0:
-		return owner // nobody reachable: keep hash affinity, the link retry resubmits
+		return owner // every member draining: keep hash affinity, rotation re-places
 	case ownerOK && bestIdle <= 0:
 		return owner // everyone saturated: hash affinity wins
 	default:
@@ -524,7 +463,7 @@ func (r *Router) Submit(job dispatch.Job) (*dispatch.Handle, error) {
 	e := &entry{sj: sj, h: dispatch.NewHandle(id), member: mi}
 	r.table[id] = e
 	r.journalLocked(submittedRecord(sj))
-	r.journalLocked(journal.Record{Kind: journal.Migrated, JobID: id, Node: r.members[mi].name})
+	r.journalLocked(journal.Record{Kind: journal.Migrated, JobID: id, Node: r.names[mi]})
 	r.mu.Unlock()
 	r.stats.routed.Add(1)
 	// First placement goes straight to the member picked above — no point
@@ -536,7 +475,7 @@ func (r *Router) Submit(job dispatch.Job) (*dispatch.Handle, error) {
 // SubmitBatch accepts a group of jobs as a whole (all-or-nothing
 // validation and duplicate checking, like dispatch.SubmitBatch) and routes
 // them with one table-lock acquisition, batching the per-member placements
-// for local members so federation keeps the submit-side batching win.
+// so federation keeps the submit-side batching win.
 func (r *Router) SubmitBatch(jobs []dispatch.Job) ([]*dispatch.Handle, error) {
 	for i := range jobs {
 		if err := jobs[i].Spec.Validate(); err != nil {
@@ -572,7 +511,7 @@ func (r *Router) SubmitBatch(jobs []dispatch.Job) ([]*dispatch.Handle, error) {
 	}
 	for i := range jobs {
 		r.journalLocked(submittedRecord(entries[i].sj))
-		r.journalLocked(journal.Record{Kind: journal.Migrated, JobID: jobs[i].Spec.JobID, Node: r.members[entries[i].member].name})
+		r.journalLocked(journal.Record{Kind: journal.Migrated, JobID: jobs[i].Spec.JobID, Node: r.names[entries[i].member]})
 	}
 	r.mu.Unlock()
 	r.stats.routed.Add(int64(len(jobs)))
@@ -581,23 +520,20 @@ func (r *Router) SubmitBatch(jobs []dispatch.Job) ([]*dispatch.Handle, error) {
 		if len(idxs) == 0 {
 			continue
 		}
-		m := r.members[mi]
-		if m.local != nil {
-			group := make([]dispatch.Job, len(idxs))
-			for k, i := range idxs {
-				group[k] = jobs[i]
-			}
-			hs, err := m.local.SubmitBatch(group)
-			if err == nil {
-				for k, h := range hs {
-					r.wire(entries[idxs[k]], mi, h)
-				}
-				continue
-			}
-			// The instance refused the batch as a whole (duplicate against a
-			// directly submitted job, draining): fall through to per-entry
-			// placement, which classifies and rotates per job.
+		group := make([]dispatch.Job, len(idxs))
+		for k, i := range idxs {
+			group[k] = jobs[i]
 		}
+		hs, err := r.members[mi].SubmitBatch(group)
+		if err == nil {
+			for k, h := range hs {
+				r.wire(entries[idxs[k]], h)
+			}
+			continue
+		}
+		// The instance refused the batch as a whole (duplicate against a
+		// directly submitted job, draining): fall back to per-entry
+		// placement, which classifies and rotates per job.
 		for _, i := range idxs {
 			r.place(entries[i])
 		}
@@ -606,16 +542,15 @@ func (r *Router) SubmitBatch(jobs []dispatch.Job) ([]*dispatch.Handle, error) {
 }
 
 // wire subscribes the router to an instance-level handle's completion. The
-// callback captures the entry so the hot local-completion path skips the
-// table lookup jobDone does for by-ID remote frames.
-func (r *Router) wire(e *entry, mi int, h *dispatch.Handle) {
+// callback captures the entry, so a completion needs no table lookup.
+func (r *Router) wire(e *entry, h *dispatch.Handle) {
 	h.OnDone(func(res dispatch.JobResult) {
-		r.entryDone(e, mi, res, false)
+		r.entryDone(e, res)
 	})
 }
 
 // place pushes an entry to its current member, rotating to the next member
-// on a retryable refusal (draining instance, downed link) and failing the
+// on a retryable refusal (a draining or shut-down instance) and failing the
 // handle after every member has been tried twice or on a non-retryable
 // error. Exits silently once the entry completes or the router closes.
 func (r *Router) place(e *entry) {
@@ -635,30 +570,25 @@ func (r *Router) place(e *entry) {
 func (r *Router) placeFrom(e *entry, mi int, sj dispatch.StolenJob, stolen bool) {
 	for {
 		m := r.members[mi]
-		var err error
-		if m.local != nil {
-			var h *dispatch.Handle
-			if stolen {
-				h, err = m.local.SubmitStolen(sj)
-			} else {
-				h, err = m.local.Submit(dispatch.Job{Spec: sj.Spec, Type: sj.Type, Priority: sj.Priority})
-			}
-			if err == nil {
-				r.wire(e, mi, h)
-				return
-			}
-			if isDuplicateErr(err) {
-				// The instance already has this ID live: a link retry or
-				// recovery resubmission raced an earlier copy. Re-subscribe
-				// instead of failing — the live copy's completion is the one
-				// the handle is waiting for.
-				if h, ok := m.local.HandleOf(sj.Spec.JobID); ok {
-					r.wire(e, mi, h)
-					return
-				}
-			}
+		var (
+			h   *dispatch.Handle
+			err error
+		)
+		if stolen {
+			h, err = m.SubmitStolen(sj)
 		} else {
-			if err = m.peer.send(peerSubmitEnv(sj, stolen)); err == nil {
+			h, err = m.Submit(dispatch.Job{Spec: sj.Spec, Type: sj.Type, Priority: sj.Priority})
+		}
+		if err == nil {
+			r.wire(e, h)
+			return
+		}
+		if isDuplicateErr(err) {
+			// The instance already has this ID live: a recovery resubmission
+			// raced an earlier copy. Re-subscribe instead of failing — the
+			// live copy's completion is the one the handle is waiting for.
+			if h, ok := m.HandleOf(sj.Spec.JobID); ok {
+				r.wire(e, h)
 				return
 			}
 		}
@@ -680,7 +610,7 @@ func (r *Router) placeFrom(e *entry, mi int, sj dispatch.StolenJob, stolen bool)
 // or the refusal is not retryable, the handle fails — journaled as
 // Completed, so a restart does not resurrect a job every member refused.
 func (r *Router) rotate(e *entry, err error) bool {
-	retryable := errors.Is(err, dispatch.ErrDraining) || errors.Is(err, errPeerDown) || retryableMsg(err.Error())
+	retryable := errors.Is(err, dispatch.ErrDraining) || errors.Is(err, dispatch.ErrShutDown)
 	r.mu.Lock()
 	if e.done {
 		r.mu.Unlock()
@@ -699,55 +629,24 @@ func (r *Router) rotate(e *entry, err error) bool {
 	}
 	e.member = (e.member + 1) % len(r.members)
 	e.stolen = true // re-placements go to the front: the job is not new work
-	r.journalLocked(journal.Record{Kind: journal.Migrated, JobID: e.sj.Spec.JobID, Node: r.members[e.member].name})
+	r.journalLocked(journal.Record{Kind: journal.Migrated, JobID: e.sj.Spec.JobID, Node: r.names[e.member]})
 	r.mu.Unlock()
 	r.stats.rejects.Add(1)
 	return true
-}
-
-// retryableMsg classifies a remote rejection string the way rotate
-// classifies local errors (the error crossed the wire, so errors.Is cannot).
-func retryableMsg(msg string) bool {
-	return strings.Contains(msg, "draining") || strings.Contains(msg, "shut down")
 }
 
 func isDuplicateErr(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "duplicate job id")
 }
 
-// jobDone resolves a completion that arrived by ID — remote JobDone frames,
-// which carry no entry reference. Local completions go straight to
-// entryDone through the closure wire installed.
-func (r *Router) jobDone(mi int, id string, res dispatch.JobResult, rejected bool) {
-	r.mu.Lock()
-	e := r.table[id]
-	r.mu.Unlock()
-	if e == nil {
-		return
-	}
-	r.entryDone(e, mi, res, rejected)
-}
-
-// entryDone is the single completion sink: local handles (via wire) and
-// remote JobDone frames both land here. The entry's done flag makes
-// delivery exactly-once per router handle no matter how many placements,
-// link retries, or recoveries the job went through.
-func (r *Router) entryDone(e *entry, mi int, res dispatch.JobResult, rejected bool) {
+// entryDone is the single completion sink: every instance-level handle
+// lands here through wire. The entry's done flag makes delivery
+// exactly-once per router handle no matter how many placements or
+// recoveries the job went through.
+func (r *Router) entryDone(e *entry, res dispatch.JobResult) {
 	r.mu.Lock()
 	if e.done {
 		r.mu.Unlock()
-		return
-	}
-	if rejected {
-		if e.member != mi {
-			// A stale placement's verdict: the job has since moved on.
-			r.mu.Unlock()
-			return
-		}
-		r.mu.Unlock()
-		if r.rotate(e, errors.New(res.Err)) {
-			r.place(e)
-		}
 		return
 	}
 	e.done = true
@@ -759,10 +658,10 @@ func (r *Router) entryDone(e *entry, mi int, res dispatch.JobResult, rejected bo
 	e.h.Complete(res)
 }
 
-// reconcile runs after a member (re)attaches: every table entry placed on
-// it that the instance does not report live was lost (crash before the
-// journal's group commit, or a submit that never arrived) and is
-// resubmitted — at-least-once execution, exactly-once handle completion.
+// reconcile runs once per member in New: every table entry placed on it
+// that the instance does not report live was lost (a crash before the
+// journal's group commit) and is resubmitted — at-least-once execution,
+// exactly-once handle completion.
 func (r *Router) reconcile(mi int, live []string) {
 	set := make(map[string]struct{}, len(live))
 	for _, id := range live {
@@ -785,21 +684,11 @@ func (r *Router) reconcile(mi int, live []string) {
 	}
 }
 
-// adoptStolen re-places jobs that left a victim after the steal pass
-// stopped waiting for them (late StealReply). They are already out of the
-// victim's state, so they must be placed somewhere; the ring owner of each
-// is as good a home as any.
-func (r *Router) adoptStolen(victim int, jobs []dispatch.StolenJob) {
-	for _, sj := range jobs {
-		r.migrateTo(victim, r.ring.owner(sj.Spec.JobID), sj)
-	}
-}
-
 // migrateTo updates the table for one stolen job and places it on the
 // thief. Jobs stolen from an instance but absent from the table (submitted
 // directly to the instance, not through the router) are adopted with a
 // detached handle so the work is not lost.
-func (r *Router) migrateTo(victim, thief int, sj dispatch.StolenJob) {
+func (r *Router) migrateTo(thief int, sj dispatch.StolenJob) {
 	id := sj.Spec.JobID
 	r.mu.Lock()
 	e := r.table[id]
@@ -815,7 +704,7 @@ func (r *Router) migrateTo(victim, thief int, sj dispatch.StolenJob) {
 	e.sj.Retries = sj.Retries // the victim's accounting is current
 	e.member = thief
 	e.stolen = true
-	r.journalLocked(journal.Record{Kind: journal.Migrated, JobID: id, Node: r.members[thief].name})
+	r.journalLocked(journal.Record{Kind: journal.Migrated, JobID: id, Node: r.names[thief]})
 	r.mu.Unlock()
 	r.stats.steals.Add(1)
 	r.place(e)
@@ -846,7 +735,7 @@ func (r *Router) stealOnce() {
 	thief, thiefIdle := -1, 0
 	victim, victimQueued := -1, 0
 	for i := range r.members {
-		q, _, idle, _, ok := r.sample(i)
+		q, idle, ok := r.sample(i)
 		if !ok {
 			continue
 		}
@@ -864,15 +753,8 @@ func (r *Router) stealOnce() {
 	if max > r.cfg.StealBatch {
 		max = r.cfg.StealBatch
 	}
-	m := r.members[victim]
-	var jobs []dispatch.StolenJob
-	if m.local != nil {
-		jobs = m.local.StealQueued(max, r.members[thief].name)
-	} else {
-		jobs = m.peer.steal(max, r.members[thief].name)
-	}
-	for _, sj := range jobs {
-		r.migrateTo(victim, thief, sj)
+	for _, sj := range r.members[victim].StealQueued(max, r.names[thief]) {
+		r.migrateTo(thief, sj)
 	}
 }
 
@@ -904,7 +786,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Close stops the steal pass and every peer link, resolves still-live
+// Close stops the steal pass, resolves still-live
 // handles with ErrDispatcherClosed — without Completed records, so a
 // journal-backed router resurrects them on the next start — and closes the
 // journal.
@@ -913,11 +795,6 @@ func (r *Router) Close() error {
 		return nil
 	}
 	close(r.quit)
-	for _, m := range r.members {
-		if m.peer != nil {
-			m.peer.stop()
-		}
-	}
 	r.wg.Wait()
 	var stranded []*entry
 	r.mu.Lock()

@@ -1,10 +1,8 @@
 package router
 
-// Router-tier tests (ISSUE 9): consistent-hash placement, the federation-
-// global duplicate check, steal rebalancing between instances, the
-// 64-worker × 4-dispatcher churn test, and in-process routing-table
-// recovery. The federated kill -9 test with real processes lives at the
-// repository root (federation_recovery_test.go).
+// Router-tier tests: consistent-hash placement, the federation-global
+// duplicate check, steal rebalancing between instances, the 64-worker × 4-
+// dispatcher churn test, and routing-table recovery.
 
 import (
 	"context"
@@ -568,191 +566,5 @@ func TestRouterRecoversRoutingTableFromJournal(t *testing.T) {
 	}
 	if r2.LiveJobs() != 0 {
 		t.Fatalf("routing table not drained after recovery: %d", r2.LiveJobs())
-	}
-}
-
-// TestRemotePeerFederation drives the wire path the in-process tests skip:
-// the router attaches to dispatcher instances over TCP (KindPeerAttach on
-// the worker listener), places jobs via PeerSubmit, and receives JobDone
-// frames back.
-func TestRemotePeerFederation(t *testing.T) {
-	runner := hydra.NewFuncRunner()
-	runner.Register("app", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
-		return 0
-	})
-	var insts []*dispatch.Dispatcher
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		d := dispatch.New(dispatch.Config{Instance: fmt.Sprintf("remote%d", i)})
-		addr, err := d.Start()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		insts = append(insts, d)
-		addrs = append(addrs, addr)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer cancel()
-	for i := 0; i < 4; i++ {
-		w, err := worker.New(worker.Config{
-			ID: fmt.Sprintf("rw%d", i), Cores: 1,
-			DispatcherAddr: addrs[i%2],
-			Runner:         runner,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(w *worker.Worker) {
-			defer wg.Done()
-			w.Run(ctx)
-		}(w)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for insts[0].IdleWorkers() < 2 || insts[1].IdleWorkers() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	r, err := New(Config{Peers: addrs, LoadEvery: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	// Peer attach and the first load report are asynchronous; wait until
-	// every link is up AND reporting idle workers, or early placements all
-	// fall back to whichever member reported first.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		ready := 0
-		for _, m := range r.members {
-			if lr, ok := m.peer.sample(); ok && lr.Idle > 0 {
-				ready++
-			}
-		}
-		if ready == len(r.members) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d peer links reporting idle workers", ready, len(r.members))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	var handles []*dispatch.Handle
-	for i := 0; i < 20; i++ {
-		h, err := r.Submit(seqJob(fmt.Sprintf("wire-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	for _, h := range handles {
-		select {
-		case <-h.Done():
-		case <-time.After(30 * time.Second):
-			t.Fatalf("remote job %s never completed", h.JobID())
-		}
-		if res, ok := h.TryResult(); !ok || res.Failed {
-			t.Fatalf("remote job failed: %+v", res)
-		}
-	}
-	if insts[0].Stats().JobsCompleted == 0 || insts[1].Stats().JobsCompleted == 0 {
-		t.Fatalf("wire federation did not partition: %d / %d",
-			insts[0].Stats().JobsCompleted, insts[1].Stats().JobsCompleted)
-	}
-}
-
-// TestRemotePeerOutputRelay covers the output path the first remote-peer
-// drive missed: a job placed on an out-of-process member runs there, but the
-// client sits behind the router — its stdout must relay back over the peer
-// link (KindOutput frames) into Config.OnOutput, not strand on the executing
-// instance.
-func TestRemotePeerOutputRelay(t *testing.T) {
-	runner := hydra.NewFuncRunner()
-	runner.Register("say", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
-		fmt.Fprintf(stdout, "hello-%s", args[0])
-		return 0
-	})
-	d := dispatch.New(dispatch.Config{Instance: "remote-out"})
-	addr, err := d.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer cancel()
-	w, err := worker.New(worker.Config{
-		ID: "row0", Cores: 1,
-		DispatcherAddr: addr,
-		Runner:         runner,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w.Run(ctx)
-	}()
-
-	var mu sync.Mutex
-	got := map[string]string{}
-	r, err := New(Config{
-		Peers:     []string{addr},
-		LoadEvery: 10 * time.Millisecond,
-		OnOutput: func(taskID, stream string, data []byte) {
-			mu.Lock()
-			got[taskID] += string(data)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if lr, ok := r.members[0].peer.sample(); ok && lr.Idle > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("peer link never reported an idle worker")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	for i := 0; i < 5; i++ {
-		id := fmt.Sprintf("out-%d", i)
-		job := dispatch.Job{Type: dispatch.Sequential}
-		job.Spec.JobID = id
-		job.Spec.NProcs = 1
-		job.Spec.Cmd = "say"
-		job.Spec.Args = []string{id}
-		h, err := r.Submit(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Output frames precede the task result on the worker link, the
-		// relay preserves enqueue order, and the router's recv loop fires
-		// OnOutput before resolving the handle — so by Wait the chunks for
-		// this job have been delivered.
-		if res := h.Wait(); res.Failed {
-			t.Fatalf("job %s failed: %+v", id, res)
-		}
-		mu.Lock()
-		out := got[id+"/seq"]
-		mu.Unlock()
-		if want := "hello-" + id; out != want {
-			t.Fatalf("job %s output = %q, want %q", id, out, want)
-		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package workload generates the benchmark task batches of the paper's
-// evaluation: no-op sequential tasks (Fig. 6) and the barrier-sleep-barrier
-// MPI app (Figs. 7, 9, 15). It also registers the corresponding in-process
-// applications with a FuncRunner.
+// Package workload holds the in-process applications of the paper's
+// evaluation — the no-op sequential task (Fig. 6) and the
+// barrier-sleep-barrier MPI app (Figs. 7, 9, 15) — and registers them with a
+// FuncRunner.
 package workload
 
 import (
@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"jets/internal/dispatch"
 	"jets/internal/hydra"
 	"jets/internal/mpi"
 )
@@ -95,35 +94,4 @@ func wait(ctx context.Context, ms int) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// SequentialBatch builds n no-op sequential jobs (Fig. 6 workload).
-func SequentialBatch(n int) []dispatch.Job {
-	jobs := make([]dispatch.Job, n)
-	for i := range jobs {
-		jobs[i] = dispatch.Job{
-			Spec: hydra.JobSpec{JobID: fmt.Sprintf("noop%d", i), NProcs: 1, Cmd: NoopApp},
-			Type: dispatch.Sequential,
-		}
-	}
-	return jobs
-}
-
-// MPIBatch builds count barrier-wait jobs of nprocs processes each, with the
-// given wait duration (the Figs. 7/9 workload).
-func MPIBatch(count, nprocs int, wait time.Duration) []dispatch.Job {
-	jobs := make([]dispatch.Job, count)
-	ms := fmt.Sprint(int(wait / time.Millisecond))
-	for i := range jobs {
-		jobs[i] = dispatch.Job{
-			Spec: hydra.JobSpec{
-				JobID:  fmt.Sprintf("mpi%dx%d-%d", nprocs, int(wait/time.Millisecond), i),
-				NProcs: nprocs,
-				Cmd:    BarrierApp,
-				Args:   []string{ms},
-			},
-			Type: dispatch.MPI,
-		}
-	}
-	return jobs
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -14,38 +15,6 @@ import (
 	"jets/internal/hydra"
 )
 
-func TestSequentialBatch(t *testing.T) {
-	jobs := SequentialBatch(10)
-	if len(jobs) != 10 {
-		t.Fatalf("len=%d", len(jobs))
-	}
-	seen := map[string]bool{}
-	for _, j := range jobs {
-		if j.Type != dispatch.Sequential || j.Spec.NProcs != 1 || j.Spec.Cmd != NoopApp {
-			t.Fatalf("job %+v", j)
-		}
-		if seen[j.Spec.JobID] {
-			t.Fatalf("dup id %s", j.Spec.JobID)
-		}
-		seen[j.Spec.JobID] = true
-	}
-}
-
-func TestMPIBatchShape(t *testing.T) {
-	jobs := MPIBatch(5, 4, 250*time.Millisecond)
-	if len(jobs) != 5 {
-		t.Fatalf("len=%d", len(jobs))
-	}
-	for _, j := range jobs {
-		if j.Type != dispatch.MPI || j.Spec.NProcs != 4 {
-			t.Fatalf("job %+v", j)
-		}
-		if j.Spec.Args[0] != "250" {
-			t.Fatalf("args %v", j.Spec.Args)
-		}
-	}
-}
-
 func TestWorkloadAppsEndToEnd(t *testing.T) {
 	runner := hydra.NewFuncRunner()
 	RegisterApps(runner)
@@ -55,8 +24,19 @@ func TestWorkloadAppsEndToEnd(t *testing.T) {
 	}
 	defer eng.Close()
 
-	jobs := SequentialBatch(8)
-	jobs = append(jobs, MPIBatch(3, 2, 10*time.Millisecond)...)
+	var jobs []dispatch.Job
+	for i := 0; i < 8; i++ {
+		jobs = append(jobs, dispatch.Job{
+			Spec: hydra.JobSpec{JobID: fmt.Sprint("noop", i), NProcs: 1, Cmd: NoopApp},
+			Type: dispatch.Sequential,
+		})
+	}
+	for i := 0; i < 3; i++ {
+		jobs = append(jobs, dispatch.Job{
+			Spec: hydra.JobSpec{JobID: fmt.Sprint("mpi", i), NProcs: 2, Cmd: BarrierApp, Args: []string{"10"}},
+			Type: dispatch.MPI,
+		})
+	}
 	jobs = append(jobs, dispatch.Job{
 		Spec: hydra.JobSpec{JobID: "synth", NProcs: 4, Cmd: SyntheApp, Args: []string{"5"}},
 		Type: dispatch.MPI,
