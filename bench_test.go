@@ -668,14 +668,17 @@ func BenchmarkFederatedThroughput(b *testing.B) {
 // stack: mpiexec start, proxy dispatch, PMI wire-up, barrier, teardown.
 // pmi-conns/job is what the control plane still pays per job in connections:
 // in steady state the ranks run on connections their workers kept, so it
-// tends to 0 (nproc connections once, over b.N jobs). mpi-conns/job is what
-// the ranks pay among themselves: one socket per edge of the barrier's tree,
-// nproc-1 exactly.
+// tends to 0 (nproc connections once, over b.N jobs). mpi-sessions/job is what
+// the ranks open among themselves: one session per edge of the barrier's
+// tree, nproc-1 exactly. mpi-conns/job is the rank-pair links those sessions
+// dialed: the ranks of one process keep their links between jobs, so it too
+// tends to 0.
 func BenchmarkMPIJobLaunch(b *testing.B) {
 	reg := obs.NewRegistry()
 	hydra.RegisterMetrics(reg)
 	accepted := reg.Lookup("jets_pmi_connections_accepted_total").(*obs.Counter)
 	dialed := reg.Lookup("jets_mpi_connections_dialed_total").(*obs.Counter)
+	sessions := reg.Lookup("jets_mpi_sessions_total").(*obs.Counter)
 	for _, nproc := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("nproc=%d", nproc), func(b *testing.B) {
 			runner := hydra.NewFuncRunner()
@@ -685,7 +688,7 @@ func BenchmarkMPIJobLaunch(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer eng.Close()
-			before, dialedBefore := accepted.Value(), dialed.Value()
+			before, dialedBefore, sessionsBefore := accepted.Value(), dialed.Value(), sessions.Value()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				h, err := eng.Submit(dispatch.Job{
@@ -702,13 +705,15 @@ func BenchmarkMPIJobLaunch(b *testing.B) {
 			}
 			b.ReportMetric(float64(accepted.Value()-before)/float64(b.N), "pmi-conns/job")
 			b.ReportMetric(float64(dialed.Value()-dialedBefore)/float64(b.N), "mpi-conns/job")
+			b.ReportMetric(float64(sessions.Value()-sessionsBefore)/float64(b.N), "mpi-sessions/job")
 		})
 	}
 }
 
 // BenchmarkMPICollectives measures barrier and allreduce over the channel
-// transport, warm, and a whole cold 8-rank TCP barrier job (listen, PMI fence,
-// the tree's seven connections, one barrier, teardown) per iteration.
+// transport, warm, and a whole 8-rank TCP barrier job (registration at the
+// process's endpoint, PMI fence, the tree's seven sessions on kept links, one
+// barrier, teardown) per iteration.
 func BenchmarkMPICollectives(b *testing.B) {
 	b.Run("barrier-8-tcp-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

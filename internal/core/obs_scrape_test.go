@@ -160,7 +160,8 @@ func TestMetricsScrapeLiveEngine(t *testing.T) {
 // TestPMIEndpointScrape runs 200 MPI jobs on 8 local workers and reads the
 // control plane's cost off /metrics: one session per rank, and no more
 // connections than workers (plus any redial), however many jobs ran. The
-// ranks' own sockets are on the same page: one per tree edge, n-1 a job.
+// ranks' own sessions are on the same page: one per tree edge, n-1 a job, on
+// no more links than workers.
 func TestPMIEndpointScrape(t *testing.T) {
 	const workers, jobs = 8, 200
 	reg := obs.NewRegistry()
@@ -225,9 +226,12 @@ func TestPMIEndpointScrape(t *testing.T) {
 	if !strings.Contains(body, "# TYPE jets_pmi_connections_open gauge") {
 		t.Error("jets_pmi_connections_open is not exported as a gauge")
 	}
+	if got := grew("jets_mpi_sessions_total"); got != float64(edges) {
+		t.Errorf("jets_mpi_sessions_total grew by %g, want n-1 per job = %d", got, edges)
+	}
 	dialed, taken := grew("jets_mpi_connections_dialed_total"), grew("jets_mpi_connections_accepted_total")
-	if dialed != float64(edges) || taken != dialed {
-		t.Errorf("rank-pair connections: %g dialed, %g accepted, want %d (n-1 per job) of each", dialed, taken, edges)
+	if dialed > workers || taken != dialed {
+		t.Errorf("rank-pair links: %g dialed, %g accepted, want at most %d workers, as many", dialed, taken, workers)
 	}
 	if got := grew("jets_mpi_connections_discarded_total"); got != 0 {
 		t.Errorf("jets_mpi_connections_discarded_total grew by %g in barrier-only jobs", got)

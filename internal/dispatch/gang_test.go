@@ -19,8 +19,8 @@ import (
 // connCounters reads the process-global PMI instruments, and the ranks' own
 // connection counters, the way an operator does: through a registry.
 type connCounters struct {
-	accepted, sessions, redials       *obs.Counter
-	mpiDialed, mpiAccepted, mpiWasted *obs.Counter
+	accepted, sessions, redials                    *obs.Counter
+	mpiDialed, mpiAccepted, mpiWasted, mpiSessions *obs.Counter
 }
 
 func newConnCounters() connCounters {
@@ -35,6 +35,7 @@ func newConnCounters() connCounters {
 		mpiDialed:   get("jets_mpi_connections_dialed_total"),
 		mpiAccepted: get("jets_mpi_connections_accepted_total"),
 		mpiWasted:   get("jets_mpi_connections_discarded_total"),
+		mpiSessions: get("jets_mpi_sessions_total"),
 	}
 }
 
@@ -129,9 +130,10 @@ func openFDs(t *testing.T) int {
 
 // TestGangSoak runs 5,000 MPI jobs through 8 in-process workers, 4 at a time,
 // and checks that nothing accumulates: no failed job, no connection per job at
-// the PMI endpoint, one rank-pair socket per tree edge and none lost to a dial
-// race, and as many goroutines and descriptors at the end as after the first
-// 100 jobs.
+// the PMI endpoint, one rank-pair session per tree edge and none lost to a
+// race, no more rank-pair links than workers (each rank dials at most its tree
+// parent, and links are kept between jobs), and as many goroutines and
+// descriptors at the end as after the first 100 jobs.
 func TestGangSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5,000-job soak")
@@ -141,7 +143,7 @@ func TestGangSoak(t *testing.T) {
 	tc.runner.Register("barrier", barrierApp)
 	pc := newConnCounters()
 	accepted, sessions, redials := pc.accepted.Value(), pc.sessions.Value(), pc.redials.Value()
-	dialed, paired, wasted := pc.mpiDialed.Value(), pc.mpiAccepted.Value(), pc.mpiWasted.Value()
+	dialed, paired, wasted, opened := pc.mpiDialed.Value(), pc.mpiAccepted.Value(), pc.mpiWasted.Value(), pc.mpiSessions.Value()
 
 	sizes := []int{2, 2, 4, 4, 8}
 	ranks, edges := 0, 0
@@ -185,9 +187,10 @@ func TestGangSoak(t *testing.T) {
 
 	st := tc.d.Stats()
 	dialed, paired, wasted = pc.mpiDialed.Value()-dialed, pc.mpiAccepted.Value()-paired, pc.mpiWasted.Value()-wasted
-	t.Logf("%d jobs (%d ranks): completed %d, failed %d; PMI connections accepted %d, sessions %d, stale redials %d; rank-pair connections dialed %d, accepted %d, discarded %d; goroutines %d -> %d, fds %d -> %d (after 100 jobs -> after %d)",
+	opened = pc.mpiSessions.Value() - opened
+	t.Logf("%d jobs (%d ranks): completed %d, failed %d; PMI connections accepted %d, sessions %d, stale redials %d; rank-pair sessions %d, links dialed %d, accepted %d, sessions discarded %d; goroutines %d -> %d, fds %d -> %d (after 100 jobs -> after %d)",
 		jobs, ranks, st.JobsCompleted, st.JobsFailed, pc.accepted.Value()-accepted, pc.sessions.Value()-sessions,
-		pc.redials.Value()-redials, dialed, paired, wasted, g100, gEnd, fd100, fdEnd, jobs)
+		pc.redials.Value()-redials, opened, dialed, paired, wasted, g100, gEnd, fd100, fdEnd, jobs)
 	if st.JobsCompleted != jobs || st.JobsFailed != 0 {
 		t.Errorf("completed %d failed %d, want %d and 0", st.JobsCompleted, st.JobsFailed, jobs)
 	}
@@ -197,8 +200,11 @@ func TestGangSoak(t *testing.T) {
 	if got, max := pc.accepted.Value()-accepted, int64(workers)+pc.redials.Value()-redials; got > max {
 		t.Errorf("PMI endpoint accepted %d connections, want at most workers + redials = %d", got, max)
 	}
-	if dialed != int64(edges) || paired != dialed || wasted != 0 {
-		t.Errorf("rank-pair connections: %d dialed, %d accepted, %d discarded; want n-1 per job = %d, as many, 0", dialed, paired, wasted, edges)
+	if opened != int64(edges) || wasted != 0 {
+		t.Errorf("rank-pair sessions: %d opened, %d discarded; want n-1 per job = %d, 0", opened, wasted, edges)
+	}
+	if dialed > workers || paired != dialed {
+		t.Errorf("rank-pair links: %d dialed, %d accepted; want at most %d workers, as many", dialed, paired, workers)
 	}
 	const slack = 16
 	if gEnd > g100+slack {

@@ -2,8 +2,8 @@
 // standing in for the modified MPICH2 the paper uses. It provides blocking
 // point-to-point operations with (source, tag) matching, the collectives its
 // applications call, all on one binomial tree (so a job of n ranks opens n-1
-// sockets), and two-phase collective writes, over two interchangeable
-// transports:
+// rank-pair sessions), and two-phase collective writes, over two
+// interchangeable transports:
 //
 //   - a TCP loopback transport bootstrapped through PMI (internal/pmi),
 //     reproducing the MPICH2-over-ZeptoOS-sockets path JETS launches; and
@@ -140,23 +140,12 @@ func InitEnvFrom(env map[string]string) (*Comm, error) {
 }
 
 // Init wires up a TCP-transport communicator for the given rank through the
-// PMI endpoint at addr: one exchange that publishes this rank's address and
-// learns every peer's, then lazy connect. kvsName names the job at an
-// endpoint shared by many and is empty for a job's private one
-// (pmi.DialFence). It is the programmatic form of InitEnv.
+// PMI endpoint at addr: one exchange that publishes this rank's address at the
+// process's MPI endpoint and learns every peer's, then lazy connect. kvsName
+// names the job at an endpoint shared by many and is empty for a job's
+// private one (pmi.DialFence). It is the programmatic form of InitEnv.
 func Init(addr, kvsName string, rank int) (*Comm, error) {
-	q := newMatchQueue()
-	tr, err := newTCPTransport(addr, kvsName, rank, q)
-	if err != nil {
-		return nil, err
-	}
-	return &Comm{
-		rank: rank,
-		size: tr.size,
-		q:    q,
-		tr:   tr,
-		pc:   tr.pc,
-	}, nil
+	return defaultEndpoint.init(addr, kvsName, rank)
 }
 
 // RunLocal executes fn as an n-process job over the in-process channel
@@ -197,6 +186,11 @@ func RunLocal(n int, fn func(c *Comm) error) error {
 // full socket wire-up, and reports the first error. This is the test and
 // benchmark harness for the "MPICH/sockets" mode.
 func RunTCP(n int, fn func(c *Comm) error) error {
+	return runTCP(n, func(int) *endpoint { return defaultEndpoint }, fn)
+}
+
+// runTCP is RunTCP with each rank registered at the endpoint at(rank) names.
+func runTCP(n int, at func(rank int) *endpoint, fn func(c *Comm) error) error {
 	if n <= 0 {
 		return fmt.Errorf("mpi: RunTCP size %d", n)
 	}
@@ -215,7 +209,7 @@ func RunTCP(n int, fn func(c *Comm) error) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			comm, err := Init(addr, "", rank)
+			comm, err := at(rank).init(addr, "", rank)
 			if err != nil {
 				errs[rank] = err
 				return

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -19,8 +21,9 @@ import (
 // rank's reader had taken it off the socket or not, and only after the last
 // of it may a receive report the peer gone.
 //
-// Rank 0 plays the dialer by hand on a raw socket: hello, 2,000 frames of
-// 64 KiB, then wait for the bye, leave it unread, close.
+// Rank 0 plays the dialer by hand on a raw socket, as a rank of another
+// process would: hello, 2,000 frames of 64 KiB, then wait for the bye, leave
+// it unread, close.
 func TestResetAfterByeKeepsDeliveredData(t *testing.T) {
 	const msgs, size, tag = 2000, 64 << 10, 5
 	written := make(chan struct{})
@@ -32,10 +35,10 @@ func TestResetAfterByeKeepsDeliveredData(t *testing.T) {
 				// Close, as far as the bye, while the reader may be behind.
 				<-written
 				tr.mu.Lock()
-				conns := tr.conns
+				sessions := tr.sessions
 				tr.mu.Unlock()
-				if len(conns) == 1 && conns[0].accepted {
-					conns[0].bye()
+				if len(sessions) == 1 && sessions[0].accepted {
+					sessions[0].bye(true)
 				}
 				close(byeSent)
 			}()
@@ -54,11 +57,16 @@ func TestResetAfterByeKeepsDeliveredData(t *testing.T) {
 			return nil
 		}
 
-		addr, err := tr.pc.Get(pmiAddrKey(1))
+		addr, err := tr.pc.Get(pmiAddrKey(1)) // host:port/id
 		if err != nil {
 			return err
 		}
-		conn, err := net.Dial("tcp", addr)
+		i := strings.LastIndexByte(addr, '/')
+		id, err := strconv.ParseUint(addr[i+1:], 10, 32)
+		if err != nil {
+			return err
+		}
+		conn, err := net.Dial("tcp", addr[:i])
 		if err != nil {
 			return err
 		}
@@ -71,7 +79,10 @@ func TestResetAfterByeKeepsDeliveredData(t *testing.T) {
 			frame[len(frame)-1] = byte(i)
 			out := frame
 			if i == 0 {
-				out = append(binary.BigEndian.AppendUint32(nil, 0), frame...) // hello: rank 0
+				// hello: rank 1's endpoint id, then rank 0 on a link
+				// that ends with its session
+				hello := binary.BigEndian.AppendUint32(nil, uint32(id))
+				out = append(binary.BigEndian.AppendUint32(hello, 0), frame...)
 			}
 			if _, err := conn.Write(out); err != nil {
 				return fmt.Errorf("write %d: %w", i, err)

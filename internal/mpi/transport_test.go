@@ -84,8 +84,8 @@ func TestReplyReusesConnection(t *testing.T) {
 		tr := c.tr.(*tcpTransport)
 		tr.mu.Lock()
 		defer tr.mu.Unlock()
-		if len(tr.conns) != 1 {
-			return fmt.Errorf("rank %d holds %d connections for one pair", c.Rank(), len(tr.conns))
+		if len(tr.sessions) != 1 {
+			return fmt.Errorf("rank %d holds %d sessions for one pair", c.Rank(), len(tr.sessions))
 		}
 		return nil
 	}); err != nil {

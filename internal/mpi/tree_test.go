@@ -13,15 +13,17 @@ import (
 // one short of and one past them) and a 16-rank one.
 var treeSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16}
 
-// connCounts snapshots the package's connection counters.
-func connCounts() (dialed, accepted, discarded int64) {
-	return connsDialed.Value(), connsAccepted.Value(), connsDiscarded.Value()
+// linkCounts snapshots the package's link and session counters.
+func linkCounts() (dialed, accepted, discarded, sessions int64) {
+	return connsDialed.Value(), connsAccepted.Value(), connsDiscarded.Value(), sessionsOpened.Value()
 }
 
-// TestCollectivesShareOneTree runs the application shapes in the repo as cold
-// TCP jobs and counts their rank-pair sockets: the collectives they use all
-// walk the binomial tree rooted at rank 0, whose children dial their parents,
-// so a job opens exactly n-1 connections and loses no dial race.
+// TestCollectivesShareOneTree runs the application shapes in the repo as TCP
+// jobs and counts their rank-pair sessions: the collectives they use all walk
+// the binomial tree rooted at rank 0, whose children open sessions to their
+// parents, so a job opens exactly n-1 sessions and loses no race. Every one of
+// them is open at once when the first barrier releases, so after one job the
+// process holds n-1 idle links, and the same job again dials nothing.
 func TestCollectivesShareOneTree(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -70,13 +72,19 @@ func TestCollectivesShareOneTree(t *testing.T) {
 	for _, shape := range shapes {
 		for _, n := range treeSizes[1:] {
 			t.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(t *testing.T) {
-				d0, a0, x0 := connCounts()
+				if err := RunTCP(n, shape.job); err != nil { // warms the idle links
+					t.Fatal(err)
+				}
+				d0, a0, x0, s0 := linkCounts()
 				if err := RunTCP(n, shape.job); err != nil {
 					t.Fatal(err)
 				}
-				d1, a1, x1 := connCounts()
-				if dialed, accepted, discarded := d1-d0, a1-a0, x1-x0; dialed != int64(n-1) || accepted != dialed || discarded != 0 {
-					t.Fatalf("%d dialed, %d accepted, %d discarded; want %d, %d, 0", dialed, accepted, discarded, n-1, n-1)
+				d1, a1, x1, s1 := linkCounts()
+				if sessions, discarded := s1-s0, x1-x0; sessions != int64(n-1) || discarded != 0 {
+					t.Fatalf("%d sessions, %d discarded; want %d, 0", sessions, discarded, n-1)
+				}
+				if dialed, accepted := d1-d0, a1-a0; dialed != 0 || accepted != 0 {
+					t.Fatalf("%d links dialed, %d accepted on a warm pool; want 0", dialed, accepted)
 				}
 			})
 		}
