@@ -22,23 +22,26 @@ func (b gangBound) at(n int) float64 { return b.intercept + b.slope*float64(n) }
 // ledger): what one barrier-wait job with 0 ms of waiting costs end to end on
 // 8 local workers, as intercept + slope*ranks. Measured at 2 / 4 / 8 ranks:
 //
-//	allocs/job     122.1 / 244.3 / 542.6   bound -20 + 77n  (134 / 288 / 596)
-//	heap B/job     9.7k / 18.3k / 40.0k    bound 5,500n     (11.0k / 22.0k / 44.0k)
-//	read calls     20.5 / 51.9 / 116.9     bound -13 + 18n  (23 / 59 / 131)
-//	write calls    12.0 / 30.0 / 66.0      bound -6 + 10n   (14 / 34 / 74)
+//	allocs/job     90.0 / 161.3 / 303.3    bound 20 + 40n   (100 / 180 / 340)
+//	heap B/job     7.7k / 14.4k / 29.0k    bound 600 + 3,900n (8.4k / 16.2k / 31.8k)
+//	read calls     16.0 / 40.0 / 87.9      bound -8 + 13n   (18 / 44 / 96)
+//	write calls    8.0 / 20.0 / 44.0       bound -2 + 6n    (10 / 22 / 46)
 //
-// Each bound is the line through the 2- and 8-rank counts with 10% slack or
-// more. Before the ranks of a process shared one endpoint, with a listener per
-// rank and a dial, an accept and two closes per tree edge, the same jobs
-// measured 183.1 / 390.9 / 861.9 allocations and 12.4k / 25.4k / 55.6k heap
-// bytes, over both bounds; 20.6 / 51.0 / 113.7 reads and 11.0 / 27.0 / 58.9
-// writes, one bye fewer per session, but a socket, connect, accept, listen and
-// two closes more per edge, which /proc/self/io does not count.
+// A rank writes its put-and-fence request, its tree messages and nothing else:
+// 6n - 4 writes in all, bound with a slack of 2 for the runtime's netpoll
+// wakeups. Every other bound is the line through the 2- and 8-rank counts with
+// 10% slack or more. While a rank still wrote a PMI finalize and said bye on
+// each of its sessions, the same jobs measured 122.1 / 244.3 / 542.6
+// allocations, 9.7k / 18.3k / 40.0k heap bytes, 20.5 / 51.9 / 116.9 reads and
+// 12.0 / 30.0 / 66.0 writes (9n - 6), over every bound at every size. Before
+// the ranks of a process shared one endpoint, with a listener per rank and a
+// dial, an accept and two closes per tree edge, they measured 183.1 / 390.9 /
+// 861.9 allocations and 12.4k / 25.4k / 55.6k heap bytes.
 var (
-	gangAllocs = gangBound{-20, 77}
-	gangBytes  = gangBound{0, 5500}
-	gangReads  = gangBound{-13, 18}
-	gangWrites = gangBound{-6, 10}
+	gangAllocs = gangBound{20, 40}
+	gangBytes  = gangBound{600, 3900}
+	gangReads  = gangBound{-8, 13}
+	gangWrites = gangBound{-4 + 2, 6}
 )
 
 // gangDialsPerEdge bounds the rank-pair dials per tree edge per job once the

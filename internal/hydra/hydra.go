@@ -11,7 +11,9 @@
 // control endpoint (a pmi.Service), which tells their ranks apart by KVS
 // name. Each worker executes the proxy (RunProxy in proxy.go), which dials
 // back to the control endpoint, sets up the PMI environment, and launches the
-// user process. MPIExec observes job completion through PMI finalization.
+// user process. A job's end is observed through its workers' results, not
+// through PMI finalization: a rank that finalizes on a kept connection says
+// nothing to the endpoint.
 package hydra
 
 import (
@@ -81,7 +83,6 @@ type MPIExec struct {
 
 	mu      sync.Mutex
 	aborted bool
-	err     error
 }
 
 // control is the process's PMI endpoint: one listener on a loopback ephemeral
@@ -180,50 +181,21 @@ func (m *MPIExec) ProxyTask(rank int) proto.Task {
 	}
 }
 
-// Wait blocks until every rank has finalized through PMI or the timeout
-// elapses. On timeout the job is aborted so stuck ranks unblock with
-// errors (TCP fault recoverability, §6.1.3).
-func (m *MPIExec) Wait(timeout time.Duration) error {
-	// An explicit timer, stopped on return: time.After would pin its timer
-	// until expiry even for jobs that finish in milliseconds, and with one
-	// Wait per job that leak scales with the submission rate.
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-m.srv.Done():
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.err
-	case <-t.C:
-		m.AbortErr(fmt.Errorf("hydra: job %s timed out after %v", m.Spec.JobID, timeout))
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.err
-	}
-}
-
 // OnWired registers fn to run once every rank has dialed back to the PMI
 // endpoint — the launcher=manual analogue of mpiexec seeing all proxies
 // connect. If already wired, fn runs immediately.
 func (m *MPIExec) OnWired(fn func()) { m.srv.OnWired(fn) }
 
-// Done exposes the PMI completion channel.
-func (m *MPIExec) Done() <-chan struct{} { return m.srv.Done() }
-
 // Abort ends the job at the control endpoint; user processes blocked in PMI
-// operations fail promptly. It is called when a worker running one of
-// the job's proxies dies.
-func (m *MPIExec) Abort() { m.AbortErr(fmt.Errorf("hydra: job %s aborted", m.Spec.JobID)) }
-
-// AbortErr aborts with a specific cause.
-func (m *MPIExec) AbortErr(cause error) {
+// operations fail promptly (TCP fault recoverability, §6.1.3). It is called
+// when a worker running one of the job's proxies dies.
+func (m *MPIExec) Abort() {
 	m.mu.Lock()
 	if m.aborted {
 		m.mu.Unlock()
 		return
 	}
 	m.aborted = true
-	m.err = cause
 	m.mu.Unlock()
 	abortsTotal.Inc()
 	m.srv.Close()

@@ -125,6 +125,10 @@ func TestOneControlEndpoint(t *testing.T) {
 	}
 	gone.Close()
 
+	wired := make(chan string, len(execs))
+	for _, m := range execs {
+		m.OnWired(func() { wired <- m.KVSName() })
+	}
 	var wg sync.WaitGroup
 	for _, m := range execs {
 		for _, task := range m.ProxyTasks() {
@@ -139,10 +143,9 @@ func TestOneControlEndpoint(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	for _, m := range execs {
-		if err := m.Wait(5 * time.Second); err != nil {
-			t.Errorf("%s: %v", m.Spec.JobID, err)
-		}
+	// Each job is over once its ranks' results are in; each wired up once.
+	if len(wired) != len(execs) {
+		t.Errorf("%d of %d jobs wired up", len(wired), len(execs))
 	}
 	// A rank of a closed job is turned away at the shared address.
 	task := gone.ProxyTasks()[0]
@@ -154,7 +157,8 @@ func TestOneControlEndpoint(t *testing.T) {
 // TestFullMPIJobThroughProxies is the core integration test of the JETS
 // launch mechanism: start mpiexec, run each proxy concurrently (as workers
 // would), have the user app wire up with internal/mpi and do real
-// communication, and observe completion via PMI finalization.
+// communication, and observe completion through the proxies' results, as the
+// dispatcher does.
 func TestFullMPIJobThroughProxies(t *testing.T) {
 	const n = 6
 	m, err := StartMPIExec(JobSpec{JobID: "mpijob", NProcs: n, Cmd: "barrier-app"})
@@ -194,8 +198,8 @@ func TestFullMPIJobThroughProxies(t *testing.T) {
 		}(i, task)
 	}
 	wg.Wait()
-	if err := m.Wait(5 * time.Second); err != nil {
-		t.Fatalf("mpiexec wait: %v", err)
+	if m.Aborted() {
+		t.Fatal("a job whose ranks all ran was aborted")
 	}
 	for i, r := range results {
 		if r.ExitCode != 0 {
@@ -245,20 +249,6 @@ func TestAbortUnblocksRanks(t *testing.T) {
 	}
 	if !m.Aborted() {
 		t.Error("Aborted() false after Abort")
-	}
-}
-
-func TestWaitTimeoutAborts(t *testing.T) {
-	m, err := StartMPIExec(JobSpec{JobID: "never", NProcs: 2, Cmd: "app"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if err := m.Wait(50 * time.Millisecond); err == nil {
-		t.Fatal("want timeout error")
-	}
-	if !m.Aborted() {
-		t.Error("timeout should abort the job")
 	}
 }
 

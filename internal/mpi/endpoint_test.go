@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -37,6 +38,12 @@ func newTestEndpoint(t *testing.T) *endpoint {
 
 // on places every rank at ep.
 func on(ep *endpoint) func(int) *endpoint { return func(int) *endpoint { return ep } }
+
+func registered(ep *endpoint) int {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return len(ep.ranks)
+}
 
 func idleLinks(ep *endpoint) int {
 	ep.mu.Lock()
@@ -261,4 +268,104 @@ func TestAcceptSurvivesEMFILE(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("a job needing a new link after the descriptors came back was not served within 2 s")
 	}
+}
+
+// within runs job on n ranks placed by at, and fails the test if it has not
+// returned in 5 s: a receive that should fail is waiting for a frame that
+// never comes.
+func within(t *testing.T, n int, at func(int) *endpoint, job func(c *Comm) error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- runTCP(n, at, job) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the job did not end within 5 s")
+	}
+}
+
+// TestSessionEndCountsFramesInFlight: rank 0 sends 2,000 frames of 64 KiB to
+// rank 1 of the same process and closes at once, with most of them still in
+// the kernel or the reader's buffer. Its end travels in memory, ahead of
+// them, so it carries their count: rank 1 gets every frame, in order, and
+// only then ErrPeerClosed.
+func TestSessionEndCountsFramesInFlight(t *testing.T) {
+	const msgs, size, tag = 2000, 64 << 10, 5
+	within(t, 2, on(newTestEndpoint(t)), func(c *Comm) error {
+		if c.Rank() == 0 {
+			frame := make([]byte, size)
+			for i := 0; i < msgs; i++ {
+				binary.BigEndian.PutUint32(frame, uint32(i))
+				if err := c.Send(1, tag, frame); err != nil {
+					return err
+				}
+			}
+			return nil // closes
+		}
+		for i := 0; i < msgs; i++ {
+			m, err := c.Recv(0, tag)
+			if err != nil {
+				return fmt.Errorf("message %d of %d: %w", i, msgs, err)
+			}
+			if got := binary.BigEndian.Uint32(m.Data); len(m.Data) != size || got != uint32(i) {
+				return fmt.Errorf("message %d: %d bytes, number %d", i, len(m.Data), got)
+			}
+		}
+		if _, err := c.Recv(0, tag); !errors.Is(err, ErrPeerClosed) {
+			return fmt.Errorf("receive after the last message: %v, want ErrPeerClosed", err)
+		}
+		return nil
+	})
+}
+
+// TestSessionEndsWhenRankLeavesBeforeFirstMessage: a rank that closes before
+// it has sent or received anything has no session, yet every rank of its job
+// in the same process learns at once that it left, so a receive from it fails
+// rather than waiting for the job's wall limit.
+func TestSessionEndsWhenRankLeavesBeforeFirstMessage(t *testing.T) {
+	const n, leaver = 4, 3
+	within(t, n, on(newTestEndpoint(t)), func(c *Comm) error {
+		if c.Rank() == leaver {
+			return nil
+		}
+		if _, err := c.Recv(leaver, 1); !errors.Is(err, ErrPeerClosed) {
+			return fmt.Errorf("rank %d: receive from rank %d, which left: %v, want ErrPeerClosed", c.Rank(), leaver, err)
+		}
+		if err := c.Send(leaver, 1, nil); !errors.Is(err, ErrPeerClosed) {
+			return fmt.Errorf("rank %d: send to rank %d, which left: %v, want ErrPeerClosed", c.Rank(), leaver, err)
+		}
+		return nil
+	})
+}
+
+// TestSessionToLeftRankOfOtherEndpointIsRefused: rank 1 lives at a second
+// endpoint (a second process) and leaves before anything is sent. Rank 0's
+// first frame to it opens a session there that is refused with a bye, so rank
+// 0's receive from rank 1 fails instead of hanging.
+func TestSessionToLeftRankOfOtherEndpointIsRefused(t *testing.T) {
+	here, there := newTestEndpoint(t), newTestEndpoint(t)
+	at := func(rank int) *endpoint {
+		if rank == 0 {
+			return here
+		}
+		return there
+	}
+	within(t, 2, at, func(c *Comm) error {
+		if c.Rank() == 1 {
+			return nil
+		}
+		for registered(there) > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		if err := c.Send(1, 1, []byte("anyone there")); err != nil {
+			return err
+		}
+		if _, err := c.Recv(1, 2); !errors.Is(err, ErrPeerClosed) {
+			return fmt.Errorf("receive from rank 1 after its refusal: %v, want ErrPeerClosed", err)
+		}
+		return nil
+	})
 }

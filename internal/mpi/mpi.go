@@ -6,7 +6,8 @@
 // interchangeable transports:
 //
 //   - a TCP loopback transport bootstrapped through PMI (internal/pmi),
-//     reproducing the MPICH2-over-ZeptoOS-sockets path JETS launches; and
+//     reproducing the MPICH2-over-ZeptoOS-sockets path JETS launches, whose
+//     ranks in one process share an endpoint and end sessions in memory; and
 //   - an in-process channel transport reproducing the vendor-native fabric
 //     ("native" mode in the paper's Fig. 8 comparison).
 //
@@ -92,8 +93,8 @@ func (c *Comm) nextCollTag() int {
 }
 
 // Close finalizes the communicator: the transport is torn down and, for
-// PMI-bootstrapped communicators, the rank reports finalize to the process
-// manager.
+// PMI-bootstrapped communicators, the PMI client is finalized. Between ranks
+// of one process neither writes anything.
 func (c *Comm) Close() error {
 	c.mu.Lock()
 	if c.closed {

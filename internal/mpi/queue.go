@@ -31,8 +31,23 @@ type matchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	msgs   []Message
-	gone   []int // ranks whose stream to this process has ended (peerGone)
+	from   []source // by sending rank, grown as ranks show up
 	closed bool
+}
+
+// source is what a queue knows of one sending rank: how many of its messages
+// were pushed, and once it has left (peerGone), how many it sent in all.
+type source struct {
+	got, sent int
+	gone      bool
+}
+
+// at returns src's entry. Caller holds q.mu.
+func (q *matchQueue) at(src int) *source {
+	if src >= len(q.from) {
+		q.from = slices.Grow(q.from, src+1-len(q.from))[:src+1]
+	}
+	return &q.from[src]
 }
 
 func newMatchQueue() *matchQueue {
@@ -48,6 +63,7 @@ func (q *matchQueue) push(m Message) {
 		return
 	}
 	q.msgs = append(q.msgs, m)
+	q.at(m.Src).got++
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
@@ -56,20 +72,29 @@ func matches(m Message, src, tag int) bool {
 	return (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag)
 }
 
-// peerGone records that nothing more can arrive from src and wakes receivers
-// waiting on it.
-func (q *matchQueue) peerGone(src int) {
+// peerGone records that src has left having sent this rank sent messages in
+// all, some of which may not have been pushed yet, and wakes receivers waiting
+// on it. The first count given is kept.
+func (q *matchQueue) peerGone(src, sent int) {
 	q.mu.Lock()
-	if !slices.Contains(q.gone, src) {
-		q.gone = append(q.gone, src)
+	if p := q.at(src); !p.gone {
+		p.gone, p.sent = true, sent
 	}
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
 
+// left reports whether src has left.
+func (q *matchQueue) left(src int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return src < len(q.from) && q.from[src].gone
+}
+
 // pop blocks until a message matching (src, tag) is available and removes
 // it. Once the queue is drained of matching messages it returns ErrCommClosed
-// if the queue is closed and ErrPeerClosed if src is gone.
+// if the queue is closed and ErrPeerClosed if src is gone and every message it
+// sent has been pushed.
 func (q *matchQueue) pop(src, tag int) (Message, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -83,7 +108,7 @@ func (q *matchQueue) pop(src, tag int) (Message, error) {
 		if q.closed {
 			return Message{}, ErrCommClosed
 		}
-		if src != AnySource && slices.Contains(q.gone, src) {
+		if src >= 0 && src < len(q.from) && q.from[src].gone && q.from[src].got >= q.from[src].sent {
 			return Message{}, fmt.Errorf("mpi: receive from rank %d: %w", src, ErrPeerClosed)
 		}
 		q.cond.Wait()

@@ -21,14 +21,21 @@ import (
 // rank's reader had taken it off the socket or not, and only after the last
 // of it may a receive report the peer gone.
 //
-// Rank 0 plays the dialer by hand on a raw socket, as a rank of another
-// process would: hello, 2,000 frames of 64 KiB, then wait for the bye, leave
-// it unread, close.
+// Rank 0 lives at an endpoint of its own, as in another process, and plays
+// the dialer by hand on a raw socket: 2,000 frames of 64 KiB, each under a
+// header that names rank 1's endpoint id, then wait for the bye, leave it
+// unread, close.
 func TestResetAfterByeKeepsDeliveredData(t *testing.T) {
 	const msgs, size, tag = 2000, 64 << 10, 5
 	written := make(chan struct{})
 	byeSent := make(chan struct{})
-	err := RunTCP(2, func(c *Comm) error {
+	other := newTestEndpoint(t)
+	err := runTCP(2, func(rank int) *endpoint {
+		if rank == 0 {
+			return other
+		}
+		return defaultEndpoint
+	}, func(c *Comm) error {
 		tr := c.tr.(*tcpTransport)
 		if c.Rank() == 1 {
 			go func() {
@@ -38,7 +45,7 @@ func TestResetAfterByeKeepsDeliveredData(t *testing.T) {
 				sessions := tr.sessions
 				tr.mu.Unlock()
 				if len(sessions) == 1 && sessions[0].accepted {
-					sessions[0].bye(true)
+					sessions[0].bye(1, 0, true)
 				}
 				close(byeSent)
 			}()
@@ -71,20 +78,15 @@ func TestResetAfterByeKeepsDeliveredData(t *testing.T) {
 			return err
 		}
 		defer conn.Close()
-		frame := make([]byte, 8+size)
+		// header: length, tag, rank 1's endpoint id, rank 0
+		frame := make([]byte, hdrLen+size)
 		binary.BigEndian.PutUint32(frame[0:4], size)
 		binary.BigEndian.PutUint32(frame[4:8], tag)
+		binary.BigEndian.PutUint32(frame[8:12], uint32(id))
 		for i := 0; i < msgs; i++ {
-			binary.BigEndian.PutUint32(frame[8:], uint32(i))
+			binary.BigEndian.PutUint32(frame[hdrLen:], uint32(i))
 			frame[len(frame)-1] = byte(i)
-			out := frame
-			if i == 0 {
-				// hello: rank 1's endpoint id, then rank 0 on a link
-				// that ends with its session
-				hello := binary.BigEndian.AppendUint32(nil, uint32(id))
-				out = append(binary.BigEndian.AppendUint32(hello, 0), frame...)
-			}
-			if _, err := conn.Write(out); err != nil {
+			if _, err := conn.Write(frame); err != nil {
 				return fmt.Errorf("write %d: %w", i, err)
 			}
 		}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -96,32 +98,33 @@ func (t *localTransport) close() error {
 // (pmi.DialFence), whose release hands back every peer's address. This is the
 // wire-up the modified MPICH2 performs over ZeptoOS sockets in the paper.
 //
-// A link is one connection between two endpoints; a session is one rank
-// pair's use of a link in one job, opened on the first send to the peer by a
-// hello ahead of the first frame (the peer's id and the sender's rank). The
-// other side replies on the session it accepted. When both send first at
-// once, both open one, and each sends on its own and reads the other: still
-// one ordered stream per direction. The tree collectives never race: a
-// child's message to its parent is the first on their edge (collectives.go).
+// A link is one connection between two endpoints; each of its ends has one
+// reader for the link's life, and every frame names the rank it is for (by
+// endpoint id) and the rank it is from. A session is one rank pair's use of a
+// link in one job, opened by the first send to the peer, which replies on the
+// same link. When both send first at once, both open one, and each sends on
+// its own: still one ordered stream per direction. The tree collectives never
+// race: a child's message to its parent is the first on their edge.
 //
-// Each side ends a session with a bye and writes nothing more in it. A link
-// between two ranks of this process outlives its session: once the dialer has
-// sent and read a bye it parks the link in a bounded idle pool, and the
-// accepting reader waits for the next hello. Every message still crosses the
-// kernel. A link to another process (forked ranks) ends with its session,
-// dialer first: that keeps TIME_WAIT sockets off the accepting process's
-// listening port, where they make the kernel's port-0 bind scan the whole
-// range (DESIGN.md, "Gang-launch fast path": 2.8 ms per Listen).
+// A link between two ranks of this process outlives its sessions, which end
+// in memory: a rank that leaves tells every rank of its job at the endpoint
+// how many frames it sent it, and parks the links it dialed at once. Only
+// data crosses the kernel. A link to another process (forked ranks) carries
+// one session, which the accepting side ends with a bye; the dialer closes
+// first, which keeps TIME_WAIT sockets off the listening port, where they make
+// the kernel's port-0 bind scan the whole range (DESIGN.md, "Gang-launch fast
+// path": 2.8 ms per Listen).
 
 // endpoint is a process's one listener for rank-pair links, the ranks
 // registered at it, and the idle links it has dialed to itself.
 type endpoint struct {
-	mu    sync.Mutex
-	ln    net.Listener // opened by the process's first rank
-	addr  string       // ln's address
-	ranks map[uint32]*tcpTransport
-	next  uint32
-	idle  []net.Conn // dialer ends of kept links between sessions
+	mu        sync.Mutex
+	ln        net.Listener // opened by the process's first rank
+	addr      string       // ln's address
+	ranks     map[uint32]*tcpTransport
+	next      uint32
+	idle      []net.Conn       // dialer ends of kept links between sessions
+	unclaimed []netip.AddrPort // dialer ends of links to itself whose other end has read nothing
 }
 
 // defaultEndpoint serves every rank of this process; a test stands up another
@@ -133,17 +136,14 @@ var defaultEndpoint = &endpoint{}
 // the process runs at once. A link parked past it is closed by its dialer.
 const maxIdleLinks = 64
 
-// keptLink is set in the rank word of a hello whose link outlives the session.
-const keptLink = 1 << 31
-
 // As in internal/pmi: no keep-alive probes on loopback links.
 var (
 	listenConfig = net.ListenConfig{KeepAlive: -1}
 	dialer       = net.Dialer{Timeout: 10 * time.Second, KeepAlive: -1}
 )
 
-// readerPool recycles read buffers across links and dialed sessions. A body
-// larger than the buffer bypasses it: bufio reads straight into the message.
+// readerPool recycles read buffers across links. A body larger than the
+// buffer bypasses it: bufio reads straight into the message.
 var readerPool = sync.Pool{
 	New: func() any { return bufio.NewReaderSize(nil, 16<<10) },
 }
@@ -173,6 +173,24 @@ func (ep *endpoint) unregister(id uint32) {
 	ep.mu.Unlock()
 }
 
+func (ep *endpoint) lookup(id uint32) *tcpTransport {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.ranks[id]
+}
+
+// jobmates appends to dst the other ranks of t's job at ep (only rank, if ≥ 0).
+func (ep *endpoint) jobmates(t *tcpTransport, rank int, dst []*tcpTransport) []*tcpTransport {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	for _, u := range ep.ranks {
+		if u != t && u.pmiAddr == t.pmiAddr && u.kvs == t.kvs && (rank < 0 || u.rank == rank) {
+			dst = append(dst, u)
+		}
+	}
+	return dst
+}
+
 func (ep *endpoint) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := obs.Accept(ln)
@@ -180,43 +198,100 @@ func (ep *endpoint) acceptLoop(ln net.Listener) {
 			return
 		}
 		connsAccepted.Inc()
-		go ep.serve(conn)
+		go ep.readLink(conn, nil, nil, true)
 	}
 }
 
-// serve reads an accepted link for its whole life. Each hello opens a session
-// with the rank it names; a rank that is gone has it refused with a bye. When
-// the dialer's bye ends a session, a kept link goes back to waiting for the
-// next hello; any other link ends with its session, after its dialer closed.
-func (ep *endpoint) serve(conn net.Conn) {
+// readLink reads one end of a link for its whole life (read), then closes
+// it. A link to another process carries one session: s of t if this rank
+// dialed it, else the first frame's, refused with a bye if its rank has left.
+// The first frame on an accepted link tells which kind it is.
+func (ep *endpoint) readLink(conn net.Conn, t *tcpTransport, s *session, accepted bool) {
 	r := readerPool.Get().(*bufio.Reader)
 	r.Reset(conn)
-	defer func() {
-		conn.Close()
-		r.Reset(nil)
-		readerPool.Put(r)
-	}()
-	var hello [8]byte
+	if accepted {
+		h, err := r.Peek(hdrLen)
+		if local := ep.claim(conn); err == nil && !local {
+			from := int(binary.BigEndian.Uint32(h[12:]))
+			if t = ep.lookup(binary.BigEndian.Uint32(h[8:])); t != nil {
+				s, _ = t.adopt(conn, from, false)
+			}
+			if s == nil {
+				t, s = nil, &session{link: conn, peer: from, accepted: true}
+				s.bye(0, 0, false)
+			}
+		}
+	}
+	ep.read(conn, r, t, s)
+	r.Reset(nil)
+	readerPool.Put(r)
+	conn.Close()
+	if t != nil {
+		s.end()
+		t.wg.Done()
+	}
+}
+
+// claim reports whether conn comes from a link ep dialed to itself.
+func (ep *endpoint) claim(conn net.Conn) bool {
+	ap := conn.RemoteAddr().(*net.TCPAddr).AddrPort()
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	i := slices.Index(ep.unclaimed, ap)
+	if i >= 0 {
+		ep.unclaimed = slices.Delete(ep.unclaimed, i, i+1)
+	}
+	return i >= 0
+}
+
+// read reads one end of a link until it ends. On a link between ranks of this
+// process (s and t nil) each frame goes to the rank it names, which adopts a
+// session from a rank it has none with; a frame for a rank that left is
+// dropped. A link to another process carries s, of t (nil if refused), only,
+// until the peer's bye, which counts what it sent this rank, or the link's
+// end, which counts what arrived if anything did: a peer sends to a rank on
+// one session, and a dialed one it sent nothing on is not it.
+func (ep *endpoint) read(conn net.Conn, r *bufio.Reader, t *tcpTransport, s *session) {
+	var h [hdrLen]byte
+	from, got := -1, 0
+	if s != nil {
+		from = s.peer // adopt checked it; a later header is not trusted
+	}
 	for {
-		if _, err := io.ReadFull(r, hello[:]); err != nil {
+		if _, err := io.ReadFull(r, h[:]); err != nil {
+			break
+		}
+		n, tag := binary.BigEndian.Uint32(h[0:4]), binary.BigEndian.Uint32(h[4:8])
+		if n == byeLen && t != nil && s != nil {
+			t.q.peerGone(s.peer, int(tag))
 			return
 		}
-		from := binary.BigEndian.Uint32(hello[4:])
-		s := &session{link: conn, peer: int(from &^ keptLink), accepted: true, kept: from&keptLink != 0}
-		t := ep.adopt(binary.BigEndian.Uint32(hello[:4]), s)
+		if n > maxMessage { // a refusal, or a corrupt stream
+			break
+		}
+		if id, f := binary.BigEndian.Uint32(h[8:]), int(binary.BigEndian.Uint32(h[12:])); s == nil && (t == nil || t.id != id || f != from) {
+			from = f
+			if t = ep.lookup(id); t != nil {
+				if _, ok := t.adopt(conn, from, true); !ok {
+					t = nil
+				}
+			}
+		}
 		if t == nil {
-			s.bye(false)
+			if _, err := r.Discard(int(n)); err != nil {
+				break
+			}
+			continue
 		}
-		clean := readSession(t, s, r)
-		if clean {
-			s.bye(false)
+		data := make([]byte, n)
+		if _, err := io.ReadFull(r, data); err != nil {
+			break
 		}
-		if t != nil {
-			t.wg.Done()
-		}
-		if !clean || !s.kept {
-			return
-		}
+		t.q.push(Message{Src: from, Tag: int(int32(tag)), Data: data})
+		got++
+	}
+	if s != nil && got > 0 {
+		t.q.peerGone(s.peer, got)
 	}
 }
 
@@ -230,7 +305,7 @@ func (ep *endpoint) take() (c net.Conn) {
 	return c
 }
 
-// park keeps a link whose session is over at both ends for a later session.
+// park keeps a link between two ranks of this process for a later session.
 func (ep *endpoint) park(c net.Conn) {
 	ep.mu.Lock()
 	if len(ep.idle) < maxIdleLinks {
@@ -242,126 +317,113 @@ func (ep *endpoint) park(c net.Conn) {
 	}
 }
 
+// dial opens a link to host; one to ep itself (local) is read from here on.
+func (ep *endpoint) dial(host string, local bool) (net.Conn, error) {
+	conn, err := dialer.Dial("tcp", host)
+	if err != nil || !local {
+		return conn, err
+	}
+	ep.mu.Lock()
+	ep.unclaimed = append(ep.unclaimed, conn.LocalAddr().(*net.TCPAddr).AddrPort())
+	ep.mu.Unlock()
+	go ep.readLink(conn, nil, nil, false)
+	return conn, nil
+}
+
 type tcpTransport struct {
-	ep   *endpoint
-	id   uint32
-	rank int
-	size int
-	q    *matchQueue
-	pc   *pmi.Client
+	ep           *endpoint
+	id           uint32
+	rank         int
+	size         int
+	pmiAddr, kvs string // the job: its PMI endpoint and name there
+	q            *matchQueue
+	pc           *pmi.Client
 
 	mu       sync.Mutex
 	peers    []*session // by rank: the session this rank sends to that peer on
 	sessions []*session // every session of this rank, for close
 	done     bool
 
-	wg sync.WaitGroup // one per session not yet over on the wire
+	wg sync.WaitGroup // one per session with another process not yet over on the wire
 }
 
 // session is one rank's end of a session.
 type session struct {
 	link     net.Conn
-	peer     int // the rank at the other end
+	peer     int    // the rank at the other end
+	id       uint32 // its endpoint id, or 0 (no rank's): it left, or dialed from another process
 	accepted bool
-	kept     bool // the link joins two ranks of this process
+	local    bool // the link joins two ranks of this process
 	wmu      sync.Mutex
-	hello    uint64 // a dialer's until written: [4 peer's id][4 own rank | keptLink]
-	over     bool   // this end has said bye or dropped the link
-	err      error  // of the bye
+	sent     int  // frames written
+	over     bool // this end writes nothing more
 	buf      [256]byte
 }
 
-// frame layout: [4 len][4 tag][payload]. A dialer's first frame is preceded
-// by its hello. Header and a small payload leave in one write.
-func (s *session) writeFrame(tag int, data []byte) error {
+// frame layout: [4 len][4 tag][4 receiver's endpoint id][4 sender's rank]
+// [payload]. Header and a small payload leave in one write.
+const hdrLen = 16
+
+func (s *session) writeFrame(from, tag int, data []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.over {
 		return fmt.Errorf("mpi: send to rank %d: %w", s.peer, ErrPeerClosed)
 	}
-	b := s.greet(s.buf[:0])
-	b = binary.BigEndian.AppendUint32(b, uint32(len(data)))
-	b = binary.BigEndian.AppendUint32(b, uint32(int32(tag)))
+	b := s.header(uint32(len(data)), uint32(int32(tag)), from)
+	var err error
 	if len(data) <= cap(b)-len(b) {
-		_, err := s.link.Write(append(b, data...))
-		return err
+		_, err = s.link.Write(append(b, data...))
+	} else { // large payload: header and body go out in one writev, uncopied
+		bufs := net.Buffers{b, data}
+		_, err = bufs.WriteTo(s.link)
 	}
-	// Large payload: header and body go out in one writev, uncopied.
-	bufs := net.Buffers{b, data}
-	_, err := bufs.WriteTo(s.link)
+	if err == nil {
+		s.sent++
+	}
 	return err
 }
 
-// greet appends the hello to b if it has not been written. Caller holds wmu.
-func (s *session) greet(b []byte) []byte {
-	if s.hello != 0 {
-		b, s.hello = binary.BigEndian.AppendUint64(b, s.hello), 0
-	}
-	return b
+// header fills in a frame header from this rank to the peer. Caller holds wmu.
+func (s *session) header(n, tag uint32, from int) []byte {
+	b := binary.BigEndian.AppendUint32(s.buf[:0], n)
+	b = binary.BigEndian.AppendUint32(b, tag)
+	b = binary.BigEndian.AppendUint32(b, s.id)
+	return binary.BigEndian.AppendUint32(b, uint32(from))
 }
 
-// byeLen in a header's length field is a bye: its sender writes nothing more
-// in the session. byeWait bounds how long a rank closing a session accepted
-// from another process waits for the dialer to close the link.
+// byeLen in a header's length field is a bye, which ends a session with
+// another process: its tag field counts the frames the sender sent in all,
+// and the sender writes nothing more. byeWait bounds how long a rank closing
+// a session accepted from another process waits for the dialer to close the
+// link.
 const (
 	byeLen  = 0xFFFFFFFF
 	byeWait = time.Second
 )
 
-// bye ends this end of the session if it has not ended, and returns the bye's
-// write error. wait starts byeWait on the read side.
-func (s *session) bye(wait bool) error {
+// end stops this end's writes and returns how many frames it wrote; none for
+// no session.
+func (s *session) end() int {
+	if s == nil {
+		return 0
+	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if !s.over {
-		s.over = true
-		if wait {
-			s.link.SetReadDeadline(time.Now().Add(byeWait))
-		}
-		b := binary.BigEndian.AppendUint32(s.greet(s.buf[:0]), byeLen)
-		_, s.err = s.link.Write(binary.BigEndian.AppendUint32(b, 0))
-	}
-	return s.err
-}
-
-// drop gives the link up: this end writes nothing more on it, and closes it.
-func (s *session) drop() {
-	s.wmu.Lock()
 	s.over = true
-	s.wmu.Unlock()
-	s.link.Close()
+	return s.sent
 }
 
-// readSession delivers one session's messages from r to t's queue (t is nil
-// for a refused session) and reports whether the other side's bye ended it,
-// rather than a broken link. A peer sends to this rank on one session for the
-// whole job, so once that one is read out, receives waiting on the peer fail.
-// A session this rank dialed and got no frame on is not it.
-func readSession(t *tcpTransport, s *session, r *bufio.Reader) bool {
-	inbound := s.accepted
-	clean := false
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		if clean = n == byeLen; clean || n > maxMessage { // a bye, or a corrupt stream
-			break
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
-			break
-		}
-		if t != nil {
-			t.q.push(Message{Src: s.peer, Tag: int(int32(binary.BigEndian.Uint32(hdr[4:8]))), Data: data})
-		}
-		inbound = true
+// bye ends this end of the session with a bye from rank from, which sent the
+// peer sent frames. wait starts byeWait on the read side.
+func (s *session) bye(from, sent int, wait bool) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.over = true
+	if wait {
+		s.link.SetReadDeadline(time.Now().Add(byeWait))
 	}
-	if inbound && t != nil {
-		t.q.peerGone(s.peer)
-	}
-	return clean
+	s.link.Write(s.header(byeLen, uint32(sent), from))
 }
 
 func pmiAddrKey(rank int) string { return "mpiaddr-" + strconv.Itoa(rank) }
@@ -370,7 +432,7 @@ func pmiAddrKey(rank int) string { return "mpiaddr-" + strconv.Itoa(rank) }
 // exchange that publishes the address and returns once every rank's address
 // is known.
 func (ep *endpoint) init(pmiAddr, kvsName string, rank int) (*Comm, error) {
-	t := &tcpTransport{ep: ep, rank: rank, q: newMatchQueue()}
+	t := &tcpTransport{ep: ep, rank: rank, pmiAddr: pmiAddr, kvs: kvsName, q: newMatchQueue()}
 	// Once the fence has published this rank, a session may arrive before the
 	// job's size is known here: adopt waits on t.mu.
 	t.mu.Lock()
@@ -389,28 +451,33 @@ func (ep *endpoint) init(pmiAddr, kvsName string, rank int) (*Comm, error) {
 	return &Comm{rank: rank, size: t.size, q: t.q, tr: t, pc: pc}, nil
 }
 
-// adopt makes the accepted session s one of the rank registered as id and
-// returns its transport; nil if there is none, it is closed, or s names no
-// peer it could have. s becomes the way to reply to its peer unless the rank
-// has one.
-func (ep *endpoint) adopt(id uint32, s *session) *tcpTransport {
-	ep.mu.Lock()
-	t := ep.ranks[id]
-	ep.mu.Unlock()
-	if t == nil {
-		return nil
-	}
+// adopt takes a session from peer that arrived on link (false: t is closed or
+// has no such peer). It becomes t's way to reply to peer unless t has one; one
+// from this process is only kept then (else nil), one from another always.
+func (t *tcpTransport) adopt(link net.Conn, peer int, local bool) (*session, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.done || s.peer >= t.size || s.peer == t.rank {
-		return nil
+	if t.done || peer < 0 || peer >= t.size || peer == t.rank {
+		return nil, false
 	}
-	if t.peers[s.peer] == nil {
-		t.peers[s.peer] = s
+	if local && t.peers[peer] != nil {
+		return nil, true
+	}
+	s := &session{link: link, peer: peer, accepted: true, local: local}
+	if local {
+		var buf [1]*tcpTransport
+		if u := t.ep.jobmates(t, peer, buf[:0]); len(u) > 0 {
+			s.id = u[0].id
+		}
+	}
+	if t.peers[peer] == nil {
+		t.peers[peer] = s
 	}
 	t.sessions = append(t.sessions, s)
-	t.wg.Add(1)
-	return t
+	if !local {
+		t.wg.Add(1)
+	}
+	return s, true
 }
 
 // peer returns the session to send to dst on, opening one on an idle link or
@@ -425,21 +492,28 @@ func (t *tcpTransport) peer(dst int) (*session, error) {
 	if s != nil {
 		return s, nil
 	}
-	addr, err := t.pc.Get(pmiAddrKey(dst)) // from the bootstrap fence, no round trip
-	if err != nil {
-		return nil, fmt.Errorf("mpi: no address for rank %d: %w", dst, err)
+	s = &session{peer: dst}
+	var buf [1]*tcpTransport
+	host := t.ep.addr
+	if u := t.ep.jobmates(t, dst, buf[:0]); len(u) > 0 {
+		s.id, s.local, s.link = u[0].id, true, t.ep.take()
+	} else {
+		addr, err := t.pc.Get(pmiAddrKey(dst)) // from the bootstrap fence, no round trip
+		if err != nil {
+			return nil, fmt.Errorf("mpi: no address for rank %d: %w", dst, err)
+		}
+		i := strings.LastIndexByte(addr, '/')
+		id, err := strconv.ParseUint(addr[i+1:], 10, 32)
+		if i < 0 || err != nil {
+			return nil, fmt.Errorf("mpi: bad address %q for rank %d", addr, dst)
+		}
+		if host, s.id = addr[:i], uint32(id); host == t.ep.addr { // a rank of this process that has left
+			return nil, fmt.Errorf("mpi: send to rank %d: %w", dst, ErrPeerClosed)
+		}
 	}
-	i := strings.LastIndexByte(addr, '/')
-	id, err := strconv.ParseUint(addr[i+1:], 10, 32)
-	if i < 0 || err != nil {
-		return nil, fmt.Errorf("mpi: bad address %q for rank %d", addr, dst)
-	}
-	s = &session{peer: dst, kept: addr[:i] == t.ep.addr, hello: id<<32 | uint64(t.rank)}
-	if s.kept {
-		s.link, s.hello = t.ep.take(), s.hello|keptLink
-	}
+	var err error
 	if s.link == nil {
-		if s.link, err = dialer.Dial("tcp", addr[:i]); err != nil {
+		if s.link, err = t.ep.dial(host, s.local); err != nil {
 			return nil, fmt.Errorf("mpi: dial rank %d: %w", dst, err)
 		}
 		connsDialed.Inc()
@@ -449,13 +523,15 @@ func (t *tcpTransport) peer(dst int) (*session, error) {
 	if existing == nil && !done {
 		t.peers[dst] = s
 		t.sessions = append(t.sessions, s)
-		t.wg.Add(1)
+		if !s.local {
+			t.wg.Add(1)
+		}
 	}
 	t.mu.Unlock()
 	if existing != nil || done {
 		// The peer's own session arrived, or another sender opened one, while
 		// we were getting a link; ours has carried nothing.
-		if s.kept {
+		if s.local {
 			t.ep.park(s.link)
 		} else {
 			s.link.Close()
@@ -467,25 +543,10 @@ func (t *tcpTransport) peer(dst int) (*session, error) {
 		return existing, nil
 	}
 	sessionsOpened.Inc()
-	go t.readDialed(s)
-	return s, nil
-}
-
-// readDialed reads a session this rank dialed until the accepting side's bye,
-// answers it, and parks a kept link for a later session. A link to another
-// process is closed here, by its dialer.
-func (t *tcpTransport) readDialed(s *session) {
-	defer t.wg.Done()
-	r := readerPool.Get().(*bufio.Reader)
-	r.Reset(s.link)
-	reuse := readSession(t, s, r) && s.kept && r.Buffered() == 0 && s.bye(false) == nil
-	r.Reset(nil)
-	readerPool.Put(r)
-	if reuse {
-		t.ep.park(s.link)
-	} else {
-		s.drop()
+	if !s.local {
+		go t.ep.readLink(s.link, t, s, false)
 	}
+	return s, nil
 }
 
 func (t *tcpTransport) send(dst, tag int, data []byte) error {
@@ -498,17 +559,21 @@ func (t *tcpTransport) send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= t.size {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
 	}
+	if t.q.left(dst) {
+		return fmt.Errorf("mpi: send to rank %d: %w", dst, ErrPeerClosed)
+	}
 	s, err := t.peer(dst)
 	if err != nil {
 		return err
 	}
-	return s.writeFrame(tag, data)
+	return s.writeFrame(t.rank, tag, data)
 }
 
-// close says bye on every session of this rank (a link it dialed to another
-// process is closed instead) and returns once each is over on the wire: when
-// the other side's bye or end of stream is read. A dialer in another process
-// has byeWait to close its link first.
+// close ends every session of this rank: in memory for the ranks of its job at
+// this endpoint, each told how many frames this one sent it, and on the wire
+// for another process's, with a bye on one it accepted and a close of one it
+// dialed. It returns once each of those is over: when the link is closed, or
+// byeWait has passed for the dialer to close it first.
 func (t *tcpTransport) close() error {
 	t.mu.Lock()
 	if t.done {
@@ -516,14 +581,23 @@ func (t *tcpTransport) close() error {
 		return nil
 	}
 	t.done = true
-	sessions := t.sessions
+	peers, sessions := t.peers, t.sessions
 	t.mu.Unlock()
+	var buf [16]*tcpTransport
+	for _, u := range t.ep.jobmates(t, -1, buf[:0]) {
+		u.q.peerGone(t.rank, peers[u.rank].end())
+	}
 	t.ep.unregister(t.id)
 	for _, s := range sessions {
-		if s.accepted || s.kept {
-			s.bye(!s.kept)
-		} else {
-			s.drop()
+		switch {
+		case s.local && !s.accepted:
+			s.end()
+			t.ep.park(s.link)
+		case s.local:
+		case s.accepted:
+			s.bye(t.rank, peers[s.peer].end(), true)
+		default: // the reader closes it too, and ends s
+			s.link.Close()
 		}
 	}
 	t.wg.Wait()

@@ -248,18 +248,35 @@ func TestBarrierTreeFailsWhenARankLeaves(t *testing.T) {
 }
 
 // TestQueuedMessagesOutliveTheirSender: the queue hands over what a departed
-// rank left behind before it reports the rank gone, and other sources and
-// wildcard receives are not affected.
+// rank left behind, queued or still on its way, before it reports the rank
+// gone, and other sources and wildcard receives are not affected.
 func TestQueuedMessagesOutliveTheirSender(t *testing.T) {
 	q := newMatchQueue()
 	q.push(Message{Src: 1, Tag: 7, Data: []byte("last words")})
-	q.peerGone(1)
-	q.peerGone(1)
+	q.peerGone(1, 2) // one more is on its way
+	q.peerGone(1, 1) // the first count stands
 	if m, err := q.pop(1, 7); err != nil || !bytes.Equal(m.Data, []byte("last words")) {
 		t.Fatalf("queued message from a gone rank: %q, %v", m.Data, err)
 	}
+	late := make(chan error, 1)
+	go func() {
+		m, err := q.pop(1, 7)
+		if err == nil && string(m.Data) != "in flight" {
+			err = fmt.Errorf("got %q", m.Data)
+		}
+		late <- err
+	}()
+	select {
+	case err := <-late:
+		t.Fatalf("receive with a message still on its way returned %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	q.push(Message{Src: 1, Tag: 7, Data: []byte("in flight")})
+	if err := <-late; err != nil {
+		t.Fatalf("message that arrived after its sender left: %v", err)
+	}
 	if _, err := q.pop(1, 7); !errors.Is(err, ErrPeerClosed) {
-		t.Fatalf("receive from a gone rank with nothing queued: %v", err)
+		t.Fatalf("receive from a gone rank with everything delivered: %v", err)
 	}
 	got := make(chan error, 1)
 	go func() {

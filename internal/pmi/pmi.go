@@ -11,12 +11,13 @@
 // listener that serves every job attached to it and outlives them all.
 //
 // Four departures from PMI-1 keep a rank's bootstrap to one exchange on a
-// connection it may already hold (DESIGN.md, "Gang-launch fast path"): a
-// pipelined batch of requests is answered with one write; barrier_out carries
-// the fence, every key=value put since the previous release, which clients
-// cache; finalize is one-way; and a connection carries a sequence of
-// sessions, each opened by an init that names its job, so a process keeps the
-// connection it finalized on for its next job.
+// connection it may already hold, and its exit to none (DESIGN.md,
+// "Gang-launch fast path"): a pipelined batch of requests is answered with one
+// write; barrier_out carries the fence, every key=value put since the previous
+// release, which clients keep; a connection carries a sequence of sessions,
+// each opened by an init that names its job, so a process keeps the connection
+// for its next job; and a rank that finalizes on a kept connection says
+// nothing, its next init (or the connection's end) ending the session.
 package pmi
 
 import (
@@ -181,12 +182,8 @@ type Server struct {
 	barrierStart time.Time
 	ranks        []rankState
 	inited       int // distinct ranks that have initialised
-	finalized    int
 	closed       bool
 	onWired      func() // fired once, outside mu, when the last rank initialises
-
-	doneCh chan struct{} // closed when all ranks finalize
-	once   sync.Once
 }
 
 // rankState is what a job remembers of one rank: whether it has initialised
@@ -210,7 +207,6 @@ func NewServer(kvsName string, size int) (*Server, error) {
 		size:    size,
 		kvs:     make(map[string]string),
 		ranks:   make([]rankState, size),
-		doneCh:  make(chan struct{}),
 	}, nil
 }
 
@@ -261,24 +257,15 @@ func (s *Server) join(sc *serverConn, rank int) (refused string) {
 	return ""
 }
 
-// leave ends sc's session with the job; finalized says the rank ended it
-// itself, which counts towards Done.
-func (s *Server) leave(sc *serverConn, finalized bool) {
+// leave ends sc's session with the job.
+func (s *Server) leave(sc *serverConn) {
 	s.mu.Lock()
 	if s.ranks[sc.rank].sess == sc {
 		s.ranks[sc.rank].sess = nil
 	}
 	sc.held = false
-	all := false
-	if finalized {
-		s.finalized++
-		all = s.finalized >= s.size
-	}
 	s.mu.Unlock()
 	sc.job = nil
-	if all {
-		s.once.Do(func() { close(s.doneCh) })
-	}
 }
 
 // dispatch serves one request of sc's session. drop ends the connection; held
@@ -286,10 +273,8 @@ func (s *Server) leave(sc *serverConn, finalized bool) {
 // collected so far.
 func (s *Server) dispatch(sc *serverConn, rec *record) (drop, held bool) {
 	if string(rec.cmd) == "finalize" {
-		// Served even after Close: a rank's one-way finalize routinely races
-		// the teardown that follows the job's last result, and the connection
-		// it arrives on is healthy.
-		s.leave(sc, true)
+		// Served even after Close: the connection it arrives on is healthy.
+		s.leave(sc)
 		return false, false
 	}
 	s.mu.Lock()
@@ -382,25 +367,6 @@ func (s *Server) barrierIn(sc *serverConn) (drop, held bool) {
 	return false, true
 }
 
-// Done returns a channel closed once every rank has finalized.
-func (s *Server) Done() <-chan struct{} { return s.doneCh }
-
-// Wait blocks until all ranks finalize or the timeout elapses.
-func (s *Server) Wait(timeout time.Duration) error {
-	// An explicit timer, stopped on return: time.After would pin its timer
-	// (and channel) until expiry even when all ranks finalize promptly, which
-	// at many-parallel-task rates accumulates into real memory held for the
-	// full timeout window.
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-s.doneCh:
-		return nil
-	case <-t.C:
-		return fmt.Errorf("pmi: server wait timed out after %v", timeout)
-	}
-}
-
 // OnWired registers fn to run once every rank has initialised (the MPI_Init
 // wire-up point). If the server is already wired, fn runs immediately. The
 // callback executes outside the server lock.
@@ -428,8 +394,8 @@ func (s *Server) KVSLen() int {
 // Close ends the job: it leaves its Service, and the connections of ranks
 // waiting in a barrier, which can no longer release, are cut so the ranks
 // fail instead of hanging. Any other rank's connection is left alone, being
-// the client's to keep: its finalize is still served, and any other request
-// from it drops the connection. A private endpoint (Listen) closes with the
+// the client's to keep: its next init or finalize is still served, and any
+// other request from it drops the connection. A private endpoint (Listen) closes with the
 // job, connections and all.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -469,8 +435,10 @@ type Client struct {
 	conn     net.Conn
 	r        *bufio.Reader
 	out      []byte // requests not yet written
+	line     []byte // the last reply, parsed in rec
 	rec      record
-	cache    map[string]string // keys delivered by barrier releases
+	fence    []byte // the last barrier release, parsed in fenceRec
+	fenceRec record
 	closed   bool
 	answered bool   // the server has replied to something on this connection
 	keep     string // the shared endpoint's address; empty on a private one
@@ -540,7 +508,8 @@ func open(addr, kvsName string, rank int, bootstrap func(*Client) error) (*Clien
 			// longer ones.
 			k = keptConn{conn: conn, r: bufio.NewReaderSize(conn, 1<<10)}
 		}
-		c := &Client{conn: k.conn, r: k.r, rank: rank}
+		c := &Client{conn: k.conn, r: k.r, out: k.out[:0], fence: k.fence[:0],
+			rec: record{fields: k.fields[:0]}, fenceRec: record{fields: k.fenceFields[:0]}, rank: rank}
 		if kvsName == "" {
 			c.out = appendRecord(c.out, "init", "pmiid", strconv.Itoa(rank))
 		} else {
@@ -561,11 +530,14 @@ func open(addr, kvsName string, rank int, bootstrap func(*Client) error) (*Clien
 }
 
 // keptConn is a connection between jobs, with its reader (empty: a connection
-// is parked only when nothing is buffered).
+// is parked only when nothing is buffered) and the buffers its last client
+// grew, for the next to reuse.
 type keptConn struct {
-	addr string
-	conn net.Conn
-	r    *bufio.Reader
+	addr                string
+	conn                net.Conn
+	r                   *bufio.Reader
+	out, fence          []byte
+	fields, fenceFields []field
 }
 
 // idle holds the connections to shared endpoints this process has finalized
@@ -623,7 +595,8 @@ func Env(addr string, rank, size int, kvsName string) []string {
 // await writes the queued requests, if any, and reads the next reply, which
 // must be wantCmd: a connection's replies arrive in request order, and a
 // barrier_out only after this client's own barrier_in. The reply is left in
-// c.rec until the next await. Caller holds c.mu (or owns c exclusively).
+// c.line and c.rec, which alias the reader's buffer, until the next await.
+// Caller holds c.mu (or owns c exclusively).
 func (c *Client) await(wantCmd string) error {
 	if len(c.out) > 0 {
 		_, err := c.conn.Write(c.out)
@@ -636,7 +609,7 @@ func (c *Client) await(wantCmd string) error {
 	if err != nil {
 		return fmt.Errorf("pmi: read: %w", err)
 	}
-	c.answered = true
+	c.answered, c.line = true, line
 	if err := c.rec.parse(line); err != nil {
 		return err
 	}
@@ -669,17 +642,13 @@ func (c *Client) awaitInit() error {
 	return nil
 }
 
+// awaitBarrier waits for the release and keeps a copy of it for Get.
 func (c *Client) awaitBarrier() error {
 	if err := c.await("barrier_out"); err != nil {
 		return err
 	}
-	if c.cache == nil {
-		c.cache = make(map[string]string, len(c.rec.fields))
-	}
-	for _, f := range c.rec.fields {
-		c.cache[string(f.key)] = string(f.val)
-	}
-	return nil
+	c.fence = append(c.fence[:0], c.line...)
+	return c.fenceRec.parse(c.fence)
 }
 
 // Rank returns this process's rank in the job.
@@ -704,14 +673,16 @@ func (c *Client) Put(key, value string) error {
 }
 
 // Get fetches a key from the job KVS, returning ErrKeyNotFound if no rank
-// has put it yet. A key that was put before a Barrier this client took part
-// in is answered from the fence that barrier delivered, without a round trip;
-// a value overwritten since then shows at the next Barrier.
+// has put it yet. A key in the fence of the last Barrier this client took part
+// in is answered from it, without a round trip; a value overwritten since then
+// shows at the next Barrier.
 func (c *Client) Get(key string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, ok := c.cache[key]; ok {
-		return v, nil
+	for i := len(c.fenceRec.fields) - 1; i >= 0; i-- { // the last put wins
+		if f := c.fenceRec.fields[i]; string(f.key) == key {
+			return string(f.val), nil
+		}
 	}
 	c.out = appendRecord(c.out, "get", "kvsname", c.kvsName, "key", key)
 	if err := c.await("get_result"); err != nil {
@@ -731,11 +702,10 @@ func (c *Client) Barrier() error {
 	return c.awaitBarrier()
 }
 
-// Finalize tells the server this rank is done. The server sends no
-// acknowledgement, so this costs one write. The connection to a job's private
-// endpoint is closed; the connection to a shared endpoint is kept for this
-// process's next job there, unless the write failed or the connection holds
-// input nobody asked for.
+// Finalize ends this rank's session and writes nothing. The connection to a
+// shared endpoint is kept for this process's next job there, whose init ends
+// the session at the server, unless it holds input nobody asked for; any other
+// connection is closed, and its end ends the session.
 func (c *Client) Finalize() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -743,11 +713,10 @@ func (c *Client) Finalize() error {
 		return ErrClosed
 	}
 	c.closed = true
-	_, err := c.conn.Write(appendRecord(c.out[:0], "finalize"))
-	if err == nil && c.keep != "" && c.r.Buffered() == 0 {
-		park(keptConn{addr: c.keep, conn: c.conn, r: c.r})
+	if c.keep != "" && c.r.Buffered() == 0 {
+		park(keptConn{addr: c.keep, conn: c.conn, r: c.r, out: c.out, fence: c.fence,
+			fields: c.rec.fields, fenceFields: c.fenceRec.fields})
 		return nil
 	}
-	c.conn.Close()
-	return err
+	return c.conn.Close()
 }

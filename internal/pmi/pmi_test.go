@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -230,34 +231,6 @@ func TestMultipleBarriers(t *testing.T) {
 	}
 }
 
-func TestServerDone(t *testing.T) {
-	s, addr := startServer(t, 2)
-	for rank := 0; rank < 2; rank++ {
-		go func(rank int) {
-			c, err := Dial(addr, rank)
-			if err != nil {
-				return
-			}
-			c.Finalize()
-		}(rank)
-	}
-	if err := s.Wait(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-s.Done():
-	default:
-		t.Fatal("Done channel not closed")
-	}
-}
-
-func TestServerWaitTimeout(t *testing.T) {
-	s, _ := startServer(t, 2)
-	if err := s.Wait(50 * time.Millisecond); err == nil {
-		t.Fatal("want timeout error")
-	}
-}
-
 func TestFinalizeTwice(t *testing.T) {
 	_, addr := startServer(t, 1)
 	c, err := Dial(addr, 0)
@@ -342,10 +315,10 @@ func TestPipelinedBootstrapWire(t *testing.T) {
 			t.Fatalf("got %q, %v; want %q", got, err, want)
 		}
 	}
-	// finalize is one-way: the server counts it, says nothing and keeps
-	// serving the connection. The next thing it answers is the next init,
-	// refused here (rank 0 has had its session in this job), which drops the
-	// connection.
+	// finalize, which a client no longer sends, still ends the session
+	// without a reply, and the connection is served on. The next thing the
+	// server answers is the next init, refused here (rank 0 has had its
+	// session in this job), which drops the connection.
 	if _, err := conn.Write([]byte("cmd=finalize\ncmd=init pmiid=0\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +333,8 @@ func TestPipelinedBootstrapWire(t *testing.T) {
 
 // TestDialFence runs ranks that bootstrap in one exchange next to ranks that
 // use the serial Dial, Put, Barrier sequence, in one job. Every rank then
-// reads every key, a key put after the fence included.
+// reads every key, a key put after the fence included, and every session ends
+// with its rank's Finalize.
 func TestDialFence(t *testing.T) {
 	for _, n := range []int{2, 8, 64} { // 64 addresses overflow the client's read buffer
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
@@ -374,11 +348,16 @@ func TestDialFence(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			if err := s.Wait(5 * time.Second); err != nil {
-				t.Error(err)
-			}
+			waitFor(t, s, "every session to end", func() bool {
+				return !slices.ContainsFunc(s.ranks, func(r rankState) bool { return r.sess != nil })
+			})
 		})
 	}
+}
+
+// fenced reports whether key is in the fence c holds.
+func fenced(c *Client, key string) bool {
+	return slices.ContainsFunc(c.fenceRec.fields, func(f field) bool { return string(f.key) == key })
 }
 
 func fenceRank(addr string, rank, n int) error {
@@ -401,7 +380,7 @@ func fenceRank(addr string, rank, n int) error {
 	}
 	for p := 0; p < n; p++ {
 		want := fmt.Sprintf("127.0.0.1:%d", 40000+p)
-		if _, cached := c.cache[fmt.Sprintf("addr-%d", p)]; !cached {
+		if !fenced(c, fmt.Sprintf("addr-%d", p)) {
 			return fmt.Errorf("rank %d: addr-%d not delivered by the fence", rank, p)
 		}
 		if v, err := c.Get(fmt.Sprintf("addr-%d", p)); err != nil || v != want {

@@ -19,12 +19,11 @@ import (
 //
 //	cmd=init pmiid=<rank> kvsname=<kvs>   opens a session in job <kvs>
 //	put / get / barrier_in / get_*        served by that job
-//	cmd=finalize                          ends it; the connection then idles
 //	cmd=init ...                          the same process's next job
 //
-// An init that arrives while a session is open ends that session first (its
-// rank exited without finalizing). A refused init, or any other request
-// outside a session, drops the connection.
+// A rank done with its job says nothing: its session ends at the next init on
+// the connection, or at the connection's end; a cmd=finalize ends it too. A
+// refused init, or any other request outside a session, drops the connection.
 type Service struct {
 	ln   net.Listener
 	addr string
@@ -175,7 +174,7 @@ func (sv *Service) serve(sc *serverConn) {
 	r := bufio.NewReaderSize(sc.conn, 512) // a rank's requests are short
 	defer func() {
 		if sc.job != nil {
-			sc.job.leave(sc, false)
+			sc.job.leave(sc)
 		}
 		sc.conn.Close()
 		sv.mu.Lock()
@@ -216,7 +215,7 @@ func (sv *Service) request(sc *serverConn, rec *record) (drop, held bool) {
 		return sc.job.dispatch(sc, rec)
 	}
 	if sc.job != nil {
-		sc.job.leave(sc, false)
+		sc.job.leave(sc)
 	}
 	refused := "unknown_kvs"
 	if job := sv.lookup(rec.get("kvsname")); job != nil {

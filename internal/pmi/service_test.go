@@ -133,7 +133,7 @@ func TestWiredCountsRanksNotConnections(t *testing.T) {
 	if err := c0.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, s, "rank 0's finalize", func() bool { return s.finalized == 1 })
+	waitFor(t, s, "rank 0's session to end", func() bool { return s.ranks[0].sess == nil })
 	if fired.Load() != 0 {
 		t.Fatal("wired before the last rank initialised")
 	}
@@ -152,16 +152,25 @@ func TestWiredCountsRanksNotConnections(t *testing.T) {
 
 // TestSessionsInterleavedOnOneConnection runs ranks of two jobs one after the
 // other on a single connection. Each session sees its own job's key-value
-// space and no other, whether it names one or not.
+// space and no other, whether it names one or not. A session ends at the next
+// init, at a finalize, or at the connection's end.
 func TestSessionsInterleavedOnOneConnection(t *testing.T) {
 	sv := startService(t)
 	a := attachJob(t, sv, "job_a", 2)
 	b := attachJob(t, sv, "job_b", 1)
 	w := dialWire(t, sv.Addr())
+	open := func(s *Server, rank int) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.ranks[rank].sess != nil
+	}
 
-	w.send("cmd=init pmiid=0 kvsname=job_a", "cmd=put key=x value=from_a", "cmd=finalize")
+	w.send("cmd=init pmiid=0 kvsname=job_a", "cmd=put key=x value=from_a")
 	w.expect("cmd=response_to_init rc=0 size=2 rank=0 kvsname=job_a")
 	w.expect("cmd=put_result rc=0")
+	if !open(a, 0) {
+		t.Fatal("job_a's rank 0 lost its session before the next init")
+	}
 
 	w.send("cmd=init pmiid=0 kvsname=job_b", "cmd=get key=x")
 	w.expect("cmd=response_to_init rc=0 size=1 rank=0 kvsname=job_b")
@@ -180,15 +189,12 @@ func TestSessionsInterleavedOnOneConnection(t *testing.T) {
 	w.expect("cmd=response_to_init rc=0 size=2 rank=1 kvsname=job_a")
 	w.expect("cmd=get_result rc=0 value=from_a")
 	w.expect("cmd=get_result rc=-1")
-	w.send("cmd=finalize")
-
-	for _, s := range []*Server{a, b} {
-		select {
-		case <-s.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("job %s: not every rank's finalize was counted", s.kvsName)
-		}
+	if open(a, 0) || open(b, 0) || !open(a, 1) {
+		t.Fatalf("open sessions: job_a %v %v, job_b %v; want only job_a's rank 1",
+			open(a, 0), open(a, 1), open(b, 0))
 	}
+	w.conn.Close()
+	waitFor(t, a, "the connection's end to end rank 1's session", func() bool { return a.ranks[1].sess == nil })
 	if a.KVSLen() != 1 || b.KVSLen() != 1 {
 		t.Fatalf("kvs sizes a=%d b=%d, want 1 and 1", a.KVSLen(), b.KVSLen())
 	}
@@ -242,10 +248,10 @@ func TestInitMidSessionEndsOldSession(t *testing.T) {
 	w.expect("cmd=put_result rc=0")
 	w.expect("cmd=barrier_out k=v")
 	a.mu.Lock()
-	sess, finalized := a.ranks[0].sess, a.finalized
+	sess := a.ranks[0].sess
 	a.mu.Unlock()
-	if sess != nil || finalized != 0 {
-		t.Fatalf("job_a after the rank moved on: session=%v finalized=%d, want none and 0", sess, finalized)
+	if sess != nil {
+		t.Fatalf("job_a after the rank moved on: session=%v, want none", sess)
 	}
 	if a.KVSLen() != 0 || b.KVSLen() != 1 {
 		t.Fatalf("kvs sizes a=%d b=%d: the put went to the wrong job", a.KVSLen(), b.KVSLen())
@@ -255,7 +261,8 @@ func TestInitMidSessionEndsOldSession(t *testing.T) {
 // TestKeptConnectionServesNextJob runs 500 jobs of 2, 4 and 8 ranks back to
 // back on 8 workers. The ranks find the connection their worker's previous
 // rank finalized on, so the endpoint accepts no more connections than there
-// are workers.
+// are workers. A rank's Finalize writes nothing: its session stays open until
+// the next init on that connection ends it.
 func TestKeptConnectionServesNextJob(t *testing.T) {
 	const workers, jobs = 8, 500
 	sv := startService(t)
@@ -289,9 +296,6 @@ func TestKeptConnectionServesNextJob(t *testing.T) {
 				t.Fatalf("job %d: %v", j, err)
 			}
 		}
-		if err := s.Wait(5 * time.Second); err != nil {
-			t.Fatalf("job %d: %v", j, err)
-		}
 		s.Close()
 	}
 	if got := connsAccepted.Value() - accepted; got > workers {
@@ -306,9 +310,9 @@ func TestKeptConnectionServesNextJob(t *testing.T) {
 }
 
 // TestFinalizeRacesClose: the dispatcher closes a job as soon as it has the
-// last result, which is routinely before the server has read the rank's
-// one-way finalize. The connection the rank has already parked must survive
-// that and serve its next job.
+// last result, which is routinely before the rank has finalized. The
+// connection the rank then parks, its session still open at the server, must
+// survive that and serve its next job, whose init ends the old session.
 func TestFinalizeRacesClose(t *testing.T) {
 	sv := startService(t)
 	a := attachJob(t, sv, "job_a", 1)
@@ -318,15 +322,10 @@ func TestFinalizeRacesClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close lands first; the server has not seen finalize yet.
+	// Close lands first.
 	a.Close()
 	if err := c.Finalize(); err != nil {
 		t.Fatal(err)
-	}
-	select {
-	case <-a.Done(): // and the late finalize is still counted
-	case <-time.After(5 * time.Second):
-		t.Fatal("finalize after Close was not served")
 	}
 	redials := staleRedials.Value()
 	c, err = DialFence(sv.Addr(), "job_b", 0, "k", "v")
@@ -334,6 +333,12 @@ func TestFinalizeRacesClose(t *testing.T) {
 		t.Fatalf("next job on the kept connection: %v", err)
 	}
 	defer c.Finalize()
+	a.mu.Lock()
+	sess := a.ranks[0].sess
+	a.mu.Unlock()
+	if sess != nil {
+		t.Error("the next job's init left the closed job's session open")
+	}
 	if got := connsAccepted.Value() - accepted; got != 1 {
 		t.Errorf("accepted %d connections, want 1: the kept one was not reused", got)
 	}
