@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"jets/internal/alerts"
 	"jets/internal/core"
 	"jets/internal/dispatch"
 	"jets/internal/hydra"
@@ -59,8 +58,6 @@ func run() error {
 	federate := flag.Int("federate", 1, "dispatcher instances to run behind the work router (>=2 federates)")
 	dataDir := flag.String("data-dir", "", "directory for the crash-safe dispatcher journal; on restart, uncompleted jobs from a previous run are recovered and re-run (empty disables durability)")
 	hotQueue := flag.Int("hot-queue", 0, "max fully-hydrated queued jobs held in memory per scheduling shard; the excess backlog spills to disk (0 = default, negative disables spilling)")
-	alertsOn := flag.Bool("alerts", false, "evaluate the default self-monitoring alert rules (log warnings, export jets_alert_firing, fail /healthz on critical rules)")
-	alertRules := flag.String("alert-rules", "", "load additional alert rules from this file (see internal/alerts.ParseRules; implies -alerts sources)")
 	flag.Parse()
 
 	if *input == "" {
@@ -98,9 +95,7 @@ func run() error {
 		onEvent = tracer.Record
 	}
 	var reg *obs.Registry
-	if *metricsAddr != "" || *alertsOn || *alertRules != "" {
-		// Alerts resolve file rules against the registry and export firing
-		// gauges through it, so they need one even when it is not served.
+	if *metricsAddr != "" {
 		reg = obs.NewRegistry()
 	}
 	eng, err := core.NewEngine(core.Options{
@@ -135,40 +130,13 @@ func run() error {
 	if len(recovered) > 0 {
 		fmt.Printf("jets: recovered %d uncompleted jobs from %s\n", len(recovered), *dataDir)
 	}
-	var alertEngine *alerts.Engine
-	if *alertsOn || *alertRules != "" {
-		alertEngine, err = alerts.NewEngine(alerts.Config{Registry: reg},
-			alerts.ForDispatcher(eng.Dispatcher())...)
-		if err != nil {
-			return err
-		}
-		if *alertRules != "" {
-			f, err := os.Open(*alertRules)
-			if err != nil {
-				return err
-			}
-			rules, err := alerts.ParseRules(f, reg)
-			f.Close()
-			if err != nil {
-				return err
-			}
-			if err := alertEngine.Add(rules...); err != nil {
-				return err
-			}
-		}
-		alertEngine.Start()
-		defer alertEngine.Close()
-		fmt.Printf("jets: alerts: %d rules, 1s evaluation\n", alertEngine.Rules())
-	}
 	if *metricsAddr != "" {
 		srv, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}
 		defer srv.Close()
-		if alertEngine != nil {
-			srv.SetHealth(alertEngine.Health)
-		}
+		srv.SetHealth(eng.Health)
 		fmt.Printf("jets: metrics on http://%s/metrics (also /debug/vars, /debug/pprof, /healthz)\n", srv.Addr())
 	}
 

@@ -118,7 +118,8 @@ func run() error {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}
 		defer srv.Close()
-		fmt.Printf("swiftrun: metrics on http://%s/metrics\n", srv.Addr())
+		srv.SetHealth(eng.Health)
+		fmt.Printf("swiftrun: metrics on http://%s/metrics (also /healthz)\n", srv.Addr())
 	}
 
 	if err := os.MkdirAll(*workdir, 0o755); err != nil {

@@ -270,6 +270,16 @@ func (e *Engine) RecoveryError() error {
 	return errors.Join(errs...)
 }
 
+// Health joins every instance's dispatch.Health; each failing condition of
+// a federated engine names its instance. It backs /healthz.
+func (e *Engine) Health() error {
+	var errs []error
+	for _, d := range e.insts {
+		errs = append(errs, d.Health())
+	}
+	return errors.Join(errs...)
+}
+
 // Submit enqueues one job, through the router when federated.
 func (e *Engine) Submit(job dispatch.Job) (*dispatch.Handle, error) {
 	if e.rtr != nil {

@@ -318,16 +318,22 @@ type Dispatcher struct {
 	// cold jobs' specs, and the checkpoint trigger state. spillMu guards the
 	// lazy ephemeral open; spill itself is internally synchronized and, once
 	// set, never changes.
-	hotMax            int
-	compact           int        // checkpoint past this many journal segments; negative never
-	spillMu           sync.Mutex // guards the lazy ephemeral open (spill writes, spillFailed, spillTmpDir)
-	spill             atomic.Pointer[journal.SpillStore]
-	spillDurable      bool   // SpillDir configured: specs survive restarts
-	spillFailed       bool   // ephemeral open failed once; don't retry every push
-	spillTmpDir       string // ephemeral dir to remove at Close
-	spillErrOnce      sync.Once
-	checkpointMu      sync.Mutex // serializes CompactJournal runs
-	checkpointLogOnce sync.Once
+	hotMax       int
+	compact      int        // checkpoint past this many journal segments; negative never
+	spillMu      sync.Mutex // guards the lazy ephemeral open (spill writes, spillFailed, spillTmpDir)
+	spill        atomic.Pointer[journal.SpillStore]
+	spillDurable bool       // SpillDir configured: specs survive restarts
+	spillFailed  bool       // ephemeral open failed once; don't retry every push
+	spillTmpDir  string     // ephemeral dir to remove at Close
+	checkpointMu sync.Mutex // serializes CompactJournal runs
+
+	// Sticky health state (health.go), each stored on a cold path: the
+	// first spill-path error, the last checkpoint's error (nil after a
+	// success), and stats.journalErrors when the last good checkpoint began.
+	spillErr            atomic.Pointer[error]
+	checkpointErr       atomic.Pointer[error]
+	droppedAtCheckpoint atomic.Int64
+
 	// reclaim is the reopened spill store's by-ID view while recovery runs
 	// in New: admit hands each recovered job its record, and what is left
 	// belongs to terminal jobs and is released. nil afterwards.
@@ -348,6 +354,10 @@ type Dispatcher struct {
 	eventsQuit    chan struct{}
 	evWG          sync.WaitGroup // tracks the drainer; Close waits for its flush
 	droppedEvents atomic.Int64
+
+	// emptySince, guarded by mu, is when the worker registry last became
+	// empty: New, or the last worker leaving (Health's no-workers).
+	emptySince time.Time
 }
 
 // New creates a dispatcher with defaults applied. Call Start to serve.
@@ -390,6 +400,7 @@ func New(cfg Config) *Dispatcher {
 		quit:    make(chan struct{}),
 		ins:     newInstruments(cfg.Instance),
 	}
+	d.emptySince = time.Now()
 	if cfg.SpillDir != "" && d.hotMax > 0 {
 		// A configured spill directory opens eagerly: recovery may need it to
 		// resolve SpillRef records from a checkpointed journal, and its
@@ -929,6 +940,9 @@ func (d *Dispatcher) workerGone(wc *workerConn) {
 	// reconnect); only remove the entry if it is still this connection.
 	if d.workers[wc.id] == wc {
 		delete(d.workers, wc.id)
+		if len(d.workers) == 0 {
+			d.emptySince = time.Now()
+		}
 	}
 	d.stats.workersLost.Add(1)
 	d.emit(Event{Kind: EvWorkerLost, WorkerID: wc.id})

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -290,9 +291,11 @@ type faultJournal struct {
 	syncErr   error
 	records   []journal.Record // replayed to the dispatcher
 	compacted bool
+	degraded  atomic.Bool
 }
 
 func (f *faultJournal) Append(journal.Record) error { return f.appendErr }
+func (f *faultJournal) Degraded() bool              { return f.degraded.Load() }
 func (f *faultJournal) Sync() error                 { return f.syncErr }
 func (f *faultJournal) Compact() error              { f.compacted = true; return nil }
 func (f *faultJournal) Replay(fn func(journal.Record) error) error {

@@ -46,11 +46,6 @@ func instanceLabel(instance string) string {
 	return fmt.Sprintf("instance=%q", instance)
 }
 
-// QueueWaitHist exposes the submit-to-seat latency histogram, maintained
-// whether or not a registry is attached — the self-monitoring alert rules
-// (internal/alerts) watch its windowed quantiles.
-func (d *Dispatcher) QueueWaitHist() *obs.Hist { return d.ins.queueWait }
-
 // registerObs exports the dispatcher through the registry: the histograms
 // above, counter views over the stats atomics, and gauge views over the
 // advisory scheduling state (global and per shard).

@@ -150,12 +150,12 @@ func (d *Dispatcher) spillStore() *journal.SpillStore {
 	return sp
 }
 
-// spillFailure logs the first spill-path error; the dispatcher keeps running
-// with in-memory queueing.
+// spillFailure records and logs the first spill-path error; the dispatcher
+// keeps running with in-memory queueing, and Health reports spill-degraded.
 func (d *Dispatcher) spillFailure(err error) {
-	d.spillErrOnce.Do(func() {
+	if d.spillErr.CompareAndSwap(nil, &err) {
 		log.Printf("dispatch: queue spill degraded, falling back to in-memory queueing: %v", err)
-	})
+	}
 }
 
 // maybeRefillLocked starts a rehydration pass when the hot window has drained
@@ -259,8 +259,9 @@ func (d *Dispatcher) hydrateBatch(batch []*liveJob) []*Job {
 
 // maybeCheckpoint, called from the janitor tick, triggers an online
 // checkpoint once the journal spans more than d.compact segment files
-// (compactSegments unless a test lowered it). Failures are retried on the next tick (and logged once): a degraded
-// journal refuses to checkpoint until its commit retry succeeds.
+// (compactSegments unless a test lowered it). Failures are retried on the
+// next tick: a degraded journal refuses to checkpoint until its commit retry
+// succeeds.
 func (d *Dispatcher) maybeCheckpoint() {
 	if d.jnl == nil || d.compact < 0 {
 		return
@@ -272,18 +273,17 @@ func (d *Dispatcher) maybeCheckpoint() {
 	if ck.Segments() <= d.compact {
 		return
 	}
-	if err := d.CompactJournal(); err != nil {
-		d.checkpointLogOnce.Do(func() {
-			log.Printf("dispatch: online journal checkpoint failed (will retry): %v", err)
-		})
-	}
+	_ = d.CompactJournal() // the outcome is kept for Health and logged there
 }
 
 // CompactJournal re-journals the dispatcher's live state through an online
 // checkpoint (journal.Checkpointer), dropping the journal's older segments.
 // Scheduling keeps running: appends made while the snapshot is taken buffer
 // in the WAL and land after the snapshot records, replaying on top of them.
-// Safe to call at any time; concurrent calls serialize.
+// Safe to call at any time; concurrent calls serialize. The outcome is kept
+// for Health: a failure is checkpoint-failing (logged when a run of failures
+// begins) until a later checkpoint succeeds, and a success makes the
+// snapshot the durable copy of every record dropped before it began.
 func (d *Dispatcher) CompactJournal() error {
 	if d.jnl == nil {
 		return nil
@@ -294,7 +294,16 @@ func (d *Dispatcher) CompactJournal() error {
 	}
 	d.checkpointMu.Lock()
 	defer d.checkpointMu.Unlock()
-	return ck.Checkpoint(d.snapshotLive)
+	dropped := d.stats.journalErrors.Load()
+	if err := ck.Checkpoint(d.snapshotLive); err != nil {
+		if d.checkpointErr.Swap(&err) == nil {
+			log.Printf("dispatch: online journal checkpoint failed (will retry): %v", err)
+		}
+		return err
+	}
+	d.checkpointErr.Store(nil)
+	d.droppedAtCheckpoint.Store(dropped)
+	return nil
 }
 
 // snapshotLive emits a self-contained durable snapshot of every live job: one

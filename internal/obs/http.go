@@ -44,9 +44,9 @@ func Accept(ln net.Listener) (net.Conn, error) {
 
 // HealthVar is an atomically swappable health check backing a /healthz
 // endpoint: nil (or an unset function) means healthy, a non-nil error means
-// the process should be reported unhealthy (HTTP 503). The alert engine
-// wires its critical-rule state here; anything else with a notion of "ready"
-// (a worker's dispatcher connection) can too.
+// the process should be reported unhealthy (HTTP 503) with the error as the
+// body. The dispatcher binaries wire core.Engine.Health here, the worker
+// binary its dispatcher connection.
 type HealthVar struct {
 	fn atomic.Value // of func() error
 }

@@ -103,8 +103,7 @@ func (r *Registry) Register(ms ...Metric) error {
 
 // Lookup returns the registered metric for a full series identity (base name
 // plus rendered label set, e.g. `jets_shard_idle_workers{shard="3"}`), or nil
-// when no such series is registered. Cold path; used by the alert engine to
-// resolve rule sources by name.
+// when no such series is registered. Cold path: it scans the registry.
 func (r *Registry) Lookup(series string) Metric {
 	if r == nil {
 		return nil
@@ -429,8 +428,7 @@ func (h *Hist) maxBound() time.Duration {
 }
 
 // Buckets copies the current per-bucket counts (len NumBuckets, final entry
-// the implicit +Inf bucket) into dst, reusing it when it has capacity. The
-// snapshots feed QuantileOfDelta for windowed quantiles.
+// the implicit +Inf bucket) into dst, reusing it when it has capacity.
 func (h *Hist) Buckets(dst []int64) []int64 {
 	n := len(h.counts)
 	if cap(dst) < n {
@@ -445,43 +443,6 @@ func (h *Hist) Buckets(dst []int64) []int64 {
 
 // NumBuckets reports the bucket count including the implicit +Inf bucket.
 func (h *Hist) NumBuckets() int { return len(h.counts) }
-
-// QuantileOfDelta estimates the q-quantile of the observations made between
-// two Buckets snapshots (prev may be nil, meaning "since creation"): the
-// sliding-window form of Quantile used by alert rules, so a long-lived
-// histogram's ancient samples cannot mask a current regression — or keep an
-// alert firing after the regression recovered. Returns 0 when the window
-// holds no observations.
-func (h *Hist) QuantileOfDelta(prev, cur []int64, q float64) time.Duration {
-	if len(cur) != len(h.counts) || (prev != nil && len(prev) != len(h.counts)) {
-		return 0
-	}
-	at := func(i int) int64 {
-		d := cur[i]
-		if prev != nil {
-			d -= prev[i]
-		}
-		return d
-	}
-	total := int64(0)
-	for i := range cur {
-		total += at(i)
-	}
-	if total <= 0 {
-		return 0
-	}
-	target := rankFor(q, total)
-	cum := int64(0)
-	for i := range cur {
-		c := at(i)
-		cum += c
-		if cum < target {
-			continue
-		}
-		return h.interp(i, c, cum, target)
-	}
-	return h.maxBound()
-}
 
 // rankFor maps a quantile to a 1-based target rank, clamped to [1, total].
 func rankFor(q float64, total int64) int64 {

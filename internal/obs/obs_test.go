@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -88,6 +89,16 @@ func TestHistBuckets(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
+	}
+	counts := h.Buckets(nil)
+	if want := []int64{2, 1, 0, 1}; !slices.Equal(counts, want) {
+		t.Errorf("Buckets = %v, want %v", counts, want)
+	}
+	if reused := h.Buckets(counts); &reused[0] != &counts[0] {
+		t.Error("Buckets must reuse dst capacity")
+	}
+	if h.NumBuckets() != 4 {
+		t.Errorf("NumBuckets = %d, want 4 (3 finite + Inf)", h.NumBuckets())
 	}
 }
 
@@ -211,49 +222,6 @@ func TestHistQuantileInfClampAndNilBounds(t *testing.T) {
 	}
 }
 
-func TestQuantileOfDelta(t *testing.T) {
-	h := NewHist("jets_qd_seconds", "q", []time.Duration{
-		time.Millisecond, 10 * time.Millisecond,
-	})
-	// Ancient fast samples that a windowed quantile must not see.
-	for i := 0; i < 100; i++ {
-		h.Observe(100 * time.Microsecond)
-	}
-	base := h.Buckets(nil)
-	// Empty window: no observations since the snapshot.
-	if got := h.QuantileOfDelta(base, h.Buckets(nil), 0.99); got != 0 {
-		t.Errorf("empty-window quantile = %v, want 0", got)
-	}
-	// The window holds only slow samples, so its p50 must sit in the second
-	// bucket even though the lifetime p50 is in the first.
-	for i := 0; i < 10; i++ {
-		h.Observe(5 * time.Millisecond)
-	}
-	cur := h.Buckets(nil)
-	if got, want := h.QuantileOfDelta(base, cur, 0.5), 5500*time.Microsecond; !within(got, want, 100*time.Microsecond) {
-		t.Errorf("windowed p50 = %v, want ~%v", got, want)
-	}
-	if got := h.Quantile(0.5); got >= time.Millisecond {
-		t.Errorf("lifetime p50 = %v, expected < 1ms (sanity)", got)
-	}
-	// nil prev means "since creation".
-	if got := h.QuantileOfDelta(nil, cur, 0.5); got != h.Quantile(0.5) {
-		t.Errorf("nil-prev delta %v != lifetime quantile %v", h.QuantileOfDelta(nil, cur, 0.5), h.Quantile(0.5))
-	}
-	// Length mismatch is rejected, not misread.
-	if got := h.QuantileOfDelta(base[:1], cur, 0.5); got != 0 {
-		t.Errorf("mismatched snapshot quantile = %v, want 0", got)
-	}
-	// Buckets reuses capacity.
-	reused := h.Buckets(base)
-	if &reused[0] != &base[0] {
-		t.Error("Buckets must reuse dst capacity")
-	}
-	if h.NumBuckets() != 3 {
-		t.Errorf("NumBuckets = %d, want 3 (2 finite + Inf)", h.NumBuckets())
-	}
-}
-
 func within(got, want, tol time.Duration) bool {
 	d := got - want
 	if d < 0 {
@@ -369,7 +337,7 @@ func TestHealthzEndpoint(t *testing.T) {
 	if code, body := get(); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("default /healthz = %d %q, want 200 ok", code, body)
 	}
-	srv.SetHealth(func() error { return fmt.Errorf("critical alert firing: [no-workers]") })
+	srv.SetHealth(func() error { return fmt.Errorf("no-workers: 2 jobs in flight and no worker for 11s") })
 	code, body := get()
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("unhealthy /healthz = %d, want 503", code)

@@ -1,15 +1,30 @@
-// Package obstest helps tests of listeners served through obs.Accept: it runs
-// a process out of descriptors so that an Accept fails with EMFILE.
+// Package obstest helps tests of the obs endpoints: it runs a process out of
+// descriptors so that an Accept fails with EMFILE, and it reads /healthz for
+// a given health check.
 package obstest
 
 import (
 	"errors"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"syscall"
 	"testing"
 	"time"
+
+	"jets/internal/obs"
 )
+
+// Healthz serves one GET /healthz through obs.HandlerWithHealth with check
+// installed, and returns the status code and the body.
+func Healthz(check func() error) (int, string) {
+	var hv obs.HealthVar
+	hv.Set(check)
+	rec := httptest.NewRecorder()
+	obs.HandlerWithHealth(nil, &hv).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	return rec.Code, rec.Body.String()
+}
 
 // ExhaustDescriptors makes addr's listener fail an Accept with EMFILE: it
 // lowers this process's descriptor limit to 32 above what is open, dials
