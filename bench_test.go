@@ -288,117 +288,6 @@ func BenchmarkSimEvents(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Ablations (design choices called out in DESIGN.md)
 
-// BenchmarkAblationQueuePolicy compares FIFO head-of-line blocking against
-// priority+backfill (the §7 extension) in the scenario where it matters: a
-// full-pool job is queued while half the pool is busy, with small jobs
-// behind it. FIFO idles the free half until the big job can start; backfill
-// runs the small jobs there immediately.
-func BenchmarkAblationQueuePolicy(b *testing.B) {
-	run := func(b *testing.B, queue func() dispatch.QueuePolicy) {
-		var total time.Duration
-		for i := 0; i < b.N; i++ {
-			runner := hydra.NewFuncRunner()
-			workload.RegisterApps(runner)
-			eng, err := core.NewEngine(core.Options{LocalWorkers: 8, Runner: runner, NewQueue: queue, Shards: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			start := time.Now()
-			// Occupy half the pool with a long task.
-			long, err := eng.Submit(dispatch.Job{
-				Spec: hydra.JobSpec{JobID: "long", NProcs: 4, Cmd: workload.BarrierApp, Args: []string{"60"}},
-				Type: dispatch.MPI,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Let it start so the next submission truly queues.
-			for eng.Dispatcher().RunningJobs() == 0 {
-				time.Sleep(time.Millisecond)
-			}
-			handles := []*dispatch.Handle{long}
-			big, err := eng.Submit(dispatch.Job{
-				Spec: hydra.JobSpec{JobID: "big", NProcs: 8, Cmd: workload.BarrierApp, Args: []string{"5"}},
-				Type: dispatch.MPI,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			handles = append(handles, big)
-			for j := 0; j < 16; j++ {
-				h, err := eng.Submit(dispatch.Job{
-					Spec: hydra.JobSpec{JobID: fmt.Sprintf("small%d", j), NProcs: 1,
-						Cmd: workload.BarrierApp, Args: []string{"5"}},
-					Type: dispatch.MPI,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				handles = append(handles, h)
-			}
-			for _, h := range handles {
-				if res := h.Wait(); res.Failed {
-					b.Fatalf("job %s failed: %s", res.JobID, res.Err)
-				}
-			}
-			total += time.Since(start)
-			eng.Close()
-		}
-		b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "mean-makespan-ms")
-	}
-	b.Run("fifo", func(b *testing.B) {
-		run(b, func() dispatch.QueuePolicy { return dispatch.NewFIFOQueue() })
-	})
-	b.Run("priority-backfill", func(b *testing.B) {
-		run(b, func() dispatch.QueuePolicy { return dispatch.NewPriorityQueue(true) })
-	})
-}
-
-// BenchmarkAblationGroupPolicy compares first-come-first-served worker
-// grouping against the topology-aware extension by the mean torus hop count
-// of assembled groups (lower = tighter placements).
-func BenchmarkAblationGroupPolicy(b *testing.B) {
-	// Synthetic idle pool with shuffled torus coordinates.
-	coords := make([][]int, 64)
-	for i := range coords {
-		coords[i] = []int{(i * 7) % 8, (i * 3) % 8, (i * 5) % 16}
-	}
-	hops := func(sel []int) float64 {
-		total, pairs := 0, 0
-		for i := 0; i < len(sel); i++ {
-			for j := i + 1; j < len(sel); j++ {
-				a, c := coords[sel[i]], coords[sel[j]]
-				for k := range a {
-					d := a[k] - c[k]
-					if d < 0 {
-						d = -d
-					}
-					total += d
-				}
-				pairs++
-			}
-		}
-		return float64(total) / float64(pairs)
-	}
-	for _, tc := range []struct {
-		name   string
-		policy dispatch.GroupPolicy
-	}{
-		{"fcfs", dispatch.FirstComeFirstServed},
-		{"topology-aware", dispatch.TopologyAware},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var mean float64
-			var sel []int
-			for i := 0; i < b.N; i++ {
-				sel = tc.policy(sel[:0], coords, 8)
-				mean = hops(sel)
-			}
-			b.ReportMetric(mean, "mean-hops")
-		})
-	}
-}
-
 // BenchmarkAblationLocalStorage quantifies the paper's local-storage
 // optimization: Fig. 15 conditions with the application binary on the
 // shared filesystem versus cached in node-local RAM.

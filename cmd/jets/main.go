@@ -48,7 +48,6 @@ func run() error {
 	retries := flag.Int("retries", 0, "automatic retries for jobs lost to worker faults")
 	timeout := flag.Duration("timeout", 0, "per-job wall limit (0 = none)")
 	batchTimeout := flag.Duration("batch-timeout", time.Hour, "whole-batch limit")
-	priority := flag.Bool("priority", false, "use the priority+backfill queue instead of FIFO (forces -shards 1)")
 	shards := flag.Int("shards", 0, "scheduling shards in the dispatcher (0 = derive from GOMAXPROCS)")
 	outDir := flag.String("output", "", "directory for task stdout files (empty discards)")
 	format := flag.String("format", "lines", "input format: lines (MPI:/SEQ:) or json")
@@ -81,13 +80,6 @@ func run() error {
 		onOutput = newOutputDir(*outDir).Write
 	}
 
-	var newQueue func() dispatch.QueuePolicy
-	if *priority {
-		// One queue must see every job to order them, so priority
-		// scheduling runs on a single shard.
-		newQueue = func() dispatch.QueuePolicy { return dispatch.NewPriorityQueue(true) }
-		*shards = 1
-	}
 	var tracer *dispatch.TraceRecorder
 	var onEvent func(dispatch.Event)
 	if *tracePath != "" {
@@ -105,7 +97,6 @@ func run() error {
 		ListenAddr:     *listen,
 		MaxJobRetries:  *retries,
 		JobTimeout:     *timeout,
-		NewQueue:       newQueue,
 		Shards:         *shards,
 		OnOutput:       onOutput,
 		OnEvent:        onEvent,

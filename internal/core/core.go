@@ -45,11 +45,6 @@ type Options struct {
 	// Runner executes user processes on local workers; defaults to
 	// hydra.ExecRunner (real subprocesses).
 	Runner hydra.Runner
-	// NewQueue and Group select scheduling policies (defaults: FIFO, FCFS).
-	// NewQueue constructs one queue policy per scheduling shard; a policy
-	// that must order the whole backlog also needs Shards: 1.
-	NewQueue func() dispatch.QueuePolicy
-	Group    dispatch.GroupPolicy
 	// Shards is the scheduling-shard count; 0 derives it from GOMAXPROCS.
 	Shards int
 	// ListenAddr is the dispatcher's listen endpoint for external workers;
@@ -168,6 +163,7 @@ func (e *Engine) startLocalWorkers(opts Options) error {
 		// A local worker shares its dispatcher's address space, so it is
 		// pinned to one instance (round-robin) over an in-memory pipe; a
 		// loopback socket would add two trips through the kernel per frame.
+		// Its coordinate's first plane, i%8, is only its shard key.
 		conn, served := proto.Pipe()
 		w, err := worker.New(worker.Config{
 			ID:     fmt.Sprintf("local-%d", i),
@@ -215,9 +211,7 @@ func (opts Options) dispatchConfig(instance, addr string, jnl journal.Journal, d
 		MaxJobRetries:    opts.MaxJobRetries,
 		RetryBackoff:     opts.RetryBackoff,
 		RetryBackoffMax:  opts.RetryBackoffMax,
-		NewQueue:         opts.NewQueue,
 		Shards:           opts.Shards,
-		Group:            opts.Group,
 		JobTimeout:       opts.JobTimeout,
 		OnOutput:         opts.OnOutput,
 		OnEvent:          opts.OnEvent,

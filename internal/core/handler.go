@@ -37,24 +37,24 @@ func (LineHandler) Parse(r io.Reader) ([]dispatch.Job, error) { return ParseInpu
 // JSONHandler parses one JSON object per line:
 //
 //	{"id":"j1","type":"mpi","nprocs":4,"cmd":"namd2","args":["-steps","10"],
-//	 "env":["X=1"],"priority":2,"wall_ms":60000}
+//	 "env":["X=1"],"wall_ms":60000}
 //
-// Unknown fields are rejected so typos fail loudly.
+// Unknown fields are rejected so typos fail loudly; so is "priority", since
+// the queue is FIFO and a silently ignored priority would mislead.
 type JSONHandler struct{}
 
 // Name implements Handler.
 func (JSONHandler) Name() string { return "json" }
 
 type jsonJob struct {
-	ID       string   `json:"id"`
-	Type     string   `json:"type"` // "mpi" or "seq" (default)
-	NProcs   int      `json:"nprocs"`
-	Cmd      string   `json:"cmd"`
-	Args     []string `json:"args"`
-	Env      []string `json:"env"`
-	Dir      string   `json:"dir"`
-	Priority int      `json:"priority"`
-	WallMS   int64    `json:"wall_ms"`
+	ID     string   `json:"id"`
+	Type   string   `json:"type"` // "mpi" or "seq" (default)
+	NProcs int      `json:"nprocs"`
+	Cmd    string   `json:"cmd"`
+	Args   []string `json:"args"`
+	Env    []string `json:"env"`
+	Dir    string   `json:"dir"`
+	WallMS int64    `json:"wall_ms"`
 }
 
 // Parse implements Handler.
@@ -86,7 +86,6 @@ func (JSONHandler) Parse(r io.Reader) ([]dispatch.Job, error) {
 			Spec: hydra.JobSpec{
 				JobID: id, Cmd: j.Cmd, Args: j.Args, Env: j.Env, Dir: j.Dir,
 			},
-			Priority: j.Priority,
 		}
 		if j.WallMS > 0 {
 			job.Spec.WallLimit = time.Duration(j.WallMS) * time.Millisecond

@@ -14,7 +14,7 @@ import (
 func TestJSONHandlerParse(t *testing.T) {
 	in := `
 # comment
-{"id":"a","type":"mpi","nprocs":4,"cmd":"namd2","args":["-steps","10"],"priority":2,"wall_ms":5000}
+{"id":"a","type":"mpi","nprocs":4,"cmd":"namd2","args":["-steps","10"],"wall_ms":5000}
 
 {"type":"seq","cmd":"hostname"}
 {"cmd":"date"}
@@ -27,7 +27,7 @@ func TestJSONHandlerParse(t *testing.T) {
 		t.Fatalf("jobs=%d", len(jobs))
 	}
 	a := jobs[0]
-	if a.Type != dispatch.MPI || a.Spec.NProcs != 4 || a.Priority != 2 ||
+	if a.Type != dispatch.MPI || a.Spec.NProcs != 4 ||
 		a.Spec.WallLimit != 5*time.Second || len(a.Spec.Args) != 2 {
 		t.Fatalf("job a %+v", a)
 	}
@@ -51,6 +51,21 @@ func TestJSONHandlerErrors(t *testing.T) {
 		if _, err := (JSONHandler{}).Parse(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %q", in)
 		}
+	}
+}
+
+// TestJSONHandlerRefusesPriority: the queue is FIFO, so a line that asks for
+// a priority is an error naming the line and the field, not a job that
+// silently runs in submission order.
+func TestJSONHandlerRefusesPriority(t *testing.T) {
+	in := `{"cmd":"date"}
+{"id":"urgent","cmd":"date","priority":9}`
+	_, err := JSONHandler{}.Parse(strings.NewReader(in))
+	if err == nil {
+		t.Fatal("a line setting priority was accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "line 2") || !strings.Contains(msg, `"priority"`) {
+		t.Fatalf("error %q does not name line 2 and the priority field", msg)
 	}
 }
 

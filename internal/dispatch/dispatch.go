@@ -78,13 +78,6 @@ type Config struct {
 	// slices with independent locks); default DefaultShards(), i.e.
 	// GOMAXPROCS-derived.
 	Shards int
-	// NewQueue constructs one queue policy per shard; default NewFIFOQueue.
-	// A policy that must order the whole backlog (priority, backfill) also
-	// needs Shards: 1.
-	NewQueue func() QueuePolicy
-	// Group policy for MPI worker aggregation; default first-come-first-
-	// served (the paper's policy).
-	Group GroupPolicy
 	// JobTimeout bounds each job's total wall time; 0 disables. MPI jobs
 	// get it as the mpiexec watchdog, sequential jobs as the per-task
 	// WallLimit, so a hung task cannot wedge a worker forever either way.
@@ -266,7 +259,6 @@ type rank struct {
 
 // Dispatcher is the central JETS scheduler.
 type Dispatcher struct {
-	cfg   Config
 	ln    net.Listener
 	epoch time.Time
 
@@ -358,6 +350,8 @@ type Dispatcher struct {
 	// emptySince, guarded by mu, is when the worker registry last became
 	// empty: New, or the last worker leaving (Health's no-workers).
 	emptySince time.Time
+
+	cfg Config // last: a Config edit must not move the hot fields (CHANGES.md, FOUND on Dispatcher's layout)
 }
 
 // New creates a dispatcher with defaults applied. Call Start to serve.
@@ -368,14 +362,8 @@ func New(cfg Config) *Dispatcher {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 10 * time.Second
 	}
-	if cfg.NewQueue == nil {
-		cfg.NewQueue = func() QueuePolicy { return NewFIFOQueue() }
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards()
-	}
-	if cfg.Group == nil {
-		cfg.Group = FirstComeFirstServed
 	}
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = 100 * time.Millisecond
@@ -391,7 +379,7 @@ func New(cfg Config) *Dispatcher {
 	}
 	d := &Dispatcher{
 		cfg:     cfg,
-		shards:  newShards(cfg.Shards, func() QueuePolicy { return cfg.NewQueue() }),
+		shards:  newShards(cfg.Shards),
 		workers: make(map[string]*workerConn),
 		jobs:    make(map[string]*liveJob),
 		jnl:     cfg.Journal,

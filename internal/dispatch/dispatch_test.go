@@ -510,34 +510,6 @@ func TestRecordsProduced(t *testing.T) {
 	}
 }
 
-func TestPriorityPolicyIntegration(t *testing.T) {
-	tc := startCluster(t, 1, Config{NewQueue: func() QueuePolicy { return NewPriorityQueue(false) }, Shards: 1})
-	var mu sync.Mutex
-	var order []string
-	block := make(chan struct{})
-	tc.runner.Register("ordered", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
-		<-block
-		mu.Lock()
-		order = append(order, args[0])
-		mu.Unlock()
-		return 0
-	})
-	// Occupy the only worker so later submissions queue.
-	first, _ := tc.d.Submit(Job{Spec: hydra.JobSpec{JobID: "first", NProcs: 1, Cmd: "ordered", Args: []string{"first"}}, Type: Sequential})
-	time.Sleep(20 * time.Millisecond)
-	lo, _ := tc.d.Submit(Job{Spec: hydra.JobSpec{JobID: "lo", NProcs: 1, Cmd: "ordered", Args: []string{"lo"}}, Type: Sequential, Priority: 1})
-	hi, _ := tc.d.Submit(Job{Spec: hydra.JobSpec{JobID: "hi", NProcs: 1, Cmd: "ordered", Args: []string{"hi"}}, Type: Sequential, Priority: 9})
-	close(block)
-	first.Wait()
-	lo.Wait()
-	hi.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 3 || order[1] != "hi" || order[2] != "lo" {
-		t.Fatalf("order=%v", order)
-	}
-}
-
 func TestStageFileReachesWorkers(t *testing.T) {
 	dir := t.TempDir()
 	d := New(Config{})

@@ -8,6 +8,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -390,4 +394,75 @@ func TestJournalRecoveryRequeuesDispatched(t *testing.T) {
 	if got := d.stats.jobsReplayed.Load(); got != 1 {
 		t.Fatalf("jobsReplayed = %d, want 1", got)
 	}
+}
+
+// TestRecoveryFromPrioritySlotFiles recovers from a journal and a spill store
+// written by the encoder that still stored job priorities (7 and -3, see
+// internal/journal/testdata): two jobs whose Submitted records are in the
+// WAL, and two cold ones whose records are in the spill store. All four must
+// come back with their specs intact.
+func TestRecoveryFromPrioritySlotFiles(t *testing.T) {
+	w, err := journal.OpenWAL(journal.Options{Dir: copyFixture(t, filepath.Join("..", "journal", "testdata", "wal-prio"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(Config{Journal: w, SpillDir: copyFixture(t, filepath.Join("..", "journal", "testdata", "spill-prio")), Shards: 1})
+	defer d.Close()
+	if err := d.RecoveryError(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]StolenJob{
+		"mpi-p7": {Type: MPI, Spec: hydra.JobSpec{JobID: "mpi-p7", NProcs: 2, Cmd: "namd2",
+			Args: []string{"-steps", "10"}, Env: []string{"A=1"}, Dir: "/work", WallLimit: 5 * time.Second}},
+		"seq-n3": {Type: Sequential, Spec: hydra.JobSpec{JobID: "seq-n3", NProcs: 1, Cmd: "echo", Args: []string{"hi"}}},
+		"cold-p7": {Type: Sequential, Spec: hydra.JobSpec{JobID: "cold-p7", NProcs: 1, Cmd: "cat",
+			Args: []string{"-n", "in.txt"}, Env: []string{"K=v"}, Dir: "/data", WallLimit: 2 * time.Second}},
+		"cold-n3": {Type: MPI, Spec: hydra.JobSpec{JobID: "cold-n3", NProcs: 3, Cmd: "mdrun",
+			Args: []string{"-deffnm", "md"}, Env: []string{"OMP_NUM_THREADS=1", "X="}}},
+	}
+	var order []string
+	for _, h := range d.RecoveredJobs() {
+		order = append(order, h.JobID())
+	}
+	if !slices.Equal(order, []string{"mpi-p7", "seq-n3", "cold-p7", "cold-n3"}) {
+		t.Fatalf("recovered %v", order)
+	}
+	// StealQueued hands back each queued job's full spec, reading the cold
+	// ones from the spill store. A refill pass may hold cold jobs for a
+	// moment, so collect until all four are out.
+	got := map[string]StolenJob{}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(got) < len(want) && time.Now().Before(deadline) {
+		for _, sj := range d.StealQueued(len(want), "peer") {
+			if len(sj.Spec.Env) == 0 {
+				sj.Spec.Env = nil
+			}
+			got[sj.Spec.JobID] = sj
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered specs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// copyFixture copies a fixture directory into a fresh temporary one, since
+// opening a WAL or spill store writes to its directory.
+func copyFixture(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
 }

@@ -34,10 +34,9 @@ var ErrDraining = errors.New("dispatch: dispatcher is draining")
 // consumed, which the thief preserves so migration never resets a job's
 // attempt accounting.
 type StolenJob struct {
-	Spec     hydra.JobSpec
-	Type     JobType
-	Priority int
-	Retries  int
+	Spec    hydra.JobSpec
+	Type    JobType
+	Retries int
 }
 
 // StealQueued extracts up to max queued jobs — oldest first, by submit
@@ -129,7 +128,7 @@ func (d *Dispatcher) StealQueued(max int, dest string) []StolenJob {
 			j.retries = int(lj.retries)
 		}
 		d.resolveLocked(lj, exit{migrated: dest})
-		out = append(out, StolenJob{Spec: j.Spec, Type: j.Type, Priority: j.Priority, Retries: j.retries})
+		out = append(out, StolenJob{Spec: j.Spec, Type: j.Type, Retries: j.retries})
 	}
 	d.mu.Unlock()
 	return out
@@ -144,7 +143,7 @@ func (d *Dispatcher) StealQueued(max int, dest string) []StolenJob {
 // running it against workers already being told to exit; admit's subMu gate
 // makes the refusal race-free.
 func (d *Dispatcher) SubmitStolen(sj StolenJob) (*Handle, error) {
-	j := &Job{Spec: sj.Spec, Type: sj.Type, Priority: sj.Priority, retries: sj.Retries}
+	j := &Job{Spec: sj.Spec, Type: sj.Type, retries: sj.Retries}
 	if err := d.admit([]*Job{j}, placeFront); err != nil {
 		if errors.Is(err, ErrShutDown) {
 			err = ErrDraining

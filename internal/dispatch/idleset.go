@@ -4,9 +4,9 @@ package dispatch
 // the order they parked. It is an intrusive doubly linked list through the
 // workers' own idlePrev/idleNext fields: membership, add and remove are O(1)
 // and allocate nothing, and a walk from head visits the longest-idle worker
-// first. That order is what GroupPolicy's index 0 means — the paper's
-// "first come, first served" grouping and TopologyAware's seed — and it is
-// the FIFO idle pool internal/simjets models.
+// first. takeGroup seats ranks from head on, which is the paper's "first
+// come, first served" grouping, and it is the FIFO idle pool internal/simjets
+// models.
 //
 // Not safe for concurrent use; every method is called under the owning
 // shard's mutex.
@@ -55,12 +55,4 @@ func (s *idleSet) Remove(wc *workerConn) bool {
 	wc.idleIn, wc.idlePrev, wc.idleNext = nil, nil, nil
 	s.n--
 	return true
-}
-
-// appendTo appends the parked workers to dst, longest-idle first.
-func (s *idleSet) appendTo(dst []*workerConn) []*workerConn {
-	for wc := s.head; wc != nil; wc = wc.idleNext {
-		dst = append(dst, wc)
-	}
-	return dst
 }

@@ -70,8 +70,8 @@ func TestIdleSetTake(t *testing.T) {
 }
 
 // TestIdleSetFCFSOrder: workers parked a, b, c, d, e and taken one at a time
-// by FirstComeFirstServed leave in the order they parked. A set that swaps its
-// tail into a removed slot hands out a, e, d, c, b: the most recently parked
+// from the front leave in the order they parked. A set that swaps its tail
+// into a removed slot hands out a, e, d, c, b: the most recently parked
 // worker first.
 func TestIdleSetFCFSOrder(t *testing.T) {
 	var s idleSet
@@ -82,11 +82,31 @@ func TestIdleSetFCFSOrder(t *testing.T) {
 	}
 	var got []*workerConn
 	for s.Len() > 0 {
-		coords := make([][]int, s.Len())
-		got = append(got, take(&s, FirstComeFirstServed(nil, coords, 1))...)
+		got = append(got, take(&s, []int{0})...)
 	}
 	if !slices.Equal(got, ws) {
 		t.Fatalf("FCFS took %v, want %v", ids(got), ids(ws))
+	}
+}
+
+// TestFCFSGroup: a group seated from one shard is its n longest-idle workers,
+// rank i on the i-th to park, and the rest stay parked in order.
+func TestFCFSGroup(t *testing.T) {
+	c := newShards(1)[0]
+	ws := make([]*workerConn, 5)
+	for i := range ws {
+		ws[i] = &workerConn{id: string(rune('a' + i)), shard: c}
+		c.addIdle(ws[i])
+	}
+	ranks := make([]rank, 3)
+	takeGroup(c, nil, ranks)
+	for i, r := range ranks {
+		if r.wc != ws[i] {
+			t.Fatalf("rank %d on %s, want %s", i, r.wc.id, ws[i].id)
+		}
+	}
+	if got := c.idle.appendTo(nil); !slices.Equal(got, ws[3:]) || c.nIdle.Load() != 2 {
+		t.Fatalf("left idle %v (count %d), want d, e", ids(got), c.nIdle.Load())
 	}
 }
 
@@ -159,6 +179,14 @@ func TestGroupOrderIsParkOrder(t *testing.T) {
 			t.Errorf("job %s went to %s, want %s: jobs go to workers in the order they parked", e.JobID, e.WorkerID, want)
 		}
 	}
+}
+
+// appendTo appends the parked workers to dst, longest-idle first.
+func (s *idleSet) appendTo(dst []*workerConn) []*workerConn {
+	for wc := s.head; wc != nil; wc = wc.idleNext {
+		dst = append(dst, wc)
+	}
+	return dst
 }
 
 // take removes the workers at sel, indexes into the set's arrival order,

@@ -29,9 +29,6 @@ func (t JobType) String() string {
 type Job struct {
 	Spec hydra.JobSpec
 	Type JobType
-	// Priority orders jobs under the priority queue policy; higher runs
-	// first. Ignored by FIFO.
-	Priority int
 
 	retries   int
 	submitted time.Time

@@ -46,7 +46,6 @@ func submittedRecord(j *Job) journal.Record {
 		Kind:      journal.Submitted,
 		JobID:     j.Spec.JobID,
 		JobType:   int(j.Type),
-		Priority:  j.Priority,
 		NProcs:    j.Spec.NProcs,
 		Cmd:       j.Spec.Cmd,
 		Args:      j.Spec.Args,
@@ -69,8 +68,7 @@ func jobFromRecord(r journal.Record) *Job {
 			Dir:       r.Dir,
 			WallLimit: r.WallLimit,
 		},
-		Type:     JobType(r.JobType),
-		Priority: r.Priority,
+		Type: JobType(r.JobType),
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 // identify as the limiting component at scale).
 //
 // Workers are keyed to a shard by their interconnect coordinate plane (the
-// first coordinate), so that topologically close workers — the ones an MPI
-// group policy wants to co-select — share a shard and the single-shard fast
-// path. Workers without coordinates fall back to a hash of their worker ID.
+// first coordinate), so that topologically close workers share a shard, and
+// a group seated on the single-shard fast path is drawn from one plane.
+// Workers without coordinates fall back to a hash of their worker ID.
 //
 // Jobs are pushed to the shard with the most idle workers (round-robin when
 // the pool is saturated). Observable FIFO order does not depend on placement:
@@ -34,10 +34,9 @@ const noJob = int64(math.MaxInt64)
 type shard struct {
 	idx int
 
-	mu      sync.Mutex
-	idle    idleSet
-	queue   QueuePolicy
-	scratch groupScratch // group selection's reusable space (takeGroup)
+	mu    sync.Mutex
+	idle  idleSet
+	queue fifo
 
 	// The cold tail (spill.go): jobs past the hot-window bound, FIFO by
 	// submission. Invariant: once cold is non-empty every new push goes
@@ -62,10 +61,10 @@ type shard struct {
 	coldN     atomic.Int64 // cold + mid-refill depth
 }
 
-func newShards(n int, newQueue func() QueuePolicy) []*shard {
+func newShards(n int) []*shard {
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = &shard{idx: i, queue: newQueue()}
+		shards[i] = &shard{idx: i}
 		shards[i].headSeq.Store(noJob)
 	}
 	return shards
@@ -88,15 +87,6 @@ func DefaultShards() int {
 		s *= 2
 	}
 	return s
-}
-
-// groupScratch is the space group selection reuses from one launch to the
-// next, guarded by its shard's lock: the candidate workers in selection
-// order, their coordinates (the GroupPolicy input), and the policy's choice.
-type groupScratch struct {
-	flat   []*workerConn
-	coords [][]int
-	sel    []int
 }
 
 // refreshHead re-derives the advisory mirrors after a queue mutation.
@@ -130,6 +120,18 @@ func (s *shard) removeIdle(wc *workerConn) bool {
 	}
 	s.nIdle.Store(int64(s.idle.Len()))
 	return true
+}
+
+// takeIdle unparks the shard's idle workers, longest-idle first, binding them
+// to ranks[i:] until either runs out, and returns the next unbound rank.
+// Caller holds s.mu.
+func (s *shard) takeIdle(ranks []rank, i int) int {
+	for ; i < len(ranks) && s.idle.head != nil; i++ {
+		wc := s.idle.head
+		s.removeIdle(wc)
+		ranks[i].wc = wc
+	}
+	return i
 }
 
 // push appends a submitted job. Caller holds s.mu.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -391,10 +392,72 @@ func TestDefaultShards(t *testing.T) {
 	if New(Config{}).Shards() != n {
 		t.Fatal("default config did not adopt DefaultShards")
 	}
-	if got := New(Config{NewQueue: func() QueuePolicy { return NewPriorityQueue(false) }}).Shards(); got != n {
-		t.Fatalf("NewQueue changed the shard count: got %d, want %d", got, n)
-	}
 	if got := New(Config{Shards: 3}).Shards(); got != 3 {
 		t.Fatalf("explicit shard count not honored: %d", got)
+	}
+}
+
+// TestStealGroupOrderIsFCFS pins the group a stolen MPI job gets: the first n
+// workers of takeGroup's candidate walk, which is its own shard's idle
+// workers longest-idle first, then those of the other shards in index order,
+// each shard's in the order they parked. Rank i runs on the i-th of them.
+func TestStealGroupOrderIsFCFS(t *testing.T) {
+	d := New(Config{Shards: 4})
+	addr, err := d.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// Park order interleaves the shards (the coordinate plane picks the
+	// shard). Shard 2 ends up with the most idle workers, so the job is
+	// queued there; three cannot seat six ranks, so the pass steals.
+	parks := []struct {
+		id    string
+		plane int
+	}{
+		{"s2-a", 2}, {"s1-a", 1}, {"s3-a", 3}, {"s2-b", 2},
+		{"s0-a", 0}, {"s1-b", 1}, {"s2-c", 2}, {"s3-b", 3},
+	}
+	codecs := make(map[string]*proto.Codec)
+	for i, p := range parks {
+		codecs[p.id] = rawWorker(t, addr, p.id, []int{p.plane})
+		deadline := time.Now().Add(5 * time.Second)
+		for d.idleCount() != i+1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker %s never parked", p.id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if _, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: "wide", NProcs: 6, Cmd: "noop"}, Type: MPI}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for d.idleCount() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers idle, want 2 once the group is seated", d.idleCount())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	d.lockAll()
+	var left []string
+	for _, s := range d.shards {
+		for _, wc := range s.idle.appendTo(nil) {
+			left = append(left, wc.id)
+		}
+	}
+	d.unlockAll()
+	if !slices.Equal(left, []string{"s3-a", "s3-b"}) {
+		t.Fatalf("left idle %v, want shard 3's s3-a, s3-b", left)
+	}
+	if got := d.stats.steals.Load(); got != 1 {
+		t.Fatalf("steals = %d, want 1", got)
+	}
+	want := []string{"s2-a", "s2-b", "s2-c", "s0-a", "s1-a", "s1-b"}
+	for rank, id := range want {
+		task := recvKind(t, codecs[id], proto.KindTask)
+		if task.Task.Rank != rank {
+			t.Errorf("worker %s got rank %d, want %d", id, task.Task.Rank, rank)
+		}
 	}
 }

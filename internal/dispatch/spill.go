@@ -15,8 +15,7 @@ package dispatch
 // one). Across shards, the global sequence arbitration only sees hot heads:
 // once backlogs are deep enough to spill, cross-shard FIFO is approximate —
 // a deliberate trade, since a spilling dispatcher is by definition running
-// days ahead of its workers. Priority policies likewise apply within the hot
-// window only; the cold tail is strictly FIFO.
+// days ahead of its workers.
 //
 // Durability: spilled specs are the Submitted record encoding. When
 // Config.SpillDir is set the store survives restarts and online journal

@@ -70,7 +70,7 @@ func (d *Dispatcher) launchLocal(c *shard) bool {
 		return false
 	}
 	rj := d.registerRunning(job)
-	d.takeGroup(c, nil, rj)
+	takeGroup(c, nil, rj.ranks)
 	c.refreshHead()
 	d.maybeRefillLocked(c)
 	// Emitted before the unlock: the pop held the same shard lock the queued
@@ -106,7 +106,7 @@ func (d *Dispatcher) launchStolen() bool {
 		return false
 	}
 	rj := d.registerRunning(job)
-	d.takeGroup(c, d.shards, rj)
+	takeGroup(c, d.shards, rj.ranks)
 	c.refreshHead()
 	d.maybeRefillLocked(c)
 	d.stats.steals.Add(1)
@@ -116,36 +116,19 @@ func (d *Dispatcher) launchStolen() bool {
 	return true
 }
 
-// takeGroup is group selection, for both launch paths: it binds rj's ranks
-// to idle workers chosen by the group policy. The candidates are the job's
-// own shard's idle workers first, so FCFS favours co-keyed workers, then
-// those of others in shard-index order; within a shard, longest-idle first.
-// The candidate list, its coordinates and the policy's choice live in the
-// job's shard's scratch, so selection allocates nothing. Caller holds c.mu
-// and the lock of every shard in others.
-func (d *Dispatcher) takeGroup(c *shard, others []*shard, rj *runningJob) {
-	sc := &c.scratch
-	flat := c.idle.appendTo(sc.flat)
+// takeGroup is group selection, for both launch paths: it binds ranks to the
+// first len(ranks) workers of the candidate walk — c's idle workers, then
+// those of others in shard-index order, each shard's longest-idle first. That
+// is the paper's first-come-first-served grouping (§4), and taking c's own
+// workers first favours co-keyed ones. The caller has checked that the walk
+// holds enough workers, and holds c.mu and the lock of every shard in others.
+func takeGroup(c *shard, others []*shard, ranks []rank) {
+	i := c.takeIdle(ranks, 0)
 	for _, s := range others {
 		if s != c {
-			flat = s.idle.appendTo(flat)
+			i = s.takeIdle(ranks, i)
 		}
 	}
-	coords := sc.coords
-	for _, wc := range flat {
-		coords = append(coords, wc.reg.Coord)
-	}
-	sel := d.cfg.Group(sc.sel, coords, len(rj.ranks))
-	for i, idx := range sel {
-		wc := flat[idx]
-		wc.shard.removeIdle(wc)
-		rj.ranks[i].wc = wc
-	}
-	// Keep the capacity, not the workers: a departed worker must not stay
-	// reachable from the scratch.
-	clear(flat)
-	clear(coords)
-	sc.flat, sc.coords, sc.sel = flat[:0], coords[:0], sel[:0]
 }
 
 // placeJob queues a submitted (or retried) job. Placement is a performance

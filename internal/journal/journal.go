@@ -95,7 +95,6 @@ type Record struct {
 	// Submitted payload: the job specification, flattened so this package
 	// does not depend on the dispatcher's types.
 	JobType   int // dispatch.JobType ordinal (0 sequential, 1 MPI)
-	Priority  int
 	NProcs    int
 	Cmd       string
 	Args      []string

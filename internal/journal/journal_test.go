@@ -24,7 +24,7 @@ func collect(t *testing.T, j Journal) []Record {
 
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{
-		{Kind: Submitted, JobID: "job1", JobType: 1, Priority: -3, NProcs: 8,
+		{Kind: Submitted, JobID: "job1", JobType: 1, NProcs: 8,
 			Cmd: "namd2.sh", Args: []string{"input-1.pdb", "output-1.log"},
 			Env: []string{"A=1", "B=2"}, Dir: "/tmp/wd", WallLimit: 90 * time.Second},
 		{Kind: Submitted, JobID: "job2", NProcs: 1, Cmd: "noop"},
@@ -312,5 +312,123 @@ func TestNopJournal(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// priorityFixture holds the records in testdata/wal-prio and
+// testdata/spill-prio. The files were written by the encoder that still
+// stored a job priority: the Submitted records carry 7 and -3 in their
+// priority slot. They pin that files from before the slot emptied still
+// replay, field for field, and that today's encoder writes the same bytes
+// with the slot zeroed, so an older reader reads new files too.
+var priorityFixture = struct{ wal, spill []Record }{
+	wal: []Record{
+		{Kind: Submitted, JobID: "mpi-p7", JobType: 1, NProcs: 2, Cmd: "namd2",
+			Args: []string{"-steps", "10"}, Env: []string{"A=1"}, Dir: "/work", WallLimit: 5 * time.Second},
+		{Kind: Submitted, JobID: "seq-n3", NProcs: 1, Cmd: "echo", Args: []string{"hi"}},
+		{Kind: SpillRef, JobID: "cold-p7"},
+		{Kind: SpillRef, JobID: "cold-n3"},
+	},
+	spill: []Record{
+		{Kind: Submitted, JobID: "cold-p7", NProcs: 1, Cmd: "cat",
+			Args: []string{"-n", "in.txt"}, Env: []string{"K=v"}, Dir: "/data", WallLimit: 2 * time.Second},
+		{Kind: Submitted, JobID: "cold-n3", JobType: 1, NProcs: 3, Cmd: "mdrun",
+			Args: []string{"-deffnm", "md"}, Env: []string{"OMP_NUM_THREADS=1", "X="}},
+	},
+}
+
+// copyFixture copies a fixture directory into a fresh temporary one, since
+// opening a WAL or spill store writes to its directory.
+func copyFixture(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+func normalizeEmpty(r Record) Record {
+	if len(r.Args) == 0 {
+		r.Args = nil
+	}
+	if len(r.Env) == 0 {
+		r.Env = nil
+	}
+	return r
+}
+
+func TestPrioritySlotFilesReplay(t *testing.T) {
+	w, err := OpenWAL(Options{Dir: copyFixture(t, filepath.Join("testdata", "wal-prio"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	got := collect(t, w)
+	if len(got) != len(priorityFixture.wal) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(priorityFixture.wal))
+	}
+	for i, want := range priorityFixture.wal {
+		if g := normalizeEmpty(got[i]); !reflect.DeepEqual(g, want) {
+			t.Errorf("WAL record %d:\n got %+v\nwant %+v", i, g, want)
+		}
+	}
+
+	s, err := OpenSpill(copyFixture(t, filepath.Join("testdata", "spill-prio")), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	recs, err := s.GetBatch([]string{"cold-p7", "cold-n3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range priorityFixture.spill {
+		if g := normalizeEmpty(recs[want.JobID]); !reflect.DeepEqual(g, want) {
+			t.Errorf("spill record %s:\n got %+v\nwant %+v", want.JobID, g, want)
+		}
+	}
+
+	// Byte for byte, a Submitted record encodes as the older encoder wrote
+	// it, but for the priority slot, now zero.
+	for _, f := range []struct{ path, magic string }{
+		{filepath.Join("testdata", "wal-prio", segmentName(1)), walMagic},
+		{filepath.Join("testdata", "spill-prio", spillSegmentName(1)), spillMagic},
+	} {
+		data, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		scanSegment(f.path, f.magic, func(r Record, off int64, frame int) error {
+			if r.Kind != Submitted {
+				return nil
+			}
+			n++
+			old := data[off+frameHeaderLen : off+int64(frame)]
+			slot := 1 + 4 + len(r.JobID) + 1 // kind, ID, job type
+			if binary.LittleEndian.Uint32(old[slot:]) == 0 {
+				t.Errorf("%s: fixture %s has no priority in its slot", f.path, r.JobID)
+			}
+			want := append([]byte(nil), old...)
+			clear(want[slot : slot+4])
+			if got := encodeRecord(nil, r); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s encodes as\n%x\nwant\n%x", f.path, r.JobID, got, want)
+			}
+			return nil
+		})
+		if n != 2 {
+			t.Errorf("%s: scanned %d Submitted records, want 2", f.path, n)
+		}
 	}
 }

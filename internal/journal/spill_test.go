@@ -46,7 +46,7 @@ func TestSpillPutGetRoundTrip(t *testing.T) {
 	}
 	defer s.Close()
 	want := Record{
-		Kind: Submitted, JobID: "j1", JobType: 1, Priority: 3, NProcs: 4,
+		Kind: Submitted, JobID: "j1", JobType: 1, NProcs: 4,
 		Cmd: "namd2.sh", Args: []string{"in.pdb", "out.log"},
 		Env: []string{"A=1"}, Dir: "/tmp",
 	}

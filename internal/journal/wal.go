@@ -512,7 +512,7 @@ func encodeRecord(b []byte, r Record) []byte {
 	switch r.Kind {
 	case Submitted:
 		b = append(b, byte(r.JobType))
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(r.Priority)))
+		b = binary.LittleEndian.AppendUint32(b, 0) // priority slot: written 0, ignored on read
 		b = binary.LittleEndian.AppendUint32(b, uint32(r.NProcs))
 		b = binary.LittleEndian.AppendUint64(b, uint64(r.WallLimit))
 		b = appendString(b, r.Cmd)
@@ -612,7 +612,7 @@ func decodeRecord(body []byte) (Record, error) {
 	switch r.Kind {
 	case Submitted:
 		r.JobType = int(d.u8())
-		r.Priority = int(int32(d.u32()))
+		d.u32() // priority slot, kept so files written before and after it emptied read alike
 		r.NProcs = int(d.u32())
 		r.WallLimit = time.Duration(d.u64())
 		r.Cmd = d.str()

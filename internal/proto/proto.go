@@ -69,7 +69,8 @@ type Register struct {
 	WorkerID string `json:"worker_id"`
 	Host     string `json:"host"`
 	Cores    int    `json:"cores"`
-	// Rank coordinates on the interconnect, used by topology-aware grouping.
+	// Coordinates on the interconnect; the first keys the worker's
+	// scheduling shard.
 	Coord []int `json:"coord,omitempty"`
 }
 

@@ -287,7 +287,6 @@ func submittedRecord(sj dispatch.StolenJob) journal.Record {
 		Kind:      journal.Submitted,
 		JobID:     sj.Spec.JobID,
 		JobType:   int(sj.Type),
-		Priority:  sj.Priority,
 		NProcs:    sj.Spec.NProcs,
 		Cmd:       sj.Spec.Cmd,
 		Args:      sj.Spec.Args,
@@ -313,7 +312,7 @@ func (r *Router) recoverJournal() {
 	r.recoveryErr = r.jnl.Replay(func(rec journal.Record) error {
 		switch rec.Kind {
 		case journal.Submitted:
-			sj := dispatch.StolenJob{Type: dispatch.JobType(rec.JobType), Priority: rec.Priority}
+			sj := dispatch.StolenJob{Type: dispatch.JobType(rec.JobType)}
 			sj.Spec.JobID = rec.JobID
 			sj.Spec.NProcs = rec.NProcs
 			sj.Spec.Cmd = rec.Cmd
@@ -453,7 +452,7 @@ func (r *Router) Submit(job dispatch.Job) (*dispatch.Handle, error) {
 		return nil, errors.New("router: router is shut down")
 	}
 	id := job.Spec.JobID
-	sj := dispatch.StolenJob{Spec: job.Spec, Type: job.Type, Priority: job.Priority}
+	sj := dispatch.StolenJob{Spec: job.Spec, Type: job.Type}
 	r.mu.Lock()
 	if _, dup := r.table[id]; dup {
 		r.mu.Unlock()
@@ -501,7 +500,7 @@ func (r *Router) SubmitBatch(jobs []dispatch.Job) ([]*dispatch.Handle, error) {
 			r.mu.Unlock()
 			return nil, fmt.Errorf("router: duplicate job id %q", id)
 		}
-		sj := dispatch.StolenJob{Spec: jobs[i].Spec, Type: jobs[i].Type, Priority: jobs[i].Priority}
+		sj := dispatch.StolenJob{Spec: jobs[i].Spec, Type: jobs[i].Type}
 		mi := r.pickLocked(id)
 		e := &entry{sj: sj, h: dispatch.NewHandle(id), member: mi}
 		r.table[id] = e
@@ -577,7 +576,7 @@ func (r *Router) placeFrom(e *entry, mi int, sj dispatch.StolenJob, stolen bool)
 		if stolen {
 			h, err = m.SubmitStolen(sj)
 		} else {
-			h, err = m.Submit(dispatch.Job{Spec: sj.Spec, Type: sj.Type, Priority: sj.Priority})
+			h, err = m.Submit(dispatch.Job{Spec: sj.Spec, Type: sj.Type})
 		}
 		if err == nil {
 			r.wire(e, h)

@@ -58,7 +58,7 @@ type Config struct {
 	ID    string
 	Host  string
 	Cores int
-	Coord []int // interconnect coordinates for topology-aware grouping
+	Coord []int // interconnect coordinates; the first keys the dispatcher shard
 
 	// DispatcherAddr is the TCP endpoint of the JETS service. One of
 	// DispatcherAddr or Conn must be set.
