@@ -555,9 +555,10 @@ func BenchmarkFederatedThroughput(b *testing.B) {
 
 // BenchmarkMPIJobLaunch measures the full MPI job cycle through the real
 // stack: mpiexec start, proxy dispatch, PMI wire-up, barrier, teardown.
-// pmi-conns/job is what the control plane still pays per job in connections:
-// in steady state the ranks run on connections their workers kept, so it
-// tends to 0 (nproc connections once, over b.N jobs). mpi-sessions/job is what
+// pmi-conns/job is the TCP connections the control plane accepts per job: the
+// ranks run in the PMI endpoint's own process and reach it through pipes,
+// kept between jobs like a socket, so it is 0 (a forked rank would dial
+// once per job). mpi-sessions/job is what
 // the ranks open among themselves: one session per edge of the barrier's
 // tree, nproc-1 exactly. mpi-conns/job is the rank-pair links those sessions
 // dialed: the ranks of one process keep their links between jobs, so it too
@@ -642,7 +643,8 @@ func BenchmarkMPICollectives(b *testing.B) {
 // exit (one fenced bootstrap per rank, get all, finalize) against the two
 // kinds of endpoint: a listener of the job's own, dialed by every rank and
 // closed with the job, and the shared endpoint, where a job is a registry
-// entry and its ranks run on connections kept from the job before.
+// entry and its ranks, in the endpoint's process, run on pipes kept from the
+// job before.
 func BenchmarkPMIWireUp(b *testing.B) {
 	const ranks = 8
 	wireUp := func(b *testing.B, addr, kvs string) {

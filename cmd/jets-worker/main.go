@@ -20,6 +20,7 @@ import (
 
 	"jets/internal/hydra"
 	"jets/internal/obs"
+	"jets/internal/obs/obshttp"
 	"jets/internal/worker"
 )
 
@@ -80,7 +81,7 @@ func run() error {
 		reg := obs.NewRegistry()
 		worker.RegisterMetrics(reg)
 		hydra.RegisterMetrics(reg)
-		srv, err := obs.Serve(*metricsAddr, reg)
+		srv, err := obshttp.Serve(*metricsAddr, reg)
 		if err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}

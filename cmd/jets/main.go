@@ -32,6 +32,7 @@ import (
 	"jets/internal/dispatch"
 	"jets/internal/hydra"
 	"jets/internal/obs"
+	"jets/internal/obs/obshttp"
 )
 
 func main() {
@@ -122,7 +123,7 @@ func run() error {
 		fmt.Printf("jets: recovered %d uncompleted jobs from %s\n", len(recovered), *dataDir)
 	}
 	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, reg)
+		srv, err := obshttp.Serve(*metricsAddr, reg)
 		if err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}

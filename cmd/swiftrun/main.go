@@ -26,6 +26,7 @@ import (
 	"jets/internal/core"
 	"jets/internal/hydra"
 	"jets/internal/obs"
+	"jets/internal/obs/obshttp"
 	"jets/internal/proto"
 	"jets/internal/swiftlang"
 )
@@ -113,7 +114,7 @@ func run() error {
 		fmt.Printf("swiftrun: dispatcher on %s, %d local workers\n", eng.Addr(), *workers)
 	}
 	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, reg)
+		srv, err := obshttp.Serve(*metricsAddr, reg)
 		if err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}

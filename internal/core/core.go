@@ -76,7 +76,7 @@ type Options struct {
 	WriteCoalesce int
 	// Obs, when non-nil, exports the dispatcher's instrumentation plus the
 	// hydra/PMI and worker package metrics through the registry, ready for
-	// obs.Serve.
+	// obshttp.Serve.
 	Obs *obs.Registry
 	// Journal, when non-nil, makes dispatcher job state durable and recovers
 	// prior state at startup (see dispatch.Config.Journal). The dispatcher

@@ -22,15 +22,18 @@ func (b gangBound) at(n int) float64 { return b.intercept + b.slope*float64(n) }
 // ledger): what one barrier-wait job with 0 ms of waiting costs end to end on
 // 8 local workers, as intercept + slope*ranks. Measured at 2 / 4 / 8 ranks:
 //
-//	allocs/job     90.0 / 161.3 / 303.3    bound 20 + 40n   (100 / 180 / 340)
-//	heap B/job     7.7k / 14.4k / 29.0k    bound 600 + 3,900n (8.4k / 16.2k / 31.8k)
-//	read calls     16.0 / 40.0 / 87.9      bound -8 + 13n   (18 / 44 / 96)
-//	write calls    8.0 / 20.0 / 44.0       bound -2 + 6n    (10 / 22 / 46)
+//	allocs/job     90.0 / 161.2 / 302.9    bound 20 + 40n   (100 / 180 / 340)
+//	heap B/job     7.7k / 14.4k / 28.9k    bound 600 + 3,900n (8.4k / 16.2k / 31.8k)
+//	read calls     8.0 / 24.0 / 56.0       bound -8 + 9n    (10 / 28 / 64)
+//	write calls    4.0 / 12.0 / 28.0       bound -2 + 4n    (6 / 14 / 30)
 //
-// A rank writes its put-and-fence request, its tree messages and nothing else:
-// 6n - 4 writes in all, bound with a slack of 2 for the runtime's netpoll
-// wakeups. Every other bound is the line through the 2- and 8-rank counts with
-// 10% slack or more. While a rank still wrote a PMI finalize and said bye on
+// The ranks write their tree messages and nothing else: 4(n - 1) writes in
+// all, bound with a slack of 2 for the runtime's netpoll wakeups. Their
+// put-and-fence requests and the releases reach the PMI endpoint of their own
+// process through pipes, not sockets; over loopback TCP the same jobs measured
+// 16.0 / 40.0 / 87.9 reads and 8.0 / 20.0 / 44.0 writes (6n - 4). Every other
+// bound is the line through the 2- and 8-rank counts with 10% slack or more.
+// While a rank still wrote a PMI finalize and said bye on
 // each of its sessions, the same jobs measured 122.1 / 244.3 / 542.6
 // allocations, 9.7k / 18.3k / 40.0k heap bytes, 20.5 / 51.9 / 116.9 reads and
 // 12.0 / 30.0 / 66.0 writes (9n - 6), over every bound at every size. Before
@@ -40,8 +43,8 @@ func (b gangBound) at(n int) float64 { return b.intercept + b.slope*float64(n) }
 var (
 	gangAllocs = gangBound{20, 40}
 	gangBytes  = gangBound{600, 3900}
-	gangReads  = gangBound{-8, 13}
-	gangWrites = gangBound{-4 + 2, 6}
+	gangReads  = gangBound{-8, 9}
+	gangWrites = gangBound{-4 + 2, 4}
 )
 
 // gangDialsPerEdge bounds the rank-pair dials per tree edge per job once the

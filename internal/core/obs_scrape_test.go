@@ -1,7 +1,7 @@
 package core
 
 // End-to-end scrape test for the observability endpoint: a real engine with
-// local workers runs a mixed batch while an obs.Server serves the registry,
+// local workers runs a mixed batch while an obshttp.Server serves the registry,
 // and the /metrics exposition must carry live values from every layer —
 // dispatcher counters and histograms, PMI wire-up, and worker counters.
 
@@ -18,6 +18,7 @@ import (
 	"jets/internal/hydra"
 	"jets/internal/mpi"
 	"jets/internal/obs"
+	"jets/internal/obs/obshttp"
 )
 
 // metricValue extracts an unlabeled series' value from an exposition body.
@@ -77,7 +78,7 @@ func TestMetricsScrapeLiveEngine(t *testing.T) {
 	}
 	defer eng.Close()
 
-	srv, err := obs.Serve("127.0.0.1:0", reg)
+	srv, err := obshttp.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +159,9 @@ func TestMetricsScrapeLiveEngine(t *testing.T) {
 }
 
 // TestPMIEndpointScrape runs 200 MPI jobs on 8 local workers and reads the
-// control plane's cost off /metrics: one session per rank, and no more
-// connections than workers (plus any redial), however many jobs ran. The
+// control plane's cost off /metrics: one session per rank, no TCP connection
+// (the ranks reach their process's endpoint through pipes) and no more pipes
+// than workers, however many jobs ran. The
 // ranks' own sessions are on the same page: one per tree edge, n-1 a job, on
 // no more links than workers.
 func TestPMIEndpointScrape(t *testing.T) {
@@ -182,7 +184,7 @@ func TestPMIEndpointScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv, err := obs.Serve("127.0.0.1:0", reg)
+	srv, err := obshttp.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +217,13 @@ func TestPMIEndpointScrape(t *testing.T) {
 	if got := grew("jets_pmi_wireup_seconds_count"); got != jobs {
 		t.Errorf("jets_pmi_wireup_seconds observed %g wire-ups for %d jobs", got, jobs)
 	}
-	accepted, redials := grew("jets_pmi_connections_accepted_total"), grew("jets_pmi_stale_redials_total")
-	if accepted > workers+redials {
-		t.Errorf("jets_pmi_connections_accepted_total grew by %g for %d jobs: want at most %d workers + %g redials",
-			accepted, jobs, workers, redials)
+	if accepted := grew("jets_pmi_connections_accepted_total"); accepted != 0 {
+		t.Errorf("jets_pmi_connections_accepted_total grew by %g for %d jobs of in-process ranks, want 0", accepted, jobs)
 	}
 	if open := metricValue(t, body, "jets_pmi_connections_open"); open < 1 {
 		t.Errorf("jets_pmi_connections_open = %g with kept connections idle", open)
+	} else if grown := grew("jets_pmi_connections_open"); grown > workers {
+		t.Errorf("jets_pmi_connections_open grew by %g for %d jobs: want at most one pipe per worker = %d", grown, jobs, workers)
 	}
 	if !strings.Contains(body, "# TYPE jets_pmi_connections_open gauge") {
 		t.Error("jets_pmi_connections_open is not exported as a gauge")

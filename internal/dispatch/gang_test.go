@@ -20,6 +20,7 @@ import (
 // connection counters, the way an operator does: through a registry.
 type connCounters struct {
 	accepted, sessions, redials                    *obs.Counter
+	open                                           *obs.Gauge
 	mpiDialed, mpiAccepted, mpiWasted, mpiSessions *obs.Counter
 }
 
@@ -32,6 +33,7 @@ func newConnCounters() connCounters {
 		accepted:    get("jets_pmi_connections_accepted_total"),
 		sessions:    get("jets_pmi_sessions_total"),
 		redials:     get("jets_pmi_stale_redials_total"),
+		open:        reg.Lookup("jets_pmi_connections_open").(*obs.Gauge),
 		mpiDialed:   get("jets_mpi_connections_dialed_total"),
 		mpiAccepted: get("jets_mpi_connections_accepted_total"),
 		mpiWasted:   get("jets_mpi_connections_discarded_total"),
@@ -129,9 +131,9 @@ func openFDs(t *testing.T) int {
 }
 
 // TestGangSoak runs 5,000 MPI jobs through 8 in-process workers, 4 at a time,
-// and checks that nothing accumulates: no failed job, no connection per job at
-// the PMI endpoint, one rank-pair session per tree edge and none lost to a
-// race, no more rank-pair links than workers (each rank dials at most its tree
+// and checks that nothing accumulates: no failed job, no TCP connection at the
+// PMI endpoint and no more pipes to it than workers, one rank-pair session per
+// tree edge and none lost to a race, no more rank-pair links than workers (each rank dials at most its tree
 // parent, and links are kept between jobs), and as many goroutines and
 // descriptors at the end as after the first 100 jobs.
 func TestGangSoak(t *testing.T) {
@@ -142,7 +144,7 @@ func TestGangSoak(t *testing.T) {
 	tc := startCluster(t, workers, Config{})
 	tc.runner.Register("barrier", barrierApp)
 	pc := newConnCounters()
-	accepted, sessions, redials := pc.accepted.Value(), pc.sessions.Value(), pc.redials.Value()
+	accepted, sessions, redials, open := pc.accepted.Value(), pc.sessions.Value(), pc.redials.Value(), pc.open.Value()
 	dialed, paired, wasted, opened := pc.mpiDialed.Value(), pc.mpiAccepted.Value(), pc.mpiWasted.Value(), pc.mpiSessions.Value()
 
 	sizes := []int{2, 2, 4, 4, 8}
@@ -188,8 +190,8 @@ func TestGangSoak(t *testing.T) {
 	st := tc.d.Stats()
 	dialed, paired, wasted = pc.mpiDialed.Value()-dialed, pc.mpiAccepted.Value()-paired, pc.mpiWasted.Value()-wasted
 	opened = pc.mpiSessions.Value() - opened
-	t.Logf("%d jobs (%d ranks): completed %d, failed %d; PMI connections accepted %d, sessions %d, stale redials %d; rank-pair sessions %d, links dialed %d, accepted %d, sessions discarded %d; goroutines %d -> %d, fds %d -> %d (after 100 jobs -> after %d)",
-		jobs, ranks, st.JobsCompleted, st.JobsFailed, pc.accepted.Value()-accepted, pc.sessions.Value()-sessions,
+	t.Logf("%d jobs (%d ranks): completed %d, failed %d; PMI connections accepted %d, opened %d, sessions %d, stale redials %d; rank-pair sessions %d, links dialed %d, accepted %d, sessions discarded %d; goroutines %d -> %d, fds %d -> %d (after 100 jobs -> after %d)",
+		jobs, ranks, st.JobsCompleted, st.JobsFailed, pc.accepted.Value()-accepted, pc.open.Value()-open, pc.sessions.Value()-sessions,
 		pc.redials.Value()-redials, opened, dialed, paired, wasted, g100, gEnd, fd100, fdEnd, jobs)
 	if st.JobsCompleted != jobs || st.JobsFailed != 0 {
 		t.Errorf("completed %d failed %d, want %d and 0", st.JobsCompleted, st.JobsFailed, jobs)
@@ -197,8 +199,13 @@ func TestGangSoak(t *testing.T) {
 	if got := pc.sessions.Value() - sessions; got != int64(ranks) {
 		t.Errorf("%d PMI sessions for %d ranks", got, ranks)
 	}
-	if got, max := pc.accepted.Value()-accepted, int64(workers)+pc.redials.Value()-redials; got > max {
-		t.Errorf("PMI endpoint accepted %d connections, want at most workers + redials = %d", got, max)
+	// The ranks are in the endpoint's process: each worker's ranks keep one
+	// pipe to it between jobs, and none dials.
+	if got := pc.accepted.Value() - accepted; got != 0 {
+		t.Errorf("PMI endpoint accepted %d TCP connections from in-process ranks, want 0", got)
+	}
+	if got := pc.open.Value() - open; got > workers {
+		t.Errorf("%d more connections open at the PMI endpoint, want at most one pipe per worker = %d", got, workers)
 	}
 	if opened != int64(edges) || wasted != 0 {
 		t.Errorf("rank-pair sessions: %d opened, %d discarded; want n-1 per job = %d, 0", opened, wasted, edges)

@@ -1,7 +1,8 @@
 // Package obs is the runtime observability layer: a lock-cheap registry of
 // counters, gauges, and fixed-bucket latency histograms that live systems
 // (the jets dispatcher, the pilot-job worker) export over HTTP in Prometheus
-// text format, alongside expvar and pprof (http.go).
+// text format, alongside expvar and pprof (package obshttp, which only the
+// binaries link, so a rank linking the instruments links no HTTP stack).
 //
 // The package complements internal/metrics, which computes the paper's
 // post-hoc figures (Eq. 1 utilization, load-level series) from completed job
@@ -34,8 +35,8 @@ type Metric interface {
 	Desc() Desc
 	// writeValue renders the sample lines (without HELP/TYPE headers).
 	writeValue(b *strings.Builder)
-	// expvarValue returns the instrument's value for /debug/vars.
-	expvarValue() any
+	// snapshotValue returns the instrument's value for Registry.Snapshot.
+	snapshotValue() any
 }
 
 // Desc describes a metric series.
@@ -160,7 +161,7 @@ func (r *Registry) Snapshot() map[string]any {
 	r.mu.Unlock()
 	out := make(map[string]any, len(ms))
 	for _, m := range ms {
-		out[m.Desc().series()] = m.expvarValue()
+		out[m.Desc().series()] = m.snapshotValue()
 	}
 	return out
 }
@@ -205,7 +206,7 @@ func (c *Counter) writeValue(b *strings.Builder) {
 	fmt.Fprintf(b, "%s %d\n", c.d.series(), c.v.Load())
 }
 
-func (c *Counter) expvarValue() any { return c.v.Load() }
+func (c *Counter) snapshotValue() any { return c.v.Load() }
 
 // CounterFunc exports an externally maintained monotonic count — e.g. an
 // atomic a subsystem already keeps — sampled at scrape time, so enabling
@@ -239,7 +240,7 @@ func (c *CounterFunc) writeValue(b *strings.Builder) {
 	fmt.Fprintf(b, "%s %d\n", c.d.series(), c.fn())
 }
 
-func (c *CounterFunc) expvarValue() any { return c.fn() }
+func (c *CounterFunc) snapshotValue() any { return c.fn() }
 
 // ---------------------------------------------------------------------------
 // Gauge
@@ -278,7 +279,7 @@ func (g *Gauge) writeValue(b *strings.Builder) {
 	fmt.Fprintf(b, "%s %d\n", g.d.series(), g.v.Load())
 }
 
-func (g *Gauge) expvarValue() any { return g.v.Load() }
+func (g *Gauge) snapshotValue() any { return g.v.Load() }
 
 // GaugeFunc samples a live value at scrape time (queue depth, idle workers):
 // the instrumented subsystem keeps its own state and pays nothing until
@@ -311,7 +312,7 @@ func (g *GaugeFunc) writeValue(b *strings.Builder) {
 	fmt.Fprintf(b, "%s %s\n", g.d.series(), formatFloat(g.fn()))
 }
 
-func (g *GaugeFunc) expvarValue() any { return g.fn() }
+func (g *GaugeFunc) snapshotValue() any { return g.fn() }
 
 func formatFloat(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
@@ -507,7 +508,7 @@ func bracedLabels(labels string) string {
 	return "{" + labels + "}"
 }
 
-func (h *Hist) expvarValue() any {
+func (h *Hist) snapshotValue() any {
 	n := h.count.Load()
 	mean := 0.0
 	if n > 0 {

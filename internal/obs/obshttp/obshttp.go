@@ -1,8 +1,12 @@
-package obs
+// Package obshttp serves an obs.Registry over HTTP: /metrics (Prometheus
+// text), /debug/vars (expvar plus the registry snapshot), /debug/pprof/* and
+// /healthz. It is a package of its own so that only the binaries link the
+// HTTP stack; a library that only updates instruments (the MPI library a
+// forked rank links, the PMI client) imports obs alone.
+package obshttp
 
 import (
 	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
 	"net"
@@ -10,37 +14,9 @@ import (
 	"net/http/pprof"
 	"sync/atomic"
 	"time"
+
+	"jets/internal/obs"
 )
-
-// Accept's backoff after a failed Accept: 5 ms, doubling to 1 s, as
-// net/http.Server.Serve waits.
-const (
-	acceptMinBackoff = 5 * time.Millisecond
-	acceptMaxBackoff = time.Second
-)
-
-// AcceptErrors counts the Accept errors the product's listeners (the
-// dispatcher's worker port, the PMI endpoint) waited out. Their owners
-// register it.
-var AcceptErrors = NewCounter("jets_accept_errors_total", "listener Accept errors retried after a backoff (descriptor exhaustion, a connection aborted before it was accepted)")
-
-// Accept waits for ln's next connection. An error other than ln being
-// closed — EMFILE while the process is out of descriptors, a connection
-// aborted in the backlog — is counted in AcceptErrors and retried after a
-// backoff, so one bad moment does not stop a listener for good. Accept
-// returns an error only once ln is closed.
-func Accept(ln net.Listener) (net.Conn, error) {
-	var delay time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err == nil || errors.Is(err, net.ErrClosed) {
-			return conn, err
-		}
-		AcceptErrors.Inc()
-		delay = min(max(2*delay, acceptMinBackoff), acceptMaxBackoff)
-		time.Sleep(delay)
-	}
-}
 
 // HealthVar is an atomically swappable health check backing a /healthz
 // endpoint: nil (or an unset function) means healthy, a non-nil error means
@@ -81,7 +57,7 @@ type Server struct {
 
 // Serve binds addr (use "127.0.0.1:0" for an ephemeral port) and serves the
 // registry. It returns immediately; Close shuts the listener down.
-func Serve(addr string, reg *Registry) (*Server, error) {
+func Serve(addr string, reg *obs.Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -103,11 +79,11 @@ func (s *Server) Close() error { return s.srv.Close() }
 
 // Handler builds the endpoint mux, for embedding in an existing server.
 // /healthz always reports healthy; use HandlerWithHealth to wire a check.
-func Handler(reg *Registry) http.Handler { return HandlerWithHealth(reg, nil) }
+func Handler(reg *obs.Registry) http.Handler { return HandlerWithHealth(reg, nil) }
 
 // HandlerWithHealth builds the endpoint mux with /healthz backed by the
 // given HealthVar (nil behaves as always-healthy).
-func HandlerWithHealth(reg *Registry, health *HealthVar) http.Handler {
+func HandlerWithHealth(reg *obs.Registry, health *HealthVar) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -13,16 +13,16 @@ import (
 	"testing"
 	"time"
 
-	"jets/internal/obs"
+	"jets/internal/obs/obshttp"
 )
 
-// Healthz serves one GET /healthz through obs.HandlerWithHealth with check
+// Healthz serves one GET /healthz through obshttp.HandlerWithHealth with check
 // installed, and returns the status code and the body.
 func Healthz(check func() error) (int, string) {
-	var hv obs.HealthVar
+	var hv obshttp.HealthVar
 	hv.Set(check)
 	rec := httptest.NewRecorder()
-	obs.HandlerWithHealth(nil, &hv).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	obshttp.HandlerWithHealth(nil, &hv).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	return rec.Code, rec.Body.String()
 }
 

@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"strconv"
@@ -44,9 +45,9 @@ var (
 	barrierHist = obs.NewHist("jets_pmi_barrier_seconds",
 		"PMI barrier span from first barrier_in to the release broadcast", nil)
 	connsAccepted = obs.NewCounter("jets_pmi_connections_accepted_total",
-		"connections accepted by PMI endpoints")
+		"TCP connections accepted by PMI endpoints (a rank of the endpoint's own process takes a pipe)")
 	connsOpen = obs.NewGauge("jets_pmi_connections_open",
-		"connections open at PMI endpoints, idle between jobs or in a session")
+		"connections open at PMI endpoints, TCP or pipe, idle between jobs or in a session")
 	sessionsTotal = obs.NewCounter("jets_pmi_sessions_total",
 		"PMI sessions opened (one per rank that initialised in a job)")
 	staleRedials = obs.NewCounter("jets_pmi_stale_redials_total",
@@ -432,7 +433,7 @@ func (s *Server) Close() error {
 // several goroutines; each call holds the connection for its whole exchange.
 type Client struct {
 	mu       sync.Mutex
-	conn     net.Conn
+	conn     io.ReadWriteCloser
 	r        *bufio.Reader
 	out      []byte // requests not yet written
 	line     []byte // the last reply, parsed in rec
@@ -483,7 +484,7 @@ func DialFence(addr, kvsName string, rank int, key, value string) (*Client, erro
 
 // open queues the init request on a connection to addr and runs the rest of
 // the bootstrap: on a kept connection first, when the endpoint is shared and
-// there is one, else on a fresh dial.
+// there is one, else on a fresh one (see connect).
 //
 // A kept connection the server has cut since it was parked fails its first
 // exchange without a reply; only then is the bootstrap run again, once, on a
@@ -500,7 +501,7 @@ func open(addr, kvsName string, rank int, bootstrap func(*Client) error) (*Clien
 	}
 	for {
 		if !kept {
-			conn, err := dialer.Dial("tcp", addr)
+			conn, err := connect(addr)
 			if err != nil {
 				return nil, err
 			}
@@ -529,12 +530,25 @@ func open(addr, kvsName string, rank int, bootstrap func(*Client) error) (*Clien
 	}
 }
 
+// connect opens a connection to the endpoint at addr: a pipe when this
+// process serves it (a Service from NewService), else a TCP dial. Private
+// endpoints, and every endpoint of another process, are dialed.
+func connect(addr string) (io.ReadWriteCloser, error) {
+	local.Lock()
+	sv := local.svcs[addr]
+	local.Unlock()
+	if sv != nil {
+		return sv.pipe()
+	}
+	return dialer.Dial("tcp", addr)
+}
+
 // keptConn is a connection between jobs, with its reader (empty: a connection
 // is parked only when nothing is buffered) and the buffers its last client
 // grew, for the next to reuse.
 type keptConn struct {
 	addr                string
-	conn                net.Conn
+	conn                io.ReadWriteCloser
 	r                   *bufio.Reader
 	out, fence          []byte
 	fields, fenceFields []field
@@ -570,7 +584,7 @@ func takeIdle(addr string) (keptConn, bool) {
 // oldest entry, so connections to an endpoint that is gone age out.
 func park(k keptConn) {
 	idle.Lock()
-	var evicted net.Conn
+	var evicted io.Closer
 	if len(idle.conns) == maxIdle {
 		evicted = idle.conns[0].conn
 		idle.conns = slices.Delete(idle.conns, 0, 1)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"jets/internal/obs"
+	"jets/internal/proto"
 )
 
 // Service is a PMI endpoint: one listener that serves every job attached to
@@ -24,6 +26,11 @@ import (
 // A rank done with its job says nothing: its session ends at the next init on
 // the connection, or at the connection's end; a cmd=finalize ends it too. A
 // refused init, or any other request outside a session, drops the connection.
+//
+// A rank of the same process reaches a Service from NewService through an
+// in-memory pipe (proto.PipeConn) instead of a loopback socket, the way an
+// MPICH rank reaches its proxy through the socketpair named in PMI_FD; the
+// session loop cannot tell the two apart.
 type Service struct {
 	ln   net.Listener
 	addr string
@@ -33,14 +40,31 @@ type Service struct {
 	jobs   map[string]*Server // attached jobs by KVS name
 	conns  map[*serverConn]struct{}
 	closed bool
+	wg     sync.WaitGroup // the accept loop and every session loop, done as each returns
 }
+
+// local holds the shared endpoints this process serves, by address: a rank
+// that finds its endpoint here takes a pipe to it instead of a dial.
+var local = struct {
+	sync.Mutex
+	svcs map[string]*Service
+}{svcs: make(map[string]*Service)}
 
 // NewService starts an endpoint on addr (use "127.0.0.1:0" for an ephemeral
 // port). Jobs join it with Attach and leave it with Server.Close.
-func NewService(addr string) (*Service, error) { return newService(addr, nil) }
+func NewService(addr string) (*Service, error) {
+	sv, err := newService(addr, nil)
+	if err != nil {
+		return nil, err
+	}
+	local.Lock()
+	local.svcs[sv.addr] = sv
+	local.Unlock()
+	return sv, nil
+}
 
-// newService starts an endpoint; a non-nil only makes it that job's private
-// one.
+// newService starts an endpoint that stays out of the local table, so every
+// rank dials it; a non-nil only makes it that job's private one.
 func newService(addr string, only *Server) (*Service, error) {
 	ln, err := listenConfig.Listen(context.Background(), "tcp", addr)
 	if err != nil {
@@ -59,7 +83,8 @@ func newService(addr string, only *Server) (*Service, error) {
 			return nil, err
 		}
 	}
-	go sv.acceptLoop()
+	sv.wg.Add(1)
+	go func() { sv.acceptLoop(); sv.wg.Done() }()
 	return sv, nil
 }
 
@@ -95,9 +120,16 @@ func (sv *Service) detach(s *Server) {
 	sv.mu.Unlock()
 }
 
-// Close shuts the listener and every connection. Attached jobs stay open;
-// their ranks see the connections fail.
+// Close shuts the listener and every connection, pipes included, and returns
+// once the accept loop and every session loop have. Attached jobs stay open;
+// their ranks see the connections fail. It must not be called from a session
+// loop.
 func (sv *Service) Close() error {
+	local.Lock()
+	if local.svcs[sv.addr] == sv {
+		delete(local.svcs, sv.addr)
+	}
+	local.Unlock()
 	sv.mu.Lock()
 	if sv.closed {
 		sv.mu.Unlock()
@@ -112,7 +144,9 @@ func (sv *Service) Close() error {
 	for _, c := range conns {
 		c.conn.Close()
 	}
-	return sv.ln.Close()
+	err := sv.ln.Close()
+	sv.wg.Wait()
+	return err
 }
 
 func (sv *Service) acceptLoop() {
@@ -121,26 +155,46 @@ func (sv *Service) acceptLoop() {
 		if err != nil {
 			return
 		}
-		sc := &serverConn{conn: conn}
-		sv.mu.Lock()
-		if sv.closed {
-			sv.mu.Unlock()
-			conn.Close()
+		connsAccepted.Inc()
+		if !sv.start(conn) {
 			return
 		}
-		sv.conns[sc] = struct{}{}
-		sv.mu.Unlock()
-		connsAccepted.Inc()
-		connsOpen.Add(1)
-		go sv.serve(sc)
 	}
+}
+
+// pipe opens an in-memory connection to the endpoint, for a rank of this
+// process, and returns the rank's end.
+func (sv *Service) pipe() (io.ReadWriteCloser, error) {
+	rank, conn := proto.PipeConn()
+	if !sv.start(conn) {
+		return nil, ErrClosed
+	}
+	return rank, nil
+}
+
+// start serves conn in a session loop of its own; on a closed endpoint it
+// closes conn and reports false.
+func (sv *Service) start(conn io.ReadWriteCloser) bool {
+	sc := &serverConn{conn: conn}
+	sv.mu.Lock()
+	if sv.closed {
+		sv.mu.Unlock()
+		conn.Close()
+		return false
+	}
+	sv.conns[sc] = struct{}{}
+	sv.wg.Add(1)
+	sv.mu.Unlock()
+	connsOpen.Add(1)
+	go func() { sv.serve(sc); sv.wg.Done() }()
+	return true
 }
 
 // serverConn is one client connection and the session it carries now. Replies
 // collect in out and leave in one write: when the connection's pipelined input
 // is drained, or, for a rank waiting in a barrier, together with the release.
 type serverConn struct {
-	conn net.Conn
+	conn io.ReadWriteCloser // a TCP connection, or the endpoint's end of a pipe
 	wmu  sync.Mutex
 	out  []byte
 

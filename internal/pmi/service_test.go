@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,14 +14,47 @@ import (
 	"time"
 )
 
+// startService starts a shared endpoint that this process's ranks reach
+// through pipes.
 func startService(t *testing.T) *Service {
 	t.Helper()
 	sv, err := NewService("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sv.Close() })
+	t.Cleanup(func() { closeService(sv) })
 	return sv
+}
+
+// closeService closes sv and the connections this process kept to it, so a
+// later test's endpoint that gets the same port does not find them.
+func closeService(sv *Service) {
+	sv.Close()
+	for k, ok := takeIdle(sv.Addr()); ok; k, ok = takeIdle(sv.Addr()) {
+		k.conn.Close()
+	}
+}
+
+// startRemoteService starts a shared endpoint that plays one in another
+// process: it stays out of the local table, so this process's ranks dial it
+// over TCP, as forked ranks and ranks on external workers dial theirs.
+func startRemoteService(t *testing.T) *Service {
+	t.Helper()
+	sv, err := newService("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeService(sv) })
+	return sv
+}
+
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open descriptors: %v", err)
+	}
+	return len(ents)
 }
 
 func attachJob(t *testing.T, sv *Service, kvs string, size int) *Server {
@@ -259,13 +294,14 @@ func TestInitMidSessionEndsOldSession(t *testing.T) {
 }
 
 // TestKeptConnectionServesNextJob runs 500 jobs of 2, 4 and 8 ranks back to
-// back on 8 workers. The ranks find the connection their worker's previous
-// rank finalized on, so the endpoint accepts no more connections than there
-// are workers. A rank's Finalize writes nothing: its session stays open until
-// the next init on that connection ends it.
+// back on 8 workers, at an endpoint in another process. The ranks find the
+// connection their worker's previous rank finalized on, so the endpoint
+// accepts no more connections than there are workers. A rank's Finalize
+// writes nothing: its session stays open until the next init on that
+// connection ends it.
 func TestKeptConnectionServesNextJob(t *testing.T) {
 	const workers, jobs = 8, 500
-	sv := startService(t)
+	sv := startRemoteService(t)
 	accepted, sessions, redials := connsAccepted.Value(), sessionsTotal.Value(), staleRedials.Value()
 	ranks := 0
 	for j := 0; j < jobs; j++ {
@@ -312,9 +348,10 @@ func TestKeptConnectionServesNextJob(t *testing.T) {
 // TestFinalizeRacesClose: the dispatcher closes a job as soon as it has the
 // last result, which is routinely before the rank has finalized. The
 // connection the rank then parks, its session still open at the server, must
-// survive that and serve its next job, whose init ends the old session.
+// survive that and serve its next job, whose init ends the old session. The
+// endpoint is in another process, so the reuse shows in its TCP accepts.
 func TestFinalizeRacesClose(t *testing.T) {
-	sv := startService(t)
+	sv := startRemoteService(t)
 	a := attachJob(t, sv, "job_a", 1)
 	attachJob(t, sv, "job_b", 1)
 	accepted := connsAccepted.Value()
@@ -402,7 +439,8 @@ func TestBarrierInAfterCloseIsNotCounted(t *testing.T) {
 	}
 }
 
-// TestStaleKeptConnectionRetriesOnce covers both halves of the redial rule.
+// TestStaleKeptConnectionRetriesOnce covers both halves of the redial rule at
+// an endpoint in another process, where the redial is a TCP dial.
 func TestStaleKeptConnectionRetriesOnce(t *testing.T) {
 	// park leaves this process with one kept connection to sv.
 	park := func(t *testing.T, sv *Service, kvs string) {
@@ -418,7 +456,7 @@ func TestStaleKeptConnectionRetriesOnce(t *testing.T) {
 	}
 
 	t.Run("cut while parked", func(t *testing.T) {
-		sv := startService(t)
+		sv := startRemoteService(t)
 		park(t, sv, "warm")
 		cutAll(t, sv)
 		attachJob(t, sv, "job", 1)
@@ -440,7 +478,7 @@ func TestStaleKeptConnectionRetriesOnce(t *testing.T) {
 	})
 
 	t.Run("cut after the rank was counted", func(t *testing.T) {
-		sv := startService(t)
+		sv := startRemoteService(t)
 		park(t, sv, "warm")
 		s := attachJob(t, sv, "job", 2)
 		redials := staleRedials.Value()
@@ -471,6 +509,161 @@ func TestStaleKeptConnectionRetriesOnce(t *testing.T) {
 			t.Fatalf("barrierN=%d inited=%d: the retry counted rank 0 a second time", n, inited)
 		}
 	})
+}
+
+// wireUp runs one job of n ranks at sv through DialFence, Get and Finalize.
+func wireUp(t *testing.T, sv *Service, kvs string, n int) {
+	t.Helper()
+	s := attachJob(t, sv, kvs, n)
+	errs := make(chan error, n)
+	for rank := 0; rank < n; rank++ {
+		go func(rank int) {
+			c, err := DialFence(sv.Addr(), kvs, rank, fmt.Sprintf("addr-%d", rank), fmt.Sprintf("h%d", rank))
+			if err == nil {
+				if v, gerr := c.Get(fmt.Sprintf("addr-%d", (rank+1)%n)); gerr != nil || v != fmt.Sprintf("h%d", (rank+1)%n) {
+					err = fmt.Errorf("rank %d: get: %q, %v", rank, v, gerr)
+				}
+				if ferr := c.Finalize(); err == nil {
+					err = ferr
+				}
+			}
+			errs <- err
+		}(rank)
+	}
+	for rank := 0; rank < n; rank++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("%s: %v", kvs, err)
+		}
+	}
+	s.Close()
+}
+
+// TestInProcessRankOpensNoSocket: ranks of the endpoint's own process reach
+// it through pipes. Jobs back to back accept no TCP connection and open no
+// descriptor, and the rules of the kept connection hold on a pipe: one cut
+// while parked is retried once, on a new pipe, and a rank held in a barrier
+// when its job closes fails instead of hanging.
+func TestInProcessRankOpensNoSocket(t *testing.T) {
+	sv := startService(t)
+	accepted, redials, sessions := connsAccepted.Value(), staleRedials.Value(), sessionsTotal.Value()
+	fds := openFDs(t)
+	for j := 0; j < 50; j++ {
+		wireUp(t, sv, fmt.Sprintf("job_%d", j), []int{2, 4}[j%2])
+	}
+	if got := sessionsTotal.Value() - sessions; got != 150 {
+		t.Errorf("%d sessions for 150 ranks", got)
+	}
+
+	cutAll(t, sv)
+	attachJob(t, sv, "after_cut", 1)
+	c, err := DialFence(sv.Addr(), "after_cut", 0, "k", "v")
+	if err != nil {
+		t.Fatalf("bootstrap over a stale kept pipe: %v", err)
+	}
+	if err := c.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := staleRedials.Value() - redials; got != 1 {
+		t.Errorf("stale redials %d, want 1", got)
+	}
+
+	s := attachJob(t, sv, "held", 2)
+	heldErr := make(chan error, 1)
+	go func() {
+		_, err := DialFence(sv.Addr(), "held", 0, "k", "v")
+		heldErr <- err
+	}()
+	waitFor(t, s, "rank 0 in the barrier", func() bool { return s.barrierN == 1 })
+	s.Close()
+	select {
+	case err := <-heldErr:
+		if err == nil {
+			t.Fatal("a rank left a barrier that never completed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("rank still blocked in the barrier after Close")
+	}
+
+	if got := connsAccepted.Value() - accepted; got != 0 {
+		t.Errorf("in-process ranks made the endpoint accept %d TCP connections", got)
+	}
+	if got := openFDs(t); got > fds {
+		t.Errorf("open descriptors %d -> %d", fds, got)
+	}
+}
+
+// serviceGoroutines counts the goroutines in a Service's accept or session
+// loop. Other tests' goroutines still exiting do not move it, and a loop's
+// goroutine signals Close only after the loop has returned, so one that Close
+// waited for is out of the count even before the runtime reaps it.
+func serviceGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "pmi.(*Service).serve(") || strings.Contains(g, "pmi.(*Service).acceptLoop(") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestServiceCloseReturnsItsGoroutines: Close returns once the accept loop and
+// every session loop have, over TCP or a pipe, in a session or held in a
+// barrier, so the count of those goroutines is back where it was with no
+// wait.
+func TestServiceCloseReturnsItsGoroutines(t *testing.T) {
+	before := serviceGoroutines()
+	sv, err := NewService("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeService(sv) })
+	s, err := NewServer("job", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Attach(s); err != nil {
+		t.Fatal(err)
+	}
+	tcp := dialWire(t, sv.Addr())
+	tcp.send("cmd=init pmiid=0 kvsname=job")
+	tcp.expect("cmd=response_to_init rc=0 size=3 rank=0 kvsname=job")
+	held, err := sv.pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := held.Write([]byte("cmd=init pmiid=1 kvsname=job\ncmd=barrier_in\n")); err != nil {
+		t.Fatal(err)
+	}
+	inSession, err := sv.pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inSession.Write([]byte("cmd=init pmiid=2 kvsname=job\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := bufio.NewReader(inSession).ReadString('\n'); err != nil || got != "cmd=response_to_init rc=0 size=3 rank=2 kvsname=job\n" {
+		t.Fatalf("init on a pipe: %q, %v", got, err)
+	}
+	waitFor(t, s, "rank 1 in the barrier", func() bool { return s.barrierN == 1 })
+	if n := serviceGoroutines(); n != before+4 {
+		t.Fatalf("%d goroutines with an accept loop and three session loops, want %d", n, before+4)
+	}
+	sv.Close()
+	if n := serviceGoroutines(); n != before {
+		t.Fatalf("%d goroutines right after Close, %d before the endpoint started", n, before)
+	}
+	if _, err := sv.pipe(); err != ErrClosed {
+		t.Fatalf("pipe to a closed endpoint: %v, want ErrClosed", err)
+	}
 }
 
 // TestIdleListIsBounded: connections to endpoints that are gone age out of
