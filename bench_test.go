@@ -13,7 +13,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -489,68 +488,6 @@ func BenchmarkDispatchThroughputSpilled(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 	b.ReportMetric(float64(eng.Dispatcher().Stats().JobsSpilled)/float64(b.N), "spilled/job")
-}
-
-// BenchmarkFederatedThroughput measures aggregate sequential job throughput
-// with the work router in front of federated in-process dispatcher
-// instances, against a single dispatcher serving the same total worker pool. The
-// submitter keeps a bounded outstanding window (64 jobs, 8 per worker) and
-// drains completions through the OnDone demux — the throttled-client shape
-// real MPTC frontends use — so both variants measure steady-state pipeline
-// rate rather than burst buffering.
-//
-// On a single-CPU host this comparison prices the router tier, it cannot
-// reward it: partitioning the scheduler four ways buys nothing when every
-// instance shares one core, so federate=4 reads as the per-job router tax
-// (consistent-hash placement, routing-table insert/delete, the second
-// handle). The aggregate-beats-one-instance claim needs the many-core /
-// multi-box run tracked in ROADMAP, same caveat as the shards=4 variant of
-// BenchmarkDispatchThroughput.
-func BenchmarkFederatedThroughput(b *testing.B) {
-	const window = 64
-	run := func(b *testing.B, federate int) {
-		runner := hydra.NewFuncRunner()
-		workload.RegisterApps(runner)
-		eng, err := core.NewEngine(core.Options{
-			LocalWorkers: 8, Runner: runner,
-			WriteCoalesce: 16, Federate: federate,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer eng.Close()
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		var failed atomic.Int64
-		wg.Add(b.N)
-		sem := make(chan struct{}, window)
-		for i := 0; i < b.N; i++ {
-			sem <- struct{}{}
-			h, err := eng.Submit(dispatch.Job{
-				Spec: hydra.JobSpec{JobID: fmt.Sprintf("f%d", i), NProcs: 1, Cmd: workload.NoopApp},
-				Type: dispatch.Sequential,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			h.OnDone(func(res dispatch.JobResult) {
-				if res.Failed {
-					failed.Add(1)
-				}
-				<-sem
-				wg.Done()
-			})
-		}
-		wg.Wait()
-		b.StopTimer()
-		if n := failed.Load(); n > 0 {
-			b.Fatalf("%d jobs failed", n)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-	}
-	b.Run("single", func(b *testing.B) { run(b, 1) })
-	b.Run("federate=2", func(b *testing.B) { run(b, 2) })
-	b.Run("federate=4", func(b *testing.B) { run(b, 4) })
 }
 
 // BenchmarkMPIJobLaunch measures the full MPI job cycle through the real

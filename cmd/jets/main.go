@@ -55,7 +55,6 @@ func run() error {
 	tracePath := flag.String("trace", "", "write a JSON-lines dispatcher event trace to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof, and /healthz on this address (e.g. 127.0.0.1:9090; empty disables)")
 	listen := flag.String("listen", "", "dispatcher listen address for external workers (e.g. 0.0.0.0:7001; empty binds an ephemeral loopback port)")
-	federate := flag.Int("federate", 1, "dispatcher instances to run behind the work router (>=2 federates)")
 	dataDir := flag.String("data-dir", "", "directory for the crash-safe dispatcher journal; on restart, uncompleted jobs from a previous run are recovered and re-run (empty disables durability)")
 	hotQueue := flag.Int("hot-queue", 0, "max fully-hydrated queued jobs held in memory per scheduling shard; the excess backlog spills to disk (0 = default, negative disables spilling)")
 	flag.Parse()
@@ -104,17 +103,12 @@ func run() error {
 		Obs:            reg,
 		DataDir:        *dataDir,
 		HotQueueJobs:   *hotQueue,
-		Federate:       *federate,
 	})
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
-	if addrs := eng.Addrs(); len(addrs) > 1 {
-		fmt.Printf("jets: %d federated dispatchers on %v, %d local workers\n", len(addrs), addrs, *workers)
-	} else {
-		fmt.Printf("jets: dispatcher on %s, %d local workers\n", eng.Addr(), *workers)
-	}
+	fmt.Printf("jets: dispatcher on %s, %d local workers\n", eng.Addr(), *workers)
 	recovered := eng.RecoveredJobs()
 	if rerr := eng.RecoveryError(); rerr != nil {
 		fmt.Fprintf(os.Stderr, "jets: journal replay: %v (recovery is partial)\n", rerr)

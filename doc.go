@@ -26,7 +26,7 @@
 //     paper's CoasterService path, cmd/swiftrun);
 //   - internal/namd, internal/rem — the synthetic NAMD application and the
 //     replica exchange method;
-//   - internal/event, internal/simjets, internal/topology, internal/fsim —
+//   - internal/event, internal/simjets, internal/fsim —
 //     the discrete-event simulator that replays the paper's Blue Gene/P
 //     scale experiments in virtual time.
 //

@@ -14,9 +14,9 @@ package core
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -29,7 +29,6 @@ import (
 	"jets/internal/metrics"
 	"jets/internal/obs"
 	"jets/internal/proto"
-	"jets/internal/router"
 	"jets/internal/worker"
 )
 
@@ -92,56 +91,44 @@ type Options struct {
 	// (see dispatch.Config.HotQueueJobs). 0 uses the dispatcher default;
 	// negative disables spilling.
 	HotQueueJobs int
-	// Federate, when >= 2, runs that many dispatcher instances in this
-	// process behind a work router (internal/router): submissions partition
-	// across the instances by consistent hash with least-loaded fallback,
-	// queued work rebalances between them, and local workers spread across
-	// the instances round-robin, each pinned to its instance. With DataDir
-	// set, each instance journals under DataDir/inst<i> and the router's
-	// routing table under DataDir/router, so any subset of the federation
-	// recovers after a crash. 0 or 1 keeps the single-dispatcher engine
-	// unchanged.
+	// Federate is ignored: an engine is one dispatcher. The field survives
+	// only because the frozen benchmark (bench/probes.go) sets it; delete
+	// both with the next benchmark change.
 	Federate int
 }
 
-// Engine is a running JETS instance — or, with Options.Federate, a running
-// federation of instances behind one router presenting the same API.
+// Engine is a running JETS instance: one dispatcher and its local workers.
 type Engine struct {
-	d     *dispatch.Dispatcher   // first (or only) instance
-	insts []*dispatch.Dispatcher // all instances; len > 1 when federated
-	rtr   *router.Router         // nil in single-dispatcher mode
-	addr  string
-	addrs []string // every instance's worker endpoint
+	d *dispatch.Dispatcher
 
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 	workers []*worker.Worker
 }
 
-// NewEngine starts the dispatcher(s) and any local workers.
+// NewEngine starts the dispatcher and any local workers.
 func NewEngine(opts Options) (*Engine, error) {
-	if opts.Federate >= 2 {
-		return newFederatedEngine(opts)
-	}
 	jnl := opts.Journal
 	if jnl == nil && opts.DataDir != "" {
+		if err := refuseFederatedDir(opts.DataDir); err != nil {
+			return nil, err
+		}
 		w, err := journal.OpenWAL(journal.Options{Dir: opts.DataDir})
 		if err != nil {
 			return nil, fmt.Errorf("core: open journal: %w", err)
 		}
 		jnl = w
 	}
-	d := dispatch.New(opts.dispatchConfig("", opts.ListenAddr, jnl, opts.DataDir))
+	d := dispatch.New(opts.dispatchConfig(jnl))
 	if opts.Obs != nil {
 		hydra.RegisterMetrics(opts.Obs)
 		worker.RegisterMetrics(opts.Obs)
 		journal.RegisterMetrics(opts.Obs)
 	}
-	addr, err := d.Start()
-	if err != nil {
+	if _, err := d.Start(); err != nil {
 		return nil, err
 	}
-	e := &Engine{d: d, insts: []*dispatch.Dispatcher{d}, addr: addr, addrs: []string{addr}}
+	e := &Engine{d: d}
 	if err := e.startLocalWorkers(opts); err != nil {
 		e.Close()
 		return nil, err
@@ -149,9 +136,24 @@ func NewEngine(opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// startLocalWorkers starts Options.LocalWorkers in-process workers, spread
-// over the engine's instances round-robin, and waits for them to register so
-// the first batch does not race registration.
+// refuseFederatedDir rejects a data directory that a federated engine wrote:
+// it journaled under router/ and inst<i>/, never at the top level, so one
+// dispatcher opening it would start empty and drop that run's unfinished
+// jobs without a word.
+func refuseFederatedDir(dir string) error {
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(segs) > 0 {
+		return nil
+	}
+	for _, sub := range []string{"router", "inst0"} {
+		if fi, err := os.Stat(filepath.Join(dir, sub)); err == nil && fi.IsDir() {
+			return fmt.Errorf("core: data directory %s was written by a federated run (journals under router/ and inst<i>/), which one dispatcher cannot recover", dir)
+		}
+	}
+	return nil
+}
+
+// startLocalWorkers starts Options.LocalWorkers in-process workers and waits
+// for them to register so the first batch does not race registration.
 func (e *Engine) startLocalWorkers(opts Options) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	e.cancel = cancel
@@ -160,10 +162,10 @@ func (e *Engine) startLocalWorkers(opts Options) error {
 		cores = 1
 	}
 	for i := 0; i < opts.LocalWorkers; i++ {
-		// A local worker shares its dispatcher's address space, so it is
-		// pinned to one instance (round-robin) over an in-memory pipe; a
-		// loopback socket would add two trips through the kernel per frame.
-		// Its coordinate's first plane, i%8, is only its shard key.
+		// A local worker shares the dispatcher's address space, so it talks
+		// over an in-memory pipe; a loopback socket would add two trips
+		// through the kernel per frame. Its coordinate's first plane, i%8, is
+		// only its shard key.
 		conn, served := proto.Pipe()
 		w, err := worker.New(worker.Config{
 			ID:     fmt.Sprintf("local-%d", i),
@@ -176,7 +178,7 @@ func (e *Engine) startLocalWorkers(opts Options) error {
 		if err != nil {
 			return err
 		}
-		e.insts[i%len(e.insts)].ServeConn(served)
+		e.d.ServeConn(served)
 		e.workers = append(e.workers, w)
 		e.wg.Add(1)
 		go func(w *worker.Worker) {
@@ -185,28 +187,26 @@ func (e *Engine) startLocalWorkers(opts Options) error {
 		}(w)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for e.WorkerTotal() < opts.LocalWorkers {
+	for e.d.Workers() < opts.LocalWorkers {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("core: only %d/%d local workers registered", e.WorkerTotal(), opts.LocalWorkers)
+			return fmt.Errorf("core: only %d/%d local workers registered", e.d.Workers(), opts.LocalWorkers)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	return nil
 }
 
-// dispatchConfig is the dispatcher configuration these options describe, for
-// the instance named instance (empty outside a federation) listening on addr
-// and journaling to jnl under dataDir. Spilled specs live beside the journal
-// they are referenced from, so recovery after a restart finds both or
-// neither; no dataDir keeps the dispatcher's ephemeral temp-dir store.
-func (opts Options) dispatchConfig(instance, addr string, jnl journal.Journal, dataDir string) dispatch.Config {
+// dispatchConfig is the dispatcher configuration these options describe,
+// journaling to jnl. Spilled specs live beside the journal they are
+// referenced from, under DataDir, so recovery after a restart finds both or
+// neither; no DataDir keeps the dispatcher's ephemeral temp-dir store.
+func (opts Options) dispatchConfig(jnl journal.Journal) dispatch.Config {
 	spill := ""
-	if dataDir != "" {
-		spill = filepath.Join(dataDir, "spill")
+	if opts.DataDir != "" {
+		spill = filepath.Join(opts.DataDir, "spill")
 	}
 	return dispatch.Config{
-		Addr:             addr,
-		Instance:         instance,
+		Addr:             opts.ListenAddr,
 		HeartbeatTimeout: opts.HeartbeatTimeout,
 		MaxJobRetries:    opts.MaxJobRetries,
 		RetryBackoff:     opts.RetryBackoff,
@@ -222,19 +222,11 @@ func (opts Options) dispatchConfig(instance, addr string, jnl journal.Journal, d
 	}
 }
 
-// Addr returns the dispatcher endpoint for external workers (the first
-// instance's, when federated; Addrs has them all).
-func (e *Engine) Addr() string { return e.addr }
+// Addr returns the dispatcher endpoint for external workers.
+func (e *Engine) Addr() string { return e.d.Addr() }
 
-// Addrs returns every instance's worker endpoint.
-func (e *Engine) Addrs() []string { return append([]string(nil), e.addrs...) }
-
-// Dispatcher exposes the underlying dispatcher (the first instance, when
-// federated) for advanced composition.
+// Dispatcher exposes the underlying dispatcher for advanced composition.
 func (e *Engine) Dispatcher() *dispatch.Dispatcher { return e.d }
-
-// Router exposes the federation router; nil in single-dispatcher mode.
-func (e *Engine) Router() *router.Router { return e.rtr }
 
 // Workers returns the engine's local worker agents (for fault injection in
 // tests and experiments).
@@ -242,124 +234,42 @@ func (e *Engine) Workers() []*worker.Worker { return e.workers }
 
 // RecoveredJobs returns the handles of jobs rebuilt from the journal at
 // startup (empty without a journal). A restarted engine waits on them to
-// finish the workload it inherited. Federated engines report the router's
-// recovered routing table — the handles clients were waiting on.
-func (e *Engine) RecoveredJobs() []*dispatch.Handle {
-	if e.rtr != nil {
-		return e.rtr.RecoveredJobs()
-	}
-	return e.d.RecoveredJobs()
-}
+// finish the workload it inherited.
+func (e *Engine) RecoveredJobs() []*dispatch.Handle { return e.d.RecoveredJobs() }
 
 // RecoveryError reports a journal replay failure during startup; recovery is
 // best-effort past the error point (see dispatch.RecoveryError).
-func (e *Engine) RecoveryError() error {
-	var errs []error
-	for _, d := range e.insts {
-		errs = append(errs, d.RecoveryError())
-	}
-	if e.rtr != nil {
-		errs = append(errs, e.rtr.RecoveryError())
-	}
-	return errors.Join(errs...)
-}
+func (e *Engine) RecoveryError() error { return e.d.RecoveryError() }
 
-// Health joins every instance's dispatch.Health; each failing condition of
-// a federated engine names its instance. It backs /healthz.
-func (e *Engine) Health() error {
-	var errs []error
-	for _, d := range e.insts {
-		errs = append(errs, d.Health())
-	}
-	return errors.Join(errs...)
-}
+// Health is the dispatcher's dispatch.Health. It backs /healthz.
+func (e *Engine) Health() error { return e.d.Health() }
 
-// Submit enqueues one job, through the router when federated.
-func (e *Engine) Submit(job dispatch.Job) (*dispatch.Handle, error) {
-	if e.rtr != nil {
-		return e.rtr.Submit(job)
-	}
-	return e.d.Submit(job)
-}
+// Submit enqueues one job.
+func (e *Engine) Submit(job dispatch.Job) (*dispatch.Handle, error) { return e.d.Submit(job) }
 
 // SubmitBatch enqueues a group of jobs in one dispatcher pass; see
 // dispatch.SubmitBatch.
 func (e *Engine) SubmitBatch(jobs []dispatch.Job) ([]*dispatch.Handle, error) {
-	if e.rtr != nil {
-		return e.rtr.SubmitBatch(jobs)
-	}
 	return e.d.SubmitBatch(jobs)
 }
 
-// StageFile pushes a file to every worker's local cache (every instance's
-// workers, when federated).
-func (e *Engine) StageFile(name string, data []byte) {
-	for _, d := range e.insts {
-		d.StageFile(name, data)
-	}
-}
+// StageFile pushes a file to every worker's local cache.
+func (e *Engine) StageFile(name string, data []byte) { e.d.StageFile(name, data) }
 
-// Close shuts the engine down without draining: router first (stops
-// rebalancing and fails un-routed handles), then every instance.
+// Close shuts the engine down without draining.
 func (e *Engine) Close() {
-	if e.rtr != nil {
-		e.rtr.Close()
-	}
-	for _, d := range e.insts {
-		d.Close()
-	}
+	e.d.Close()
 	e.cancel()
 	e.wg.Wait()
 }
 
-// WorkerTotal sums the workers registered right now across instances.
-func (e *Engine) WorkerTotal() int {
-	n := 0
-	for _, d := range e.insts {
-		n += d.Workers()
-	}
-	return n
-}
-
-// peakWorkers sums each instance's high-water registered-worker count. The
-// batch report reads it when the batch ends: external workers register after
-// submission, so a live count taken before the first job ran reported an
-// allocation of 0.
-func (e *Engine) peakWorkers() int {
-	n := 0
-	for _, d := range e.insts {
-		n += d.PeakWorkers()
-	}
-	return n
-}
-
-// records merges the per-instance samples of recently completed jobs
-// (submission interleaving across instances has no global order; callers
-// summarize, they don't sequence).
-func (e *Engine) records() []metrics.JobRecord {
-	if len(e.insts) == 1 {
-		return e.d.Records()
-	}
-	var recs []metrics.JobRecord
-	for _, d := range e.insts {
-		recs = append(recs, d.Records()...)
-	}
-	return recs
-}
-
-// tally merges the per-instance sums over every completed job.
-func (e *Engine) tally() metrics.Tally {
-	var t metrics.Tally
-	for _, d := range e.insts {
-		t.Merge(d.Tally())
-	}
-	return t
-}
+// WorkerTotal is the number of workers registered right now.
+func (e *Engine) WorkerTotal() int { return e.d.Workers() }
 
 // BatchReport summarizes one batch execution.
 type BatchReport struct {
 	Results []dispatch.JobResult
-	// Records is a bounded sample: each dispatcher's most recently completed
+	// Records is a bounded sample: the dispatcher's most recently completed
 	// jobs (dispatch.Dispatcher.Records). Summary is computed from running
 	// sums over every completed job, not from the sample.
 	Records []metrics.JobRecord
@@ -396,16 +306,19 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []dispatch.Job) (*BatchRepor
 		select {
 		case <-h.Done():
 		case <-ctx.Done():
-			report.Allocation = e.peakWorkers()
+			report.Allocation = e.d.PeakWorkers()
 			return report, ctx.Err()
 		}
 		res, _ := h.TryResult()
 		report.Results = append(report.Results, res)
 	}
 	report.Elapsed = time.Since(start)
-	report.Records = e.records()
-	report.Allocation = e.peakWorkers()
-	report.Summary = e.tally().Summary(report.Allocation)
+	report.Records = e.d.Records()
+	// The high-water count, read when the batch ends: external workers
+	// register after submission, so a live count taken before the first job
+	// ran would report an allocation of 0.
+	report.Allocation = e.d.PeakWorkers()
+	report.Summary = e.d.Tally().Summary(report.Allocation)
 	return report, nil
 }
 

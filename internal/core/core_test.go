@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -464,4 +465,53 @@ func settledGoroutines() int {
 		}
 	}
 	return n
+}
+
+// TestFederatedDataDirRefused: a data directory that a federated engine
+// wrote holds its journals under router/ and inst<i>/ and none at the top
+// level. NewEngine refuses it by name rather than opening it empty, which
+// would drop that run's unfinished jobs without a word.
+func TestFederatedDataDirRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, sub := range []string{"router", "inst0", "inst1"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub, "spill"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sub, "wal-00000001.log"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := NewEngine(Options{DataDir: dir})
+	if err == nil {
+		e.Close()
+		t.Fatal("NewEngine opened a federated run's data directory")
+	}
+	if msg := err.Error(); !strings.Contains(msg, dir) || !strings.Contains(msg, "federated") {
+		t.Fatalf("error %q does not name the directory as a federated run's", msg)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(segs) != 0 {
+		t.Fatalf("the refused directory gained journal segments %v", segs)
+	}
+}
+
+// TestFederateOptionIgnored: Options.Federate no longer changes the engine;
+// any value still builds one dispatcher that runs jobs.
+func TestFederateOptionIgnored(t *testing.T) {
+	runner := hydra.NewFuncRunner()
+	runner.Register("noop", func(context.Context, []string, map[string]string, io.Writer) int { return 0 })
+	e, err := NewEngine(Options{LocalWorkers: 2, Runner: runner, Federate: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	h, err := e.Submit(dispatch.Job{Spec: hydra.JobSpec{JobID: "j", NProcs: 1, Cmd: "noop"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := h.Wait(); res.Failed {
+		t.Fatalf("job failed: %s", res.Err)
+	}
+	if got := e.Dispatcher().Workers(); got != 2 {
+		t.Fatalf("the dispatcher holds %d workers, want both local workers", got)
+	}
 }

@@ -71,7 +71,7 @@ func TestSubmitBatchValidation(t *testing.T) {
 }
 
 func TestHandleOnDone(t *testing.T) {
-	h := newHandle("j")
+	h := &Handle{jobID: "j"}
 	var mu sync.Mutex
 	var got []string
 	h.OnDone(func(res JobResult) {

@@ -44,12 +44,6 @@ var ErrDispatcherClosed = errors.New("dispatch: dispatcher closed")
 type Config struct {
 	// Addr to listen on; default "127.0.0.1:0".
 	Addr string
-	// Instance names this dispatcher when several share one process (and one
-	// obs registry): every exported series gets an `instance="<name>"` label,
-	// so a second instance no longer collides with the first's registrations
-	// and silently loses its metrics. Empty keeps the unlabeled single-
-	// instance series names.
-	Instance string
 	// HeartbeatTimeout after which a silent TCP worker is declared dead;
 	// default 10s. Each TCP worker is told at registration to send a
 	// heartbeat every tenth of it. A TCP worker silent for half this long is
@@ -386,7 +380,7 @@ func New(cfg Config) *Dispatcher {
 		hotMax:  cfg.HotQueueJobs,
 		compact: compactSegments,
 		quit:    make(chan struct{}),
-		ins:     newInstruments(cfg.Instance),
+		ins:     newInstruments(),
 	}
 	d.emptySince = time.Now()
 	if cfg.SpillDir != "" && d.hotMax > 0 {

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,7 @@ import (
 
 	"jets/internal/hydra"
 	"jets/internal/journal"
+	"jets/internal/proto"
 	"jets/internal/worker"
 )
 
@@ -411,7 +413,7 @@ func TestRecoveryFromPrioritySlotFiles(t *testing.T) {
 	if err := d.RecoveryError(); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]StolenJob{
+	want := map[string]Job{
 		"mpi-p7": {Type: MPI, Spec: hydra.JobSpec{JobID: "mpi-p7", NProcs: 2, Cmd: "namd2",
 			Args: []string{"-steps", "10"}, Env: []string{"A=1"}, Dir: "/work", WallLimit: 5 * time.Second}},
 		"seq-n3": {Type: Sequential, Spec: hydra.JobSpec{JobID: "seq-n3", NProcs: 1, Cmd: "echo", Args: []string{"hi"}}},
@@ -427,23 +429,82 @@ func TestRecoveryFromPrioritySlotFiles(t *testing.T) {
 	if !slices.Equal(order, []string{"mpi-p7", "seq-n3", "cold-p7", "cold-n3"}) {
 		t.Fatalf("recovered %v", order)
 	}
-	// StealQueued hands back each queued job's full spec, reading the cold
-	// ones from the spill store. A refill pass may hold cold jobs for a
-	// moment, so collect until all four are out.
-	got := map[string]StolenJob{}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(got) < len(want) && time.Now().Before(deadline) {
-		for _, sj := range d.StealQueued(len(want), "peer") {
-			if len(sj.Spec.Env) == 0 {
-				sj.Spec.Env = nil
-			}
-			got[sj.Spec.JobID] = sj
+	// Run them: each job's first rank reports the spec it was handed, the
+	// cold ones after a refill read them from the spill store.
+	runner := &specRunner{got: map[string]Job{}}
+	startPipeWorkers(t, d, 3, runner)
+	for _, h := range d.RecoveredJobs() {
+		if res := h.Wait(); res.Failed {
+			t.Fatalf("recovered job %s failed: %s", res.JobID, res.Err)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered specs:\n got %+v\nwant %+v", got, want)
+	runner.mu.Lock()
+	defer runner.mu.Unlock()
+	if !reflect.DeepEqual(runner.got, want) {
+		t.Fatalf("recovered specs:\n got %+v\nwant %+v", runner.got, want)
 	}
+}
+
+// TestRecoveryTreatsMigratedAsTerminal replays a journal that the in-process
+// federation wrote (see internal/journal/testdata/wal-migrated): job
+// "migrated" was stolen for instance inst1 and ends in a Migrated record,
+// and job "live" was still queued. Nothing writes Migrated any more, but
+// such a WAL must still recover exactly the live job.
+func TestRecoveryTreatsMigratedAsTerminal(t *testing.T) {
+	w, err := journal.OpenWAL(journal.Options{Dir: copyFixture(t, filepath.Join("..", "journal", "testdata", "wal-migrated"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(Config{Journal: w, Shards: 1})
+	defer d.Close()
+	if err := d.RecoveryError(); err != nil {
+		t.Fatal(err)
+	}
+	rec := d.RecoveredJobs()
+	if len(rec) != 1 || rec[0].JobID() != "live" {
+		ids := make([]string, len(rec))
+		for i, h := range rec {
+			ids[i] = h.JobID()
+		}
+		t.Fatalf("recovered %v, want only the live job", ids)
+	}
+	want := Job{Type: MPI, Spec: hydra.JobSpec{JobID: "live", NProcs: 2, Cmd: "namd2",
+		Args: []string{"-steps", "10"}, Env: []string{"A=1"}}}
+	d.mu.Lock()
+	lj := d.jobs["live"]
+	d.mu.Unlock()
+	if lj == nil || lj.job == nil || !reflect.DeepEqual(Job{Type: lj.job.Type, Spec: lj.job.Spec}, want) {
+		t.Fatalf("live job recovered as %+v, want %+v", lj, want)
+	}
+}
+
+// specRunner is a hydra.Runner that exits 0 and records, for each job, the
+// spec its rank 0 task carries, and the jobs in the order they started.
+type specRunner struct {
+	mu    sync.Mutex
+	got   map[string]Job
+	order []string
+}
+
+func (r *specRunner) Run(ctx context.Context, task *proto.Task, env []string, stdout io.Writer) (int, error) {
+	if task.Rank != 0 {
+		return 0, nil
+	}
+	j := Job{Type: Sequential, Spec: hydra.JobSpec{JobID: task.JobID, NProcs: 1, Cmd: task.Cmd,
+		Args: task.Args, Dir: task.Dir, WallLimit: task.WallLimit}}
+	if task.Size > 0 {
+		j.Type, j.Spec.NProcs = MPI, task.Size
+	}
+	for _, kv := range task.Env {
+		if !strings.HasPrefix(kv, "JETS_CACHE=") { // the worker's own addition
+			j.Spec.Env = append(j.Spec.Env, kv)
+		}
+	}
+	r.mu.Lock()
+	r.got[task.JobID] = j
+	r.order = append(r.order, task.JobID)
+	r.mu.Unlock()
+	return 0, nil
 }
 
 // copyFixture copies a fixture directory into a fresh temporary one, since

@@ -47,10 +47,6 @@ const (
 	EvJobCompleted EventKind = "job-completed"
 	EvJobFailed    EventKind = "job-failed"
 	EvJobRetried   EventKind = "job-retried"
-	// EvJobMigrated marks a queued job leaving this dispatcher for a
-	// federation peer (Detail names the destination instance). Terminal
-	// locally; the job's life cycle continues on the destination.
-	EvJobMigrated EventKind = "job-migrated"
 )
 
 // maxPendingEvents bounds the events emitted but not yet taken by the

@@ -24,15 +24,9 @@ import (
 //     since start, so the trace is incomplete.
 //   - no-workers: jobs are in flight and no worker has been registered for
 //     longer than HeartbeatTimeout.
-//
-// When several dispatchers share a process, each condition is prefixed
-// with Config.Instance.
 func (d *Dispatcher) Health() error {
 	var errs []error
 	fail := func(cond, format string, args ...any) {
-		if d.cfg.Instance != "" {
-			cond = d.cfg.Instance + ": " + cond
-		}
 		errs = append(errs, errors.New(cond+": "+fmt.Sprintf(format, args...)))
 	}
 	if d.JournalDegraded() {

@@ -24,26 +24,15 @@ type instruments struct {
 	jobDur *obs.Hist
 }
 
-func newInstruments(instance string) *instruments {
-	label := instanceLabel(instance)
+func newInstruments() *instruments {
 	return &instruments{
-		queueWait: obs.NewHistL("jets_dispatch_queue_wait_seconds", label,
+		queueWait: obs.NewHist("jets_dispatch_queue_wait_seconds",
 			"time jobs spent queued before being seated on workers", nil),
-		assembly: obs.NewHistL("jets_dispatch_assembly_seconds", label,
+		assembly: obs.NewHist("jets_dispatch_assembly_seconds",
 			"time from queue pop to all tasks dispatched (group binding plus mpiexec startup)", nil),
-		jobDur: obs.NewHistL("jets_job_duration_seconds", label,
+		jobDur: obs.NewHist("jets_job_duration_seconds",
 			"seated job lifetime from pop to final rank report", nil),
 	}
-}
-
-// instanceLabel renders Config.Instance as an obs label clause. The empty
-// instance keeps every series at its exact historical unlabeled name, which
-// the CI metrics smoke and existing dashboards grep for.
-func instanceLabel(instance string) string {
-	if instance == "" {
-		return ""
-	}
-	return fmt.Sprintf("instance=%q", instance)
 }
 
 // registerObs exports the dispatcher through the registry: the histograms
@@ -52,41 +41,35 @@ func instanceLabel(instance string) string {
 func (d *Dispatcher) registerObs(reg *obs.Registry) {
 	reg.Register(d.ins.queueWait, d.ins.assembly, d.ins.jobDur, obs.AcceptErrors)
 
-	// Instance-qualified series names keep two dispatchers in one process
-	// (federation) from colliding in the shared registry: the second
-	// registration of a duplicate series is rejected by Register, which
-	// silently froze the second instance's metrics before Instance existed.
-	il := instanceLabel(d.cfg.Instance)
+	reg.CounterFunc("jets_jobs_submitted_total", "jobs accepted by Submit", d.stats.jobsSubmitted.Load)
+	reg.CounterFunc("jets_jobs_completed_total", "jobs that finished successfully", d.stats.jobsCompleted.Load)
+	reg.CounterFunc("jets_jobs_failed_total", "jobs that finished failed (after retries)", d.stats.jobsFailed.Load)
+	reg.CounterFunc("jets_jobs_retried_total", "jobs requeued after a worker fault", d.stats.jobsRetried.Load)
+	reg.CounterFunc("jets_tasks_dispatched_total", "tasks handed to workers", d.stats.tasksDispatched.Load)
+	reg.CounterFunc("jets_workers_joined_total", "worker registrations accepted", d.stats.workersJoined.Load)
+	reg.CounterFunc("jets_workers_lost_total", "workers declared dead", d.stats.workersLost.Load)
+	reg.CounterFunc("jets_steals_total", "jobs launched through the cross-shard multi-lock path", d.stats.steals.Load)
+	reg.CounterFunc("jets_recovery_jobs_replayed", "jobs rebuilt from the journal at startup", d.stats.jobsReplayed.Load)
+	reg.CounterFunc("jets_journal_errors_total", "journal records dropped because the WAL's degraded-mode retry buffer overflowed (durability lost for those records)", d.stats.journalErrors.Load)
+	reg.CounterFunc("jets_trace_events_dropped_total", "lifecycle trace events lost to observer backpressure", d.droppedEvents.Load)
+	reg.CounterFunc("jets_spill_jobs_total", "queued jobs spilled to the cold on-disk tail", d.stats.jobsSpilled.Load)
+	reg.CounterFunc("jets_spill_bytes_total", "bytes of job specs written to the spill store", d.stats.spillBytes.Load)
+	reg.CounterFunc("jets_spill_reads_total", "job specs rehydrated from the spill store", d.stats.spillReads.Load)
 
-	reg.CounterFuncL("jets_jobs_submitted_total", il, "jobs accepted by Submit", d.stats.jobsSubmitted.Load)
-	reg.CounterFuncL("jets_jobs_completed_total", il, "jobs that finished successfully", d.stats.jobsCompleted.Load)
-	reg.CounterFuncL("jets_jobs_failed_total", il, "jobs that finished failed (after retries)", d.stats.jobsFailed.Load)
-	reg.CounterFuncL("jets_jobs_retried_total", il, "jobs requeued after a worker fault", d.stats.jobsRetried.Load)
-	reg.CounterFuncL("jets_tasks_dispatched_total", il, "tasks handed to workers", d.stats.tasksDispatched.Load)
-	reg.CounterFuncL("jets_workers_joined_total", il, "worker registrations accepted", d.stats.workersJoined.Load)
-	reg.CounterFuncL("jets_workers_lost_total", il, "workers declared dead", d.stats.workersLost.Load)
-	reg.CounterFuncL("jets_steals_total", il, "jobs launched through the cross-shard multi-lock path", d.stats.steals.Load)
-	reg.CounterFuncL("jets_recovery_jobs_replayed", il, "jobs rebuilt from the journal at startup", d.stats.jobsReplayed.Load)
-	reg.CounterFuncL("jets_journal_errors_total", il, "journal records dropped because the WAL's degraded-mode retry buffer overflowed (durability lost for those records)", d.stats.journalErrors.Load)
-	reg.CounterFuncL("jets_trace_events_dropped_total", il, "lifecycle trace events lost to observer backpressure", d.droppedEvents.Load)
-	reg.CounterFuncL("jets_spill_jobs_total", il, "queued jobs spilled to the cold on-disk tail", d.stats.jobsSpilled.Load)
-	reg.CounterFuncL("jets_spill_bytes_total", il, "bytes of job specs written to the spill store", d.stats.spillBytes.Load)
-	reg.CounterFuncL("jets_spill_reads_total", il, "job specs rehydrated from the spill store", d.stats.spillReads.Load)
-
-	reg.GaugeFuncL("jets_workers", il, "live registered workers", func() float64 { return float64(d.Workers()) })
-	reg.GaugeFuncL("jets_idle_workers", il, "workers parked waiting for tasks", func() float64 { return float64(d.idleCount()) })
-	reg.GaugeFuncL("jets_queued_jobs", il, "jobs waiting for workers", func() float64 { return float64(d.queuedCount()) })
-	reg.GaugeFuncL("jets_running_jobs", il, "jobs currently executing", func() float64 { return float64(d.RunningJobs()) })
-	reg.GaugeFuncL("jets_hot_queued_jobs", il, "queued jobs fully hydrated in the in-memory hot window", func() float64 {
+	reg.GaugeFunc("jets_workers", "live registered workers", func() float64 { return float64(d.Workers()) })
+	reg.GaugeFunc("jets_idle_workers", "workers parked waiting for tasks", func() float64 { return float64(d.idleCount()) })
+	reg.GaugeFunc("jets_queued_jobs", "jobs waiting for workers", func() float64 { return float64(d.queuedCount()) })
+	reg.GaugeFunc("jets_running_jobs", "jobs currently executing", func() float64 { return float64(d.RunningJobs()) })
+	reg.GaugeFunc("jets_hot_queued_jobs", "queued jobs fully hydrated in the in-memory hot window", func() float64 {
 		return float64(d.queuedCount() - int(d.SpilledJobs()))
 	})
-	reg.GaugeFuncL("jets_cold_queued_jobs", il, "queued jobs resident only in the spill store", func() float64 {
+	reg.GaugeFunc("jets_cold_queued_jobs", "queued jobs resident only in the spill store", func() float64 {
 		return float64(d.SpilledJobs())
 	})
-	reg.GaugeFuncL("jets_journal_segments", il, "WAL segment files on disk (checkpointing keeps this bounded)", func() float64 {
+	reg.GaugeFunc("jets_journal_segments", "WAL segment files on disk (checkpointing keeps this bounded)", func() float64 {
 		return float64(d.JournalSegments())
 	})
-	reg.GaugeFuncL("jets_journal_degraded", il, "1 while the WAL is buffering appends after an I/O failure, 0 when healthy", func() float64 {
+	reg.GaugeFunc("jets_journal_degraded", "1 while the WAL is buffering appends after an I/O failure, 0 when healthy", func() float64 {
 		if d.JournalDegraded() {
 			return 1
 		}
@@ -96,9 +79,6 @@ func (d *Dispatcher) registerObs(reg *obs.Registry) {
 	for _, s := range d.shards {
 		s := s
 		label := fmt.Sprintf("shard=%q", fmt.Sprint(s.idx))
-		if il != "" {
-			label = il + "," + label
-		}
 		reg.GaugeFuncL("jets_shard_idle_workers", label,
 			"idle workers per scheduling shard", func() float64 { return float64(s.nIdle.Load()) })
 		reg.GaugeFuncL("jets_shard_queued_jobs", label,

@@ -83,22 +83,6 @@ var closedChan = func() chan struct{} {
 	return c
 }()
 
-func newHandle(jobID string) *Handle {
-	return &Handle{jobID: jobID}
-}
-
-// NewHandle creates a detached handle not owned by any dispatcher. The
-// federation router uses these as the stable client-facing handle for a job
-// whose execution may migrate between instances: the router re-wires
-// instance-level handles underneath and resolves the detached handle exactly
-// once via Complete.
-func NewHandle(jobID string) *Handle { return newHandle(jobID) }
-
-// Complete resolves a detached handle (see NewHandle). It must be called at
-// most once, and never on a handle returned by a dispatcher's Submit — the
-// owning dispatcher resolves those itself.
-func (h *Handle) Complete(res JobResult) { h.complete(res) }
-
 // JobID returns the job's identifier.
 func (h *Handle) JobID() string { return h.jobID }
 

@@ -75,19 +75,18 @@ type placement uint8
 
 const (
 	placeBack    placement = iota // submission order: the hot window, or the spilled tail beyond it
-	placeFront                    // stolen from a peer: it was the victim's oldest work
 	placeBackoff                  // recovered mid-run: its workers are gone, so it takes the fault-retry path
 	placeColdRef                  // recovered SpillRef: the spill store already holds the spec
 )
 
 // ErrShutDown rejects a submission to a dispatcher that is draining or
-// closed. SubmitStolen reports the same refusal as ErrDraining.
+// closed.
 var ErrShutDown = errors.New("dispatch: dispatcher is shut down")
 
 // admit is the only way into the job table. All jobs are validated and their
 // IDs reserved before any is placed, so the batch enters as a whole or not at
-// all. A job's consumed retry budget (stolen and recovered jobs) is journaled
-// as a Retried record so it survives a crash.
+// all. A recovered job's consumed retry budget is journaled as a Retried
+// record so it survives a crash.
 func (d *Dispatcher) admit(jobs []*Job, where placement) error {
 	if where != placeColdRef {
 		for _, j := range jobs {
@@ -146,11 +145,7 @@ func (d *Dispatcher) admit(jobs []*Job, where placement) error {
 	for _, j := range jobs {
 		id := j.Spec.JobID
 		d.stats.jobsSubmitted.Add(1)
-		detail := j.Type.String()
-		if where == placeFront {
-			detail = "stolen"
-		}
-		d.emit(Event{Kind: EvJobSubmitted, JobID: id, Detail: detail})
+		d.emit(Event{Kind: EvJobSubmitted, JobID: id, Detail: j.Type.String()})
 		if where == placeColdRef {
 			d.journal(journal.Record{Kind: journal.SpillRef, JobID: id, Attempt: j.retries})
 		} else {
@@ -165,7 +160,7 @@ func (d *Dispatcher) admit(jobs []*Job, where placement) error {
 		case placeColdRef:
 			d.placeCold(j)
 		default:
-			d.placeJob(j, where == placeFront)
+			d.placeJob(j, false)
 		}
 	}
 	if d.closed.Load() {
@@ -186,10 +181,6 @@ type exit struct {
 	// but no Completed record is cut and the spill entry stays, so a journal
 	// recovers the job on the next start.
 	stranded bool
-	// migrated names the peer instance a routing tier stole the job for. The
-	// Migrated record is terminal locally and the handle is abandoned, not
-	// completed: the routing tier owns the client-facing one (see NewHandle).
-	migrated string
 }
 
 // stranded is the exit of a job Close caught before it could run.
@@ -208,32 +199,26 @@ func (d *Dispatcher) resolveLocked(lj *liveJob, x exit) {
 	d.kickLocked()
 	res := x.res
 	res.JobID, res.Retries = id, lj.attempts()
-	switch {
-	case x.migrated != "":
-		d.journal(journal.Record{Kind: journal.Migrated, JobID: id, Node: x.migrated})
-		d.emit(Event{Kind: EvJobMigrated, JobID: id, Detail: x.migrated})
-	case res.Failed:
+	if res.Failed {
 		d.stats.jobsFailed.Add(1)
 		d.emit(Event{Kind: EvJobFailed, JobID: id, Detail: res.Err})
-	default:
+	} else {
 		d.recordLocked(metrics.JobRecord{ID: id, Procs: lj.job.Procs(), Start: res.Start, Stop: res.Stop})
 		d.stats.jobsCompleted.Add(1)
 		d.emit(Event{Kind: EvJobCompleted, JobID: id})
 	}
 	lj.job, lj.run = nil, nil
-	if x.migrated == "" && !x.stranded {
+	if !x.stranded {
 		// The Completed record dedupes the job at recovery.
 		d.journal(journal.Record{Kind: journal.Completed, JobID: id, Failed: res.Failed})
 	}
 	if sp := d.spillLoaded(); sp != nil && !x.stranded && lj.loc != (journal.Loc{}) {
-		// Terminal here either way: a once-spilled job's spec leaves the
-		// spill store's custody.
+		// Terminal: a once-spilled job's spec leaves the spill store's
+		// custody.
 		sp.Release(lj.loc)
 		lj.loc = journal.Loc{}
 	}
-	if x.migrated == "" {
-		lj.complete(res)
-	}
+	lj.complete(res)
 }
 
 // specLostLocked resolves a cold job whose spilled spec could not be read

@@ -17,12 +17,10 @@ import (
 	"jets/internal/worker"
 )
 
-// TestStealQueuedUnreadableSpecFailsHandle: a cold job whose spilled spec
-// cannot be read back when it is stolen fails its handle. It used to be
-// dropped from the dispatcher's state and journaled Completed{Failed} with the
-// handle left pending forever — and a router wires that handle with OnDone,
-// so its table entry leaked and Router.Drain span until ctx expiry.
-func TestStealQueuedUnreadableSpecFailsHandle(t *testing.T) {
+// TestRefillUnreadableSpecFailsHandle: a cold job whose spilled spec cannot
+// be read back when a refill rehydrates it fails its handle, and leaves the
+// job table, rather than staying queued with nothing to run.
+func TestRefillUnreadableSpecFailsHandle(t *testing.T) {
 	dir := t.TempDir()
 	d := New(Config{HotQueueJobs: 1, Shards: 1, SpillDir: dir})
 	defer d.Close()
@@ -52,67 +50,43 @@ func TestStealQueuedUnreadableSpecFailsHandle(t *testing.T) {
 		}
 	}
 
-	stolen := d.StealQueued(6, "peer")
-	if len(stolen) != 1 || stolen[0].Spec.JobID != "c0" {
-		t.Fatalf("stole %+v, want only the hydrated c0", stolen)
+	// Popping the hydrated c0 drains the hot window and starts the refill.
+	runner := hydra.NewFuncRunner()
+	runner.Register("noop", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
+		return 0
+	})
+	startPipeWorkers(t, d, 1, runner)
+	if res := handles[0].Wait(); res.Failed {
+		t.Fatalf("hydrated c0 failed: %s", res.Err)
 	}
 	for _, h := range handles[1:] {
-		res, ok := h.TryResult()
-		if !ok {
-			t.Fatalf("handle %s still pending after its unreadable spec was stolen", h.JobID())
+		select {
+		case <-h.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("handle %s still pending after a refill found its spec unreadable", h.JobID())
 		}
-		if !res.Failed {
+		if res, _ := h.TryResult(); !res.Failed {
 			t.Fatalf("handle %s = %+v, want failed", h.JobID(), res)
 		}
 	}
-	if live := d.LiveJobs(); len(live) != 0 {
-		t.Fatalf("live after steal = %v, want none", live)
+	d.mu.Lock()
+	left := len(d.jobs)
+	d.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("job table holds %d entries after every handle resolved, want none", left)
 	}
 	if st := d.Stats(); st.JobsFailed != 5 {
 		t.Fatalf("JobsFailed = %d, want 5", st.JobsFailed)
 	}
 }
 
-// TestStealQueuedWakesDrain: stealing the last live jobs out of an instance
-// wakes a Drain already waiting on them. StealQueued used to remove the jobs
-// without kicking the waiters, so the Drain blocked until some unrelated
-// completion or its ctx expired.
-func TestStealQueuedWakesDrain(t *testing.T) {
-	d := New(Config{Shards: 1})
-	defer d.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := d.Submit(seqJob(fmt.Sprintf("q%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	drained := make(chan error, 1)
-	go func() { drained <- d.Drain(ctx) }()
-	// Let Drain park first. The fixed code passes in either order; the pause
-	// only makes the missing wake-up reproduce reliably.
-	time.Sleep(50 * time.Millisecond)
-	if got := d.StealQueued(4, "peer"); len(got) != 4 {
-		t.Fatalf("stole %d, want 4", len(got))
-	}
-	select {
-	case err := <-drained:
-		if err != nil {
-			t.Fatalf("Drain = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Drain still blocked after every live job was stolen")
-	}
-}
-
 // TestLifecycleInvariants drives a seeded interleaving of every way into and
-// out of the job table — Submit, SubmitBatch, SubmitStolen, worker loss with
-// retries, spill and rehydration behind a hot window of 4, StealQueued,
-// online checkpoints, and Close — and checks what must hold however they
-// interleave: every handle completes exactly once (a migrated one never), the
-// table is empty once the dispatcher has drained or closed, every admitted
-// job is accounted completed, failed or migrated, and the journal replays
-// every job Close stranded and none after a clean drain.
+// out of the job table — Submit, SubmitBatch, worker loss with retries, spill
+// and rehydration behind a hot window of 4, online checkpoints, and Close —
+// and checks what must hold however they interleave: every handle completes
+// exactly once, the table is empty once the dispatcher has drained or closed,
+// every admitted job is accounted completed or failed, and the journal
+// replays every job Close stranded and none after a clean drain.
 func TestLifecycleInvariants(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -184,13 +158,10 @@ func lifecycleRun(t *testing.T, shards int, seed int64, closeMidFlight bool) {
 		addWorker()
 	}
 
-	tracked := make(map[string]*trackedJob)
 	var all []*trackedJob
-	migrated := 0
 	track := func(h *Handle) {
 		tj := &trackedJob{h: h}
 		h.OnDone(func(JobResult) { tj.done.Add(1) })
-		tracked[h.JobID()] = tj
 		all = append(all, tj)
 	}
 	nextJob := 0
@@ -200,7 +171,7 @@ func lifecycleRun(t *testing.T, shards int, seed int64, closeMidFlight bool) {
 	}
 
 	for op := 0; op < 150; op++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(8) {
 		case 0, 1, 2:
 			h, err := d.Submit(newJob())
 			if err != nil {
@@ -220,38 +191,17 @@ func lifecycleRun(t *testing.T, shards int, seed int64, closeMidFlight bool) {
 				track(h)
 			}
 		case 5:
-			j := newJob()
-			h, err := d.SubmitStolen(StolenJob{Spec: j.Spec, Type: j.Type, Retries: rng.Intn(2)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			track(h)
-		case 6:
-			// Steal, then hand half of the loot back the way a router would
-			// on a refused placement: the ID is free again, so it re-enters.
-			for _, sj := range d.StealQueued(1+rng.Intn(6), "peer") {
-				migrated++
-				delete(tracked, sj.Spec.JobID)
-				if rng.Intn(2) == 0 {
-					h, err := d.SubmitStolen(sj)
-					if err != nil {
-						t.Fatal(err)
-					}
-					track(h)
-				}
-			}
-		case 7:
 			if len(workers) > 0 {
 				i := rng.Intn(len(workers))
 				workers[i].Kill()
 				workers = append(workers[:i], workers[i+1:]...)
 			}
 			addWorker()
-		case 8:
+		case 6:
 			if err := d.CompactJournal(); err != nil {
 				t.Fatal(err)
 			}
-		case 9:
+		case 7:
 			time.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
 		}
 	}
@@ -266,7 +216,7 @@ func lifecycleRun(t *testing.T, shards int, seed int64, closeMidFlight bool) {
 	err = d.Drain(dctx)
 	dcancel()
 	if err != nil {
-		t.Fatalf("Drain: %v (live: %v)", err, d.LiveJobs())
+		t.Fatalf("Drain: %v (%+v)", err, d.Stats())
 	}
 
 	d.mu.Lock()
@@ -277,22 +227,18 @@ func lifecycleRun(t *testing.T, shards int, seed int64, closeMidFlight bool) {
 	}
 	stranded := make(map[string]bool)
 	for _, tj := range all {
-		want := int32(1)
-		if tracked[tj.h.JobID()] != tj {
-			want = 0 // stolen: the handle is abandoned, never completed
-		}
-		if got := tj.done.Load(); got != want {
-			t.Errorf("handle %s completed %d times, want %d", tj.h.JobID(), got, want)
+		if got := tj.done.Load(); got != 1 {
+			t.Errorf("handle %s completed %d times, want 1", tj.h.JobID(), got)
 		}
 		if res, ok := tj.h.TryResult(); ok && res.Err == ErrDispatcherClosed.Error() {
 			stranded[tj.h.JobID()] = true
 		}
 	}
-	if st := d.Stats(); st.JobsSubmitted != st.JobsCompleted+st.JobsFailed+migrated {
-		t.Errorf("submitted %d != completed %d + failed %d + migrated %d",
-			st.JobsSubmitted, st.JobsCompleted, st.JobsFailed, migrated)
+	if st := d.Stats(); st.JobsSubmitted != st.JobsCompleted+st.JobsFailed {
+		t.Errorf("submitted %d != completed %d + failed %d",
+			st.JobsSubmitted, st.JobsCompleted, st.JobsFailed)
 	}
-	t.Logf("%d admissions: %+v, migrated %d, stranded %d", len(all), d.Stats(), migrated, len(stranded))
+	t.Logf("%d admissions: %+v, stranded %d", len(all), d.Stats(), len(stranded))
 	if !closeMidFlight && len(stranded) != 0 {
 		t.Errorf("%d handles failed with ErrDispatcherClosed in a run that never closed", len(stranded))
 	}
@@ -317,32 +263,5 @@ func lifecycleRun(t *testing.T, shards int, seed int64, closeMidFlight bool) {
 	}
 	for id := range stranded {
 		t.Errorf("stranded job %s was not recovered", id)
-	}
-}
-
-// TestStealQueuedRefillsDrainedHotWindow: a steal that empties a shard's hot
-// window must start the cold tail's rehydration, as a pop would. Only a pop
-// used to, so the shard looked empty to the scheduling pass forever: idle
-// workers, a cold backlog, and nothing running.
-func TestStealQueuedRefillsDrainedHotWindow(t *testing.T) {
-	d := New(Config{HotQueueJobs: 2, Shards: 1})
-	addr, err := d.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for i := 0; i < 6; i++ {
-		if _, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: fmt.Sprintf("r%d", i), NProcs: 1, Cmd: "noop"}, Type: Sequential}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := d.StealQueued(2, "peer"); len(got) != 2 {
-		t.Fatalf("stole %d, want the 2 hot jobs", len(got))
-	}
-	runWorkers(t, d, addr, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := d.Drain(ctx); err != nil {
-		t.Fatalf("cold tail never ran after the steal emptied the hot window: %v (live: %v)", err, d.LiveJobs())
 	}
 }

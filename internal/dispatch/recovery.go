@@ -108,11 +108,10 @@ func (d *Dispatcher) recoverJournal() {
 				s.attempt = r.Attempt
 				s.dispatched = false // back in a queue when the record was cut
 			}
-		case journal.Completed:
-			delete(live, r.JobID)
-		case journal.Migrated:
-			// Terminal locally: the job now lives on (and is journaled by)
-			// the destination instance named in the record.
+		case journal.Completed, journal.Migrated:
+			// Migrated is terminal too: it was written by the retired
+			// in-process federation when a job left for another instance,
+			// and a WAL from that time may still hold one.
 			delete(live, r.JobID)
 		}
 		return nil

@@ -25,8 +25,8 @@ package dispatch
 // Each spilled job's table entry (liveJob.loc) holds the location of its
 // record, so every read and release goes by location and the store keeps no
 // index of its own. The record is released only when the job leaves the
-// spill's custody for good — terminal state, migration to a peer, or a newer
-// record when a recovered job spills again — never on rehydration, because
+// spill's custody for good — terminal state, or a newer record when a
+// recovered job spills again — never on rehydration, because
 // after a checkpoint the record is the only durable copy of a once-spilled
 // job's spec.
 //

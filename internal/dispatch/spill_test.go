@@ -2,7 +2,7 @@ package dispatch
 
 // Tests for the disk-backed cold queue (spill.go): hot-window threshold
 // accounting, duplicate-ID reservation against cold jobs, spilled-vs-unspilled
-// completion equivalence, cold-aware federation stealing, bounded WAL segment
+// completion equivalence, refill order and release, bounded WAL segment
 // counts under online checkpointing, and recovery of spilled jobs across a
 // restart (by SpillRef, without rehydrating the backlog).
 
@@ -160,50 +160,59 @@ func TestSpillRefillPreservesShardFIFO(t *testing.T) {
 	if d.SpilledJobs() == 0 {
 		t.Fatal("test setup broken: nothing spilled")
 	}
-	// Steal everything through the exact path: StealQueued returns jobs
-	// oldest-first, which is the order a worker would have launched them in.
-	stolen := d.StealQueued(50, "order-probe")
-	if len(stolen) != 50 {
-		t.Fatalf("stole %d jobs, want 50", len(stolen))
-	}
-	for i, sj := range stolen {
-		want := fmt.Sprintf("fifo-%02d", i)
-		if sj.Spec.JobID != want {
-			t.Fatalf("steal order[%d] = %s, want %s (cold tail broke FIFO)", i, sj.Spec.JobID, want)
-		}
-		if sj.Spec.Cmd == "" {
-			t.Fatalf("stolen cold job %s lost its spec", sj.Spec.JobID)
+	runner := &specRunner{got: map[string]Job{}}
+	startPipeWorkers(t, d, 1, runner)
+	for _, h := range handles {
+		if res := h.Wait(); res.Failed {
+			t.Fatalf("job %s failed: %s", res.JobID, res.Err)
 		}
 	}
-	_ = handles
+	runner.mu.Lock()
+	defer runner.mu.Unlock()
+	if len(runner.order) != 50 {
+		t.Fatalf("ran %d jobs, want 50", len(runner.order))
+	}
+	for i, id := range runner.order {
+		if want := fmt.Sprintf("fifo-%02d", i); id != want {
+			t.Fatalf("run order[%d] = %s, want %s (cold tail broke FIFO)", i, id, want)
+		}
+		if runner.got[id].Spec.Cmd == "" {
+			t.Fatalf("cold job %s lost its spec", id)
+		}
+	}
 }
 
-// TestStealQueuedReleasesSpilledEntries: migrating a cold job out ends the
-// spill store's custody — the entry is removed and the ID becomes reusable.
-func TestStealQueuedReleasesSpilledEntries(t *testing.T) {
+// TestCompletedColdJobsReleaseSpilledEntries: a cold job that runs to its
+// end leaves the spill store's custody, so the store empties with the queue.
+func TestCompletedColdJobsReleaseSpilledEntries(t *testing.T) {
 	d := New(Config{HotQueueJobs: 1, Shards: 1})
 	defer d.Close()
+	var handles []*Handle
 	for i := 0; i < 6; i++ {
-		if _, err := d.Submit(seqJob(fmt.Sprintf("m%d", i))); err != nil {
+		h, err := d.Submit(seqJob(fmt.Sprintf("m%d", i)))
+		if err != nil {
 			t.Fatal(err)
 		}
+		handles = append(handles, h)
 	}
-	spilledBefore := d.SpilledJobs()
-	if spilledBefore < 4 {
-		t.Fatalf("SpilledJobs before steal = %d, want >= 4", spilledBefore)
+	if got := d.SpilledJobs(); got < 4 {
+		t.Fatalf("SpilledJobs before the run = %d, want >= 4", got)
 	}
-	stolen := d.StealQueued(6, "peer")
-	if len(stolen) != 6 {
-		t.Fatalf("stole %d, want 6", len(stolen))
+	runner := hydra.NewFuncRunner()
+	runner.Register("noop", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
+		return 0
+	})
+	startPipeWorkers(t, d, 1, runner)
+	for _, h := range handles {
+		if res := h.Wait(); res.Failed {
+			t.Fatalf("job %s failed: %s", res.JobID, res.Err)
+		}
 	}
 	if got := d.SpilledJobs(); got != 0 {
-		t.Fatalf("SpilledJobs after stealing everything = %d, want 0", got)
+		t.Fatalf("SpilledJobs after every job completed = %d, want 0", got)
 	}
-	if sp := d.spillLoaded(); sp != nil && sp.Len() != 0 {
-		t.Fatalf("spill store holds %d entries after their jobs migrated, want 0", sp.Len())
-	}
-	if _, err := d.Submit(seqJob("m3")); err != nil {
-		t.Fatalf("migrated cold ID not released: %v", err)
+	if sp := d.spillLoaded(); sp == nil || sp.Len() != 0 {
+		t.Fatalf("spill store %v after every job completed, want open and empty", sp)
 	}
 }
 
@@ -614,17 +623,33 @@ func degradedSpillChild(t *testing.T, dir string, live int) {
 	d := New(Config{Journal: wal, SpillDir: spillDir, HotQueueJobs: 4, Shards: 1})
 	defer d.Close()
 	arg := strings.Repeat("x", 2<<10)
-	submit := func(prefix string, n int) {
+	submit := func(prefix string, n int) []*Handle {
+		var hs []*Handle
 		for i := 0; i < n; i++ {
-			if _, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: fmt.Sprint(prefix, i), NProcs: 1, Cmd: "noop", Args: []string{arg}}}); err != nil {
+			h, err := d.Submit(Job{Spec: hydra.JobSpec{JobID: fmt.Sprint(prefix, i), NProcs: 1, Cmd: "noop", Args: []string{arg}}})
+			if err != nil {
 				t.Fatal(err)
 			}
+			hs = append(hs, h)
 		}
+		return hs
 	}
-	submit("gone-", 400)
-	if got := len(d.StealQueued(400, "elsewhere")); got != 400 {
-		t.Fatalf("stole %d jobs, want 400", got)
-	}
+	// The first backlog spills, then runs to its end on workers that leave
+	// with the subtest, so its records are history in the spill segment.
+	gone := submit("gone-", 400)
+	t.Run("gone", func(t *testing.T) {
+		runner := hydra.NewFuncRunner()
+		runner.Register("noop", func(ctx context.Context, args []string, env map[string]string, stdout io.Writer) int {
+			return 0
+		})
+		startPipeWorkers(t, d, 2, runner)
+		for _, h := range gone {
+			if res := h.Wait(); res.Failed {
+				t.Fatalf("job %s failed: %s", res.JobID, res.Err)
+			}
+		}
+	})
+	waitFor(t, func() bool { return d.Workers() == 0 })
 	if err := d.CompactJournal(); err != nil {
 		t.Fatal(err)
 	}

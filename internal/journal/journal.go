@@ -53,10 +53,10 @@ const (
 	// Retried records a faulted job re-entering the queue; Attempt keeps
 	// the retry budget accounting across restarts.
 	Retried Kind = 4
-	// Migrated records the job leaving this journal's owner for another node
-	// (federation steal/rebalance, Node naming the destination). Terminal
-	// locally — recovery treats it like Completed — while the destination's
-	// own Submitted record carries the job's durability from then on.
+	// Migrated recorded a queued job leaving for another dispatcher instance
+	// of the retired in-process federation, Node naming the destination.
+	// Nothing writes it any more; recovery treats one in an older WAL like
+	// Completed.
 	Migrated Kind = 5
 	// SpillRef marks a job live whose full specification resides in the
 	// dispatcher's spill store (SpillStore) rather than in the log. Only
@@ -108,8 +108,7 @@ type Record struct {
 	// Retried payload.
 	Attempt int
 
-	// Migrated payload — and, in a router's routing-table journal, the
-	// instance a Submitted record assigned the job to.
+	// Migrated payload.
 	Node string
 }
 

@@ -422,8 +422,8 @@ func (s *SpillStore) ReadBatch(locs []Loc, fn func(i int, r Record)) error {
 }
 
 // Release drops the record at l, reclaiming its segment once empty. Call it
-// when the job leaves the spill's custody for good (terminal state,
-// migration to a peer, or a newer record of the same job) — not on
+// when the job leaves the spill's custody for good (terminal state, or a
+// newer record of the same job) — not on
 // rehydration into the hot window: a checkpointed journal may hold only a
 // SpillRef for the job, so the spilled spec stays its durable copy until a
 // terminal record exists.

@@ -197,23 +197,6 @@ func (t *Tally) Add(j JobRecord) {
 	t.Busy += j.busy()
 }
 
-// Merge folds another tally in, for runs spread over several dispatchers.
-func (t *Tally) Merge(o Tally) {
-	if o.Jobs == 0 {
-		return
-	}
-	if t.Jobs == 0 || o.First < t.First {
-		t.First = o.First
-	}
-	if t.Jobs == 0 || o.Last > t.Last {
-		t.Last = o.Last
-	}
-	t.Jobs += o.Jobs
-	t.Procs += o.Procs
-	t.Run += o.Run
-	t.Busy += o.Busy
-}
-
 // Summary computes the figures for a run on an allocation of the given
 // processor count. Makespan is measured from the earliest start to the latest
 // stop.

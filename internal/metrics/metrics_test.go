@@ -130,8 +130,9 @@ func summarize(jobs []JobRecord, allocation int) Summary {
 	return t.Summary(allocation)
 }
 
-// TestTallyMatchesSummarize: tallies merged from two dispatchers give the
-// Summary one tally fed every record gives.
+// TestTallyMatchesSummarize: a tally does not depend on the order records
+// arrive in (completions come back out of submission order), so folding them
+// backwards gives the Summary that summarize, folding them forwards, gives.
 func TestTallyMatchesSummarize(t *testing.T) {
 	var jobs []JobRecord
 	for i := 0; i < 100; i++ {
@@ -139,27 +140,15 @@ func TestTallyMatchesSummarize(t *testing.T) {
 		jobs = append(jobs, JobRecord{Procs: 1 + i%4, Start: start, Stop: start + time.Duration(5+i%11)*time.Millisecond})
 	}
 	jobs = append(jobs, JobRecord{Procs: 2, Start: 9 * time.Millisecond, Stop: 3 * time.Millisecond}) // runs backwards: zero duration
-	var whole, a, b Tally
-	for i, j := range jobs {
-		whole.Add(j)
-		if i%3 == 0 {
-			a.Add(j)
-		} else {
-			b.Add(j)
-		}
+	want := summarize(jobs, 16)
+	var back Tally
+	for i := len(jobs) - 1; i >= 0; i-- {
+		back.Add(jobs[i])
 	}
-	want := whole.Summary(16)
-	a.Merge(b)
-	a.Merge(Tally{})
-	got := a.Summary(16)
+	got := back.Summary(16)
 	if got.Jobs != want.Jobs || got.Procs != want.Procs || got.MeanRun != want.MeanRun ||
 		got.Makespan != want.Makespan || got.Rate != want.Rate || math.Abs(got.Utilization-want.Utilization) > 1e-12 {
-		t.Errorf("merged summary %+v, whole %+v", got, want)
-	}
-	var empty Tally
-	empty.Merge(whole)
-	if empty != whole {
-		t.Errorf("merge into an empty tally gave %+v, want %+v", empty, whole)
+		t.Errorf("backwards summary %+v, forwards %+v", got, want)
 	}
 }
 

@@ -218,14 +218,7 @@ type CounterFunc struct {
 
 // CounterFunc creates and registers a sampled counter.
 func (r *Registry) CounterFunc(name, help string, fn func() int64) *CounterFunc {
-	return r.CounterFuncL(name, "", help, fn)
-}
-
-// CounterFuncL creates and registers a sampled counter with a label set
-// (e.g. `instance="2"`), so several subsystem instances in one process can
-// export the same base name without colliding in the registry.
-func (r *Registry) CounterFuncL(name, labels, help string, fn func() int64) *CounterFunc {
-	c := &CounterFunc{fn: fn, d: Desc{Name: name, Labels: labels, Help: help, Type: "counter"}}
+	c := &CounterFunc{fn: fn, d: Desc{Name: name, Help: help, Type: "counter"}}
 	r.Register(c)
 	return c
 }
@@ -350,17 +343,11 @@ type Hist struct {
 // NewHist creates a detached histogram over the given bucket upper bounds
 // (nil uses DefLatencyBounds). Bounds must be ascending.
 func NewHist(name, help string, bounds []time.Duration) *Hist {
-	return NewHistL(name, "", help, bounds)
-}
-
-// NewHistL creates a detached histogram with a label set (e.g.
-// `instance="2"`), so per-instance histograms share one base name.
-func NewHistL(name, labels, help string, bounds []time.Duration) *Hist {
 	if bounds == nil {
 		bounds = DefLatencyBounds
 	}
 	h := &Hist{
-		d:      Desc{Name: name, Labels: labels, Help: help, Type: "histogram"},
+		d:      Desc{Name: name, Help: help, Type: "histogram"},
 		bounds: make([]float64, len(bounds)),
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}

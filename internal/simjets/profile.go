@@ -5,7 +5,6 @@ import (
 
 	"jets/internal/event"
 	"jets/internal/fsim"
-	"jets/internal/topology"
 )
 
 // Profile calibrates the simulator to one of the paper's machines. The
@@ -15,9 +14,6 @@ type Profile struct {
 	Name         string
 	Nodes        int
 	CoresPerNode int
-
-	// Net models the interconnect for MPI wire-up and barrier costs.
-	Net topology.Network
 
 	// DispatchService is the central JETS scheduler's per-message service
 	// time (work-request handling, proxy dispatch). Its reciprocal bounds
@@ -66,7 +62,6 @@ func Surveyor(nodes int) Profile {
 		Name:            "surveyor-bgp",
 		Nodes:           nodes,
 		CoresPerNode:    4,
-		Net:             topology.BGPSockets(8, 8, 16),
 		DispatchService: 44 * time.Microsecond,
 		LoginCores:      4,
 		MPIExecSpawn:    180 * time.Millisecond,
@@ -85,7 +80,6 @@ func Breadboard(nodes int) Profile {
 		Name:            "breadboard-x86",
 		Nodes:           nodes,
 		CoresPerNode:    8,
-		Net:             topology.ClusterEthernet(),
 		DispatchService: 40 * time.Microsecond,
 		LoginCores:      8,
 		MPIExecSpawn:    18 * time.Millisecond,

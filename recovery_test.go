@@ -4,9 +4,7 @@ package jets
 // SIGKILL mid-workload and restarted over the same journal directory.
 // Reconnecting pilot-job workers (held in the parent test process, so their
 // execution counts survive the crash) must re-register against the restarted
-// service and every submitted job must still run to completion. The
-// federated variants run the same crash on an engine of four in-process
-// dispatcher instances behind the work router.
+// service and every submitted job must still run to completion.
 
 import (
 	"bufio"
@@ -15,7 +13,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,17 +33,13 @@ const crashJobs = 60
 // local workers that announces its listen address on stdout, submits the
 // workload, and waits — until the parent kills it. JETS_CRASH_HOT, when set,
 // caps the hot queue window so most of the workload crashes with its specs in
-// the on-disk spill store rather than in memory. JETS_CRASH_FEDERATE, when 2
-// or more, federates that many instances; the announced address is the
-// first's, the only one the workers dial.
+// the on-disk spill store rather than in memory.
 func helperCrashDispatcher() int {
 	hot, _ := strconv.Atoi(os.Getenv("JETS_CRASH_HOT"))
-	federate, _ := strconv.Atoi(os.Getenv("JETS_CRASH_FEDERATE"))
 	eng, err := core.NewEngine(core.Options{
 		ListenAddr:   "127.0.0.1:0",
 		DataDir:      os.Getenv("JETS_CRASH_DIR"),
 		HotQueueJobs: hot,
-		Federate:     federate,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash helper:", err)
@@ -75,27 +68,14 @@ func helperCrashDispatcher() int {
 	return 0
 }
 
-func TestCrashRecoveryKill9(t *testing.T) { runCrashRecoveryKill9(t, 0, 1) }
+func TestCrashRecoveryKill9(t *testing.T) { runCrashRecoveryKill9(t, 0) }
 
 // TestCrashRecoveryKill9Spilled is the same crash, but with a one-job hot
 // window: nearly the whole workload's specs live in the spill store on both
 // sides of the kill, so recovery must rebuild (and re-run) a cold backlog.
-func TestCrashRecoveryKill9Spilled(t *testing.T) { runCrashRecoveryKill9(t, 1, 1) }
+func TestCrashRecoveryKill9Spilled(t *testing.T) { runCrashRecoveryKill9(t, 1) }
 
-// TestFederatedCrashRecoveryKill9 is the same crash one level up: four
-// instances behind the router, each journaling under DataDir/inst<i>, the
-// routing table under DataDir/router. The workers dial the first instance
-// only, so the others' jobs reach them by stealing, across both lives.
-// Every job must complete exactly once per router handle, and the routing
-// table's WAL must replay clean.
-func TestFederatedCrashRecoveryKill9(t *testing.T) { runCrashRecoveryKill9(t, 0, 4) }
-
-// TestFederatedCrashRecoveryKill9Spilled is the federated crash with a
-// one-job hot window per instance shard: the backlogs crash cold, in each
-// instance's spill store.
-func TestFederatedCrashRecoveryKill9Spilled(t *testing.T) { runCrashRecoveryKill9(t, 1, 4) }
-
-func runCrashRecoveryKill9(t *testing.T, hot, federate int) {
+func runCrashRecoveryKill9(t *testing.T, hot int) {
 	if testing.Short() {
 		t.Skip("forks a real dispatcher process")
 	}
@@ -106,7 +86,6 @@ func runCrashRecoveryKill9(t *testing.T, hot, federate int) {
 		"JETS_HELPER=crash-dispatcher",
 		"JETS_CRASH_DIR="+dir,
 		fmt.Sprintf("JETS_CRASH_HOT=%d", hot),
-		fmt.Sprintf("JETS_CRASH_FEDERATE=%d", federate),
 	)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
@@ -179,19 +158,12 @@ func runCrashRecoveryKill9(t *testing.T, hot, federate int) {
 		t.Fatal(err)
 	}
 	cmd.Wait()
-	if hot > 0 && federate >= 2 {
-		// The instances are out of reach after the restart, so the spill
-		// variant's check is on disk: the backlogs crashed cold.
-		if segs, _ := filepath.Glob(filepath.Join(dir, "inst*", "spill", "spill-*.seg")); len(segs) == 0 {
-			t.Fatal("spill variant: no instance's backlog crashed in its spill store")
-		}
-	}
 
 	// Second life: same address, same journal directory, this process.
 	var eng *core.Engine
 	deadline = time.Now().Add(10 * time.Second)
 	for {
-		eng, err = core.NewEngine(core.Options{ListenAddr: addr, DataDir: dir, HotQueueJobs: hot, Federate: federate})
+		eng, err = core.NewEngine(core.Options{ListenAddr: addr, DataDir: dir, HotQueueJobs: hot})
 		if err == nil {
 			break
 		}
@@ -208,7 +180,7 @@ func runCrashRecoveryKill9(t *testing.T, hot, federate int) {
 	if len(recovered) == 0 {
 		t.Fatal("restart recovered no jobs")
 	}
-	if hot > 0 && federate < 2 && eng.Dispatcher().Stats().JobsSpilled == 0 {
+	if hot > 0 && eng.Dispatcher().Stats().JobsSpilled == 0 {
 		t.Fatal("spill variant: second life recovered the backlog without spilling")
 	}
 	t.Logf("recovered %d jobs after %d pre-crash executions", len(recovered), total.Load())
@@ -245,14 +217,9 @@ func runCrashRecoveryKill9(t *testing.T, hot, federate int) {
 	}
 
 	// After a clean close, a fresh replay must show zero live jobs and
-	// exactly one Completed record per job the second life owned: in the
-	// dispatcher's journal, or a federation's routing table.
+	// exactly one Completed record per job the second life owned.
 	eng.Close()
-	jdir := dir
-	if federate >= 2 {
-		jdir = filepath.Join(dir, "router")
-	}
-	wal, err := journal.OpenWAL(journal.Options{Dir: jdir})
+	wal, err := journal.OpenWAL(journal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
